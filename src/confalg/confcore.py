@@ -165,7 +165,7 @@ class ModElem:
             name = self.module.basis[i]
             if c == 1:
                 parts.append(name)
-            elif len(c.terms) == 1 and not c.variables():
+            elif not c.variables():
                 parts.append(f"{c}*{name}")
             else:
                 parts.append(f"({c})*{name}")

@@ -341,11 +341,7 @@ class _Parser:
             inner = self.parse_scalar_expr()
             self.expect_punct(")")
             if self.at_punct("^"):
-                exp = self.parse_exponent()
-                out = Poly.one()
-                for _ in range(exp):
-                    out = out * inner
-                return out
+                return inner ** self.parse_exponent()
             return inner
         raise self.fail("expected a coefficient")
 
@@ -402,11 +398,7 @@ class _Parser:
                 inner = self.parse_scalar_expr()
                 self.expect_punct(")")
                 if self.at_punct("^"):
-                    exp = self.parse_exponent()
-                    power = Poly.one()
-                    for _ in range(exp):
-                        power = power * inner
-                    inner = power
+                    inner = inner ** self.parse_exponent()
                 coeff = coeff * inner
             else:
                 if first:

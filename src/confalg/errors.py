@@ -84,6 +84,10 @@ class PreconditionFailed(ConfalgError):
     """A documented precondition of an operation does not hold."""
 
 
+class ExponentOverflow(ConfalgError):
+    """An exponent exceeds the cap of the polynomial kernel (``polyring.EXP_MAX``)."""
+
+
 class ParseError(ConfalgError):
     """A syntax error in DSL or polynomial text, with source position."""
 

@@ -1,11 +1,6 @@
-"""Exact sparse multivariate polynomials over arbitrary-precision rationals.
+"""Exact sparse multivariate polynomials over the rationals, computed with integers.
 
 This is the computational substrate for every identity check in the package.
-A polynomial is a finite map ``monomial -> Fraction`` where a monomial is a
-tuple of ``(variable, exponent)`` pairs with positive exponents, sorted by a
-fixed variable order.  No zero coefficients are ever stored, so equality of
-polynomials is equality of the underlying term maps and ``is_zero`` is
-emptiness.
 
 Variables are plain strings in three classes, ordered ``D < L1 < L2 < ... <
 aux``:
@@ -17,6 +12,33 @@ aux``:
 * anything else (``"t"``, ``"q"``, ...) — auxiliary scalar parameters such as
   deformation or weight parameters, never touched by evaluation.
 
+Representation.  A monomial is one non-negative ``int`` holding a packed
+exponent vector: every variable owns a field of :data:`FIELD_BITS` bits at a
+fixed offset, the low bits holding its exponent and the top bit a guard.
+``D`` and ``L1 .. L4`` own the lowest fields in that order; any other
+variable gets the next free field the first time it is used (a process-wide,
+append-only table that grows with the number of distinct variable names).
+Multiplying monomials is adding their integers.  The exponents of two
+monomials are below the guard bit, so a field of their sum can only overflow
+into its own guard bit, never into the next field; every product is checked
+for set guard bits.  A polynomial is a map ``monomial -> int numerator``
+together with one positive ``int`` denominator, kept canonical: no zero
+numerators, and ``gcd(denominator, *numerators) == 1`` (so the zero
+polynomial has denominator 1).  Two equal polynomials therefore have equal
+maps and denominators, which is what ``==`` and ``hash`` compare.
+
+Boundary contract.  The public view is unchanged by the packing:
+``Poly(mapping)`` takes monomials as tuples of ``(variable, exponent)`` pairs
+and ``int`` or ``Fraction`` coefficients; :meth:`Poly.items` yields
+monomials as such tuples, sorted by the variable order, with ``Fraction``
+coefficients in lowest terms; :meth:`Poly.constant_term` is a ``Fraction``.
+Fractions are made only there, never inside arithmetic.
+
+Exponent cap.  An exponent may not exceed :data:`EXP_MAX` (32767), whether
+it is written on a variable, reached by a product or a substitution, or is
+the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
+:class:`~confalg.errors.ConfalgError`) instead of wrapping or running on.
+
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
 rational literals, and the variable names above, e.g. ``(2*D + 3*L1)^2``.
@@ -26,14 +48,22 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .errors import DuplicateBinding, ParseError
+from .errors import DuplicateBinding, ExponentOverflow, ParseError
 
 Scalar = Fraction
 Monomial = Tuple[Tuple[str, int], ...]
 PolyLike = Union["Poly", Scalar, int]
+
+#: Bits per variable in a packed monomial: exponent bits plus one guard bit.
+FIELD_BITS = 16
+#: The largest exponent a variable may carry, and the largest one ``**`` takes.
+EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 _LAMBDA_RE = re.compile(r"^L([1-9][0-9]*)$")
 
@@ -56,29 +86,92 @@ def lam(k: int) -> str:
     return f"L{k}"
 
 
-def _pair_key(pair: Tuple[str, int]) -> tuple:
-    return var_sort_key(pair[0])
+class _Fields:
+    """The assignment of variables to fields of a packed monomial."""
+
+    def __init__(self, first: Iterable[str]) -> None:
+        self.shift: dict[str, int] = {}
+        #: ``(shift, name)`` pairs in variable order, for unpacking and display.
+        self.order: list[Tuple[int, str]] = []
+        #: The guard bits of all assigned fields.
+        self.guard = 0
+        for name in first:
+            self.intern(name)
+
+    def intern(self, name: str) -> int:
+        shift = self.shift.get(name)
+        if shift is None:
+            shift = len(self.shift) * FIELD_BITS
+            self.shift[name] = shift
+            self.guard |= 1 << (shift + FIELD_BITS - 1)
+            self.order.append((shift, name))
+            self.order.sort(key=lambda pair: var_sort_key(pair[1]))
+        return shift
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for name, exp in m2:
-        merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted(merged.items(), key=_pair_key))
+_FIELDS = _Fields(("D", "L1", "L2", "L3", "L4"))
 
 
-def _mul_term_maps(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
-    out: dict[Monomial, Scalar] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
-            prev = out.get(mono)
-            out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-    return out
+def _overflow(name: str, exp: object) -> ExponentOverflow:
+    return ExponentOverflow(f"exponent {exp} of {name} exceeds the cap {EXP_MAX}")
+
+
+def _pack(mono: Monomial) -> int:
+    exps: dict[str, int] = {}
+    for name, exp in mono:
+        if exp < 0:
+            raise ValueError("negative exponent")
+        exps[name] = exps.get(name, 0) + exp
+    packed = 0
+    for name, exp in exps.items():
+        if exp > EXP_MAX:
+            raise _overflow(name, exp)
+        packed += exp << _FIELDS.intern(name)
+    return packed
+
+
+def _unpack(packed: int) -> Monomial:
+    if not packed:
+        return ()
+    out = []
+    for shift, name in _FIELDS.order:
+        exp = (packed >> shift) & _FIELD
+        if exp:
+            out.append((name, exp))
+    return tuple(out)
+
+
+def _checked(nums: dict) -> dict:
+    """``nums`` itself, after checking that no exponent reached a guard bit."""
+    hit = reduce(or_, nums, 0) & _FIELDS.guard
+    if hit:
+        for shift, name in _FIELDS.order:
+            if (hit >> shift) & _FIELD:
+                top = max((m >> shift) & _FIELD for m in nums)
+                raise _overflow(name, top)
+    return nums
+
+
+def _mul_nums(a: dict, b: dict) -> dict:
+    """Product of two numerator maps: zero numerators dropped, exponents checked."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((m2, c2),) = b.items()
+        if not m2:
+            return a if c2 == 1 else {m1: c1 * c2 for m1, c1 in a.items()}
+        # shifting by one monomial is injective and Z has no zero divisors
+        return _checked({m1 + m2: c1 * c2 for m1, c1 in a.items()})
+    out: dict = {}
+    get = out.get
+    a_items = a.items()
+    for m2, c2 in b.items():
+        for m1, c1 in a_items:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return _checked(out)
 
 
 class Poly:
@@ -86,23 +179,25 @@ class Poly:
 
     Construct via :meth:`zero`, :meth:`one`, :meth:`const`, :meth:`var` or
     :func:`parse_poly`; combine with ``+ - * **``.  Integers and Fractions
-    coerce automatically on either side.
+    coerce automatically on either side.  The numerator map ``_nums`` and
+    the denominator ``_den`` are private and may be shared between
+    polynomials, so nothing may rebind or mutate them.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None) -> None:
-        canon: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff:
-                    canon[mono] = coeff
-        object.__setattr__(self, "terms", canon)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Poly is immutable")
+        fracs = []
+        for mono, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff:
+                fracs.append((_pack(mono), coeff))
+        den = lcm(*(c.denominator for _, c in fracs)) if fracs else 1
+        nums: dict[int, int] = {}
+        for mono, coeff in fracs:
+            nums[mono] = nums.get(mono, 0) + coeff.numerator * (den // coeff.denominator)
+        canon = _canonical({m: c for m, c in nums.items() if c}, den)
+        self._nums, self._den = canon._nums, canon._den
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +211,13 @@ class Poly:
 
     @classmethod
     def const(cls, value: Union[Scalar, int]) -> "Poly":
-        return cls({(): Fraction(value)})
+        if type(value) is not int:
+            value = Fraction(value)
+        if not value:
+            return _ZERO_POLY
+        if value == 1:
+            return _ONE_POLY
+        return _wrap({0: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Poly":
@@ -124,104 +225,128 @@ class Poly:
             raise ValueError("negative exponent")
         if exp == 0:
             return _ONE_POLY
-        return cls({((name, exp),): Fraction(1)})
+        if exp > EXP_MAX:
+            raise _overflow(name, exp)
+        return _wrap({exp << _FIELDS.intern(name): 1}, 1)
 
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def variables(self) -> set[str]:
-        names: set[str] = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
+        present = reduce(or_, self._nums, 0)
+        return {name for shift, name in _FIELDS.order if (present >> shift) & _FIELD}
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def degree_in(self, name: str) -> int:
-        best = 0
-        for mono in self.terms:
-            for var, exp in mono:
-                if var == name and exp > best:
-                    best = exp
-        return best
+        shift = _FIELDS.shift.get(name)
+        if shift is None:
+            return 0
+        return max(((m >> shift) & _FIELD for m in self._nums), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
+        return max((sum(e for _, e in _unpack(m)) for m in self._nums), default=0)
 
     def items(self) -> Iterator[Tuple[Monomial, Scalar]]:
-        return iter(self.terms.items())
+        den = self._den
+        return ((_unpack(m), Fraction(c, den)) for m, c in self._nums.items())
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: PolyLike) -> "Poly":
-        other = as_poly(other)
-        if not self.terms:
-            return other
-        if not other.terms:
+    def __add__(self, other: PolyLike, _sign: int = 1) -> "Poly":
+        if not isinstance(other, Poly):
+            other = as_poly(other)
+        a, b = self._nums, other._nums
+        if not b:
             return self
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = coeff
+        if not a:
+            return other if _sign == 1 else -other
+        da, db = self._den, other._den
+        if da == db:
+            out, fb, den = dict(a), _sign, da
+        else:
+            g = gcd(da, db)
+            fa, fb, den = db // g, _sign * (da // g), da // g * db
+            out = {m: c * fa for m, c in a.items()}
+        get = out.get
+        for m, c in b.items():
+            s = get(m, 0) + c * fb
+            if s:
+                out[m] = s
             else:
-                s = prev + coeff
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return _raw(out)
+                del out[m]
+        return _canonical(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw({mono: -coeff for mono, coeff in self.terms.items()})
+        return _wrap({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other: PolyLike) -> "Poly":
-        return self.__add__(-as_poly(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: PolyLike) -> "Poly":
         return as_poly(other).__sub__(self)
 
     def __mul__(self, other: PolyLike) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if isinstance(other, Poly):
+            if not self._nums or not other._nums:
                 return _ZERO_POLY
-            frac = Fraction(other)
-            return _raw({mono: coeff * frac for mono, coeff in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO_POLY
-        out = _mul_term_maps(self.terms, other.terms)
-        return Poly(out)
+            return _canonical(_mul_nums(self._nums, other._nums), self._den * other._den)
+        if isinstance(other, (int, Fraction)):
+            if not other or not self._nums:
+                return _ZERO_POLY
+            other = Fraction(other)
+            # cancelling num against the denominator first keeps the result canonical
+            g = gcd(other.numerator, self._den)
+            num, den = other.numerator // g, self._den // g
+            return _canonical(
+                {m: c * num for m, c in self._nums.items()}, den * other.denominator
+            )
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponent")
-        result = _ONE_POLY
-        for _ in range(n):
-            result = result * self
-        return result
+        if n > EXP_MAX:
+            raise ExponentOverflow(f"exponent {n} exceeds the cap {EXP_MAX}")
+        nums = self._nums
+        if n == 0:
+            return _ONE_POLY
+        if not nums:
+            return _ZERO_POLY
+        for name in sorted(self.variables(), key=var_sort_key):
+            if self.degree_in(name) * n > EXP_MAX:
+                raise _overflow(name, self.degree_in(name) * n)
+        # gcd(den, content) == 1 implies gcd(den^n, content^n) == 1 (Gauss's lemma)
+        den = self._den ** n
+        if len(nums) == 1:
+            ((m, c),) = nums.items()
+            return _wrap({m * n: c**n}, den)
+        out = nums
+        for _ in range(n - 1):
+            out = _mul_nums(out, nums)
+        return _wrap(out, den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.terms == other.terms
+        if type(other) is int:
+            return self._den == 1 and (self._nums == {0: other} if other else not self._nums)
         if isinstance(other, (int, Fraction)):
-            return self.terms == as_poly(other).terms
+            other = as_poly(other)
+        if isinstance(other, Poly):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     # -- substitution ------------------------------------------------------
 
@@ -241,95 +366,124 @@ class Poly:
             if name in bound:
                 raise DuplicateBinding(f"variable {name!r} bound twice")
             bound[name] = as_poly(image)
-        if not bound or not self.terms:
+        nums = self._nums
+        if not bound or not nums:
             return self
-        live = self.variables() & bound.keys()
+        present = reduce(or_, nums)
+        live = []
+        for name, image in bound.items():
+            shift = _FIELDS.shift.get(name)
+            if shift is not None and (present >> shift) & _FIELD:
+                live.append((shift, image))
         if not live:
             return self
-        power_cache: dict[Tuple[str, int], Mapping[Monomial, Scalar]] = {}
-
-        def image_power(name: str, exp: int) -> Mapping[Monomial, Scalar]:
-            key = (name, exp)
-            hit = power_cache.get(key)
-            if hit is None:
-                hit = (bound[name] ** exp).terms
-                power_cache[key] = hit
-            return hit
-
-        acc: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            rest = tuple(p for p in mono if p[0] not in bound)
-            piece: Mapping[Monomial, Scalar] = {rest: coeff}
-            for name, exp in mono:
-                if name in bound:
-                    piece = _mul_term_maps(piece, image_power(name, exp))
+        # Each image's powers up to the largest exponent it replaces, built once
+        # per call, image^e from image^(e-1).  image^e has denominator d^e; it is
+        # brought to d^top so that every term shares one denominator.
+        den = self._den
+        keep = ~0
+        tables = []
+        for shift, image in live:
+            keep &= ~(_FIELD << shift)
+            top = max((m >> shift) & _FIELD for m in nums)
+            powers = [{0: 1}]
+            for _ in range(top):
+                powers.append(_mul_nums(powers[-1], image._nums))
+            d = image._den
+            if d != 1:
+                powers = [
+                    {m: c * d ** (top - e) for m, c in pw.items()} for e, pw in enumerate(powers)
+                ]
+                den *= d**top
+            tables.append((shift, powers))
+        acc: dict = {}
+        get = acc.get
+        for mono, coeff in nums.items():
+            piece = {mono & keep: coeff}
+            for shift, powers in tables:
+                piece = _mul_nums(piece, powers[(mono >> shift) & _FIELD])
             for m, c in piece.items():
-                prev = acc.get(m)
-                if prev is None:
-                    acc[m] = c
+                s = get(m, 0) + c
+                if s:
+                    acc[m] = s
                 else:
-                    s = prev + c
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-        return Poly(acc)
+                    del acc[m]
+        return _canonical(acc, den)
 
     # -- textual form ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        nums = self._nums
+        if not nums:
             return "0"
-        def display_key(item: Tuple[Monomial, Scalar]) -> tuple:
-            mono = item[0]
-            total = sum(e for _, e in mono)
-            return (-total, tuple((var_sort_key(n), -e) for n, e in mono))
+        den = self._den
+        present = reduce(or_, nums)
+        fields = [(shift, name) for shift, name in _FIELDS.order if (present >> shift) & _FIELD]
+        # Higher total degree first, then larger exponents of earlier variables:
+        # the exponent lists are compared in variable order.  No two rows tie.
+        rows = []
+        for mono, num in nums.items():
+            exps = [(mono >> shift) & _FIELD for shift, _ in fields]
+            rows.append((sum(exps), exps, num))
+        rows.sort(reverse=True)
 
+        names = [name for _, name in fields]
         parts: list[str] = []
-        for mono, coeff in sorted(self.terms.items(), key=display_key):
-            factors = [
-                name if exp == 1 else f"{name}^{exp}" for name, exp in mono
-            ]
-            mag = abs(coeff)
-            if not factors:
-                body = _frac_str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_frac_str(mag)] + factors)
+        for _, exps, num in rows:
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            mag, q = abs(num), den
+            if q != 1:
+                g = gcd(mag, q)
+                mag, q = mag // g, q // g
+            if q != 1:
+                factors.insert(0, f"{mag}/{q}")
+            elif mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            body = "*".join(factors)
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-def _raw(terms: dict) -> Poly:
-    """Wrap an already-canonical term map without re-checking coefficients."""
-    p = object.__new__(Poly)
-    object.__setattr__(p, "terms", terms)
+_new = object.__new__
+
+
+def _wrap(nums: dict, den: int) -> Poly:
+    """Wrap numerators over ``den`` that are already canonical."""
+    p = _new(Poly)
+    p._nums = nums
+    p._den = den
     return p
 
 
-def _frac_str(value: Scalar) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _canonical(nums: dict, den: int) -> Poly:
+    """Wrap nonzero numerators over ``den > 0``, dividing out their common factor."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+    p = _new(Poly)
+    p._nums = nums
+    p._den = den
+    return p
 
 
 def as_poly(value: PolyLike) -> Poly:
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly.const(value) if value else _ZERO_POLY
+        return Poly.const(value)
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-_ZERO_POLY = _raw({})
-_ONE_POLY = _raw({(): Fraction(1)})
+_ZERO_POLY = _wrap({}, 1)
+_ONE_POLY = _wrap({0: 1}, 1)
 
 
 # -- parser of the textual form -------------------------------------------

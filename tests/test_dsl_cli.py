@@ -524,6 +524,24 @@ def test_cli_missing_file_is_a_runtime_error(capsys):
     assert data["records"][0]["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    ["D^3000000000", "D^20000*D^20000", "(D+1)^40000", "(D^200+L)^200", "(2)^3000000000"],
+)
+def test_cli_exponent_overflow_is_an_input_error(tmp_path, capsys, coefficient):
+    source = tmp_path / "big.cfa"
+    source.write_text(
+        f"algebra E {{\n  basis e;\n  product e e = {coefficient}*e;\n}}\n"
+        "check associative E;\n"
+    )
+    assert main(["check", str(source), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (record,) = json.loads(captured.out)["records"]
+    assert record["status"] == "error"
+    assert "exceeds the cap 32767" in record["detail"]
+
+
 def test_cli_construct_prints_source_text(capsys):
     assert main(["construct", str(FIXTURES / "all.cfa")]) == 0
     out = capsys.readouterr().out

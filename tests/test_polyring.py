@@ -14,8 +14,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confalg.errors import DuplicateBinding, ParseError
-from confalg.polyring import Poly, lam, parse_poly, var_sort_key
+from confalg.errors import ConfalgError, DuplicateBinding, ExponentOverflow, ParseError
+from confalg.polyring import EXP_MAX, Poly, lam, parse_poly, var_sort_key
 
 D = Poly.var("D")
 L1 = Poly.var("L1")
@@ -42,6 +42,26 @@ def monomials(draw) -> tuple:
 @st.composite
 def polys(draw) -> Poly:
     terms = draw(st.dictionaries(monomials(), scalars, max_size=4))
+    return Poly(terms)
+
+
+# Wider inputs for the packed kernel: exponents up to 12, a lambda variable
+# beyond the preassigned L1..L4, auxiliary variables, and mixed denominators.
+WIDE_VARS = ["D", "L1", "L2", "L4", "L7", "t", "q"]
+
+wide_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def wide_monomials(draw, max_exp: int = 12) -> tuple:
+    names = draw(st.lists(st.sampled_from(WIDE_VARS), unique=True, max_size=3))
+    pairs = [(name, draw(st.integers(min_value=1, max_value=max_exp))) for name in names]
+    return tuple(sorted(pairs, key=lambda p: var_sort_key(p[0])))
+
+
+@st.composite
+def wide_polys(draw, max_exp: int = 12, max_terms: int = 4) -> Poly:
+    terms = draw(st.dictionaries(wide_monomials(max_exp), wide_scalars, max_size=max_terms))
     return Poly(terms)
 
 
@@ -185,3 +205,116 @@ def test_lambda_names() -> None:
     with pytest.raises(ValueError):
         lam(0)
     assert var_sort_key("D") < var_sort_key("L1") < var_sort_key("L2") < var_sort_key("t")
+
+
+# -- the packed kernel ---------------------------------------------------------
+
+
+def _assert_canonical(p: Poly) -> None:
+    """Integer numerators over one positive denominator, with no common factor."""
+    from math import gcd
+
+    nums, den = p._nums, p._den
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) and c != 0 for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+@settings(max_examples=100)
+@given(wide_polys(), wide_polys(), st.sampled_from(WIDE_VARS), wide_polys(max_exp=2, max_terms=2))
+def test_results_are_canonical(p: Poly, q: Poly, name: str, image: Poly) -> None:
+    for r in (p, q, p + q, p - q, p * q, -p, p * Fraction(6, 5), 3 * p, p ** 2,
+              p.substitute(name, image), Poly.const(Fraction(3, 4)) - p):
+        _assert_canonical(r)
+
+
+def test_equal_polynomials_built_differently_hash_equal() -> None:
+    pairs = [
+        (Poly.const(Fraction(1, 2)) * 2, Poly.one()),
+        (Poly.const(Fraction(1, 3)) + Fraction(2, 3), Poly.one()),
+        (Fraction(1, 2) * D + Fraction(1, 2) * D, D),
+        (
+            Poly({(("D", 1), ("L1", 2)): Fraction(3, 4), (("t", 1),): Fraction(-1, 6)}),
+            Fraction(3, 4) * D * L1 ** 2 - Fraction(1, 6) * T,
+        ),
+        (Poly({(("L1", 1), ("D", 1)): 2}), 2 * D * L1),
+        (Poly({(("D", 1), ("D", 2)): 1}), D ** 3),
+        ((D + Fraction(1, 3)) * (D - Fraction(1, 3)) - D ** 2, Poly.const(Fraction(-1, 9))),
+        ((D + L1).substitute("L1", -D), Poly.zero()),
+        (Poly({(): 0, (("D", 1),): 0}), Poly.zero()),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        _assert_canonical(left)
+
+
+@settings(max_examples=100)
+@given(wide_polys())
+def test_items_and_constructor_round_trip(p: Poly) -> None:
+    items = list(p.items())
+    for mono, coeff in items:
+        assert isinstance(coeff, Fraction) and coeff != 0
+        assert list(mono) == sorted(mono, key=lambda pair: var_sort_key(pair[0]))
+        assert all(exp > 0 for _, exp in mono)
+    rebuilt = Poly(dict(items))
+    assert rebuilt == p
+    assert hash(rebuilt) == hash(p)
+    assert p.constant_term() == dict(items).get((), 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_wide_sum_and_product_match_sympy(p: Poly, q: Poly) -> None:
+    sp_p, sp_q = _to_sympy(p), _to_sympy(q)
+    assert sympy.expand(_to_sympy(p + q) - (sp_p + sp_q)) == 0
+    assert sympy.expand(_to_sympy(p - q) - (sp_p - sp_q)) == 0
+    assert sympy.expand(_to_sympy(p * q) - sp_p * sp_q) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wide_polys(max_terms=3),
+    st.lists(st.sampled_from(WIDE_VARS), unique=True, min_size=1, max_size=2),
+    st.lists(wide_polys(max_exp=2, max_terms=2), min_size=2, max_size=2),
+)
+def test_wide_substitute_many_matches_sympy(p: Poly, names: list, images: list) -> None:
+    ours = p.substitute_many(list(zip(names, images)))
+    theirs = _to_sympy(p).subs(
+        {sympy.Symbol(n): _to_sympy(im) for n, im in zip(names, images)}, simultaneous=True
+    )
+    assert sympy.expand(_to_sympy(ours) - theirs) == 0
+
+
+def test_exponents_up_to_the_cap_are_exact() -> None:
+    top = Poly.var("D", EXP_MAX)
+    assert Poly.var("D", EXP_MAX // 2) * Poly.var("D", EXP_MAX - EXP_MAX // 2) == top
+    # full neighbouring fields do not disturb each other
+    full = top * Poly.var("L1", EXP_MAX) * Poly.var("t", EXP_MAX)
+    assert list(full.items()) == [((("D", EXP_MAX), ("L1", EXP_MAX), ("t", EXP_MAX)), 1)]
+    assert full.degree_in("L1") == EXP_MAX
+    assert Poly.var("L1", 1) ** EXP_MAX == Poly.var("L1", EXP_MAX)
+    assert str(parse_poly(f"D^{EXP_MAX}")) == f"D^{EXP_MAX}"
+
+
+def test_exponent_overflow_raises() -> None:
+    assert issubclass(ExponentOverflow, ConfalgError)
+    half = Poly.var("L1", EXP_MAX // 2 + 1)
+    cases = [
+        lambda: Poly.var("D", EXP_MAX + 1),
+        lambda: Poly.var("q", 3000000000),
+        lambda: Poly({(("D", EXP_MAX + 1),): 1}),
+        lambda: Poly({(("t", EXP_MAX), ("t", 1)): 1}),
+        lambda: half * half,
+        lambda: (half + D) * (half - 1),
+        lambda: Poly.var("D", EXP_MAX) * D,
+        lambda: (D + 1) ** (EXP_MAX + 1),
+        lambda: Poly.const(2) ** (EXP_MAX + 1),
+        lambda: (D ** 2 + L1) ** (EXP_MAX // 2 + 1),
+        lambda: (D ** 2).substitute("D", half),
+        lambda: parse_poly(f"L4^{EXP_MAX + 1}"),
+        lambda: parse_poly(f"t^{EXP_MAX} * (t + 1)"),
+    ]
+    for case in cases:
+        with pytest.raises(ExponentOverflow):
+            case()
