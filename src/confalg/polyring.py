@@ -50,7 +50,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import DuplicateBinding, ExponentOverflow, ParseError
@@ -311,6 +311,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        n = index(n)
         if n < 0:
             raise ValueError("negative exponent")
         if n > EXP_MAX:
@@ -450,12 +451,9 @@ class Poly:
         return f"Poly({self})"
 
 
-_new = object.__new__
-
-
 def _wrap(nums: dict, den: int) -> Poly:
     """Wrap numerators over ``den`` that are already canonical."""
-    p = _new(Poly)
+    p = object.__new__(Poly)
     p._nums = nums
     p._den = den
     return p
@@ -468,10 +466,7 @@ def _canonical(nums: dict, den: int) -> Poly:
         if g != 1:
             den //= g
             nums = {m: c // g for m, c in nums.items()}
-    p = _new(Poly)
-    p._nums = nums
-    p._den = den
-    return p
+    return _wrap(nums, den)
 
 
 def as_poly(value: PolyLike) -> Poly:

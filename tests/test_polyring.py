@@ -309,6 +309,8 @@ def test_exponent_overflow_raises() -> None:
         lambda: (half + D) * (half - 1),
         lambda: Poly.var("D", EXP_MAX) * D,
         lambda: (D + 1) ** (EXP_MAX + 1),
+        lambda: half ** 2,
+        lambda: (3 * T * half) ** 2,
         lambda: Poly.const(2) ** (EXP_MAX + 1),
         lambda: (D ** 2 + L1) ** (EXP_MAX // 2 + 1),
         lambda: (D ** 2).substitute("D", half),
