@@ -300,11 +300,9 @@ class Poly:
             if not other or not self._nums:
                 return _ZERO_POLY
             other = Fraction(other)
-            # cancelling num against the denominator first keeps the result canonical
-            g = gcd(other.numerator, self._den)
-            num, den = other.numerator // g, self._den // g
+            num = other.numerator
             return _canonical(
-                {m: c * num for m, c in self._nums.items()}, den * other.denominator
+                {m: c * num for m, c in self._nums.items()}, self._den * other.denominator
             )
         return NotImplemented
 
