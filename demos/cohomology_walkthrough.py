@@ -76,11 +76,11 @@ def main() -> int:
     # vanishes iff the product is associative.
     theta = multiplication_cochain(DUAL)
     show("[m, m] = 0 because the product is associative",
-         g_bracket(theta, theta).payload.is_zero())
+         g_bracket(theta, theta).is_zero())
     # d itself is bracketing with the multiplication.
     psi = random_cochain(11, 2, DUAL.module, DUAL.module)
     show("[m, f] reproduces the differential up to sign",
-         g_bracket(theta, psi).payload == hochschild_d(psi, DUAL, ADJ).scale(-1))
+         g_bracket(theta, psi) == hochschild_d(psi, DUAL, ADJ).scale(-1))
 
     print("\n-- derived brackets: two routes, one answer ---------------------------")
     # Module-valued cochains bracket through the semidirect sum.  The direct

@@ -11,7 +11,6 @@ checks.  The ``confalg`` command line drives everything from a small DSL.
 
 from .cohomology import (
     Cochain,
-    GradedElement,
     derived_bracket,
     g_bracket,
     g_circle,
@@ -108,7 +107,6 @@ __all__ = [
     "deformation_check",
     # cohomology
     "Cochain",
-    "GradedElement",
     "multiplication_cochain",
     "hochschild_d",
     "o_complex_d",

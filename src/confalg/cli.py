@@ -12,6 +12,7 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -209,13 +210,12 @@ def _cmd_bracket(args) -> Report:
     right = _as_self_cochain(env, args.right)
     started = time.perf_counter()
     result = g_bracket(left, right)
-    payload = result.payload
-    lines = [f"degree {result.degree}"]
-    module = payload.input_module
-    for idx in sorted(payload.table.entries):
+    lines = [f"degree {result.arity}"]
+    module = result.input_module
+    for idx in sorted(result.table.entries):
         names = ", ".join(module.basis[i] for i in idx)
-        lines.append(f"[{args.left}, {args.right}]({names}) = {render_elem(payload.table.entries[idx])}")
-    if payload.is_zero():
+        lines.append(f"[{args.left}, {args.right}]({names}) = {render_elem(result.table.entries[idx])}")
+    if result.is_zero():
         lines.append(f"[{args.left}, {args.right}] = 0")
     elapsed = (time.perf_counter() - started) * 1000.0
     records.append(
@@ -255,9 +255,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             getattr(args, "seed", None),
             (Record("parse", "error", (), 0.0, str(exc)),),
         )
-        _print_report(report, json_mode=args.json, show_emitted=False)
-        return 2
-    _print_report(report, json_mode=args.json, show_emitted=args.command == "construct")
+    try:
+        _print_report(report, json_mode=args.json, show_emitted=args.command == "construct")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; send what is left, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

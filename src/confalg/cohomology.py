@@ -1,10 +1,13 @@
 """Cochains, differentials, composition brackets, and Maurer-Cartan checks.
 
 An ``n``-cochain on a conformal algebra is a multilinear, sesquilinear map
-with ``n`` arguments and ``n − 1`` weight parameters, stored — like every
-other map in this package — as a total table on basis tuples and evaluated
-through :func:`confalg.confcore.eval_multilinear`.  On top of that single
-representation this module provides:
+with ``n`` arguments and ``n − 1`` weight parameters.  :class:`Cochain` is a
+one-field view of a :class:`~confalg.confcore.MultiTable` whose argument
+slots share one module: arity, input and value modules are read from the
+table, evaluation is :func:`~confalg.confcore.eval_multilinear`, and
+tabulation is :meth:`~confalg.confcore.MultiTable.from_function`.  The arity
+is the degree in the graded Lie algebra, so the brackets return cochains.
+On top of that single representation this module provides:
 
 * the Hochschild-style differential ``𝐝`` of a cochain valued in a
   bimodule, with ``𝐝∘𝐝 = 0`` exactly;
@@ -37,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .confcore import (
     D,
@@ -51,6 +54,7 @@ from .confcore import (
     Verdict,
     _embed,
     _sum_module,
+    basis_tuples,
     check_associative,
     eval_multilinear,
     residual_scan,
@@ -63,8 +67,6 @@ from .polyring import Poly, PolyLike, as_poly, lam
 
 __all__ = [
     "Cochain",
-    "GradedElement",
-    "eval_cochain",
     "multiplication_cochain",
     "hochschild_d",
     "o_complex_d",
@@ -90,56 +92,48 @@ __all__ = [
 CochainFn = Callable[[Sequence[ModElem], Sequence[Poly]], ModElem]
 
 
-def _formal_weights(arity: int) -> Tuple[Poly, ...]:
-    return tuple(Poly.var(lam(k)) for k in range(1, arity))
-
-
 @dataclass(frozen=True)
 class Cochain:
-    """An ``arity``-linear sesquilinear map between free modules."""
+    """A view of a :class:`MultiTable` whose argument slots share one module.
 
-    arity: int
-    input_module: FreeModule
-    value_module: FreeModule
+    The arity is the cochain's degree in the graded Lie algebra.
+    """
+
     table: MultiTable
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ArityMismatch("cochains have arity at least 1")
-        expected = (self.input_module,) * self.arity
-        if self.table.in_modules != expected or self.table.out_module != self.value_module:
-            raise ShapeMismatch(
-                "cochain table must map input_module^%d -> value_module" % self.arity
-            )
+        if len(set(self.table.in_modules)) != 1:
+            raise ShapeMismatch("a cochain's arguments must all live in one module")
+
+    @property
+    def arity(self) -> int:
+        return self.table.arity
+
+    @property
+    def input_module(self) -> FreeModule:
+        return self.table.in_modules[0]
+
+    @property
+    def value_module(self) -> FreeModule:
+        return self.table.out_module
 
     @classmethod
     def from_entries(
         cls, arity: int, input_module: FreeModule, value_module: FreeModule, entries
     ) -> "Cochain":
-        table = MultiTable((input_module,) * arity, value_module, entries)
-        return cls(arity, input_module, value_module, table)
+        return cls(MultiTable((input_module,) * arity, value_module, entries))
 
     @classmethod
     def from_function(
         cls, arity: int, input_module: FreeModule, value_module: FreeModule, fn: CochainFn
     ) -> "Cochain":
         """Tabulate ``fn`` on basis tuples at the formal weights ``L1, …``."""
-        weights = _formal_weights(arity)
-        entries = {}
-        for idx in itertools.product(range(input_module.rank), repeat=arity):
-            value = fn(tuple(input_module.basis_elem(i) for i in idx), weights)
-            if not value.is_zero():
-                entries[idx] = value
-        return cls.from_entries(arity, input_module, value_module, entries)
+        return cls(MultiTable.from_function((input_module,) * arity, value_module, fn))
 
     @classmethod
     def from_module_map(cls, T: ModuleMap) -> "Cochain":
-        entries = {}
-        for j in range(T.source.rank):
-            value = T.apply(T.source.basis_elem(j))
-            if not value.is_zero():
-                entries[(j,)] = value
-        return cls.from_entries(1, T.source, T.target, entries)
+        table = MultiTable.from_function((T.source,), T.target, lambda args, _: T.apply(args[0]))
+        return cls(table)
 
     @classmethod
     def zero(cls, arity: int, input_module: FreeModule, value_module: FreeModule) -> "Cochain":
@@ -155,76 +149,42 @@ class Cochain:
         """View an arity-1 cochain with ``D``-only entries as a module map."""
         if self.arity != 1:
             raise ArityMismatch("only arity-1 cochains are module maps")
-        images = {
-            self.input_module.basis[j]: self.table.entry((j,))
-            for j in range(self.input_module.rank)
-        }
+        images = {j: image for (j,), image in self.table.entries.items()}
         return ModuleMap.from_images(self.input_module, self.value_module, images)
 
     def is_zero(self) -> bool:
-        return not self.table.entries
+        return self.table.is_zero()
 
     def _require_same_shape(self, other: "Cochain") -> None:
-        if (
-            self.arity != other.arity
-            or self.input_module != other.input_module
-            or self.value_module != other.value_module
-        ):
+        shape = (self.table.in_modules, self.table.out_module)
+        if shape != (other.table.in_modules, other.table.out_module):
             raise ShapeMismatch("cochains of different shapes")
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._require_same_shape(other)
-        return Cochain(self.arity, self.input_module, self.value_module, self.table + other.table)
+        return Cochain(self.table + other.table)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._require_same_shape(other)
-        return Cochain(self.arity, self.input_module, self.value_module, self.table - other.table)
+        return Cochain(self.table - other.table)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.arity, self.input_module, self.value_module, -self.table)
+        return Cochain(-self.table)
 
     def scale(self, factor: PolyLike) -> "Cochain":
-        return Cochain(
-            self.arity, self.input_module, self.value_module, self.table.scale(factor)
-        )
-
-
-@dataclass(frozen=True)
-class GradedElement:
-    """A cochain tagged with its degree (= arity) in the graded Lie algebra."""
-
-    degree: int
-    payload: Cochain
-
-    def __post_init__(self) -> None:
-        if self.degree != self.payload.arity:
-            raise ArityMismatch("degree of a graded element must equal its arity")
-
-
-CochainLike = Union[Cochain, GradedElement]
-
-
-def _as_cochain(f: CochainLike) -> Cochain:
-    return f.payload if isinstance(f, GradedElement) else f
-
-
-def eval_cochain(phi: CochainLike, args: Sequence[ModElem], weights: Sequence[PolyLike]) -> ModElem:
-    return _as_cochain(phi).eval(args, weights)
+        return Cochain(self.table.scale(factor))
 
 
 def multiplication_cochain(alg: ConfAlgebra) -> Cochain:
     """The λ-product of an algebra viewed as a 2-cochain valued in itself."""
-    return Cochain(2, alg.module, alg.module, alg.table)
+    return Cochain(alg.table)
 
 
-def _psum(weights: Sequence[PolyLike]) -> Poly:
-    total = Poly.zero()
-    for w in weights:
-        total = total + as_poly(w)
-    return total
+def _psum(weights: Sequence[Poly]) -> Poly:
+    return sum(weights, Poly.zero())
 
 
-def hochschild_d(phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
+def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """The differential of a cochain on ``alg`` valued in the bimodule.
 
     ``(𝐝φ)(a₀, …, aₙ)`` acts by the leading left action of ``a₀`` on
@@ -232,7 +192,6 @@ def hochschild_d(phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cocha
     neighbouring arguments by their product (merging their weights), and
     the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``.
     """
-    f = _as_cochain(phi)
     if f.input_module != alg.module:
         raise ShapeMismatch("cochain arguments must live in the algebra")
     if f.value_module != bim.module:
@@ -261,7 +220,7 @@ def hochschild_d(phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cocha
     return Cochain.from_function(n + 1, alg.module, bim.module, df)
 
 
-def o_complex_d(phi: CochainLike, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, twist=None) -> Cochain:
+def o_complex_d(phi: Cochain, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, twist=None) -> Cochain:
     """The differential of the complex attached to an O-operator candidate.
 
     This is :func:`hochschild_d` instantiated over the ⋆-product carried by
@@ -273,39 +232,33 @@ def o_complex_d(phi: CochainLike, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimod
     return hochschild_d(phi, star_alg, induced)
 
 
-def is_cocycle(phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
+def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
     """Zero-test of ``𝐝φ`` for an arity-2 cochain."""
-    f = _as_cochain(phi)
-    if f.arity != 2:
+    if phi.arity != 2:
         raise ArityMismatch("cocycle test expects an arity-2 cochain")
-    d = hochschild_d(f, alg, bim)
+    d = hochschild_d(phi, alg, bim)
 
     def items():
-        for idx in itertools.product(range(alg.module.rank), repeat=3):
-            names = tuple(alg.module.basis[i] for i in idx)
-            yield names, d.entry(idx)
+        for names, _ in basis_tuples((alg.module,) * 3):
+            yield names, d.entry(names)
 
     return residual_scan("2-cocycle", items(), cap=cap)
 
 
 def is_commutative_cocycle(
-    phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
+    phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
 ) -> Verdict:
     """Cocycle test plus the symmetry ``φ_λ(a, b) = φ_{−λ−∂}(b, a)``."""
-    f = _as_cochain(phi)
-    if f.arity != 2:
+    if phi.arity != 2:
         raise ArityMismatch("cocycle test expects an arity-2 cochain")
-    d = hochschild_d(f, alg, bim)
+    d = hochschild_d(phi, alg, bim)
 
     def items():
-        module = alg.module
-        for idx in itertools.product(range(module.rank), repeat=3):
-            names = tuple(module.basis[i] for i in idx)
-            yield ("cocycle",) + names, d.entry(idx)
-        for i, j in itertools.product(range(module.rank), repeat=2):
-            a, b = module.basis_elem(i), module.basis_elem(j)
-            res = f.eval((a, b), (L1,)) - f.eval((b, a), (-L1 - D,))
-            yield ("commutative", module.basis[i], module.basis[j]), res
+        for names, _ in basis_tuples((alg.module,) * 3):
+            yield ("cocycle",) + names, d.entry(names)
+        for names, (a, b) in basis_tuples((alg.module,) * 2):
+            res = phi.eval((a, b), (L1,)) - phi.eval((b, a), (-L1 - D,))
+            yield ("commutative",) + names, res
 
     return residual_scan("commutative-2-cocycle", items(), cap=cap)
 
@@ -337,42 +290,31 @@ def _circle_fn(f: Cochain, g: Cochain) -> CochainFn:
     return h
 
 
-def _circle(f: Cochain, g: Cochain) -> Cochain:
+def g_circle(f: Cochain, g: Cochain) -> Cochain:
+    """The composition product of two self-valued cochains."""
     _require_self_valued(f, g)
     return Cochain.from_function(
         f.arity + g.arity - 1, f.input_module, f.value_module, _circle_fn(f, g)
     )
 
 
-def _bracket(f: Cochain, g: Cochain) -> Cochain:
-    sign = (-1) ** ((f.arity - 1) * (g.arity - 1))
-    return _circle(f, g) - _circle(g, f).scale(sign)
-
-
-def g_circle(f: CochainLike, g: CochainLike) -> GradedElement:
-    """The composition product of two self-valued cochains."""
-    result = _circle(_as_cochain(f), _as_cochain(g))
-    return GradedElement(result.arity, result)
-
-
-def g_bracket(f: CochainLike, g: CochainLike) -> GradedElement:
+def g_bracket(f: Cochain, g: Cochain) -> Cochain:
     """The graded bracket ``[f, g] = f∘g − (−1)^{(m−1)(n−1)} g∘f``."""
-    result = _bracket(_as_cochain(f), _as_cochain(g))
-    return GradedElement(result.arity, result)
+    sign = (-1) ** ((f.arity - 1) * (g.arity - 1))
+    return g_circle(f, g) - g_circle(g, f).scale(sign)
 
 
 def _hat_module(alg: ConfAlgebra, bim: ConfBimodule) -> FreeModule:
     return _sum_module(alg.module, bim.module, "a_", "m_")
 
 
-def lift_cochain(f: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
+def lift_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """Horizontal lift of ``f: Mⁿ → A`` to the direct sum ``A ⊕ M``.
 
     The lift evaluates ``f`` on the module components and embeds the value
     in the algebra component; it vanishes whenever any argument has no
     module part.
     """
-    f = _as_cochain(f)
     if f.input_module != bim.module or f.value_module != alg.module:
         raise ShapeMismatch("lift_cochain expects a cochain from the module to the algebra")
     big = _hat_module(alg, bim)
@@ -383,17 +325,16 @@ def lift_cochain(f: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain
     return Cochain.from_entries(f.arity, big, big, entries)
 
 
-def lift_twisting_cochain(phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
+def lift_twisting_cochain(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """Extend a 2-cochain ``φ: A² → M`` by zero to the direct sum ``A ⊕ M``."""
-    f = _as_cochain(phi)
-    if f.arity != 2:
+    if phi.arity != 2:
         raise ArityMismatch("twisting cochains have arity 2")
-    if f.input_module != alg.module or f.value_module != bim.module:
+    if phi.input_module != alg.module or phi.value_module != bim.module:
         raise ShapeMismatch("twisting cochain must map the algebra into the module")
     big = _hat_module(alg, bim)
     ra = alg.module.rank
     entries = {}
-    for idx, value in f.table.entries.items():
+    for idx, value in phi.table.entries.items():
         entries[idx] = _embed(value, big, ra)
     return Cochain.from_entries(2, big, big, entries)
 
@@ -404,10 +345,9 @@ def _require_module_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> 
 
 
 def derived_bracket_direct(
-    f: CochainLike, g: CochainLike, alg: ConfAlgebra, bim: ConfBimodule
+    f: Cochain, g: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> Cochain:
     """The derived bracket ``[[f, g]]`` by its expanded direct formula."""
-    f, g = _as_cochain(f), _as_cochain(g)
     _require_module_cochain(f, alg, bim)
     _require_module_cochain(g, alg, bim)
     if bim.algebra.module != alg.module:
@@ -460,7 +400,7 @@ def derived_bracket_direct(
 
 
 def derived_bracket_via_lifts(
-    f: CochainLike, g: CochainLike, alg: ConfAlgebra, bim: ConfBimodule
+    f: Cochain, g: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> Cochain:
     """``[[f, g]] = (−1)^m [[θ̂, f̂], ĝ]`` computed on the semidirect sum.
 
@@ -469,14 +409,13 @@ def derived_bracket_via_lifts(
     derived bracket) and the algebra component, scaled by ``(−1)^m``, is
     the bracket.
     """
-    f, g = _as_cochain(f), _as_cochain(g)
     _require_module_cochain(f, alg, bim)
     _require_module_cochain(g, alg, bim)
     ambient = semidirect(alg, bim, validate=False)
     theta = multiplication_cochain(ambient)
     fh = lift_cochain(f, alg, bim)
     gh = lift_cochain(g, alg, bim)
-    b2 = _bracket(_bracket(theta, fh), gh)
+    b2 = g_bracket(g_bracket(theta, fh), gh)
     m, n = f.arity, g.arity
     ra = alg.module.rank
     sign = (-1) ** m
@@ -493,7 +432,7 @@ def derived_bracket_via_lifts(
 
 
 def derived_bracket(
-    f: CochainLike, g: CochainLike, alg: ConfAlgebra, bim: ConfBimodule
+    f: Cochain, g: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> Cochain:
     """The derived bracket, computed along both code paths and cross-checked."""
     direct = derived_bracket_direct(f, g, alg, bim)
@@ -615,7 +554,7 @@ def maurer_cartan_check(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> Ma
         ambient = semidirect(alg, bim, validate=False)
         theta = multiplication_cochain(ambient)
         that = Cochain.from_module_map(lift(T, alg, bim))
-        hat = _bracket(theta, that)
+        hat = g_bracket(theta, that)
         hat_alg = ConfAlgebra(ambient.module, hat.table, "associative")
         hat_assoc = check_associative(hat_alg, cap=1).holds
         hat_match = hat.table == _expected_hat_components(T, alg, bim)
@@ -710,20 +649,19 @@ class ModifiedMCVerdict:
 
 
 def modified_mc_check(
-    T: ModuleMap, phi: CochainLike, alg: ConfAlgebra, bim: ConfBimodule
+    T: ModuleMap, phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> ModifiedMCVerdict:
     """Check the bracket form of the twisted Rota-Baxter identity."""
-    f = _as_cochain(phi)
-    cocycle = is_cocycle(f, alg, bim, cap=1)
+    cocycle = is_cocycle(phi, alg, bim, cap=1)
     if not cocycle.holds:
         raise NotCocycle("modified_mc_check: " + cocycle.summary())
-    is_twisted = verify_operator("TwistedRB", T, alg, bim, twist=f, cap=1).holds
+    is_twisted = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=1).holds
     ambient = semidirect(alg, bim, validate=False)
     theta = multiplication_cochain(ambient)
     that = Cochain.from_module_map(lift(T, alg, bim))
-    lhs = _bracket(_bracket(theta, that), that).scale(Fraction(-1, 2))
-    phi_hat = lift_twisting_cochain(f, alg, bim)
-    rhs = _bracket(_bracket(_bracket(phi_hat, that), that), that).scale(Fraction(1, 6))
+    lhs = g_bracket(g_bracket(theta, that), that).scale(Fraction(-1, 2))
+    phi_hat = lift_twisting_cochain(phi, alg, bim)
+    rhs = g_bracket(g_bracket(g_bracket(phi_hat, that), that), that).scale(Fraction(1, 6))
     return ModifiedMCVerdict(is_twisted_rb=is_twisted, bracket_identity=lhs == rhs)
 
 

@@ -7,7 +7,14 @@ coefficients.  Everything reduces to finite data:
 * a :class:`FreeModule` fixes an ordered basis;
 * a :class:`MultiTable` stores the values of an n-linear λ-map on basis
   tuples, written in the variables ``D`` (∂ acting on the *output*) and
-  ``L1 .. L(n-1)`` (the formal weights of the first n−1 arguments);
+  ``L1 .. L(n-1)`` (the formal weights of the first n−1 arguments).  It is
+  the package's one table type: products, actions, cochains and derived
+  products are all multitables, and the cochain and binary-product classes
+  of :mod:`confalg.cohomology` and :mod:`confalg.derived` are one-field
+  views of one;
+* :meth:`MultiTable.from_function` tabulates any such map from a function
+  of basis elements and formal weights, and :func:`basis_tuples` is the one
+  walk over basis tuples that the tabulator and every checker share;
 * :func:`eval_multilinear` extends a table to arbitrary elements by
   sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
   ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
@@ -201,6 +208,15 @@ class Verdict:
         return self.summary()
 
 
+def basis_tuples(
+    modules: Sequence[FreeModule],
+) -> Iterator[Tuple[Tuple[str, ...], Tuple[ModElem, ...]]]:
+    """Every basis tuple of ``modules`` as ``(names, elements)``, in product order."""
+    columns = [tuple(zip(m.basis, m.basis_elems())) for m in modules]
+    for combo in itertools.product(*columns):
+        yield tuple(name for name, _ in combo), tuple(elem for _, elem in combo)
+
+
 def residual_scan(
     identity: str,
     items: Iterable[Tuple[Tuple[str, ...], ModElem]],
@@ -266,9 +282,31 @@ class MultiTable:
                 canon[idx] = entry
         self.entries = canon
 
+    @classmethod
+    def from_function(
+        cls,
+        in_modules: Sequence[FreeModule],
+        out_module: FreeModule,
+        fn: Callable[[Sequence[ModElem], Sequence[Poly]], ModElem],
+    ) -> "MultiTable":
+        """Tabulate ``fn(args, weights)`` on every basis tuple at the formal weights.
+
+        ``weights`` is ``(L1, .., L(n-1))``; zero values are dropped.
+        """
+        weights = tuple(Poly.var(lam(k)) for k in range(1, len(in_modules)))
+        entries = {}
+        for names, args in basis_tuples(in_modules):
+            value = fn(args, weights)
+            if not value.is_zero():
+                entries[names] = value
+        return cls(in_modules, out_module, entries)
+
     @property
     def arity(self) -> int:
         return len(self.in_modules)
+
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def entry(self, idx: IndexKey) -> ModElem:
         parts = tuple(idx)
@@ -490,32 +528,24 @@ class LieRep:
 # -- axiom checkers ---------------------------------------------------------
 
 
-def _triples(module: FreeModule) -> Iterator[Tuple[int, int, int]]:
-    return itertools.product(range(module.rank), repeat=3)
-
-
 def check_associative(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Expand ``(e_i L1 e_j) L1+L2 e_k − e_i L1 (e_j L2 e_k)`` on all triples."""
     if alg.flavor != "associative":
         raise PreconditionFailed("check_associative needs an associative-flavored algebra")
-    names = alg.module.basis
 
     def items():
-        for i, j, k in _triples(alg.module):
-            ei, ej, ek = (alg.module.basis_elem(t) for t in (i, j, k))
+        for names, (ei, ej, ek) in basis_tuples((alg.module,) * 3):
             lhs = alg.mul(alg.mul(ei, ej, L1), ek, L1 + L2)
             rhs = alg.mul(ei, alg.mul(ej, ek, L2), L1)
-            yield (names[i], names[j], names[k]), lhs - rhs
+            yield names, lhs - rhs
 
     return residual_scan("associativity", items(), cap)
 
 
 def _skew_items(alg: ConfAlgebra):
-    names = alg.module.basis
-    for i, j in itertools.product(range(alg.rank), repeat=2):
-        ei, ej = alg.module.basis_elem(i), alg.module.basis_elem(j)
+    for names, (ei, ej) in basis_tuples((alg.module,) * 2):
         res = alg.mul(ei, ej, L1) + alg.mul(ej, ei, -L1 - D)
-        yield ("skew", names[i], names[j]), res
+        yield ("skew",) + names, res
 
 
 def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
@@ -528,18 +558,16 @@ def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """
     if alg.flavor != "lie":
         raise PreconditionFailed("check_lie needs a lie-flavored algebra")
-    names = alg.module.basis
 
     def items():
         yield from _skew_items(alg)
-        for i, j, k in _triples(alg.module):
-            ei, ej, ek = (alg.module.basis_elem(t) for t in (i, j, k))
+        for names, (ei, ej, ek) in basis_tuples((alg.module,) * 3):
             res = (
                 alg.mul(ei, alg.mul(ej, ek, L2), L1)
                 - alg.mul(alg.mul(ei, ej, L1), ek, L1 + L2)
                 - alg.mul(ej, alg.mul(ei, ek, L1), L2)
             )
-            yield ("jacobi", names[i], names[j], names[k]), res
+            yield ("jacobi",) + names, res
 
     return residual_scan("lie", items(), cap)
 
@@ -555,55 +583,39 @@ def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) 
         raise PreconditionFailed("check_bimodule needs an associative-flavored algebra")
     if bim.algebra != alg:
         raise ModuleMismatch("bimodule was built over a different algebra")
-    anames, mnames = alg.module.basis, bim.module.basis
-    ra, rm = alg.rank, bim.module.rank
+    A, M = alg.module, bim.module
 
     def items():
-        for i, j in itertools.product(range(ra), repeat=2):
-            a, b = alg.module.basis_elem(i), alg.module.basis_elem(j)
-            for u in range(rm):
-                m = bim.module.basis_elem(u)
-                res = bim.act_left(alg.mul(a, b, L1), m, L1 + L2) - bim.act_left(
-                    a, bim.act_left(b, m, L2), L1
-                )
-                yield ("left-module", anames[i], anames[j], mnames[u]), res
-        for u in range(rm):
-            m = bim.module.basis_elem(u)
-            for i, j in itertools.product(range(ra), repeat=2):
-                a, b = alg.module.basis_elem(i), alg.module.basis_elem(j)
-                res = bim.act_right(bim.act_right(m, a, L1), b, L1 + L2) - bim.act_right(
-                    m, alg.mul(a, b, L2), L1
-                )
-                yield ("right-module", mnames[u], anames[i], anames[j]), res
-        for i in range(ra):
-            a = alg.module.basis_elem(i)
-            for u in range(rm):
-                m = bim.module.basis_elem(u)
-                for j in range(ra):
-                    b = alg.module.basis_elem(j)
-                    res = bim.act_right(bim.act_left(a, m, L1), b, L1 + L2) - bim.act_left(
-                        a, bim.act_right(m, b, L2), L1
-                    )
-                    yield ("compatibility", anames[i], mnames[u], anames[j]), res
+        for names, (a, b, m) in basis_tuples((A, A, M)):
+            res = bim.act_left(alg.mul(a, b, L1), m, L1 + L2) - bim.act_left(
+                a, bim.act_left(b, m, L2), L1
+            )
+            yield ("left-module",) + names, res
+        for names, (m, a, b) in basis_tuples((M, A, A)):
+            res = bim.act_right(bim.act_right(m, a, L1), b, L1 + L2) - bim.act_right(
+                m, alg.mul(a, b, L2), L1
+            )
+            yield ("right-module",) + names, res
+        for names, (a, m, b) in basis_tuples((A, M, A)):
+            res = bim.act_right(bim.act_left(a, m, L1), b, L1 + L2) - bim.act_left(
+                a, bim.act_right(m, b, L2), L1
+            )
+            yield ("compatibility",) + names, res
 
     return residual_scan("bimodule", items(), cap)
 
 
 def check_lie_rep(rep: LieRep, cap: int = WITNESS_CAP) -> Verdict:
     """Check ``ρ(a)_L1 ρ(b)_L2 v − ρ(b)_L2 ρ(a)_L1 v = ρ([a L1 b])_L1+L2 v``."""
-    lnames, vnames = rep.lie.module.basis, rep.module.basis
 
     def items():
-        for i, j in itertools.product(range(rep.lie.rank), repeat=2):
-            a, b = rep.lie.module.basis_elem(i), rep.lie.module.basis_elem(j)
-            for u in range(rep.module.rank):
-                v = rep.module.basis_elem(u)
-                res = (
-                    rep.act(a, rep.act(b, v, L2), L1)
-                    - rep.act(b, rep.act(a, v, L1), L2)
-                    - rep.act(rep.lie.mul(a, b, L1), v, L1 + L2)
-                )
-                yield (lnames[i], lnames[j], vnames[u]), res
+        for names, (a, b, v) in basis_tuples((rep.lie.module, rep.lie.module, rep.module)):
+            res = (
+                rep.act(a, rep.act(b, v, L2), L1)
+                - rep.act(b, rep.act(a, v, L1), L2)
+                - rep.act(rep.lie.mul(a, b, L1), v, L1 + L2)
+            )
+            yield names, res
 
     return residual_scan("lie-representation", items(), cap)
 
@@ -618,11 +630,13 @@ def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
     verdict = check_associative(alg, cap=1)
     if not verdict.holds:
         raise NotAssociative(verdict.summary())
-    entries = {}
-    for i, j in itertools.product(range(alg.rank), repeat=2):
-        ei, ej = alg.module.basis_elem(i), alg.module.basis_elem(j)
-        entries[(i, j)] = alg.mul(ei, ej, L1) - alg.mul(ej, ei, -L1 - D)
-    return ConfAlgebra.lie(alg.module, entries)
+
+    def bracket(args, weights):
+        (a, b), (w,) = args, weights
+        return alg.mul(a, b, w) - alg.mul(b, a, -w - D)
+
+    table = MultiTable.from_function((alg.module,) * 2, alg.module, bracket)
+    return ConfAlgebra.lie(alg.module, table.entries)
 
 
 def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
@@ -631,13 +645,14 @@ def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
     if not verdict.holds:
         raise NotBimodule(verdict.summary())
     lie = commutator_lie(alg)
-    entries = {}
-    for i in range(alg.rank):
-        a = alg.module.basis_elem(i)
-        for u in range(bim.module.rank):
-            m = bim.module.basis_elem(u)
-            entries[(i, u)] = bim.act_left(a, m, L1) - bim.act_right(m, a, -L1 - D)
-    return LieRep(lie, bim.module, MultiTable((lie.module, bim.module), bim.module, entries))
+
+    def action(args, weights):
+        (a, m), (w,) = args, weights
+        return bim.act_left(a, m, w) - bim.act_right(m, a, -w - D)
+
+    return LieRep(
+        lie, bim.module, MultiTable.from_function((lie.module, bim.module), bim.module, action)
+    )
 
 
 def _sum_module(left: FreeModule, right: FreeModule, lp: str, rp: str) -> FreeModule:
@@ -705,14 +720,10 @@ def twisted_extension(
         if not cocycle.holds:
             raise NotCocycle(cocycle.summary())
     big = _sum_module(alg.module, bim.module, "a_", "m_")
-    ra = alg.rank
     entries = _semidirect_entries(alg, bim, big)
-    for i, j in itertools.product(range(ra), repeat=2):
-        value = phi.entry((i, j))
-        if value.is_zero():
-            continue
-        lifted = _embed(value, big, ra)
-        entries[(i, j)] = entries[(i, j)] + lifted if (i, j) in entries else lifted
+    for idx, value in phi.table.entries.items():
+        lifted = _embed(value, big, alg.rank)
+        entries[idx] = entries[idx] + lifted if idx in entries else lifted
     return ConfAlgebra.associative(big, entries)
 
 
@@ -767,14 +778,11 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
 
     psi, psi_inv = block(-1), block(+1)
 
-    names = big.basis
-
     def items():
-        for i, j in itertools.product(range(big.rank), repeat=2):
-            x, y = big.basis_elem(i), big.basis_elem(j)
+        for names, (x, y) in basis_tuples((big, big)):
             lhs = psi.apply(ext.mul(x, y, L1))
             rhs = ext_shifted.mul(psi.apply(x), psi.apply(y), L1)
-            yield (names[i], names[j]), lhs - rhs
+            yield names, lhs - rhs
 
     return ExtensionIso(psi, psi_inv, residual_scan("extension-iso", items()))
 

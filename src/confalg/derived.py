@@ -18,6 +18,9 @@ module tabulates them and certifies their axioms:
   the powers of a Nijenhuis operator, and the formal one-parameter
   deformation they generate.
 
+Each product is a :class:`BinaryOpTable`, a one-field view of a
+``module × module -> module`` :class:`~confalg.confcore.MultiTable`, and a
+:class:`StructureBundle` names its tables by key (``succ``, ``prec``, ...).
 Every constructor validates its operator precondition and returns only
 bundles whose axioms have been re-checked on all basis triples.
 """
@@ -39,6 +42,7 @@ from .confcore import (
     ModElem,
     MultiTable,
     Verdict,
+    basis_tuples,
     check_lie,
     eval_multilinear,
     matching_pair,
@@ -80,9 +84,7 @@ __all__ = [
     "DeformationVerdict",
 ]
 
-TAGS = ("succ", "prec", "vee", "star", "circ", "bracket", "leftsym")
-
-#: required table tags per structure kind
+#: required table names per structure kind
 KIND_TAGS: Mapping[str, Tuple[str, ...]] = {
     "dendriform": ("succ", "prec"),
     "ns": ("succ", "prec", "vee"),
@@ -95,42 +97,31 @@ BinaryFn = Callable[[ModElem, ModElem, PolyLike], ModElem]
 
 @dataclass(frozen=True)
 class BinaryOpTable:
-    """A single binary product on a module, stored as a structure-constant table."""
+    """A binary product on one module: a view of a ``module × module -> module`` table."""
 
-    module: FreeModule
     table: MultiTable
-    tag: str
 
     def __post_init__(self) -> None:
-        if self.tag not in TAGS:
-            raise ShapeMismatch("unknown binary operation tag %r" % (self.tag,))
-        if self.table.in_modules != (self.module, self.module) or (
-            self.table.out_module != self.module
-        ):
+        module = self.table.out_module
+        if self.table.in_modules != (module, module):
             raise ShapeMismatch(
                 "binary operation table must map module x module -> module"
             )
 
+    @property
+    def module(self) -> FreeModule:
+        return self.table.out_module
+
     @classmethod
-    def from_function(cls, module: FreeModule, fn: BinaryFn, tag: str) -> "BinaryOpTable":
+    def from_function(cls, module: FreeModule, fn: BinaryFn) -> "BinaryOpTable":
         """Tabulate ``fn(x, y, λ)`` on basis pairs at the formal weight ``L1``."""
-        entries = {}
-        for i in range(module.rank):
-            for j in range(module.rank):
-                value = fn(module.basis_elem(i), module.basis_elem(j), L1)
-                if not value.is_zero():
-                    entries[(i, j)] = value
-        table = MultiTable((module, module), module, entries)
-        return cls(module, table, tag)
+        return cls(MultiTable.from_function((module, module), module, lambda xy, w: fn(*xy, *w)))
 
     def value(self, x: ModElem, y: ModElem, weight: PolyLike) -> ModElem:
         return eval_multilinear(self.table, (x, y), (weight,))
 
     def entry(self, i, j) -> ModElem:
         return self.table.entry((i, j))
-
-    def with_tag(self, tag: str) -> "BinaryOpTable":
-        return BinaryOpTable(self.module, self.table, tag)
 
     def as_algebra(self, flavor: str = "associative") -> ConfAlgebra:
         """View the table as a (candidate) conformal algebra; no axioms checked."""
@@ -141,10 +132,10 @@ class BinaryOpTable:
             return NotImplemented
         if other.module != self.module:
             raise ShapeMismatch("cannot add binary operations on different modules")
-        return BinaryOpTable(self.module, self.table + other.table, "star")
+        return BinaryOpTable(self.table + other.table)
 
     def is_zero(self) -> bool:
-        return not self.table.entries
+        return self.table.is_zero()
 
 
 @dataclass(frozen=True)
@@ -153,9 +144,9 @@ class StructureBundle:
 
     ``kind`` is one of ``dendriform`` (tables ``succ``, ``prec``), ``ns``
     (``succ``, ``prec``, ``vee``), ``leftsym`` (``leftsym``) or ``assoc``
-    (``star``).  Construction checks only shapes; :func:`check_structure`
-    certifies the axioms, and every constructor in this module does so
-    before returning a bundle.
+    (``star``); a table is named by its key.  Construction checks only
+    shapes; :func:`check_structure` certifies the axioms, and every
+    constructor in this module does so before returning a bundle.
     """
 
     kind: str
@@ -174,9 +165,6 @@ class StructureBundle:
         if len(modules) != 1:
             raise ShapeMismatch("all tables of a bundle must share one module")
         object.__setattr__(self, "tables", dict(self.tables))
-        for tag, op in self.tables.items():
-            if op.tag != tag:
-                raise ShapeMismatch("table under key %r is tagged %r" % (tag, op.tag))
 
     @property
     def module(self) -> FreeModule:
@@ -192,14 +180,11 @@ class StructureBundle:
         total = None
         for tag in KIND_TAGS[self.kind]:
             total = self.tables[tag] if total is None else total + self.tables[tag]
-        return total.with_tag("star")
+        return total
 
 
 def _dendriform_items(succ: BinaryOpTable, prec: BinaryOpTable):
-    module = succ.module
-    for i, j, k in itertools.product(range(module.rank), repeat=3):
-        names = (module.basis[i], module.basis[j], module.basis[k])
-        a, b, c = (module.basis_elem(x) for x in (i, j, k))
+    for names, (a, b, c) in basis_tuples((succ.module,) * 3):
         both = succ.value(a, b, L1) + prec.value(a, b, L1)
         res = succ.value(a, succ.value(b, c, L2), L1) - succ.value(both, c, L1 + L2)
         yield ("cd1",) + names, res
@@ -213,11 +198,8 @@ def _dendriform_items(succ: BinaryOpTable, prec: BinaryOpTable):
 
 
 def _ns_items(succ: BinaryOpTable, prec: BinaryOpTable, vee: BinaryOpTable):
-    times = (succ + prec + vee).with_tag("star")
-    module = succ.module
-    for i, j, k in itertools.product(range(module.rank), repeat=3):
-        names = (module.basis[i], module.basis[j], module.basis[k])
-        x, y, z = (module.basis_elem(idx) for idx in (i, j, k))
+    times = succ + prec + vee
+    for names, (x, y, z) in basis_tuples((succ.module,) * 3):
         res = succ.value(x, succ.value(y, z, L2), L1) - succ.value(
             times.value(x, y, L1), z, L1 + L2
         )
@@ -240,24 +222,17 @@ def _ns_items(succ: BinaryOpTable, prec: BinaryOpTable, vee: BinaryOpTable):
 
 
 def _leftsym_items(circ: BinaryOpTable):
-    module = circ.module
-
     def defect(x, y, wx, wy, c):
         return circ.value(circ.value(x, y, wx), c, wx + wy) - circ.value(
             x, circ.value(y, c, wy), wx
         )
 
-    for i, j, k in itertools.product(range(module.rank), repeat=3):
-        names = (module.basis[i], module.basis[j], module.basis[k])
-        a, b, c = (module.basis_elem(x) for x in (i, j, k))
+    for names, (a, b, c) in basis_tuples((circ.module,) * 3):
         yield names, defect(a, b, L1, L2, c) - defect(b, a, L2, L1, c)
 
 
 def _assoc_items(star: BinaryOpTable):
-    module = star.module
-    for i, j, k in itertools.product(range(module.rank), repeat=3):
-        names = (module.basis[i], module.basis[j], module.basis[k])
-        a, b, c = (module.basis_elem(x) for x in (i, j, k))
+    for names, (a, b, c) in basis_tuples((star.module,) * 3):
         res = star.value(star.value(a, b, L1), c, L1 + L2) - star.value(
             a, star.value(b, c, L2), L1
         )
@@ -295,12 +270,8 @@ def dendriform_from_O(
     if not verdict.holds:
         raise NotOOperator(verdict.summary())
     module = bim.module
-    succ = BinaryOpTable.from_function(
-        module, lambda m, n, w: bim.act_left(T.apply(m), n, w), "succ"
-    )
-    prec = BinaryOpTable.from_function(
-        module, lambda m, n, w: bim.act_right(m, T.apply(n), w), "prec"
-    )
+    succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
+    prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
     bundle = StructureBundle("dendriform", {"succ": succ, "prec": prec})
     return _certify(bundle, "dendriform_from_O")
 
@@ -342,7 +313,7 @@ def m_ass(
 
     if validate:
         _verify_star_operator(T, alg, bim, phi, "m_ass")
-    table = BinaryOpTable.from_function(bim.module, product, "star")
+    table = BinaryOpTable.from_function(bim.module, product)
     return ConfAlgebra(bim.module, table.table, "associative")
 
 
@@ -364,32 +335,26 @@ def induced_bimodule_on_A(
         _verify_star_operator(T, alg, bim, phi, "induced_bimodule_on_A")
     star_alg = m_ass(T, alg, bim, phi, validate=False)
 
-    def left(m: ModElem, a: ModElem, w: PolyLike) -> ModElem:
+    def left(args, weights) -> ModElem:
+        (m, a), (w,) = args, weights
         if phi is None:
             return induced_left_value(T, alg, bim, m, a, w)
         inner = bim.act_right(m, a, w) + phi.eval((T.apply(m), a), (w,))
         return alg.mul(T.apply(m), a, w) - T.apply(inner)
 
-    def right(a: ModElem, m: ModElem, w: PolyLike) -> ModElem:
+    def right(args, weights) -> ModElem:
+        (a, m), (w,) = args, weights
         if phi is None:
             return induced_right_value(T, alg, bim, a, m, w)
         inner = bim.act_left(a, m, w) + phi.eval((a, T.apply(m)), (w,))
         return alg.mul(a, T.apply(m), w) - T.apply(inner)
 
-    def tabulate(fn, first: FreeModule, second: FreeModule):
-        entries = {}
-        for i in range(first.rank):
-            for j in range(second.rank):
-                value = fn(first.basis_elem(i), second.basis_elem(j), L1)
-                if not value.is_zero():
-                    entries[(i, j)] = value
-        return entries
-
-    return ConfBimodule.build(
+    A, M = alg.module, bim.module
+    return ConfBimodule(
         star_alg,
-        alg.module,
-        tabulate(left, bim.module, alg.module),
-        tabulate(right, alg.module, bim.module),
+        A,
+        MultiTable.from_function((M, A), A, left),
+        MultiTable.from_function((A, M), A, right),
     )
 
 
@@ -410,14 +375,10 @@ def ns_from_twisted(
     if not verdict.holds:
         raise NotTwistedRB(verdict.summary())
     module = bim.module
-    succ = BinaryOpTable.from_function(
-        module, lambda m, n, w: bim.act_left(T.apply(m), n, w), "succ"
-    )
-    prec = BinaryOpTable.from_function(
-        module, lambda m, n, w: bim.act_right(m, T.apply(n), w), "prec"
-    )
+    succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
+    prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
     vee = BinaryOpTable.from_function(
-        module, lambda m, n, w: phi.eval((T.apply(m), T.apply(n)), (w,)), "vee"
+        module, lambda m, n, w: phi.eval((T.apply(m), T.apply(n)), (w,))
     )
     bundle = StructureBundle("ns", {"succ": succ, "prec": prec, "vee": vee})
     return _certify(bundle, "ns_from_twisted")
@@ -429,15 +390,9 @@ def ns_from_nijenhuis(N: ModuleMap, alg: ConfAlgebra, cap: int = WITNESS_CAP) ->
     if not verdict.holds:
         raise NotNijenhuis(verdict.summary())
     module = alg.module
-    succ = BinaryOpTable.from_function(
-        module, lambda a, b, w: alg.mul(N.apply(a), b, w), "succ"
-    )
-    prec = BinaryOpTable.from_function(
-        module, lambda a, b, w: alg.mul(a, N.apply(b), w), "prec"
-    )
-    vee = BinaryOpTable.from_function(
-        module, lambda a, b, w: -N.apply(alg.mul(a, b, w)), "vee"
-    )
+    succ = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(N.apply(a), b, w))
+    prec = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(a, N.apply(b), w))
+    vee = BinaryOpTable.from_function(module, lambda a, b, w: -N.apply(alg.mul(a, b, w)))
     bundle = StructureBundle("ns", {"succ": succ, "prec": prec, "vee": vee})
     return _certify(bundle, "ns_from_nijenhuis")
 
@@ -464,7 +419,7 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
     if N.source != alg.module or N.target != alg.module:
         raise ShapeMismatch("deformed_product needs an endomorphism of the algebra")
     circ = BinaryOpTable.from_function(
-        alg.module, lambda a, b, w: _deformed_value(N, alg, a, b, w), "circ"
+        alg.module, lambda a, b, w: _deformed_value(N, alg, a, b, w)
     )
     candidate = ConfAlgebra(alg.module, circ.table, "associative")
 
@@ -537,43 +492,37 @@ def nijenhuis_hierarchy(
         powers.append(powers[-1].compose(N))
     circs = [
         BinaryOpTable.from_function(
-            module, lambda a, b, w, P=powers[i]: _deformed_value(P, alg, a, b, w), "circ"
+            module, lambda a, b, w, P=powers[i]: _deformed_value(P, alg, a, b, w)
         )
         for i in range(2 * kmax + 1)
     ]
 
-    def pair_names(i, j):
-        return (module.basis[i], module.basis[j])
+    pairs = (module, module)
 
     def power_pair_items():
         for j, k in itertools.product(range(kmax + 1), repeat=2):
-            for i1, i2 in itertools.product(range(module.rank), repeat=2):
-                a, b = module.basis_elem(i1), module.basis_elem(i2)
+            for names, (a, b) in basis_tuples(pairs):
                 nja, nkb = powers[j].apply(a), powers[k].apply(b)
                 res = alg.mul(nja, nkb, L1)
                 res = res - powers[k].apply(alg.mul(nja, b, L1))
                 res = res - powers[j].apply(alg.mul(a, nkb, L1))
                 res = res + powers[j + k].apply(alg.mul(a, b, L1))
-                yield ("j=%d,k=%d" % (j, k),) + pair_names(i1, i2), res
+                yield ("j=%d,k=%d" % (j, k),) + names, res
 
     def intertwine_items():
         for r, k in itertools.product(range(kmax + 1), repeat=2):
-            for i1, i2 in itertools.product(range(module.rank), repeat=2):
-                a, b = module.basis_elem(i1), module.basis_elem(i2)
+            for names, (a, b) in basis_tuples(pairs):
                 lhs = powers[r].apply(circs[k + r].value(a, b, L1))
                 rhs = circs[k].value(powers[r].apply(a), powers[r].apply(b), L1)
-                yield ("r=%d,k=%d" % (r, k),) + pair_names(i1, i2), lhs - rhs
+                yield ("r=%d,k=%d" % (r, k),) + names, lhs - rhs
 
     def relative_items():
         for i, k in itertools.product(range(kmax + 1), repeat=2):
-            for i1, i2 in itertools.product(range(module.rank), repeat=2):
-                a, b = module.basis_elem(i1), module.basis_elem(i2)
+            for names, (a, b) in basis_tuples(pairs):
                 lhs = circs[i].value(powers[k].apply(a), b, L1)
                 lhs = lhs + circs[i].value(a, powers[k].apply(b), L1)
                 lhs = lhs - powers[k].apply(circs[i].value(a, b, L1))
-                yield ("i=%d,k=%d" % (i, k),) + pair_names(i1, i2), lhs - circs[
-                    i + k
-                ].value(a, b, L1)
+                yield ("i=%d,k=%d" % (i, k),) + names, lhs - circs[i + k].value(a, b, L1)
 
     def powers_nijenhuis_items():
         for i, k in itertools.product(range(kmax + 1), repeat=2):
@@ -585,15 +534,14 @@ def nijenhuis_hierarchy(
     def compatible_items():
         for j, k in itertools.product(range(kmax + 1), repeat=2):
             nj, nk = powers[j], powers[k]
-            for i1, i2 in itertools.product(range(module.rank), repeat=2):
-                a, b = module.basis_elem(i1), module.basis_elem(i2)
+            for names, (a, b) in basis_tuples(pairs):
                 lhs = alg.mul(nj.apply(a), nk.apply(b), L1) + alg.mul(
                     nk.apply(a), nj.apply(b), L1
                 )
                 rhs = nj.apply(circs[k].value(a, b, L1)) + nk.apply(
                     circs[j].value(a, b, L1)
                 )
-                yield ("j=%d,k=%d" % (j, k),) + pair_names(i1, i2), lhs - rhs
+                yield ("j=%d,k=%d" % (j, k),) + names, lhs - rhs
 
     return HierarchyVerdict(
         power_pair=residual_scan("hierarchy-power-pair", power_pair_items(), cap=cap),
@@ -621,7 +569,7 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     def circ(a: ModElem, b: ModElem, w: PolyLike) -> ModElem:
         return succ.value(a, b, w) - prec.value(b, a, -as_poly(w) - D)
 
-    table = BinaryOpTable.from_function(module, circ, "leftsym")
+    table = BinaryOpTable.from_function(module, circ)
     out = StructureBundle("leftsym", {"leftsym": table})
     return _certify(out, "leftsym_from_dendriform")
 
@@ -642,7 +590,7 @@ def deformed_bracket(
         if not verdict.holds:
             raise NotNijenhuis(verdict.summary())
     table = BinaryOpTable.from_function(
-        lie.module, lambda a, b, w: _deformed_value(N, lie, a, b, w), "bracket"
+        lie.module, lambda a, b, w: _deformed_value(N, lie, a, b, w)
     )
     if validate:
         candidate = ConfAlgebra(lie.module, table.table, "lie")
@@ -711,22 +659,15 @@ def deformation_check(
         if not verdict.holds:
             raise NotNijenhuis(verdict.summary())
     module = alg.module
-    omega = BinaryOpTable.from_function(
-        module, lambda a, b, w: _deformed_value(N, alg, a, b, w), "circ"
-    )
+    omega = BinaryOpTable.from_function(module, lambda a, b, w: _deformed_value(N, alg, a, b, w))
 
-    omega_cochain = Cochain(2, module, module, omega.table)
-    adjoint = ConfBimodule.adjoint(alg)
-    d_omega = hochschild_d(omega_cochain, alg, adjoint)
+    d_omega = hochschild_d(Cochain(omega.table), alg, ConfBimodule.adjoint(alg))
 
     def cocycle_items():
-        for idx in itertools.product(range(module.rank), repeat=3):
-            names = tuple(module.basis[i] for i in idx)
-            yield names, d_omega.entry(idx)
+        for names, _ in basis_tuples((module,) * 3):
+            yield names, d_omega.entry(names)
 
-    generator = check_structure(
-        StructureBundle("assoc", {"star": omega.with_tag("star")}), cap=cap
-    )
+    generator = check_structure(StructureBundle("assoc", {"star": omega}), cap=cap)
 
     t = Poly.var("t")
 
@@ -734,18 +675,14 @@ def deformation_check(
         return x + t * N.apply(x)
 
     def homomorphism_items():
-        for i, j in itertools.product(range(module.rank), repeat=2):
-            names = (module.basis[i], module.basis[j])
-            a, b = module.basis_elem(i), module.basis_elem(j)
+        for names, (a, b) in basis_tuples((module, module)):
             deformed = alg.mul(a, b, L1) + t * omega.value(a, b, L1)
             lhs = t_map(deformed)
             rhs = alg.mul(t_map(a), t_map(b), L1)
             yield names, lhs - rhs
 
     def obstruction_items():
-        for i, j in itertools.product(range(module.rank), repeat=2):
-            names = (module.basis[i], module.basis[j])
-            a, b = module.basis_elem(i), module.basis_elem(j)
+        for names, (a, b) in basis_tuples((module, module)):
             res = N.apply(omega.value(a, b, L1)) - alg.mul(N.apply(a), N.apply(b), L1)
             yield names, res
 

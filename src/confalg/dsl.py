@@ -24,6 +24,7 @@ source text such that re-parsing reproduces the same tables.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -56,13 +57,14 @@ from .derived import (
 from .errors import (
     ConfalgError,
     DuplicateName,
+    ExponentOverflow,
     ParseError,
     PreconditionFailed,
     UnresolvedName,
 )
 from .operators import KINDS as OPERATOR_KINDS
 from .operators import ModuleMap, verify_operator
-from .polyring import Poly
+from .polyring import MAX_NESTING, Poly
 
 __all__ = [
     "SourceFile",
@@ -255,6 +257,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # token plumbing
 
@@ -337,13 +340,21 @@ class _Parser:
             exp = self.parse_exponent() if self.at_punct("^") else 1
             return Poly.var(VAR_ALIASES[tok.text], exp)
         if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            inner = self.parse_scalar_expr()
-            self.expect_punct(")")
-            if self.at_punct("^"):
-                return inner ** self.parse_exponent()
-            return inner
+            return self.parse_group()
         raise self.fail("expected a coefficient")
+
+    def parse_group(self) -> Poly:
+        """A parenthesised coefficient, optionally raised to a power."""
+        tok = self.expect_punct("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        inner = self.parse_scalar_expr()
+        self.expect_punct(")")
+        self.depth -= 1
+        if self.at_punct("^"):
+            return inner ** self.parse_exponent()
+        return inner
 
     def parse_scalar_term(self) -> Poly:
         out = self.parse_scalar_factor()
@@ -394,12 +405,7 @@ class _Parser:
                     raise self.fail("basis names cannot be raised to powers")
                 basis = tok.text
             elif tok.kind == "punct" and tok.text == "(":
-                self.advance()
-                inner = self.parse_scalar_expr()
-                self.expect_punct(")")
-                if self.at_punct("^"):
-                    inner = inner ** self.parse_exponent()
-                coeff = coeff * inner
+                coeff = coeff * self.parse_group()
             else:
                 if first:
                     raise self.fail("expected an element expression")
@@ -417,20 +423,19 @@ class _Parser:
 
     def parse_elem_expr(self) -> Expr:
         terms: List[ExprTerm] = []
-        negate = self.at_punct("-")
-        if negate:
-            self.advance()
-        term = self.parse_elem_term()
-        if term is not None:
-            coeff, name = term
-            terms.append((coeff * Poly.const(-1) if negate else coeff, name))
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            term = self.parse_elem_term()
+        op = self.advance().text if self.at_punct("-") else "+"
+        while True:
+            start = self.peek()
+            try:
+                term = self.parse_elem_term()
+            except ExponentOverflow as exc:
+                raise ParseError(str(exc), start.line, start.column) from None
             if term is not None:
                 coeff, name = term
                 terms.append((coeff * Poly.const(-1) if op == "-" else coeff, name))
-        return tuple(terms)
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return tuple(terms)
+            op = self.advance().text
 
     # declarations
 
@@ -640,8 +645,17 @@ def parse(text: str, path: str = "<string>") -> SourceFile:
 
 
 def parse_file(path: str) -> SourceFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read(), path)
+    """Read and parse a UTF-8 source file; an undecodable byte is a :class:`ParseError`."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line, column) from None
+    # universal newlines, as text-mode open() would give
+    return parse(io.StringIO(text, newline=None).read(), path)
 
 
 def _namespace_of(decl: Declaration) -> Optional[str]:

@@ -27,7 +27,6 @@ the Nijenhuis/O composites of an O-operator with a derivation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -43,6 +42,7 @@ from .confcore import (
     ModElem,
     Verdict,
     _sum_module,
+    basis_tuples,
     residual_scan,
     semidirect,
     twisted_extension,
@@ -60,9 +60,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .polyring import Poly, PolyLike, as_poly
-
-#: Verdicts produced by the operator checkers are plain :class:`Verdict`s.
-OperatorVerdict = Verdict
 
 KINDS = (
     "O",
@@ -264,11 +261,6 @@ def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     return acc
 
 
-def apply(T: ModuleMap, x: ModElem) -> ModElem:
-    """Function form of :meth:`ModuleMap.apply`."""
-    return T.apply(x)
-
-
 # -- operator identities -----------------------------------------------------
 
 
@@ -284,12 +276,6 @@ def _require_mod_to_alg(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, kind:
         raise ShapeMismatch("the bimodule was built over a different algebra")
     if T.source != bim.module or T.target != alg.module:
         raise ShapeMismatch(f"{kind} needs a map from the module into the algebra")
-
-
-def _pairs(module: FreeModule):
-    names = module.basis
-    for i, j in itertools.product(range(module.rank), repeat=2):
-        yield (names[i], names[j]), module.basis_elem(i), module.basis_elem(j)
 
 
 def o_residual(
@@ -326,7 +312,7 @@ def verify_operator(
         _require_mod_to_alg(T, alg, bim, kind)
 
         def items():
-            for names, m, n in _pairs(bim.module):
+            for names, (m, n) in basis_tuples((bim.module, bim.module)):
                 yield names, o_residual(T, alg, bim, m, n)
 
     elif kind == "RotaBaxter":
@@ -334,7 +320,7 @@ def verify_operator(
         q = as_poly(weight)
 
         def items():
-            for names, a, b in _pairs(alg.module):
+            for names, (a, b) in basis_tuples((alg.module, alg.module)):
                 ta, tb = T.apply(a), T.apply(b)
                 inner = alg.mul(ta, b, L1) + alg.mul(a, tb, L1) + alg.mul(a, b, L1) * q
                 yield names, alg.mul(ta, tb, L1) - T.apply(inner)
@@ -350,7 +336,7 @@ def verify_operator(
             raise NotCocycle(cocycle.summary())
 
         def items():
-            for names, m, n in _pairs(bim.module):
+            for names, (m, n) in basis_tuples((bim.module, bim.module)):
                 tm, tn = T.apply(m), T.apply(n)
                 inner = (
                     bim.act_left(tm, n, L1)
@@ -367,7 +353,7 @@ def verify_operator(
         _require_endo(T, alg, kind)
 
         def items():
-            for names, a, b in _pairs(alg.module):
+            for names, (a, b) in basis_tuples((alg.module, alg.module)):
                 na, nb = T.apply(a), T.apply(b)
                 inner = alg.mul(na, b, L1) + alg.mul(a, nb, L1) - T.apply(alg.mul(a, b, L1))
                 yield names, alg.mul(na, nb, L1) - T.apply(inner)
@@ -376,7 +362,7 @@ def verify_operator(
         _require_endo(T, alg, kind)
 
         def items():
-            for names, a, b in _pairs(alg.module):
+            for names, (a, b) in basis_tuples((alg.module, alg.module)):
                 ra, rb = T.apply(a), T.apply(b)
                 cross = alg.mul(ra, rb, L1)
                 inner = alg.mul(ra, b, L1) + alg.mul(a, rb, L1) - cross
@@ -390,7 +376,7 @@ def verify_operator(
             raise ShapeMismatch("Derivation needs a map from the algebra into the module")
 
         def items():
-            for names, a, b in _pairs(alg.module):
+            for names, (a, b) in basis_tuples((alg.module, alg.module)):
                 res = (
                     T.apply(alg.mul(a, b, L1))
                     - acting.act_right(T.apply(a), b, L1)
@@ -407,7 +393,7 @@ def verify_operator(
             raise ShapeMismatch("OLie needs a map from the representation module")
 
         def items():
-            for names, u, v in _pairs(rep.module):
+            for names, (u, v) in basis_tuples((rep.module, rep.module)):
                 tu, tv = T.apply(u), T.apply(v)
                 inner = rep.act(tu, v, L1) - rep.act(tv, u, -L1 - D)
                 yield names, alg.mul(tu, tv, L1) - T.apply(inner)
@@ -436,7 +422,7 @@ def compatible_O(
             raise NotOOperator("compatible_O needs two verified O-operators")
 
     def items():
-        for names, m, n in _pairs(bim.module):
+        for names, (m, n) in basis_tuples((bim.module, bim.module)):
             t1m, t1n = T1.apply(m), T1.apply(n)
             t2m, t2n = T2.apply(m), T2.apply(n)
             res = (
@@ -470,7 +456,7 @@ def compatible_nijenhuis(
         )
 
     def items():
-        for names, a, b in _pairs(alg.module):
+        for names, (a, b) in basis_tuples((alg.module, alg.module)):
             res = (
                 alg.mul(N1.apply(a), N2.apply(b), L1)
                 + alg.mul(N2.apply(a), N1.apply(b), L1)
@@ -519,20 +505,17 @@ def graph_check(
         else twisted_extension(alg, bim, phi)
     )
     ra = alg.rank
-    names = bim.module.basis
 
     def point(u: ModElem) -> ModElem:
         tu = T.apply(u)
         return ext.module.elem(tuple(tu.coeffs) + tuple(u.coeffs))
 
     def items():
-        for i, j in itertools.product(range(bim.module.rank), repeat=2):
-            x = point(bim.module.basis_elem(i))
-            y = point(bim.module.basis_elem(j))
-            z = ext.mul(x, y, L1)
+        for names, (u, v) in basis_tuples((bim.module, bim.module)):
+            z = ext.mul(point(u), point(v), L1)
             a_part = alg.module.elem(z.coeffs[:ra])
             m_part = bim.module.elem(z.coeffs[ra:])
-            yield (names[i], names[j]), a_part - T.apply(m_part)
+            yield names, a_part - T.apply(m_part)
 
     return residual_scan("graph-closure", items(), cap)
 
@@ -618,7 +601,7 @@ def derivation_composites(
         raise PreconditionFailed("derivation_composites: Ω fails the Leibniz identity")
 
     def compat_items():
-        for names, a, b in _pairs(alg.module):
+        for names, (a, b) in basis_tuples((alg.module, alg.module)):
             oa, ob = omega.apply(a), omega.apply(b)
             res = star_value(T, bim, oa, ob, L1) - omega.apply(
                 induced_left_value(T, alg, bim, oa, b, L1)

@@ -42,6 +42,8 @@ the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
 rational literals, and the variable names above, e.g. ``(2*D + 3*L1)^2``.
+Parentheses and unary minus signs nest at most :data:`MAX_NESTING` levels
+deep, in this parser and in the DSL's; deeper input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ FIELD_BITS = 16
 #: The largest exponent a variable may carry, and the largest one ``**`` takes.
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
+#: The deepest nesting the text parsers accept; it keeps their recursion far
+#: inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _LAMBDA_RE = re.compile(r"^L([1-9][0-9]*)$")
 
@@ -516,6 +521,7 @@ class _PolyParser:
     def __init__(self, tokens: list[Tuple[str, str, int]]) -> None:
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.idx]
@@ -524,6 +530,11 @@ class _PolyParser:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
+
+    def descend(self, col: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", 1, col)
 
     def expect_op(self, op: str) -> None:
         kind, text, col = self.advance()
@@ -552,10 +563,13 @@ class _PolyParser:
                 return result
 
     def parse_unary(self) -> Poly:
-        kind, text, _ = self.peek()
+        kind, text, col = self.peek()
         if kind == "OP" and text == "-":
             self.advance()
-            return -self.parse_unary()
+            self.descend(col)
+            result = -self.parse_unary()
+            self.depth -= 1
+            return result
         return self.parse_power()
 
     def parse_power(self) -> Poly:
@@ -586,8 +600,10 @@ class _PolyParser:
         if kind == "NAME":
             return Poly.var(text)
         if kind == "OP" and text == "(":
+            self.descend(col)
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a polynomial atom, found {text or 'end of input'!r}", 1, col)
 

@@ -145,7 +145,7 @@ def test_criterion_01_axiom_engine_and_mutation_detection():
                     if verdict.holds:
                         square = g_bracket(
                             multiplication_cochain(mutant), multiplication_cochain(mutant)
-                        ).payload
+                        )
                         assert square.is_zero(), "checker and graded bracket disagree"
                     else:
                         names, residual = verdict.witnesses[0]
@@ -245,7 +245,7 @@ def test_criterion_05_derived_bracket_engine():
             rhs1 = g_bracket(g_bracket(f, g), h)
             rhs2 = g_bracket(g, g_bracket(f, h))
             sign = (-1) ** ((am - 1) * (an - 1))
-            total = lhs.payload - rhs1.payload - rhs2.payload.scale(sign)
+            total = lhs - rhs1 - rhs2.scale(sign)
             assert total.is_zero(), f"Leibniz fails on sample {sample}"
 
         # [S, S] = 0 iff the table is associative, on 10 random binary tables
@@ -258,7 +258,7 @@ def test_criterion_05_derived_bracket_engine():
         seen_assoc = seen_nonassoc = 0
         for S in tables:
             candidate = ConfAlgebra.associative(AM, dict(S.table.entries))
-            square_zero = g_bracket(S, S).payload.is_zero()
+            square_zero = g_bracket(S, S).is_zero()
             assoc = check_associative(candidate).holds
             assert square_zero == assoc
             seen_assoc += assoc

@@ -94,8 +94,8 @@ def test_double_counting_breaks_the_axioms() -> None:
     broken = StructureBundle(
         "dendriform",
         {
-            "succ": BinaryOpTable(AM, DUAL.table, "succ"),
-            "prec": BinaryOpTable(AM, DUAL.table, "prec"),
+            "succ": BinaryOpTable(DUAL.table),
+            "prec": BinaryOpTable(DUAL.table),
         },
     )
     verdict = check_structure(broken)
@@ -294,13 +294,11 @@ def test_leftsym_commutator_matches_the_star_commutator() -> None:
 
 def test_broken_leftsym_reports_its_residual() -> None:
     broken = StructureBundle(
-        "leftsym", {"leftsym": BinaryOpTable(NM, NILP.table, "leftsym")}
+        "leftsym", {"leftsym": BinaryOpTable(NILP.table)}
     )
     # the nilpotent product is already left-symmetric (all triples die)
     assert check_structure(broken).holds
-    skew = BinaryOpTable.from_function(
-        AM, lambda x, y, w: DUAL.mul(x, y, w) * w, "leftsym"
-    )
+    skew = BinaryOpTable.from_function(AM, lambda x, y, w: DUAL.mul(x, y, w) * w)
     assert not check_structure(StructureBundle("leftsym", {"leftsym": skew})).holds
 
 

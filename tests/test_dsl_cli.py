@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,6 +543,61 @@ def test_cli_exponent_overflow_is_an_input_error(tmp_path, capsys, coefficient):
     (record,) = json.loads(captured.out)["records"]
     assert record["status"] == "error"
     assert "exceeds the cap 32767" in record["detail"]
+    assert "(line 3, column" in record["detail"]
+
+
+def _single_error_record(capsys, source: Path) -> str:
+    assert main(["check", str(source), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (record,) = json.loads(captured.out)["records"]
+    assert record["status"] == "error"
+    return record["detail"]
+
+
+def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
+    source = tmp_path / "deep.cfa"
+    deep = "(" * 5000 + "D" + ")" * 5000
+    source.write_text(f"algebra E {{\n  basis e;\n  product e e = {deep}*e;\n}}\n")
+    detail = _single_error_record(capsys, source)
+    assert "nesting deeper than 100 levels" in detail
+    assert "(line 3, column" in detail
+
+
+def test_nesting_within_the_limit_parses():
+    nested = "(" * 50 + "D" + ")" * 50
+    _, env = build(f"algebra E {{ basis e; product e e = {nested}*e; }}")
+    e = env.algebras["E"].module.basis_elem(0)
+    assert env.algebras["E"].table.entries == {(0, 0): D * e}
+
+
+def test_cli_non_utf8_source_is_an_input_error(tmp_path, capsys):
+    source = tmp_path / "latin1.cfa"
+    source.write_bytes(b"algebra E {\r\n  basis e;\n  product e e = \xff*e;\n}\n")
+    detail = _single_error_record(capsys, source)
+    assert "invalid UTF-8 byte 0xff" in detail
+    assert "(line 3, column 17)" in detail
+
+
+def test_cli_closed_stdout_is_not_a_crash(tmp_path):
+    # the report is far larger than a pipe buffer, so writing it meets the closed pipe
+    source = tmp_path / "big.cfa"
+    checks = "check associative E;\n" * 5000
+    source.write_text("algebra E {\n  basis e;\n  product e e = e;\n}\n" + checks)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "confalg", "check", str(source)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline().startswith(b"[holds] check associative E")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_cli_construct_prints_source_text(capsys):

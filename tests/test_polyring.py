@@ -199,6 +199,15 @@ def test_parse_poly_errors() -> None:
         parse_poly("D @ L1")
 
 
+def test_parse_poly_limits_nesting() -> None:
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+        parse_poly("(" * 2000 + "D" + ")" * 2000)
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+        parse_poly("-" * 5000 + "D")
+    assert parse_poly("(" * 50 + "D" + ")" * 50) == D
+    assert parse_poly("-" * 50 + "D") == D
+
+
 def test_lambda_names() -> None:
     assert lam(1) == "L1"
     assert lam(12) == "L12"
