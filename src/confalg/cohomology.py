@@ -155,17 +155,10 @@ class Cochain:
     def is_zero(self) -> bool:
         return self.table.is_zero()
 
-    def _require_same_shape(self, other: "Cochain") -> None:
-        shape = (self.table.in_modules, self.table.out_module)
-        if shape != (other.table.in_modules, other.table.out_module):
-            raise ShapeMismatch("cochains of different shapes")
-
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._require_same_shape(other)
         return Cochain(self.table + other.table)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._require_same_shape(other)
         return Cochain(self.table - other.table)
 
     def __neg__(self) -> "Cochain":

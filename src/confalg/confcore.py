@@ -18,7 +18,12 @@ coefficients.  Everything reduces to finite data:
 * :func:`eval_multilinear` extends a table to arbitrary elements by
   sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
   ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
-  and the formal weights in the table entry become the actual weights.
+  and the formal weights in the table entry become the actual weights.  A
+  table's ``entries`` are a read-only mapping, so the evaluator compiles a
+  plan per weight tuple (the argument images and, filled in as they are
+  met, the entries with the weights substituted) and keeps it on the table,
+  at most :data:`PLAN_CACHE_CAP` weight tuples per table; the plans die
+  with their table.
 
 Weights are linear forms in the weight variables and may themselves contain
 ``D``: that is how products "at weight −λ−∂" (the conformal substitute for
@@ -39,6 +44,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import (
@@ -51,6 +58,7 @@ from .errors import (
     NotSkewSymmetric,
     PreconditionFailed,
     RankMismatch,
+    ShapeMismatch,
 )
 from .polyring import Poly, PolyLike, as_poly, lam, var_sort_key
 
@@ -61,6 +69,9 @@ L3 = Poly.var("L3")
 
 #: Default maximum number of failing basis tuples kept in a verdict.
 WITNESS_CAP = 16
+#: The most weight tuples whose evaluation plans one table keeps; a full cache
+#: is cleared.  The checkers use a handful per table.
+PLAN_CACHE_CAP = 64
 
 EntryLike = Union["ModElem", Sequence[PolyLike]]
 IndexKey = Tuple[Union[int, str], ...]
@@ -135,12 +146,15 @@ class ModElem:
             )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
+
+    @cached_property
+    def _terms(self) -> Tuple[Tuple[int, Poly], ...]:
+        # computed on first use: basis elements are evaluated many times per scan
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
 
     def support(self) -> Iterator[Tuple[int, Poly]]:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield i, c
+        return iter(self._terms)
 
     def map_coeffs(self, fn: Callable[[Poly], Poly]) -> "ModElem":
         return ModElem(self.module, tuple(fn(c) for c in self.coeffs))
@@ -151,18 +165,18 @@ class ModElem:
 
     def __add__(self, other: "ModElem") -> "ModElem":
         self._require_same_module(other)
-        return ModElem(self.module, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _elem(self.module, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ModElem") -> "ModElem":
         self._require_same_module(other)
-        return ModElem(self.module, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _elem(self.module, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ModElem":
-        return ModElem(self.module, tuple(-c for c in self.coeffs))
+        return _elem(self.module, tuple(-c for c in self.coeffs))
 
     def __mul__(self, factor: PolyLike) -> "ModElem":
         f = as_poly(factor)
-        return ModElem(self.module, tuple(c * f for c in self.coeffs))
+        return _elem(self.module, tuple(c * f for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -177,6 +191,14 @@ class ModElem:
             else:
                 parts.append(f"({c})*{name}")
         return " + ".join(parts) if parts else "0"
+
+
+def _elem(module: FreeModule, coeffs: Tuple[Poly, ...]) -> ModElem:
+    """Wrap coefficients that are already ``Poly``, one per basis element of ``module``."""
+    elem = object.__new__(ModElem)
+    object.__setattr__(elem, "module", module)
+    object.__setattr__(elem, "coeffs", coeffs)
+    return elem
 
 
 @dataclass(frozen=True)
@@ -241,10 +263,12 @@ class MultiTable:
 
     ``entries`` maps basis index tuples to elements of ``out_module`` whose
     coefficients may use ``D``, the weights ``L1 .. L(n-1)``, and auxiliary
-    scalar parameters; absent tuples are zero.
+    scalar parameters; absent tuples are zero.  It is a read-only view: a
+    table never changes after construction, which is what lets
+    :func:`eval_multilinear` keep its compiled plans in ``_plans``.
     """
 
-    __slots__ = ("in_modules", "out_module", "entries")
+    __slots__ = ("in_modules", "out_module", "entries", "_plans")
 
     def __init__(
         self,
@@ -280,7 +304,9 @@ class MultiTable:
                 )
             if not entry.is_zero():
                 canon[idx] = entry
-        self.entries = canon
+        self.entries: Mapping[Tuple[int, ...], ModElem] = MappingProxyType(canon)
+        # weight tuple -> (argument images, weight binding, {index tuple: substituted entry})
+        self._plans: dict = {}
 
     @classmethod
     def from_function(
@@ -335,7 +361,7 @@ class MultiTable:
 
     def __add__(self, other: "MultiTable") -> "MultiTable":
         if (self.in_modules, self.out_module) != (other.in_modules, other.out_module):
-            raise ModuleMismatch("cannot add tables with different shapes")
+            raise ShapeMismatch("cannot add tables with different shapes")
         merged = dict(self.entries)
         for idx, entry in other.entries.items():
             merged[idx] = merged[idx] + entry if idx in merged else entry
@@ -352,6 +378,19 @@ class MultiTable:
         return self.map_entries(lambda e: e * f)
 
 
+def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:
+    """The table's compiled plan for the weights ``ws``, made on first use."""
+    plans = table._plans
+    plan = plans.get(ws)
+    if plan is None:
+        if len(plans) >= PLAN_CACHE_CAP:
+            plans.clear()
+        images = tuple(-w for w in ws) + (D + sum(ws, Poly.zero()),)
+        binding = tuple((lam(k), w) for k, w in enumerate(ws, 1))
+        plan = plans[ws] = (images, binding, {})
+    return plan
+
+
 def eval_multilinear(
     table: MultiTable, args: Sequence[ModElem], weights: Sequence[PolyLike]
 ) -> ModElem:
@@ -363,41 +402,59 @@ def eval_multilinear(
     slot) and the table entry's formal weights ``L1 .. L(n-1)`` are replaced
     by the actual weights simultaneously.  Weights may contain ``D``, which
     then denotes ∂ on the output and is substituted verbatim.
+
+    The work that depends only on the table and the weights is done once per
+    weight tuple (compared by value) and kept on the table: the argument
+    images, and each entry with its weights substituted, filled in as index
+    tuples are first met.  A table keeps at most :data:`PLAN_CACHE_CAP`
+    weight tuples and starts afresh when full.  Constant argument
+    coefficients skip the ``D`` substitution and coefficients equal to 1 the
+    multiplication, so an argument tuple of basis elements costs a lookup
+    and additions.
     """
     n = table.arity
     if len(args) != n:
         raise ArityMismatch(f"{len(args)} arguments for an arity-{n} table")
     if len(weights) != n - 1:
         raise ArityMismatch(f"{len(weights)} weights for an arity-{n} table; expected {n - 1}")
-    ws = [as_poly(w) for w in weights]
+    ws = tuple(map(as_poly, weights))
     for pos, (arg, mod) in enumerate(zip(args, table.in_modules)):
-        if arg.module != mod:
+        if arg.module is not mod and arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
-    total = Poly.zero()
-    for w in ws:
-        total = total + w
-    binding = tuple((lam(k + 1), ws[k]) for k in range(n - 1))
+    images, binding, substituted = _plan(table, ws)
 
+    # (index, coefficient) per nonzero coefficient of each argument, None standing for 1
     columns = []
-    for j, arg in enumerate(args):
-        image = -ws[j] if j < n - 1 else D + total
-        column = [(i, c.substitute("D", image)) for i, c in arg.support()]
+    for image, arg in zip(images, args):
+        column = []
+        for i, c in arg.support():
+            if c.is_constant():
+                column.append((i, None if c == 1 else c))
+            else:
+                c = c.substitute("D", image)
+                if c:
+                    column.append((i, c))
         columns.append(column)
 
+    entries = table.entries
     out = [Poly.zero()] * table.out_module.rank
     for combo in itertools.product(*columns):
-        idx = tuple(i for i, _ in combo)
-        entry = table.entries.get(idx)
-        if entry is None:
+        idx, factors = zip(*combo)
+        values = substituted.get(idx)
+        if values is None:
+            entry = entries.get(idx)
+            pairs = () if entry is None else entry.support()
+            values = tuple((i, v) for i, p in pairs if (v := p.substitute_many(binding)))
+            substituted[idx] = values
+        if not values:
             continue
-        factor = Poly.one()
-        for _, c in combo:
-            factor = factor * c
-        if factor.is_zero():
-            continue
-        for i, p in entry.support():
-            out[i] = out[i] + factor * p.substitute_many(binding)
-    return ModElem(table.out_module, tuple(out))
+        factor = None
+        for c in factors:
+            if c is not None:
+                factor = c if factor is None else factor * c
+        for i, v in values:
+            out[i] = out[i] + (v if factor is None else factor * v)
+    return _elem(table.out_module, tuple(out))
 
 
 @dataclass(frozen=True)

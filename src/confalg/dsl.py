@@ -64,7 +64,7 @@ from .errors import (
 )
 from .operators import KINDS as OPERATOR_KINDS
 from .operators import ModuleMap, verify_operator
-from .polyring import MAX_NESTING, Poly
+from .polyring import MAX_NESTING, Poly, decimal_to_int
 
 __all__ = [
     "SourceFile",
@@ -309,16 +309,17 @@ class _Parser:
 
     def parse_number(self) -> Fraction:
         tok = self.advance()
-        value = Fraction(int(tok.text))
+        value = Fraction(decimal_to_int(tok.text))
         if self.at_punct("/"):
             self.advance()
             den = self.peek()
             if den.kind != "number":
                 raise self.fail("expected a denominator after '/'")
             self.advance()
-            if int(den.text) == 0:
+            divisor = decimal_to_int(den.text)
+            if divisor == 0:
                 raise ParseError("zero denominator", den.line, den.column)
-            value /= int(den.text)
+            value /= divisor
         return value
 
     def parse_exponent(self) -> int:
@@ -327,7 +328,7 @@ class _Parser:
         if tok.kind != "number":
             raise self.fail("expected an integer exponent after '^'")
         self.advance()
-        return int(tok.text)
+        return decimal_to_int(tok.text)
 
     def parse_scalar_factor(self) -> Poly:
         tok = self.peek()

@@ -44,6 +44,9 @@ and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
 rational literals, and the variable names above, e.g. ``(2*D + 3*L1)^2``.
 Parentheses and unary minus signs nest at most :data:`MAX_NESTING` levels
 deep, in this parser and in the DSL's; deeper input is a :class:`ParseError`.
+Integers of any length are read and written through :func:`decimal_to_int`
+and :func:`int_to_decimal`, which stay inside the interpreter's limit on
+int/str conversions without changing it.
 """
 
 from __future__ import annotations
@@ -69,6 +72,11 @@ _FIELD = (1 << FIELD_BITS) - 1
 #: The deepest nesting the text parsers accept; it keeps their recursion far
 #: inside the interpreter's recursion limit.
 MAX_NESTING = 100
+#: Decimal digits per piece in the int/str helpers.  The interpreter refuses
+#: int/str conversions longer than a process-wide limit (4300 digits by
+#: default) that can be lowered, but never below 640, so such pieces always pass.
+_DIGIT_CHUNK = 640
+_CHUNK_BASE = 10**_DIGIT_CHUNK
 
 _LAMBDA_RE = re.compile(r"^L([1-9][0-9]*)$")
 
@@ -80,7 +88,7 @@ def var_sort_key(name: str) -> tuple:
         return (0, 0, "")
     m = _LAMBDA_RE.match(name)
     if m:
-        return (1, int(m.group(1)), "")
+        return (1, decimal_to_int(m.group(1)), "")
     return (2, 0, name)
 
 
@@ -89,6 +97,31 @@ def lam(k: int) -> str:
     if k < 1:
         raise ValueError(f"lambda index must be >= 1, got {k}")
     return f"L{k}"
+
+
+def decimal_to_int(digits: str) -> int:
+    """The integer written by a string of decimal digits, of any length."""
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    value = 0
+    for start in range(0, len(digits), _DIGIT_CHUNK):
+        piece = digits[start : start + _DIGIT_CHUNK]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def int_to_decimal(value: int) -> str:
+    """The decimal digits of an integer of any size, with ``-`` if negative."""
+    if value < 0:
+        return "-" + int_to_decimal(-value)
+    if value < _CHUNK_BASE:
+        return str(value)
+    pieces = []
+    while value:
+        value, piece = divmod(value, _CHUNK_BASE)
+        pieces.append(piece)
+    head = str(pieces.pop())
+    return head + "".join(f"{piece:0{_DIGIT_CHUNK}d}" for piece in reversed(pieces))
 
 
 class _Fields:
@@ -117,8 +150,10 @@ class _Fields:
 _FIELDS = _Fields(("D", "L1", "L2", "L3", "L4"))
 
 
-def _overflow(name: str, exp: object) -> ExponentOverflow:
-    return ExponentOverflow(f"exponent {exp} of {name} exceeds the cap {EXP_MAX}")
+def _overflow(name: str, exp: int) -> ExponentOverflow:
+    return ExponentOverflow(
+        f"exponent {int_to_decimal(exp)} of {name} exceeds the cap {EXP_MAX}"
+    )
 
 
 def _pack(mono: Monomial) -> int:
@@ -239,6 +274,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._nums
 
+    def is_constant(self) -> bool:
+        nums = self._nums
+        return not nums or (len(nums) == 1 and 0 in nums)
+
     def variables(self) -> set[str]:
         present = reduce(or_, self._nums, 0)
         return {name for shift, name in _FIELDS.order if (present >> shift) & _FIELD}
@@ -318,7 +357,7 @@ class Poly:
         if n < 0:
             raise ValueError("negative exponent")
         if n > EXP_MAX:
-            raise ExponentOverflow(f"exponent {n} exceeds the cap {EXP_MAX}")
+            raise ExponentOverflow(f"exponent {int_to_decimal(n)} exceeds the cap {EXP_MAX}")
         nums = self._nums
         if n == 0:
             return _ONE_POLY
@@ -440,9 +479,9 @@ class Poly:
                 g = gcd(mag, q)
                 mag, q = mag // g, q // g
             if q != 1:
-                factors.insert(0, f"{mag}/{q}")
+                factors.insert(0, f"{int_to_decimal(mag)}/{int_to_decimal(q)}")
             elif mag != 1 or not factors:
-                factors.insert(0, str(mag))
+                factors.insert(0, int_to_decimal(mag))
             body = "*".join(factors)
             if not parts:
                 parts.append(body if num > 0 else f"-{body}")
@@ -582,20 +621,21 @@ class _PolyParser:
                 raise ParseError(
                     f"expected integer exponent, found {etext or 'end of input'!r}", 1, ecol
                 )
-            return base ** int(etext)
+            return base ** decimal_to_int(etext)
         return base
 
     def parse_atom(self) -> Poly:
         kind, text, col = self.advance()
         if kind == "INT":
-            num = int(text)
+            num = decimal_to_int(text)
             nkind, ntext, _ = self.peek()
             if nkind == "OP" and ntext == "/":
                 self.advance()
                 dkind, dtext, dcol = self.advance()
-                if dkind != "INT" or int(dtext) == 0:
+                den = decimal_to_int(dtext) if dkind == "INT" else 0
+                if not den:
                     raise ParseError("expected nonzero integer denominator", 1, dcol)
-                return Poly.const(Fraction(num, int(dtext)))
+                return Poly.const(Fraction(num, den))
             return Poly.const(num)
         if kind == "NAME":
             return Poly.var(text)

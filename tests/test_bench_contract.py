@@ -57,3 +57,19 @@ def test_tracer_wraps_every_layer_counts_tabulation_and_restores(tracing, capsys
         assert tracer.stats[layer]["calls"] > 0, layer
         assert tracer.stats[layer]["tuples"] > 0, layer
     assert all(_slot(*target) is raw for target, raw in zip(targets, originals))
+
+
+def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys):
+    # Every product of the corpus goes through eval_multilinear; a change that
+    # routed some around it would make the traced benchmark undercount.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        assert cli.main(["check", "--json", str(ROOT / "fixtures" / "all.cfa")]) == 0
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.stats["confcore.eval"]["calls"] == 1808
+    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 1224

@@ -7,13 +7,16 @@ isomorphisms) are exercised on seeded random inputs as well.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg.confcore import (
+    PLAN_CACHE_CAP,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
@@ -40,10 +43,12 @@ from confalg.errors import (
     NotCocycle,
     NotSkewSymmetric,
     RankMismatch,
+    ShapeMismatch,
 )
 from confalg.operators import ModuleMap
 from confalg.polyring import Poly
 
+import _oracle
 import helpers
 from helpers import (
     ADJ,
@@ -132,6 +137,112 @@ def test_eval_shape_errors() -> None:
 def test_table_entries_reject_foreign_weights() -> None:
     with pytest.raises(InvalidEntry):
         MultiTable((AM, AM), AM, {(0, 0): L2 * u})
+
+
+# -- the evaluator's per-table plan cache ---------------------------------------
+
+# Each call builds its weight afresh, except the first, which is one shared
+# object; the cache must key on the value either way.
+WEIGHTS = (
+    lambda: L1,
+    lambda: Poly.var("L1"),
+    lambda: Poly.var("L2"),
+    lambda: -Poly.var("L1") - Poly.var("D"),
+    lambda: Poly.var("L1") + Poly.var("L2"),
+    lambda: 2 * Poly.var("L1") + 3,
+    lambda: Poly.var("D"),
+)
+
+
+def _cold(table: MultiTable) -> MultiTable:
+    return MultiTable(table.in_modules, table.out_module, dict(table.entries))
+
+
+def _rand_arg(rng: random.Random, module: FreeModule):
+    """A basis element, an element with constant coefficients, or one with ``D``."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return module.basis_elem(rng.randrange(module.rank))
+    return helpers.rand_elem(rng, module, names=() if kind == 1 else ("D",))
+
+
+def _sym(p: Poly):
+    return sum(
+        (
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(sp.Symbol(name) ** exp for name, exp in mono))
+            for mono, c in p.items()
+        ),
+        sp.Integer(0),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.lists(st.integers(0, len(WEIGHTS) - 1), min_size=1, max_size=12))
+def test_cached_binary_evaluation_matches_a_cold_table_and_the_oracle(seed, order) -> None:
+    rng = random.Random(seed)
+    table = helpers.rand_table(rng, AM)
+    sym_table = {idx: tuple(map(_sym, e.coeffs)) for idx, e in table.entries.items()}
+    for k in order:
+        x, y, w = _rand_arg(rng, AM), _rand_arg(rng, AM), WEIGHTS[k]()
+        got = eval_multilinear(table, (x, y), (w,))
+        assert got == eval_multilinear(_cold(table), (x, y), (w,))
+        expected = _oracle.ev2(
+            sym_table, AM.rank, tuple(map(_sym, x.coeffs)), tuple(map(_sym, y.coeffs)), _sym(w)
+        )
+        assert all(sp.expand(_sym(c) - e) == 0 for c, e in zip(got.coeffs, expected))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.tuples(*[st.integers(0, len(WEIGHTS) - 1)] * 2), min_size=1, max_size=10),
+)
+def test_cached_ternary_evaluation_matches_a_cold_table(seed, order) -> None:
+    rng = random.Random(seed)
+    entries = {}
+    for idx in itertools.product(range(NM.rank), repeat=3):
+        value = helpers.rand_elem(rng, NM, names=("D", "L1", "L2"))
+        if not value.is_zero():
+            entries[idx] = value
+    table = MultiTable((NM, NM, NM), NM, entries)
+    for j, k in order:
+        args = tuple(_rand_arg(rng, NM) for _ in range(3))
+        weights = (WEIGHTS[j](), WEIGHTS[k]())
+        assert eval_multilinear(table, args, weights) == eval_multilinear(
+            _cold(table), args, weights
+        )
+
+
+def test_table_entries_are_read_only() -> None:
+    source = {(0, 0): u}
+    table = MultiTable((AM, AM), AM, source)
+    with pytest.raises(TypeError):
+        table.entries[(0, 1)] = v
+    with pytest.raises(TypeError):
+        del table.entries[(0, 0)]
+    source[(0, 1)] = v
+    assert dict(table.entries) == {(0, 0): u}
+
+
+def test_plan_cache_is_bounded_and_stays_correct_past_the_cap() -> None:
+    table = _cold(DUAL.table)
+    x, y = (D + 1) * u + v, D * u - 2 * v
+    largest = 0
+    for k in list(range(PLAN_CACHE_CAP + 10)) + [0, 1, 2]:
+        weight = L1 + k
+        got = eval_multilinear(table, (x, y), (weight,))
+        largest = max(largest, len(table._plans))
+        assert len(table._plans) <= PLAN_CACHE_CAP
+        assert got == eval_multilinear(_cold(table), (x, y), (weight,))
+    assert largest == PLAN_CACHE_CAP
+
+
+def test_adding_tables_of_different_shapes_is_a_shape_error() -> None:
+    with pytest.raises(ShapeMismatch):
+        DUAL.table + NILP.table
+    with pytest.raises(ShapeMismatch):
+        DUAL.table - MultiTable((AM,), AM, {})
 
 
 # -- associativity ------------------------------------------------------------

@@ -103,6 +103,11 @@ def test_double_counting_breaks_the_axioms() -> None:
     assert verdict.witnesses[0][0][0] == "cd1"
 
 
+def test_adding_products_on_different_modules_is_a_shape_error() -> None:
+    with pytest.raises(ShapeMismatch):
+        BinaryOpTable(DUAL.table) + BinaryOpTable(NILP.table)
+
+
 def test_sum_of_halves_is_the_star_product() -> None:
     bundle = dendriform_from_O(SHIFT, DUAL, ADJ)
     star = bundle.sum_table()

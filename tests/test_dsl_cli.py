@@ -28,7 +28,7 @@ from confalg.dsl import (
     run,
 )
 from confalg.errors import DuplicateName, ParseError, PreconditionFailed, UnresolvedName
-from confalg.polyring import Poly
+from confalg.polyring import Poly, parse_poly
 
 import helpers
 from helpers import AM, D, DUAL, L1, NILP, NM, a, b, u, v
@@ -569,6 +569,48 @@ def test_nesting_within_the_limit_parses():
     _, env = build(f"algebra E {{ basis e; product e e = {nested}*e; }}")
     e = env.algebras["E"].module.basis_elem(0)
     assert env.algebras["E"].table.entries == {(0, 0): D * e}
+
+
+def _single_record(capsys, source: Path, exit_code: int) -> dict:
+    assert main(["check", str(source), "--json"]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (record,) = json.loads(captured.out)["records"]
+    return record
+
+
+def test_cli_numerals_longer_than_the_interpreter_limit(tmp_path, capsys):
+    # 4300 digits is the interpreter's default limit on int/str conversions
+    nines = "9" * 5000
+    source = tmp_path / "big.cfa"
+    for coefficient in (f"{nines}*e", f"1/{nines}*e"):
+        source.write_text(
+            f"algebra A {{\n  basis e;\n  product e e = {coefficient};\n}}\ncheck associative A;\n"
+        )
+        assert _single_record(capsys, source, 0)["status"] == "holds"
+
+    source.write_text(f"algebra A {{\n  basis e;\n  product e e = D^{nines}*e;\n}}\n")
+    detail = _single_error_record(capsys, source)
+    assert "exceeds the cap 32767" in detail
+    assert "(line 3, column" in detail
+
+    # fixtures/broken_assoc.cfa with the product scaled by 2^15000
+    source.write_text(
+        "algebra Bad {\n  basis e;\n  product e e = (2)^15000*(D + 2*L)*e;\n}\n"
+        "check associative Bad;\n"
+    )
+    record = _single_record(capsys, source, 1)
+    assert record["status"] == "fails"
+    (witness,) = record["witnesses"]
+    residual = witness["residual"]
+    assert residual.startswith("(-") and residual.endswith(")*e")
+    small = parse_poly("-D^2 - 2*D*L1 - 3*D*L2 - 4*L1*L2 - 2*L2^2")
+    assert parse_poly(residual[1:-3]) == small * 2**30000
+    # the leading coefficient is 2^30000, 9031 digits; compare its two ends
+    digits = residual[2:].split("*D^2")[0]
+    assert len(digits) == 9031
+    assert digits[:20] == str(2**30000 // 10**9011)
+    assert digits[-20:] == str(2**30000 % 10**20).zfill(20)
 
 
 def test_cli_non_utf8_source_is_an_input_error(tmp_path, capsys):

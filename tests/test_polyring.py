@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg.errors import ConfalgError, DuplicateBinding, ExponentOverflow, ParseError
-from confalg.polyring import EXP_MAX, Poly, lam, parse_poly, var_sort_key
+from confalg.polyring import (
+    EXP_MAX,
+    Poly,
+    decimal_to_int,
+    int_to_decimal,
+    lam,
+    parse_poly,
+    var_sort_key,
+)
 
 D = Poly.var("D")
 L1 = Poly.var("L1")
@@ -325,7 +333,29 @@ def test_exponent_overflow_raises() -> None:
         lambda: (D ** 2).substitute("D", half),
         lambda: parse_poly(f"L4^{EXP_MAX + 1}"),
         lambda: parse_poly(f"t^{EXP_MAX} * (t + 1)"),
+        lambda: parse_poly("D^" + "9" * 5000),
+        lambda: Poly.var("D", 10**5000),
     ]
     for case in cases:
         with pytest.raises(ExponentOverflow):
             case()
+
+
+def test_decimal_helpers_handle_numbers_past_the_interpreter_limit() -> None:
+    # 4300 digits is the interpreter's default limit on int/str conversions
+    for value in (0, 7, 10**639, 10**640, 10**1500 + 7, 10**5000 - 1, 3**20000):
+        text = int_to_decimal(value)
+        assert decimal_to_int(text) == value
+        assert int_to_decimal(-value) == ("-" + text if value else "0")
+    assert decimal_to_int("9" * 5000) == 10**5000 - 1
+    assert int_to_decimal(10**5000) == "1" + "0" * 5000
+    assert int_to_decimal(10**1500 + 7) == "1" + "0" * 1499 + "7"
+    assert len(int_to_decimal(3**20000)) == 9543
+
+
+def test_str_round_trips_a_coefficient_of_5000_digits() -> None:
+    big = 10**4999 + 123456789
+    p = big * D * L1 - Fraction(1, big + 2) * T + big
+    text = str(p)
+    assert "1" + "0" * 4990 + "123456789*D*L1" in text
+    assert parse_poly(text) == p
