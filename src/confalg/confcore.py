@@ -21,9 +21,12 @@ coefficients.  Everything reduces to finite data:
   and the formal weights in the table entry become the actual weights.  A
   table's ``entries`` are a read-only mapping, so the evaluator compiles a
   plan per weight tuple (the argument images and, filled in as they are
-  met, the entries with the weights substituted) and keeps it on the table,
-  at most :data:`PLAN_CACHE_CAP` weight tuples per table; the plans die
-  with their table.
+  met, the entries with the weights bound, as elements) and keeps it on the
+  table, at most :data:`PLAN_CACHE_CAP` weight tuples per table; the plans
+  die with their table.  Elements and polynomials are immutable, so the
+  evaluator returns shared results: a product of basis elements is the
+  plan's element itself, one dictionary lookup, and a product with a zero
+  argument is the output module's one zero.
 
 Weights are linear forms in the weight variables and may themselves contain
 ``D``: that is how products "at weight −λ−∂" (the conformal substitute for
@@ -116,7 +119,12 @@ class FreeModule:
         return ModElem(self, tuple(1 if j == i else 0 for j in range(self.rank)))
 
     def zero(self) -> "ModElem":
-        return ModElem(self, (0,) * self.rank)
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "ModElem":
+        # one shared zero per module: elements are immutable
+        return _elem(self, (Poly.zero(),) * self.rank)
 
     def basis_elems(self) -> Iterator["ModElem"]:
         for i in range(self.rank):
@@ -132,7 +140,10 @@ class ModElem:
 
     Coefficients may contain ``D``, weight variables, and auxiliary scalar
     parameters.  Addition, subtraction, negation, and multiplication by a
-    polynomial or scalar act coefficientwise.
+    polynomial or scalar act coefficientwise.  An element is immutable, and
+    so are its coefficients, so one element may be handed to many callers:
+    the evaluator, module maps and :meth:`FreeModule.zero` return shared
+    elements.
     """
 
     module: FreeModule
@@ -155,6 +166,14 @@ class ModElem:
 
     def support(self) -> Iterator[Tuple[int, Poly]]:
         return iter(self._terms)
+
+    @cached_property
+    def unit_index(self) -> Union[int, None]:
+        """``i`` if this element is the i-th basis element, else ``None``; computed once."""
+        terms = self._terms
+        if len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        return None
 
     def map_coeffs(self, fn: Callable[[Poly], Poly]) -> "ModElem":
         return ModElem(self.module, tuple(fn(c) for c in self.coeffs))
@@ -264,8 +283,9 @@ class MultiTable:
     ``entries`` maps basis index tuples to elements of ``out_module`` whose
     coefficients may use ``D``, the weights ``L1 .. L(n-1)``, and auxiliary
     scalar parameters; absent tuples are zero.  It is a read-only view: a
-    table never changes after construction, which is what lets
-    :func:`eval_multilinear` keep its compiled plans in ``_plans``.
+    table never changes after construction, and its entries are immutable
+    elements, which is what lets :func:`eval_multilinear` keep its compiled
+    plans in ``_plans`` and hand out their elements shared.
     """
 
     __slots__ = ("in_modules", "out_module", "entries", "_plans")
@@ -305,7 +325,7 @@ class MultiTable:
             if not entry.is_zero():
                 canon[idx] = entry
         self.entries: Mapping[Tuple[int, ...], ModElem] = MappingProxyType(canon)
-        # weight tuple -> (argument images, weight binding, {index tuple: substituted entry})
+        # weight tuple -> (argument images, weight binding, {index tuple: bound entry})
         self._plans: dict = {}
 
     @classmethod
@@ -391,6 +411,19 @@ def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:
     return plan
 
 
+def _bound_entry(table: MultiTable, binding: tuple, bound: dict, idx: Tuple[int, ...]) -> ModElem:
+    """The entry at ``idx`` with its weights bound, made once per plan and then shared."""
+    elem = bound.get(idx)
+    if elem is None:
+        entry = table.entries.get(idx)
+        coeffs = () if entry is None else tuple(
+            c.substitute_many(binding) if c else c for c in entry.coeffs
+        )
+        module = table.out_module
+        elem = bound[idx] = _elem(module, coeffs) if any(coeffs) else module.zero()
+    return elem
+
+
 def eval_multilinear(
     table: MultiTable, args: Sequence[ModElem], weights: Sequence[PolyLike]
 ) -> ModElem:
@@ -405,12 +438,17 @@ def eval_multilinear(
 
     The work that depends only on the table and the weights is done once per
     weight tuple (compared by value) and kept on the table: the argument
-    images, and each entry with its weights substituted, filled in as index
-    tuples are first met.  A table keeps at most :data:`PLAN_CACHE_CAP`
-    weight tuples and starts afresh when full.  Constant argument
+    images, and each entry with its weights bound, built as an element the
+    first time its index tuple is met.  A table keeps at most
+    :data:`PLAN_CACHE_CAP` weight tuples and starts afresh when full.
+
+    Results are shared, which is safe because elements, polynomials and
+    table entries are immutable.  After the arity, weight-count and module
+    checks, a call with a zero argument returns the output module's
+    :meth:`~FreeModule.zero`, and a call on basis elements returns the bound
+    entry itself: one dictionary lookup.  Otherwise constant argument
     coefficients skip the ``D`` substitution and coefficients equal to 1 the
-    multiplication, so an argument tuple of basis elements costs a lookup
-    and additions.
+    multiplication, and the bound entries' cached supports are summed.
     """
     n = table.arity
     if len(args) != n:
@@ -421,7 +459,13 @@ def eval_multilinear(
     for pos, (arg, mod) in enumerate(zip(args, table.in_modules)):
         if arg.module is not mod and arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
-    images, binding, substituted = _plan(table, ws)
+    units = tuple(arg.unit_index for arg in args)
+    # a zero argument is never a unit, so all-unit calls skip this test
+    if None in units and not all(arg._terms for arg in args):
+        return table.out_module.zero()
+    images, binding, bound = _plan(table, ws)
+    if None not in units:
+        return _bound_entry(table, binding, bound, units)
 
     # (index, coefficient) per nonzero coefficient of each argument, None standing for 1
     columns = []
@@ -436,16 +480,10 @@ def eval_multilinear(
                     column.append((i, c))
         columns.append(column)
 
-    entries = table.entries
     out = [Poly.zero()] * table.out_module.rank
     for combo in itertools.product(*columns):
         idx, factors = zip(*combo)
-        values = substituted.get(idx)
-        if values is None:
-            entry = entries.get(idx)
-            pairs = () if entry is None else entry.support()
-            values = tuple((i, v) for i, p in pairs if (v := p.substitute_many(binding)))
-            substituted[idx] = values
+        values = _bound_entry(table, binding, bound, idx)._terms
         if not values:
             continue
         factor = None

@@ -88,6 +88,10 @@ class ExponentOverflow(ConfalgError):
     """An exponent exceeds the cap of the polynomial kernel (``polyring.EXP_MAX``)."""
 
 
+class TermOverflow(ConfalgError):
+    """An intermediate polynomial exceeds the kernel's term cap (``polyring.MAX_TERMS``)."""
+
+
 class ParseError(ConfalgError):
     """A syntax error in DSL or polynomial text, with source position."""
 

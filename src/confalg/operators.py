@@ -28,6 +28,7 @@ the Nijenhuis/O composites of an O-operator with a derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .confcore import (
@@ -41,6 +42,7 @@ from .confcore import (
     LieRep,
     ModElem,
     Verdict,
+    _elem,
     _sum_module,
     basis_tuples,
     residual_scan,
@@ -80,7 +82,10 @@ class ModuleMap:
     Entry ``matrix[i][j]`` is the coefficient of the i-th target basis
     element in the image of the j-th source basis element.  Entries may use
     ``D`` only; weight variables and auxiliary parameters are rejected, so a
-    map always commutes with multiplication by arbitrary coefficients.
+    map always commutes with multiplication by arbitrary coefficients.  A
+    map is immutable, and so are the elements it returns: the image of the
+    j-th basis element is one column element, made on first use and then
+    shared.
     """
 
     source: FreeModule
@@ -144,8 +149,12 @@ class ModuleMap:
     # -- algebra of maps -----------------------------------------------------
 
     def apply(self, x: ModElem) -> "ModElem":
-        if x.module != self.source:
+        """The image of ``x``; the image of a basis element is its shared column."""
+        if x.module is not self.source and x.module != self.source:
             raise ModuleMismatch(f"argument lives in {x.module}, expected {self.source}")
+        j = x.unit_index
+        if j is not None:
+            return self._columns[j]
         coeffs = []
         for i in range(self.target.rank):
             acc = Poly.zero()
@@ -153,6 +162,13 @@ class ModuleMap:
                 acc = acc + self.matrix[i][j] * c
             coeffs.append(acc)
         return ModElem(self.target, tuple(coeffs))
+
+    @cached_property
+    def _columns(self) -> Tuple[ModElem, ...]:
+        return tuple(
+            _elem(self.target, tuple(row[j] for row in self.matrix))
+            for j in range(self.source.rank)
+        )
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """The composite ``self ∘ inner`` (apply ``inner`` first)."""

@@ -25,7 +25,9 @@ for set guard bits.  A polynomial is a map ``monomial -> int numerator``
 together with one positive ``int`` denominator, kept canonical: no zero
 numerators, and ``gcd(denominator, *numerators) == 1`` (so the zero
 polynomial has denominator 1).  Two equal polynomials therefore have equal
-maps and denominators, which is what ``==`` and ``hash`` compare.
+maps and denominators, which is what ``==`` and ``hash`` compare.  A
+polynomial never changes, so its hash is computed once and cached, and
+callers may share one polynomial freely.
 
 Boundary contract.  The public view is unchanged by the packing:
 ``Poly(mapping)`` takes monomials as tuples of ``(variable, exponent)`` pairs
@@ -37,7 +39,15 @@ Fractions are made only there, never inside arithmetic.
 Exponent cap.  An exponent may not exceed :data:`EXP_MAX` (32767), whether
 it is written on a variable, reached by a product or a substitution, or is
 the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
-:class:`~confalg.errors.ConfalgError`) instead of wrapping or running on.
+:class:`~confalg.errors.ConfalgError`) instead of wrapping or running on;
+from :func:`parse_poly` the message ends with the line and column of the
+offending factor.
+
+Term cap.  A product may hold at most :data:`MAX_TERMS` terms, checked as
+each row of it is formed, and a substitution at most that many in the powers
+of its images that it keeps plus its result so far.  Past the cap
+:class:`~confalg.errors.TermOverflow` (a ``ConfalgError``) is raised, so a
+computation whose size would exhaust memory stops early instead.
 
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
@@ -58,7 +68,7 @@ from math import gcd, lcm
 from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .errors import DuplicateBinding, ExponentOverflow, ParseError
+from .errors import DuplicateBinding, ExponentOverflow, ParseError, TermOverflow
 
 Scalar = Fraction
 Monomial = Tuple[Tuple[str, int], ...]
@@ -69,6 +79,11 @@ FIELD_BITS = 16
 #: The largest exponent a variable may carry, and the largest one ``**`` takes.
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
+#: The most terms a product, or a substitution's powers and result together,
+#: may hold.  It is about 500 times the largest intermediate of the test suite
+#: and the benchmark workloads (2,014 terms), and a blow-up reaches it in about
+#: a second and a few hundred MB, far from exhausting memory.
+MAX_TERMS = 1_000_000
 #: The deepest nesting the text parsers accept; it keeps their recursion far
 #: inside the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -192,6 +207,10 @@ def _checked(nums: dict) -> dict:
     return nums
 
 
+def _term_overflow() -> TermOverflow:
+    return TermOverflow(f"a polynomial would have more than {MAX_TERMS} terms")
+
+
 def _mul_nums(a: dict, b: dict) -> dict:
     """Product of two numerator maps: zero numerators dropped, exponents checked."""
     if len(a) < len(b):
@@ -209,6 +228,8 @@ def _mul_nums(a: dict, b: dict) -> dict:
         for m1, c1 in a_items:
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
+        if len(out) > MAX_TERMS:
+            raise _term_overflow()
     if 0 in out.values():
         out = {m: c for m, c in out.items() if c}
     return _checked(out)
@@ -221,10 +242,12 @@ class Poly:
     :func:`parse_poly`; combine with ``+ - * **``.  Integers and Fractions
     coerce automatically on either side.  The numerator map ``_nums`` and
     the denominator ``_den`` are private and may be shared between
-    polynomials, so nothing may rebind or mutate them.
+    polynomials, so nothing may rebind or mutate them.  Because they never
+    change, the hash is computed on first use and kept in the ``_hash``
+    slot, and one polynomial may be shared by any number of elements.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None) -> None:
         fracs = []
@@ -386,7 +409,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._nums.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self._den, frozenset(self._nums.items())))
+            return h
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -426,12 +453,16 @@ class Poly:
         den = self._den
         keep = ~0
         tables = []
+        kept = 0  # terms in the power tables, held until the result is done
         for shift, image in live:
             keep &= ~(_FIELD << shift)
             top = max((m >> shift) & _FIELD for m in nums)
             powers = [{0: 1}]
             for _ in range(top):
                 powers.append(_mul_nums(powers[-1], image._nums))
+                kept += len(powers[-1])
+                if kept > MAX_TERMS:
+                    raise _term_overflow()
             d = image._den
             if d != 1:
                 powers = [
@@ -451,6 +482,8 @@ class Poly:
                     acc[m] = s
                 else:
                     del acc[m]
+            if kept + len(acc) > MAX_TERMS:
+                raise _term_overflow()
         return _canonical(acc, den)
 
     # -- textual form ------------------------------------------------------
@@ -556,6 +589,11 @@ def _tokenize_poly(text: str) -> list[Tuple[str, str, int]]:
     return tokens
 
 
+def _located(exc: ExponentOverflow, col: int) -> ExponentOverflow:
+    """``exc`` with the column of the factor that raised it, as a :class:`ParseError` has."""
+    return ExponentOverflow(f"{exc} (line 1, column {col})")
+
+
 class _PolyParser:
     def __init__(self, tokens: list[Tuple[str, str, int]]) -> None:
         self.tokens = tokens
@@ -597,7 +635,12 @@ class _PolyParser:
             kind, text, _ = self.peek()
             if kind == "OP" and text == "*":
                 self.advance()
-                result = result * self.parse_unary()
+                col = self.peek()[2]
+                factor = self.parse_unary()
+                try:
+                    result = result * factor
+                except ExponentOverflow as exc:
+                    raise _located(exc, col) from None
             else:
                 return result
 
@@ -612,6 +655,7 @@ class _PolyParser:
         return self.parse_power()
 
     def parse_power(self) -> Poly:
+        col = self.peek()[2]
         base = self.parse_atom()
         kind, text, _ = self.peek()
         if kind == "OP" and text == "^":
@@ -621,7 +665,10 @@ class _PolyParser:
                 raise ParseError(
                     f"expected integer exponent, found {etext or 'end of input'!r}", 1, ecol
                 )
-            return base ** decimal_to_int(etext)
+            try:
+                return base ** decimal_to_int(etext)
+            except ExponentOverflow as exc:
+                raise _located(exc, col) from None
         return base
 
     def parse_atom(self) -> Poly:

@@ -73,3 +73,7 @@ def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys)
     capsys.readouterr()
     assert tracer.stats["confcore.eval"]["calls"] == 1808
     assert tracer.stats["confcore.eval"]["basis_only_calls"] == 1224
+    # the module-map and scan counts pin where results are shared: inside
+    # ModuleMap.apply and eval_multilinear, not around their call sites
+    assert tracer.stats["operators.apply"]["calls"] == 304
+    assert tracer.stats["confcore.scan"]["tuples"] == 360

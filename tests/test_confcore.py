@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -132,6 +133,15 @@ def test_eval_shape_errors() -> None:
         eval_multilinear(DUAL.table, (u, v), (L1, L2))
     with pytest.raises(ModuleMismatch):
         eval_multilinear(DUAL.table, (u, a), (L1,))
+    # a zero argument is no excuse to skip the checks
+    with pytest.raises(ModuleMismatch):
+        eval_multilinear(DUAL.table, (u, NM.zero()), (L1,))
+    with pytest.raises(ModuleMismatch):
+        eval_multilinear(DUAL.table, (NM.zero(), AM.zero()), (L1,))
+    with pytest.raises(ArityMismatch):
+        eval_multilinear(DUAL.table, (AM.zero(), v), (L1, L2))
+    with pytest.raises(ArityMismatch):
+        eval_multilinear(DUAL.table, (AM.zero(),), ())
 
 
 def test_table_entries_reject_foreign_weights() -> None:
@@ -159,11 +169,19 @@ def _cold(table: MultiTable) -> MultiTable:
 
 
 def _rand_arg(rng: random.Random, module: FreeModule):
-    """A basis element, an element with constant coefficients, or one with ``D``."""
-    kind = rng.randrange(3)
+    """A basis element, the same with a freshly built ``1``, a multiple of one,
+    zero, or an element with constant or ``D`` coefficients."""
+    kind = rng.randrange(6)
+    i = rng.randrange(module.rank)
     if kind == 0:
-        return module.basis_elem(rng.randrange(module.rank))
-    return helpers.rand_elem(rng, module, names=() if kind == 1 else ("D",))
+        return module.basis_elem(i)
+    if kind == 1:
+        return module.elem(tuple(Poly({(): 1}) if j == i else 0 for j in range(module.rank)))
+    if kind == 2:
+        return rng.choice((2, -1, Fraction(1, 2), D, D + 1)) * module.basis_elem(i)
+    if kind == 3:
+        return module.zero()
+    return helpers.rand_elem(rng, module, names=() if kind == 4 else ("D",))
 
 
 def _sym(p: Poly):
@@ -185,7 +203,9 @@ def test_cached_binary_evaluation_matches_a_cold_table_and_the_oracle(seed, orde
     sym_table = {idx: tuple(map(_sym, e.coeffs)) for idx, e in table.entries.items()}
     for k in order:
         x, y, w = _rand_arg(rng, AM), _rand_arg(rng, AM), WEIGHTS[k]()
+        first = eval_multilinear(table, (x, y), (w,))
         got = eval_multilinear(table, (x, y), (w,))
+        assert got == first
         assert got == eval_multilinear(_cold(table), (x, y), (w,))
         expected = _oracle.ev2(
             sym_table, AM.rank, tuple(map(_sym, x.coeffs)), tuple(map(_sym, y.coeffs)), _sym(w)
@@ -209,9 +229,17 @@ def test_cached_ternary_evaluation_matches_a_cold_table(seed, order) -> None:
     for j, k in order:
         args = tuple(_rand_arg(rng, NM) for _ in range(3))
         weights = (WEIGHTS[j](), WEIGHTS[k]())
-        assert eval_multilinear(table, args, weights) == eval_multilinear(
-            _cold(table), args, weights
-        )
+        first = eval_multilinear(table, args, weights)
+        assert eval_multilinear(table, args, weights) == first
+        assert first == eval_multilinear(_cold(table), args, weights)
+
+
+def test_basis_products_and_zero_arguments_return_shared_elements() -> None:
+    table = _cold(DUAL.table)
+    first = eval_multilinear(table, (u, v), (L1,))
+    assert first == v
+    assert eval_multilinear(table, (u, v), (Poly.var("L1"),)) is first
+    assert eval_multilinear(table, (AM.zero(), D * v), (L1,)) is AM.zero()
 
 
 def test_table_entries_are_read_only() -> None:

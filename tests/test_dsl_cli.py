@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from confalg.dsl import (
     run,
 )
 from confalg.errors import DuplicateName, ParseError, PreconditionFailed, UnresolvedName
-from confalg.polyring import Poly, parse_poly
+from confalg.polyring import MAX_TERMS, Poly, parse_poly
 
 import helpers
 from helpers import AM, D, DUAL, L1, NILP, NM, a, b, u, v
@@ -640,6 +641,33 @@ def test_cli_closed_stdout_is_not_a_crash(tmp_path):
     child.stderr.close()
     assert child.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_cli_term_overflow_is_an_input_error_in_bounded_memory(tmp_path):
+    # the check substitutes a two-term weight for D in D^20000, whose powers hold
+    # about 2*10^8 terms: without the term cap the child would run out of its
+    # 1 GiB of address space long before finishing
+    source = tmp_path / "wide.cfa"
+    source.write_text(
+        "algebra E {\n  basis e;\n  product e e = D^20000*e;\n}\ncheck associative E;\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    child = subprocess.run(
+        [sys.executable, "-m", "confalg", "check", "--json", str(source)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=limit_memory,
+        timeout=30,
+    )
+    assert child.returncode == 2
+    assert child.stderr == b""
+    (record,) = json.loads(child.stdout)["records"]
+    assert record["status"] == "error"
+    assert record["detail"] == f"a polynomial would have more than {MAX_TERMS} terms"
 
 
 def test_cli_construct_prints_source_text(capsys):

@@ -100,6 +100,26 @@ def test_apply_commutes_with_module_structure(seed: int) -> None:
     assert T.apply(x * p) == T.apply(x) * p
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_apply_on_basis_elements_gives_the_columns(seed: int) -> None:
+    rng = random.Random(seed)
+    T = helpers.rand_map(rng, AM)
+    columns = [AM.elem(tuple(row[j] for row in T.matrix)) for j in range(AM.rank)]
+    for j, e in enumerate(AM.basis_elems()):
+        fresh_one = AM.elem(tuple(Poly({(): 1}) if i == j else 0 for i in range(AM.rank)))
+        assert T.apply(e) == columns[j]
+        assert T.apply(fresh_one) is T.apply(e)
+        assert T.apply(2 * e) == 2 * columns[j]
+        assert T.apply(D * e) == D * columns[j]
+    x = helpers.rand_elem(rng, AM, names=("D", "L1"))
+    assert T.apply(x) == sum((c * columns[j] for j, c in x.support()), AM.zero())
+    with pytest.raises(ModuleMismatch):
+        T.apply(a)
+    with pytest.raises(ModuleMismatch):
+        T.apply(NM.zero())
+
+
 def test_map_composition_and_powers() -> None:
     assert SHIFT.compose(SHIFT).is_zero()
     assert SHIFT.power(0).matrix == IDENT.matrix

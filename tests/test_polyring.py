@@ -14,7 +14,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confalg.errors import ConfalgError, DuplicateBinding, ExponentOverflow, ParseError
+from confalg import polyring
+from confalg.errors import (
+    ConfalgError,
+    DuplicateBinding,
+    ExponentOverflow,
+    ParseError,
+    TermOverflow,
+)
 from confalg.polyring import (
     EXP_MAX,
     Poly,
@@ -214,6 +221,31 @@ def test_parse_poly_limits_nesting() -> None:
         parse_poly("-" * 5000 + "D")
     assert parse_poly("(" * 50 + "D" + ")" * 50) == D
     assert parse_poly("-" * 50 + "D") == D
+
+
+def test_parse_poly_locates_an_exponent_overflow() -> None:
+    with pytest.raises(ExponentOverflow, match=r"exceeds the cap 32767 \(line 1, column 5\)$"):
+        parse_poly("1 + D^40000")
+    # a product that overflows names its right-hand factor
+    with pytest.raises(ExponentOverflow, match=r"of D exceeds .* \(line 1, column 20\)$"):
+        parse_poly("2*D^30000 + D^3000*D^30000")
+
+
+def test_term_cap_bounds_products_and_substitutions(monkeypatch) -> None:
+    assert issubclass(TermOverflow, ConfalgError)
+    assert polyring.MAX_TERMS >= 100 * 2014  # the largest intermediate the benchmarks meet
+    monkeypatch.setattr(polyring, "MAX_TERMS", 50)
+    x = D + L1 + L2
+    assert len(list((x**8).items())) == 45
+    with pytest.raises(TermOverflow):
+        x**9  # 55 terms
+    # the powers x^1 .. x^4 hold 34 terms and the result 15
+    assert len(list((D**4).substitute("D", x).items())) == 15
+    with pytest.raises(TermOverflow):
+        (D**5).substitute("D", x)  # the powers alone hold 55 terms
+    wide = sum((T**k * D for k in range(30)), Poly.zero())
+    with pytest.raises(TermOverflow):
+        wide.substitute("D", D + 1)  # 60 terms in the result
 
 
 def test_lambda_names() -> None:
