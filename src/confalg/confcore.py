@@ -175,9 +175,6 @@ class ModElem:
             return terms[0][0]
         return None
 
-    def map_coeffs(self, fn: Callable[[Poly], Poly]) -> "ModElem":
-        return ModElem(self.module, tuple(fn(c) for c in self.coeffs))
-
     def _require_same_module(self, other: "ModElem") -> None:
         if self.module != other.module:
             raise ModuleMismatch(f"elements of {self.module} and {other.module}")

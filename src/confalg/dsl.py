@@ -1040,26 +1040,22 @@ def run(
     records: List[Record] = []
     for decl in sf.declarations:
         namespace = _namespace_of(decl)
-        if namespace is not None:
-            started = time.perf_counter()
-            try:
-                _declare(env, decl)
-            except ConfalgError as exc:
-                elapsed = (time.perf_counter() - started) * 1000.0
-                records.append(
-                    Record(f"{namespace} {decl.name}", "error", (), elapsed, str(exc))
-                )
-            continue
+        started = time.perf_counter()
         try:
-            if isinstance(decl, CheckStmt):
+            if namespace is not None:
+                _declare(env, decl)
+            elif isinstance(decl, CheckStmt):
                 records.append(_run_check(env, decl, witness_cap))
             else:
                 records.append(_run_construct(env, decl, witness_cap))
         except ConfalgError as exc:
-            kind = "check" if isinstance(decl, CheckStmt) else "construct"
-            records.append(
-                Record(f"{kind} {decl.kind} {decl.name}", "error", (), 0.0, str(exc))
-            )
+            elapsed = (time.perf_counter() - started) * 1000.0
+            if namespace is not None:
+                identity = f"{namespace} {decl.name}"
+            else:
+                kind = "check" if isinstance(decl, CheckStmt) else "construct"
+                identity = f"{kind} {decl.kind} {decl.name}"
+            records.append(Record(identity, "error", (), elapsed, str(exc)))
     return Report(command, version, seed, tuple(records)), env
 
 

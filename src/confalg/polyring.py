@@ -43,9 +43,28 @@ the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
 from :func:`parse_poly` the message ends with the line and column of the
 offending factor.
 
+Products.  Sesquilinearity makes the residuals products of polynomials that
+are dense in ``D``, and these take a packed path (Fateman 2005, "Can you
+save time in multiplying polynomials by encoding them as integers?", along
+one variable).  Each operand is split into rows, one per monomial without
+``D`` (``m & ~_FIELD``; ``D`` owns the field at shift 0), and the numerators
+of a row go into one integer, the one of ``D^(lo+k)`` at bit offset
+``bits·k``.  A pair of rows costs one big-integer product, added into the
+row of the result that the pair's base monomials name; a last pass reads the
+signed slots back out.  The slot width is ``bits = (max|a| · max|b| ·
+min(len a, len b)).bit_length() + 2``: a coefficient of the product, and any
+partial sum of it, adds at most ``min(len a, len b)`` products of two
+numerators, so every slot stays below ``2^(bits-1)`` in magnitude and reads
+back exactly.  Size rule: a product is packed when its smaller operand has at
+least 8 terms and its pairs of rows are at most an eighth of its pairs of
+terms (:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`); other products are
+formed term by term.  Both paths drop zero numerators and check the
+exponents of their result.
+
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, checked as
-each row of it is formed, and a substitution at most that many in the powers
-of its images that it keeps plus its result so far.  Past the cap
+each row of it is formed (on the packed path, every slot of a row counts as
+a term), and a substitution at most that many in the powers of its images
+that it keeps plus its result so far.  Past the cap
 :class:`~confalg.errors.TermOverflow` (a ``ConfalgError``) is raised, so a
 computation whose size would exhaust memory stops early instead.
 
@@ -56,14 +75,17 @@ Parentheses and unary minus signs nest at most :data:`MAX_NESTING` levels
 deep, in this parser and in the DSL's; deeper input is a :class:`ParseError`.
 Integers of any length are read and written through :func:`decimal_to_int`
 and :func:`int_to_decimal`, which stay inside the interpreter's limit on
-int/str conversions without changing it.
+int/str conversions without changing it, and split long numbers in halves so
+that their cost grows like that of a product, not quadratically.
 """
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import repeat
 from math import gcd, lcm
 from operator import index, or_
 from typing import Iterable, Iterator, Mapping, Tuple, Union
@@ -79,11 +101,18 @@ FIELD_BITS = 16
 #: The largest exponent a variable may carry, and the largest one ``**`` takes.
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
+_REST = ~_FIELD  # every field but D's
 #: The most terms a product, or a substitution's powers and result together,
 #: may hold.  It is about 500 times the largest intermediate of the test suite
 #: and the benchmark workloads (2,014 terms), and a blow-up reaches it in about
 #: a second and a few hundred MB, far from exhausting memory.
 MAX_TERMS = 1_000_000
+#: The size rule of the packed product (see "Products" above).  Timed against
+#: the term-by-term loop on dense operands of 8 to 1,365 terms, packing was
+#: faster in nearly every shape with 8 or more term pairs per row pair, and
+#: up to 2x slower with 3 to 6.
+_PACK_MIN_TERMS = 8
+_PACK_SHARE = 8
 #: The deepest nesting the text parsers accept; it keeps their recursion far
 #: inside the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -92,6 +121,10 @@ MAX_NESTING = 100
 #: default) that can be lowered, but never below 640, so such pieces always pass.
 _DIGIT_CHUNK = 640
 _CHUNK_BASE = 10**_DIGIT_CHUNK
+#: Bits per piece when :func:`int_to_decimal` converts through ``Decimal``.
+_PIECE_BITS = 2048
+#: Exact decimal arithmetic: no rounding, and an error rather than an inexact result.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 _LAMBDA_RE = re.compile(r"^L([1-9][0-9]*)$")
 
@@ -114,29 +147,63 @@ def lam(k: int) -> str:
     return f"L{k}"
 
 
+# The split points are cached by k, which stays below 30 for any number that
+# fits in memory; the largest power kept is about half the size of the largest
+# number converted so far.
+@lru_cache(maxsize=None)
+def _ten_power(k: int) -> int:
+    """``10^(640·2^k)``, where :func:`decimal_to_int` splits its digits."""
+    return _CHUNK_BASE if k == 0 else _ten_power(k - 1) ** 2
+
+
+@lru_cache(maxsize=None)
+def _two_power(k: int) -> decimal.Decimal:
+    """``2^(2048·2^k)``, where :func:`int_to_decimal` splits its bits."""
+    if k == 0:
+        return decimal.Decimal(1 << _PIECE_BITS)
+    half = _two_power(k - 1)
+    return _EXACT.multiply(half, half)
+
+
 def decimal_to_int(digits: str) -> int:
-    """The integer written by a string of decimal digits, of any length."""
+    """The integer written by a string of decimal digits, of any length.
+
+    Longer strings are split at ``10^(640·2^k)`` into a high and a low part,
+    converted recursively, and joined by one multiplication, so the cost
+    grows like that of a product rather than quadratically.
+    """
     if len(digits) <= _DIGIT_CHUNK:
         return int(digits)
-    value = 0
-    for start in range(0, len(digits), _DIGIT_CHUNK):
-        piece = digits[start : start + _DIGIT_CHUNK]
-        value = value * 10 ** len(piece) + int(piece)
-    return value
+    k = 0
+    while _DIGIT_CHUNK << (k + 1) < len(digits):
+        k += 1
+    cut = len(digits) - (_DIGIT_CHUNK << k)
+    return decimal_to_int(digits[:cut]) * _ten_power(k) + decimal_to_int(digits[cut:])
+
+
+def _as_decimal(value: int) -> decimal.Decimal:
+    """``value >= 0`` as an exact ``Decimal``, split at ``2^(2048·2^k)`` and rejoined there."""
+    if value.bit_length() <= _PIECE_BITS:
+        return decimal.Decimal(value)
+    k = 0
+    while _PIECE_BITS << (k + 1) < value.bit_length():
+        k += 1
+    high = value >> (_PIECE_BITS << k)
+    low = value - (high << (_PIECE_BITS << k))
+    return _EXACT.fma(_as_decimal(high), _two_power(k), _as_decimal(low))
 
 
 def int_to_decimal(value: int) -> str:
-    """The decimal digits of an integer of any size, with ``-`` if negative."""
+    """The decimal digits of an integer of any size, with ``-`` if negative.
+
+    Integers of more than 640 digits are rebuilt as a ``Decimal``, whose
+    products are fast and whose text is not subject to the interpreter's limit.
+    """
     if value < 0:
         return "-" + int_to_decimal(-value)
     if value < _CHUNK_BASE:
         return str(value)
-    pieces = []
-    while value:
-        value, piece = divmod(value, _CHUNK_BASE)
-        pieces.append(piece)
-    head = str(pieces.pop())
-    return head + "".join(f"{piece:0{_DIGIT_CHUNK}d}" for piece in reversed(pieces))
+    return str(_as_decimal(value))
 
 
 class _Fields:
@@ -211,6 +278,73 @@ def _term_overflow() -> TermOverflow:
     return TermOverflow(f"a polynomial would have more than {MAX_TERMS} terms")
 
 
+def _d_rows(nums: dict, bits: int) -> list:
+    """``nums`` as rows ``(base, packed, slots)``, one per monomial without ``D``.
+
+    A row gathers the terms that differ only in their ``D`` exponent; ``base``
+    is their monomial with the smallest such exponent ``lo``, and ``packed``
+    holds the numerator of ``D^(lo+k)·rest`` at bit offset ``bits·k``, for
+    ``k < slots``.
+    """
+    groups: dict = {}
+    for m, c in nums.items():
+        group = groups.get(m & _REST)
+        if group is None:
+            groups[m & _REST] = [(m & _FIELD, c)]
+        else:
+            group.append((m & _FIELD, c))
+    rows = []
+    for rest, terms in groups.items():
+        lo = min(terms)[0]
+        packed = 0
+        for e, c in terms:
+            packed += c << bits * (e - lo)
+        rows.append((rest + lo, packed, max(terms)[0] - lo + 1))
+    return rows
+
+
+def _mul_packed(a: dict, b: dict) -> dict:
+    """The product of two numerator maps, one big-int multiply per pair of rows."""
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    bits = bound.bit_length() + 2
+    acc: dict = {}
+    slots: dict = {}
+    held = 0  # slots in the accumulator; each may become a term
+    rows_b = _d_rows(b, bits)
+    for m1, x1, n1 in _d_rows(a, bits):
+        for m2, x2, n2 in rows_b:
+            m = m1 + m2
+            n = n1 + n2 - 1
+            old = slots.get(m)
+            if old is None:
+                acc[m] = x1 * x2
+                slots[m] = n
+                held += n
+            else:
+                acc[m] += x1 * x2
+                if n > old:
+                    slots[m] = n
+                    held += n - old
+        if held > MAX_TERMS:
+            raise _term_overflow()
+    # every slot of ``value`` is below 2^(bits-1) in magnitude: peel them off low first
+    half, full, mask = 1 << (bits - 1), 1 << bits, (1 << bits) - 1
+    out: dict = {}
+    get = out.get
+    for m, value in acc.items():
+        while value:
+            c = value & mask
+            if c >= half:
+                c -= full
+            value = (value - c) >> bits
+            if c:
+                out[m] = get(m, 0) + c
+            m += 1
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return _checked(out)
+
+
 def _mul_nums(a: dict, b: dict) -> dict:
     """Product of two numerator maps: zero numerators dropped, exponents checked."""
     if len(a) < len(b):
@@ -221,6 +355,10 @@ def _mul_nums(a: dict, b: dict) -> dict:
             return a if c2 == 1 else {m1: c1 * c2 for m1, c1 in a.items()}
         # shifting by one monomial is injective and Z has no zero divisors
         return _checked({m1 + m2: c1 * c2 for m1, c1 in a.items()})
+    if len(b) >= _PACK_MIN_TERMS:
+        rows = len({m & _REST for m in a}) * len({m & _REST for m in b})
+        if _PACK_SHARE * rows <= len(a) * len(b):
+            return _mul_packed(a, b)
     out: dict = {}
     get = out.get
     a_items = a.items()
@@ -313,9 +451,6 @@ class Poly:
         if shift is None:
             return 0
         return max(((m >> shift) & _FIELD for m in self._nums), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in _unpack(m)) for m in self._nums), default=0)
 
     def items(self) -> Iterator[Tuple[Monomial, Scalar]]:
         den = self._den
@@ -493,34 +628,42 @@ class Poly:
         if not nums:
             return "0"
         den = self._den
-        present = reduce(or_, nums)
-        fields = [(shift, name) for shift, name in _FIELDS.order if (present >> shift) & _FIELD]
-        # Higher total degree first, then larger exponents of earlier variables:
-        # the exponent lists are compared in variable order.  No two rows tie.
-        rows = []
-        for mono, num in nums.items():
-            exps = [(mono >> shift) & _FIELD for shift, _ in fields]
-            rows.append((sum(exps), exps, num))
-        rows.sort(reverse=True)
-
-        names = [name for _, name in fields]
-        parts: list[str] = []
-        for _, exps, num in rows:
-            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-            mag, q = abs(num), den
-            if q != 1:
-                g = gcd(mag, q)
-                mag, q = mag // g, q // g
-            if q != 1:
-                factors.insert(0, f"{int_to_decimal(mag)}/{int_to_decimal(q)}")
-            elif mag != 1 or not factors:
-                factors.insert(0, int_to_decimal(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if num > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if num > 0 else f"- {body}")
-        return " ".join(parts)
+        monos = list(nums)
+        present = reduce(or_, monos)
+        # One column of exponents per variable present, in variable order.
+        names, cols = [], []
+        for shift, name in _FIELDS.order:
+            if (present >> shift) & _FIELD:
+                names.append(name)
+                cols.append([(m >> shift) & _FIELD for m in monos])
+        # Higher total degree first, then larger exponents of earlier variables.
+        # No two keys tie before the index, which carries the term along.
+        totals = map(sum, zip(*cols)) if cols else [0]  # else the constant is the only term
+        keys = sorted(zip(totals, *cols, range(len(monos))), reverse=True)
+        _, *sorted_cols, order = zip(*keys)
+        vals = [nums[monos[i]] for i in order]
+        # One coefficient string per term; a unit numerator over 1 gives "".
+        mags = list(map(abs, vals))
+        text = str if max(*mags, den) < _CHUNK_BASE else int_to_decimal
+        if den == 1:
+            parts = [["" if mag == 1 else text(mag) for mag in mags]]
+        else:
+            coeffs = []
+            for mag, g in zip(mags, map(gcd, mags, repeat(den))):
+                if g != den:
+                    coeffs.append(f"{text(mag // g)}/{text(den // g)}")
+                else:
+                    coeffs.append("" if mag == g else text(mag // g))
+            parts = [coeffs]
+        # One factor string per variable and term, "*name^e"; a zero exponent gives "".
+        for name, col in zip(names, sorted_cols):
+            text = {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in set(col)}
+            parts.append(map(text.__getitem__, col))
+        # A unit coefficient leaves a leading "*"; only the constant term is left empty.
+        bodies = [body.lstrip("*") or "1" for body in map("".join, zip(*parts))]
+        terms = [f"+ {body}" if num > 0 else f"- {body}" for num, body in zip(vals, bodies)]
+        terms[0] = bodies[0] if vals[0] > 0 else "-" + bodies[0]
+        return " ".join(terms)
 
     def __repr__(self) -> str:
         return f"Poly({self})"

@@ -29,6 +29,7 @@ from confalg.dsl import (
     run,
 )
 from confalg.errors import DuplicateName, ParseError, PreconditionFailed, UnresolvedName
+from confalg import polyring
 from confalg.polyring import MAX_TERMS, Poly, parse_poly
 
 import helpers
@@ -668,6 +669,25 @@ def test_cli_term_overflow_is_an_input_error_in_bounded_memory(tmp_path):
     (record,) = json.loads(child.stdout)["records"]
     assert record["status"] == "error"
     assert record["detail"] == f"a polynomial would have more than {MAX_TERMS} terms"
+    # the check ran for a while before it raised, and its record says so
+    assert record["elapsed_ms"] > 0
+
+
+def test_error_records_of_checks_and_constructs_are_timed(monkeypatch):
+    monkeypatch.setattr(polyring, "MAX_TERMS", 1000)
+    text = (
+        "algebra E {\n  basis e;\n  product e e = D^200*e;\n}\n"
+        "map T : E -> E { e -> D*e; }\n"
+        "check associative E;\nconstruct ns T on E;\n"
+    )
+    report, _ = build(text)
+    assert report.exit_code == 2
+    check, construct = report.records
+    assert check.detail == "a polynomial would have more than 1000 terms"
+    assert construct.detail.startswith("Nijenhuis: fails at (e, e)")
+    for record in report.records:
+        assert record.status == "error"
+        assert record.elapsed_ms > 0
 
 
 def test_cli_construct_prints_source_text(capsys):

@@ -7,6 +7,7 @@ package itself.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -391,3 +392,200 @@ def test_str_round_trips_a_coefficient_of_5000_digits() -> None:
     text = str(p)
     assert "1" + "0" * 4990 + "123456789*D*L1" in text
     assert parse_poly(text) == p
+
+
+def test_decimal_helpers_round_trip_300000_digits() -> None:
+    # far past the interpreter's limit; the helpers split such numbers in halves
+    text = "7" + "0123456789" * 29_999 + "123456789"
+    assert len(text) == 300_000
+    value = decimal_to_int(text)
+    assert value % 10**9 == 123456789 and value // 10**299_999 == 7
+    assert int_to_decimal(value) == text
+    assert int_to_decimal(-value) == "-" + text
+    assert decimal_to_int(int_to_decimal(value - 1)) == value - 1
+
+
+# -- the packed product ----------------------------------------------------------------
+#
+# Products whose smaller operand has at least _PACK_MIN_TERMS terms and whose terms
+# gather into few runs along D take the packed path of polyring._mul_nums; the other
+# products take the term-by-term path.  Both must agree with sympy.
+
+# numerators from ±1 to far beyond a machine word, over small or large denominators
+big_scalars = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+    st.one_of(st.integers(1, 6), st.integers(1, 10**12)),
+)
+REST_VARS = ["L1", "L2", "t", "q"]
+
+
+@st.composite
+def d_runs(draw, max_rows: int = 4, max_run: int = 10) -> Poly:
+    """Rows ``rest · Σ c_e D^e`` whose ``D`` exponents form runs, some with gaps."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_rows))):
+        names = draw(st.lists(st.sampled_from(REST_VARS), unique=True, max_size=2))
+        rest = tuple((name, draw(st.integers(1, 3))) for name in names)
+        lo = draw(st.integers(0, 4))
+        step = draw(st.sampled_from([1, 1, 1, 2]))
+        for e in range(lo, lo + step * draw(st.integers(1, max_run)), step):
+            terms[(("D", e),) + rest if e else rest] = draw(big_scalars)
+    return Poly(terms)
+
+
+def _sympy_poly(p: Poly) -> dict:
+    gens = sympy.symbols("D L1 L2 t q")
+    names = [str(g) for g in gens]
+    data = {}
+    for mono, coeff in p.items():
+        exps = dict(mono)
+        data[tuple(exps.get(n, 0) for n in names)] = sympy.Rational(
+            coeff.numerator, coeff.denominator
+        )
+    if not data:
+        return sympy.Poly(0, *gens, domain="QQ")
+    return sympy.Poly.from_dict(data, *gens, domain="QQ")
+
+
+def _takes_packed_path(p: Poly, q: Poly) -> bool:
+    a, b = sorted((p._nums, q._nums), key=len)
+    rows = len({m & ~0xFFFF for m in a}) * len({m & ~0xFFFF for m in b})
+    return len(a) >= polyring._PACK_MIN_TERMS and polyring._PACK_SHARE * rows <= len(a) * len(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_runs(), d_runs())
+def test_packed_and_termwise_products_match_sympy(p: Poly, q: Poly) -> None:
+    product = p * q
+    _assert_canonical(product)
+    assert _sympy_poly(product) == _sympy_poly(p) * _sympy_poly(q)
+    # (p+q)(p-q) = p^2 - q^2 makes terms cancel inside the product
+    assert (p + q) * (p - q) == p * p - q * q
+
+
+def test_product_paths_are_both_exercised(monkeypatch) -> None:
+    packed = []
+    real = polyring._mul_packed
+    monkeypatch.setattr(polyring, "_mul_packed", lambda a, b: packed.append(1) or real(a, b))
+    dense = (D + L1 + 3) ** 6 * (D - Fraction(2, 3) * L2 + 1) ** 3
+    sparse = (L1 + L2 + T + 2) ** 3
+    cases = [(dense, True), (sparse, False), (D + L1, False), (dense + sparse, True)]
+    for q, expect_packed in cases:
+        assert _takes_packed_path(dense, q) == expect_packed
+        del packed[:]
+        product = dense * q
+        assert bool(packed) == expect_packed
+        assert _sympy_poly(product) == _sympy_poly(dense) * _sympy_poly(q)
+
+
+def test_packed_product_at_the_slot_bound() -> None:
+    # one row of n equal numerators: the middle coefficient of the square is n·c²,
+    # the bound the slot width is computed from
+    for n in (8, 9, 16, 33):
+        for c in (1, 2**31 - 1, 2**64, 3**40):
+            row = sum((c * Poly.var("D", e) for e in range(n)), Poly.zero())
+            square = {k: c * c * min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)}
+            for left, right, sign in ((row, row, 1), (row, -row, -1), (-row, -row, 1)):
+                got = {dict(mono).get("D", 0): coeff for mono, coeff in (left * right).items()}
+                assert got == {k: sign * v for k, v in square.items()}
+
+
+def test_packed_product_against_the_exponent_cap(monkeypatch) -> None:
+    # D exponents EXP_MAX - 11 .. EXP_MAX times 0 .. 11: the product reaches the guard bit
+    def run(top):
+        return sum((Poly.var("D", top - k) * (L1 + k) for k in range(12)), Poly.zero())
+
+    high, fits = run(EXP_MAX), run(EXP_MAX - 11)
+    low = sum(((k + 1) * Poly.var("D", k) * (L2 - k) for k in range(12)), Poly.zero())
+    assert _takes_packed_path(high, low) and _takes_packed_path(fits, low)
+    with pytest.raises(ExponentOverflow) as packed:
+        high * low
+    assert str(packed.value) == f"exponent {EXP_MAX + 11} of D exceeds the cap {EXP_MAX}"
+    # exponents may reach the cap itself
+    product = fits * low
+    assert product.degree_in("D") == EXP_MAX
+    monkeypatch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
+    with pytest.raises(ExponentOverflow) as termwise:
+        high * low
+    assert str(termwise.value) == str(packed.value)
+    assert fits * low == product
+
+
+def test_packed_product_term_cap(monkeypatch) -> None:
+    x = (D + 1) ** 9 * (L1 + 2) ** 4  # 5 rows of 10 terms
+    assert _takes_packed_path(x, x)
+    # x^2 has 9 rows of 19 terms, each formed in full
+    monkeypatch.setattr(polyring, "MAX_TERMS", 9 * 19)
+    assert len(list((x * x).items())) == 9 * 19
+    monkeypatch.setattr(polyring, "MAX_TERMS", 9 * 19 - 1)
+    with pytest.raises(TermOverflow):
+        x * x
+    # rows of 10 and 3 terms: the row of L1 in a*b is formed by runs of 10+10-1 and
+    # 3+3-1 slots, whichever comes first, so the product holds 12 + 19 + 12 terms
+    a = (D + 1) ** 9 + L1 * (D + 2) ** 2
+    b = (D + 3) ** 2 + L1 * (D + 5) ** 9
+    assert _takes_packed_path(a, b)
+    for left, right in ((a, b), (b, a)):
+        monkeypatch.setattr(polyring, "MAX_TERMS", 43)
+        assert len(list((left * right).items())) == 43
+        monkeypatch.setattr(polyring, "MAX_TERMS", 42)
+        with pytest.raises(TermOverflow):
+            left * right
+    # the term-by-term path stops at the same count
+    monkeypatch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
+    with pytest.raises(TermOverflow):
+        a * b
+    monkeypatch.setattr(polyring, "MAX_TERMS", 43)
+    assert a * b == b * a
+
+
+# -- the textual order -------------------------------------------------------------------
+
+# two auxiliary names interned here in the reverse of their name order
+ORDER_VARS = ["D", "L1", "L2", "L5", "zq9", "aq9"]
+Poly.var("zq9"), Poly.var("aq9")
+
+order_scalars = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 3)]),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+)
+
+
+@st.composite
+def order_polys(draw) -> Poly:
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        names = draw(st.lists(st.sampled_from(ORDER_VARS), unique=True, max_size=4))
+        terms[tuple((name, draw(st.integers(1, 4))) for name in names)] = draw(order_scalars)
+    return Poly(terms)
+
+
+def _reference_order(p: Poly) -> list:
+    names = sorted({name for mono, _ in p.items() for name, _ in mono}, key=var_sort_key)
+
+    def key(mono):
+        exps = dict(mono)
+        vector = [exps.get(name, 0) for name in names]
+        return (sum(vector), vector)
+
+    return sorted((mono for mono, _ in p.items()), key=key, reverse=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_polys())
+def test_str_orders_terms_and_round_trips(p: Poly) -> None:
+    text = str(p)
+    assert parse_poly(text) == p
+    if not p:
+        assert text == "0"
+        return
+    # terms are joined by " + " and " - "; every other sign is a leading "-"
+    bodies = re.split(r" [+-] ", text)
+    monos = [next(iter(parse_poly(body).items()))[0] for body in bodies]
+    assert monos == _reference_order(p)
+    coeffs = dict(p.items())
+    for body, mono in zip(bodies, monos):
+        body = body.removeprefix("-")
+        assert body == "1" or not body.startswith("1*")  # a unit coefficient is left out
+        assert ("/" in body) == (coeffs[mono].denominator != 1)
