@@ -49,24 +49,33 @@ save time in multiplying polynomials by encoding them as integers?", along
 one variable).  Each operand is split into rows, one per monomial without
 ``D`` (``m & ~_FIELD``; ``D`` owns the field at shift 0), and the numerators
 of a row go into one integer, the one of ``D^(lo+k)`` at bit offset
-``bits·k``.  A pair of rows costs one big-integer product, added into the
-row of the result that the pair's base monomials name; a last pass reads the
-signed slots back out.  The slot width is ``bits = (max|a| · max|b| ·
-min(len a, len b)).bit_length() + 2``: a coefficient of the product, and any
-partial sum of it, adds at most ``min(len a, len b)`` products of two
-numerators, so every slot stays below ``2^(bits-1)`` in magnitude and reads
-back exactly.  Size rule: a product is packed when its smaller operand has at
-least 8 terms and its pairs of rows are at most an eighth of its pairs of
-terms (:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`); other products are
-formed term by term.  Both paths drop zero numerators and check the
-exponents of their result.
+``bits·k``, where ``lo`` is the operand's lowest ``D`` exponent.  A pair of
+rows costs one big-integer product, added into the row of the result that
+the pair's monomials name; a last pass reads the signed slots back out.  The
+slot width is
 
-Term cap.  A product may hold at most :data:`MAX_TERMS` terms, checked as
-each row of it is formed (on the packed path, every slot of a row counts as
-a term), and a substitution at most that many in the powers of its images
-that it keeps plus its result so far.  Past the cap
-:class:`~confalg.errors.TermOverflow` (a ``ConfalgError``) is raised, so a
-computation whose size would exhaust memory stops early instead.
+    ``bits = (max|a| · max|b| · min(len a, len b)).bit_length() + 2``:
+
+a coefficient of the product adds at most ``min(len a, len b)`` products of
+two numerators, so every slot stays below ``2^(bits-1)`` in magnitude and
+reads back exactly.  Size rule: a product is packed when its smaller
+operand has at least 8 terms, every row of each operand is a run without
+gaps from that operand's ``lo``, and its pairs of rows are at most an eighth
+of its pairs of terms (:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`); other
+products are formed term by term.  The shape rule makes the slots of the
+result exactly the monomials that its pairs of terms form: a row with gaps,
+or one starting above ``lo``, would cost slots for monomials that no pair
+forms, as many as its ``D`` exponents span.  Both paths drop zero numerators
+and check the exponents of their result.
+
+Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
+substitution at most that many in the powers of its images that it keeps
+plus its result so far.  A product counts every monomial that a pair of its
+terms forms, cancelled or not, as it goes (on the packed path, the slots of
+the rows formed so far, which are exactly those monomials), so both paths
+stop at the same count.  Past the cap :class:`~confalg.errors.TermOverflow`
+(a ``ConfalgError``) is raised, so a computation whose size would exhaust
+memory stops early instead.
 
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
@@ -108,9 +117,9 @@ _REST = ~_FIELD  # every field but D's
 #: a second and a few hundred MB, far from exhausting memory.
 MAX_TERMS = 1_000_000
 #: The size rule of the packed product (see "Products" above).  Timed against
-#: the term-by-term loop on dense operands of 8 to 1,365 terms, packing was
-#: faster in nearly every shape with 8 or more term pairs per row pair, and
-#: up to 2x slower with 3 to 6.
+#: the term-by-term loop on operands of 8 to 1,365 terms dense in D, packing
+#: was faster in nearly every shape with 8 or more term pairs per row pair,
+#: and up to 2x slower with 3 to 6.
 _PACK_MIN_TERMS = 8
 _PACK_SHARE = 8
 #: The deepest nesting the text parsers accept; it keeps their recursion far
@@ -278,70 +287,82 @@ def _term_overflow() -> TermOverflow:
     return TermOverflow(f"a polynomial would have more than {MAX_TERMS} terms")
 
 
-def _d_rows(nums: dict, bits: int) -> list:
-    """``nums`` as rows ``(base, packed, slots)``, one per monomial without ``D``.
+def _d_rows(nums: dict) -> tuple | None:
+    """``nums`` as ``(lo, rows)`` if its rows are runs along ``D`` from one exponent, else None.
 
-    A row gathers the terms that differ only in their ``D`` exponent; ``base``
-    is their monomial with the smallest such exponent ``lo``, and ``packed``
-    holds the numerator of ``D^(lo+k)·rest`` at bit offset ``bits·k``, for
-    ``k < slots``.
+    A row gathers the terms ``D^e·rest`` of one monomial ``rest`` free of
+    ``D``: ``rows[rest]`` lists their pairs ``(e, numerator)``.  ``lo`` is the
+    lowest ``D`` exponent in ``nums``, and every row must hold each ``D^e``
+    from ``D^lo`` up to its highest, without a gap.
     """
-    groups: dict = {}
+    rows: dict = {}
     for m, c in nums.items():
-        group = groups.get(m & _REST)
-        if group is None:
-            groups[m & _REST] = [(m & _FIELD, c)]
+        row = rows.get(m & _REST)
+        if row is None:
+            rows[m & _REST] = [(m & _FIELD, c)]
         else:
-            group.append((m & _FIELD, c))
-    rows = []
-    for rest, terms in groups.items():
-        lo = min(terms)[0]
-        packed = 0
-        for e, c in terms:
-            packed += c << bits * (e - lo)
-        rows.append((rest + lo, packed, max(terms)[0] - lo + 1))
-    return rows
+            row.append((m & _FIELD, c))
+    lo = min(m & _FIELD for m in nums)
+    for row in rows.values():
+        if min(row)[0] != lo or max(row)[0] != lo + len(row) - 1:
+            return None
+    return lo, rows
 
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """The product of two numerator maps, one big-int multiply per pair of rows."""
+def _pack_row(row: list, lo: int, bits: int) -> int:
+    """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``."""
+    packed = 0
+    for e, c in row:
+        packed += c << bits * (e - lo)
+    return packed
+
+
+def _mul_packed(a: dict, b: dict, runs_a: tuple, runs_b: tuple) -> dict:
+    """The product of two numerator maps, one big-int multiply per pair of rows.
+
+    ``runs_a`` and ``runs_b`` are the rows of ``a`` and ``b`` from :func:`_d_rows`.
+    """
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     bits = bound.bit_length() + 2
+    (lo_a, rows_a), (lo_b, rows_b) = runs_a, runs_b
+    packed_b = [(rest, _pack_row(row, lo_b, bits), len(row)) for rest, row in rows_b.items()]
     acc: dict = {}
     slots: dict = {}
-    held = 0  # slots in the accumulator; each may become a term
-    rows_b = _d_rows(b, bits)
-    for m1, x1, n1 in _d_rows(a, bits):
-        for m2, x2, n2 in rows_b:
-            m = m1 + m2
+    # Two runs of n1 and n2 terms from D^lo_a and D^lo_b form every monomial of a
+    # run of n1+n2-1 from D^(lo_a+lo_b), so ``held``, the sum of the longest run
+    # of each row of the result, counts the monomials that the term-by-term loop
+    # would have formed by now.
+    held = 0
+    for r1, row in rows_a.items():
+        x1, n1 = _pack_row(row, lo_a, bits), len(row)
+        for r2, x2, n2 in packed_b:
+            r = r1 + r2
             n = n1 + n2 - 1
-            old = slots.get(m)
+            old = slots.get(r)
             if old is None:
-                acc[m] = x1 * x2
-                slots[m] = n
+                acc[r] = x1 * x2
+                slots[r] = n
                 held += n
             else:
-                acc[m] += x1 * x2
+                acc[r] += x1 * x2
                 if n > old:
-                    slots[m] = n
+                    slots[r] = n
                     held += n - old
         if held > MAX_TERMS:
             raise _term_overflow()
     # every slot of ``value`` is below 2^(bits-1) in magnitude: peel them off low first
     half, full, mask = 1 << (bits - 1), 1 << bits, (1 << bits) - 1
     out: dict = {}
-    get = out.get
-    for m, value in acc.items():
+    for r, value in acc.items():
+        m = r + lo_a + lo_b
         while value:
             c = value & mask
             if c >= half:
                 c -= full
             value = (value - c) >> bits
             if c:
-                out[m] = get(m, 0) + c
+                out[m] = c
             m += 1
-    if 0 in out.values():
-        out = {m: c for m, c in out.items() if c}
     return _checked(out)
 
 
@@ -356,9 +377,9 @@ def _mul_nums(a: dict, b: dict) -> dict:
         # shifting by one monomial is injective and Z has no zero divisors
         return _checked({m1 + m2: c1 * c2 for m1, c1 in a.items()})
     if len(b) >= _PACK_MIN_TERMS:
-        rows = len({m & _REST for m in a}) * len({m & _REST for m in b})
-        if _PACK_SHARE * rows <= len(a) * len(b):
-            return _mul_packed(a, b)
+        runs_a, runs_b = _d_rows(a), _d_rows(b)
+        if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
+            return _mul_packed(a, b, runs_a, runs_b)
     out: dict = {}
     get = out.get
     a_items = a.items()
@@ -642,25 +663,25 @@ class Poly:
         keys = sorted(zip(totals, *cols, range(len(monos))), reverse=True)
         _, *sorted_cols, order = zip(*keys)
         vals = [nums[monos[i]] for i in order]
-        # One coefficient string per term; a unit numerator over 1 gives "".
+        # One coefficient string per term, "" for a unit numerator over 1.
         mags = list(map(abs, vals))
-        text = str if max(*mags, den) < _CHUNK_BASE else int_to_decimal
+        digits = str if max(*mags, den) < _CHUNK_BASE else int_to_decimal
         if den == 1:
-            parts = [["" if mag == 1 else text(mag) for mag in mags]]
+            coeffs = ["" if mag == 1 else digits(mag) for mag in mags]
         else:
             coeffs = []
             for mag, g in zip(mags, map(gcd, mags, repeat(den))):
                 if g != den:
-                    coeffs.append(f"{text(mag // g)}/{text(den // g)}")
+                    coeffs.append(f"{digits(mag // g)}/{digits(den // g)}")
                 else:
-                    coeffs.append("" if mag == g else text(mag // g))
-            parts = [coeffs]
-        # One factor string per variable and term, "*name^e"; a zero exponent gives "".
+                    coeffs.append("" if mag == g else digits(mag // g))
+        # Then one string per variable present: "*name^e", "*name" or "" for e = 0.
+        columns = [coeffs]
         for name, col in zip(names, sorted_cols):
-            text = {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in set(col)}
-            parts.append(map(text.__getitem__, col))
-        # A unit coefficient leaves a leading "*"; only the constant term is left empty.
-        bodies = [body.lstrip("*") or "1" for body in map("".join, zip(*parts))]
+            factor = {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in set(col)}
+            columns.append(map(factor.__getitem__, col))
+        # Without a coefficient a body starts with "*"; without any factor it is "1".
+        bodies = [body.lstrip("*") or "1" for body in map("".join, zip(*columns))]
         terms = [f"+ {body}" if num > 0 else f"- {body}" for num, body in zip(vals, bodies)]
         terms[0] = bodies[0] if vals[0] > 0 else "-" + bodies[0]
         return " ".join(terms)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confalg import polyring
@@ -407,9 +407,10 @@ def test_decimal_helpers_round_trip_300000_digits() -> None:
 
 # -- the packed product ----------------------------------------------------------------
 #
-# Products whose smaller operand has at least _PACK_MIN_TERMS terms and whose terms
-# gather into few runs along D take the packed path of polyring._mul_nums; the other
-# products take the term-by-term path.  Both must agree with sympy.
+# A product takes the packed path of polyring._mul_nums when its smaller operand has at
+# least _PACK_MIN_TERMS terms, each operand's rows along D are runs without gaps from
+# its lowest D exponent, and its pairs of rows are few; other products go term by term.
+# Both paths must agree with sympy and stop at the same term count.
 
 # numerators from ±1 to far beyond a machine word, over small or large denominators
 big_scalars = st.builds(
@@ -422,15 +423,21 @@ REST_VARS = ["L1", "L2", "t", "q"]
 
 @st.composite
 def d_runs(draw, max_rows: int = 4, max_run: int = 10) -> Poly:
-    """Rows ``rest · Σ c_e D^e`` whose ``D`` exponents form runs, some with gaps."""
+    """Rows ``rest · Σ c_e D^e`` whose ``D`` exponents form runs.
+
+    Most of them start every row at one exponent and leave no gaps, the shape
+    that packs; the others start each row anywhere and may step by 2 or 40.
+    """
+    aligned = draw(st.sampled_from([True, True, True, False]))
+    lo = draw(st.integers(0, 4))
     terms = {}
     for _ in range(draw(st.integers(1, max_rows))):
         names = draw(st.lists(st.sampled_from(REST_VARS), unique=True, max_size=2))
         rest = tuple((name, draw(st.integers(1, 3))) for name in names)
-        lo = draw(st.integers(0, 4))
-        step = draw(st.sampled_from([1, 1, 1, 2]))
-        for e in range(lo, lo + step * draw(st.integers(1, max_run)), step):
-            terms[(("D", e),) + rest if e else rest] = draw(big_scalars)
+        start = lo if aligned else draw(st.integers(0, 4))
+        step = 1 if aligned else draw(st.sampled_from([1, 2, 40]))
+        for e in range(start, start + step * draw(st.integers(1, max_run)), step):
+            terms[(("D", e),) + rest if e else rest] = draw(big_scalars.filter(bool))
     return Poly(terms)
 
 
@@ -448,10 +455,28 @@ def _sympy_poly(p: Poly) -> dict:
     return sympy.Poly.from_dict(data, *gens, domain="QQ")
 
 
+def _rows_along_d(p: Poly) -> list:
+    """The ``D`` exponents of ``p``, one list per monomial free of ``D``."""
+    rows = {}
+    for mono, _ in p.items():
+        rest = tuple(pair for pair in mono if pair[0] != "D")
+        rows.setdefault(rest, []).append(dict(mono).get("D", 0))
+    return list(rows.values())
+
+
 def _takes_packed_path(p: Poly, q: Poly) -> bool:
-    a, b = sorted((p._nums, q._nums), key=len)
-    rows = len({m & ~0xFFFF for m in a}) * len({m & ~0xFFFF for m in b})
-    return len(a) >= polyring._PACK_MIN_TERMS and polyring._PACK_SHARE * rows <= len(a) * len(b)
+    def runs_from_one_exponent(rows):
+        lo = min(map(min, rows))
+        return all(min(row) == lo and max(row) == lo + len(row) - 1 for row in rows)
+
+    (a, rows_a), (b, rows_b) = sorted(((p, _rows_along_d(p)), (q, _rows_along_d(q))),
+                                      key=lambda pair: len(pair[0]._nums))
+    return (
+        len(a._nums) >= polyring._PACK_MIN_TERMS
+        and runs_from_one_exponent(rows_a)
+        and runs_from_one_exponent(rows_b)
+        and polyring._PACK_SHARE * len(rows_a) * len(rows_b) <= len(a._nums) * len(b._nums)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,10 +489,29 @@ def test_packed_and_termwise_products_match_sympy(p: Poly, q: Poly) -> None:
     assert (p + q) * (p - q) == p * p - q * q
 
 
+@settings(max_examples=40, deadline=None)
+@given(d_runs(), d_runs())
+def test_both_product_paths_stop_at_the_same_term_count(p: Poly, q: Poly) -> None:
+    assume(len(p._nums) > 1 and len(q._nums) > 1)  # one-term products are never capped
+    # the term-by-term loop forms every sum of a monomial of p and one of q
+    formed = len({m1 + m2 for m1 in p._nums for m2 in q._nums})
+    products = []
+    with pytest.MonkeyPatch.context() as patch:
+        # first the path that the shape selects, then always term by term
+        for min_terms in (polyring._PACK_MIN_TERMS, 10**9):
+            patch.setattr(polyring, "_PACK_MIN_TERMS", min_terms)
+            patch.setattr(polyring, "MAX_TERMS", formed)
+            products.append(p * q)
+            patch.setattr(polyring, "MAX_TERMS", formed - 1)
+            with pytest.raises(TermOverflow):
+                p * q
+    assert products[0] == products[1]
+
+
 def test_product_paths_are_both_exercised(monkeypatch) -> None:
     packed = []
     real = polyring._mul_packed
-    monkeypatch.setattr(polyring, "_mul_packed", lambda a, b: packed.append(1) or real(a, b))
+    monkeypatch.setattr(polyring, "_mul_packed", lambda *args: packed.append(1) or real(*args))
     dense = (D + L1 + 3) ** 6 * (D - Fraction(2, 3) * L2 + 1) ** 3
     sparse = (L1 + L2 + T + 2) ** 3
     cases = [(dense, True), (sparse, False), (D + L1, False), (dense + sparse, True)]
@@ -477,6 +521,26 @@ def test_product_paths_are_both_exercised(monkeypatch) -> None:
         product = dense * q
         assert bool(packed) == expect_packed
         assert _sympy_poly(product) == _sympy_poly(dense) * _sympy_poly(q)
+
+
+def test_rows_apart_along_d_go_term_by_term(monkeypatch) -> None:
+    monkeypatch.setattr(polyring, "_mul_packed", None)  # calling it fails
+    # 17 rows of three terms 8,000 apart in D: packed, a pair of rows would take
+    # 32,001 slots for 5 terms
+    spread = 1 + Poly.var("D", 8000) + Poly.var("D", 16000)
+    powers = sum((L1**k for k in range(17)), Poly.zero())
+    gapped = spread * powers
+    # 8 rows without gaps, each from its own exponent D^(1000k)
+    steps = sum(((L1 * Poly.var("D", 1000)) ** k for k in range(8)), Poly.zero())
+    offset = (D + 1) ** 9 * steps
+    for p, left, right, terms in (
+        (gapped, spread**2, powers**2, 5 * 33),
+        (offset, (D + 1) ** 18, steps**2, 19 * 15),
+    ):
+        assert len(p._nums) > 50 and not _takes_packed_path(p, p)
+        square = p * p  # with the term cap as it is
+        assert len(square._nums) == terms
+        assert square == left * right
 
 
 def test_packed_product_at_the_slot_bound() -> None:
@@ -497,7 +561,7 @@ def test_packed_product_against_the_exponent_cap(monkeypatch) -> None:
         return sum((Poly.var("D", top - k) * (L1 + k) for k in range(12)), Poly.zero())
 
     high, fits = run(EXP_MAX), run(EXP_MAX - 11)
-    low = sum(((k + 1) * Poly.var("D", k) * (L2 - k) for k in range(12)), Poly.zero())
+    low = sum(((k + 1) * Poly.var("D", k) * (L2 - k - 1) for k in range(12)), Poly.zero())
     assert _takes_packed_path(high, low) and _takes_packed_path(fits, low)
     with pytest.raises(ExponentOverflow) as packed:
         high * low
