@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,7 @@ from confalg.operators import (
 )
 from confalg.polyring import Poly
 
+import _oracle
 import helpers
 from helpers import (
     ADJ,
@@ -362,6 +364,74 @@ def test_compatible_nijenhuis_matches_the_sum() -> None:
             compatible_nijenhuis(N1, N2, DUAL).holds
             == verify_operator("Nijenhuis", N1 + N2, DUAL).holds
         )
+
+
+def _sym(p: Poly):
+    return sum(
+        (
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(sp.Symbol(name) ** exp for name, exp in mono))
+            for mono, c in p.items()
+        ),
+        sp.Integer(0),
+    )
+
+
+def _sym_vec(elem):
+    return tuple(_sym(c) for c in elem.coeffs)
+
+
+def _sym_table(table):
+    return {idx: _sym_vec(e) for idx, e in table.entries.items()}
+
+
+def _sym_map(T):
+    return [_sym_vec(T.apply(e)) for e in T.source.basis_elems()]
+
+
+def _assert_witnesses_match(verdict, module, expected) -> None:
+    got = [(tuple(map(module.basis.index, names)), res) for names, res in verdict.witnesses]
+    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
+    for (_, res), (_, vec) in zip(got, expected):
+        assert all(sp.expand(_sym(c) - e) == 0 for c, e in zip(res.coeffs, vec))
+
+
+@pytest.mark.parametrize(
+    "T1, T2, alg, bim, holds",
+    [
+        (NILP_T1, NILP_T2, NILP, NADJ, True),
+        (SHIFT, SHIFT, DUAL, ADJ, True),
+        (NILP_T1BAD, NILP_T2, NILP, NADJ, False),
+    ],
+)
+def test_compatible_o_matches_the_oracle(T1, T2, alg, bim, holds) -> None:
+    verdict = compatible_O(T1, T2, alg, bim)
+    expected = _oracle.res_compat_o(
+        _sym_table(alg.table),
+        _sym_table(bim.left),
+        _sym_table(bim.right),
+        alg.rank,
+        bim.module.rank,
+        _sym_map(T1),
+        _sym_map(T2),
+    )
+    assert verdict.identity == "compatible-O"
+    assert verdict.holds is holds
+    _assert_witnesses_match(verdict, bim.module, expected)
+
+
+@pytest.mark.parametrize(
+    "N1, N2, holds",
+    [(SHIFT, IDENT, True), (PROJ, REFLECT, True), (SHIFT, PROJ, False), (REFLECT, SHIFT, False)],
+)
+def test_compatible_nijenhuis_matches_the_oracle(N1, N2, holds) -> None:
+    verdict = compatible_nijenhuis(N1, N2, DUAL)
+    expected = _oracle.res_compat_nijenhuis(
+        _sym_table(DUAL.table), DUAL.rank, _sym_map(N1), _sym_map(N2)
+    )
+    assert verdict.identity == "compatible-Nijenhuis"
+    assert verdict.holds is holds
+    _assert_witnesses_match(verdict, DUAL.module, expected)
 
 
 # -- lifts and graphs ------------------------------------------------------------------
