@@ -60,8 +60,8 @@ from .confcore import (
     residual_scan,
     semidirect,
 )
-from .errors import ArityMismatch, ConfalgError, NotCocycle, NotOOperator, ShapeMismatch
-from .operators import ModuleMap, lift, verify_operator
+from .errors import ArityMismatch, ConfalgError, NotCocycle, ShapeMismatch
+from .operators import ModuleMap, lift, require_operator, verify_operator
 from .derived import induced_bimodule_on_A, m_ass
 from .polyring import Poly, PolyLike, as_poly, lam
 
@@ -132,8 +132,8 @@ class Cochain:
 
     @classmethod
     def from_module_map(cls, T: ModuleMap) -> "Cochain":
-        table = MultiTable.from_function((T.source,), T.target, lambda args, _: T.apply(args[0]))
-        return cls(table)
+        """The arity-1 cochain that shares the map's table."""
+        return cls(T.table)
 
     @classmethod
     def zero(cls, arity: int, input_module: FreeModule, value_module: FreeModule) -> "Cochain":
@@ -147,10 +147,7 @@ class Cochain:
 
     def as_module_map(self) -> ModuleMap:
         """View an arity-1 cochain with ``D``-only entries as a module map."""
-        if self.arity != 1:
-            raise ArityMismatch("only arity-1 cochains are module maps")
-        images = {j: image for (j,), image in self.table.entries.items()}
-        return ModuleMap.from_images(self.input_module, self.value_module, images)
+        return ModuleMap(self.table)
 
     def is_zero(self) -> bool:
         return self.table.is_zero()
@@ -597,9 +594,7 @@ def mc_perturbation_check(
     T: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule
 ) -> PerturbationVerdict:
     """Decide whether perturbing an O-operator by ``T2`` stays an O-operator."""
-    base = verify_operator("O", T, alg, bim, cap=1)
-    if not base.holds:
-        raise NotOOperator("mc_perturbation_check: " + base.summary())
+    require_operator("O", T, alg, bim, origin="mc_perturbation_check")
     tc = Cochain.from_module_map(T)
     t2c = Cochain.from_module_map(T2)
     cross = derived_bracket(tc, t2c, alg, bim)

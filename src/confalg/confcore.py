@@ -8,10 +8,11 @@ coefficients.  Everything reduces to finite data:
 * a :class:`MultiTable` stores the values of an n-linear λ-map on basis
   tuples, written in the variables ``D`` (∂ acting on the *output*) and
   ``L1 .. L(n-1)`` (the formal weights of the first n−1 arguments).  It is
-  the package's one table type: products, actions, cochains and derived
-  products are all multitables, and the cochain and binary-product classes
-  of :mod:`confalg.cohomology` and :mod:`confalg.derived` are one-field
-  views of one;
+  the package's one table type: products, actions, cochains, derived
+  products and module maps are all multitables, and the cochain,
+  binary-product and module-map classes of :mod:`confalg.cohomology`,
+  :mod:`confalg.derived` and :mod:`confalg.operators` are one-field views of
+  one (a module map is an arity-1 table);
 * :meth:`MultiTable.from_function` tabulates any such map from a function
   of basis elements and formal weights, and :func:`basis_tuples` is the one
   walk over basis tuples that the tabulator and every checker share;
@@ -402,7 +403,8 @@ def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:
     if plan is None:
         if len(plans) >= PLAN_CACHE_CAP:
             plans.clear()
-        images = tuple(-w for w in ws) + (D + sum(ws, Poly.zero()),)
+        # the last slot's D becomes D + Σw; None marks an arity-1 table, whose D stays D
+        images = tuple(-w for w in ws) + ((D + sum(ws, Poly.zero())) if ws else None,)
         binding = tuple((lam(k), w) for k, w in enumerate(ws, 1))
         plan = plans[ws] = (images, binding, {})
     return plan
@@ -414,7 +416,7 @@ def _bound_entry(table: MultiTable, binding: tuple, bound: dict, idx: Tuple[int,
     if elem is None:
         entry = table.entries.get(idx)
         coeffs = () if entry is None else tuple(
-            c.substitute_many(binding) if c else c for c in entry.coeffs
+            c.substitute_many(binding) if c and binding else c for c in entry.coeffs
         )
         module = table.out_module
         elem = bound[idx] = _elem(module, coeffs) if any(coeffs) else module.zero()
@@ -444,8 +446,9 @@ def eval_multilinear(
     checks, a call with a zero argument returns the output module's
     :meth:`~FreeModule.zero`, and a call on basis elements returns the bound
     entry itself: one dictionary lookup.  Otherwise constant argument
-    coefficients skip the ``D`` substitution and coefficients equal to 1 the
-    multiplication, and the bound entries' cached supports are summed.
+    coefficients, and every coefficient of an arity-1 table's argument, skip
+    the ``D`` substitution, coefficients equal to 1 skip the multiplication,
+    and the bound entries' cached supports are summed.
     """
     n = table.arity
     if len(args) != n:
@@ -471,6 +474,8 @@ def eval_multilinear(
         for i, c in arg.support():
             if c.is_constant():
                 column.append((i, None if c == 1 else c))
+            elif image is None:
+                column.append((i, c))
             else:
                 c = c.substitute("D", image)
                 if c:
@@ -844,29 +849,16 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     cocycle = is_cocycle(phi, alg, bim)
     if not cocycle.holds:
         raise NotCocycle(cocycle.summary())
-    dh = hochschild_d(Cochain.from_module_map(h), alg, bim)
+    dh = hochschild_d(Cochain(h.table), alg, bim)
     ext = twisted_extension(alg, bim, phi, validate=False)
     ext_shifted = twisted_extension(alg, bim, phi + dh, validate=False)
     big = ext.module
-    ra, rm = alg.rank, bim.module.rank
 
     def block(sign: int) -> ModuleMap:
-        columns = []
-        for i in range(ra):
-            image = [Poly.zero()] * (ra + rm)
-            image[i] = Poly.one()
-            hi = h.apply(alg.module.basis_elem(i))
-            for u, c in hi.support():
-                image[ra + u] = sign * c
-            columns.append(tuple(image))
-        for u in range(rm):
-            image = [Poly.zero()] * (ra + rm)
-            image[ra + u] = Poly.one()
-            columns.append(tuple(image))
-        matrix = tuple(
-            tuple(columns[j][i] for j in range(ra + rm)) for i in range(ra + rm)
-        )
-        return ModuleMap(big, big, matrix)
+        entries = {(j,): e for j, e in enumerate(big.basis_elems())}
+        for (i,), image in h.table.entries.items():
+            entries[(i,)] = entries[(i,)] + _embed(image, big, alg.rank) * sign
+        return ModuleMap(MultiTable((big,), big, entries))
 
     psi, psi_inv = block(-1), block(+1)
 

@@ -28,7 +28,7 @@ bundles whose axioms have been re-checked on all basis triples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Tuple
 
 from .confcore import (
@@ -43,23 +43,18 @@ from .confcore import (
     MultiTable,
     Verdict,
     basis_tuples,
+    check_associative,
     check_lie,
     eval_multilinear,
     matching_pair,
     residual_scan,
 )
-from .errors import (
-    ConfalgError,
-    NotDendriform,
-    NotNijenhuis,
-    NotOOperator,
-    NotTwistedRB,
-    ShapeMismatch,
-)
+from .errors import ConfalgError, NotDendriform, ShapeMismatch
 from .operators import (
     ModuleMap,
     induced_left_value,
     induced_right_value,
+    require_operator,
     star_value,
     verify_operator,
 )
@@ -229,14 +224,6 @@ def _leftsym_items(circ: BinaryOpTable):
         yield names, defect(a, b, L1, L2, c) - defect(b, a, L2, L1, c)
 
 
-def _assoc_items(star: BinaryOpTable):
-    for names, (a, b, c) in basis_tuples((star.module,) * 3):
-        res = star.value(star.value(a, b, L1), c, L1 + L2) - star.value(
-            a, star.value(b, c, L2), L1
-        )
-        yield names, res
-
-
 def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
     """Residuals of the axioms of ``bundle.kind`` on all basis triples."""
     if bundle.kind == "dendriform":
@@ -247,7 +234,8 @@ def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
         return residual_scan("ns", items, cap=cap)
     if bundle.kind == "leftsym":
         return residual_scan("left-symmetric", _leftsym_items(bundle.table("leftsym")), cap=cap)
-    return residual_scan("associative", _assoc_items(bundle.table("star")), cap=cap)
+    verdict = check_associative(bundle.table("star").as_algebra(), cap=cap)
+    return replace(verdict, identity="associative")
 
 
 def _certify(bundle: StructureBundle, origin: str) -> StructureBundle:
@@ -264,27 +252,12 @@ def dendriform_from_O(
     T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
 ) -> StructureBundle:
     """Dendriform pair ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)`` on the module."""
-    verdict = verify_operator("O", T, alg, bim, cap=cap)
-    if not verdict.holds:
-        raise NotOOperator(verdict.summary())
+    require_operator("O", T, alg, bim, cap=cap)
     module = bim.module
     succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
     prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
     bundle = StructureBundle("dendriform", {"succ": succ, "prec": prec})
     return _certify(bundle, "dendriform_from_O")
-
-
-def _verify_star_operator(
-    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi, origin: str
-) -> None:
-    if phi is None:
-        verdict = verify_operator("O", T, alg, bim, cap=1)
-        if not verdict.holds:
-            raise NotOOperator("%s: %s" % (origin, verdict.summary()))
-    else:
-        verdict = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=1)
-        if not verdict.holds:
-            raise NotTwistedRB("%s: %s" % (origin, verdict.summary()))
 
 
 def m_ass(
@@ -310,7 +283,8 @@ def m_ass(
         return out
 
     if validate:
-        _verify_star_operator(T, alg, bim, phi, "m_ass")
+        kind = "O" if phi is None else "TwistedRB"
+        require_operator(kind, T, alg, bim, twist=phi, origin="m_ass")
     table = BinaryOpTable.from_function(bim.module, product)
     return ConfAlgebra(bim.module, table.table, "associative")
 
@@ -330,7 +304,8 @@ def induced_bimodule_on_A(
     ⋆-product of :func:`m_ass` they satisfy the bimodule axioms.
     """
     if validate:
-        _verify_star_operator(T, alg, bim, phi, "induced_bimodule_on_A")
+        kind = "O" if phi is None else "TwistedRB"
+        require_operator(kind, T, alg, bim, twist=phi, origin="induced_bimodule_on_A")
     star_alg = m_ass(T, alg, bim, phi, validate=False)
 
     def left(args, weights) -> ModElem:
@@ -369,9 +344,7 @@ def ns_from_twisted(
     T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi, cap: int = WITNESS_CAP
 ) -> StructureBundle:
     """NS triple ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)``, ``m ∨ n = φ(T(m), T(n))``."""
-    verdict = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=cap)
-    if not verdict.holds:
-        raise NotTwistedRB(verdict.summary())
+    require_operator("TwistedRB", T, alg, bim, twist=phi, cap=cap)
     module = bim.module
     succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
     prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
@@ -384,9 +357,7 @@ def ns_from_twisted(
 
 def ns_from_nijenhuis(N: ModuleMap, alg: ConfAlgebra, cap: int = WITNESS_CAP) -> StructureBundle:
     """NS triple ``a ≻ b = N(a)b``, ``a ≺ b = a N(b)``, ``a ∨ b = −N(ab)``."""
-    verdict = verify_operator("Nijenhuis", N, alg, cap=cap)
-    if not verdict.holds:
-        raise NotNijenhuis(verdict.summary())
+    require_operator("Nijenhuis", N, alg, cap=cap)
     module = alg.module
     succ = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(N.apply(a), b, w))
     prec = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(a, N.apply(b), w))
@@ -481,9 +452,7 @@ def nijenhuis_hierarchy(
     * every power ``Nᵏ`` is Nijenhuis for every deformed product ``∘^{Nⁱ}``;
     * all powers are pairwise compatible Nijenhuis operators.
     """
-    verdict = verify_operator("Nijenhuis", N, alg, cap=1)
-    if not verdict.holds:
-        raise NotNijenhuis(verdict.summary())
+    require_operator("Nijenhuis", N, alg)
     module = alg.module
     powers = [ModuleMap.identity(module)]
     for _ in range(2 * kmax):
@@ -584,9 +553,7 @@ def deformed_bracket(
     if lie.flavor != "lie":
         raise ShapeMismatch("deformed_bracket needs a Lie conformal algebra")
     if validate:
-        verdict = verify_operator("NijenhuisLie", N, lie, cap=1)
-        if not verdict.holds:
-            raise NotNijenhuis(verdict.summary())
+        require_operator("NijenhuisLie", N, lie)
     table = BinaryOpTable.from_function(
         lie.module, lambda a, b, w: _deformed_value(N, lie, a, b, w)
     )
@@ -653,9 +620,7 @@ def deformation_check(
     from .cohomology import Cochain, hochschild_d
 
     if validate:
-        verdict = verify_operator("Nijenhuis", N, alg, cap=1)
-        if not verdict.holds:
-            raise NotNijenhuis(verdict.summary())
+        require_operator("Nijenhuis", N, alg)
     module = alg.module
     omega = BinaryOpTable.from_function(module, lambda a, b, w: _deformed_value(N, alg, a, b, w))
 

@@ -63,6 +63,7 @@ from .errors import (
     UnresolvedName,
 )
 from .operators import KINDS as OPERATOR_KINDS
+from .operators import REGISTRY as OPERATORS
 from .operators import ModuleMap, verify_operator
 from .polyring import MAX_NESTING, Poly, decimal_to_int
 
@@ -105,10 +106,6 @@ KEYWORDS = frozenset(
         "as",
     }
 )
-
-STRUCTURE_CHECK_KINDS = ("associative", "lie", "bimodule", "cocycle")
-CONSTRUCT_KINDS = ("dendriform", "ns", "mass", "leftsym", "deformed")
-
 
 # -- tokens ------------------------------------------------------------------------
 
@@ -907,7 +904,26 @@ def _declare(env: Environment, decl: Declaration) -> None:
         env.maps[decl.name] = ModuleMap.from_images(source, target, images)
 
 
+def _reject_unread(stmt: Union[CheckStmt, ConstructStmt], reads: Tuple[str, ...]) -> None:
+    """Raise if the statement has a clause that its kind does not read."""
+    given = {
+        "on": stmt.on,
+        "with": stmt.with_,
+        "twist": stmt.twist,
+        "weight": getattr(stmt, "weight", None),
+    }
+    unread = [
+        f"'{name}'" for name, value in given.items() if value is not None and name not in reads
+    ]
+    if unread:
+        verb = "check" if isinstance(stmt, CheckStmt) else "construct"
+        raise PreconditionFailed(
+            f"{verb} {stmt.kind} reads no {' or '.join(unread)} clause (line {stmt.line})"
+        )
+
+
 def _operator_context(env: Environment, stmt: CheckStmt):
+    spec = OPERATORS[stmt.kind]
     if stmt.on is None:
         raise PreconditionFailed(
             f"check {stmt.kind} needs an 'on <algebra>' clause (line {stmt.line})"
@@ -920,21 +936,42 @@ def _operator_context(env: Environment, stmt: CheckStmt):
     if isinstance(weight, str):
         weight = Poly.var(weight)
     rep = None
-    if stmt.kind in ("OLie", "NijenhuisLie") and alg.flavor == "associative":
-        if stmt.kind == "OLie":
+    if spec.flavor == "lie" and alg.flavor == "associative":
+        # a Lie identity on an associative algebra is checked on its commutator bracket
+        if "rep" in spec.reads:
             if bim is None:
                 raise PreconditionFailed(
-                    f"check OLie needs a 'with <bimodule>' clause (line {stmt.line})"
+                    f"check {stmt.kind} needs a 'with <bimodule>' clause (line {stmt.line})"
                 )
             rep = rep_from_bimodule(alg, bim)
-            bim = None
         alg = commutator_lie(alg)
     return T, alg, bim, twist, weight, rep
+
+
+#: the clauses each structure check reads
+STRUCTURE_CHECK_CLAUSES: Mapping[str, Tuple[str, ...]] = {
+    "associative": (),
+    "lie": (),
+    "bimodule": (),
+    "cocycle": ("with",),
+}
+STRUCTURE_CHECK_KINDS = tuple(STRUCTURE_CHECK_CLAUSES)
+
+#: the clause of a check statement that supplies each input an operator kind reads
+_INPUT_CLAUSES = {"with": "with", "rep": "with", "twist": "twist", "weight": "weight"}
+
+
+def _check_clauses(kind: str) -> Tuple[str, ...]:
+    """The clauses a check of this kind reads; an operator kind's come from its registry entry."""
+    if kind in OPERATORS:
+        return ("on",) + tuple(_INPUT_CLAUSES[name] for name in OPERATORS[kind].reads)
+    return STRUCTURE_CHECK_CLAUSES[kind]
 
 
 def _run_check(env: Environment, stmt: CheckStmt, cap: int) -> Record:
     identity = f"check {stmt.kind} {stmt.name}"
     started = time.perf_counter()
+    _reject_unread(stmt, _check_clauses(stmt.kind))
     if stmt.kind in OPERATOR_KINDS:
         T, alg, bim, twist, weight, rep = _operator_context(env, stmt)
         verdict = verify_operator(
@@ -960,9 +997,21 @@ def _run_check(env: Environment, stmt: CheckStmt, cap: int) -> Record:
     return _verdict_record(identity, verdict, started)
 
 
+#: the clauses each construct reads; ``ns`` reads ``with`` only together with ``twist``
+CONSTRUCT_CLAUSES: Mapping[str, Tuple[str, ...]] = {
+    "dendriform": ("on", "with"),
+    "ns": ("on", "with", "twist"),
+    "mass": ("on", "with", "twist"),
+    "leftsym": ("on", "with"),
+    "deformed": ("on",),
+}
+CONSTRUCT_KINDS = tuple(CONSTRUCT_CLAUSES)
+
+
 def _run_construct(env: Environment, stmt: ConstructStmt, cap: int) -> Record:
     identity = f"construct {stmt.kind} {stmt.name}"
     started = time.perf_counter()
+    _reject_unread(stmt, CONSTRUCT_CLAUSES[stmt.kind])
     if stmt.on is None:
         raise PreconditionFailed(
             f"construct {stmt.kind} needs an 'on <algebra>' clause (line {stmt.line})"
@@ -987,6 +1036,7 @@ def _run_construct(env: Environment, stmt: ConstructStmt, cap: int) -> Record:
         if twist is not None:
             bundle = ns_from_twisted(T, alg, need_bim(), twist, cap=cap)
         else:
+            _reject_unread(stmt, ("on",))
             bundle = ns_from_nijenhuis(T, alg, cap=cap)
         emitted = emit_dsl(bundle, base)
     elif stmt.kind == "leftsym":

@@ -1,9 +1,22 @@
 """C[∂]-module maps and the operator-identity checkers.
 
-A :class:`ModuleMap` is a C[∂]-linear map between free modules, stored as a
-matrix of polynomials in ``D`` (∂ on the output).  :func:`verify_operator`
-expands one of the supported operator identities on all basis pairs of the
-map's source and reports the failing pairs:
+A :class:`ModuleMap` is a C[∂]-linear map between free modules.  Like the
+cochains of :mod:`confalg.cohomology` and the binary products of
+:mod:`confalg.derived`, it is a one-field view of a
+:class:`~confalg.confcore.MultiTable`: an arity-1 table whose entry ``(j,)``
+is the image of the j-th source basis element, with coefficients in ``D``
+only (∂ on the output).  Applying a map is
+:func:`~confalg.confcore.eval_multilinear` on its table.
+
+Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
+An entry names the optional inputs the identity reads (``with``, the
+bimodule; ``twist``; ``weight``; ``rep``) and the algebra flavor it needs,
+checks the shapes of the map and the inputs, gives the identity's residual
+at a basis pair of the map's source, and names the exception that
+:func:`require_operator` raises when a construction's operator precondition
+fails.  :func:`verify_operator` is one registry lookup and one scan of that
+residual over all basis pairs, and the definition language takes its
+clauses from the same entries.
 
 ========================  ====================================================
 kind                      identity (all products at weight L1)
@@ -18,18 +31,20 @@ kind                      identity (all products at weight L1)
 ``OLie`` (ρ)              [T(u) T(v)] = T( ρ(T(u))v − ρ(T(v))_{−L1−D} u )
 ========================  ====================================================
 
-The remaining operations package the standard constructions: compatibility
-of two operators, the square-zero lift of an O-operator to the semidirect
-algebra, the graph-closure criterion, the geometric series inverting
-``id + d`` for a nilpotent derivation, the quotient of two O-operators, and
-the Nijenhuis/O composites of an O-operator with a derivation.
+The O and Nijenhuis residuals are quadratic in the map, so the
+compatibility of two verified operators is the identity of their sum: its
+residual is exactly the cross term.  The remaining operations package the
+standard constructions: the square-zero lift of an O-operator to the
+semidirect algebra, the graph-closure criterion, the geometric series
+inverting ``id + d`` for a nilpotent derivation, the quotient of two
+O-operators, and the Nijenhuis/O composites of an O-operator with a
+derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from .confcore import (
     D,
@@ -41,15 +56,19 @@ from .confcore import (
     FreeModule,
     LieRep,
     ModElem,
+    MultiTable,
     Verdict,
-    _elem,
+    _embed,
     _sum_module,
     basis_tuples,
+    eval_multilinear,
     residual_scan,
     semidirect,
     twisted_extension,
 )
 from .errors import (
+    ArityMismatch,
+    ConfalgError,
     InvalidEntry,
     ModuleMismatch,
     NotCocycle,
@@ -58,57 +77,53 @@ from .errors import (
     NotNijenhuis,
     NotNilpotentWithinBound,
     NotOOperator,
+    NotTwistedRB,
     PreconditionFailed,
     ShapeMismatch,
 )
 from .polyring import Poly, PolyLike, as_poly
 
-KINDS = (
-    "O",
-    "RotaBaxter",
-    "TwistedRB",
-    "Nijenhuis",
-    "NijenhuisLie",
-    "Reynolds",
-    "Derivation",
-    "OLie",
-)
-
 
 @dataclass(frozen=True)
 class ModuleMap:
-    """A C[∂]-linear map, as a target-rank × source-rank matrix over C[D].
+    """A C[∂]-linear map: a view of an arity-1 table whose entries use only ``D``.
 
-    Entry ``matrix[i][j]`` is the coefficient of the i-th target basis
-    element in the image of the j-th source basis element.  Entries may use
-    ``D`` only; weight variables and auxiliary parameters are rejected, so a
+    Entry ``(j,)`` of ``table`` is the image of the j-th source basis
+    element.  Weight variables and auxiliary parameters are rejected, so a
     map always commutes with multiplication by arbitrary coefficients.  A
-    map is immutable, and so are the elements it returns: the image of the
-    j-th basis element is one column element, made on first use and then
-    shared.
+    map is immutable, and so are the elements it returns: the image of a
+    basis element is the table's shared bound entry.
     """
 
-    source: FreeModule
-    target: FreeModule
-    matrix: Tuple[Tuple[Poly, ...], ...]
+    table: MultiTable
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(as_poly(c) for c in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if len(rows) != self.target.rank or any(
-            len(row) != self.source.rank for row in rows
-        ):
-            raise ShapeMismatch(
-                f"matrix must be {self.target.rank}×{self.source.rank} for "
-                f"{self.source} -> {self.target}"
-            )
-        for row in rows:
-            for c in row:
+        if self.table.arity != 1:
+            raise ArityMismatch("only arity-1 tables are module maps")
+        for entry in self.table.entries.values():
+            for _, c in entry.support():
                 bad = c.variables() - {"D"}
                 if bad:
                     raise InvalidEntry(
                         f"module-map entries may only use D, got {sorted(bad)}"
                     )
+
+    @property
+    def source(self) -> FreeModule:
+        return self.table.in_modules[0]
+
+    @property
+    def target(self) -> FreeModule:
+        return self.table.out_module
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """The target-rank × source-rank matrix over C[D], read from the entries.
+
+        ``matrix[i][j]`` is the coefficient of the i-th target basis element
+        in the image of the j-th source basis element.
+        """
+        return tuple(zip(*(self.table.entry((j,)).coeffs for j in range(self.source.rank))))
 
     # -- constructors --------------------------------------------------------
 
@@ -120,70 +135,29 @@ class ModuleMap:
         images: Mapping[Union[int, str], EntryLike],
     ) -> "ModuleMap":
         """Build a map from the images of (some of) the source basis elements."""
-        columns = [[Poly.zero()] * target.rank for _ in range(source.rank)]
-        for key, raw in images.items():
-            j = source.index(key)
-            image = raw if isinstance(raw, ModElem) else target.elem(raw)
-            if image.module != target:
-                raise ModuleMismatch(f"image of {key!r} lives in {image.module}")
-            columns[j] = list(image.coeffs)
-        matrix = tuple(
-            tuple(columns[j][i] for j in range(source.rank)) for i in range(target.rank)
-        )
-        return cls(source, target, matrix)
+        entries = {(source.index(key),): image for key, image in images.items()}
+        return cls(MultiTable((source,), target, entries))
 
     @classmethod
     def identity(cls, module: FreeModule) -> "ModuleMap":
-        r = module.rank
-        return cls(
-            module,
-            module,
-            tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r)),
-        )
+        return cls.from_images(module, module, dict(enumerate(module.basis_elems())))
 
     @classmethod
     def zero(cls, source: FreeModule, target: Optional[FreeModule] = None) -> "ModuleMap":
-        target = target if target is not None else source
-        return cls(source, target, tuple((0,) * source.rank for _ in range(target.rank)))
+        return cls(MultiTable((source,), target if target is not None else source, {}))
 
     # -- algebra of maps -----------------------------------------------------
 
-    def apply(self, x: ModElem) -> "ModElem":
-        """The image of ``x``; the image of a basis element is its shared column."""
-        if x.module is not self.source and x.module != self.source:
-            raise ModuleMismatch(f"argument lives in {x.module}, expected {self.source}")
-        j = x.unit_index
-        if j is not None:
-            return self._columns[j]
-        coeffs = []
-        for i in range(self.target.rank):
-            acc = Poly.zero()
-            for j, c in x.support():
-                acc = acc + self.matrix[i][j] * c
-            coeffs.append(acc)
-        return ModElem(self.target, tuple(coeffs))
-
-    @cached_property
-    def _columns(self) -> Tuple[ModElem, ...]:
-        return tuple(
-            _elem(self.target, tuple(row[j] for row in self.matrix))
-            for j in range(self.source.rank)
-        )
+    def apply(self, x: ModElem) -> ModElem:
+        """The image of ``x``; the image of a basis element is its shared entry."""
+        return eval_multilinear(self.table, (x,), ())
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """The composite ``self ∘ inner`` (apply ``inner`` first)."""
         if inner.target != self.source:
             raise ModuleMismatch("composition shapes do not match")
-        rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(inner.source.rank):
-                acc = Poly.zero()
-                for k in range(self.source.rank):
-                    acc = acc + self.matrix[i][k] * inner.matrix[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return ModuleMap(inner.source, self.target, tuple(rows))
+        images = {j: self.apply(image) for (j,), image in inner.table.entries.items()}
+        return ModuleMap.from_images(inner.source, self.target, images)
 
     def power(self, n: int) -> "ModuleMap":
         if self.source != self.target:
@@ -195,20 +169,8 @@ class ModuleMap:
             result = self.compose(result)
         return result
 
-    def _require_same_shape(self, other: "ModuleMap") -> None:
-        if (self.source, self.target) != (other.source, other.target):
-            raise ModuleMismatch("maps with different shapes")
-
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        self._require_same_shape(other)
-        return ModuleMap(
-            self.source,
-            self.target,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.matrix, other.matrix)
-            ),
-        )
+        return ModuleMap(self.table + other.table)
 
     def __neg__(self) -> "ModuleMap":
         return self.scale(-1)
@@ -217,15 +179,10 @@ class ModuleMap:
         return self + (-other)
 
     def scale(self, factor: PolyLike) -> "ModuleMap":
-        f = as_poly(factor)
-        return ModuleMap(
-            self.source,
-            self.target,
-            tuple(tuple(c * f for c in row) for row in self.matrix),
-        )
+        return ModuleMap(self.table.scale(factor))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.matrix for c in row)
+        return self.table.is_zero()
 
     def det(self) -> Poly:
         if self.source != self.target:
@@ -238,20 +195,18 @@ class ModuleMap:
         if d.is_zero() or d.variables():
             raise NotInvertible(f"determinant {d} is not a nonzero scalar")
         scalar = d.constant_term()
-        r = self.source.rank
-        cof = [
-            [
-                _det(_minor(self.matrix, i, j)) * ((-1) ** (i + j))
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        adjugate = tuple(tuple(cof[j][i] for j in range(r)) for i in range(r))
-        return ModuleMap(
-            self.target,
-            self.source,
-            tuple(tuple(c * (1 / scalar) for c in row) for row in adjugate),
-        )
+        matrix, r = self.matrix, self.source.rank
+        # the image of basis element j is column j of the adjugate, over the determinant
+        images = {
+            j: self.source.elem(
+                tuple(
+                    _det(_minor(matrix, j, i)) * ((-1) ** (i + j)) * (1 / scalar)
+                    for i in range(r)
+                )
+            )
+            for j in range(r)
+        }
+        return ModuleMap.from_images(self.target, self.source, images)
 
 
 def _minor(matrix: Sequence[Sequence[Poly]], i: int, j: int) -> Tuple[Tuple[Poly, ...], ...]:
@@ -280,27 +235,159 @@ def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
 # -- operator identities -----------------------------------------------------
 
 
-def _require_endo(T: ModuleMap, alg: ConfAlgebra, kind: str) -> None:
-    if T.source != alg.module or T.target != alg.module:
+@dataclass(frozen=True)
+class _Inputs:
+    """What an identity may read besides the map itself."""
+
+    alg: ConfAlgebra
+    bim: Optional[ConfBimodule] = None
+    weight: Poly = Poly.zero()
+    twist: object = None
+    rep: Optional[LieRep] = None
+
+
+@dataclass(frozen=True)
+class OperatorKind:
+    """One entry of :data:`REGISTRY`.
+
+    ``reads`` names the optional inputs of :func:`verify_operator` the
+    identity uses: ``with`` (the bimodule ``bim``), ``twist``, ``weight``
+    and ``rep``.  ``flavor`` is the algebra flavor it needs, if any.
+    ``shape(kind, T, inputs)`` raises when the map and the inputs do not fit
+    together and returns the inputs the residual reads; ``residual(T,
+    inputs, x, y)`` is the identity's residual at a basis pair of the map's
+    source.  ``error`` is the exception :func:`require_operator` raises.
+    """
+
+    reads: Tuple[str, ...]
+    flavor: Optional[str]
+    shape: Callable[[str, ModuleMap, _Inputs], _Inputs]
+    residual: Callable[[ModuleMap, _Inputs, ModElem, ModElem], ModElem]
+    error: Type[ConfalgError]
+
+
+def _require_endo(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
+    if T.source != ins.alg.module or T.target != ins.alg.module:
         raise ShapeMismatch(f"{kind} needs an endomorphism of the algebra module")
+    return ins
 
 
-def _require_mod_to_alg(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, kind: str) -> None:
+def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
+    alg, bim = ins.alg, ins.bim
     if bim is None:
         raise ShapeMismatch(f"{kind} needs a bimodule")
     if bim.algebra != alg:
         raise ShapeMismatch("the bimodule was built over a different algebra")
     if T.source != bim.module or T.target != alg.module:
         raise ShapeMismatch(f"{kind} needs a map from the module into the algebra")
+    return ins
 
 
-def o_residual(
-    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, m: ModElem, n: ModElem
-) -> ModElem:
-    """``T(m) T(n) − T( T(m)·n + m·T(n) )`` at weight L1, valued in the algebra."""
+def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
+    _require_mod_to_alg(kind, T, ins)
+    if ins.twist is None:
+        raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
+    from .cohomology import is_cocycle
+
+    cocycle = is_cocycle(ins.twist, ins.alg, ins.bim)
+    if not cocycle.holds:
+        raise NotCocycle(cocycle.summary())
+    return ins
+
+
+def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
+    acting = ins.bim if ins.bim is not None else ConfBimodule.adjoint(ins.alg)
+    if acting.algebra != ins.alg:
+        raise ShapeMismatch("the bimodule was built over a different algebra")
+    if T.source != ins.alg.module or T.target != acting.module:
+        raise ShapeMismatch("Derivation needs a map from the algebra into the module")
+    return replace(ins, bim=acting)
+
+
+def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
+    rep = ins.rep
+    if rep is None:
+        raise ShapeMismatch("OLie needs rep= (a Lie representation)")
+    if rep.lie != ins.alg:
+        raise ShapeMismatch("OLie needs the representation's own Lie algebra")
+    if T.source != rep.module or T.target != ins.alg.module:
+        raise ShapeMismatch("OLie needs a map from the representation module")
+    return ins
+
+
+def _o_residual(T: ModuleMap, ins: _Inputs, m: ModElem, n: ModElem) -> ModElem:
     tm, tn = T.apply(m), T.apply(n)
-    inner = bim.act_left(tm, n, L1) + bim.act_right(m, tn, L1)
-    return alg.mul(tm, tn, L1) - T.apply(inner)
+    inner = ins.bim.act_left(tm, n, L1) + ins.bim.act_right(m, tn, L1)
+    return ins.alg.mul(tm, tn, L1) - T.apply(inner)
+
+
+def _rota_baxter_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
+    alg = ins.alg
+    ta, tb = T.apply(a), T.apply(b)
+    inner = alg.mul(ta, b, L1) + alg.mul(a, tb, L1) + alg.mul(a, b, L1) * ins.weight
+    return alg.mul(ta, tb, L1) - T.apply(inner)
+
+
+def _twisted_residual(T: ModuleMap, ins: _Inputs, m: ModElem, n: ModElem) -> ModElem:
+    tm, tn = T.apply(m), T.apply(n)
+    inner = (
+        ins.bim.act_left(tm, n, L1)
+        + ins.bim.act_right(m, tn, L1)
+        + ins.twist.eval((tm, tn), (L1,))
+    )
+    return ins.alg.mul(tm, tn, L1) - T.apply(inner)
+
+
+def _nijenhuis_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
+    alg = ins.alg
+    na, nb = T.apply(a), T.apply(b)
+    inner = alg.mul(na, b, L1) + alg.mul(a, nb, L1) - T.apply(alg.mul(a, b, L1))
+    return alg.mul(na, nb, L1) - T.apply(inner)
+
+
+def _reynolds_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
+    alg = ins.alg
+    ra, rb = T.apply(a), T.apply(b)
+    cross = alg.mul(ra, rb, L1)
+    inner = alg.mul(ra, b, L1) + alg.mul(a, rb, L1) - cross
+    return cross - T.apply(inner)
+
+
+def _derivation_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
+    return (
+        T.apply(ins.alg.mul(a, b, L1))
+        - ins.bim.act_right(T.apply(a), b, L1)
+        - ins.bim.act_left(a, T.apply(b), L1)
+    )
+
+
+def _olie_residual(T: ModuleMap, ins: _Inputs, u: ModElem, v: ModElem) -> ModElem:
+    tu, tv = T.apply(u), T.apply(v)
+    inner = ins.rep.act(tu, v, L1) - ins.rep.act(tv, u, -L1 - D)
+    return ins.alg.mul(tu, tv, L1) - T.apply(inner)
+
+
+#: Every operator identity, keyed by kind.
+REGISTRY: Mapping[str, OperatorKind] = {
+    "O": OperatorKind(("with",), None, _require_mod_to_alg, _o_residual, NotOOperator),
+    "RotaBaxter": OperatorKind(
+        ("weight",), None, _require_endo, _rota_baxter_residual, PreconditionFailed
+    ),
+    "TwistedRB": OperatorKind(
+        ("with", "twist"), None, _twisted_shape, _twisted_residual, NotTwistedRB
+    ),
+    "Nijenhuis": OperatorKind(
+        (), "associative", _require_endo, _nijenhuis_residual, NotNijenhuis
+    ),
+    "NijenhuisLie": OperatorKind((), "lie", _require_endo, _nijenhuis_residual, NotNijenhuis),
+    "Reynolds": OperatorKind((), None, _require_endo, _reynolds_residual, PreconditionFailed),
+    "Derivation": OperatorKind(
+        ("with",), None, _derivation_shape, _derivation_residual, NotDerivation
+    ),
+    "OLie": OperatorKind(("rep",), "lie", _olie_shape, _olie_residual, PreconditionFailed),
+}
+
+KINDS = tuple(REGISTRY)
 
 
 def verify_operator(
@@ -318,103 +405,47 @@ def verify_operator(
 
     ``weight`` carries the Rota-Baxter weight q (a scalar or auxiliary
     parameter), ``twist`` the 2-cocycle of the twisted identity, and ``rep``
-    the Lie representation of the ``OLie`` identity.  The verdict's identity
-    name is the ``kind`` string.
+    the Lie representation of the ``OLie`` identity; an input the kind does
+    not read is ignored.  The verdict's identity name is the ``kind``
+    string.
     """
-    if kind not in KINDS:
+    spec = REGISTRY.get(kind)
+    if spec is None:
         raise PreconditionFailed(f"unknown operator kind {kind!r}; expected one of {KINDS}")
+    if spec.flavor is not None and alg.flavor != spec.flavor:
+        raise ShapeMismatch(f"{kind} needs an algebra of the {spec.flavor} flavor")
+    ins = spec.shape(kind, T, _Inputs(alg, bim, as_poly(weight), twist, rep))
+    items = (
+        (names, spec.residual(T, ins, x, y))
+        for names, (x, y) in basis_tuples((T.source, T.source))
+    )
+    return residual_scan(kind, items, cap)
 
-    if kind == "O":
-        _require_mod_to_alg(T, alg, bim, kind)
 
-        def items():
-            for names, (m, n) in basis_tuples((bim.module, bim.module)):
-                yield names, o_residual(T, alg, bim, m, n)
+def require_operator(
+    kind: str,
+    T: ModuleMap,
+    alg: ConfAlgebra,
+    bim: Optional[ConfBimodule] = None,
+    *,
+    origin: Optional[str] = None,
+    error: Optional[Type[ConfalgError]] = None,
+    cap: int = 1,
+    **inputs,
+) -> None:
+    """Raise unless ``T`` satisfies the ``kind`` identity.
 
-    elif kind == "RotaBaxter":
-        _require_endo(T, alg, kind)
-        q = as_poly(weight)
-
-        def items():
-            for names, (a, b) in basis_tuples((alg.module, alg.module)):
-                ta, tb = T.apply(a), T.apply(b)
-                inner = alg.mul(ta, b, L1) + alg.mul(a, tb, L1) + alg.mul(a, b, L1) * q
-                yield names, alg.mul(ta, tb, L1) - T.apply(inner)
-
-    elif kind == "TwistedRB":
-        _require_mod_to_alg(T, alg, bim, kind)
-        if twist is None:
-            raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
-        from .cohomology import is_cocycle
-
-        cocycle = is_cocycle(twist, alg, bim)
-        if not cocycle.holds:
-            raise NotCocycle(cocycle.summary())
-
-        def items():
-            for names, (m, n) in basis_tuples((bim.module, bim.module)):
-                tm, tn = T.apply(m), T.apply(n)
-                inner = (
-                    bim.act_left(tm, n, L1)
-                    + bim.act_right(m, tn, L1)
-                    + twist.eval((tm, tn), (L1,))
-                )
-                yield names, alg.mul(tm, tn, L1) - T.apply(inner)
-
-    elif kind in ("Nijenhuis", "NijenhuisLie"):
-        if kind == "NijenhuisLie" and alg.flavor != "lie":
-            raise ShapeMismatch("NijenhuisLie needs a lie-flavored algebra")
-        if kind == "Nijenhuis" and alg.flavor != "associative":
-            raise ShapeMismatch("Nijenhuis needs an associative-flavored algebra")
-        _require_endo(T, alg, kind)
-
-        def items():
-            for names, (a, b) in basis_tuples((alg.module, alg.module)):
-                na, nb = T.apply(a), T.apply(b)
-                inner = alg.mul(na, b, L1) + alg.mul(a, nb, L1) - T.apply(alg.mul(a, b, L1))
-                yield names, alg.mul(na, nb, L1) - T.apply(inner)
-
-    elif kind == "Reynolds":
-        _require_endo(T, alg, kind)
-
-        def items():
-            for names, (a, b) in basis_tuples((alg.module, alg.module)):
-                ra, rb = T.apply(a), T.apply(b)
-                cross = alg.mul(ra, rb, L1)
-                inner = alg.mul(ra, b, L1) + alg.mul(a, rb, L1) - cross
-                yield names, cross - T.apply(inner)
-
-    elif kind == "Derivation":
-        acting = bim if bim is not None else ConfBimodule.adjoint(alg)
-        if acting.algebra != alg:
-            raise ShapeMismatch("the bimodule was built over a different algebra")
-        if T.source != alg.module or T.target != acting.module:
-            raise ShapeMismatch("Derivation needs a map from the algebra into the module")
-
-        def items():
-            for names, (a, b) in basis_tuples((alg.module, alg.module)):
-                res = (
-                    T.apply(alg.mul(a, b, L1))
-                    - acting.act_right(T.apply(a), b, L1)
-                    - acting.act_left(a, T.apply(b), L1)
-                )
-                yield names, res
-
-    else:  # OLie
-        if rep is None:
-            raise ShapeMismatch("OLie needs rep= (a Lie representation)")
-        if alg.flavor != "lie" or rep.lie != alg:
-            raise ShapeMismatch("OLie needs the representation's own Lie algebra")
-        if T.source != rep.module or T.target != alg.module:
-            raise ShapeMismatch("OLie needs a map from the representation module")
-
-        def items():
-            for names, (u, v) in basis_tuples((rep.module, rep.module)):
-                tu, tv = T.apply(u), T.apply(v)
-                inner = rep.act(tu, v, L1) - rep.act(tv, u, -L1 - D)
-                yield names, alg.mul(tu, tv, L1) - T.apply(inner)
-
-    return residual_scan(kind, items(), cap)
+    The exception is the kind's registry ``error`` unless ``error`` is
+    given; its message is the verdict's summary, after ``origin: `` when an
+    origin is given.  ``cap`` bounds the witnesses the summary counts, and
+    ``inputs`` go to :func:`verify_operator`.
+    """
+    verdict = verify_operator(kind, T, alg, bim, cap=cap, **inputs)
+    if not verdict.holds:
+        summary = verdict.summary()
+        raise (error or REGISTRY[kind].error)(
+            summary if origin is None else f"{origin}: {summary}"
+        )
 
 
 # -- compatibility -----------------------------------------------------------
@@ -429,27 +460,13 @@ def compatible_O(
 ) -> Verdict:
     """Whether the sum of two O-operators is again one.
 
-    Residual: ``T1(m)T2(n) + T2(m)T1(n) − T1(T2(m)·n + m·T2(n)) −
-    T2(T1(m)·n + m·T1(n))`` on all basis pairs, which is exactly the
-    cross-term of the O-identity of T1+T2.
+    Both maps must be O-operators, so the O residual of ``T1 + T2`` is its
+    cross term ``T1(m)T2(n) + T2(m)T1(n) − T1(T2(m)·n + m·T2(n)) −
+    T2(T1(m)·n + m·T1(n))`` on every basis pair.
     """
     for T in (T1, T2):
-        if not verify_operator("O", T, alg, bim, cap=1).holds:
-            raise NotOOperator("compatible_O needs two verified O-operators")
-
-    def items():
-        for names, (m, n) in basis_tuples((bim.module, bim.module)):
-            t1m, t1n = T1.apply(m), T1.apply(n)
-            t2m, t2n = T2.apply(m), T2.apply(n)
-            res = (
-                alg.mul(t1m, t2n, L1)
-                + alg.mul(t2m, t1n, L1)
-                - T1.apply(bim.act_left(t2m, n, L1) + bim.act_right(m, t2n, L1))
-                - T2.apply(bim.act_left(t1m, n, L1) + bim.act_right(m, t1n, L1))
-            )
-            yield names, res
-
-    return residual_scan("compatible-O", items(), cap)
+        require_operator("O", T, alg, bim, origin="compatible_O")
+    return replace(verify_operator("O", T1 + T2, alg, bim, cap=cap), identity="compatible-O")
 
 
 def compatible_nijenhuis(
@@ -457,31 +474,14 @@ def compatible_nijenhuis(
 ) -> Verdict:
     """Whether the sum of two Nijenhuis operators is again one.
 
-    Residual: ``N1(a)N2(b) + N2(a)N1(b) − N1(a ∘^{N2} b) − N2(a ∘^{N1} b)``
-    with ``a ∘^N b = N(a)b + aN(b) − N(ab)``.
+    Both maps must be Nijenhuis, so the Nijenhuis residual of ``N1 + N2`` is
+    its cross term ``N1(a)N2(b) + N2(a)N1(b) − N1(a ∘^{N2} b) − N2(a ∘^{N1}
+    b)`` with ``a ∘^N b = N(a)b + aN(b) − N(ab)``.
     """
     for N in (N1, N2):
-        if not verify_operator("Nijenhuis", N, alg, cap=1).holds:
-            raise NotNijenhuis("compatible_nijenhuis needs two verified Nijenhuis operators")
-
-    def deformed(N: ModuleMap, a: ModElem, b: ModElem) -> ModElem:
-        return (
-            alg.mul(N.apply(a), b, L1)
-            + alg.mul(a, N.apply(b), L1)
-            - N.apply(alg.mul(a, b, L1))
-        )
-
-    def items():
-        for names, (a, b) in basis_tuples((alg.module, alg.module)):
-            res = (
-                alg.mul(N1.apply(a), N2.apply(b), L1)
-                + alg.mul(N2.apply(a), N1.apply(b), L1)
-                - N1.apply(deformed(N2, a, b))
-                - N2.apply(deformed(N1, a, b))
-            )
-            yield names, res
-
-    return residual_scan("compatible-Nijenhuis", items(), cap)
+        require_operator("Nijenhuis", N, alg, origin="compatible_nijenhuis")
+    verdict = verify_operator("Nijenhuis", N1 + N2, alg, cap=cap)
+    return replace(verdict, identity="compatible-Nijenhuis")
 
 
 # -- constructions -----------------------------------------------------------
@@ -489,16 +489,11 @@ def compatible_nijenhuis(
 
 def lift(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> ModuleMap:
     """The square-zero lift ``(a, m) ↦ (T(m), 0)`` to the semidirect module."""
-    _require_mod_to_alg(T, alg, bim, "lift")
+    _require_mod_to_alg("lift", T, _Inputs(alg, bim))
     big = _sum_module(alg.module, bim.module, "a_", "m_")
-    ra, rm = alg.rank, bim.module.rank
-    zero = Poly.zero()
-    rows = []
-    for i in range(ra):
-        rows.append(tuple([zero] * ra) + tuple(T.matrix[i][u] for u in range(rm)))
-    for _ in range(rm):
-        rows.append((zero,) * (ra + rm))
-    return ModuleMap(big, big, tuple(rows))
+    ra = alg.rank
+    entries = {(ra + u,): _embed(image, big, 0) for (u,), image in T.table.entries.items()}
+    return ModuleMap(MultiTable((big,), big, entries))
 
 
 def graph_check(
@@ -514,7 +509,7 @@ def graph_check(
     is expanded in the extension algebra; the residual is its algebra
     component minus T of its module component.
     """
-    _require_mod_to_alg(T, alg, bim, "graph_check")
+    _require_mod_to_alg("graph_check", T, _Inputs(alg, bim))
     ext = (
         semidirect(alg, bim)
         if phi is None
@@ -545,9 +540,8 @@ def reynolds_from_derivation(
     for some ``k ≤ bound``; the finite sum then inverts ``id + d`` and is a
     Reynolds operator.
     """
-    _require_endo(d, alg, "reynolds_from_derivation")
-    if not verify_operator("Derivation", d, alg, cap=1).holds:
-        raise NotDerivation("reynolds_from_derivation needs a derivation")
+    _require_endo("reynolds_from_derivation", d, _Inputs(alg))
+    require_operator("Derivation", d, alg, origin="reynolds_from_derivation")
     if bound < 1:
         raise PreconditionFailed("the nilpotency bound must be positive")
     result = ModuleMap.identity(alg.module)
@@ -570,8 +564,7 @@ def nijenhuis_from_O_pair(
     callers certify with :func:`verify_operator` / :func:`compatible_O`.
     """
     for T in (T1, T2):
-        if not verify_operator("O", T, alg, bim, cap=1).holds:
-            raise NotOOperator("nijenhuis_from_O_pair needs two verified O-operators")
+        require_operator("O", T, alg, bim, origin="nijenhuis_from_O_pair")
     return T1.compose(T2.inverse())
 
 
@@ -611,10 +604,9 @@ def derivation_composites(
     hold, ``T∘Ω`` is Nijenhuis on the algebra and ``T∘Ω∘T`` is a second
     O-operator; the two verdicts report exactly that.
     """
-    if not verify_operator("O", T, alg, bim, cap=1).holds:
-        raise PreconditionFailed("derivation_composites: T fails the O-operator identity")
-    if not verify_operator("Derivation", omega, alg, bim, cap=1).holds:
-        raise PreconditionFailed("derivation_composites: Ω fails the Leibniz identity")
+    origin = "derivation_composites"
+    require_operator("O", T, alg, bim, origin=origin, error=PreconditionFailed)
+    require_operator("Derivation", omega, alg, bim, origin=origin, error=PreconditionFailed)
 
     def compat_items():
         for names, (a, b) in basis_tuples((alg.module, alg.module)):

@@ -71,8 +71,8 @@ def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.stats["confcore.eval"]["calls"] == 1808
-    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 1224
+    assert tracer.stats["confcore.eval"]["calls"] == 2112
+    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 1461
     # the module-map and scan counts pin where results are shared: inside
     # ModuleMap.apply and eval_multilinear, not around their call sites
     assert tracer.stats["operators.apply"]["calls"] == 304

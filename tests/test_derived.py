@@ -47,7 +47,6 @@ from confalg.derived import (
     ns_from_twisted,
 )
 from confalg.operators import ModuleMap, verify_operator
-from confalg.polyring import Poly
 
 import helpers
 from helpers import (
@@ -200,22 +199,9 @@ def test_matching_pair_of_the_invertible_operator() -> None:
 
 def component_projections(big):
     half = big.rank // 2
-    p1 = ModuleMap(
-        big,
-        big,
-        tuple(
-            tuple(Poly.one() if i == j and i < half else Poly.zero() for j in range(big.rank))
-            for i in range(big.rank)
-        ),
-    )
-    p2 = ModuleMap(
-        big,
-        big,
-        tuple(
-            tuple(Poly.one() if i == j and i >= half else Poly.zero() for j in range(big.rank))
-            for i in range(big.rank)
-        ),
-    )
+    basis = list(big.basis_elems())
+    p1 = ModuleMap.from_images(big, big, dict(enumerate(basis[:half])))
+    p2 = ModuleMap.from_images(big, big, {j: basis[j] for j in range(half, big.rank)})
     return p1, p2
 
 

@@ -319,6 +319,45 @@ def test_missing_clauses_surface_as_errors():
     assert report.records[0].status == "error"
 
 
+def test_clauses_a_statement_does_not_read_are_errors():
+    src = A2_SOURCE + """
+bimodule AdjA2 adjoint A2;
+cocycle negmult on A2 {
+  value u u = (-1)*u;
+  value u v = (-1)*v;
+  value v u = (-1)*v;
+}
+map Id : A2 -> A2 { u -> u; v -> v; }
+map Swap : AdjA2 -> A2 { u -> v; v -> u; }
+check Nijenhuis Id on A2 with AdjA2 weight 7;
+check O Swap on A2 with AdjA2 weight 3;
+check associative A2 on A2 weight 2;
+check RotaBaxter Id on A2 twist negmult;
+check cocycle negmult on A2;
+construct deformed Id on A2 with AdjA2;
+construct ns Id on A2 with AdjA2;
+construct dendriform Swap on A2 with AdjA2 twist negmult;
+check Nijenhuis Id on A2;
+"""
+    report, _ = build(src)
+    expected = [
+        ("check Nijenhuis Id", "'with' or 'weight'"),
+        ("check O Swap", "'weight'"),
+        ("check associative A2", "'on' or 'weight'"),
+        ("check RotaBaxter Id", "'twist'"),
+        ("check cocycle negmult", "'on'"),
+        ("construct deformed Id", "'with'"),
+        ("construct ns Id", "'with'"),
+        ("construct dendriform Swap", "'twist'"),
+    ]
+    *errors, last = report.records
+    assert [(r.identity, r.status) for r in errors] == [(i, "error") for i, _ in expected]
+    for record, (_, clauses) in zip(errors, expected):
+        assert f"reads no {clauses} clause (line " in record.detail
+    assert (last.identity, last.status) == ("check Nijenhuis Id", "holds")
+    assert report.exit_code == 2
+
+
 def test_construct_registers_named_algebras_for_later_checks():
     src = N2_SOURCE + """
 bimodule AdjN2 adjoint N2;

@@ -575,7 +575,9 @@ def test_square_zero_maps_nijenhuis_iff_weight_zero() -> None:
             for j in range(2, 4):
                 if rng.random() < 0.75:
                     block[i][j] = helpers.rand_poly(rng)
-        N = ModuleMap(big, big, tuple(tuple(row) for row in block))
+        N = ModuleMap.from_images(
+            big, big, {j: big.elem(tuple(row[j] for row in block)) for j in range(4)}
+        )
         assert N.compose(N).is_zero()
         assert (
             verify_operator("Nijenhuis", N, ext).holds
