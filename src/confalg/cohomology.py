@@ -43,22 +43,23 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .confcore import (
-    D,
-    L1,
     WITNESS_CAP,
+    Circ,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
     ModElem,
     MultiTable,
+    Swap,
     Verdict,
     _embed,
     _sum_module,
-    basis_tuples,
     check_associative,
     eval_multilinear,
     residual_scan,
     semidirect,
+    table_items,
+    table_sum,
 )
 from .errors import ArityMismatch, ConfalgError, NotCocycle, ShapeMismatch
 from .operators import ModuleMap, lift, require_operator, verify_operator
@@ -180,7 +181,8 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     ``(𝐝φ)(a₀, …, aₙ)`` acts by the leading left action of ``a₀`` on
     ``φ(a₁, …)``, the alternating-sign contractions that replace two
     neighbouring arguments by their product (merging their weights), and
-    the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``.
+    the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``: one table,
+    ``𝐝φ = l∘₂φ + Σ (−1)^i φ∘_i m + (−1)^(n+1) r∘₁φ`` with actions ``l``, ``r``.
     """
     if f.input_module != alg.module:
         raise ShapeMismatch("cochain arguments must live in the algebra")
@@ -188,26 +190,11 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
         raise ShapeMismatch("cochain values must live in the bimodule")
     if bim.algebra.module != alg.module:
         raise ShapeMismatch("bimodule must be over the same algebra")
-    n = f.arity
-
-    def df(args: Sequence[ModElem], weights: Sequence[Poly]) -> ModElem:
-        args = list(args)
-        weights = [as_poly(w) for w in weights]
-        out = bim.act_left(args[0], f.eval(args[1:], weights[1:]), weights[0])
-        for i in range(1, n + 1):
-            prod = alg.mul(args[i - 1], args[i], weights[i - 1])
-            new_args = args[: i - 1] + [prod] + args[i + 1 :]
-            if i < n:
-                new_w = weights[: i - 1] + [weights[i - 1] + weights[i]] + weights[i + 1 :]
-            else:
-                new_w = weights[: n - 1]
-            out = out + (-1) ** i * f.eval(new_args, new_w)
-        out = out + (-1) ** (n + 1) * bim.act_right(
-            f.eval(args[:n], weights[: n - 1]), args[n], _psum(weights)
-        )
-        return out
-
-    return Cochain.from_function(n + 1, alg.module, bim.module, df)
+    n, phi = f.arity, f.table
+    terms = [(1, Circ(bim.left, 2, phi))]
+    terms += [((-1) ** i, Circ(phi, i, alg.table)) for i in range(1, n + 1)]
+    terms.append(((-1) ** (n + 1), Circ(bim.right, 1, phi)))
+    return Cochain(table_sum(terms))
 
 
 def o_complex_d(phi: Cochain, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, twist=None) -> Cochain:
@@ -227,12 +214,7 @@ def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WIT
     if phi.arity != 2:
         raise ArityMismatch("cocycle test expects an arity-2 cochain")
     d = hochschild_d(phi, alg, bim)
-
-    def items():
-        for names, _ in basis_tuples((alg.module,) * 3):
-            yield names, d.entry(names)
-
-    return residual_scan("2-cocycle", items(), cap=cap)
+    return residual_scan("2-cocycle", table_items(d.table), cap=cap)
 
 
 def is_commutative_cocycle(
@@ -242,15 +224,9 @@ def is_commutative_cocycle(
     if phi.arity != 2:
         raise ArityMismatch("cocycle test expects an arity-2 cochain")
     d = hochschild_d(phi, alg, bim)
-
-    def items():
-        for names, _ in basis_tuples((alg.module,) * 3):
-            yield ("cocycle",) + names, d.entry(names)
-        for names, (a, b) in basis_tuples((alg.module,) * 2):
-            res = phi.eval((a, b), (L1,)) - phi.eval((b, a), (-L1 - D,))
-            yield ("commutative",) + names, res
-
-    return residual_scan("commutative-2-cocycle", items(), cap=cap)
+    symmetry = table_sum([(1, phi.table), (-1, Swap(phi.table, 1, 2))])
+    items = table_items(d.table, ("cocycle",)), table_items(symmetry, ("commutative",))
+    return residual_scan("commutative-2-cocycle", itertools.chain(*items), cap=cap)
 
 
 def _require_self_valued(f: Cochain, g: Cochain) -> None:
@@ -259,39 +235,22 @@ def _require_self_valued(f: Cochain, g: Cochain) -> None:
         raise ShapeMismatch("composition needs cochains on one algebra valued in itself")
 
 
-def _circle_fn(f: Cochain, g: Cochain) -> CochainFn:
-    m, n = f.arity, g.arity
-
-    def h(args: Sequence[ModElem], weights: Sequence[Poly]) -> ModElem:
-        args = list(args)
-        weights = [as_poly(w) for w in weights]
-        out = f.value_module.zero()
-        for i in range(1, m + 1):
-            gv = g.eval(args[i - 1 : i + n - 1], weights[i - 1 : i + n - 2])
-            f_args = args[: i - 1] + [gv] + args[i + n - 1 :]
-            if i < m:
-                merged = _psum(weights[i - 1 : i + n - 1])
-                f_w = weights[: i - 1] + [merged] + weights[i + n - 1 :]
-            else:
-                f_w = weights[: m - 1]
-            out = out + (-1) ** ((i - 1) * (n - 1)) * f.eval(f_args, f_w)
-        return out
-
-    return h
+def _circle_terms(f: Cochain, g: Cochain, scale: int = 1) -> list:
+    """``scale·(f ∘ g)`` as table-sum terms: ``Σ (−1)^((i−1)(n−1)) f∘_i g``."""
+    _require_self_valued(f, g)
+    n, slots = g.arity, range(1, f.arity + 1)
+    return [(scale * (-1) ** ((i - 1) * (n - 1)), Circ(f.table, i, g.table)) for i in slots]
 
 
 def g_circle(f: Cochain, g: Cochain) -> Cochain:
     """The composition product of two self-valued cochains."""
-    _require_self_valued(f, g)
-    return Cochain.from_function(
-        f.arity + g.arity - 1, f.input_module, f.value_module, _circle_fn(f, g)
-    )
+    return Cochain(table_sum(_circle_terms(f, g)))
 
 
 def g_bracket(f: Cochain, g: Cochain) -> Cochain:
-    """The graded bracket ``[f, g] = f∘g − (−1)^{(m−1)(n−1)} g∘f``."""
+    """The graded bracket ``[f, g] = f∘g − (−1)^{(m−1)(n−1)} g∘f``, as one table."""
     sign = (-1) ** ((f.arity - 1) * (g.arity - 1))
-    return g_circle(f, g) - g_circle(g, f).scale(sign)
+    return Cochain(table_sum(_circle_terms(f, g) + _circle_terms(g, f, -sign)))
 
 
 def _hat_module(alg: ConfAlgebra, bim: ConfBimodule) -> FreeModule:
@@ -458,25 +417,13 @@ def derived_binary(T1: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimo
 def _expected_hat_components(
     T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule
 ) -> MultiTable:
-    from .operators import induced_left_value, induced_right_value, star_value
-
-    big = _hat_module(alg, bim)
-    ra, rm = alg.module.rank, bim.module.rank
-    entries = {}
-    for i in range(ra):
-        for u in range(rm):
-            a, mu = alg.module.basis_elem(i), bim.module.basis_elem(u)
-            right = induced_right_value(T, alg, bim, a, mu, L1)
-            if not right.is_zero():
-                entries[(i, ra + u)] = _embed(right, big, 0)
-            left = induced_left_value(T, alg, bim, mu, a, L1)
-            if not left.is_zero():
-                entries[(ra + u, i)] = _embed(left, big, 0)
-    for u in range(rm):
-        for v in range(rm):
-            star = star_value(T, bim, bim.module.basis_elem(u), bim.module.basis_elem(v), L1)
-            if not star.is_zero():
-                entries[(ra + u, ra + v)] = _embed(star, big, ra)
+    """The induced actions and the ⋆-product, placed in the blocks of ``A ⊕ M``."""
+    big, ra = _hat_module(alg, bim), alg.module.rank
+    induced = induced_bimodule_on_A(T, alg, bim, validate=False)
+    entries = {(i, ra + u): _embed(e, big, 0) for (i, u), e in induced.right.entries.items()}
+    entries.update({(ra + u, i): _embed(e, big, 0) for (u, i), e in induced.left.entries.items()})
+    star = induced.algebra.table.entries
+    entries.update({(ra + u, ra + v): _embed(e, big, ra) for (u, v), e in star.items()})
     return MultiTable((big, big), big, entries)
 
 

@@ -14,8 +14,10 @@ coefficients.  Everything reduces to finite data:
   :mod:`confalg.derived` and :mod:`confalg.operators` are one-field views of
   one (a module map is an arity-1 table);
 * :meth:`MultiTable.from_function` tabulates any such map from a function
-  of basis elements and formal weights, and :func:`basis_tuples` is the one
-  walk over basis tuples that the tabulator and every checker share;
+  of basis elements and formal weights, walking :func:`basis_tuples`;
+* :func:`table_sum` computes a signed sum of tables, partial compositions
+  ``f ∘_i g`` (:class:`Circ`) and slot swaps (:class:`Swap`) as one table,
+  visiting only stored entries: every identity of the package is such a sum;
 * :func:`eval_multilinear` extends a table to arbitrary elements by
   sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
   ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
@@ -35,9 +37,10 @@ multiplying on the other side) are formed, the ``D`` inside the weight again
 meaning ∂ on the output.
 
 The checkers (:func:`check_associative`, :func:`check_lie`,
-:func:`check_bimodule`, :func:`check_lie_rep`) expand their defining
-identities on all basis tuples with independent weights ``L1, L2, ...`` and
-return a :class:`Verdict` listing the failing tuples.  The constructors
+:func:`check_bimodule`, :func:`check_lie_rep`) compute the residual of their
+defining identities as whole tables and scan them over all basis tuples in
+order (:func:`table_items`), returning a :class:`Verdict` that lists the
+failing tuples.  The constructors
 (:func:`commutator_lie`, :func:`rep_from_bimodule`, :func:`semidirect`,
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
@@ -50,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -370,30 +373,152 @@ class MultiTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def map_entries(self, fn: Callable[[ModElem], ModElem]) -> "MultiTable":
-        return MultiTable(
-            self.in_modules,
-            self.out_module,
-            {idx: fn(entry) for idx, entry in self.entries.items()},
-        )
-
+    # sums and multiples are table sums (:func:`table_sum`) of one term each
     def __add__(self, other: "MultiTable") -> "MultiTable":
-        if (self.in_modules, self.out_module) != (other.in_modules, other.out_module):
-            raise ShapeMismatch("cannot add tables with different shapes")
-        merged = dict(self.entries)
-        for idx, entry in other.entries.items():
-            merged[idx] = merged[idx] + entry if idx in merged else entry
-        return MultiTable(self.in_modules, self.out_module, merged)
-
-    def __neg__(self) -> "MultiTable":
-        return self.map_entries(lambda e: -e)
+        return table_sum([(1, self), (1, other)])
 
     def __sub__(self, other: "MultiTable") -> "MultiTable":
-        return self + (-other)
+        return table_sum([(1, self), (-1, other)])
+
+    def __neg__(self) -> "MultiTable":
+        return self.scale(-1)
 
     def scale(self, factor: PolyLike) -> "MultiTable":
-        f = as_poly(factor)
-        return self.map_entries(lambda e: e * f)
+        return table_sum([(factor, self)])
+
+
+def _table(in_modules: tuple, out_module: FreeModule, entries: dict) -> MultiTable:
+    """Wrap entries that are already canonical: index tuples of ints to nonzero elements."""
+    table = object.__new__(MultiTable)
+    table.in_modules, table.out_module = in_modules, out_module
+    table.entries, table._plans = MappingProxyType(entries), {}
+    return table
+
+
+class Circ(NamedTuple):
+    """The partial composition ``f ∘_i g``: ``g`` fills argument slot ``i`` (from 1) of ``f``."""
+
+    f: MultiTable
+    i: int
+    g: MultiTable
+
+
+class Swap(NamedTuple):
+    """``f`` with its argument slots ``p < q`` exchanged, together with their weights."""
+
+    f: MultiTable
+    p: int
+    q: int
+
+
+def _weights(first: int, last: int) -> Poly:
+    return sum((Poly.var(lam(k)) for k in range(first, last + 1)), Poly.zero())
+
+
+def _bind(c: Poly, binding: list) -> Poly:
+    return c.substitute_many(binding) if binding and not c.is_constant() else c
+
+
+def _term_shape(term: Union[MultiTable, Circ, Swap]) -> tuple:
+    if isinstance(term, MultiTable):
+        return term.in_modules, term.out_module
+    f, ins = term.f, list(term.f.in_modules)
+    if isinstance(term, Swap):
+        p, q = term.p, term.q
+        if not 1 <= p < q <= f.arity:
+            raise ArityMismatch(f"cannot swap slots {p} and {q} of an arity-{f.arity} table")
+        ins[p - 1], ins[q - 1] = ins[q - 1], ins[p - 1]
+        return tuple(ins), f.out_module
+    i, g = term.i, term.g
+    if not 1 <= i <= f.arity:
+        raise ArityMismatch(f"no slot {i} in an arity-{f.arity} table")
+    if g.out_module != ins[i - 1]:
+        raise ModuleMismatch(f"slot {i} takes {ins[i - 1]}, the inner table yields {g.out_module}")
+    return tuple(ins[: i - 1]) + g.in_modules + tuple(ins[i:]), f.out_module
+
+
+def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -> MultiTable:
+    """The table of ``Σ coeff·term`` over ``(coeff, term)`` pairs of one shape.
+
+    A term is a table, a :class:`Swap` (swapping a slot with the last gives it
+    the weight ``−D − ΣL``) or a :class:`Circ`, equal on every basis tuple to
+    :func:`eval_multilinear` of ``f`` on ``g``'s value, the merged weights
+    summed into slot ``i``.  Only stored entries are visited: each entry of
+    ``g`` is rebound once (``L_k ↦ L_(k+i−1)``; ``D ↦ −(merged weight)`` in a
+    leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), each entry of
+    ``f`` once, grouped by its slot-``i`` index, and every product goes into
+    one accumulator that becomes the result.
+    """
+    shape, rows, zero = None, {}, Poly.zero()
+    for coeff, term in terms:
+        here = _term_shape(term)
+        if shape is None:
+            shape, rank = here, here[1].rank
+        elif here != shape:
+            raise ShapeMismatch("the terms of a table sum have different shapes")
+        coeff = as_poly(coeff)
+        if not coeff:
+            continue
+        if isinstance(term, Circ):
+            f, i, g = term
+            m, n = f.arity, g.arity
+            g_bind = [(lam(k), Poly.var(lam(k + i - 1))) for k in range(1, n)] if i > 1 else []
+            f_bind = []
+            if i < m:
+                g_bind.append(("D", -_weights(i, i + n - 1)))
+                if n > 1:
+                    f_bind = [(lam(i), _weights(i, i + n - 1))]
+                    f_bind += [(lam(k), Poly.var(lam(k + n - 1))) for k in range(i + 1, m)]
+            elif m > 1:
+                g_bind.append(("D", D + _weights(1, m - 1)))
+            groups: dict = {}
+            for idx, entry in f.entries.items():
+                values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
+                groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
+            pairs = (
+                (gidx, groups[k], _bind(c, g_bind) * coeff)
+                for gidx, entry in g.entries.items()
+                for k, c in entry._terms
+                if k in groups
+            )
+        else:
+            f, p, q = term if isinstance(term, Swap) else (term, 0, 0)
+            binding = []
+            if q and q < f.arity:
+                binding = [(lam(p), Poly.var(lam(q))), (lam(q), Poly.var(lam(p)))]
+            elif q:
+                binding = [(lam(p), -D - _weights(1, f.arity - 1))]
+            group = []
+            for idx, entry in f.entries.items():
+                if q:
+                    idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
+                group.append((idx, (), tuple((j, _bind(c, binding)) for j, c in entry._terms)))
+            pairs = [((), group, coeff)]
+        for mid, group, c in pairs:
+            unit = c == 1
+            for head, tail, values in group:
+                row = rows.get(head + mid + tail)
+                if row is None:
+                    row = rows[head + mid + tail] = [zero] * rank
+                for j, v in values:
+                    row[j] = row[j] + (v if unit else c * v)
+    if shape is None:
+        raise ArityMismatch("a table sum needs at least one term")
+    ins, out = shape
+    return _table(ins, out, {idx: _elem(out, tuple(row)) for idx, row in rows.items() if any(row)})
+
+
+def circ(f: MultiTable, i: int, g: MultiTable) -> MultiTable:
+    """The table of the partial composition ``f ∘_i g``."""
+    return table_sum([(1, Circ(f, i, g))])
+
+
+def table_items(table: MultiTable, tag: Tuple[str, ...] = ()) -> Iterator[tuple]:
+    """``(tag + names, entry)`` on every basis tuple, zero where absent, in :func:`basis_tuples` order."""
+    get, zero = table.entries.get, table.out_module.zero()
+    bases = [m.basis for m in table.in_modules]
+    for idx in itertools.product(*(range(len(b)) for b in bases)):
+        yield tag + tuple(b[i] for b, i in zip(bases, idx)), get(idx, zero)
 
 
 def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:
@@ -626,47 +751,34 @@ class LieRep:
 
 
 def check_associative(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
-    """Expand ``(e_i L1 e_j) L1+L2 e_k − e_i L1 (e_j L2 e_k)`` on all triples."""
+    """Scan ``m∘₁m − m∘₂m``: ``(e_i L1 e_j) L1+L2 e_k − e_i L1 (e_j L2 e_k)`` on all triples."""
     if alg.flavor != "associative":
         raise PreconditionFailed("check_associative needs an associative-flavored algebra")
-
-    def items():
-        for names, (ei, ej, ek) in basis_tuples((alg.module,) * 3):
-            lhs = alg.mul(alg.mul(ei, ej, L1), ek, L1 + L2)
-            rhs = alg.mul(ei, alg.mul(ej, ek, L2), L1)
-            yield names, lhs - rhs
-
-    return residual_scan("associativity", items(), cap)
+    m = alg.table
+    residual = table_sum([(1, Circ(m, 1, m)), (-1, Circ(m, 2, m))])
+    return residual_scan("associativity", table_items(residual), cap)
 
 
 def _skew_items(alg: ConfAlgebra):
-    for names, (ei, ej) in basis_tuples((alg.module,) * 2):
-        res = alg.mul(ei, ej, L1) + alg.mul(ej, ei, -L1 - D)
-        yield ("skew",) + names, res
+    m = alg.table
+    return table_items(table_sum([(1, m), (1, Swap(m, 1, 2))]), ("skew",))
 
 
 def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Check skew-symmetry and the Jacobi identity of a λ-bracket.
 
     Skew-symmetry compares ``[e_i L1 e_j]`` with ``−[e_j −L1−D e_i]``; the
-    Jacobi residual is ``[e_i L1 [e_j L2 e_k]] − [[e_i L1 e_j] L1+L2 e_k] −
-    [e_j L2 [e_i L1 e_k]]``.  Witness tuples are tagged ``skew`` or
-    ``jacobi``.
+    Jacobi residual ``[e_i L1 [e_j L2 e_k]] − [[e_i L1 e_j] L1+L2 e_k] − [e_j
+    L2 [e_i L1 e_k]]`` is ``m∘₂m − m∘₁m`` minus ``m∘₂m`` with its first two
+    slots swapped.  Witness tuples are tagged ``skew`` or ``jacobi``.
     """
     if alg.flavor != "lie":
         raise PreconditionFailed("check_lie needs a lie-flavored algebra")
-
-    def items():
-        yield from _skew_items(alg)
-        for names, (ei, ej, ek) in basis_tuples((alg.module,) * 3):
-            res = (
-                alg.mul(ei, alg.mul(ej, ek, L2), L1)
-                - alg.mul(alg.mul(ei, ej, L1), ek, L1 + L2)
-                - alg.mul(ej, alg.mul(ei, ek, L1), L2)
-            )
-            yield ("jacobi",) + names, res
-
-    return residual_scan("lie", items(), cap)
+    m = alg.table
+    inner = circ(m, 2, m)
+    jacobi = table_sum([(1, inner), (-1, Circ(m, 1, m)), (-1, Swap(inner, 1, 2))])
+    items = itertools.chain(_skew_items(alg), table_items(jacobi, ("jacobi",)))
+    return residual_scan("lie", items, cap)
 
 
 def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
@@ -674,47 +786,32 @@ def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) 
 
     Families: ``left-module`` ``(a L1 b) L1+L2 m = a L1 (b L2 m)``,
     ``right-module`` ``(m L1 a) L1+L2 b = m L1 (a L2 b)``, and
-    ``compatibility`` ``(a L1 m) L1+L2 b = a L1 (m L2 b)``.
+    ``compatibility`` ``(a L1 m) L1+L2 b = a L1 (m L2 b)``: with the actions
+    ``l``, ``r``, the residuals ``l∘₁m − l∘₂l``, ``r∘₁r − r∘₂m``, ``r∘₁l − l∘₂r``.
     """
     if alg.flavor != "associative":
         raise PreconditionFailed("check_bimodule needs an associative-flavored algebra")
     if bim.algebra != alg:
         raise ModuleMismatch("bimodule was built over a different algebra")
-    A, M = alg.module, bim.module
-
-    def items():
-        for names, (a, b, m) in basis_tuples((A, A, M)):
-            res = bim.act_left(alg.mul(a, b, L1), m, L1 + L2) - bim.act_left(
-                a, bim.act_left(b, m, L2), L1
-            )
-            yield ("left-module",) + names, res
-        for names, (m, a, b) in basis_tuples((M, A, A)):
-            res = bim.act_right(bim.act_right(m, a, L1), b, L1 + L2) - bim.act_right(
-                m, alg.mul(a, b, L2), L1
-            )
-            yield ("right-module",) + names, res
-        for names, (a, m, b) in basis_tuples((A, M, A)):
-            res = bim.act_right(bim.act_left(a, m, L1), b, L1 + L2) - bim.act_left(
-                a, bim.act_right(m, b, L2), L1
-            )
-            yield ("compatibility",) + names, res
-
-    return residual_scan("bimodule", items(), cap)
+    m, left, right = alg.table, bim.left, bim.right
+    families = (
+        ("left-module", Circ(left, 1, m), Circ(left, 2, left)),
+        ("right-module", Circ(right, 1, right), Circ(right, 2, m)),
+        ("compatibility", Circ(right, 1, left), Circ(left, 2, right)),
+    )
+    items = (table_items(table_sum([(1, lhs), (-1, rhs)]), (tag,)) for tag, lhs, rhs in families)
+    return residual_scan("bimodule", itertools.chain.from_iterable(items), cap)
 
 
 def check_lie_rep(rep: LieRep, cap: int = WITNESS_CAP) -> Verdict:
-    """Check ``ρ(a)_L1 ρ(b)_L2 v − ρ(b)_L2 ρ(a)_L1 v = ρ([a L1 b])_L1+L2 v``."""
+    """Check ``ρ(a)_L1 ρ(b)_L2 v − ρ(b)_L2 ρ(a)_L1 v = ρ([a L1 b])_L1+L2 v``.
 
-    def items():
-        for names, (a, b, v) in basis_tuples((rep.lie.module, rep.lie.module, rep.module)):
-            res = (
-                rep.act(a, rep.act(b, v, L2), L1)
-                - rep.act(b, rep.act(a, v, L1), L2)
-                - rep.act(rep.lie.mul(a, b, L1), v, L1 + L2)
-            )
-            yield names, res
-
-    return residual_scan("lie-representation", items(), cap)
+    The residual is ``ρ∘₂ρ``, minus itself with slots 1 and 2 swapped, minus ``ρ∘₁[·,·]``.
+    """
+    act = rep.action
+    inner = circ(act, 2, act)
+    residual = table_sum([(1, inner), (-1, Swap(inner, 1, 2)), (-1, Circ(act, 1, rep.lie.table))])
+    return residual_scan("lie-representation", table_items(residual), cap)
 
 
 # -- constructors -----------------------------------------------------------
@@ -728,11 +825,7 @@ def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
     if not verdict.holds:
         raise NotAssociative(verdict.summary())
 
-    def bracket(args, weights):
-        (a, b), (w,) = args, weights
-        return alg.mul(a, b, w) - alg.mul(b, a, -w - D)
-
-    table = MultiTable.from_function((alg.module,) * 2, alg.module, bracket)
+    table = table_sum([(1, alg.table), (-1, Swap(alg.table, 1, 2))])
     return ConfAlgebra.lie(alg.module, table.entries)
 
 
@@ -741,15 +834,8 @@ def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
     verdict = check_bimodule(alg, bim, cap=1)
     if not verdict.holds:
         raise NotBimodule(verdict.summary())
-    lie = commutator_lie(alg)
-
-    def action(args, weights):
-        (a, m), (w,) = args, weights
-        return bim.act_left(a, m, w) - bim.act_right(m, a, -w - D)
-
-    return LieRep(
-        lie, bim.module, MultiTable.from_function((lie.module, bim.module), bim.module, action)
-    )
+    action = table_sum([(1, bim.left), (-1, Swap(bim.right, 1, 2))])
+    return LieRep(commutator_lie(alg), bim.module, action)
 
 
 def _sum_module(left: FreeModule, right: FreeModule, lp: str, rp: str) -> FreeModule:
@@ -861,14 +947,10 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
         return ModuleMap(MultiTable((big,), big, entries))
 
     psi, psi_inv = block(-1), block(+1)
-
-    def items():
-        for names, (x, y) in basis_tuples((big, big)):
-            lhs = psi.apply(ext.mul(x, y, L1))
-            rhs = ext_shifted.mul(psi.apply(x), psi.apply(y), L1)
-            yield names, lhs - rhs
-
-    return ExtensionIso(psi, psi_inv, residual_scan("extension-iso", items()))
+    # ψ(x ∘ᵠ y) − ψ(x) ∘ᵠ⁺ᵈʰ ψ(y) on all basis pairs
+    outer = circ(ext_shifted.table, 1, psi.table)
+    residual = table_sum([(1, Circ(psi.table, 1, ext.table)), (-1, Circ(outer, 2, psi.table))])
+    return ExtensionIso(psi, psi_inv, residual_scan("extension-iso", table_items(residual)))
 
 
 def matching_pair(

@@ -29,25 +29,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Tuple
 
 from .confcore import (
     D,
     WITNESS_CAP,
+    Circ,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
-    L1,
-    L2,
     ModElem,
     MultiTable,
+    Swap,
     Verdict,
-    basis_tuples,
     check_associative,
     check_lie,
+    circ,
     eval_multilinear,
     matching_pair,
     residual_scan,
+    table_items,
+    table_sum,
 )
 from .errors import ConfalgError, NotDendriform, ShapeMismatch
 from .operators import (
@@ -176,66 +178,45 @@ class StructureBundle:
         return total
 
 
-def _dendriform_items(succ: BinaryOpTable, prec: BinaryOpTable):
-    for names, (a, b, c) in basis_tuples((succ.module,) * 3):
-        both = succ.value(a, b, L1) + prec.value(a, b, L1)
-        res = succ.value(a, succ.value(b, c, L2), L1) - succ.value(both, c, L1 + L2)
-        yield ("cd1",) + names, res
-        both_bc = succ.value(b, c, L2) + prec.value(b, c, L2)
-        res = prec.value(prec.value(a, b, L1), c, L1 + L2) - prec.value(a, both_bc, L1)
-        yield ("cd2",) + names, res
-        res = prec.value(succ.value(a, b, L1), c, L1 + L2) - succ.value(
-            a, prec.value(b, c, L2), L1
-        )
-        yield ("cd3",) + names, res
-
-
-def _ns_items(succ: BinaryOpTable, prec: BinaryOpTable, vee: BinaryOpTable):
-    times = succ + prec + vee
-    for names, (x, y, z) in basis_tuples((succ.module,) * 3):
-        res = succ.value(x, succ.value(y, z, L2), L1) - succ.value(
-            times.value(x, y, L1), z, L1 + L2
-        )
-        yield ("ns1",) + names, res
-        res = prec.value(x, times.value(y, z, L2), L1) - prec.value(
-            prec.value(x, y, L1), z, L1 + L2
-        )
-        yield ("ns2",) + names, res
-        res = succ.value(x, prec.value(y, z, L2), L1) - prec.value(
-            succ.value(x, y, L1), z, L1 + L2
-        )
-        yield ("ns3",) + names, res
-        lhs = succ.value(x, vee.value(y, z, L2), L1) + vee.value(
-            x, times.value(y, z, L2), L1
-        )
-        rhs = vee.value(times.value(x, y, L1), z, L1 + L2) + prec.value(
-            vee.value(x, y, L1), z, L1 + L2
-        )
-        yield ("ns4",) + names, lhs - rhs
-
-
-def _leftsym_items(circ: BinaryOpTable):
-    def defect(x, y, wx, wy, c):
-        return circ.value(circ.value(x, y, wx), c, wx + wy) - circ.value(
-            x, circ.value(y, c, wy), wx
-        )
-
-    for names, (a, b, c) in basis_tuples((circ.module,) * 3):
-        yield names, defect(a, b, L1, L2, c) - defect(b, a, L2, L1, c)
+def _interleaved(families) -> Iterable:
+    """The entries of same-shape residual tables, tuple by tuple, each tagged by its family."""
+    columns = [table_items(table_sum(terms), (tag,)) for tag, terms in families]
+    return itertools.chain.from_iterable(zip(*columns))
 
 
 def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
-    """Residuals of the axioms of ``bundle.kind`` on all basis triples."""
-    if bundle.kind == "dendriform":
-        items = _dendriform_items(bundle.table("succ"), bundle.table("prec"))
-        return residual_scan("dendriform", items, cap=cap)
-    if bundle.kind == "ns":
-        items = _ns_items(bundle.table("succ"), bundle.table("prec"), bundle.table("vee"))
-        return residual_scan("ns", items, cap=cap)
+    """Residuals of the axioms of ``bundle.kind`` on all basis triples.
+
+    Each axiom is a table sum of compositions of the bundle's tables; a kind's
+    families are scanned in turn at each triple.
+    """
     if bundle.kind == "leftsym":
-        return residual_scan("left-symmetric", _leftsym_items(bundle.table("leftsym")), cap=cap)
-    verdict = check_associative(bundle.table("star").as_algebra(), cap=cap)
-    return replace(verdict, identity="associative")
+        c = bundle.table("leftsym").table
+        defect = table_sum([(1, Circ(c, 1, c)), (-1, Circ(c, 2, c))])
+        residual = table_sum([(1, defect), (-1, Swap(defect, 1, 2))])
+        return residual_scan("left-symmetric", table_items(residual), cap=cap)
+    if bundle.kind == "assoc":
+        verdict = check_associative(bundle.table("star").as_algebra(), cap=cap)
+        return replace(verdict, identity="associative")
+    s, p = bundle.table("succ").table, bundle.table("prec").table
+    if bundle.kind == "dendriform":
+        both = s + p
+        families = (
+            ("cd1", [(1, Circ(s, 2, s)), (-1, Circ(s, 1, both))]),
+            ("cd2", [(1, Circ(p, 1, p)), (-1, Circ(p, 2, both))]),
+            ("cd3", [(1, Circ(p, 1, s)), (-1, Circ(s, 2, p))]),
+        )
+        return residual_scan("dendriform", _interleaved(families), cap=cap)
+    v = bundle.table("vee").table
+    times = s + p + v
+    families = (
+        ("ns1", [(1, Circ(s, 2, s)), (-1, Circ(s, 1, times))]),
+        ("ns2", [(1, Circ(p, 2, times)), (-1, Circ(p, 1, p))]),
+        ("ns3", [(1, Circ(s, 2, p)), (-1, Circ(p, 1, s))]),
+        ("ns4", [(1, Circ(s, 2, v)), (1, Circ(v, 2, times))]
+         + [(-1, Circ(v, 1, times)), (-1, Circ(p, 1, v))]),
+    )
+    return residual_scan("ns", _interleaved(families), cap=cap)
 
 
 def _certify(bundle: StructureBundle, origin: str) -> StructureBundle:
@@ -283,8 +264,8 @@ def m_ass(
         return out
 
     if validate:
-        kind = "O" if phi is None else "TwistedRB"
-        require_operator(kind, T, alg, bim, twist=phi, origin="m_ass")
+        kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
+        require_operator(kind, T, alg, bim, origin="m_ass", **inputs)
     table = BinaryOpTable.from_function(bim.module, product)
     return ConfAlgebra(bim.module, table.table, "associative")
 
@@ -304,8 +285,8 @@ def induced_bimodule_on_A(
     ⋆-product of :func:`m_ass` they satisfy the bimodule axioms.
     """
     if validate:
-        kind = "O" if phi is None else "TwistedRB"
-        require_operator(kind, T, alg, bim, twist=phi, origin="induced_bimodule_on_A")
+        kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
+        require_operator(kind, T, alg, bim, origin="induced_bimodule_on_A", **inputs)
     star_alg = m_ass(T, alg, bim, phi, validate=False)
 
     def left(args, weights) -> ModElem:
@@ -453,73 +434,62 @@ def nijenhuis_hierarchy(
     * all powers are pairwise compatible Nijenhuis operators.
     """
     require_operator("Nijenhuis", N, alg)
-    module = alg.module
+    module, m = alg.module, alg.table
     powers = [ModuleMap.identity(module)]
     for _ in range(2 * kmax):
         powers.append(powers[-1].compose(N))
     circs = [
         BinaryOpTable.from_function(
             module, lambda a, b, w, P=powers[i]: _deformed_value(P, alg, a, b, w)
-        )
+        ).table
         for i in range(2 * kmax + 1)
     ]
+    P = [power.table for power in powers]
+    pairs = list(itertools.product(range(kmax + 1), repeat=2))
 
-    pairs = (module, module)
+    def family(identity: str, names: str, terms) -> Verdict:
+        # one residual table per pair of exponents, made when the scan reaches it
+        items = itertools.chain.from_iterable(
+            table_items(table_sum(terms(x, y)), (names % (x, y),)) for x, y in pairs
+        )
+        return residual_scan("hierarchy-" + identity, items, cap=cap)
 
-    def power_pair_items():
-        for j, k in itertools.product(range(kmax + 1), repeat=2):
-            for names, (a, b) in basis_tuples(pairs):
-                nja, nkb = powers[j].apply(a), powers[k].apply(b)
-                res = alg.mul(nja, nkb, L1)
-                res = res - powers[k].apply(alg.mul(nja, b, L1))
-                res = res - powers[j].apply(alg.mul(a, nkb, L1))
-                res = res + powers[j + k].apply(alg.mul(a, b, L1))
-                yield ("j=%d,k=%d" % (j, k),) + names, res
-
-    def intertwine_items():
-        for r, k in itertools.product(range(kmax + 1), repeat=2):
-            for names, (a, b) in basis_tuples(pairs):
-                lhs = powers[r].apply(circs[k + r].value(a, b, L1))
-                rhs = circs[k].value(powers[r].apply(a), powers[r].apply(b), L1)
-                yield ("r=%d,k=%d" % (r, k),) + names, lhs - rhs
-
-    def relative_items():
-        for i, k in itertools.product(range(kmax + 1), repeat=2):
-            for names, (a, b) in basis_tuples(pairs):
-                lhs = circs[i].value(powers[k].apply(a), b, L1)
-                lhs = lhs + circs[i].value(a, powers[k].apply(b), L1)
-                lhs = lhs - powers[k].apply(circs[i].value(a, b, L1))
-                yield ("i=%d,k=%d" % (i, k),) + names, lhs - circs[i + k].value(a, b, L1)
+    def both(x: int, y: int) -> MultiTable:  # N^x(a) N^y(b)
+        return circ(circ(m, 1, P[x]), 2, P[y])
 
     def powers_nijenhuis_items():
-        for i, k in itertools.product(range(kmax + 1), repeat=2):
-            circ_alg = ConfAlgebra(module, circs[i].table, "associative")
+        for i, k in pairs:
+            circ_alg = ConfAlgebra(module, circs[i], "associative")
             inner = verify_operator("Nijenhuis", powers[k], circ_alg, cap=cap)
             for witness in inner.witnesses:
                 yield ("i=%d,k=%d" % (i, k),) + witness[0], witness[1]
 
-    def compatible_items():
-        for j, k in itertools.product(range(kmax + 1), repeat=2):
-            nj, nk = powers[j], powers[k]
-            for names, (a, b) in basis_tuples(pairs):
-                lhs = alg.mul(nj.apply(a), nk.apply(b), L1) + alg.mul(
-                    nk.apply(a), nj.apply(b), L1
-                )
-                rhs = nj.apply(circs[k].value(a, b, L1)) + nk.apply(
-                    circs[j].value(a, b, L1)
-                )
-                yield ("j=%d,k=%d" % (j, k),) + names, lhs - rhs
-
     return HierarchyVerdict(
-        power_pair=residual_scan("hierarchy-power-pair", power_pair_items(), cap=cap),
-        intertwine=residual_scan("hierarchy-intertwine", intertwine_items(), cap=cap),
-        relative=residual_scan("hierarchy-relative", relative_items(), cap=cap),
+        power_pair=family("power-pair", "j=%d,k=%d", lambda j, k: [
+            (1, both(j, k)),
+            (-1, Circ(P[k], 1, circ(m, 1, P[j]))),
+            (-1, Circ(P[j], 1, circ(m, 2, P[k]))),
+            (1, Circ(P[j + k], 1, m)),
+        ]),
+        intertwine=family("intertwine", "r=%d,k=%d", lambda r, k: [
+            (1, Circ(P[r], 1, circs[k + r])),
+            (-1, Circ(circ(circs[k], 1, P[r]), 2, P[r])),
+        ]),
+        relative=family("relative", "i=%d,k=%d", lambda i, k: [
+            (1, Circ(circs[i], 1, P[k])),
+            (1, Circ(circs[i], 2, P[k])),
+            (-1, Circ(P[k], 1, circs[i])),
+            (-1, circs[i + k]),
+        ]),
         powers_nijenhuis=residual_scan(
             "hierarchy-powers-nijenhuis", powers_nijenhuis_items(), cap=cap
         ),
-        pairwise_compatible=residual_scan(
-            "hierarchy-pairwise-compatible", compatible_items(), cap=cap
-        ),
+        pairwise_compatible=family("pairwise-compatible", "j=%d,k=%d", lambda j, k: [
+            (1, both(j, k)),
+            (1, both(k, j)),
+            (-1, Circ(P[j], 1, circs[k])),
+            (-1, Circ(P[k], 1, circs[j])),
+        ]),
     )
 
 
@@ -621,37 +591,25 @@ def deformation_check(
 
     if validate:
         require_operator("Nijenhuis", N, alg)
-    module = alg.module
-    omega = BinaryOpTable.from_function(module, lambda a, b, w: _deformed_value(N, alg, a, b, w))
-
-    d_omega = hochschild_d(Cochain(omega.table), alg, ConfBimodule.adjoint(alg))
-
-    def cocycle_items():
-        for names, _ in basis_tuples((module,) * 3):
-            yield names, d_omega.entry(names)
-
-    generator = check_structure(StructureBundle("assoc", {"star": omega}), cap=cap)
-
+    m, n = alg.table, N.table
+    omega = BinaryOpTable.from_function(
+        alg.module, lambda a, b, w: _deformed_value(N, alg, a, b, w)
+    ).table
+    d_omega = hochschild_d(Cochain(omega), alg, ConfBimodule.adjoint(alg)).table
+    generator = check_structure(StructureBundle("assoc", {"star": BinaryOpTable(omega)}), cap=cap)
+    # T_t = id + t·N is a table, not a module map: its entries carry the parameter t
     t = Poly.var("t")
-
-    def t_map(x: ModElem) -> ModElem:
-        return x + t * N.apply(x)
-
-    def homomorphism_items():
-        for names, (a, b) in basis_tuples((module, module)):
-            deformed = alg.mul(a, b, L1) + t * omega.value(a, b, L1)
-            lhs = t_map(deformed)
-            rhs = alg.mul(t_map(a), t_map(b), L1)
-            yield names, lhs - rhs
-
-    def obstruction_items():
-        for names, (a, b) in basis_tuples((module, module)):
-            res = N.apply(omega.value(a, b, L1)) - alg.mul(N.apply(a), N.apply(b), L1)
-            yield names, res
-
+    t_map = table_sum([(1, ModuleMap.identity(alg.module).table), (t, n)])
+    deformed = table_sum([(1, m), (t, omega)])
+    homomorphism = [(1, Circ(t_map, 1, deformed)), (-1, Circ(circ(m, 1, t_map), 2, t_map))]
+    obstruction = [(1, Circ(n, 1, omega)), (-1, Circ(circ(m, 1, n), 2, n))]
     return DeformationVerdict(
-        cocycle=residual_scan("deformation-cocycle", cocycle_items(), cap=cap),
+        cocycle=residual_scan("deformation-cocycle", table_items(d_omega), cap=cap),
         generator_associative=generator,
-        homomorphism=residual_scan("deformation-homomorphism", homomorphism_items(), cap=cap),
-        obstruction=residual_scan("deformation-obstruction", obstruction_items(), cap=cap),
+        homomorphism=residual_scan(
+            "deformation-homomorphism", table_items(table_sum(homomorphism)), cap=cap
+        ),
+        obstruction=residual_scan(
+            "deformation-obstruction", table_items(table_sum(obstruction)), cap=cap
+        ),
     )

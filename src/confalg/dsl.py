@@ -36,6 +36,7 @@ from .confcore import (
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
+    LieRep,
     ModElem,
     Verdict,
     check_associative,
@@ -923,6 +924,7 @@ def _reject_unread(stmt: Union[CheckStmt, ConstructStmt], reads: Tuple[str, ...]
 
 
 def _operator_context(env: Environment, stmt: CheckStmt):
+    """The map, the algebra and the inputs (only those the kind reads) of an operator check."""
     spec = OPERATORS[stmt.kind]
     if stmt.on is None:
         raise PreconditionFailed(
@@ -930,22 +932,27 @@ def _operator_context(env: Environment, stmt: CheckStmt):
         )
     T = env.maps[stmt.name]
     alg = env.algebras[stmt.on]
+    inputs: dict = {}
+    if stmt.twist is not None:
+        inputs["twist"] = env.cocycles[stmt.twist][0]
+    if stmt.weight is not None:
+        weight = stmt.weight
+        inputs["weight"] = Poly.var(weight) if isinstance(weight, str) else weight
     bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
-    twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
-    weight = stmt.weight if stmt.weight is not None else 0
-    if isinstance(weight, str):
-        weight = Poly.var(weight)
-    rep = None
+    if "rep" not in spec.reads:
+        inputs["bim"] = bim
+    elif bim is None:
+        raise PreconditionFailed(
+            f"check {stmt.kind} needs a 'with <bimodule>' clause (line {stmt.line})"
+        )
+    elif alg.flavor == "associative":  # the commutator representation of the bimodule
+        inputs["rep"] = rep_from_bimodule(alg, bim)
+    else:  # a bimodule over a Lie algebra acts by its left action: the bracket, if adjoint
+        inputs["rep"] = LieRep(bim.algebra, bim.module, bim.left)
     if spec.flavor == "lie" and alg.flavor == "associative":
         # a Lie identity on an associative algebra is checked on its commutator bracket
-        if "rep" in spec.reads:
-            if bim is None:
-                raise PreconditionFailed(
-                    f"check {stmt.kind} needs a 'with <bimodule>' clause (line {stmt.line})"
-                )
-            rep = rep_from_bimodule(alg, bim)
         alg = commutator_lie(alg)
-    return T, alg, bim, twist, weight, rep
+    return T, alg, inputs
 
 
 #: the clauses each structure check reads
@@ -973,10 +980,8 @@ def _run_check(env: Environment, stmt: CheckStmt, cap: int) -> Record:
     started = time.perf_counter()
     _reject_unread(stmt, _check_clauses(stmt.kind))
     if stmt.kind in OPERATOR_KINDS:
-        T, alg, bim, twist, weight, rep = _operator_context(env, stmt)
-        verdict = verify_operator(
-            stmt.kind, T, alg, bim, weight=weight, twist=twist, rep=rep, cap=cap
-        )
+        T, alg, inputs = _operator_context(env, stmt)
+        verdict = verify_operator(stmt.kind, T, alg, cap=cap, **inputs)
     elif stmt.kind == "associative":
         verdict = check_associative(env.algebras[stmt.name], cap=cap)
     elif stmt.kind == "lie":

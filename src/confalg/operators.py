@@ -47,23 +47,25 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from .confcore import (
-    D,
-    L1,
     WITNESS_CAP,
     ConfAlgebra,
     ConfBimodule,
     EntryLike,
     FreeModule,
     LieRep,
+    Circ,
     ModElem,
     MultiTable,
+    Swap,
     Verdict,
     _embed,
     _sum_module,
-    basis_tuples,
+    circ,
     eval_multilinear,
     residual_scan,
     semidirect,
+    table_items,
+    table_sum,
     twisted_extension,
 )
 from .errors import (
@@ -156,8 +158,7 @@ class ModuleMap:
         """The composite ``self ∘ inner`` (apply ``inner`` first)."""
         if inner.target != self.source:
             raise ModuleMismatch("composition shapes do not match")
-        images = {j: self.apply(image) for (j,), image in inner.table.entries.items()}
-        return ModuleMap.from_images(inner.source, self.target, images)
+        return ModuleMap(circ(self.table, 1, inner.table))
 
     def power(self, n: int) -> "ModuleMap":
         if self.source != self.target:
@@ -255,14 +256,15 @@ class OperatorKind:
     and ``rep``.  ``flavor`` is the algebra flavor it needs, if any.
     ``shape(kind, T, inputs)`` raises when the map and the inputs do not fit
     together and returns the inputs the residual reads; ``residual(T,
-    inputs, x, y)`` is the identity's residual at a basis pair of the map's
-    source.  ``error`` is the exception :func:`require_operator` raises.
+    inputs)`` is the table of the identity's residual on the basis pairs of
+    the map's source, a :func:`~confalg.confcore.table_sum` of compositions.
+    ``error`` is the exception :func:`require_operator` raises.
     """
 
     reads: Tuple[str, ...]
     flavor: Optional[str]
     shape: Callable[[str, ModuleMap, _Inputs], _Inputs]
-    residual: Callable[[ModuleMap, _Inputs, ModElem, ModElem], ModElem]
+    residual: Callable[[ModuleMap, _Inputs], MultiTable]
     error: Type[ConfalgError]
 
 
@@ -315,56 +317,49 @@ def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     return ins
 
 
-def _o_residual(T: ModuleMap, ins: _Inputs, m: ModElem, n: ModElem) -> ModElem:
-    tm, tn = T.apply(m), T.apply(n)
-    inner = ins.bim.act_left(tm, n, L1) + ins.bim.act_right(m, tn, L1)
-    return ins.alg.mul(tm, tn, L1) - T.apply(inner)
+def _quadratic(mul: MultiTable, t: MultiTable, *inner: tuple) -> MultiTable:
+    """``mul∘(T⊗T) − T∘(Σ inner)`` for the map's table ``t``; ``inner`` holds table-sum terms."""
+    return table_sum([(1, Circ(circ(mul, 1, t), 2, t)), (-1, Circ(t, 1, table_sum(inner)))])
 
 
-def _rota_baxter_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
-    alg = ins.alg
-    ta, tb = T.apply(a), T.apply(b)
-    inner = alg.mul(ta, b, L1) + alg.mul(a, tb, L1) + alg.mul(a, b, L1) * ins.weight
-    return alg.mul(ta, tb, L1) - T.apply(inner)
+def _o_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    t, bim = T.table, ins.bim
+    return _quadratic(ins.alg.table, t, (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)))
 
 
-def _twisted_residual(T: ModuleMap, ins: _Inputs, m: ModElem, n: ModElem) -> ModElem:
-    tm, tn = T.apply(m), T.apply(n)
-    inner = (
-        ins.bim.act_left(tm, n, L1)
-        + ins.bim.act_right(m, tn, L1)
-        + ins.twist.eval((tm, tn), (L1,))
-    )
-    return ins.alg.mul(tm, tn, L1) - T.apply(inner)
+def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    m, t = ins.alg.table, T.table
+    return _quadratic(m, t, (1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (ins.weight, m))
 
 
-def _nijenhuis_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
-    alg = ins.alg
-    na, nb = T.apply(a), T.apply(b)
-    inner = alg.mul(na, b, L1) + alg.mul(a, nb, L1) - T.apply(alg.mul(a, b, L1))
-    return alg.mul(na, nb, L1) - T.apply(inner)
+def _twisted_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    t, bim, twisted = T.table, ins.bim, circ(circ(ins.twist.table, 1, T.table), 2, T.table)
+    inner = (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)), (1, twisted)
+    return _quadratic(ins.alg.table, t, *inner)
 
 
-def _reynolds_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
-    alg = ins.alg
-    ra, rb = T.apply(a), T.apply(b)
-    cross = alg.mul(ra, rb, L1)
-    inner = alg.mul(ra, b, L1) + alg.mul(a, rb, L1) - cross
-    return cross - T.apply(inner)
+def _nijenhuis_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    m, t = ins.alg.table, T.table
+    return _quadratic(m, t, (1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (-1, Circ(t, 1, m)))
 
 
-def _derivation_residual(T: ModuleMap, ins: _Inputs, a: ModElem, b: ModElem) -> ModElem:
-    return (
-        T.apply(ins.alg.mul(a, b, L1))
-        - ins.bim.act_right(T.apply(a), b, L1)
-        - ins.bim.act_left(a, T.apply(b), L1)
-    )
+def _reynolds_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    m, t = ins.alg.table, T.table
+    cross = circ(circ(m, 1, t), 2, t)
+    inner = table_sum([(1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (-1, cross)])
+    return table_sum([(1, cross), (-1, Circ(t, 1, inner))])
 
 
-def _olie_residual(T: ModuleMap, ins: _Inputs, u: ModElem, v: ModElem) -> ModElem:
-    tu, tv = T.apply(u), T.apply(v)
-    inner = ins.rep.act(tu, v, L1) - ins.rep.act(tv, u, -L1 - D)
-    return ins.alg.mul(tu, tv, L1) - T.apply(inner)
+def _derivation_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    t, bim = T.table, ins.bim
+    terms = (1, Circ(t, 1, ins.alg.table)), (-1, Circ(bim.right, 1, t)), (-1, Circ(bim.left, 2, t))
+    return table_sum(terms)
+
+
+def _olie_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    # ρ(T(u))_L1 v − ρ(T(v))_{−L1−D} u is ρ∘₁T minus itself with its slots swapped
+    acted = circ(ins.rep.action, 1, T.table)
+    return _quadratic(ins.alg.table, T.table, (1, acted), (-1, Swap(acted, 1, 2)))
 
 
 #: Every operator identity, keyed by kind.
@@ -396,30 +391,32 @@ def verify_operator(
     alg: ConfAlgebra,
     bim: Optional[ConfBimodule] = None,
     *,
-    weight: PolyLike = 0,
+    weight: Optional[PolyLike] = None,
     twist=None,
     rep: Optional[LieRep] = None,
     cap: int = WITNESS_CAP,
 ) -> Verdict:
     """Check one operator identity on every basis pair of the map's source.
 
-    ``weight`` carries the Rota-Baxter weight q (a scalar or auxiliary
-    parameter), ``twist`` the 2-cocycle of the twisted identity, and ``rep``
-    the Lie representation of the ``OLie`` identity; an input the kind does
-    not read is ignored.  The verdict's identity name is the ``kind``
-    string.
+    ``bim`` is the bimodule (``with``), ``weight`` the Rota-Baxter weight q
+    (a scalar or auxiliary parameter, 0 when not given), ``twist`` the
+    2-cocycle of the twisted identity, and ``rep`` the Lie representation of
+    the ``OLie`` identity.  Giving an input that the kind does not read
+    raises :class:`PreconditionFailed`.  The residual table is computed
+    whole and scanned in basis order; the verdict's identity name is the
+    ``kind`` string.
     """
     spec = REGISTRY.get(kind)
     if spec is None:
         raise PreconditionFailed(f"unknown operator kind {kind!r}; expected one of {KINDS}")
+    given = {"with": bim, "twist": twist, "weight": weight, "rep": rep}
+    unread = [name for name, value in given.items() if value is not None and name not in spec.reads]
+    if unread:
+        raise PreconditionFailed(f"{kind} reads no {' or '.join(unread)} input")
     if spec.flavor is not None and alg.flavor != spec.flavor:
         raise ShapeMismatch(f"{kind} needs an algebra of the {spec.flavor} flavor")
-    ins = spec.shape(kind, T, _Inputs(alg, bim, as_poly(weight), twist, rep))
-    items = (
-        (names, spec.residual(T, ins, x, y))
-        for names, (x, y) in basis_tuples((T.source, T.source))
-    )
-    return residual_scan(kind, items, cap)
+    ins = spec.shape(kind, T, _Inputs(alg, bim, as_poly(weight or 0), twist, rep))
+    return residual_scan(kind, table_items(spec.residual(T, ins)), cap)
 
 
 def require_operator(
@@ -510,25 +507,16 @@ def graph_check(
     component minus T of its module component.
     """
     _require_mod_to_alg("graph_check", T, _Inputs(alg, bim))
-    ext = (
-        semidirect(alg, bim)
-        if phi is None
-        else twisted_extension(alg, bim, phi)
-    )
-    ra = alg.rank
-
-    def point(u: ModElem) -> ModElem:
-        tu = T.apply(u)
-        return ext.module.elem(tuple(tu.coeffs) + tuple(u.coeffs))
-
-    def items():
-        for names, (u, v) in basis_tuples((bim.module, bim.module)):
-            z = ext.mul(point(u), point(v), L1)
-            a_part = alg.module.elem(z.coeffs[:ra])
-            m_part = bim.module.elem(z.coeffs[ra:])
-            yield names, a_part - T.apply(m_part)
-
-    return residual_scan("graph-closure", items(), cap)
+    ext = semidirect(alg, bim) if phi is None else twisted_extension(alg, bim, phi)
+    ra, big, t = alg.rank, ext.module, T.table
+    # u ↦ (T(u), u), and (a, m) ↦ a − T(m): the residual is the second after the product
+    point = {(u,): _embed(t.entry((u,)), big, 0) + big.basis_elem(ra + u)
+             for u in range(bim.module.rank)}
+    project = {(i,): alg.module.basis_elem(i) for i in range(ra)}
+    project.update({(ra + u,): -image for (u,), image in t.entries.items()})
+    point, project = MultiTable((bim.module,), big, point), MultiTable((big,), alg.module, project)
+    graph = circ(circ(ext.table, 1, point), 2, point)
+    return residual_scan("graph-closure", table_items(circ(project, 1, graph)), cap)
 
 
 def reynolds_from_derivation(
@@ -608,16 +596,14 @@ def derivation_composites(
     require_operator("O", T, alg, bim, origin=origin, error=PreconditionFailed)
     require_operator("Derivation", omega, alg, bim, origin=origin, error=PreconditionFailed)
 
-    def compat_items():
-        for names, (a, b) in basis_tuples((alg.module, alg.module)):
-            oa, ob = omega.apply(a), omega.apply(b)
-            res = star_value(T, bim, oa, ob, L1) - omega.apply(
-                induced_left_value(T, alg, bim, oa, b, L1)
-                + induced_right_value(T, alg, bim, a, ob, L1)
-            )
-            yield names, res
-
-    compat = residual_scan("derivation-star-compatibility", compat_items(), cap=1)
+    t, o, m, left, right = T.table, omega.table, alg.table, bim.left, bim.right
+    # m ⋆ n = T(m)·n + m·T(n) and the induced actions m·a = T(m)a − T(m a), a·m = a T(m) − T(a m)
+    star = table_sum([(1, Circ(left, 1, t)), (1, Circ(right, 2, t))])
+    m_a = table_sum([(1, Circ(m, 1, t)), (-1, Circ(t, 1, right))])
+    a_m = table_sum([(1, Circ(m, 2, t)), (-1, Circ(t, 1, left))])
+    inner = table_sum([(1, Circ(m_a, 1, o)), (1, Circ(a_m, 2, o))])
+    compat_table = table_sum([(1, Circ(circ(star, 1, o), 2, o)), (-1, Circ(o, 1, inner))])
+    compat = residual_scan("derivation-star-compatibility", table_items(compat_table), cap=1)
     if not compat.holds:
         raise PreconditionFailed(
             "derivation_composites: Ω(a)⋆Ω(b) = Ω(Ω(a)·b + a·Ω(b)) fails; "

@@ -60,8 +60,9 @@ def test_tracer_wraps_every_layer_counts_tabulation_and_restores(tracing, capsys
 
 
 def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys):
-    # Every product of the corpus goes through eval_multilinear; a change that
-    # routed some around it would make the traced benchmark undercount.
+    # The checkers compute whole residual tables; eval_multilinear serves the
+    # constructions' tabulations and the remaining element-level calls.  A change
+    # that moved work between the two would show here first.
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -71,9 +72,10 @@ def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.stats["confcore.eval"]["calls"] == 2112
-    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 1461
+    assert tracer.stats["confcore.eval"]["calls"] == 172
+    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 139
     # the module-map and scan counts pin where results are shared: inside
-    # ModuleMap.apply and eval_multilinear, not around their call sites
-    assert tracer.stats["operators.apply"]["calls"] == 304
+    # ModuleMap.apply and eval_multilinear, not around their call sites; the
+    # scan reads every basis tuple of each residual table, as a per-tuple scan did
+    assert tracer.stats["operators.apply"]["calls"] == 88
     assert tracer.stats["confcore.scan"]["tuples"] == 360

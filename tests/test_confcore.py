@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from confalg.confcore import (
     PLAN_CACHE_CAP,
+    Circ,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
     MultiTable,
+    Swap,
     check_associative,
     check_bimodule,
     check_lie,
@@ -32,6 +34,7 @@ from confalg.confcore import (
     matching_pair,
     rep_from_bimodule,
     semidirect,
+    table_sum,
     twisted_extension,
     extension_iso,
 )
@@ -271,6 +274,105 @@ def test_adding_tables_of_different_shapes_is_a_shape_error() -> None:
         DUAL.table + NILP.table
     with pytest.raises(ShapeMismatch):
         DUAL.table - MultiTable((AM,), AM, {})
+
+
+# -- table expressions ---------------------------------------------------------
+
+MODULES = (FreeModule(("p",)), FreeModule(("q1", "q2")), FreeModule(("r1", "r2", "r3")))
+
+
+def _random_table(rng: random.Random, in_modules, out_module) -> MultiTable:
+    names = ["D"] + [f"L{k}" for k in range(1, len(in_modules))]
+    entries = {}
+    for idx in itertools.product(*(range(m.rank) for m in in_modules)):
+        if rng.random() < 0.6:
+            coeffs = []
+            for _ in range(out_module.rank):
+                c = Poly.zero()
+                for _ in range(rng.randint(0, 2)):
+                    term = Poly.const(rng.choice((-2, -1, 1, 3)))
+                    for name in names:
+                        term = term * Poly.var(name, rng.randint(0, 1))
+                    c = c + term
+                coeffs.append(c)
+            entries[idx] = out_module.elem(coeffs)
+    return MultiTable(in_modules, out_module, entries)
+
+
+def _nested(f: MultiTable, i: int, g: MultiTable) -> MultiTable:
+    """``f ∘_i g`` tabulated by evaluating ``g`` and then ``f`` on every basis tuple."""
+    m, n = f.arity, g.arity
+
+    def value(args, weights):
+        args, weights = list(args), list(weights)
+        inner = eval_multilinear(g, args[i - 1 : i + n - 1], weights[i - 1 : i + n - 2])
+        if i < m:
+            merged = sum(weights[i - 1 : i + n - 1], Poly.zero())
+            f_weights = weights[: i - 1] + [merged] + weights[i + n - 1 :]
+        else:
+            f_weights = weights[: m - 1]
+        return eval_multilinear(f, args[: i - 1] + [inner] + args[i + n - 1 :], f_weights)
+
+    ins = f.in_modules[: i - 1] + g.in_modules + f.in_modules[i:]
+    return MultiTable.from_function(ins, f.out_module, value)
+
+
+def _swapped(f: MultiTable, p: int, q: int) -> MultiTable:
+    """``f`` with slots ``p < q`` exchanged, tabulated by evaluating at exchanged weights."""
+
+    def value(args, weights):
+        args, weights = list(args), list(weights)
+        args[p - 1], args[q - 1] = args[q - 1], args[p - 1]
+        if q < f.arity:
+            weights[p - 1], weights[q - 1] = weights[q - 1], weights[p - 1]
+        else:  # the last slot's argument has the weight −D − ΣL
+            weights[p - 1] = -D - sum(weights, Poly.zero())
+        return eval_multilinear(f, args, weights)
+
+    ins = list(f.in_modules)
+    ins[p - 1], ins[q - 1] = ins[q - 1], ins[p - 1]
+    return MultiTable.from_function(ins, f.out_module, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_partial_composition_matches_nested_evaluation(m: int, n: int, data) -> None:
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f_ins = tuple(data.draw(st.sampled_from(MODULES)) for _ in range(m))
+    f = _random_table(rng, f_ins, data.draw(st.sampled_from(MODULES)))
+    for i in range(1, m + 1):
+        g_ins = tuple(data.draw(st.sampled_from(MODULES)) for _ in range(n))
+        g = _random_table(rng, g_ins, f_ins[i - 1])
+        assert table_sum([(1, Circ(f, i, g))]) == _nested(f, i, g), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_slot_swap_matches_evaluation_at_swapped_weights(m: int, data) -> None:
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    ins = tuple(data.draw(st.sampled_from(MODULES)) for _ in range(m))
+    f = _random_table(rng, ins, data.draw(st.sampled_from(MODULES)))
+    for p, q in itertools.combinations(range(1, m + 1), 2):
+        assert table_sum([(1, Swap(f, p, q))]) == _swapped(f, p, q), (p, q)
+
+
+def test_table_sum_accumulates_signed_terms_of_one_shape() -> None:
+    rng = random.Random(7)
+    f = _random_table(rng, (AM, AM), AM)
+    g = _random_table(rng, (AM, AM), AM)
+    h = _random_table(rng, (AM, AM, AM), AM)
+    q = Poly.var("q")
+    total = table_sum([(1, Circ(f, 1, g)), (-2, Circ(g, 2, f)), (q, Swap(h, 1, 3)), (0, h)])
+    assert total == _nested(f, 1, g) - _nested(g, 2, f).scale(2) + _swapped(h, 1, 3).scale(q)
+    assert table_sum([(1, f), (-1, f)]).is_zero()
+    with pytest.raises(ShapeMismatch):
+        table_sum([(1, f), (1, Circ(f, 1, g))])
+    with pytest.raises(ModuleMismatch):
+        table_sum([(1, Circ(f, 1, _random_table(rng, (AM,), NM)))])
+    with pytest.raises(ArityMismatch):
+        table_sum([(1, Swap(f, 1, 3))])
+    with pytest.raises(ArityMismatch):
+        table_sum([])
 
 
 # -- associativity ------------------------------------------------------------

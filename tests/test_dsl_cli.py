@@ -291,6 +291,70 @@ def test_lie_kind_checks_use_the_commutator():
     assert [r.status for r in report.records] == ["holds", "holds"]
 
 
+# the Virasoro algebra with its conformal-weight-1 module: [x_L x] = (D+2L)x,
+# [x_L y] = (D+L)y, [y_L x] = L y, [y_L y] = 0
+VIR_SOURCE = """
+algebra G lie {
+  basis x, y;
+  product x x = (D + 2*L)*x;
+  product x y = (D + L)*y;
+  product y x = L*y;
+}
+bimodule AdjG adjoint G;
+"""
+
+
+@pytest.mark.parametrize(
+    "images, holds",
+    [
+        ({"x": "y", "y": "0"}, True),
+        ({"x": "0", "y": "D*x"}, False),
+        ({"x": "2*x", "y": "y"}, False),
+    ],
+)
+def test_cli_checks_olie_on_a_lie_algebra_with_its_adjoint_representation(
+    tmp_path, capsys, images, holds
+):
+    import sympy as sp
+
+    import _oracle
+
+    basis = ("x", "y")
+    source = tmp_path / "olie.cfa"
+    lines = "; ".join(f"{name} -> {image}" for name, image in images.items())
+    source.write_text(VIR_SOURCE + f"map T : G -> G {{ {lines}; }}\ncheck OLie T on G with AdjG;\n")
+    code = main(["check", str(source), "--json"])
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert (code, record["status"]) == ((0, "holds") if holds else (1, "fails"))
+
+    symbols = {name: sp.Symbol(name) for name in ("D", "L1") + basis}
+    sym = lambda text: sp.sympify(text.replace("^", "**"), locals=symbols)
+    x, y, D, L = (symbols[name] for name in ("x", "y", "D", "L1"))
+    vec = lambda expr: tuple(sp.expand(expr).coeff(b) for b in (x, y))
+    bracket = {(0, 0): vec((D + 2 * L) * x), (0, 1): vec((D + L) * y), (1, 0): vec(L * y)}
+    tmat = [vec(sym(images[name])) for name in basis]
+    # the adjoint representation is the bracket itself: a zero right action
+    expected = _oracle.res_olie(bracket, bracket, {}, 2, 2, tmat)
+    assert [w["names"] for w in record["witnesses"]] == [[basis[i] for i in idx] for idx, _ in expected]
+    for witness, (_, residual) in zip(record["witnesses"], expected):
+        assert sp.expand(sym(witness["residual"]) - residual[0] * x - residual[1] * y) == 0
+
+
+def test_whole_residual_tables_are_computed_past_the_witness_cap(monkeypatch, tmp_path, capsys):
+    # (a, a, a) fails first; the tuples of b overflow the term cap.  A scan that stopped
+    # at the cap's first witness never computed them; the whole residual table does.
+    monkeypatch.setattr(polyring, "MAX_TERMS", 1000)
+    source = tmp_path / "overflow.cfa"
+    source.write_text(
+        "algebra E {\n  basis a, b;\n  product a a = D*a;\n  product b b = D^200*b;\n}\n"
+        "check associative E;\n"
+    )
+    assert main(["check", str(source), "--json", "--witness-cap", "1"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["status"] == "error"
+    assert record["detail"] == "a polynomial would have more than 1000 terms"
+
+
 def test_twisted_check_resolves_the_declared_cocycle():
     src = A2_SOURCE + """
 bimodule AdjA2 adjoint A2;

@@ -247,6 +247,20 @@ def test_operator_kind_validation() -> None:
         verify_operator("OLie", SHIFT, commutator_lie(DUAL))  # no rep given
 
 
+def test_inputs_a_kind_does_not_read_are_rejected() -> None:
+    with pytest.raises(PreconditionFailed, match="Nijenhuis reads no with or weight input"):
+        verify_operator("Nijenhuis", IDENT, DUAL, ADJ, weight=7)
+    with pytest.raises(PreconditionFailed, match="O reads no twist input"):
+        verify_operator("O", SHIFT, DUAL, ADJ, twist=helpers.neg_mult())
+    lie = commutator_lie(DUAL)
+    rep = rep_from_bimodule(DUAL, ADJ)
+    with pytest.raises(PreconditionFailed, match="OLie reads no with input"):
+        verify_operator("OLie", SHIFT, lie, ADJ, rep=rep)
+    # inputs left at None are not given; a Rota-Baxter weight defaults to 0
+    assert verify_operator("Nijenhuis", IDENT, DUAL, None, weight=None, twist=None).holds
+    assert verify_operator("RotaBaxter", SHIFT, DUAL).holds
+
+
 # -- the twisted-extension operator family ------------------------------------------
 
 

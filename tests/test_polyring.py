@@ -523,6 +523,27 @@ def test_product_paths_are_both_exercised(monkeypatch) -> None:
         assert _sympy_poly(product) == _sympy_poly(dense) * _sympy_poly(q)
 
 
+def test_long_packed_rows_decode_like_the_term_loop(monkeypatch) -> None:
+    # rows of up to 401 slots with 200- to 400-bit numerators, of both signs, and
+    # 81-slot rows beside many short ones: long rows are decoded by halves
+    cases = [
+        ((D + 1) ** 200, (D - 3) ** 201),
+        ((D + L1 - 1) ** 40, (D - 2 * L1 + Fraction(1, 3)) ** 40),
+    ]
+    for p, q in cases:
+        assert _takes_packed_path(p, q)
+        products = []
+        for split, min_terms in ((polyring._DECODE_SPLIT, None), (1, None), (10**9, None),
+                                 (polyring._DECODE_SPLIT, 10**9)):
+            with monkeypatch.context() as patch:
+                patch.setattr(polyring, "_DECODE_SPLIT", split)
+                if min_terms is not None:  # the term-by-term loop
+                    patch.setattr(polyring, "_PACK_MIN_TERMS", min_terms)
+                products.append(p * q)
+        assert all(product == products[-1] for product in products)
+        assert len(products[0]._nums) > 2 * polyring._DECODE_SPLIT
+
+
 def test_rows_apart_along_d_go_term_by_term(monkeypatch) -> None:
     monkeypatch.setattr(polyring, "_mul_packed", None)  # calling it fails
     # 17 rows of three terms 8,000 apart in D: packed, a pair of rows would take
