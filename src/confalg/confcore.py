@@ -516,9 +516,9 @@ def circ(f: MultiTable, i: int, g: MultiTable) -> MultiTable:
 def table_items(table: MultiTable, tag: Tuple[str, ...] = ()) -> Iterator[tuple]:
     """``(tag + names, entry)`` on every basis tuple, zero where absent, in :func:`basis_tuples` order."""
     get, zero = table.entries.get, table.out_module.zero()
-    bases = [m.basis for m in table.in_modules]
-    for idx in itertools.product(*(range(len(b)) for b in bases)):
-        yield tag + tuple(b[i] for b, i in zip(bases, idx)), get(idx, zero)
+    indices = itertools.product(*(range(m.rank) for m in table.in_modules))
+    for idx, names in zip(indices, itertools.product(*(m.basis for m in table.in_modules))):
+        yield tag + names, get(idx, zero)
 
 
 def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:

@@ -12,10 +12,11 @@ Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
 An entry names the optional inputs the identity reads (``with``, the
 bimodule; ``twist``; ``weight``; ``rep``) and the algebra flavor it needs,
 checks the shapes of the map and the inputs, gives the identity's residual
-at a basis pair of the map's source, and names the exception that
+as a table sum of compositions with the map's table (for example O is
+``m∘(T⊗T) − T∘(l∘₁T + r∘₂T)``), and names the exception that
 :func:`require_operator` raises when a construction's operator precondition
 fails.  :func:`verify_operator` is one registry lookup and one scan of that
-residual over all basis pairs, and the definition language takes its
+residual table over all basis pairs, and the definition language takes its
 clauses from the same entries.
 
 ========================  ====================================================
