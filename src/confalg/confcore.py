@@ -373,7 +373,7 @@ class MultiTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    # sums and multiples are table sums (:func:`table_sum`) of one term each
+    # sums and multiples are table sums (:func:`table_sum`) of the operands
     def __add__(self, other: "MultiTable") -> "MultiTable":
         return table_sum([(1, self), (1, other)])
 
