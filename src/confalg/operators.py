@@ -334,8 +334,8 @@ def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
 
 
 def _twisted_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    t, bim, twisted = T.table, ins.bim, circ(circ(ins.twist.table, 1, T.table), 2, T.table)
-    inner = (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)), (1, twisted)
+    t, bim, phi = T.table, ins.bim, ins.twist.table
+    inner = (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)), (1, circ(circ(phi, 1, t), 2, t))
     return _quadratic(ins.alg.table, t, *inner)
 
 
@@ -510,7 +510,7 @@ def graph_check(
     _require_mod_to_alg("graph_check", T, _Inputs(alg, bim))
     ext = semidirect(alg, bim) if phi is None else twisted_extension(alg, bim, phi)
     ra, big, t = alg.rank, ext.module, T.table
-    # u ↦ (T(u), u), and (a, m) ↦ a − T(m): the residual is the second after the product
+    # the residual is (a, m) ↦ a − T(m) after the product of the graph points u ↦ (T(u), u)
     point = {(u,): _embed(t.entry((u,)), big, 0) + big.basis_elem(ra + u)
              for u in range(bim.module.rank)}
     project = {(i,): alg.module.basis_elem(i) for i in range(ra)}

@@ -361,11 +361,11 @@ def _mul_packed(a: dict, b: dict, runs_a: tuple, runs_b: tuple) -> dict:
 
 
 def _decode(value: int, m: int, bits: int, count: int, out: dict) -> None:
-    """Put the nonzero slots of ``value`` (at most ``count``), that at bit ``bits·k`` for monomial ``m + k``, into ``out``.
+    """Put the nonzero slots of ``value`` into ``out``, the one at bit ``bits·k`` for ``m + k``.
 
-    Every slot is below ``2^(bits-1)`` in magnitude, so the low ``k`` slots,
-    read as one signed number, are below ``2^(bits·k-1)``: long rows are split
-    in halves, which bounds the cost by ``count·log(count)``, not ``count²``.
+    Every slot is below ``2^(bits-1)`` in magnitude, so the low ``k`` of the at
+    most ``count`` slots, read as one signed number, are below ``2^(bits·k-1)``:
+    long rows are split in halves, bounding the cost by ``count·log(count)``.
     """
     if count > _DECODE_SPLIT:
         k = count // 2

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from confalg.errors import DuplicateName, ParseError, PreconditionFailed, Unreso
 from confalg import polyring
 from confalg.polyring import MAX_TERMS, Poly, parse_poly
 
+import _oracle
 import helpers
 from helpers import AM, D, DUAL, L1, NILP, NM, a, b, u, v
 
@@ -315,10 +317,6 @@ bimodule AdjG adjoint G;
 def test_cli_checks_olie_on_a_lie_algebra_with_its_adjoint_representation(
     tmp_path, capsys, images, holds
 ):
-    import sympy as sp
-
-    import _oracle
-
     basis = ("x", "y")
     source = tmp_path / "olie.cfa"
     lines = "; ".join(f"{name} -> {image}" for name, image in images.items())

@@ -524,8 +524,8 @@ def test_product_paths_are_both_exercised(monkeypatch) -> None:
 
 
 def test_long_packed_rows_decode_like_the_term_loop(monkeypatch) -> None:
-    # rows of up to 401 slots with 200- to 400-bit numerators, of both signs, and
-    # 81-slot rows beside many short ones: long rows are decoded by halves
+    # one row of 402 slots with numerators of hundreds of bits and both signs, and
+    # rows of up to 81 slots beside short ones; each decoder must match the term loop
     cases = [
         ((D + 1) ** 200, (D - 3) ** 201),
         ((D + L1 - 1) ** 40, (D - 2 * L1 + Fraction(1, 3)) ** 40),
