@@ -55,6 +55,7 @@ from .confcore import (
     _embed,
     _sum_module,
     check_associative,
+    circ,
     eval_multilinear,
     residual_scan,
     semidirect,
@@ -62,8 +63,8 @@ from .confcore import (
     table_sum,
 )
 from .errors import ArityMismatch, ConfalgError, NotCocycle, ShapeMismatch
-from .operators import ModuleMap, lift, require_operator, verify_operator
-from .derived import induced_bimodule_on_A, m_ass
+from .operators import ModuleMap, lift, require_operator, star_product, verify_operator
+from .derived import induced_bimodule_on_A
 from .polyring import Poly, PolyLike, as_poly, lam
 
 __all__ = [
@@ -204,9 +205,8 @@ def o_complex_d(phi: Cochain, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule,
     the module and the induced actions on the algebra; no operator identity
     is assumed, so it can be applied to arbitrary maps.
     """
-    star_alg = m_ass(T, alg, bim, twist, validate=False)
     induced = induced_bimodule_on_A(T, alg, bim, twist, validate=False)
-    return hochschild_d(phi, star_alg, induced)
+    return hochschild_d(phi, induced.algebra, induced)
 
 
 def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
@@ -398,20 +398,17 @@ def derived_binary(T1: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimo
 
     ``[[T₁,T₂]](u, v) = T₁(T₂(u)v + u T₂(v)) + T₂(T₁(u)v + u T₁(v))
     − T₁(u) T₂(v) − T₂(u) T₁(v)`` with the bimodule actions inside and the
-    algebra product outside.
+    algebra product outside: ``T₁∘₁⋆(T₂) + T₂∘₁⋆(T₁) − (m∘₁T₁)∘₂T₂ −
+    (m∘₁T₂)∘₂T₁`` with ``⋆(T)`` the :func:`~confalg.operators.star_product`.
     """
-
-    def h(args: Sequence[ModElem], weights: Sequence[Poly]) -> ModElem:
-        (u, v), (w,) = args, weights
-        t1u, t1v = T1.apply(u), T1.apply(v)
-        t2u, t2v = T2.apply(u), T2.apply(v)
-        out = T1.apply(bim.act_left(t2u, v, w) + bim.act_right(u, t2v, w))
-        out = out + T2.apply(bim.act_left(t1u, v, w) + bim.act_right(u, t1v, w))
-        out = out - alg.mul(t1u, t2v, w)
-        out = out - alg.mul(t2u, t1v, w)
-        return out
-
-    return Cochain.from_function(2, bim.module, alg.module, h)
+    m, t1, t2 = alg.table, T1.table, T2.table
+    terms = [
+        (1, Circ(t1, 1, star_product(T2, bim))),
+        (1, Circ(t2, 1, star_product(T1, bim))),
+        (-1, Circ(circ(m, 1, t1), 2, t2)),
+        (-1, Circ(circ(m, 1, t2), 2, t1)),
+    ]
+    return Cochain(table_sum(terms))
 
 
 def _expected_hat_components(

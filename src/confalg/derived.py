@@ -2,7 +2,9 @@
 
 An operator that satisfies one of the identities in :mod:`confalg.operators`
 equips the underlying module or algebra with new bilinear products.  This
-module tabulates them and certifies their axioms:
+module composes them from the structure tables and the operator's table
+(:func:`~confalg.confcore.table_sum` of partial compositions) and certifies
+their axioms:
 
 * dendriform pairs ``(≻, ≺)`` from an O-operator, with the sum ``⋆ = ≻ + ≺``
   an associative product carried by the module;
@@ -32,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .confcore import (
-    D,
     WITNESS_CAP,
     Circ,
     ConfAlgebra,
@@ -54,13 +55,12 @@ from .confcore import (
 from .errors import ConfalgError, NotDendriform, ShapeMismatch
 from .operators import (
     ModuleMap,
-    induced_left_value,
-    induced_right_value,
+    induced_actions,
     require_operator,
-    star_value,
+    star_product,
     verify_operator,
 )
-from .polyring import Poly, PolyLike, as_poly
+from .polyring import Poly, PolyLike
 
 __all__ = [
     "BinaryOpTable",
@@ -219,7 +219,8 @@ def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
     return residual_scan("ns", _interleaved(families), cap=cap)
 
 
-def _certify(bundle: StructureBundle, origin: str) -> StructureBundle:
+def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> StructureBundle:
+    bundle = StructureBundle(kind, {tag: BinaryOpTable(t) for tag, t in tables.items()})
     verdict = check_structure(bundle, cap=1)
     if not verdict.holds:
         raise ConfalgError(
@@ -229,16 +230,17 @@ def _certify(bundle: StructureBundle, origin: str) -> StructureBundle:
     return bundle
 
 
+def _split(t: MultiTable, left: MultiTable, right: MultiTable) -> dict:
+    """``m ≻ n = T(m)·n`` and ``m ≺ n = m·T(n)``: ``left∘₁T`` and ``right∘₂T``."""
+    return {"succ": circ(left, 1, t), "prec": circ(right, 2, t)}
+
+
 def dendriform_from_O(
     T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
 ) -> StructureBundle:
     """Dendriform pair ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)`` on the module."""
     require_operator("O", T, alg, bim, cap=cap)
-    module = bim.module
-    succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
-    prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
-    bundle = StructureBundle("dendriform", {"succ": succ, "prec": prec})
-    return _certify(bundle, "dendriform_from_O")
+    return _certified("dendriform", "dendriform_from_O", _split(T.table, bim.left, bim.right))
 
 
 def m_ass(
@@ -256,18 +258,10 @@ def m_ass(
     operator.  ``validate=False`` skips the operator precondition and
     returns the candidate product unverified.
     """
-
-    def product(m: ModElem, n: ModElem, w: PolyLike) -> ModElem:
-        out = star_value(T, bim, m, n, w)
-        if phi is not None:
-            out = out + phi.eval((T.apply(m), T.apply(n)), (w,))
-        return out
-
     if validate:
         kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
         require_operator(kind, T, alg, bim, origin="m_ass", **inputs)
-    table = BinaryOpTable.from_function(bim.module, product)
-    return ConfAlgebra(bim.module, table.table, "associative")
+    return ConfAlgebra(bim.module, star_product(T, bim, phi), "associative")
 
 
 def induced_bimodule_on_A(
@@ -288,28 +282,7 @@ def induced_bimodule_on_A(
         kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
         require_operator(kind, T, alg, bim, origin="induced_bimodule_on_A", **inputs)
     star_alg = m_ass(T, alg, bim, phi, validate=False)
-
-    def left(args, weights) -> ModElem:
-        (m, a), (w,) = args, weights
-        if phi is None:
-            return induced_left_value(T, alg, bim, m, a, w)
-        inner = bim.act_right(m, a, w) + phi.eval((T.apply(m), a), (w,))
-        return alg.mul(T.apply(m), a, w) - T.apply(inner)
-
-    def right(args, weights) -> ModElem:
-        (a, m), (w,) = args, weights
-        if phi is None:
-            return induced_right_value(T, alg, bim, a, m, w)
-        inner = bim.act_left(a, m, w) + phi.eval((a, T.apply(m)), (w,))
-        return alg.mul(a, T.apply(m), w) - T.apply(inner)
-
-    A, M = alg.module, bim.module
-    return ConfBimodule(
-        star_alg,
-        A,
-        MultiTable.from_function((M, A), A, left),
-        MultiTable.from_function((A, M), A, right),
-    )
+    return ConfBimodule(star_alg, alg.module, *induced_actions(T, alg, bim, phi))
 
 
 def matching_pair_from_O(
@@ -326,33 +299,24 @@ def ns_from_twisted(
 ) -> StructureBundle:
     """NS triple ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)``, ``m ∨ n = φ(T(m), T(n))``."""
     require_operator("TwistedRB", T, alg, bim, twist=phi, cap=cap)
-    module = bim.module
-    succ = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_left(T.apply(m), n, w))
-    prec = BinaryOpTable.from_function(module, lambda m, n, w: bim.act_right(m, T.apply(n), w))
-    vee = BinaryOpTable.from_function(
-        module, lambda m, n, w: phi.eval((T.apply(m), T.apply(n)), (w,))
-    )
-    bundle = StructureBundle("ns", {"succ": succ, "prec": prec, "vee": vee})
-    return _certify(bundle, "ns_from_twisted")
+    t = T.table
+    tables = _split(t, bim.left, bim.right)
+    tables["vee"] = circ(circ(phi.table, 1, t), 2, t)
+    return _certified("ns", "ns_from_twisted", tables)
 
 
 def ns_from_nijenhuis(N: ModuleMap, alg: ConfAlgebra, cap: int = WITNESS_CAP) -> StructureBundle:
     """NS triple ``a ≻ b = N(a)b``, ``a ≺ b = a N(b)``, ``a ∨ b = −N(ab)``."""
     require_operator("Nijenhuis", N, alg, cap=cap)
-    module = alg.module
-    succ = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(N.apply(a), b, w))
-    prec = BinaryOpTable.from_function(module, lambda a, b, w: alg.mul(a, N.apply(b), w))
-    vee = BinaryOpTable.from_function(module, lambda a, b, w: -N.apply(alg.mul(a, b, w)))
-    bundle = StructureBundle("ns", {"succ": succ, "prec": prec, "vee": vee})
-    return _certify(bundle, "ns_from_nijenhuis")
+    m, n = alg.table, N.table
+    tables = _split(n, m, m)
+    tables["vee"] = table_sum([(-1, Circ(n, 1, m))])
+    return _certified("ns", "ns_from_nijenhuis", tables)
 
 
-def _deformed_value(N: ModuleMap, alg: ConfAlgebra, a: ModElem, b: ModElem, w: PolyLike) -> ModElem:
-    return (
-        alg.mul(N.apply(a), b, w)
-        + alg.mul(a, N.apply(b), w)
-        - N.apply(alg.mul(a, b, w))
-    )
+def _deformed(n: MultiTable, m: MultiTable) -> MultiTable:
+    """``a ∘ᴺ b = N(a)b + aN(b) − N(ab)`` is ``m∘₁N + m∘₂N − N∘₁m``."""
+    return table_sum([(1, Circ(m, 1, n)), (1, Circ(m, 2, n)), (-1, Circ(n, 1, m))])
 
 
 def deformed_product(N: ModuleMap, alg: ConfAlgebra):
@@ -368,19 +332,10 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
 
     if N.source != alg.module or N.target != alg.module:
         raise ShapeMismatch("deformed_product needs an endomorphism of the algebra")
-    circ = BinaryOpTable.from_function(
-        alg.module, lambda a, b, w: _deformed_value(N, alg, a, b, w)
-    )
-    candidate = ConfAlgebra(alg.module, circ.table, "associative")
-
-    def defect(args, weights):
-        (a, b), (w,) = args, weights
-        return alg.mul(N.apply(a), N.apply(b), w) - N.apply(
-            _deformed_value(N, alg, a, b, w)
-        )
-
-    phiN = Cochain.from_function(2, alg.module, alg.module, defect)
-    return candidate, phiN
+    m, n = alg.table, N.table
+    product = _deformed(n, m)
+    defect = table_sum([(1, Circ(circ(m, 1, n), 2, n)), (-1, Circ(n, 1, product))])
+    return ConfAlgebra(alg.module, product, "associative"), Cochain(defect)
 
 
 @dataclass(frozen=True)
@@ -438,13 +393,8 @@ def nijenhuis_hierarchy(
     powers = [ModuleMap.identity(module)]
     for _ in range(2 * kmax):
         powers.append(powers[-1].compose(N))
-    circs = [
-        BinaryOpTable.from_function(
-            module, lambda a, b, w, P=powers[i]: _deformed_value(P, alg, a, b, w)
-        ).table
-        for i in range(2 * kmax + 1)
-    ]
     P = [power.table for power in powers]
+    circs = [_deformed(p, m) for p in P]
     pairs = list(itertools.product(range(kmax + 1), repeat=2))
 
     def family(identity: str, names: str, terms) -> Verdict:
@@ -500,15 +450,9 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     verdict = check_structure(bundle, cap=1)
     if not verdict.holds:
         raise NotDendriform(verdict.summary())
-    succ, prec = bundle.table("succ"), bundle.table("prec")
-    module = bundle.module
-
-    def circ(a: ModElem, b: ModElem, w: PolyLike) -> ModElem:
-        return succ.value(a, b, w) - prec.value(b, a, -as_poly(w) - D)
-
-    table = BinaryOpTable.from_function(module, circ)
-    out = StructureBundle("leftsym", {"leftsym": table})
-    return _certify(out, "leftsym_from_dendriform")
+    succ, prec = bundle.table("succ").table, bundle.table("prec").table
+    leftsym = table_sum([(1, succ), (-1, Swap(prec, 1, 2))])
+    return _certified("leftsym", "leftsym_from_dendriform", {"leftsym": leftsym})
 
 
 def deformed_bracket(
@@ -524,9 +468,7 @@ def deformed_bracket(
         raise ShapeMismatch("deformed_bracket needs a Lie conformal algebra")
     if validate:
         require_operator("NijenhuisLie", N, lie)
-    table = BinaryOpTable.from_function(
-        lie.module, lambda a, b, w: _deformed_value(N, lie, a, b, w)
-    )
+    table = BinaryOpTable(_deformed(N.table, lie.table))
     if validate:
         candidate = ConfAlgebra(lie.module, table.table, "lie")
         verdict = check_lie(candidate, cap=1)
@@ -592,9 +534,7 @@ def deformation_check(
     if validate:
         require_operator("Nijenhuis", N, alg)
     m, n = alg.table, N.table
-    omega = BinaryOpTable.from_function(
-        alg.module, lambda a, b, w: _deformed_value(N, alg, a, b, w)
-    ).table
+    omega = _deformed(n, m)
     d_omega = hochschild_d(Cochain(omega), alg, ConfBimodule.adjoint(alg)).table
     generator = check_structure(StructureBundle("assoc", {"star": BinaryOpTable(omega)}), cap=cap)
     # T_t = id + t·N is a table, not a module map: its entries carry the parameter t

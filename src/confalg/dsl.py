@@ -672,6 +672,11 @@ def _namespace_of(decl: Declaration) -> Optional[str]:
 # -- static resolution -----------------------------------------------------------
 
 
+def _construct_name(stmt: ConstructStmt) -> str:
+    """The name a construct's result is bound to: its ``as`` name or ``<kind>_<map>``."""
+    return stmt.as_ or f"{stmt.kind}_{stmt.name}"
+
+
 def resolve(sf: SourceFile) -> None:
     """Verify every reference names an earlier declaration of the right kind."""
     algebras: set = set()
@@ -724,17 +729,18 @@ def resolve(sf: SourceFile) -> None:
             need(decl.on, algebras, "algebra", decl.line)
             need(decl.with_, bimodules, "bimodule", decl.line)
             need(decl.twist, cocycles, "cocycle", decl.line)
-            if decl.as_ is not None:
-                if decl.kind not in ("mass", "deformed"):
-                    raise UnresolvedName(
-                        f"'as' on line {decl.line} needs a construct that yields an "
-                        f"algebra (mass or deformed), not {decl.kind!r}"
-                    )
-                if decl.as_ in algebras:
+            if decl.as_ is not None and decl.kind not in ("mass", "deformed"):
+                raise UnresolvedName(
+                    f"'as' on line {decl.line} needs a construct that yields an "
+                    f"algebra (mass or deformed), not {decl.kind!r}"
+                )
+            if decl.kind in ("mass", "deformed"):
+                name = _construct_name(decl)
+                if name in algebras:
                     raise DuplicateName(
-                        f"algebra {decl.as_!r} redeclared by construct on line {decl.line}"
+                        f"algebra {name!r} redeclared by construct on line {decl.line}"
                     )
-                algebras.add(decl.as_)
+                algebras.add(name)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -807,14 +813,31 @@ def _verdict_record(identity: str, verdict: Verdict, started: float, emitted=Non
 # -- execution environment -----------------------------------------------------------
 
 
+class _Built(dict):
+    """The objects of one kind built so far, by name.
+
+    :func:`resolve` has checked every reference, so a missing name is one whose
+    declaration or construct raised; looking it up raises :class:`UnresolvedName`.
+    """
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, name: str):
+        raise UnresolvedName(f"{self.kind} {name!r} was not built: its statement failed")
+
+
 @dataclass
 class Environment:
     """Named objects built while executing a source file."""
 
-    algebras: Dict[str, ConfAlgebra] = field(default_factory=dict)
-    bimodules: Dict[str, ConfBimodule] = field(default_factory=dict)
-    cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = field(default_factory=dict)
-    maps: Dict[str, ModuleMap] = field(default_factory=dict)
+    algebras: Dict[str, ConfAlgebra] = field(default_factory=lambda: _Built("algebra"))
+    bimodules: Dict[str, ConfBimodule] = field(default_factory=lambda: _Built("bimodule"))
+    cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = field(
+        default_factory=lambda: _Built("cocycle")
+    )
+    maps: Dict[str, ModuleMap] = field(default_factory=lambda: _Built("map"))
 
     def module_of(self, name: str) -> FreeModule:
         if name in self.algebras:
@@ -1025,7 +1048,7 @@ def _run_construct(env: Environment, stmt: ConstructStmt, cap: int) -> Record:
     alg = env.algebras[stmt.on]
     bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
     twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
-    base = stmt.as_ or f"{stmt.kind}_{stmt.name}"
+    base = _construct_name(stmt)
 
     def need_bim() -> ConfBimodule:
         if bim is None:

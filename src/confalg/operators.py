@@ -32,6 +32,12 @@ kind                      identity (all products at weight L1)
 ``OLie`` (ρ)              [T(u) T(v)] = T( ρ(T(u))v − ρ(T(v))_{−L1−D} u )
 ========================  ====================================================
 
+The ⋆-product ``m ⋆ n = T(m)·n + m·T(n)`` carried by the module and the
+induced actions of the module on the algebra are defined once, as table sums
+(:func:`star_product`, :func:`induced_actions`); the O and twisted residuals,
+the constructions of :mod:`confalg.derived` and the closed form of the
+derived bracket in :mod:`confalg.cohomology` all read them from there.
+
 The O and Nijenhuis residuals are quadratic in the map, so the
 compatibility of two verified operators is the identity of their sum: its
 residual is exactly the cross term.  The remaining operations package the
@@ -318,25 +324,49 @@ def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     return ins
 
 
+def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
+    """The table of ``m ⋆ n = T(m)·n + m·T(n) [+ φ(T(m), T(n))]`` on the module.
+
+    It is ``l∘₁T + r∘₂T [+ (φ∘₁T)∘₂T]``; ``phi`` is an optional twisting
+    2-cochain on the algebra valued in the module.
+    """
+    t = T.table
+    terms = [(1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t))]
+    if phi is not None:
+        terms.append((1, circ(circ(phi.table, 1, t), 2, t)))
+    return table_sum(terms)
+
+
+def induced_actions(
+    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi=None
+) -> Tuple[MultiTable, MultiTable]:
+    """The actions of the module on the algebra, ``(m·a, a·m)``.
+
+    ``m·a = T(m)a − T(m·a [+ φ(T(m), a)])`` is ``m∘₁T − T∘₁(r [+ φ∘₁T])`` and
+    ``a·m = a T(m) − T(a·m [+ φ(a, T(m))])`` is ``m∘₂T − T∘₁(l [+ φ∘₂T])``.
+    """
+    t, m = T.table, alg.table
+    left = [(1, Circ(m, 1, t)), (-1, Circ(t, 1, bim.right))]
+    right = [(1, Circ(m, 2, t)), (-1, Circ(t, 1, bim.left))]
+    if phi is not None:
+        left.append((-1, Circ(t, 1, circ(phi.table, 1, t))))
+        right.append((-1, Circ(t, 1, circ(phi.table, 2, t))))
+    return table_sum(left), table_sum(right)
+
+
 def _quadratic(mul: MultiTable, t: MultiTable, *inner: tuple) -> MultiTable:
     """``mul∘(T⊗T) − T∘(Σ inner)`` for the map's table ``t``; ``inner`` holds table-sum terms."""
     return table_sum([(1, Circ(circ(mul, 1, t), 2, t)), (-1, Circ(t, 1, table_sum(inner)))])
 
 
 def _o_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    t, bim = T.table, ins.bim
-    return _quadratic(ins.alg.table, t, (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)))
+    # O and TwistedRB: m∘(T⊗T) − T∘⋆, the twist (None for O) inside ⋆
+    return _quadratic(ins.alg.table, T.table, (1, star_product(T, ins.bim, ins.twist)))
 
 
 def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     m, t = ins.alg.table, T.table
     return _quadratic(m, t, (1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (ins.weight, m))
-
-
-def _twisted_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    t, bim, phi = T.table, ins.bim, ins.twist.table
-    inner = (1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t)), (1, circ(circ(phi, 1, t), 2, t))
-    return _quadratic(ins.alg.table, t, *inner)
 
 
 def _nijenhuis_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
@@ -370,7 +400,7 @@ REGISTRY: Mapping[str, OperatorKind] = {
         ("weight",), None, _require_endo, _rota_baxter_residual, PreconditionFailed
     ),
     "TwistedRB": OperatorKind(
-        ("with", "twist"), None, _twisted_shape, _twisted_residual, NotTwistedRB
+        ("with", "twist"), None, _twisted_shape, _o_residual, NotTwistedRB
     ),
     "Nijenhuis": OperatorKind(
         (), "associative", _require_endo, _nijenhuis_residual, NotNijenhuis
@@ -557,27 +587,6 @@ def nijenhuis_from_O_pair(
     return T1.compose(T2.inverse())
 
 
-def induced_left_value(
-    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, m: ModElem, a: ModElem, w: PolyLike
-) -> ModElem:
-    """The induced action ``m · a = T(m) a − T(m a)`` of the module on the algebra."""
-    return alg.mul(T.apply(m), a, w) - T.apply(bim.act_right(m, a, w))
-
-
-def induced_right_value(
-    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, a: ModElem, m: ModElem, w: PolyLike
-) -> ModElem:
-    """The induced action ``a · m = a T(m) − T(a m)`` of the module on the algebra."""
-    return alg.mul(a, T.apply(m), w) - T.apply(bim.act_left(a, m, w))
-
-
-def star_value(
-    T: ModuleMap, bim: ConfBimodule, m: ModElem, n: ModElem, w: PolyLike
-) -> ModElem:
-    """The product ``m ⋆ n = T(m)·n + m·T(n)`` carried by the module."""
-    return bim.act_left(T.apply(m), n, w) + bim.act_right(m, T.apply(n), w)
-
-
 def derivation_composites(
     T: ModuleMap,
     omega: ModuleMap,
@@ -597,11 +606,9 @@ def derivation_composites(
     require_operator("O", T, alg, bim, origin=origin, error=PreconditionFailed)
     require_operator("Derivation", omega, alg, bim, origin=origin, error=PreconditionFailed)
 
-    t, o, m, left, right = T.table, omega.table, alg.table, bim.left, bim.right
-    # m ⋆ n = T(m)·n + m·T(n) and the induced actions m·a = T(m)a − T(m a), a·m = a T(m) − T(a m)
-    star = table_sum([(1, Circ(left, 1, t)), (1, Circ(right, 2, t))])
-    m_a = table_sum([(1, Circ(m, 1, t)), (-1, Circ(t, 1, right))])
-    a_m = table_sum([(1, Circ(m, 2, t)), (-1, Circ(t, 1, left))])
+    o = omega.table
+    star = star_product(T, bim)
+    m_a, a_m = induced_actions(T, alg, bim)
     inner = table_sum([(1, Circ(m_a, 1, o)), (1, Circ(a_m, 2, o))])
     compat_table = table_sum([(1, Circ(circ(star, 1, o), 2, o)), (-1, Circ(o, 1, inner))])
     compat = residual_scan("derivation-star-compatibility", table_items(compat_table), cap=1)

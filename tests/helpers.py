@@ -3,14 +3,17 @@
 Canonical small structures used across the tests: the rank-2 current algebra
 of the dual numbers, the rank-2 nilpotent current algebra, and a family of
 module maps (shift, swap, projection, derivations, the invertible operator
-pair on the nilpotent algebra).  Everything here is immutable, so module-level
-constants are safe to share between test files.
+pair on the nilpotent algebra), and the conversions of polynomials, tables and
+maps to the sympy form of ``tests/_oracle.py``.  Everything here is immutable,
+so module-level constants are safe to share between test files.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import sympy as sp
 
 from confalg.confcore import (
     ConfAlgebra,
@@ -119,3 +122,30 @@ def rand_table(rng: random.Random, module: FreeModule, names=("D", "L1")) -> Mul
             if not value.is_zero():
                 entries[(i, j)] = value
     return MultiTable((module, module), module, entries)
+
+
+# -- sympy conversions for the oracle ---------------------------------------------
+
+
+def sym(p: Poly):
+    """``p`` as a sympy expression in the same variable names."""
+    return sum(
+        (
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(sp.Symbol(name) ** exp for name, exp in mono))
+            for mono, c in p.items()
+        ),
+        sp.Integer(0),
+    )
+
+
+def sym_vec(elem):
+    return tuple(sym(c) for c in elem.coeffs)
+
+
+def sym_table(table):
+    return {idx: sym_vec(e) for idx, e in table.entries.items()}
+
+
+def sym_map(T):
+    return [sym_vec(T.apply(e)) for e in T.source.basis_elems()]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,21 +49,30 @@ def test_tracer_wraps_every_layer_counts_tabulation_and_restores(tracing, capsys
         assert cli.main(["check", "--json", str(ROOT / "fixtures" / "all.cfa")]) == 0
         f = cohomology.random_cochain(1, 1, NM, NM, max_degree=1)
         g = cohomology.random_cochain(2, 2, NM, NM, max_degree=1)
+        before = {layer: Counter(tracer.stats[layer]) for layer in tracer.stats}
         assert cohomology.derived_bracket(f, g, NILP, NADJ).arity == 3
         tracer.active = False
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    for layer in ("derived.tabulate", "cohomology.tabulate"):
-        assert tracer.stats[layer]["calls"] > 0, layer
-        assert tracer.stats[layer]["tuples"] > 0, layer
+    # the constructions compose their products as table sums; none is tabulated
+    assert tracer.stats["derived.tabulate"]["calls"] == 0
+    assert tracer.stats["derived.tabulate"]["tuples"] == 0
+    assert tracer.stats["cohomology.tabulate"]["calls"] > 0
+    assert tracer.stats["cohomology.tabulate"]["tuples"] > 0
+    # the direct route of derived_bracket still tabulates through the evaluator
+    bracket = {layer: tracer.stats[layer] - before[layer] for layer in before}
+    assert bracket["confcore.eval"]["calls"] == 192
+    assert bracket["confcore.eval"]["basis_only_calls"] == 80
+    assert bracket["cohomology.tabulate"]["calls"] == 1
+    assert bracket["cohomology.tabulate"]["tuples"] == 8
     assert all(_slot(*target) is raw for target, raw in zip(targets, originals))
 
 
 def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys):
-    # The checkers compute whole residual tables; eval_multilinear serves the
-    # constructions' tabulations and the remaining element-level calls.  A change
-    # that moved work between the two would show here first.
+    # The checkers compute whole residual tables and the constructions compose
+    # theirs, so the fixture corpus makes no evaluator or module-map call; work
+    # moved back to per-tuple evaluation would show here first.
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -72,10 +82,8 @@ def test_tracer_pins_the_evaluator_counts_of_the_fixture_corpus(tracing, capsys)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.stats["confcore.eval"]["calls"] == 172
-    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 139
-    # the module-map and scan counts pin where results are shared: inside
-    # ModuleMap.apply and eval_multilinear, not around their call sites; the
-    # scan reads every basis tuple of each residual table, as a per-tuple scan did
-    assert tracer.stats["operators.apply"]["calls"] == 88
+    assert tracer.stats["confcore.eval"]["calls"] == 0
+    assert tracer.stats["confcore.eval"]["basis_only_calls"] == 0
+    assert tracer.stats["operators.apply"]["calls"] == 0
+    # the scan reads every basis tuple of each residual table, as a per-tuple scan did
     assert tracer.stats["confcore.scan"]["tuples"] == 360

@@ -187,23 +187,12 @@ def _rand_arg(rng: random.Random, module: FreeModule):
     return helpers.rand_elem(rng, module, names=() if kind == 4 else ("D",))
 
 
-def _sym(p: Poly):
-    return sum(
-        (
-            sp.Rational(c.numerator, c.denominator)
-            * sp.Mul(*(sp.Symbol(name) ** exp for name, exp in mono))
-            for mono, c in p.items()
-        ),
-        sp.Integer(0),
-    )
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9), st.lists(st.integers(0, len(WEIGHTS) - 1), min_size=1, max_size=12))
 def test_cached_binary_evaluation_matches_a_cold_table_and_the_oracle(seed, order) -> None:
     rng = random.Random(seed)
     table = helpers.rand_table(rng, AM)
-    sym_table = {idx: tuple(map(_sym, e.coeffs)) for idx, e in table.entries.items()}
+    sym_table = helpers.sym_table(table)
     for k in order:
         x, y, w = _rand_arg(rng, AM), _rand_arg(rng, AM), WEIGHTS[k]()
         first = eval_multilinear(table, (x, y), (w,))
@@ -211,9 +200,9 @@ def test_cached_binary_evaluation_matches_a_cold_table_and_the_oracle(seed, orde
         assert got == first
         assert got == eval_multilinear(_cold(table), (x, y), (w,))
         expected = _oracle.ev2(
-            sym_table, AM.rank, tuple(map(_sym, x.coeffs)), tuple(map(_sym, y.coeffs)), _sym(w)
+            sym_table, AM.rank, helpers.sym_vec(x), helpers.sym_vec(y), helpers.sym(w)
         )
-        assert all(sp.expand(_sym(c) - e) == 0 for c, e in zip(got.coeffs, expected))
+        assert all(sp.expand(helpers.sym(c) - e) == 0 for c, e in zip(got.coeffs, expected))
 
 
 @settings(max_examples=20, deadline=None)

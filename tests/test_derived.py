@@ -1,7 +1,8 @@
 """Tests for the structures an operator induces on its source.
 
 Frozen tables come from an independent brute-force expansion; the splitting,
-deformation, and hierarchy laws additionally run on seeded random maps.
+deformation, and hierarchy laws additionally run on seeded random maps, and
+every construction's tables are compared with the sympy oracle's builders.
 """
 
 from __future__ import annotations
@@ -11,15 +12,21 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confalg.cohomology import Cochain
 from confalg.confcore import (
     ConfAlgebra,
+    ConfBimodule,
+    FreeModule,
+    MultiTable,
     check_associative,
     check_bimodule,
     check_lie,
     commutator_lie,
+    cur,
     semidirect,
     twisted_extension,
 )
@@ -48,6 +55,7 @@ from confalg.derived import (
 )
 from confalg.operators import ModuleMap, verify_operator
 
+import _oracle
 import helpers
 from helpers import (
     ADJ,
@@ -68,6 +76,8 @@ from helpers import (
     SWAP,
     a,
     b,
+    sym_map,
+    sym_table,
     u,
     v,
 )
@@ -422,3 +432,160 @@ def test_deformation_clauses_for_the_swap_map() -> None:
 def test_deformation_check_validates_by_default() -> None:
     with pytest.raises(NotNijenhuis):
         deformation_check(SWAP, DUAL)
+
+
+# -- construction tables against the oracle ---------------------------------------------
+
+
+def _assert_oracle_table(table: MultiTable, expected: dict) -> None:
+    got = sym_table(table)
+    assert set(got) == set(expected)
+    for idx, vec in expected.items():
+        assert all(sp.expand(c - e) == 0 for c, e in zip(got[idx], vec)), idx
+
+
+def _rand_binary(rng: random.Random, left, right, out) -> MultiTable:
+    entries = {
+        (i, j): helpers.rand_elem(rng, out, ("D", "L1"))
+        for i in range(left.rank)
+        for j in range(right.rank)
+    }
+    return MultiTable((left, right), out, entries)
+
+
+def _twisted_induced_tables(a_tab, lact, ract, phi_fn, ra, rm, tmat):
+    """``m·a = T(m)a − T(m·a + φ(T(m), a))`` and ``a·m = a T(m) − T(a·m + φ(a, T(m)))``."""
+    o = _oracle
+
+    def left(m, x, w):
+        tm = o.apply_mat(tmat, ra, m)
+        inner = o.vadd(o.ev2(ract, rm, m, x, w), phi_fn([tm, x], [w]))
+        return o.vsub(o.ev2(a_tab, ra, tm, x, w), o.apply_mat(tmat, ra, inner))
+
+    def right(x, m, w):
+        tm = o.apply_mat(tmat, ra, m)
+        inner = o.vadd(o.ev2(lact, rm, x, m, w), phi_fn([x, tm], [w]))
+        return o.vsub(o.ev2(a_tab, ra, x, tm, w), o.apply_mat(tmat, ra, inner))
+
+    def tabulate(fn, r1, r2):
+        values = {
+            (i, j): fn(o.basisv(r1, i), o.basisv(r2, j), o.L[1])
+            for i in range(r1)
+            for j in range(r2)
+        }
+        return {idx: vec for idx, vec in values.items() if not o.veq0(vec)}
+
+    return tabulate(left, rm, ra), tabulate(right, ra, rm)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unvalidated_construction_tables_match_the_oracle(seed: int) -> None:
+    # random structure tables (axioms not required) and maps through the validate=False paths
+    rng = random.Random(seed)
+    M = FreeModule(("p", "q", "r"))
+    alg = ConfAlgebra(AM, _rand_binary(rng, AM, AM, AM), "associative")
+    bim = ConfBimodule(alg, M, _rand_binary(rng, AM, M, M), _rand_binary(rng, M, AM, M))
+    T = ModuleMap.from_images(M, AM, {name: helpers.rand_elem(rng, AM) for name in M.basis})
+    phi = Cochain(_rand_binary(rng, AM, AM, M))
+    a_tab, lact, ract = sym_table(alg.table), sym_table(bim.left), sym_table(bim.right)
+    ra, rm, tmat = AM.rank, M.rank, sym_map(T)
+    phi_fn = _oracle.cochain_fn(2, ra, rm, sym_table(phi.table))
+
+    star = _oracle.star_table(a_tab, lact, ract, ra, rm, tmat)
+    _assert_oracle_table(m_ass(T, alg, bim, validate=False).table, star)
+    star_phi = _oracle.star_phi_table(a_tab, lact, ract, ra, rm, tmat, phi_fn)
+    _assert_oracle_table(m_ass(T, alg, bim, phi, validate=False).table, star_phi)
+    induced = induced_bimodule_on_A(T, alg, bim, validate=False)
+    left, right = _oracle.induced_action_tables(a_tab, lact, ract, ra, rm, tmat)
+    _assert_oracle_table(induced.left, left)
+    _assert_oracle_table(induced.right, right)
+    twisted = induced_bimodule_on_A(T, alg, bim, phi, validate=False)
+    left, right = _twisted_induced_tables(a_tab, lact, ract, phi_fn, ra, rm, tmat)
+    _assert_oracle_table(twisted.left, left)
+    _assert_oracle_table(twisted.right, right)
+
+    N = helpers.rand_map(rng, AM)
+    nmat = sym_map(N)
+    candidate, phi_n = deformed_product(N, alg)
+    _assert_oracle_table(candidate.table, _oracle.deformed_table(a_tab, ra, nmat))
+    _assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
+    lie = ConfAlgebra(AM, _rand_binary(rng, AM, AM, AM), "lie")
+    bracket = deformed_bracket(N, lie, validate=False)
+    _assert_oracle_table(bracket.table, _oracle.deformed_bracket_table(sym_table(lie.table), ra, nmat))
+
+
+def _leftsym_table(succ: dict, prec: dict, rank: int) -> dict:
+    """``a ∘ b = a ≻ b − b ≺_{−λ−∂} a``."""
+    o = _oracle
+
+    def fn(x, y, w):
+        return o.vsub(o.ev2(succ, rank, x, y, w), o.ev2(prec, rank, y, x, -w - o.D))
+
+    return o.table_of_fn2(fn, rank, rank)
+
+
+# upper triangular 2×2 matrices; p ↦ q, r ↦ D·q is an O-operator whose ≺ is neither
+# symmetric nor free of D, so its left-symmetric product depends on the swapped weight
+UT = cur(("p", "q", "r"), {("p", "p"): (1, 0, 0), ("p", "q"): (0, 1, 0),
+                           ("q", "r"): (0, 1, 0), ("r", "r"): (0, 0, 1)})
+UT_Q = UT.module.basis_elem("q")
+UT_T = ModuleMap.from_images(UT.module, UT.module, {"p": UT_Q, "r": D * UT_Q})
+# the dual numbers acting on themselves from the left only; the identity is an O-operator
+LEFT_ONLY = ConfBimodule(DUAL, AM, DUAL.table, MultiTable((AM, AM), AM, {}))
+
+
+@pytest.mark.parametrize(
+    "T, alg, bim",
+    [(SHIFT, DUAL, ADJ), (NILP_T2, NILP, NADJ), (UT_T, UT, ConfBimodule.adjoint(UT)),
+     (IDENT, DUAL, LEFT_ONLY)],
+)
+def test_o_operator_construction_tables_match_the_oracle(T, alg, bim) -> None:
+    a_tab, lact, ract = sym_table(alg.table), sym_table(bim.left), sym_table(bim.right)
+    ra, rm, tmat = alg.rank, bim.module.rank, sym_map(T)
+    bundle = dendriform_from_O(T, alg, bim)
+    succ, prec = _oracle.dendriform_tables(lact, ract, ra, rm, tmat)
+    _assert_oracle_table(bundle.table("succ").table, succ)
+    _assert_oracle_table(bundle.table("prec").table, prec)
+    leftsym = leftsym_from_dendriform(bundle).table("leftsym").table
+    _assert_oracle_table(leftsym, _leftsym_table(succ, prec, rm))
+    star = _oracle.star_table(a_tab, lact, ract, ra, rm, tmat)
+    _assert_oracle_table(m_ass(T, alg, bim).table, star)
+    induced = induced_bimodule_on_A(T, alg, bim)
+    left, right = _oracle.induced_action_tables(a_tab, lact, ract, ra, rm, tmat)
+    _assert_oracle_table(induced.left, left)
+    _assert_oracle_table(induced.right, right)
+
+
+def test_twisted_construction_tables_match_the_oracle() -> None:
+    phi = helpers.neg_mult()
+    a_tab, ra, tmat = sym_table(DUAL.table), DUAL.rank, sym_map(IDENT)
+    phi_fn = _oracle.cochain_fn(2, ra, ra, sym_table(phi.table))
+    star_phi = _oracle.star_phi_table(a_tab, a_tab, a_tab, ra, ra, tmat, phi_fn)
+    _assert_oracle_table(m_ass(IDENT, DUAL, ADJ, phi).table, star_phi)
+    bundle = ns_from_twisted(IDENT, DUAL, ADJ, phi)
+    succ, prec = _oracle.dendriform_tables(a_tab, a_tab, ra, ra, tmat)
+    _assert_oracle_table(bundle.table("succ").table, succ)
+    _assert_oracle_table(bundle.table("prec").table, prec)
+    _assert_oracle_table(bundle.sum_table().table, star_phi)
+
+
+@pytest.mark.parametrize("N", [SHIFT, IDENT])
+def test_nijenhuis_construction_tables_match_the_oracle(N) -> None:
+    a_tab, ra, nmat = sym_table(DUAL.table), DUAL.rank, sym_map(N)
+    bundle = ns_from_nijenhuis(N, DUAL)
+    succ, prec = _oracle.dendriform_tables(a_tab, a_tab, ra, ra, nmat)
+    _assert_oracle_table(bundle.table("succ").table, succ)
+    _assert_oracle_table(bundle.table("prec").table, prec)
+    deformed = _oracle.deformed_table(a_tab, ra, nmat)
+    _assert_oracle_table(bundle.sum_table().table, deformed)
+    candidate, phi_n = deformed_product(N, DUAL)
+    _assert_oracle_table(candidate.table, deformed)
+    _assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
+
+
+def test_deformed_bracket_table_matches_the_oracle() -> None:
+    lie = commutator_lie(twisted_extension(NILP, NADJ, helpers.nilp_cocycle()))
+    N = ModuleMap.identity(lie.module).scale(Fraction(1, 2))
+    expected = _oracle.deformed_bracket_table(sym_table(lie.table), lie.rank, sym_map(N))
+    _assert_oracle_table(deformed_bracket(N, lie).table, expected)
+

@@ -435,6 +435,48 @@ check associative Star;
         resolve(parse(src + "algebra Star { basis w; }"))
 
 
+MASS_T_SOURCE = A2_SOURCE + """
+bimodule AdjA2 adjoint A2;
+map T : AdjA2 -> A2 { u -> v; v -> 0; }
+map Swap : AdjA2 -> A2 { u -> v; v -> u; }
+"""
+
+
+def test_cli_checks_an_unnamed_construct_result_by_its_default_name(tmp_path, capsys):
+    source = tmp_path / "mass.cfa"
+    source.write_text(
+        MASS_T_SOURCE
+        + "construct mass T on A2 with AdjA2;\n"
+        + "construct mass Swap on A2 with AdjA2;\n"  # not an O-operator: nothing is bound
+        + "check associative mass_T;\n"
+        + "check associative mass_Swap;\n"
+    )
+    assert main(["check", str(source), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = json.loads(captured.out)["records"]
+    assert [(r["identity"], r["status"]) for r in records] == [
+        ("construct mass T", "holds"),
+        ("construct mass Swap", "error"),
+        ("check associative mass_T", "holds"),
+        ("check associative mass_Swap", "error"),
+    ]
+    assert records[3]["detail"] == "algebra 'mass_Swap' was not built: its statement failed"
+
+
+def test_a_default_construct_name_collides_with_an_algebra_in_either_order(tmp_path, capsys):
+    declared = "algebra mass_T { basis w; product w w = w; }\n"
+    construct = "construct mass T on A2 with AdjA2;\n"
+    check = "check associative mass_T;\n"
+    source = tmp_path / "clash.cfa"
+    for text in (MASS_T_SOURCE + declared + check + construct + check,
+                 MASS_T_SOURCE + construct + declared):
+        source.write_text(text)
+        assert "mass_T" in _single_error_record(capsys, source)
+        with pytest.raises(DuplicateName, match="mass_T"):
+            resolve(parse(text))
+
+
 def test_construct_from_invalid_operator_is_an_error():
     src = (
         A2_SOURCE

@@ -76,6 +76,9 @@ from helpers import (
     ZERO_MAP,
     a,
     b,
+    sym,
+    sym_map,
+    sym_table,
     u,
     v,
 )
@@ -380,34 +383,11 @@ def test_compatible_nijenhuis_matches_the_sum() -> None:
         )
 
 
-def _sym(p: Poly):
-    return sum(
-        (
-            sp.Rational(c.numerator, c.denominator)
-            * sp.Mul(*(sp.Symbol(name) ** exp for name, exp in mono))
-            for mono, c in p.items()
-        ),
-        sp.Integer(0),
-    )
-
-
-def _sym_vec(elem):
-    return tuple(_sym(c) for c in elem.coeffs)
-
-
-def _sym_table(table):
-    return {idx: _sym_vec(e) for idx, e in table.entries.items()}
-
-
-def _sym_map(T):
-    return [_sym_vec(T.apply(e)) for e in T.source.basis_elems()]
-
-
 def _assert_witnesses_match(verdict, module, expected) -> None:
     got = [(tuple(map(module.basis.index, names)), res) for names, res in verdict.witnesses]
     assert [idx for idx, _ in got] == [idx for idx, _ in expected]
     for (_, res), (_, vec) in zip(got, expected):
-        assert all(sp.expand(_sym(c) - e) == 0 for c, e in zip(res.coeffs, vec))
+        assert all(sp.expand(sym(c) - e) == 0 for c, e in zip(res.coeffs, vec))
 
 
 @pytest.mark.parametrize(
@@ -421,13 +401,13 @@ def _assert_witnesses_match(verdict, module, expected) -> None:
 def test_compatible_o_matches_the_oracle(T1, T2, alg, bim, holds) -> None:
     verdict = compatible_O(T1, T2, alg, bim)
     expected = _oracle.res_compat_o(
-        _sym_table(alg.table),
-        _sym_table(bim.left),
-        _sym_table(bim.right),
+        sym_table(alg.table),
+        sym_table(bim.left),
+        sym_table(bim.right),
         alg.rank,
         bim.module.rank,
-        _sym_map(T1),
-        _sym_map(T2),
+        sym_map(T1),
+        sym_map(T2),
     )
     assert verdict.identity == "compatible-O"
     assert verdict.holds is holds
@@ -441,7 +421,7 @@ def test_compatible_o_matches_the_oracle(T1, T2, alg, bim, holds) -> None:
 def test_compatible_nijenhuis_matches_the_oracle(N1, N2, holds) -> None:
     verdict = compatible_nijenhuis(N1, N2, DUAL)
     expected = _oracle.res_compat_nijenhuis(
-        _sym_table(DUAL.table), DUAL.rank, _sym_map(N1), _sym_map(N2)
+        sym_table(DUAL.table), DUAL.rank, sym_map(N1), sym_map(N2)
     )
     assert verdict.identity == "compatible-Nijenhuis"
     assert verdict.holds is holds
