@@ -58,6 +58,7 @@ from .operators import (
     induced_actions,
     require_operator,
     star_product,
+    star_terms,
     verify_operator,
 )
 from .polyring import Poly, PolyLike
@@ -230,9 +231,9 @@ def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> Stru
     return bundle
 
 
-def _split(t: MultiTable, left: MultiTable, right: MultiTable) -> dict:
-    """``m ≻ n = T(m)·n`` and ``m ≺ n = m·T(n)``: ``left∘₁T`` and ``right∘₂T``."""
-    return {"succ": circ(left, 1, t), "prec": circ(right, 2, t)}
+def _split(terms: list) -> dict:
+    """The ⋆ terms (:func:`~confalg.operators.star_terms`) as products ``≻``, ``≺`` [, ``∨``]."""
+    return {tag: table_sum([term]) for tag, term in zip(("succ", "prec", "vee"), terms)}
 
 
 def dendriform_from_O(
@@ -240,7 +241,8 @@ def dendriform_from_O(
 ) -> StructureBundle:
     """Dendriform pair ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)`` on the module."""
     require_operator("O", T, alg, bim, cap=cap)
-    return _certified("dendriform", "dendriform_from_O", _split(T.table, bim.left, bim.right))
+    tables = _split(star_terms(T.table, bim.left, bim.right))
+    return _certified("dendriform", "dendriform_from_O", tables)
 
 
 def m_ass(
@@ -299,9 +301,7 @@ def ns_from_twisted(
 ) -> StructureBundle:
     """NS triple ``m ≻ n = T(m)·n``, ``m ≺ n = m·T(n)``, ``m ∨ n = φ(T(m), T(n))``."""
     require_operator("TwistedRB", T, alg, bim, twist=phi, cap=cap)
-    t = T.table
-    tables = _split(t, bim.left, bim.right)
-    tables["vee"] = circ(circ(phi.table, 1, t), 2, t)
+    tables = _split(star_terms(T.table, bim.left, bim.right, phi.table))
     return _certified("ns", "ns_from_twisted", tables)
 
 
@@ -309,14 +309,13 @@ def ns_from_nijenhuis(N: ModuleMap, alg: ConfAlgebra, cap: int = WITNESS_CAP) ->
     """NS triple ``a ≻ b = N(a)b``, ``a ≺ b = a N(b)``, ``a ∨ b = −N(ab)``."""
     require_operator("Nijenhuis", N, alg, cap=cap)
     m, n = alg.table, N.table
-    tables = _split(n, m, m)
-    tables["vee"] = table_sum([(-1, Circ(n, 1, m))])
+    tables = _split(star_terms(n, m, m) + [(-1, Circ(n, 1, m))])
     return _certified("ns", "ns_from_nijenhuis", tables)
 
 
 def _deformed(n: MultiTable, m: MultiTable) -> MultiTable:
     """``a ∘ᴺ b = N(a)b + aN(b) − N(ab)`` is ``m∘₁N + m∘₂N − N∘₁m``."""
-    return table_sum([(1, Circ(m, 1, n)), (1, Circ(m, 2, n)), (-1, Circ(n, 1, m))])
+    return table_sum([*star_terms(n, m, m), (-1, Circ(n, 1, m))])
 
 
 def deformed_product(N: ModuleMap, alg: ConfAlgebra):

@@ -695,7 +695,7 @@ def resolve(sf: SourceFile) -> None:
                 # get here is a clash with a construct-registered name
                 raise DuplicateName(
                     f"algebra {decl.name!r} on line {decl.line} collides with a "
-                    f"construct result of the same name"
+                    f"construct result of the same name; give the construct another 'as' name"
                 )
             algebras.add(decl.name)
         elif isinstance(decl, BimoduleDecl):
@@ -738,7 +738,8 @@ def resolve(sf: SourceFile) -> None:
                 name = _construct_name(decl)
                 if name in algebras:
                     raise DuplicateName(
-                        f"algebra {name!r} redeclared by construct on line {decl.line}"
+                        f"algebra {name!r} redeclared by construct on line {decl.line}; "
+                        f"give the construct another 'as' name"
                     )
                 algebras.add(name)
 

@@ -34,9 +34,9 @@ kind                      identity (all products at weight L1)
 
 The ⋆-product ``m ⋆ n = T(m)·n + m·T(n)`` carried by the module and the
 induced actions of the module on the algebra are defined once, as table sums
-(:func:`star_product`, :func:`induced_actions`); the O and twisted residuals,
-the constructions of :mod:`confalg.derived` and the closed form of the
-derived bracket in :mod:`confalg.cohomology` all read them from there.
+(:func:`star_terms`, :func:`induced_actions`); the operator residuals, the
+constructions of :mod:`confalg.derived` and the closed form of the derived
+bracket in :mod:`confalg.cohomology` all read them from there.
 
 The O and Nijenhuis residuals are quadratic in the map, so the
 compatibility of two verified operators is the identity of their sum: its
@@ -324,17 +324,24 @@ def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     return ins
 
 
-def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
-    """The table of ``m ⋆ n = T(m)·n + m·T(n) [+ φ(T(m), T(n))]`` on the module.
+def star_terms(t: MultiTable, left: MultiTable, right: MultiTable, phi=None) -> list:
+    """The table-sum terms of ``m ⋆ n = T(m)·n + m·T(n) [+ φ(T(m), T(n))]``.
 
-    It is ``l∘₁T + r∘₂T [+ (φ∘₁T)∘₂T]``; ``phi`` is an optional twisting
-    2-cochain on the algebra valued in the module.
+    They are ``l∘₁T``, ``r∘₂T`` [and ``(φ∘₁T)∘₂T``] for the map's table ``t``,
+    the actions ``left``/``right`` and an optional twist table ``phi``; with the
+    algebra's product for both actions they give ``T(a)b + aT(b)``.
     """
-    t = T.table
-    terms = [(1, Circ(bim.left, 1, t)), (1, Circ(bim.right, 2, t))]
+    terms = [(1, Circ(left, 1, t)), (1, Circ(right, 2, t))]
     if phi is not None:
-        terms.append((1, circ(circ(phi.table, 1, t), 2, t)))
-    return table_sum(terms)
+        terms.append((1, Circ(circ(phi, 1, t), 2, t)))
+    return terms
+
+
+def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
+    """The table of ``m ⋆ n`` on the module (:func:`star_terms`); ``phi`` is an
+    optional twisting 2-cochain on the algebra valued in the module."""
+    twist = phi.table if phi is not None else None
+    return table_sum(star_terms(T.table, bim.left, bim.right, twist))
 
 
 def induced_actions(
@@ -361,23 +368,25 @@ def _quadratic(mul: MultiTable, t: MultiTable, *inner: tuple) -> MultiTable:
 
 def _o_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     # O and TwistedRB: m∘(T⊗T) − T∘⋆, the twist (None for O) inside ⋆
-    return _quadratic(ins.alg.table, T.table, (1, star_product(T, ins.bim, ins.twist)))
+    t, bim = T.table, ins.bim
+    twist = ins.twist.table if ins.twist is not None else None
+    return _quadratic(ins.alg.table, t, *star_terms(t, bim.left, bim.right, twist))
 
 
 def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     m, t = ins.alg.table, T.table
-    return _quadratic(m, t, (1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (ins.weight, m))
+    return _quadratic(m, t, *star_terms(t, m, m), (ins.weight, m))
 
 
 def _nijenhuis_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     m, t = ins.alg.table, T.table
-    return _quadratic(m, t, (1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (-1, Circ(t, 1, m)))
+    return _quadratic(m, t, *star_terms(t, m, m), (-1, Circ(t, 1, m)))
 
 
 def _reynolds_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     m, t = ins.alg.table, T.table
     cross = circ(circ(m, 1, t), 2, t)
-    inner = table_sum([(1, Circ(m, 1, t)), (1, Circ(m, 2, t)), (-1, cross)])
+    inner = table_sum([*star_terms(t, m, m), (-1, cross)])
     return table_sum([(1, cross), (-1, Circ(t, 1, inner))])
 
 

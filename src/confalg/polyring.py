@@ -314,17 +314,7 @@ def _d_rows(nums: dict) -> tuple | None:
 
 
 def _pack_row(row: list, lo: int, bits: int) -> int:
-    """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``.
-
-    The row holds each ``D^e`` from ``D^lo`` on once; like :func:`_decode`, rows
-    of more slots than ``_DECODE_SPLIT`` are packed by halves, so that no sum
-    runs over the whole growing integer once per slot.
-    """
-    if len(row) > _DECODE_SPLIT:
-        k = len(row) // 2
-        low = [(e, c) for e, c in row if e - lo < k]
-        high = [(e, c) for e, c in row if e - lo >= k]
-        return _pack_row(low, lo, bits) + (_pack_row(high, lo + k, bits) << bits * k)
+    """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``."""
     packed = 0
     for e, c in row:
         packed += c << bits * (e - lo)

@@ -464,17 +464,22 @@ def test_cli_checks_an_unnamed_construct_result_by_its_default_name(tmp_path, ca
     assert records[3]["detail"] == "algebra 'mass_Swap' was not built: its statement failed"
 
 
-def test_a_default_construct_name_collides_with_an_algebra_in_either_order(tmp_path, capsys):
+def test_a_default_construct_name_collides_with_an_algebra_or_a_construct(tmp_path, capsys):
     declared = "algebra mass_T { basis w; product w w = w; }\n"
     construct = "construct mass T on A2 with AdjA2;\n"
     check = "check associative mass_T;\n"
     source = tmp_path / "clash.cfa"
+    # an algebra declared before or after; or two constructs of one map, such
+    # as its plain and its twisted star product
     for text in (MASS_T_SOURCE + declared + check + construct + check,
-                 MASS_T_SOURCE + construct + declared):
+                 MASS_T_SOURCE + construct + declared,
+                 MASS_T_SOURCE + construct + construct):
         source.write_text(text)
-        assert "mass_T" in _single_error_record(capsys, source)
+        detail = _single_error_record(capsys, source)
+        assert "'mass_T'" in detail and "another 'as' name" in detail
         with pytest.raises(DuplicateName, match="mass_T"):
             resolve(parse(text))
+    resolve(parse(MASS_T_SOURCE + construct + "construct mass T on A2 with AdjA2 as Star;\n"))
 
 
 def test_construct_from_invalid_operator_is_an_error():

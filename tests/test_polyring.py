@@ -7,7 +7,6 @@ package itself.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -543,29 +542,6 @@ def test_long_packed_rows_decode_like_the_term_loop(monkeypatch) -> None:
                 products.append(p * q)
         assert all(product == products[-1] for product in products)
         assert len(products[0]._nums) > 2 * polyring._DECODE_SPLIT
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(-(2**400), 2**400), min_size=1, max_size=300),
-    st.integers(0, 40),
-    st.integers(1, 500),
-    st.randoms(use_true_random=False),
-)
-def test_rows_pack_like_the_shifted_sum(nums, lo, bits, rnd) -> None:
-    # a row lists each D^(lo+k) once, in any order; long rows are packed by halves
-    row = [(lo + k, c) for k, c in enumerate(nums)]
-    rnd.shuffle(row)
-    assert polyring._pack_row(row, lo, bits) == sum(c << bits * (e - lo) for e, c in row)
-
-
-def test_square_of_a_long_binomial_row_has_the_binomial_coefficients() -> None:
-    # (D+1)^1500 is one row of 1,501 slots: packed and decoded by halves
-    def binomial(n: int) -> Poly:
-        return Poly({(("D", k),) if k else (): math.comb(n, k) for k in range(n + 1)})
-
-    square = binomial(1500) * binomial(1500)
-    assert square == binomial(3000)
 
 
 def test_rows_apart_along_d_go_term_by_term(monkeypatch) -> None:
