@@ -233,9 +233,7 @@ def _cmd_bracket(args) -> Report:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            report, _, _ = _load(args)
-        elif args.command == "construct":
+        if args.command in ("check", "construct"):
             report, _, _ = _load(args)
         elif args.subcommand == "d2-check":
             report = _cmd_d2_check(args)

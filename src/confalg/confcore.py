@@ -77,7 +77,7 @@ L3 = Poly.var("L3")
 #: Default maximum number of failing basis tuples kept in a verdict.
 WITNESS_CAP = 16
 #: The most weight tuples whose evaluation plans one table keeps; a full cache
-#: is cleared.  The checkers use a handful per table.
+#: is cleared.
 PLAN_CACHE_CAP = 64
 
 EntryLike = Union["ModElem", Sequence[PolyLike]]

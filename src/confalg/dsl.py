@@ -14,8 +14,15 @@ runs ``check`` and ``construct`` statements against them::
     check O T on A2 with AdjA2;
 
 Coefficients are exact polynomials in ``D`` (the derivation) and the weights
-``L`` (alias ``L1``), ``L2`` (alias ``M``); rational scalars are written
-``p/q``.  Omitted products and values default to zero, and ``#`` starts a
+``L`` (alias ``L1``), ``L2`` (alias ``M``), written in the grammar of
+:func:`~confalg.polyring.parse_poly`, whose tokenizer and parser this module
+extends: ``^`` takes an integer exponent on any atom, rational scalars are
+written ``p/q``, a unary ``-`` may stand before any factor inside
+parentheses, and parentheses and unary minus signs together nest at most
+:data:`~confalg.polyring.MAX_NESTING` levels.  A term of an element
+expression is a ``*``-product of such powers with at most one basis name.
+Numbers are runs of decimal digits, only space, tab, CR and LF separate
+tokens, omitted products and values default to zero, and ``#`` starts a
 comment running to the end of the line.  :func:`parse` turns text into a
 :class:`SourceFile`, :func:`run` executes one and returns a :class:`Report`,
 and :func:`emit_dsl` renders algebras, bundles, and 2-cochains back to
@@ -58,7 +65,6 @@ from .derived import (
 from .errors import (
     ConfalgError,
     DuplicateName,
-    ExponentOverflow,
     ParseError,
     PreconditionFailed,
     UnresolvedName,
@@ -66,7 +72,7 @@ from .errors import (
 from .operators import KINDS as OPERATOR_KINDS
 from .operators import REGISTRY as OPERATORS
 from .operators import ModuleMap, verify_operator
-from .polyring import MAX_NESTING, Poly, decimal_to_int
+from .polyring import Poly, Token, _PolyParser, _tokenize
 
 __all__ = [
     "SourceFile",
@@ -107,67 +113,6 @@ KEYWORDS = frozenset(
         "as",
     }
 )
-
-# -- tokens ------------------------------------------------------------------------
-
-_PUNCT = ("->", "{", "}", "(", ")", ";", ":", ",", "=", "+", "-", "*", "/", "^")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "number" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, column = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, line, start_col))
-                column += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("eof", "", line, column))
-    return tokens
-
 
 # -- abstract syntax -----------------------------------------------------------------
 
@@ -251,199 +196,91 @@ class SourceFile:
 # -- parser ------------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: Sequence[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+class _Parser(_PolyParser):
+    """The polynomial grammar, with declarations, element expressions and clauses.
 
-    # token plumbing
+    Inside a coefficient a name must be ``D`` or a weight (:data:`VAR_ALIASES`).
+    """
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expect_name(self, what: str = "a name") -> str:
+        kind, text, _, _ = self.peek()
+        if kind != "name":
+            raise self.fail(f"expected {what}, found {text or 'end of input'!r}")
+        self.advance()
+        return text
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def expect_keyword(self, word: str) -> Token:
+        tok = self.peek()
+        if self.expect_name(f"keyword {word!r}") != word:
+            raise self.fail(f"expected keyword {word!r}, found {tok[1]!r}", tok)
         return tok
 
-    def fail(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
-
-    def expect_punct(self, text: str) -> _Token:
+    def fresh_name(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_name(self, what: str = "a name") -> _Token:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.expect_name(f"keyword {word!r}")
-        if tok.text != word:
-            raise ParseError(f"expected keyword {word!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def fresh_name(self, what: str) -> _Token:
-        tok = self.expect_name(what)
-        if tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a keyword and cannot name {what}", tok.line, tok.column)
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+        name = self.expect_name(what)
+        if name in KEYWORDS:
+            raise self.fail(f"{name!r} is a keyword and cannot name {what}", tok)
+        return name
 
     def at_name(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == text
+        kind, found, _, _ = self.peek()
+        return kind == "name" and found == text
 
-    # expression grammar
+    # element expressions
 
-    def parse_number(self) -> Fraction:
-        tok = self.advance()
-        value = Fraction(decimal_to_int(tok.text))
-        if self.at_punct("/"):
-            self.advance()
-            den = self.peek()
-            if den.kind != "number":
-                raise self.fail("expected a denominator after '/'")
-            self.advance()
-            divisor = decimal_to_int(den.text)
-            if divisor == 0:
-                raise ParseError("zero denominator", den.line, den.column)
-            value /= divisor
-        return value
-
-    def parse_exponent(self) -> int:
-        self.expect_punct("^")
-        tok = self.peek()
-        if tok.kind != "number":
-            raise self.fail("expected an integer exponent after '^'")
-        self.advance()
-        return decimal_to_int(tok.text)
-
-    def parse_scalar_factor(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "number":
-            return Poly.const(self.parse_number())
-        if tok.kind == "name":
-            if tok.text not in VAR_ALIASES:
-                raise self.fail("basis names cannot appear inside coefficients", tok)
-            self.advance()
-            exp = self.parse_exponent() if self.at_punct("^") else 1
-            return Poly.var(VAR_ALIASES[tok.text], exp)
-        if tok.kind == "punct" and tok.text == "(":
-            return self.parse_group()
-        raise self.fail("expected a coefficient")
-
-    def parse_group(self) -> Poly:
-        """A parenthesised coefficient, optionally raised to a power."""
-        tok = self.expect_punct("(")
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
-        inner = self.parse_scalar_expr()
-        self.expect_punct(")")
-        self.depth -= 1
-        if self.at_punct("^"):
-            return inner ** self.parse_exponent()
-        return inner
-
-    def parse_scalar_term(self) -> Poly:
-        out = self.parse_scalar_factor()
-        while self.at_punct("*"):
-            self.advance()
-            out = out * self.parse_scalar_factor()
-        return out
-
-    def parse_scalar_expr(self) -> Poly:
-        negate = False
-        if self.at_punct("-"):
-            self.advance()
-            negate = True
-        out = self.parse_scalar_term()
-        if negate:
-            out = out * Poly.const(-1)
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            term = self.parse_scalar_term()
-            out = out + term if op == "+" else out - term
-        return out
+    def parse_name(self, tok: Token) -> Poly:
+        var = VAR_ALIASES.get(tok[1])
+        if var is None:
+            raise self.fail("basis names cannot appear inside coefficients", tok)
+        return Poly.var(var)
 
     def parse_elem_term(self) -> Optional[ExprTerm]:
-        """One additive term: scalar factors and at most one basis name.
+        """One additive term: a product of powers and at most one basis name.
 
-        Returns ``None`` for a literal scalar zero (the empty element).
+        Returns ``None`` for a term without a basis name whose coefficient is zero.
         """
         coeff = Poly.one()
         basis: Optional[str] = None
-        saw_scalar_zero = False
-        first = True
         while True:
-            tok = self.peek()
-            if tok.kind == "number":
-                value = self.parse_number()
-                if value == 0:
-                    saw_scalar_zero = True
-                coeff = coeff * Poly.const(value)
-            elif tok.kind == "name" and tok.text in VAR_ALIASES:
-                self.advance()
-                exp = self.parse_exponent() if self.at_punct("^") else 1
-                coeff = coeff * Poly.var(VAR_ALIASES[tok.text], exp)
-            elif tok.kind == "name" and tok.text not in KEYWORDS:
+            kind, text, _, _ = self.peek()
+            if kind == "name" and text not in VAR_ALIASES and text not in KEYWORDS:
                 if basis is not None:
-                    raise self.fail("a term may mention at most one basis name", tok)
+                    raise self.fail("a term may mention at most one basis name")
                 self.advance()
                 if self.at_punct("^"):
                     raise self.fail("basis names cannot be raised to powers")
-                basis = tok.text
-            elif tok.kind == "punct" and tok.text == "(":
-                coeff = coeff * self.parse_group()
+                basis = text
             else:
-                if first:
-                    raise self.fail("expected an element expression")
+                coeff = self.times(coeff, self.parse_power)
+            if not self.at_punct("*"):
                 break
-            first = False
-            if self.at_punct("*"):
-                self.advance()
-                continue
-            break
+            self.advance()
         if basis is None:
-            if saw_scalar_zero or coeff.is_zero():
+            if coeff.is_zero():
                 return None
             raise self.fail("a nonzero term must mention a basis name")
         return (coeff, basis)
 
     def parse_elem_expr(self) -> Expr:
         terms: List[ExprTerm] = []
-        op = self.advance().text if self.at_punct("-") else "+"
+        op = self.advance()[1] if self.at_punct("-") else "+"
         while True:
-            start = self.peek()
-            try:
-                term = self.parse_elem_term()
-            except ExponentOverflow as exc:
-                raise ParseError(str(exc), start.line, start.column) from None
+            term = self.parse_elem_term()
             if term is not None:
                 coeff, name = term
-                terms.append((coeff * Poly.const(-1) if op == "-" else coeff, name))
+                terms.append((-coeff if op == "-" else coeff, name))
             if not (self.at_punct("+") or self.at_punct("-")):
                 return tuple(terms)
-            op = self.advance().text
+            op = self.advance()[1]
 
     # declarations
 
     def parse_basis_line(self) -> Tuple[str, ...]:
         self.expect_keyword("basis")
-        names = [self.fresh_name("a basis name").text]
+        names = [self.fresh_name("a basis name")]
         while self.at_punct(","):
             self.advance()
-            names.append(self.fresh_name("a basis name").text)
+            names.append(self.fresh_name("a basis name"))
         self.expect_punct(";")
         seen = set()
         for name in names:
@@ -454,7 +291,7 @@ class _Parser:
 
     def parse_algebra(self) -> AlgebraDecl:
         head = self.expect_keyword("algebra")
-        name = self.fresh_name("an algebra name").text
+        name = self.fresh_name("an algebra name")
         flavor = "associative"
         if self.at_name("lie"):
             self.advance()
@@ -464,107 +301,105 @@ class _Parser:
         products: List[Tuple[str, str, Expr]] = []
         while self.at_name("product"):
             self.advance()
-            left = self.expect_name("a basis name").text
-            right = self.expect_name("a basis name").text
+            left = self.expect_name("a basis name")
+            right = self.expect_name("a basis name")
             self.expect_punct("=")
             expr = self.parse_elem_expr()
             self.expect_punct(";")
             products.append((left, right, expr))
         self.expect_punct("}")
-        return AlgebraDecl(name, flavor, basis, tuple(products), head.line)
+        return AlgebraDecl(name, flavor, basis, tuple(products), head[2])
 
     def parse_bimodule(self) -> BimoduleDecl:
         head = self.expect_keyword("bimodule")
-        name = self.fresh_name("a bimodule name").text
+        name = self.fresh_name("a bimodule name")
         if self.at_name("adjoint"):
             self.advance()
-            algebra = self.fresh_name("an algebra name").text
+            algebra = self.fresh_name("an algebra name")
             self.expect_punct(";")
-            return BimoduleDecl(name, algebra, True, (), (), (), head.line)
+            return BimoduleDecl(name, algebra, True, (), (), (), head[2])
         self.expect_keyword("over")
-        algebra = self.fresh_name("an algebra name").text
+        algebra = self.fresh_name("an algebra name")
         self.expect_punct("{")
         basis = self.parse_basis_line()
         left: List[Tuple[str, str, Expr]] = []
         right: List[Tuple[str, str, Expr]] = []
         while self.at_name("left") or self.at_name("right"):
-            side = self.advance().text
-            first = self.expect_name("a basis name").text
-            second = self.expect_name("a basis name").text
+            side = self.advance()[1]
+            first = self.expect_name("a basis name")
+            second = self.expect_name("a basis name")
             self.expect_punct("=")
             expr = self.parse_elem_expr()
             self.expect_punct(";")
             (left if side == "left" else right).append((first, second, expr))
         self.expect_punct("}")
-        return BimoduleDecl(name, algebra, False, basis, tuple(left), tuple(right), head.line)
+        return BimoduleDecl(name, algebra, False, basis, tuple(left), tuple(right), head[2])
 
     def parse_cocycle(self) -> CocycleDecl:
         head = self.expect_keyword("cocycle")
-        name = self.fresh_name("a cocycle name").text
+        name = self.fresh_name("a cocycle name")
         self.expect_keyword("on")
-        algebra = self.fresh_name("an algebra name").text
+        algebra = self.fresh_name("an algebra name")
         into = None
         if self.at_name("into"):
             self.advance()
-            into = self.fresh_name("a bimodule name").text
+            into = self.fresh_name("a bimodule name")
         self.expect_punct("{")
         values: List[Tuple[str, str, Expr]] = []
         while self.at_name("value"):
             self.advance()
-            first = self.expect_name("a basis name").text
-            second = self.expect_name("a basis name").text
+            first = self.expect_name("a basis name")
+            second = self.expect_name("a basis name")
             self.expect_punct("=")
             expr = self.parse_elem_expr()
             self.expect_punct(";")
             values.append((first, second, expr))
         self.expect_punct("}")
-        return CocycleDecl(name, algebra, into, tuple(values), head.line)
+        return CocycleDecl(name, algebra, into, tuple(values), head[2])
 
     def parse_map(self) -> MapDecl:
         head = self.expect_keyword("map")
-        name = self.fresh_name("a map name").text
+        name = self.fresh_name("a map name")
         self.expect_punct(":")
-        source = self.fresh_name("a source name").text
+        source = self.fresh_name("a source name")
         self.expect_punct("->")
-        target = self.fresh_name("a target name").text
+        target = self.fresh_name("a target name")
         self.expect_punct("{")
         images: List[Tuple[str, Expr]] = []
-        while self.peek().kind == "name":
-            basis = self.expect_name("a basis name").text
+        while self.peek()[0] == "name":
+            basis = self.expect_name("a basis name")
             self.expect_punct("->")
             expr = self.parse_elem_expr()
             self.expect_punct(";")
             images.append((basis, expr))
         self.expect_punct("}")
-        return MapDecl(name, source, target, tuple(images), head.line)
+        return MapDecl(name, source, target, tuple(images), head[2])
 
     def parse_clauses(self, allow_weight: bool, allow_as: bool):
         on = with_ = twist = as_ = None
         weight: Optional[Union[Fraction, str]] = None
-        while self.peek().kind == "name" and self.peek().text in ("on", "with", "twist", "weight", "as"):
-            word = self.advance().text
+        while self.peek()[0] == "name" and self.peek()[1] in ("on", "with", "twist", "weight", "as"):
+            word = self.advance()[1]
             if word == "weight":
                 if not allow_weight:
                     raise self.fail("'weight' is only valid in check statements")
-                tok = self.peek()
-                if tok.kind == "number" or (tok.kind == "punct" and tok.text == "-"):
-                    negate = False
-                    if tok.kind == "punct":
-                        self.advance()
-                        negate = True
-                        if self.peek().kind != "number":
-                            raise self.fail("expected a number after '-'")
-                    value = self.parse_number()
+                negate = self.at_punct("-")
+                if negate:
+                    self.advance()
+                if self.peek()[0] == "number":
+                    value = self.parse_number().constant_term()
                     weight = -value if negate else value
+                elif negate:
+                    raise self.fail("expected a number after '-'")
                 else:
-                    weight = self.fresh_name("a weight parameter").text
+                    weight = self.fresh_name("a weight parameter")
                 continue
             if word == "as":
                 if not allow_as:
                     raise self.fail("'as' is only valid in construct statements")
-                as_ = self.fresh_name("a result name").text
+                as_ = self.fresh_name("a result name")
                 continue
-            value = self.fresh_name(f"a name after {word!r}").text
+            value = self.fresh_name(f"a name after {word!r}")
             if word == "on":
                 on = value
             elif word == "with":
@@ -575,53 +410,50 @@ class _Parser:
 
     def parse_check(self) -> CheckStmt:
         head = self.expect_keyword("check")
-        kind = self.expect_name("a check kind").text
+        kind = self.expect_name("a check kind")
         if kind not in OPERATOR_KINDS and kind not in STRUCTURE_CHECK_KINDS:
-            raise ParseError(
+            raise self.fail(
                 f"unknown check kind {kind!r}; expected an operator kind "
                 f"{tuple(sorted(OPERATOR_KINDS))} or one of {STRUCTURE_CHECK_KINDS}",
-                head.line,
-                head.column,
+                head,
             )
-        name = self.fresh_name("the name to check").text
+        name = self.fresh_name("the name to check")
         on, with_, twist, weight, _ = self.parse_clauses(allow_weight=True, allow_as=False)
         self.expect_punct(";")
-        return CheckStmt(kind, name, on, with_, twist, weight, head.line)
+        return CheckStmt(kind, name, on, with_, twist, weight, head[2])
 
     def parse_construct(self) -> ConstructStmt:
         head = self.expect_keyword("construct")
-        kind = self.expect_name("a construct kind").text
+        kind = self.expect_name("a construct kind")
         if kind not in CONSTRUCT_KINDS:
-            raise ParseError(
-                f"unknown construct kind {kind!r}; expected one of {CONSTRUCT_KINDS}",
-                head.line,
-                head.column,
+            raise self.fail(
+                f"unknown construct kind {kind!r}; expected one of {CONSTRUCT_KINDS}", head
             )
-        name = self.fresh_name("an operator name").text
+        name = self.fresh_name("an operator name")
         on, with_, twist, _, as_ = self.parse_clauses(allow_weight=False, allow_as=True)
         self.expect_punct(";")
-        return ConstructStmt(kind, name, on, with_, twist, as_, head.line)
+        return ConstructStmt(kind, name, on, with_, twist, as_, head[2])
 
     def parse_file(self, path: str) -> SourceFile:
         decls: List[Declaration] = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "name":
+        while self.peek()[0] != "eof":
+            kind, text, _, _ = self.peek()
+            if kind != "name":
                 raise self.fail("expected a declaration keyword")
-            if tok.text == "algebra":
+            if text == "algebra":
                 decls.append(self.parse_algebra())
-            elif tok.text == "bimodule":
+            elif text == "bimodule":
                 decls.append(self.parse_bimodule())
-            elif tok.text == "cocycle":
+            elif text == "cocycle":
                 decls.append(self.parse_cocycle())
-            elif tok.text == "map":
+            elif text == "map":
                 decls.append(self.parse_map())
-            elif tok.text == "check":
+            elif text == "check":
                 decls.append(self.parse_check())
-            elif tok.text == "construct":
+            elif text == "construct":
                 decls.append(self.parse_construct())
             else:
-                raise self.fail(f"unknown declaration {tok.text!r}")
+                raise self.fail(f"unknown declaration {text!r}")
         return SourceFile(path, tuple(decls))
 
 

@@ -40,8 +40,8 @@ Exponent cap.  An exponent may not exceed :data:`EXP_MAX` (32767), whether
 it is written on a variable, reached by a product or a substitution, or is
 the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
 :class:`~confalg.errors.ConfalgError`) instead of wrapping or running on;
-from :func:`parse_poly` the message ends with the line and column of the
-offending factor.
+from :func:`parse_poly` and the DSL parser the message ends with the line
+and column of the offending factor.
 
 Products.  Sesquilinearity makes the residuals products of polynomials that
 are dense in ``D``, and these take a packed path (Fateman 2005, "Can you
@@ -80,8 +80,9 @@ memory stops early instead.
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
 rational literals, and the variable names above, e.g. ``(2*D + 3*L1)^2``.
-Parentheses and unary minus signs nest at most :data:`MAX_NESTING` levels
-deep, in this parser and in the DSL's; deeper input is a :class:`ParseError`.
+Its grammar is the one the DSL parser extends (see "the grammar of
+polynomial text" below).  Parentheses and unary minus signs nest at most
+:data:`MAX_NESTING` levels deep; deeper input is a :class:`ParseError`.
 Integers of any length are read and written through :func:`decimal_to_int`
 and :func:`int_to_decimal`, which stay inside the interpreter's limit on
 int/str conversions without changing it, and split long numbers in halves so
@@ -126,7 +127,7 @@ _PACK_SHARE = 8
 #: to 1,500 bits, splitting tied peeling up to 32 slots and won above (1.4-2x at
 #: 64, 4-70x at 1,024); the rows of degree-11 products are shorter.
 _DECODE_SPLIT = 32
-#: The deepest nesting the text parsers accept; it keeps their recursion far
+#: The deepest nesting the text parser accepts; it keeps its recursion far
 #: inside the interpreter's recursion limit.
 MAX_NESTING = 100
 #: Decimal digits per piece in the int/str helpers.  The interpreter refuses
@@ -741,150 +742,180 @@ _ZERO_POLY = _wrap({}, 1)
 _ONE_POLY = _wrap({0: 1}, 1)
 
 
-# -- parser of the textual form -------------------------------------------
+# -- the grammar of polynomial text -------------------------------------------
 #
 # expr   := term (('+'|'-') term)*
 # term   := unary ('*' unary)*
 # unary  := '-' unary | power
-# power  := atom ('^' NAT)?
-# atom   := NAT ('/' NAT)? | VAR | '(' expr ')'
+# power  := atom ('^' NUMBER)?
+# atom   := NUMBER ('/' NUMBER)? | NAME | '(' expr ')'
+#
+# The tokenizer reads the whole alphabet of the definition language, whose
+# parser (:mod:`confalg.dsl`) extends this one.  A token is a ``(kind, text,
+# line, column)`` tuple, ``kind`` one of "number", "name", "punct" and "eof".
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
+Token = Tuple[str, str, int, int]
+
+# A name starts with a letter or "_" and goes on with letters, digits or "_";
+# "[^\W\d]" also admits the numeric characters that are not decimal digits
+# (such as "²"), which the tokenizer rejects.  A number is what int() reads.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>->|[{}();:,=+\-*/^])"
+    r"|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<bad>.)"
+)
 
 
-def _tokenize_poly(text: str) -> list[Tuple[str, str, int]]:
-    tokens: list[Tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", 1, col)
-        if m.group(1) is not None:
-            tokens.append(("INT", m.group(1), m.start(1) + 1))
-        elif m.group(2) is not None:
-            tokens.append(("NAME", m.group(2), m.start(2) + 1))
-        else:
-            tokens.append(("OP", m.group(3), m.start(3) + 1))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text) + 1))
+def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending in an "eof" token.
+
+    Lines and columns count from 1, one column per character.  ``#`` starts a
+    comment that runs to the end of the line; space, tab, CR and LF separate
+    tokens, and any other character is a :class:`ParseError`.
+    """
+    tokens: list[Token] = []
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            continue
+        start = m.start()
+        if kind == "bad" or (kind == "name" and not (text[start].isalpha() or text[start] == "_")):
+            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
+        end = m.end()
+        if kind == "newline":
+            line += 1
+            line_start = end
+        elif kind != "space":
+            tokens.append((kind, m.group(), line, start - line_start + 1))
+    # a comment on the last line moves no column, so end of input sits at its "#"
+    tokens.append(("eof", "", line, end - line_start + 1))
     return tokens
 
 
-def _located(exc: ExponentOverflow, col: int) -> ExponentOverflow:
-    """``exc`` with the column of the factor that raised it, as a :class:`ParseError` has."""
-    return ExponentOverflow(f"{exc} (line 1, column {col})")
+def _located(exc: ExponentOverflow, tok: Token) -> ExponentOverflow:
+    """``exc`` with the position of the factor that raised it, as a :class:`ParseError` has."""
+    return ExponentOverflow(f"{exc} (line {tok[2]}, column {tok[3]})")
 
 
 class _PolyParser:
-    def __init__(self, tokens: list[Tuple[str, str, int]]) -> None:
+    """Recursive descent over a token list, one method per rule of the grammar."""
+
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
-        self.idx = 0
+        self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.idx]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def advance(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
-    def descend(self, col: int) -> None:
+    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+        _, _, line, column = tok or self.peek()
+        return ParseError(message, line, column)
+
+    def at_punct(self, text: str) -> bool:
+        # no name or number is spelled like a punctuation mark
+        return self.tokens[self.pos][1] == text
+
+    def expect_punct(self, text: str) -> Token:
+        found = self.peek()[1]
+        if found != text:
+            raise self.fail(f"expected {text!r}, found {found or 'end of input'!r}")
+        return self.advance()
+
+    def descend(self, tok: Token) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", 1, col)
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
 
-    def expect_op(self, op: str) -> None:
-        kind, text, col = self.advance()
-        if kind != "OP" or text != op:
-            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", 1, col)
+    def times(self, left: Poly, factor) -> Poly:
+        """``left`` times the polynomial ``factor()`` parses; an overflow names the factor."""
+        tok = self.peek()
+        right = factor()
+        try:
+            return left * right
+        except ExponentOverflow as exc:
+            raise _located(exc, tok) from None
 
     def parse_expr(self) -> Poly:
         result = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                result = result + rhs if text == "+" else result - rhs
-            else:
-                return result
+        while self.at_punct("+") or self.at_punct("-"):
+            op = self.advance()[1]
+            rhs = self.parse_term()
+            result = result + rhs if op == "+" else result - rhs
+        return result
 
     def parse_term(self) -> Poly:
         result = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text == "*":
-                self.advance()
-                col = self.peek()[2]
-                factor = self.parse_unary()
-                try:
-                    result = result * factor
-                except ExponentOverflow as exc:
-                    raise _located(exc, col) from None
-            else:
-                return result
+        while self.at_punct("*"):
+            self.advance()
+            result = self.times(result, self.parse_unary)
+        return result
 
     def parse_unary(self) -> Poly:
-        kind, text, col = self.peek()
-        if kind == "OP" and text == "-":
-            self.advance()
-            self.descend(col)
-            result = -self.parse_unary()
-            self.depth -= 1
-            return result
-        return self.parse_power()
+        if not self.at_punct("-"):
+            return self.parse_power()
+        self.descend(self.advance())
+        result = -self.parse_unary()
+        self.depth -= 1
+        return result
 
     def parse_power(self) -> Poly:
-        col = self.peek()[2]
+        tok = self.peek()
         base = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "OP" and text == "^":
-            self.advance()
-            ekind, etext, ecol = self.advance()
-            if ekind != "INT":
-                raise ParseError(
-                    f"expected integer exponent, found {etext or 'end of input'!r}", 1, ecol
-                )
-            try:
-                return base ** decimal_to_int(etext)
-            except ExponentOverflow as exc:
-                raise _located(exc, col) from None
-        return base
+        if not self.at_punct("^"):
+            return base
+        self.advance()
+        if self.peek()[0] != "number":
+            raise self.fail("expected an integer exponent after '^'")
+        try:
+            return base ** decimal_to_int(self.advance()[1])
+        except ExponentOverflow as exc:
+            raise _located(exc, tok) from None
+
+    def parse_number(self) -> Poly:
+        """An integer or ``p/q`` literal."""
+        value = decimal_to_int(self.advance()[1])
+        if not self.at_punct("/"):
+            return Poly.const(value)
+        self.advance()
+        den = self.peek()
+        if den[0] != "number":
+            raise self.fail("expected a denominator after '/'")
+        divisor = decimal_to_int(self.advance()[1])
+        if divisor == 0:
+            raise self.fail("zero denominator", den)
+        return Poly.const(Fraction(value, divisor))
+
+    def parse_name(self, tok: Token) -> Poly:
+        """The atom a name stands for: here, the variable of that name."""
+        return Poly.var(tok[1])
 
     def parse_atom(self) -> Poly:
-        kind, text, col = self.advance()
-        if kind == "INT":
-            num = decimal_to_int(text)
-            nkind, ntext, _ = self.peek()
-            if nkind == "OP" and ntext == "/":
-                self.advance()
-                dkind, dtext, dcol = self.advance()
-                den = decimal_to_int(dtext) if dkind == "INT" else 0
-                if not den:
-                    raise ParseError("expected nonzero integer denominator", 1, dcol)
-                return Poly.const(Fraction(num, den))
-            return Poly.const(num)
-        if kind == "NAME":
-            return Poly.var(text)
-        if kind == "OP" and text == "(":
-            self.descend(col)
-            inner = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"expected a polynomial atom, found {text or 'end of input'!r}", 1, col)
+        tok = self.peek()
+        kind, text = tok[0], tok[1]
+        if kind == "number":
+            return self.parse_number()
+        if kind == "name":
+            return self.parse_name(self.advance())
+        if text != "(":
+            raise self.fail(f"expected a coefficient, found {text or 'end of input'!r}")
+        self.descend(self.advance())
+        inner = self.parse_expr()
+        self.expect_punct(")")
+        self.depth -= 1
+        return inner
 
 
 def parse_poly(text: str) -> Poly:
     """Parse the textual polynomial form, e.g. ``"(2*D + 3*L1)^2"``."""
-    parser = _PolyParser(_tokenize_poly(text))
+    parser = _PolyParser(_tokenize(text))
     result = parser.parse_expr()
-    kind, text_, col = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected trailing input {text_!r}", 1, col)
+    _, found, _, _ = parser.peek()
+    if found:
+        raise parser.fail(f"unexpected trailing input {found!r}")
     return result

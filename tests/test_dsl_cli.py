@@ -20,6 +20,7 @@ from confalg.cli import main
 from confalg.cohomology import Cochain, random_cochain
 from confalg.confcore import ConfAlgebra, FreeModule
 from confalg.dsl import (
+    KEYWORDS,
     Report,
     SourceFile,
     d_squared_suite,
@@ -29,13 +30,20 @@ from confalg.dsl import (
     resolve,
     run,
 )
-from confalg.errors import DuplicateName, ParseError, PreconditionFailed, UnresolvedName
+from confalg.errors import (
+    ConfalgError,
+    DuplicateName,
+    ExponentOverflow,
+    ParseError,
+    PreconditionFailed,
+    UnresolvedName,
+)
 from confalg import polyring
 from confalg.polyring import MAX_TERMS, Poly, parse_poly
 
 import _oracle
 import helpers
-from helpers import AM, D, DUAL, L1, NILP, NM, a, b, u, v
+from helpers import AM, D, DUAL, L1, L2, NILP, NM, a, b, u, v
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -134,6 +142,48 @@ def test_syntax_error_positions():
         parse("algebra A { basis u; } @")
     with pytest.raises(ParseError):
         parse("widget A { }")
+
+
+def test_syntax_error_positions_count_comments_tabs_and_line_breaks():
+    def position(text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        return err.value.line, err.value.column
+
+    # a comment line counts as a line; a comment moves no column
+    assert position("# a comment\nalgebra A { basis u; product u u = D^; }") == (2, 38)
+    # a tab is one column
+    assert position("algebra A {\n\tbasis u; product u u = D^; }") == (2, 27)
+    # CR is one column, LF starts a line, in text given straight to parse
+    assert position("algebra A {\r\n  basis u;\r\n  product u u = D^; }") == (3, 19)
+    # a coefficient may span lines; the error is where the bad token is
+    assert position("algebra A { basis u;\n  product u u = (D +\n    L^)*u; }") == (3, 7)
+
+
+def _coefficient(text: str) -> Poly:
+    decl = parse(f"algebra A {{ basis e; product e e = {text}*e; }}").declarations[0]
+    ((_, _, ((coeff, name),)),) = decl.products
+    assert name == "e"
+    return coeff
+
+
+def test_grammar_reads_powers_and_unary_minus_on_any_atom():
+    assert _coefficient("2^3") == Poly.const(8)
+    assert _coefficient("(2*-D)") == -2 * D
+    assert _coefficient("-(D + L)^2") == -((D + L1) ** 2)
+    assert _coefficient("1/2") == Poly.const(Fraction(1, 2))
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse("algebra A { basis u; product u u = \u00a0u; }")  # NBSP is not whitespace
+    with pytest.raises(ParseError, match="expected a coefficient"):
+        parse("algebra A { basis u; product u u = u*; }")  # a '*' needs a right operand
+
+
+def test_exponent_overflow_in_a_coefficient_names_the_factor():
+    head = "algebra E {\n  basis e;\n  product e e = "
+    with pytest.raises(ExponentOverflow, match=r"of D exceeds the cap 32767 \(line 3, column 25\)$"):
+        parse(head + "D^20000*D^20000*e;\n}\n")
+    with pytest.raises(ExponentOverflow, match=r"exceeds the cap 32767 \(line 3, column 19\)$"):
+        parse(head + "2*(D + 1)^40000*e;\n}\n")
 
 
 def test_expression_guards():
@@ -578,6 +628,69 @@ def test_random_algebras_round_trip_through_emission(seed):
     assert env.algebras["R"].table.entries == alg.table.entries
 
 
+# A small source whose records hold, fail and err, with its coefficients as
+# slots; the words, names and marks of the language, and "²", a digit that is
+# no decimal digit.  The fuzz fills each slot with its own coefficient or with
+# random tokens, then replaces a few tokens of the source by random ones.
+_FUZZ_SOURCE = """
+algebra A {{ basis e , f ; product e e = {} ; product e f = {} ; product f e = f ; }}
+bimodule W adjoint A ;
+map T : W -> A {{ e -> {} ; f -> 0 ; }}
+cocycle c on A {{ value e e = {} ; }}
+check associative A ;
+check O T on A with W ;
+check RotaBaxter T on A weight {} ;
+check TwistedRB T on A with W twist c ;
+construct mass T on A with W as P ;
+check associative P ;
+construct dendriform T on A with W ;
+"""
+_FUZZ_SLOTS = ("e", "( D + L ) * f", "f", "1 / 2 * f", "- 1 / 2")
+_FUZZ_TOKENS = (
+    sorted(KEYWORDS)
+    + ["associative", "O", "Nijenhuis", "Reynolds", "Derivation", "OLie", "ns", "deformed"]
+    + ["A", "T", "W", "c", "e", "f", "D", "L", "M", "L2", "q", "0", "1", "2", "3", "\u00b2"]
+    + ["", "#", "\n"]
+    + ["->", "{", "}", "(", ")", ";", ":", ",", "=", "+", "-", "*", "/", "^"]
+)
+_fuzz_tokens = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6).map(" ".join)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.tuples(*(st.just(slot) | _fuzz_tokens for slot in _FUZZ_SLOTS)),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(_FUZZ_TOKENS)), max_size=3),
+)
+def test_random_token_streams_give_a_report_or_a_confalg_error(slots, edits):
+    tokens = _FUZZ_SOURCE.format(*slots).split(" ")
+    for at, token in edits:
+        tokens[at % len(tokens)] = token
+    try:
+        report, _ = run(parse(" ".join(tokens)))
+    except ConfalgError:
+        return
+    assert report.exit_code in (0, 1, 2)
+
+
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    max_size=4,
+).map(
+    lambda terms: sum(
+        (c * D**i * L1**j * L2**k for (i, j, k), c in terms.items()), Poly.zero()
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_polys)
+def test_a_coefficient_reads_the_same_in_the_language_and_in_parse_poly(p):
+    decl = parse(f"algebra A {{ basis e; product e e = ({p})*e; }}").declarations[0]
+    assert decl.products == (("e", "e", ((p, "e"),)),)
+    assert parse_poly(str(p)) == p
+
+
 # -- reports ------------------------------------------------------------------------
 
 
@@ -769,6 +882,14 @@ def test_cli_non_utf8_source_is_an_input_error(tmp_path, capsys):
     detail = _single_error_record(capsys, source)
     assert "invalid UTF-8 byte 0xff" in detail
     assert "(line 3, column 17)" in detail
+
+
+def test_cli_non_decimal_digit_is_an_input_error(tmp_path, capsys):
+    # "²" is a digit to str.isdigit() but not a decimal digit, so no number
+    source = tmp_path / "super.cfa"
+    source.write_text("algebra E {\n  basis e;\n  product e e = \u00b2*e;\n}\n", encoding="utf-8")
+    detail = _single_error_record(capsys, source)
+    assert detail == "unexpected character '\u00b2' (line 3, column 17)"
 
 
 def test_cli_closed_stdout_is_not_a_crash(tmp_path):
