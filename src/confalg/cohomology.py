@@ -4,9 +4,11 @@ An ``n``-cochain on a conformal algebra is a multilinear, sesquilinear map
 with ``n`` arguments and ``n − 1`` weight parameters.  :class:`Cochain` is a
 one-field view of a :class:`~confalg.confcore.MultiTable` whose argument
 slots share one module: arity, input and value modules are read from the
-table, evaluation is :func:`~confalg.confcore.eval_multilinear`, and
-tabulation is :meth:`~confalg.confcore.MultiTable.from_function`.  The arity
-is the degree in the graded Lie algebra, so the brackets return cochains.
+table, and evaluation is :func:`~confalg.confcore.eval_multilinear`.  The
+arity is the degree in the graded Lie algebra, so the brackets return
+cochains.  Every differential, composition and bracket below is built from
+:func:`~confalg.confcore.table_sum` of compositions of the input tables;
+nothing is tabulated per basis tuple.
 On top of that single representation this module provides:
 
 * the Hochschild-style differential ``𝐝`` of a cochain valued in a
@@ -18,8 +20,8 @@ On top of that single representation this module provides:
   of a binary table ``θ`` and ``[θ, f] = (−1)^{n−1}𝐝f``;
 * horizontal lifts of module cochains into the semidirect-sum algebra, and
   the derived bracket ``[[f, g]] = (−1)^m [[θ̂, f̂], ĝ]`` computed both
-  through the lifts and through its expanded direct formula (the two code
-  paths are cross-checked against each other on every call);
+  through the lifts and through its expanded direct formula (the two
+  formulas are cross-checked against each other on every call);
 * the Maurer-Cartan characterizations: a module map is an O-operator
   exactly when ``[[T, T]] = 0`` (equivalently, when its lift satisfies the
   same equation, or when its differential in the induced complex
@@ -172,10 +174,6 @@ def multiplication_cochain(alg: ConfAlgebra) -> Cochain:
     return Cochain(alg.table)
 
 
-def _psum(weights: Sequence[Poly]) -> Poly:
-    return sum(weights, Poly.zero())
-
-
 def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """The differential of a cochain on ``alg`` valued in the bimodule.
 
@@ -296,56 +294,34 @@ def _require_module_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> 
 def derived_bracket_direct(
     f: Cochain, g: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> Cochain:
-    """The derived bracket ``[[f, g]]`` by its expanded direct formula."""
+    """The derived bracket ``[[f, g]]`` by its expanded direct formula, as one table.
+
+    With the product ``μ``, the actions ``l``, ``r`` and ``s = (−1)^(mn)``::
+
+        s·(μ∘₁f)∘_(m+1)g − (μ∘₁g)∘_(n+1)f
+        + Σ_(i≤m) (−1)^((i−1)n)·f∘_i(l∘₁g) − (−1)^(in)·f∘_i(r∘₂g)
+        − s·Σ_(i≤n) (−1)^((i−1)m)·g∘_i(l∘₁f) − (−1)^(im)·g∘_i(r∘₂f)
+    """
     _require_module_cochain(f, alg, bim)
     _require_module_cochain(g, alg, bim)
     if bim.algebra.module != alg.module:
         raise ShapeMismatch("bimodule must be over the given algebra")
     m, n = f.arity, g.arity
-    smn = (-1) ** (m * n)
+    s, mu = (-1) ** (m * n), alg.table
 
-    def h(args: Sequence[ModElem], weights: Sequence[Poly]) -> ModElem:
-        args = list(args)
-        weights = [as_poly(w) for w in weights]
-        out = alg.mul(
-            f.eval(args[:m], weights[: m - 1]),
-            g.eval(args[m:], weights[m:]),
-            _psum(weights[:m]),
-        ) * smn
-        out = out - alg.mul(
-            g.eval(args[:n], weights[: n - 1]),
-            f.eval(args[n:], weights[n:]),
-            _psum(weights[:n]),
-        )
-        for i in range(1, m + 1):
-            if i < m:
-                f_w = weights[: i - 1] + [_psum(weights[i - 1 : i + n])] + weights[i + n :]
-            else:
-                f_w = weights[: m - 1]
-            gv = g.eval(args[i - 1 : i + n - 1], weights[i - 1 : i + n - 2])
-            comp = bim.act_left(gv, args[i + n - 1], _psum(weights[i - 1 : i + n - 1]))
-            term = f.eval(args[: i - 1] + [comp] + args[i + n :], f_w)
-            out = out + (-1) ** ((i - 1) * n) * term
-            gv = g.eval(args[i : i + n], weights[i : i + n - 1])
-            comp = bim.act_right(args[i - 1], gv, weights[i - 1])
-            term = f.eval(args[: i - 1] + [comp] + args[i + n :], f_w)
-            out = out - (-1) ** (i * n) * term
-        for i in range(1, n + 1):
-            if i < n:
-                g_w = weights[: i - 1] + [_psum(weights[i - 1 : i + m])] + weights[i + m :]
-            else:
-                g_w = weights[: n - 1]
-            fv = f.eval(args[i - 1 : i + m - 1], weights[i - 1 : i + m - 2])
-            comp = bim.act_left(fv, args[i + m - 1], _psum(weights[i - 1 : i + m - 1]))
-            term = g.eval(args[: i - 1] + [comp] + args[i + m :], g_w)
-            out = out - smn * (-1) ** ((i - 1) * m) * term
-            fv = f.eval(args[i : i + m], weights[i : i + m - 1])
-            comp = bim.act_right(args[i - 1], fv, weights[i - 1])
-            term = g.eval(args[: i - 1] + [comp] + args[i + m :], g_w)
-            out = out + smn * (-1) ** (i * m) * term
-        return out
+    def inner_terms(outer: Cochain, inner: Cochain, sign: int) -> list:
+        by_left, by_right = circ(bim.left, 1, inner.table), circ(bim.right, 2, inner.table)
+        k, terms = inner.arity, []
+        for i in range(1, outer.arity + 1):
+            terms.append((sign * (-1) ** ((i - 1) * k), Circ(outer.table, i, by_left)))
+            terms.append((-sign * (-1) ** (i * k), Circ(outer.table, i, by_right)))
+        return terms
 
-    return Cochain.from_function(m + n, bim.module, alg.module, h)
+    terms = [
+        (s, Circ(circ(mu, 1, f.table), m + 1, g.table)),
+        (-1, Circ(circ(mu, 1, g.table), n + 1, f.table)),
+    ]
+    return Cochain(table_sum(terms + inner_terms(f, g, 1) + inner_terms(g, f, -s)))
 
 
 def derived_bracket_via_lifts(
@@ -383,12 +359,19 @@ def derived_bracket_via_lifts(
 def derived_bracket(
     f: Cochain, g: Cochain, alg: ConfAlgebra, bim: ConfBimodule
 ) -> Cochain:
-    """The derived bracket, computed along both code paths and cross-checked."""
+    """The derived bracket, computed by both formulas and cross-checked.
+
+    A disagreement raises :class:`ConfalgError` naming the first basis tuple,
+    in :func:`~confalg.confcore.basis_tuples` order, where the two differ.
+    """
     direct = derived_bracket_direct(f, g, alg, bim)
     lifted = derived_bracket_via_lifts(f, g, alg, bim)
     if direct != lifted:
+        pairs = zip(table_items(direct.table), table_items(lifted.table))
+        names = next(names for (names, x), (_, y) in pairs if x != y)
         raise ConfalgError(
             "derived bracket: direct formula and lifted computation disagree"
+            f" at ({', '.join(names)})"
         )
     return direct
 

@@ -21,15 +21,9 @@ coefficients.  Everything reduces to finite data:
 * :func:`eval_multilinear` extends a table to arbitrary elements by
   sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
   ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
-  and the formal weights in the table entry become the actual weights.  A
-  table's ``entries`` are a read-only mapping, so the evaluator compiles a
-  plan per weight tuple (the argument images and, filled in as they are
-  met, the entries with the weights bound, as elements) and keeps it on the
-  table, at most :data:`PLAN_CACHE_CAP` weight tuples per table; the plans
-  die with their table.  Elements and polynomials are immutable, so the
-  evaluator returns shared results: a product of basis elements is the
-  plan's element itself, one dictionary lookup, and a product with a zero
-  argument is the output module's one zero.
+  and the formal weights in the table entry become the actual weights.  It
+  serves the element-level API (products, actions, module maps, cochain
+  evaluation) and is the reference that :class:`Circ` is tested against.
 
 Weights are linear forms in the weight variables and may themselves contain
 ``D``: that is how products "at weight −λ−∂" (the conformal substitute for
@@ -76,9 +70,6 @@ L3 = Poly.var("L3")
 
 #: Default maximum number of failing basis tuples kept in a verdict.
 WITNESS_CAP = 16
-#: The most weight tuples whose evaluation plans one table keeps; a full cache
-#: is cleared.
-PLAN_CACHE_CAP = 64
 
 EntryLike = Union["ModElem", Sequence[PolyLike]]
 IndexKey = Tuple[Union[int, str], ...]
@@ -146,8 +137,8 @@ class ModElem:
     parameters.  Addition, subtraction, negation, and multiplication by a
     polynomial or scalar act coefficientwise.  An element is immutable, and
     so are its coefficients, so one element may be handed to many callers:
-    the evaluator, module maps and :meth:`FreeModule.zero` return shared
-    elements.
+    tables share their entries and :meth:`FreeModule.zero` is one element
+    per module.
     """
 
     module: FreeModule
@@ -170,14 +161,6 @@ class ModElem:
 
     def support(self) -> Iterator[Tuple[int, Poly]]:
         return iter(self._terms)
-
-    @cached_property
-    def unit_index(self) -> Union[int, None]:
-        """``i`` if this element is the i-th basis element, else ``None``; computed once."""
-        terms = self._terms
-        if len(terms) == 1 and terms[0][1] == 1:
-            return terms[0][0]
-        return None
 
     def _require_same_module(self, other: "ModElem") -> None:
         if self.module != other.module:
@@ -285,11 +268,10 @@ class MultiTable:
     coefficients may use ``D``, the weights ``L1 .. L(n-1)``, and auxiliary
     scalar parameters; absent tuples are zero.  It is a read-only view: a
     table never changes after construction, and its entries are immutable
-    elements, which is what lets :func:`eval_multilinear` keep its compiled
-    plans in ``_plans`` and hand out their elements shared.
+    elements, so results may share them.
     """
 
-    __slots__ = ("in_modules", "out_module", "entries", "_plans")
+    __slots__ = ("in_modules", "out_module", "entries")
 
     def __init__(
         self,
@@ -326,8 +308,6 @@ class MultiTable:
             if not entry.is_zero():
                 canon[idx] = entry
         self.entries: Mapping[Tuple[int, ...], ModElem] = MappingProxyType(canon)
-        # weight tuple -> (argument images, weight binding, {index tuple: bound entry})
-        self._plans: dict = {}
 
     @classmethod
     def from_function(
@@ -391,7 +371,7 @@ def _table(in_modules: tuple, out_module: FreeModule, entries: dict) -> MultiTab
     """Wrap entries that are already canonical: index tuples of ints to nonzero elements."""
     table = object.__new__(MultiTable)
     table.in_modules, table.out_module = in_modules, out_module
-    table.entries, table._plans = MappingProxyType(entries), {}
+    table.entries = MappingProxyType(entries)
     return table
 
 
@@ -521,33 +501,6 @@ def table_items(table: MultiTable, tag: Tuple[str, ...] = ()) -> Iterator[tuple]
         yield tag + names, get(idx, zero)
 
 
-def _plan(table: MultiTable, ws: Tuple[Poly, ...]) -> tuple:
-    """The table's compiled plan for the weights ``ws``, made on first use."""
-    plans = table._plans
-    plan = plans.get(ws)
-    if plan is None:
-        if len(plans) >= PLAN_CACHE_CAP:
-            plans.clear()
-        # the last slot's D becomes D + Σw; None marks an arity-1 table, whose D stays D
-        images = tuple(-w for w in ws) + ((D + sum(ws, Poly.zero())) if ws else None,)
-        binding = tuple((lam(k), w) for k, w in enumerate(ws, 1))
-        plan = plans[ws] = (images, binding, {})
-    return plan
-
-
-def _bound_entry(table: MultiTable, binding: tuple, bound: dict, idx: Tuple[int, ...]) -> ModElem:
-    """The entry at ``idx`` with its weights bound, made once per plan and then shared."""
-    elem = bound.get(idx)
-    if elem is None:
-        entry = table.entries.get(idx)
-        coeffs = () if entry is None else tuple(
-            c.substitute_many(binding) if c and binding else c for c in entry.coeffs
-        )
-        module = table.out_module
-        elem = bound[idx] = _elem(module, coeffs) if any(coeffs) else module.zero()
-    return elem
-
-
 def eval_multilinear(
     table: MultiTable, args: Sequence[ModElem], weights: Sequence[PolyLike]
 ) -> ModElem:
@@ -558,22 +511,9 @@ def eval_multilinear(
     argument coefficients (``D ↦ -w_j`` for j < n, ``D ↦ D + Σw`` in the last
     slot) and the table entry's formal weights ``L1 .. L(n-1)`` are replaced
     by the actual weights simultaneously.  Weights may contain ``D``, which
-    then denotes ∂ on the output and is substituted verbatim.
-
-    The work that depends only on the table and the weights is done once per
-    weight tuple (compared by value) and kept on the table: the argument
-    images, and each entry with its weights bound, built as an element the
-    first time its index tuple is met.  A table keeps at most
-    :data:`PLAN_CACHE_CAP` weight tuples and starts afresh when full.
-
-    Results are shared, which is safe because elements, polynomials and
-    table entries are immutable.  After the arity, weight-count and module
-    checks, a call with a zero argument returns the output module's
-    :meth:`~FreeModule.zero`, and a call on basis elements returns the bound
-    entry itself: one dictionary lookup.  Otherwise constant argument
-    coefficients, and every coefficient of an arity-1 table's argument, skip
-    the ``D`` substitution, coefficients equal to 1 skip the multiplication,
-    and the bound entries' cached supports are summed.
+    then denotes ∂ on the output and is substituted verbatim.  Every basis
+    tuple in the arguments' supports is visited, its entry bound with
+    :func:`_bind`.
     """
     n = table.arity
     if len(args) != n:
@@ -582,43 +522,25 @@ def eval_multilinear(
         raise ArityMismatch(f"{len(weights)} weights for an arity-{n} table; expected {n - 1}")
     ws = tuple(map(as_poly, weights))
     for pos, (arg, mod) in enumerate(zip(args, table.in_modules)):
-        if arg.module is not mod and arg.module != mod:
+        if arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
-    units = tuple(arg.unit_index for arg in args)
-    # a zero argument is never a unit, so all-unit calls skip this test
-    if None in units and not all(arg._terms for arg in args):
-        return table.out_module.zero()
-    images, binding, bound = _plan(table, ws)
-    if None not in units:
-        return _bound_entry(table, binding, bound, units)
-
-    # (index, coefficient) per nonzero coefficient of each argument, None standing for 1
-    columns = []
-    for image, arg in zip(images, args):
-        column = []
-        for i, c in arg.support():
-            if c.is_constant():
-                column.append((i, None if c == 1 else c))
-            elif image is None:
-                column.append((i, c))
-            else:
-                c = c.substitute("D", image)
-                if c:
-                    column.append((i, c))
-        columns.append(column)
-
+    images = [-w for w in ws] + [D + sum(ws, Poly.zero())]
+    binding = [(lam(k), w) for k, w in enumerate(ws, 1)]
+    columns = [
+        [(i, c.substitute("D", image)) for i, c in arg.support()]
+        for image, arg in zip(images, args)
+    ]
     out = [Poly.zero()] * table.out_module.rank
     for combo in itertools.product(*columns):
         idx, factors = zip(*combo)
-        values = _bound_entry(table, binding, bound, idx)._terms
-        if not values:
+        entry = table.entries.get(idx)
+        if entry is None:
             continue
-        factor = None
+        factor = Poly.one()
         for c in factors:
-            if c is not None:
-                factor = c if factor is None else factor * c
-        for i, v in values:
-            out[i] = out[i] + (v if factor is None else factor * v)
+            factor = factor * c
+        for i, v in entry.support():
+            out[i] = out[i] + factor * _bind(v, binding)
     return _elem(table.out_module, tuple(out))
 
 

@@ -231,6 +231,8 @@ class _Parser(_PolyParser):
     def parse_name(self, tok: Token) -> Poly:
         var = VAR_ALIASES.get(tok[1])
         if var is None:
+            if tok[1] in KEYWORDS:
+                raise self.fail(f"{tok[1]!r} is a keyword and cannot appear in a coefficient", tok)
             raise self.fail("basis names cannot appear inside coefficients", tok)
         return Poly.var(var)
 

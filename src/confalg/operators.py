@@ -100,8 +100,7 @@ class ModuleMap:
     Entry ``(j,)`` of ``table`` is the image of the j-th source basis
     element.  Weight variables and auxiliary parameters are rejected, so a
     map always commutes with multiplication by arbitrary coefficients.  A
-    map is immutable, and so are the elements it returns: the image of a
-    basis element is the table's shared bound entry.
+    map is immutable, and so are the elements it returns.
     """
 
     table: MultiTable
@@ -158,7 +157,7 @@ class ModuleMap:
     # -- algebra of maps -----------------------------------------------------
 
     def apply(self, x: ModElem) -> ModElem:
-        """The image of ``x``; the image of a basis element is its shared entry."""
+        """The image of ``x``."""
         return eval_multilinear(self.table, (x,), ())
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":

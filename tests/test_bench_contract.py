@@ -55,17 +55,17 @@ def test_tracer_wraps_every_layer_counts_tabulation_and_restores(tracing, capsys
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    # the constructions compose their products as table sums; none is tabulated
+    # the constructions and both routes of the derived bracket are table sums;
+    # nothing is tabulated
     assert tracer.stats["derived.tabulate"]["calls"] == 0
     assert tracer.stats["derived.tabulate"]["tuples"] == 0
-    assert tracer.stats["cohomology.tabulate"]["calls"] > 0
-    assert tracer.stats["cohomology.tabulate"]["tuples"] > 0
-    # the direct route of derived_bracket still tabulates through the evaluator
+    assert tracer.stats["cohomology.tabulate"]["calls"] == 0
+    assert tracer.stats["cohomology.tabulate"]["tuples"] == 0
     bracket = {layer: tracer.stats[layer] - before[layer] for layer in before}
-    assert bracket["confcore.eval"]["calls"] == 192
-    assert bracket["confcore.eval"]["basis_only_calls"] == 80
-    assert bracket["cohomology.tabulate"]["calls"] == 1
-    assert bracket["cohomology.tabulate"]["tuples"] == 8
+    assert bracket["confcore.eval"]["calls"] == 0
+    assert bracket["confcore.eval"]["basis_only_calls"] == 0
+    assert bracket["cohomology.tabulate"]["calls"] == 0
+    assert bracket["cohomology.tabulate"]["tuples"] == 0
     assert all(_slot(*target) is raw for target, raw in zip(targets, originals))
 
 

@@ -6,14 +6,17 @@ identities and differential laws additionally run on seeded random cochains.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confalg.confcore import ConfAlgebra, FreeModule, MultiTable
+from confalg import cohomology
+from confalg.confcore import ConfAlgebra, ConfBimodule, FreeModule, MultiTable
 from confalg.cohomology import (
     Cochain,
     MaurerCartanVerdict,
@@ -36,9 +39,10 @@ from confalg.cohomology import (
     o_complex_d,
     random_cochain,
 )
-from confalg.errors import ArityMismatch, NotCocycle, NotOOperator, ShapeMismatch
+from confalg.errors import ArityMismatch, ConfalgError, NotCocycle, NotOOperator, ShapeMismatch
 from confalg.operators import ModuleMap
 
+import _oracle
 import helpers
 from helpers import (
     ADJ,
@@ -332,6 +336,98 @@ def test_derived_bracket_routes_agree_on_random_cochains():
             assert direct == lifted
             assert derived_bracket(f, g, DUAL, ADJ) == direct
             assert direct.arity == m + n
+
+
+M3 = FreeModule(("x", "y", "z"))
+
+
+def _rand_bimodule_over_dual(rng: random.Random) -> ConfBimodule:
+    """Random rank-3 actions of the dual numbers, linear in ``D`` and ``L1``; not a bimodule."""
+
+    def entry():
+        return M3.elem(
+            tuple(helpers.rand_poly(rng, ("D", "L1"), max_deg=1) for _ in range(M3.rank))
+        )
+
+    left = {(i, j): entry() for i in range(AM.rank) for j in range(M3.rank)}
+    right = {(j, i): entry() for i in range(AM.rank) for j in range(M3.rank)}
+    return ConfBimodule.build(DUAL, M3, left, right)
+
+
+# rank-3 brackets of total arity 4 have 81 entries, too slow for the sympy oracle
+ORACLE_CASES = [
+    (structure, m, n)
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
+    for structure in ("nilp", "dual", "random")
+    if structure != "random" or m + n < 4
+]
+
+
+@pytest.mark.parametrize("structure, m, n", ORACLE_CASES)
+def test_direct_derived_bracket_matches_the_oracle(structure, m, n):
+    rng = random.Random(f"{structure} {m} {n}")
+    if structure == "random":
+        alg, bim = DUAL, _rand_bimodule_over_dual(rng)
+    else:
+        alg, bim = {"nilp": (NILP, NADJ), "dual": (DUAL, ADJ)}[structure]
+    ra, rm = alg.module.rank, bim.module.rank
+    f = random_cochain(rng, m, bim.module, alg.module, max_degree=1)
+    g = random_cochain(rng, n, bim.module, alg.module, max_degree=1)
+    expected = _oracle.derived_direct(
+        _oracle.cochain_fn(m, rm, ra, helpers.sym_table(f.table)), m,
+        _oracle.cochain_fn(n, rm, ra, helpers.sym_table(g.table)), n,
+        helpers.sym_table(alg.table), helpers.sym_table(bim.left),
+        helpers.sym_table(bim.right), ra, rm,
+    )
+    got = derived_bracket_direct(f, g, alg, bim)
+    assert got.arity == m + n
+    weights = [_oracle.L[k] for k in range(1, m + n)]
+    for idx in itertools.product(range(rm), repeat=m + n):
+        want = expected([_oracle.basisv(rm, i) for i in idx], weights)
+        have = helpers.sym_vec(got.table.entry(idx))
+        assert all(sp.expand(c - e) == 0 for c, e in zip(have, want)), idx
+
+
+def _flip_first_term_of(monkeypatch, route: str) -> None:
+    """Negate the first term of the first table sum that ``route`` computes."""
+    real_sum, real_route = cohomology.table_sum, getattr(cohomology, route)
+
+    def flipped(terms):
+        (coeff, term), *rest = terms
+        monkeypatch.setattr(cohomology, "table_sum", real_sum)
+        return real_sum([(-coeff, term)] + rest)
+
+    def mutated(*args):
+        monkeypatch.setattr(cohomology, "table_sum", flipped)
+        try:
+            return real_route(*args)
+        finally:
+            monkeypatch.setattr(cohomology, "table_sum", real_sum)
+
+    monkeypatch.setattr(cohomology, route, mutated)
+
+
+@pytest.mark.parametrize("route", ("derived_bracket_direct", "derived_bracket_via_lifts"))
+def test_derived_bracket_raises_when_either_route_is_wrong(monkeypatch, route):
+    f = random_cochain(3, 1, AM, AM, max_degree=1)
+    g = random_cochain(4, 2, AM, AM, max_degree=1)
+    expected = derived_bracket(f, g, DUAL, ADJ)
+    _flip_first_term_of(monkeypatch, route)
+    assert getattr(cohomology, route)(f, g, DUAL, ADJ) != expected
+    with pytest.raises(ConfalgError, match="disagree at"):
+        derived_bracket(f, g, DUAL, ADJ)
+
+
+def test_derived_bracket_disagreement_names_the_first_differing_tuple(monkeypatch):
+    f = random_cochain(5, 1, AM, AM, max_degree=1)
+    real = cohomology.derived_bracket_via_lifts
+    # off by one at (v, v) and at (v, u); (v, u) comes first in basis order
+    offset = Cochain.from_entries(2, AM, AM, {(1, 1): u, (1, 0): D * v})
+    monkeypatch.setattr(
+        cohomology, "derived_bracket_via_lifts", lambda *args: real(*args) + offset
+    )
+    with pytest.raises(ConfalgError, match=r"disagree at \(v, u\)$"):
+        derived_bracket(f, f, DUAL, ADJ)
 
 
 @settings(max_examples=15, deadline=None)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg.confcore import (
-    PLAN_CACHE_CAP,
     Circ,
     ConfAlgebra,
     ConfBimodule,
@@ -152,10 +151,10 @@ def test_table_entries_reject_foreign_weights() -> None:
         MultiTable((AM, AM), AM, {(0, 0): L2 * u})
 
 
-# -- the evaluator's per-table plan cache ---------------------------------------
+# -- repeated evaluation -------------------------------------------------------
 
 # Each call builds its weight afresh, except the first, which is one shared
-# object; the cache must key on the value either way.
+# object; repeated calls and a freshly built table must agree either way.
 WEIGHTS = (
     lambda: L1,
     lambda: Poly.var("L1"),
@@ -226,12 +225,12 @@ def test_cached_ternary_evaluation_matches_a_cold_table(seed, order) -> None:
         assert first == eval_multilinear(_cold(table), args, weights)
 
 
-def test_basis_products_and_zero_arguments_return_shared_elements() -> None:
+def test_basis_products_and_zero_arguments_evaluate_to_entries_and_zero() -> None:
     table = _cold(DUAL.table)
     first = eval_multilinear(table, (u, v), (L1,))
     assert first == v
-    assert eval_multilinear(table, (u, v), (Poly.var("L1"),)) is first
-    assert eval_multilinear(table, (AM.zero(), D * v), (L1,)) is AM.zero()
+    assert eval_multilinear(table, (u, v), (Poly.var("L1"),)) == first
+    assert eval_multilinear(table, (AM.zero(), D * v), (L1,)) == AM.zero()
 
 
 def test_table_entries_are_read_only() -> None:
@@ -243,19 +242,6 @@ def test_table_entries_are_read_only() -> None:
         del table.entries[(0, 0)]
     source[(0, 1)] = v
     assert dict(table.entries) == {(0, 0): u}
-
-
-def test_plan_cache_is_bounded_and_stays_correct_past_the_cap() -> None:
-    table = _cold(DUAL.table)
-    x, y = (D + 1) * u + v, D * u - 2 * v
-    largest = 0
-    for k in list(range(PLAN_CACHE_CAP + 10)) + [0, 1, 2]:
-        weight = L1 + k
-        got = eval_multilinear(table, (x, y), (weight,))
-        largest = max(largest, len(table._plans))
-        assert len(table._plans) <= PLAN_CACHE_CAP
-        assert got == eval_multilinear(_cold(table), (x, y), (weight,))
-    assert largest == PLAN_CACHE_CAP
 
 
 def test_adding_tables_of_different_shapes_is_a_shape_error() -> None:

@@ -818,6 +818,16 @@ def _single_error_record(capsys, source: Path) -> str:
     return record["detail"]
 
 
+@pytest.mark.parametrize("coefficient", ["2*value", "value", "(D + check)"])
+def test_cli_keyword_in_a_coefficient_is_named_as_a_keyword(tmp_path, capsys, coefficient):
+    source = tmp_path / "kw.cfa"
+    source.write_text(f"algebra A {{ basis e; product e e = {coefficient}*e; }}\n")
+    detail = _single_error_record(capsys, source)
+    word = "value" if "value" in coefficient else "check"
+    assert f"'{word}' is a keyword and cannot appear in a coefficient" in detail
+    assert "basis name" not in detail
+
+
 def test_cli_deep_nesting_is_an_input_error(tmp_path, capsys):
     source = tmp_path / "deep.cfa"
     deep = "(" * 5000 + "D" + ")" * 5000

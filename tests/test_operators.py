@@ -114,7 +114,7 @@ def test_apply_on_basis_elements_gives_the_columns(seed: int) -> None:
     for j, e in enumerate(AM.basis_elems()):
         fresh_one = AM.elem(tuple(Poly({(): 1}) if i == j else 0 for i in range(AM.rank)))
         assert T.apply(e) == columns[j]
-        assert T.apply(fresh_one) is T.apply(e)
+        assert T.apply(fresh_one) == columns[j]
         assert T.apply(2 * e) == 2 * columns[j]
         assert T.apply(D * e) == D * columns[j]
     x = helpers.rand_elem(rng, AM, names=("D", "L1"))
