@@ -61,7 +61,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
 )
-from .polyring import Poly, PolyLike, as_poly, lam, var_sort_key
+from .polyring import Poly, PolyLike, Substitution, as_poly, lam, var_sort_key
 
 D = Poly.var("D")
 L1 = Poly.var("L1")
@@ -395,7 +395,7 @@ def _weights(first: int, last: int) -> Poly:
     return sum((Poly.var(lam(k)) for k in range(first, last + 1)), Poly.zero())
 
 
-def _bind(c: Poly, binding: list) -> Poly:
+def _bind(c: Poly, binding: Union[Substitution, None]) -> Poly:
     return c.substitute_many(binding) if binding and not c.is_constant() else c
 
 
@@ -427,7 +427,9 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     ``g`` is rebound once (``L_k ↦ L_(k+i−1)``; ``D ↦ −(merged weight)`` in a
     leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), each entry of
     ``f`` once, grouped by its slot-``i`` index, and every product goes into
-    one accumulator that becomes the result.
+    one accumulator that becomes the result.  Each rebinding is compiled once
+    per term, as one :class:`~confalg.polyring.Substitution` that all the
+    entries it rebinds share.
     """
     shape, rows, zero = None, {}, Poly.zero()
     for coeff, term in terms:
@@ -443,14 +445,17 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
             f, i, g = term
             m, n = f.arity, g.arity
             g_bind = [(lam(k), Poly.var(lam(k + i - 1))) for k in range(1, n)] if i > 1 else []
-            f_bind = []
+            f_bind = None
             if i < m:
                 g_bind.append(("D", -_weights(i, i + n - 1)))
                 if n > 1:
-                    f_bind = [(lam(i), _weights(i, i + n - 1))]
-                    f_bind += [(lam(k), Poly.var(lam(k + n - 1))) for k in range(i + 1, m)]
+                    f_bind = Substitution(
+                        [(lam(i), _weights(i, i + n - 1))]
+                        + [(lam(k), Poly.var(lam(k + n - 1))) for k in range(i + 1, m)]
+                    )
             elif m > 1:
                 g_bind.append(("D", D + _weights(1, m - 1)))
+            g_bind = Substitution(g_bind) if g_bind else None
             groups: dict = {}
             for idx, entry in f.entries.items():
                 values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
@@ -463,11 +468,11 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
             )
         else:
             f, p, q = term if isinstance(term, Swap) else (term, 0, 0)
-            binding = []
+            binding = None
             if q and q < f.arity:
-                binding = [(lam(p), Poly.var(lam(q))), (lam(q), Poly.var(lam(p)))]
+                binding = Substitution([(lam(p), Poly.var(lam(q))), (lam(q), Poly.var(lam(p)))])
             elif q:
-                binding = [(lam(p), -D - _weights(1, f.arity - 1))]
+                binding = Substitution([(lam(p), -D - _weights(1, f.arity - 1))])
             group = []
             for idx, entry in f.entries.items():
                 if q:
@@ -513,7 +518,7 @@ def eval_multilinear(
     by the actual weights simultaneously.  Weights may contain ``D``, which
     then denotes ∂ on the output and is substituted verbatim.  Every basis
     tuple in the arguments' supports is visited, its entry bound with
-    :func:`_bind`.
+    :func:`_bind` by one :class:`~confalg.polyring.Substitution` per call.
     """
     n = table.arity
     if len(args) != n:
@@ -525,7 +530,7 @@ def eval_multilinear(
         if arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
     images = [-w for w in ws] + [D + sum(ws, Poly.zero())]
-    binding = [(lam(k), w) for k, w in enumerate(ws, 1)]
+    binding = Substitution((lam(k), w) for k, w in enumerate(ws, 1)) if ws else None
     columns = [
         [(i, c.substitute("D", image)) for i, c in arg.support()]
         for image, arg in zip(images, args)

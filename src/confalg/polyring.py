@@ -68,6 +68,18 @@ or one starting above ``lo``, would cost slots for monomials that no pair
 forms, as many as its ``D`` exponents span.  Both paths drop zero numerators
 and check the exponents of their result.
 
+Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
+which compiles its bindings on the first polynomial with a variable and then
+serves any number of polynomials.  An image that is a bare variable, with
+coefficient 1 and denominator 1, becomes a move: the bound exponent field is
+added into that variable's field, with no arithmetic.  Every other image keeps
+one table of its powers, grown on demand and shared by every polynomial that
+the substitution is applied to; when one such image occurs in a polynomial,
+the terms of each monomial's power go straight into the result.  Every
+monomial formed has its guard bits checked before it is added, so an overflow
+raises even where it would cancel.  The term cap below is unchanged: a call
+counts the powers up to its own largest exponent, however many the table holds.
+
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
 plus its result so far.  A product counts every monomial that a pair of its
@@ -602,60 +614,74 @@ class Poly:
         """Replace every occurrence of ``name`` by ``image``."""
         return self.substitute_many([(name, image)])
 
-    def substitute_many(self, bindings: Iterable[Tuple[str, PolyLike]]) -> "Poly":
+    def substitute_many(
+        self, bindings: Union["Substitution", Iterable[Tuple[str, PolyLike]]]
+    ) -> "Poly":
         """Apply several substitutions *simultaneously*.
 
-        Images are not re-substituted: ``L1 -> L1+L2, L2 -> L3`` sends
-        ``L1*L2`` to ``(L1+L2)*L3``.  Raises :class:`DuplicateBinding` if the
-        same variable is bound twice.
+        ``bindings`` is a :class:`Substitution` or the ``(name, image)``
+        pairs to make one of.  Images are not re-substituted: ``L1 -> L1+L2,
+        L2 -> L3`` sends ``L1*L2`` to ``(L1+L2)*L3``.  Raises
+        :class:`DuplicateBinding` if the same variable is bound twice.
         """
-        bound: dict[str, Poly] = {}
-        for name, image in bindings:
-            if name in bound:
-                raise DuplicateBinding(f"variable {name!r} bound twice")
-            bound[name] = as_poly(image)
+        if not isinstance(bindings, Substitution):
+            bindings = Substitution(bindings)
+            bindings._compile()  # the pairs are checked even for a constant
         nums = self._nums
-        if not bound or not nums:
+        present = reduce(or_, nums, 0)
+        if not present:
             return self
-        present = reduce(or_, nums)
-        live = []
-        for name, image in bound.items():
-            shift = _FIELDS.shift.get(name)
-            if shift is not None and (present >> shift) & _FIELD:
-                live.append((shift, image))
-        if not live:
+        fields, keep, moves, tables = bindings._plan or bindings._compile()
+        if not present & fields:
             return self
-        # Each image's powers up to the largest exponent it replaces, built once
-        # per call, image^e from image^(e-1).  image^e has denominator d^e; it is
-        # brought to d^top so that every term shares one denominator.
+        # The powers of each image up to the largest exponent it replaces here.
+        # image^e has denominator d^e; its terms are brought to d^top so that
+        # every term shares one denominator.
         den = self._den
-        keep = ~0
-        tables = []
-        kept = 0  # terms in the power tables, held until the result is done
-        for shift, image in live:
-            keep &= ~(_FIELD << shift)
+        kept = 0  # terms in those powers, held until the result is done
+        live = []
+        for table in tables:
+            shift, _, d, powers, ors, _ = table
+            if not (present >> shift) & _FIELD:
+                continue
             top = max((m >> shift) & _FIELD for m in nums)
-            powers = [{0: 1}]
-            for _ in range(top):
-                powers.append(_mul_nums(powers[-1], image._nums))
-                kept += len(powers[-1])
-                if kept > MAX_TERMS:
-                    raise _term_overflow()
-            d = image._den
+            kept = _grow(table, top, kept)
+            scale = None
             if d != 1:
-                powers = [
-                    {m: c * d ** (top - e) for m, c in pw.items()} for e, pw in enumerate(powers)
-                ]
-                den *= d**top
-            tables.append((shift, powers))
+                scale = [d ** (top - e) for e in range(top + 1)]
+                den *= scale[0]
+            live.append((shift, powers, ors, scale))
         acc: dict = {}
         get = acc.get
+        guard = _FIELDS.guard
+        # with one image, its power's terms go straight into the result: no product
+        # per monomial, which is most calls of a table sum
+        one = live[0] if len(live) == 1 else None
         for mono, coeff in nums.items():
-            piece = {mono & keep: coeff}
-            for shift, powers in tables:
-                piece = _mul_nums(piece, powers[(mono >> shift) & _FIELD])
+            base = mono & keep
+            for src, dst in moves:
+                base += ((mono >> src) & _FIELD) << dst
+            if base & guard:
+                _checked({base: coeff})  # raises
+            if one:
+                shift, powers, ors, scale = one
+                e = (mono >> shift) & _FIELD
+                piece = powers[e]
+                if (base + ors[e]) & guard:  # some field of some monomial may overflow
+                    _checked({base + m: c for m, c in piece.items()})
+                if scale:
+                    coeff *= scale[e]
+            else:
+                piece = {base: 1}
+                for shift, powers, _, scale in live:
+                    e = (mono >> shift) & _FIELD
+                    if scale:
+                        coeff *= scale[e]
+                    piece = _mul_nums(piece, powers[e])
+                base = 0  # the piece holds whole monomials
             for m, c in piece.items():
-                s = get(m, 0) + c
+                m += base
+                s = get(m, 0) + c * coeff
                 if s:
                     acc[m] = s
                 else:
@@ -710,6 +736,74 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+class Substitution:
+    """Simultaneous bindings ``name -> image``, compiled once for any number of polynomials.
+
+    Pass one to :meth:`Poly.substitute_many` in place of its pairs.  The
+    pairs are checked and compiled on the first polynomial with a variable,
+    so a substitution that only meets constants costs no more than its
+    pairs: an image ``1·v`` becomes a move of an exponent field into
+    ``v``'s, and every other image keeps a table of its powers that grows on
+    demand and serves every later polynomial.
+    """
+
+    __slots__ = ("_pairs", "_plan")
+
+    def __init__(self, bindings: Iterable[Tuple[str, PolyLike]]) -> None:
+        self._pairs = tuple(bindings)
+        self._plan: tuple | None = None
+
+    def _compile(self) -> tuple:
+        """``(fields, keep, moves, tables)``, the plan :meth:`Poly.substitute_many` follows.
+
+        ``fields`` masks the bound fields and ``keep`` the others.  A move
+        ``(src, dst)`` adds the exponent at shift ``src`` into the field at
+        ``dst``; no two moves share a ``dst``, so a sum of at most two
+        exponents below the guard bit never carries into the next field.  A
+        table ``(shift, image, den, powers, ors, sizes)`` keeps the numerator
+        maps of the image's powers built so far, the OR of each power's
+        monomials and the running count of their terms from the first power.
+        """
+        bound: dict[str, Poly] = {}
+        for name, image in self._pairs:
+            if name in bound:
+                raise DuplicateBinding(f"variable {name!r} bound twice")
+            bound[name] = as_poly(image)
+        fields, moves, tables = 0, [], []
+        for name, image in bound.items():
+            shift = _FIELDS.intern(name)
+            fields |= _FIELD << shift
+            if len(image._nums) == 1 and image._den == 1:
+                ((m, c),) = image._nums.items()
+                dst = m.bit_length() - 1
+                # a bare variable: numerator 1 at the lowest bit of a field
+                is_var = c == 1 and m and m == 1 << dst and not dst % FIELD_BITS
+                if is_var and all(dst != to for _, to in moves):
+                    moves.append((shift, dst))
+                    continue
+            tables.append((shift, image._nums, image._den, [{0: 1}], [0], [0]))
+        self._plan = plan = (fields, ~fields, moves, tables)
+        return plan
+
+
+def _grow(table: tuple, top: int, kept: int) -> int:
+    """``kept`` plus the terms of the powers 1 .. ``top`` of a table, built as needed.
+
+    Past :data:`MAX_TERMS` it raises at the same power as building them anew would.
+    """
+    _, image, _, powers, ors, sizes = table
+    if kept + sizes[min(top, len(sizes) - 1)] > MAX_TERMS:
+        raise _term_overflow()
+    while len(powers) <= top:
+        power = _mul_nums(powers[-1], image)
+        powers.append(power)
+        ors.append(reduce(or_, power, 0))
+        sizes.append(sizes[-1] + len(power))
+        if kept + sizes[-1] > MAX_TERMS:
+            raise _term_overflow()
+    return kept + sizes[top]
 
 
 def _wrap(nums: dict, den: int) -> Poly:

@@ -26,6 +26,7 @@ from confalg.errors import (
 from confalg.polyring import (
     EXP_MAX,
     Poly,
+    Substitution,
     decimal_to_int,
     int_to_decimal,
     lam,
@@ -247,6 +248,96 @@ def test_term_cap_bounds_products_and_substitutions(monkeypatch) -> None:
     wide = sum((T**k * D for k in range(30)), Poly.zero())
     with pytest.raises(TermOverflow):
         wide.substitute("D", D + 1)  # 60 terms in the result
+
+
+# -- compiled substitutions ------------------------------------------------------------
+
+
+def _weight_sum(names) -> Poly:
+    return sum((Poly.var(name) for name in names), Poly.zero())
+
+
+@st.composite
+def weight_bindings(draw) -> list:
+    """Rebindings of the weight variables as table sums make them, plus a scalar image.
+
+    A swap ``L1 ↦ L2, L2 ↦ L1`` or a relabel chain ``L_k ↦ L_(k+s)``; ``D ↦ D +
+    L1 + … + Lm`` or ``D ↦ −ΣL``; and a zero, integer or ``p/q`` image of ``t``.
+    """
+    bindings = []
+    relabel = draw(st.sampled_from(["none", "swap", "chain"]))
+    if relabel == "swap":
+        bindings += [("L1", L2), ("L2", L1)]
+    elif relabel == "chain":
+        shift, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        bindings += [(lam(k), Poly.var(lam(k + shift))) for k in range(1, count + 1)]
+    sums = [lam(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    image = draw(st.sampled_from(["none", "plus", "minus"]))
+    if image == "plus":
+        bindings.append(("D", D + _weight_sum(sums)))
+    elif image == "minus":
+        bindings.append(("D", -_weight_sum(sums)))
+    scalar = draw(st.sampled_from([None, 0, 3, -2, Fraction(2, 3), Fraction(-5, 2)]))
+    if scalar is not None:
+        bindings.append(("t", scalar))
+    draw(st.randoms()).shuffle(bindings)
+    return bindings
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_bindings(), st.lists(polys(), min_size=1, max_size=4))
+def test_one_compiled_substitution_serves_many_polynomials(bindings: list, ps: list) -> None:
+    # the polynomials by rising degree in D and t, then falling: the power tables grow,
+    # then serve calls whose largest exponent is below what they hold
+    ps.sort(key=lambda p: p.degree_in("D") + p.degree_in("t"))
+    ps += ps[::-1] + [Poly.zero(), Poly.const(Fraction(3, 4))]
+    sub = Substitution(bindings)
+    images = {sympy.Symbol(name): _to_sympy(polyring.as_poly(image)) for name, image in bindings}
+    for p in ps:
+        ours = p.substitute_many(sub)
+        _assert_canonical(ours)
+        assert ours == p.substitute_many(bindings)
+        theirs = _to_sympy(p).subs(images, simultaneous=True)
+        assert sympy.expand(_to_sympy(ours) - theirs) == 0
+
+
+def test_compiled_substitution_keeps_the_error_contract(monkeypatch) -> None:
+    # L2^40000 is formed twice and cancels; it overflows all the same, as a move
+    cancelling = L1**20000 * L2**20000 - L1**30000 * L2**10000
+    relabel = Substitution([("L1", L2)])
+    assert (L1**30000).substitute_many(relabel) == L2**30000
+    _, _, moves, tables = relabel._plan  # a relabel is a move and keeps no powers
+    assert len(moves) == 1 and not tables
+    for run in (lambda: cancelling.substitute("L1", L2),
+                lambda: cancelling.substitute_many(relabel)):
+        with pytest.raises(ExponentOverflow, match="^exponent 40000 of L2 exceeds"):
+            run()
+    # a move into a field that another move fills, and a power that overflows and cancels
+    L3 = Poly.var("L3")
+    merging = (L1 * L2 * L3) ** 30000
+    with pytest.raises(ExponentOverflow, match="^exponent 60000 of L3 exceeds"):
+        merging.substitute_many([("L1", L3), ("L2", L3)])
+    shifted = L1**EXP_MAX * D - L1 ** (EXP_MAX - 1) * D**2
+    with pytest.raises(ExponentOverflow, match=f"^exponent {EXP_MAX + 1} of L1 exceeds"):
+        shifted.substitute("D", D + L1)
+    # bindings are checked on the first polynomial with a variable; pairs at once
+    duplicate = Substitution([("D", L1), ("D", L2)])
+    assert Poly.const(3).substitute_many(duplicate) == 3
+    with pytest.raises(DuplicateBinding):
+        D.substitute_many(duplicate)
+    with pytest.raises(DuplicateBinding):
+        Poly.const(3).substitute_many([("D", L1), ("D", L2)])
+    # the term cap counts the powers up to each call's own top exponent, however many
+    # the shared table holds: D^5 needs 55 terms of powers, D^4 needs 34 and 15 more
+    monkeypatch.setattr(polyring, "MAX_TERMS", 50)
+    x = D + L1 + L2
+    shared = Substitution([("D", x)])
+    for sub in (shared, [("D", x)]):
+        with pytest.raises(TermOverflow):
+            (D**5).substitute_many(sub)
+        assert (D**4).substitute_many(sub) == x**4
+        with pytest.raises(TermOverflow):
+            (D**5).substitute_many(sub)
 
 
 def test_lambda_names() -> None:
