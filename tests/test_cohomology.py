@@ -557,6 +557,19 @@ def test_perturbation_by_an_incompatible_map():
         mc_perturbation_check(BAD_MAP, SHIFT, DUAL, ADJ)
 
 
+def test_perturbation_needs_the_differential_relation(monkeypatch):
+    # forge a broken complex: the two equivalent flags still agree, the relation fails
+    real = cohomology.o_complex_d
+    monkeypatch.setattr(cohomology, "o_complex_d", lambda *a, **k: real(*a, **k).scale(2))
+    pv = mc_perturbation_check(SHIFT, BAD_MAP, DUAL, ADJ)
+    assert not pv.sum_is_O and not pv.mc_zero
+    assert not pv.differential_relation
+    assert not pv.consistent and not pv.holds
+    assert pv.summary() == (
+        "sum_is_O=False mc_zero=False differential_relation=False consistent=False"
+    )
+
+
 def test_modified_mc_for_a_twisted_rota_baxter_operator():
     mm = modified_mc_check(IDENT, neg_mult(), DUAL, ADJ)
     assert mm.is_twisted_rb and mm.bracket_identity

@@ -368,6 +368,17 @@ def test_hierarchy_of_the_shift_map() -> None:
     assert "holds" in verdict.summary()
 
 
+def test_hierarchy_summary_text() -> None:
+    verdict = nijenhuis_hierarchy(SHIFT, DUAL, kmax=2)
+    assert verdict.summary() == (
+        "power-pair: hierarchy-power-pair: holds; "
+        "intertwine: hierarchy-intertwine: holds; "
+        "relative: hierarchy-relative: holds; "
+        "powers-nijenhuis: hierarchy-powers-nijenhuis: holds; "
+        "pairwise-compatible: hierarchy-pairwise-compatible: holds"
+    )
+
+
 def test_hierarchy_of_the_projection() -> None:
     assert nijenhuis_hierarchy(PROJ, DUAL, kmax=2).holds
 
@@ -427,6 +438,23 @@ def test_deformation_clauses_for_the_swap_map() -> None:
     assert not verdict.obstruction.holds
     assert not verdict.homomorphism.holds
     assert "fails" in verdict.summary()
+
+
+def test_deformation_summary_texts() -> None:
+    assert deformation_check(SHIFT, DUAL).summary() == (
+        "cocycle: deformation-cocycle: holds; "
+        "generator-assoc: associative: holds; "
+        "homomorphism: deformation-homomorphism: holds; "
+        "obstruction: deformation-obstruction: holds"
+    )
+    failing = deformation_check(SWAP, DUAL, validate=False)
+    assert not failing.holds
+    assert failing.summary() == (
+        "cocycle: deformation-cocycle: holds; "
+        "generator-assoc: associative: fails at (u, u, v): residual 2*v (+1 more); "
+        "homomorphism: deformation-homomorphism: fails at (u, u): residual (t^2)*u (+3 more); "
+        "obstruction: deformation-obstruction: fails at (u, u): residual u (+3 more)"
+    )
 
 
 def test_deformation_check_validates_by_default() -> None:

@@ -2,8 +2,9 @@
 
 ``tests/golden/`` holds the ``check --json`` and ``construct --json`` output of
 the fixture corpus, of every broken fixture and of one large-degree source,
-with the run-time field ``elapsed_ms`` removed and the exit code added.  Any
-change of verdict, witness, residual text or rendering order shows up here.
+and the ``cohomology`` subcommands' output on the fixture corpus, with the
+run-time field ``elapsed_ms`` removed and the exit code added.  Any change of
+verdict, witness, residual text or rendering order shows up here.
 
 After an intended change of output, rewrite the files with::
 
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -30,14 +32,30 @@ SOURCES = sorted(
     [Path("fixtures/all.cfa"), Path("tests/golden/degree10.cfa")]
     + [p.relative_to(ROOT) for p in (ROOT / "fixtures").glob("broken_*.cfa")]
 )
-CASES = [(command, source) for source in SOURCES for command in ("check", "construct")]
+COHOMOLOGY = [
+    ("mc-check-T-A2", "mc-check", ["--map", "T", "--algebra", "A2"]),
+    ("mc-check-T2-N2", "mc-check", ["--map", "T2", "--algebra", "N2", "--bimodule", "AdjN2"]),
+    ("mc-check-R-N2", "mc-check", ["--map", "R", "--algebra", "N2"]),
+    ("bracket-d-d", "bracket", ["--left", "d", "--right", "d"]),
+    ("bracket-phi-phi", "bracket", ["--left", "phi", "--right", "phi"]),
+    (
+        "d2-check-N2",
+        "d2-check",
+        ["--algebra", "N2", "--bimodule", "AdjN2", "--count", "4", "--seed", "3"],
+    ),
+]
+# (test id, command line without --json, golden file name)
+CASES = [
+    (f"{command}-{source.stem}", [command, source.as_posix()], f"{source.stem}.{command}.json")
+    for source in SOURCES
+    for command in ("check", "construct")
+] + [
+    (name, ["cohomology", sub, "fixtures/all.cfa", *options], f"all.{name}.json")
+    for name, sub, options in COHOMOLOGY
+]
 
 
-def _golden_path(command: str, source: Path) -> Path:
-    return GOLDEN / f"{source.stem}.{command}.json"
-
-
-def render(command: str, source: Path) -> str:
+def render(argv: List[str]) -> str:
     """The normalised report: exit code plus JSON without ``elapsed_ms``.
 
     Runs from the checkout root with a relative path, so the echoed command
@@ -48,7 +66,7 @@ def render(command: str, source: Path) -> str:
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out):
-            code = main([command, source.as_posix(), "--json"])
+            code = main([*argv, "--json"])
     finally:
         os.chdir(cwd)
     report = json.loads(out.getvalue())
@@ -57,15 +75,13 @@ def render(command: str, source: Path) -> str:
     return json.dumps({"exit": code, "report": report}, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize(
-    "command,source", CASES, ids=[f"{c}-{s.stem}" for c, s in CASES]
-)
-def test_report_matches_golden(command: str, source: Path) -> None:
-    expected = _golden_path(command, source).read_text(encoding="utf-8")
-    assert render(command, source) == expected
+@pytest.mark.parametrize("argv,golden", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_report_matches_golden(argv: List[str], golden: str) -> None:
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert render(argv) == expected
 
 
 if __name__ == "__main__":
-    for command, source in CASES:
-        _golden_path(command, source).write_text(render(command, source), encoding="utf-8")
-        print(f"wrote {_golden_path(command, source).relative_to(ROOT)}", file=sys.stderr)
+    for _, argv, golden in CASES:
+        (GOLDEN / golden).write_text(render(argv), encoding="utf-8")
+        print(f"wrote {(GOLDEN / golden).relative_to(ROOT)}", file=sys.stderr)
