@@ -24,6 +24,7 @@ from .cohomology import (
     random_cochain,
 )
 from .confcore import (
+    Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
@@ -78,6 +79,7 @@ __all__ = [
     "ConfBimodule",
     "LieRep",
     "Verdict",
+    "Composite",
     "cur",
     "eval_multilinear",
     "check_associative",

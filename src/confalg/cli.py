@@ -15,19 +15,18 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .cohomology import (
-    Cochain,
-    g_bracket,
-    maurer_cartan_check,
-)
+from .cohomology import Cochain, g_bracket, maurer_cartan_check
 from .confcore import ConfBimodule
 from .dsl import (
     Environment,
     Record,
     Report,
+    _ms_since,
+    _verdict_record,
     d_squared_suite,
     parse_file,
     render_elem,
@@ -112,21 +111,6 @@ def _print_report(report: Report, *, json_mode: bool, show_emitted: bool) -> Non
             print(rec.emitted)
 
 
-def _load(args) -> Tuple[Report, Environment, str]:
-    echo = " ".join(
-        part for part in (args.command, getattr(args, "subcommand", None), args.file) if part
-    )
-    sf = parse_file(args.file)
-    report, env = run(
-        sf,
-        command=echo,
-        seed=getattr(args, "seed", None),
-        witness_cap=args.witness_cap,
-        version=__version__,
-    )
-    return report, env, echo
-
-
 def _pick_algebra(env: Environment, name: Optional[str]):
     if name is not None:
         if name not in env.algebras:
@@ -154,61 +138,34 @@ def _as_self_cochain(env: Environment, name: str) -> Cochain:
     raise UnresolvedName(f"unknown map or cocycle {name!r}")
 
 
-def _cmd_d2_check(args) -> Report:
-    report, env, echo = _load(args)
-    records: List[Record] = list(report.records)
+def _cmd_d2_check(args, env: Environment, started: float) -> Record:
     alg_name, alg = _pick_algebra(env, args.algebra)
     bim_name, bim = _pick_bimodule(env, args.bimodule, alg)
-    started = time.perf_counter()
     ok, witnesses = d_squared_suite(
         alg, bim, count=args.count, seed=args.seed, max_degree=args.max_degree
     )
-    elapsed = (time.perf_counter() - started) * 1000.0
-    records.append(
-        Record(
-            f"d2-check {alg_name} with {bim_name}",
-            "holds" if ok else "fails",
-            witnesses[: args.witness_cap],
-            elapsed,
-            f"{args.count} random cochains of arities 1 and 2",
-        )
+    return Record(
+        f"d2-check {alg_name} with {bim_name}",
+        "holds" if ok else "fails",
+        witnesses[: args.witness_cap],
+        _ms_since(started),
+        f"{args.count} random cochains of arities 1 and 2",
     )
-    return Report(echo, __version__, args.seed, tuple(records))
 
 
-def _cmd_mc_check(args) -> Report:
-    report, env, echo = _load(args)
-    records: List[Record] = list(report.records)
+def _cmd_mc_check(args, env: Environment, started: float) -> Record:
     if args.map not in env.maps:
         raise UnresolvedName(f"unknown map {args.map!r}")
     alg_name, alg = _pick_algebra(env, args.algebra)
     bim_name, bim = _pick_bimodule(env, args.bimodule, alg)
-    started = time.perf_counter()
     verdict = maurer_cartan_check(env.maps[args.map], alg, bim)
-    elapsed = (time.perf_counter() - started) * 1000.0
-    witnesses = (
-        ()
-        if verdict.consistent
-        else ({"names": ["maurer-cartan"], "residual": verdict.summary()},)
-    )
-    records.append(
-        Record(
-            f"mc-check {args.map} on {alg_name} with {bim_name}",
-            "holds" if verdict.consistent else "fails",
-            witnesses,
-            elapsed,
-            verdict.summary(),
-        )
-    )
-    return Report(echo, __version__, None, tuple(records))
+    identity = f"mc-check {args.map} on {alg_name} with {bim_name}"
+    return _verdict_record(identity, verdict, started, detail=verdict.summary())
 
 
-def _cmd_bracket(args) -> Report:
-    report, env, echo = _load(args)
-    records: List[Record] = list(report.records)
+def _cmd_bracket(args, env: Environment, started: float) -> Record:
     left = _as_self_cochain(env, args.left)
     right = _as_self_cochain(env, args.right)
-    started = time.perf_counter()
     result = g_bracket(left, right)
     lines = [f"degree {result.arity}"]
     module = result.input_module
@@ -217,36 +174,40 @@ def _cmd_bracket(args) -> Report:
         lines.append(f"[{args.left}, {args.right}]({names}) = {render_elem(result.table.entries[idx])}")
     if result.is_zero():
         lines.append(f"[{args.left}, {args.right}] = 0")
-    elapsed = (time.perf_counter() - started) * 1000.0
-    records.append(
-        Record(
-            f"bracket {args.left} {args.right}",
-            "holds",
-            (),
-            elapsed,
-            "\n".join(lines),
-        )
+    detail = "\n".join(lines)
+    return Record(f"bracket {args.left} {args.right}", "holds", (), _ms_since(started), detail)
+
+
+COHOMOLOGY = {"d2-check": _cmd_d2_check, "mc-check": _cmd_mc_check, "bracket": _cmd_bracket}
+
+
+def _run_file(args, echo: str) -> Report:
+    """Run the file; a cohomology subcommand then appends its record, or an error record."""
+    report, env = run(
+        parse_file(args.file),
+        command=echo,
+        seed=getattr(args, "seed", None),
+        witness_cap=args.witness_cap,
+        version=__version__,
     )
-    return Report(echo, __version__, None, tuple(records))
+    if args.command != "cohomology":
+        return report
+    started = time.perf_counter()
+    try:
+        record = COHOMOLOGY[args.subcommand](args, env, started)
+    except ConfalgError as exc:
+        record = Record(args.subcommand, "error", (), _ms_since(started), str(exc))
+    return replace(report, records=report.records + (record,))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    echo = " ".join(
+        part for part in (args.command, getattr(args, "subcommand", None), args.file) if part
+    )
     try:
-        if args.command in ("check", "construct"):
-            report, _, _ = _load(args)
-        elif args.subcommand == "d2-check":
-            report = _cmd_d2_check(args)
-        elif args.subcommand == "mc-check":
-            report = _cmd_mc_check(args)
-        else:
-            report = _cmd_bracket(args)
+        report = _run_file(args, echo)
     except (ConfalgError, OSError) as exc:
-        echo = " ".join(
-            part
-            for part in (args.command, getattr(args, "subcommand", None), args.file)
-            if part
-        )
         report = Report(
             echo,
             __version__,

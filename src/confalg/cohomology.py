@@ -47,6 +47,7 @@ from typing import Callable, Optional, Sequence, Union
 from .confcore import (
     WITNESS_CAP,
     Circ,
+    Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
@@ -64,7 +65,7 @@ from .confcore import (
     table_items,
     table_sum,
 )
-from .errors import ArityMismatch, ConfalgError, NotCocycle, ShapeMismatch
+from .errors import ArityMismatch, ConfalgError, NotCocycle, PreconditionFailed, ShapeMismatch
 from .operators import ModuleMap, lift, require_operator, star_product, verify_operator
 from .derived import induced_bimodule_on_A
 from .polyring import Poly, PolyLike, as_poly, lam
@@ -85,11 +86,8 @@ __all__ = [
     "derived_bracket_via_lifts",
     "derived_binary",
     "maurer_cartan_check",
-    "MaurerCartanVerdict",
     "mc_perturbation_check",
-    "PerturbationVerdict",
     "modified_mc_check",
-    "ModifiedMCVerdict",
     "random_cochain",
 ]
 
@@ -407,59 +405,18 @@ def _expected_hat_components(
     return MultiTable((big, big), big, entries)
 
 
-@dataclass(frozen=True)
-class MaurerCartanVerdict:
-    """Agreement report for the equivalent characterizations of O-operators.
+def maurer_cartan_check(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> Composite:
+    """Check the Maurer-Cartan characterizations of an O-operator candidate.
 
     ``is_O`` is the structure-constant identity; the next three flags are
     the vanishing of the derived bracket ``[[T, T]]`` (direct formula), of
     its lift-based computation, and of the differential ``𝐝T`` in the
-    induced complex.  The theorem says all four agree; ``consistent``
-    records that they did.  When the map is an O-operator, the bracket
-    ``[θ̂, T̂]`` on the semidirect sum is itself an associative product
-    whose components are the induced actions and the ⋆-product; the two
-    ``hat_*`` fields report those checks (``None`` when not applicable).
+    induced complex.  When the map is an O-operator, the bracket ``[θ̂, T̂]``
+    on the semidirect sum is itself an associative product whose components
+    are the induced actions and the ⋆-product; the two ``hat_*`` flags report
+    those checks, and are ``None`` otherwise.  The theorem says all six flags
+    agree; ``consistent`` records that they did.
     """
-
-    is_O: bool
-    derived_bracket_zero: bool
-    lifted_bracket_zero: bool
-    differential_zero: bool
-    hat_bracket_associative: Optional[bool]
-    hat_components_match: Optional[bool]
-
-    @property
-    def consistent(self) -> bool:
-        flags = (self.derived_bracket_zero, self.lifted_bracket_zero, self.differential_zero)
-        if any(flag != self.is_O for flag in flags):
-            return False
-        if self.is_O:
-            return bool(self.hat_bracket_associative) and bool(self.hat_components_match)
-        return True
-
-    @property
-    def holds(self) -> bool:
-        return self.consistent
-
-    def summary(self) -> str:
-        return (
-            "is_O=%s derived_bracket_zero=%s lifted_bracket_zero=%s "
-            "differential_zero=%s hat_bracket_associative=%s "
-            "hat_components_match=%s consistent=%s"
-            % (
-                self.is_O,
-                self.derived_bracket_zero,
-                self.lifted_bracket_zero,
-                self.differential_zero,
-                self.hat_bracket_associative,
-                self.hat_components_match,
-                self.consistent,
-            )
-        )
-
-
-def maurer_cartan_check(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> MaurerCartanVerdict:
-    """Check the Maurer-Cartan characterizations of an O-operator candidate."""
     tc = Cochain.from_module_map(T)
     is_O = verify_operator("O", T, alg, bim, cap=1).holds
     derived_zero = derived_bracket_direct(tc, tc, alg, bim).is_zero()
@@ -475,52 +432,28 @@ def maurer_cartan_check(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> Ma
         hat_alg = ConfAlgebra(ambient.module, hat.table, "associative")
         hat_assoc = check_associative(hat_alg, cap=1).holds
         hat_match = hat.table == _expected_hat_components(T, alg, bim)
-    return MaurerCartanVerdict(
-        is_O=is_O,
-        derived_bracket_zero=derived_zero,
-        lifted_bracket_zero=lifted_zero,
-        differential_zero=differential_zero,
-        hat_bracket_associative=hat_assoc,
-        hat_components_match=hat_match,
-    )
-
-
-@dataclass(frozen=True)
-class PerturbationVerdict:
-    """Report for the Maurer-Cartan perturbation equation.
-
-    ``sum_is_O`` states whether ``T + T′`` satisfies the O-operator
-    identity; ``mc_zero`` whether ``[[T, T′]] + ½[[T′, T′]] = 0``; the
-    theorem makes them equivalent.  ``differential_relation`` confirms
-    ``[[T, f]] = −𝐝f`` for the arity-1 perturbation in the complex induced
-    by ``T``.
-    """
-
-    sum_is_O: bool
-    mc_zero: bool
-    differential_relation: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.sum_is_O == self.mc_zero and self.differential_relation
-
-    @property
-    def holds(self) -> bool:
-        return self.consistent
-
-    def summary(self) -> str:
-        return "sum_is_O=%s mc_zero=%s differential_relation=%s consistent=%s" % (
-            self.sum_is_O,
-            self.mc_zero,
-            self.differential_relation,
-            self.consistent,
-        )
+    clauses = {
+        "is_O": is_O,
+        "derived_bracket_zero": derived_zero,
+        "lifted_bracket_zero": lifted_zero,
+        "differential_zero": differential_zero,
+        "hat_bracket_associative": hat_assoc,
+        "hat_components_match": hat_match,
+    }
+    return Composite("maurer-cartan", clauses, agree=tuple(clauses))
 
 
 def mc_perturbation_check(
     T: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule
-) -> PerturbationVerdict:
-    """Decide whether perturbing an O-operator by ``T2`` stays an O-operator."""
+) -> Composite:
+    """Decide whether perturbing an O-operator by ``T2`` stays an O-operator.
+
+    ``sum_is_O`` states whether ``T + T′`` satisfies the O-operator
+    identity; ``mc_zero`` whether ``[[T, T′]] + ½[[T′, T′]] = 0``; the
+    theorem makes them equivalent, so they must agree.
+    ``differential_relation`` confirms ``[[T, f]] = −𝐝f`` for the arity-1
+    perturbation in the complex induced by ``T``, and must hold.
+    """
     require_operator("O", T, alg, bim, origin="mc_perturbation_check")
     tc = Cochain.from_module_map(T)
     t2c = Cochain.from_module_map(T2)
@@ -529,44 +462,20 @@ def mc_perturbation_check(
     mc = cross + square.scale(Fraction(1, 2))
     sum_is_O = verify_operator("O", T + T2, alg, bim, cap=1).holds
     relation = cross == -o_complex_d(t2c, T, alg, bim)
-    return PerturbationVerdict(
-        sum_is_O=sum_is_O, mc_zero=mc.is_zero(), differential_relation=relation
-    )
-
-
-@dataclass(frozen=True)
-class ModifiedMCVerdict:
-    """Report for the modified Maurer-Cartan equation of a twisted operator.
-
-    ``is_twisted_rb`` is the structure-constant identity with the twisting
-    cochain; ``bracket_identity`` states that ``−½·[[θ̂, T̂], T̂]`` equals
-    ``⅙·[[[φ̂, T̂], T̂], T̂]`` on the semidirect sum, which is the modified
-    Maurer-Cartan equation for the lifted operator.
-    """
-
-    is_twisted_rb: bool
-    bracket_identity: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.is_twisted_rb == self.bracket_identity
-
-    @property
-    def holds(self) -> bool:
-        return self.consistent
-
-    def summary(self) -> str:
-        return "is_twisted_rb=%s bracket_identity=%s consistent=%s" % (
-            self.is_twisted_rb,
-            self.bracket_identity,
-            self.consistent,
-        )
+    clauses = {"sum_is_O": sum_is_O, "mc_zero": mc.is_zero(), "differential_relation": relation}
+    return Composite("mc-perturbation", clauses, agree=("sum_is_O", "mc_zero"))
 
 
 def modified_mc_check(
     T: ModuleMap, phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule
-) -> ModifiedMCVerdict:
-    """Check the bracket form of the twisted Rota-Baxter identity."""
+) -> Composite:
+    """Check the bracket form of the twisted Rota-Baxter identity.
+
+    ``is_twisted_rb`` is the structure-constant identity with the twisting
+    cochain; ``bracket_identity`` states that ``−½·[[θ̂, T̂], T̂]`` equals
+    ``⅙·[[[φ̂, T̂], T̂], T̂]`` on the semidirect sum, which is the modified
+    Maurer-Cartan equation for the lifted operator.  The two must agree.
+    """
     cocycle = is_cocycle(phi, alg, bim, cap=1)
     if not cocycle.holds:
         raise NotCocycle("modified_mc_check: " + cocycle.summary())
@@ -577,7 +486,8 @@ def modified_mc_check(
     lhs = g_bracket(g_bracket(theta, that), that).scale(Fraction(-1, 2))
     phi_hat = lift_twisting_cochain(phi, alg, bim)
     rhs = g_bracket(g_bracket(g_bracket(phi_hat, that), that), that).scale(Fraction(1, 6))
-    return ModifiedMCVerdict(is_twisted_rb=is_twisted, bracket_identity=lhs == rhs)
+    clauses = {"is_twisted_rb": is_twisted, "bracket_identity": lhs == rhs}
+    return Composite("modified-mc", clauses, agree=tuple(clauses))
 
 
 def random_cochain(
@@ -593,8 +503,11 @@ def random_cochain(
     Entries are polynomials in ``D`` and the formal weights with
     per-variable degree at most ``max_degree``; each table component is
     nonzero with probability ``density``.  Passing an ``int`` seeds a fresh
-    generator, so suites are reproducible.
+    generator, so suites are reproducible.  A negative ``max_degree`` raises
+    :class:`PreconditionFailed`.
     """
+    if max_degree < 0:
+        raise PreconditionFailed(f"the degree cap must not be negative, not {max_degree}")
     if isinstance(rng, int):
         rng = random.Random(rng)
     variables = ["D"] + [lam(k) for k in range(1, arity)]

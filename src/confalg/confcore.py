@@ -34,7 +34,8 @@ The checkers (:func:`check_associative`, :func:`check_lie`,
 :func:`check_bimodule`, :func:`check_lie_rep`) compute the residual of their
 defining identities as whole tables and scan them over all basis tuples in
 order (:func:`table_items`), returning a :class:`Verdict` that lists the
-failing tuples.  The constructors
+failing tuples; a theorem that joins several checks returns a
+:class:`Composite` of them.  The constructors
 (:func:`commutator_lie`, :func:`rep_from_bimodule`, :func:`semidirect`,
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
@@ -44,7 +45,7 @@ documented precondition fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple, Union
@@ -231,6 +232,59 @@ class Verdict:
 
     def __str__(self) -> str:
         return self.summary()
+
+
+#: A clause of a composite: a verdict, a flag, or ``None`` where it does not apply.
+Clause = Union[Verdict, bool, None]
+
+
+@dataclass(frozen=True)
+class Composite:
+    """Outcome of a theorem that joins several checks.
+
+    ``clauses`` maps each clause's name to its value, in report order, and
+    each clause reads as an attribute (``verdict.is_O``).  The clauses named
+    in ``agree`` are equivalent by the theorem, so their values, skipping
+    ``None``, must be equal; every other clause must hold unless it is
+    ``None``.  ``holds`` and ``consistent`` both state that rule.  A failing
+    composite has one witness: its identity, with its summary as residual.
+
+    Verdict clauses print as ``label: summary`` joined by ``; ``, the label
+    being ``labels[name]`` or else the name with ``-`` for ``_``; flags print
+    as ``name=value … consistent=…``.
+    """
+
+    identity: str
+    clauses: Mapping[str, Clause]
+    agree: Tuple[str, ...] = ()
+    labels: Mapping[str, str] = field(default_factory=dict)
+
+    def __getattr__(self, name: str) -> Clause:
+        clauses = self.__dict__.get("clauses", {})
+        if name in clauses:
+            return clauses[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def holds(self) -> bool:
+        agreed = {bool(v) for k, v in self.clauses.items() if k in self.agree and v is not None}
+        others = (v for k, v in self.clauses.items() if k not in self.agree)
+        return len(agreed) <= 1 and all(v is None or v for v in others)
+
+    consistent = holds
+
+    @property
+    def witnesses(self) -> Tuple[Tuple[Tuple[str, ...], str], ...]:
+        return () if self.holds else (((self.identity,), self.summary()),)
+
+    def summary(self) -> str:
+        if any(isinstance(v, Verdict) for v in self.clauses.values()):
+            return "; ".join(
+                f"{self.labels.get(k, k.replace('_', '-'))}: {v.summary()}"
+                for k, v in self.clauses.items()
+            )
+        flags = " ".join(f"{k}={v}" for k, v in self.clauses.items())
+        return f"{flags} consistent={self.consistent}"
 
 
 def basis_tuples(

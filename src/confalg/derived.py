@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping, Tuple
 from .confcore import (
     WITNESS_CAP,
     Circ,
+    Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
@@ -75,11 +76,9 @@ __all__ = [
     "ns_from_nijenhuis",
     "deformed_product",
     "nijenhuis_hierarchy",
-    "HierarchyVerdict",
     "leftsym_from_dendriform",
     "deformed_bracket",
     "deformation_check",
-    "DeformationVerdict",
 ]
 
 #: required table names per structure kind
@@ -337,43 +336,9 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
     return ConfAlgebra(alg.module, product, "associative"), Cochain(defect)
 
 
-@dataclass(frozen=True)
-class HierarchyVerdict:
-    """Verdicts for the tower of identities satisfied by Nijenhuis powers."""
-
-    power_pair: Verdict
-    intertwine: Verdict
-    relative: Verdict
-    powers_nijenhuis: Verdict
-    pairwise_compatible: Verdict
-
-    @property
-    def holds(self) -> bool:
-        return all(
-            v.holds
-            for v in (
-                self.power_pair,
-                self.intertwine,
-                self.relative,
-                self.powers_nijenhuis,
-                self.pairwise_compatible,
-            )
-        )
-
-    def summary(self) -> str:
-        parts = [
-            "power-pair: " + self.power_pair.summary(),
-            "intertwine: " + self.intertwine.summary(),
-            "relative: " + self.relative.summary(),
-            "powers-nijenhuis: " + self.powers_nijenhuis.summary(),
-            "pairwise-compatible: " + self.pairwise_compatible.summary(),
-        ]
-        return "; ".join(parts)
-
-
 def nijenhuis_hierarchy(
     N: ModuleMap, alg: ConfAlgebra, kmax: int = 3, cap: int = WITNESS_CAP
-) -> HierarchyVerdict:
+) -> Composite:
     """Verify the identities satisfied by the powers of a Nijenhuis operator.
 
     For all exponents up to ``kmax`` this checks, on every basis pair:
@@ -386,6 +351,10 @@ def nijenhuis_hierarchy(
       yields ``∘^{Nⁱ⁺ᵏ}``;
     * every power ``Nᵏ`` is Nijenhuis for every deformed product ``∘^{Nⁱ}``;
     * all powers are pairwise compatible Nijenhuis operators.
+
+    The result holds one :class:`~confalg.confcore.Verdict` per family
+    (``power_pair``, ``intertwine``, ``relative``, ``powers_nijenhuis``,
+    ``pairwise_compatible``), and holds when all five do.
     """
     require_operator("Nijenhuis", N, alg)
     module, m = alg.module, alg.table
@@ -413,7 +382,7 @@ def nijenhuis_hierarchy(
             for witness in inner.witnesses:
                 yield ("i=%d,k=%d" % (i, k),) + witness[0], witness[1]
 
-    return HierarchyVerdict(
+    return Composite("nijenhuis-hierarchy", dict(
         power_pair=family("power-pair", "j=%d,k=%d", lambda j, k: [
             (1, both(j, k)),
             (-1, Circ(P[k], 1, circ(m, 1, P[j]))),
@@ -439,7 +408,7 @@ def nijenhuis_hierarchy(
             (-1, Circ(P[j], 1, circs[k])),
             (-1, Circ(P[k], 1, circs[j])),
         ]),
-    )
+    ))
 
 
 def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> StructureBundle:
@@ -478,45 +447,14 @@ def deformed_bracket(
     return table
 
 
-@dataclass(frozen=True)
-class DeformationVerdict:
-    """Clause-by-clause verdict for the deformation generated by ``ω = ∘ᴺ``."""
-
-    cocycle: Verdict
-    generator_associative: Verdict
-    homomorphism: Verdict
-    obstruction: Verdict
-
-    @property
-    def holds(self) -> bool:
-        return all(
-            v.holds
-            for v in (
-                self.cocycle,
-                self.generator_associative,
-                self.homomorphism,
-                self.obstruction,
-            )
-        )
-
-    def summary(self) -> str:
-        return "; ".join(
-            [
-                "cocycle: " + self.cocycle.summary(),
-                "generator-assoc: " + self.generator_associative.summary(),
-                "homomorphism: " + self.homomorphism.summary(),
-                "obstruction: " + self.obstruction.summary(),
-            ]
-        )
-
-
 def deformation_check(
     N: ModuleMap, alg: ConfAlgebra, *, validate: bool = True, cap: int = WITNESS_CAP
-) -> DeformationVerdict:
+) -> Composite:
     """Check that ``ω = ∘ᴺ`` generates a trivial formal deformation.
 
     The deformed family is ``a ∘ᵗ b = ab + t·ω(a, b)`` with ``t`` an
-    auxiliary scalar parameter.  The verdict covers four clauses:
+    auxiliary scalar parameter.  The result holds one
+    :class:`~confalg.confcore.Verdict` per clause, and holds when all four do:
 
     * ``cocycle`` — ``𝐝ω = 0`` over the algebra acting on itself;
     * ``generator_associative`` — ``ω`` is itself an associative product;
@@ -542,7 +480,7 @@ def deformation_check(
     deformed = table_sum([(1, m), (t, omega)])
     homomorphism = [(1, Circ(t_map, 1, deformed)), (-1, Circ(circ(m, 1, t_map), 2, t_map))]
     obstruction = [(1, Circ(n, 1, omega)), (-1, Circ(circ(m, 1, n), 2, n))]
-    return DeformationVerdict(
+    return Composite("deformation", dict(
         cocycle=residual_scan("deformation-cocycle", table_items(d_omega), cap=cap),
         generator_associative=generator,
         homomorphism=residual_scan(
@@ -551,4 +489,4 @@ def deformation_check(
         obstruction=residual_scan(
             "deformation-obstruction", table_items(table_sum(obstruction)), cap=cap
         ),
-    )
+    ), labels={"generator_associative": "generator-assoc"})

@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .confcore import (
+    Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
@@ -632,17 +633,22 @@ class Report:
         return 0
 
 
-def _witnesses_json(verdict: Verdict) -> Tuple[dict, ...]:
+def _witnesses_json(verdict: Union[Verdict, Composite]) -> Tuple[dict, ...]:
     return tuple(
         {"names": [str(n) for n in names], "residual": str(residual)}
         for names, residual in verdict.witnesses
     )
 
 
-def _verdict_record(identity: str, verdict: Verdict, started: float, emitted=None) -> Record:
-    elapsed = (time.perf_counter() - started) * 1000.0
+def _ms_since(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
+
+
+def _verdict_record(
+    identity: str, verdict: Union[Verdict, Composite], started: float, emitted=None, detail=None
+) -> Record:
     status = "holds" if verdict.holds else "fails"
-    return Record(identity, status, _witnesses_json(verdict), elapsed, None, emitted)
+    return Record(identity, status, _witnesses_json(verdict), _ms_since(started), detail, emitted)
 
 
 # -- execution environment -----------------------------------------------------------
@@ -921,17 +927,15 @@ def _run_construct(env: Environment, stmt: ConstructStmt, cap: int) -> Record:
                 }
                 for idx, value in sorted(defect.table.entries.items())
             )[:cap]
-            elapsed = (time.perf_counter() - started) * 1000.0
             return Record(
                 identity,
                 "fails",
                 witnesses,
-                elapsed,
+                _ms_since(started),
                 "the deformation defect (the candidate's cocycle error) is nonzero",
                 emitted,
             )
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return Record(identity, "holds", (), elapsed, None, emitted)
+    return Record(identity, "holds", (), _ms_since(started), None, emitted)
 
 
 def run(
@@ -946,8 +950,11 @@ def run(
 
     Declarations only contribute records when they raise; check and construct
     statements always do.  The report's exit code is 2 if any record is an
-    error, 1 if any check fails, and 0 otherwise.
+    error, 1 if any check fails, and 0 otherwise.  A ``witness_cap`` below 1
+    raises :class:`PreconditionFailed`.
     """
+    if witness_cap < 1:
+        raise PreconditionFailed(f"the witness cap must be at least 1, not {witness_cap}")
     resolve(sf)
     env = Environment()
     records: List[Record] = []
@@ -962,7 +969,7 @@ def run(
             else:
                 records.append(_run_construct(env, decl, witness_cap))
         except ConfalgError as exc:
-            elapsed = (time.perf_counter() - started) * 1000.0
+            elapsed = _ms_since(started)
             if namespace is not None:
                 identity = f"{namespace} {decl.name}"
             else:
@@ -1055,8 +1062,11 @@ def d_squared_suite(
 ) -> Tuple[bool, Tuple[dict, ...]]:
     """Check 𝐝∘𝐝 = 0 on ``count`` seeded random cochains of arities 1 and 2.
 
-    Returns the overall result and JSON-ready witnesses for any failures.
+    Returns the overall result and JSON-ready witnesses for any failures.  A
+    negative ``count`` or ``max_degree`` raises :class:`PreconditionFailed`.
     """
+    if count < 0:
+        raise PreconditionFailed(f"the sample count must not be negative, not {count}")
     rng = random.Random(seed)
     witnesses: List[dict] = []
     for sample in range(count):

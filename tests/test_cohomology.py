@@ -16,11 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg import cohomology
-from confalg.confcore import ConfAlgebra, ConfBimodule, FreeModule, MultiTable
+from confalg.confcore import Composite, ConfAlgebra, ConfBimodule, FreeModule, MultiTable
 from confalg.cohomology import (
     Cochain,
-    MaurerCartanVerdict,
-    ModifiedMCVerdict,
     derived_binary,
     derived_bracket,
     derived_bracket_direct,
@@ -531,11 +529,25 @@ def test_maurer_cartan_on_more_operators():
     assert nilp_verdict.is_O and nilp_verdict.holds
 
 
+MC_FLAGS = (
+    "is_O",
+    "derived_bracket_zero",
+    "lifted_bracket_zero",
+    "differential_zero",
+    "hat_bracket_associative",
+    "hat_components_match",
+)
+
+
+def forged_mc(*flags):
+    return Composite("maurer-cartan", dict(zip(MC_FLAGS, flags)), agree=MC_FLAGS)
+
+
 def test_maurer_cartan_verdict_flags_disagreement():
-    forged = MaurerCartanVerdict(True, True, True, True, True, False)
+    forged = forged_mc(True, True, True, True, True, False)
     assert not forged.consistent and not forged.holds
     assert "consistent=False" in forged.summary()
-    assert not MaurerCartanVerdict(False, True, False, False, None, None).consistent
+    assert not forged_mc(False, True, False, False, None, None).consistent
 
 
 def test_perturbation_by_a_compatible_operator():
@@ -590,7 +602,8 @@ def test_modified_mc_requires_a_cocycle_twist():
     junk = Cochain.from_entries(2, NM, NM, {(0, 1): L1 * b})
     with pytest.raises(NotCocycle):
         modified_mc_check(NILP_T2, junk, NILP, NADJ)
-    forged = ModifiedMCVerdict(True, False)
+    flags = ("is_twisted_rb", "bracket_identity")
+    forged = Composite("modified-mc", dict(zip(flags, (True, False))), agree=flags)
     assert not forged.consistent
     assert "consistent=False" in forged.summary()
 

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from confalg.confcore import (
     Circ,
+    Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
     MultiTable,
     Swap,
+    Verdict,
     check_associative,
     check_bimodule,
     check_lie,
@@ -351,6 +353,27 @@ def test_table_sum_accumulates_signed_terms_of_one_shape() -> None:
 
 
 # -- associativity ------------------------------------------------------------
+
+
+def test_composite_agree_and_hold_rule() -> None:
+    ok = Verdict("ok", True, ())
+    bad = Verdict("bad", False, ((("u",), u),))
+    flags = Composite("flags", {"p": True, "q": True, "r": None}, agree=("p", "q", "r"))
+    assert flags.holds and flags.consistent and flags.r is None
+    assert flags.summary() == "p=True q=True r=None consistent=True"
+    assert flags.witnesses == ()
+    both_false = Composite("flags", {"p": False, "q": False, "extra": True}, agree=("p", "q"))
+    assert both_false.holds  # equivalent clauses agree on a failure
+    split = Composite("flags", {"p": True, "q": False}, agree=("p", "q"))
+    assert not split.holds
+    assert split.witnesses == ((("flags",), "p=True q=False consistent=False"),)
+    must_hold = Composite("flags", {"p": True, "q": True, "extra": False}, agree=("p", "q"))
+    assert not must_hold.consistent
+    clauses = Composite("all", {"first_part": ok, "second": bad}, labels={"second": "2nd"})
+    assert clauses.first_part is ok and not clauses.holds
+    assert clauses.summary() == "first-part: ok: holds; 2nd: bad: fails at (u): residual u"
+    with pytest.raises(AttributeError):
+        clauses.missing
 
 
 def test_dual_and_nilp_are_associative() -> None:

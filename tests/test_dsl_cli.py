@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from confalg.cli import main
 from confalg.cohomology import Cochain, random_cochain
-from confalg.confcore import ConfAlgebra, FreeModule
+from confalg.confcore import Composite, ConfAlgebra, FreeModule
 from confalg.dsl import (
     KEYWORDS,
     Report,
     SourceFile,
+    _verdict_record,
     d_squared_suite,
     emit_dsl,
     parse,
@@ -732,6 +733,19 @@ def test_exit_code_precedence_error_over_failure():
     assert report.exit_code == 2
 
 
+def test_negative_sample_counts_degree_caps_and_small_witness_caps_are_rejected():
+    _, env = build(A2_SOURCE + "bimodule AdjA2 adjoint A2;")
+    alg, bim = env.algebras["A2"], env.bimodules["AdjA2"]
+    with pytest.raises(PreconditionFailed):
+        d_squared_suite(alg, bim, count=-1)
+    with pytest.raises(PreconditionFailed):
+        d_squared_suite(alg, bim, count=1, max_degree=-1)
+    with pytest.raises(PreconditionFailed):
+        random_cochain(1, 2, AM, NM, max_degree=-1)
+    with pytest.raises(PreconditionFailed):
+        run(parse(A2_SOURCE), witness_cap=0)
+
+
 def test_d_squared_suite_accepts_real_structures():
     _, env = build(A2_SOURCE + "bimodule AdjA2 adjoint A2;")
     ok, witnesses = d_squared_suite(
@@ -1014,6 +1028,49 @@ def test_cli_cohomology_mc_check(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["cohomology", "d2-check", "--max-degree", "-1"],
+        ["cohomology", "d2-check", "--count", "-3"],
+        ["cohomology", "d2-check", "--witness-cap", "0"],
+        ["cohomology", "d2-check", "--witness-cap", "-1"],
+        ["check", "--witness-cap", "0"],
+    ],
+    ids=["max-degree", "count", "d2-witness-cap-0", "d2-witness-cap-neg", "check-witness-cap-0"],
+)
+def test_cli_bad_numeric_options_are_input_errors(options, capsys):
+    code = main([*options, str(FIXTURES / "all.cfa"), "--json"])
+    assert code == 2
+    last = json.loads(capsys.readouterr().out)["records"][-1]
+    assert last["status"] == "error"
+    assert "negative" in last["detail"] or "at least 1" in last["detail"]
+
+
+def test_cli_subcommand_runtime_error_keeps_the_file_records(capsys):
+    assert main(["check", str(FIXTURES / "all.cfa"), "--json"]) == 0
+    checked = json.loads(capsys.readouterr().out)["records"]
+    argv = ["cohomology", "mc-check", str(FIXTURES / "all.cfa"), "--map", "T", "--algebra", "N2"]
+    assert main([*argv, "--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records[-1]["elapsed_ms"] > 0.0
+    for record in records + checked:
+        del record["elapsed_ms"]
+    assert records[:-1] == checked
+    error = records[-1]
+    assert (error["identity"], error["status"]) == ("mc-check", "error")
+    assert "O needs a map" in error["detail"]
+
+
+def test_a_failing_composite_renders_as_one_named_witness():
+    flags = ("is_twisted_rb", "bracket_identity")
+    forged = Composite("modified-mc", dict(zip(flags, (True, False))), agree=flags)
+    record = _verdict_record("mc-check X", forged, 0.0, detail=forged.summary())
+    summary = "is_twisted_rb=True bracket_identity=False consistent=False"
+    assert (record.status, record.detail) == ("fails", summary)
+    assert record.witnesses == ({"names": ["modified-mc"], "residual": summary},)
 
 
 def test_cli_cohomology_bracket(capsys):
