@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
@@ -197,7 +196,7 @@ def _run_file(args, echo: str) -> Report:
         record = COHOMOLOGY[args.subcommand](args, env, started)
     except ConfalgError as exc:
         record = Record(args.subcommand, "error", (), _ms_since(started), str(exc))
-    return replace(report, records=report.records + (record,))
+    return report._replace(records=report.records + (record,))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -205,14 +204,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     echo = " ".join(
         part for part in (args.command, getattr(args, "subcommand", None), args.file) if part
     )
+    started = time.perf_counter()
     try:
         report = _run_file(args, echo)
     except (ConfalgError, OSError) as exc:
+        # reading, parsing or resolving the file failed: its record is timed from the start
         report = Report(
             echo,
             __version__,
             getattr(args, "seed", None),
-            (Record("parse", "error", (), 0.0, str(exc)),),
+            (Record("parse", "error", (), _ms_since(started), str(exc)),),
         )
     try:
         _print_report(report, json_mode=args.json, show_emitted=args.command == "construct")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -56,6 +55,8 @@ from .confcore import (
     Swap,
     Verdict,
     _embed,
+    _Frozen,
+    _set_fields,
     _sum_module,
     check_associative,
     circ,
@@ -94,18 +95,19 @@ __all__ = [
 CochainFn = Callable[[Sequence[ModElem], Sequence[Poly]], ModElem]
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Frozen):
     """A view of a :class:`MultiTable` whose argument slots share one module.
 
     The arity is the cochain's degree in the graded Lie algebra.
     """
 
+    __slots__ = _fields = ("table",)
     table: MultiTable
 
-    def __post_init__(self) -> None:
-        if len(set(self.table.in_modules)) != 1:
+    def __init__(self, table: MultiTable) -> None:
+        if len(set(table.in_modules)) != 1:
             raise ShapeMismatch("a cochain's arguments must all live in one module")
+        _set_fields(self, table)
 
     @property
     def arity(self) -> int:

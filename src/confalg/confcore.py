@@ -45,7 +45,6 @@ documented precondition fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple, Union
@@ -80,18 +79,61 @@ def _is_lambda_var(name: str) -> bool:
     return var_sort_key(name)[0] == 1
 
 
-@dataclass(frozen=True)
-class FreeModule:
+class _Frozen:
+    """Value semantics for the package's immutable classes.
+
+    Two instances are equal when they are of one class and their ``_fields``
+    are equal; hashing and ``repr`` follow the same field list, and
+    assigning or deleting an attribute raises.  Subclasses set their fields
+    in ``__init__`` with :func:`_set_fields`.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+def _set_fields(obj: _Frozen, *values: object) -> None:
+    """Set the ``_fields`` of a new ``obj``, in order, past its refusal of assignment."""
+    for name, value in zip(obj._fields, values):
+        object.__setattr__(obj, name, value)
+
+
+class FreeModule(_Frozen):
     """A free C[∂]-module with a fixed ordered basis of named generators."""
 
+    _fields = ("basis",)
     basis: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if not self.basis:
+    def __init__(self, basis: Sequence[str]) -> None:
+        basis = tuple(basis)
+        if not basis:
             raise RankMismatch("a free module needs at least one basis element")
-        if len(set(self.basis)) != len(self.basis):
-            raise RankMismatch(f"duplicate basis names in {self.basis}")
+        if len(set(basis)) != len(basis):
+            raise RankMismatch(f"duplicate basis names in {basis}")
+        _set_fields(self, basis)
 
     @property
     def rank(self) -> int:
@@ -130,8 +172,7 @@ class FreeModule:
         return "<" + ", ".join(self.basis) + ">"
 
 
-@dataclass(frozen=True)
-class ModElem:
+class ModElem(_Frozen):
     """An element of a :class:`FreeModule`: a vector of polynomial coefficients.
 
     Coefficients may contain ``D``, weight variables, and auxiliary scalar
@@ -142,18 +183,19 @@ class ModElem:
     per module.
     """
 
+    _fields = ("module", "coeffs")
     module: FreeModule
     coeffs: Tuple[Poly, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(as_poly(c) for c in self.coeffs))
-        if len(self.coeffs) != self.module.rank:
-            raise RankMismatch(
-                f"{len(self.coeffs)} coefficients for a rank-{self.module.rank} module"
-            )
+    def __init__(self, module: FreeModule, coeffs: Sequence[PolyLike]) -> None:
+        coeffs = tuple(as_poly(c) for c in coeffs)
+        if len(coeffs) != module.rank:
+            raise RankMismatch(f"{len(coeffs)} coefficients for a rank-{module.rank} module")
+        _set_fields(self, module, coeffs)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        # the support is cached, so the shared zero of a module is tested once
+        return not self._terms
 
     @cached_property
     def _terms(self) -> Tuple[Tuple[int, Poly], ...]:
@@ -200,13 +242,12 @@ class ModElem:
 def _elem(module: FreeModule, coeffs: Tuple[Poly, ...]) -> ModElem:
     """Wrap coefficients that are already ``Poly``, one per basis element of ``module``."""
     elem = object.__new__(ModElem)
-    object.__setattr__(elem, "module", module)
-    object.__setattr__(elem, "coeffs", coeffs)
+    state = elem.__dict__  # the fastest way past the refused assignment
+    state["module"], state["coeffs"] = module, coeffs
     return elem
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an identity check.
 
     ``witnesses`` holds up to :data:`WITNESS_CAP` failing basis tuples in
@@ -238,8 +279,7 @@ class Verdict:
 Clause = Union[Verdict, bool, None]
 
 
-@dataclass(frozen=True)
-class Composite:
+class Composite(_Frozen):
     """Outcome of a theorem that joins several checks.
 
     ``clauses`` maps each clause's name to its value, in report order, and
@@ -254,10 +294,20 @@ class Composite:
     as ``name=value … consistent=…``.
     """
 
+    _fields = ("identity", "clauses", "agree", "labels")
     identity: str
     clauses: Mapping[str, Clause]
-    agree: Tuple[str, ...] = ()
-    labels: Mapping[str, str] = field(default_factory=dict)
+    agree: Tuple[str, ...]
+    labels: Mapping[str, str]
+
+    def __init__(
+        self,
+        identity: str,
+        clauses: Mapping[str, Clause],
+        agree: Tuple[str, ...] = (),
+        labels: Union[Mapping[str, str], None] = None,
+    ) -> None:
+        _set_fields(self, identity, clauses, agree, {} if labels is None else labels)
 
     def __getattr__(self, name: str) -> Clause:
         clauses = self.__dict__.get("clauses", {})
@@ -603,8 +653,7 @@ def eval_multilinear(
     return _elem(table.out_module, tuple(out))
 
 
-@dataclass(frozen=True)
-class ConfAlgebra:
+class ConfAlgebra(_Frozen):
     """A conformal algebra: a free module with a binary λ-product table.
 
     ``flavor`` is ``"associative"`` or ``"lie"``; Lie tables are stored in
@@ -612,17 +661,17 @@ class ConfAlgebra:
     :meth:`lie` factory builds one.
     """
 
+    __slots__ = _fields = ("module", "table", "flavor")
     module: FreeModule
     table: MultiTable
     flavor: str
 
-    def __post_init__(self) -> None:
-        if self.flavor not in ("associative", "lie"):
-            raise PreconditionFailed(f"unknown flavor {self.flavor!r}")
-        if self.table.in_modules != (self.module, self.module) or (
-            self.table.out_module != self.module
-        ):
+    def __init__(self, module: FreeModule, table: MultiTable, flavor: str) -> None:
+        if flavor not in ("associative", "lie"):
+            raise PreconditionFailed(f"unknown flavor {flavor!r}")
+        if table.in_modules != (module, module) or table.out_module != module:
             raise ModuleMismatch("algebra table must map module × module -> module")
+        _set_fields(self, module, table, flavor)
 
     @classmethod
     def associative(
@@ -657,8 +706,7 @@ class ConfAlgebra:
         return eval_multilinear(self.table, (x, y), (weight,))
 
 
-@dataclass(frozen=True)
-class ConfBimodule:
+class ConfBimodule(_Frozen):
     """Left and right λ-actions of an associative conformal algebra.
 
     ``left`` maps algebra × module -> module and ``right`` maps module ×
@@ -666,17 +714,21 @@ class ConfBimodule:
     not at construction, so failing candidates can be studied.
     """
 
+    __slots__ = _fields = ("algebra", "module", "left", "right")
     algebra: ConfAlgebra
     module: FreeModule
     left: MultiTable
     right: MultiTable
 
-    def __post_init__(self) -> None:
-        amod = self.algebra.module
-        if self.left.in_modules != (amod, self.module) or self.left.out_module != self.module:
+    def __init__(
+        self, algebra: ConfAlgebra, module: FreeModule, left: MultiTable, right: MultiTable
+    ) -> None:
+        amod = algebra.module
+        if left.in_modules != (amod, module) or left.out_module != module:
             raise ModuleMismatch("left action must map algebra × module -> module")
-        if self.right.in_modules != (self.module, amod) or self.right.out_module != self.module:
+        if right.in_modules != (module, amod) or right.out_module != module:
             raise ModuleMismatch("right action must map module × algebra -> module")
+        _set_fields(self, algebra, module, left, right)
 
     @classmethod
     def build(
@@ -707,22 +759,20 @@ class ConfBimodule:
         return eval_multilinear(self.right, (m, a), (weight,))
 
 
-@dataclass(frozen=True)
-class LieRep:
+class LieRep(_Frozen):
     """A representation of a Lie conformal algebra on a free module."""
 
+    __slots__ = _fields = ("lie", "module", "action")
     lie: ConfAlgebra
     module: FreeModule
     action: MultiTable
 
-    def __post_init__(self) -> None:
-        if self.lie.flavor != "lie":
+    def __init__(self, lie: ConfAlgebra, module: FreeModule, action: MultiTable) -> None:
+        if lie.flavor != "lie":
             raise PreconditionFailed("LieRep needs a lie-flavored algebra")
-        lmod = self.lie.module
-        if self.action.in_modules != (lmod, self.module) or (
-            self.action.out_module != self.module
-        ):
+        if action.in_modules != (lie.module, module) or action.out_module != module:
             raise ModuleMismatch("action must map lie × module -> module")
+        _set_fields(self, lie, module, action)
 
     def act(self, a: ModElem, v: ModElem, weight: PolyLike) -> ModElem:
         return eval_multilinear(self.action, (a, v), (weight,))
@@ -891,8 +941,7 @@ def twisted_extension(
     return ConfAlgebra.associative(big, entries)
 
 
-@dataclass(frozen=True)
-class ExtensionIso:
+class ExtensionIso(NamedTuple):
     """The change-of-section map between two twisted extensions."""
 
     psi: "object"

@@ -30,7 +30,6 @@ bundles whose axioms have been re-checked on all basis triples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .confcore import (
@@ -44,6 +43,8 @@ from .confcore import (
     MultiTable,
     Swap,
     Verdict,
+    _Frozen,
+    _set_fields,
     check_associative,
     check_lie,
     circ,
@@ -92,18 +93,19 @@ KIND_TAGS: Mapping[str, Tuple[str, ...]] = {
 BinaryFn = Callable[[ModElem, ModElem, PolyLike], ModElem]
 
 
-@dataclass(frozen=True)
-class BinaryOpTable:
+class BinaryOpTable(_Frozen):
     """A binary product on one module: a view of a ``module × module -> module`` table."""
 
+    __slots__ = _fields = ("table",)
     table: MultiTable
 
-    def __post_init__(self) -> None:
-        module = self.table.out_module
-        if self.table.in_modules != (module, module):
+    def __init__(self, table: MultiTable) -> None:
+        module = table.out_module
+        if table.in_modules != (module, module):
             raise ShapeMismatch(
                 "binary operation table must map module x module -> module"
             )
+        _set_fields(self, table)
 
     @property
     def module(self) -> FreeModule:
@@ -133,8 +135,7 @@ class BinaryOpTable:
         return self.table.is_zero()
 
 
-@dataclass(frozen=True)
-class StructureBundle:
+class StructureBundle(_Frozen):
     """A named collection of binary products forming one algebraic structure.
 
     ``kind`` is one of ``dendriform`` (tables ``succ``, ``prec``), ``ns``
@@ -144,22 +145,22 @@ class StructureBundle:
     constructor in this module does so before returning a bundle.
     """
 
+    __slots__ = _fields = ("kind", "tables")
     kind: str
     tables: Mapping[str, BinaryOpTable]
 
-    def __post_init__(self) -> None:
-        if self.kind not in KIND_TAGS:
-            raise ShapeMismatch("unknown structure kind %r" % (self.kind,))
-        required = KIND_TAGS[self.kind]
-        if tuple(sorted(self.tables)) != tuple(sorted(required)):
+    def __init__(self, kind: str, tables: Mapping[str, BinaryOpTable]) -> None:
+        if kind not in KIND_TAGS:
+            raise ShapeMismatch("unknown structure kind %r" % (kind,))
+        required = KIND_TAGS[kind]
+        if tuple(sorted(tables)) != tuple(sorted(required)):
             raise ShapeMismatch(
-                "%s bundle needs tables %s, got %s"
-                % (self.kind, sorted(required), sorted(self.tables))
+                "%s bundle needs tables %s, got %s" % (kind, sorted(required), sorted(tables))
             )
-        modules = {op.module for op in self.tables.values()}
+        modules = {op.module for op in tables.values()}
         if len(modules) != 1:
             raise ShapeMismatch("all tables of a bundle must share one module")
-        object.__setattr__(self, "tables", dict(self.tables))
+        _set_fields(self, kind, dict(tables))
 
     @property
     def module(self) -> FreeModule:
@@ -197,7 +198,7 @@ def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
         return residual_scan("left-symmetric", table_items(residual), cap=cap)
     if bundle.kind == "assoc":
         verdict = check_associative(bundle.table("star").as_algebra(), cap=cap)
-        return replace(verdict, identity="associative")
+        return verdict._replace(identity="associative")
     s, p = bundle.table("succ").table, bundle.table("prec").table
     if bundle.kind == "dendriform":
         both = s + p

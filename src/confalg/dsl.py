@@ -35,9 +35,8 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .confcore import (
     Composite,
@@ -123,8 +122,7 @@ ExprTerm = Tuple[Poly, str]
 Expr = Tuple[ExprTerm, ...]
 
 
-@dataclass(frozen=True)
-class AlgebraDecl:
+class AlgebraDecl(NamedTuple):
     name: str
     flavor: str  # "associative" | "lie"
     basis: Tuple[str, ...]
@@ -132,8 +130,7 @@ class AlgebraDecl:
     line: int
 
 
-@dataclass(frozen=True)
-class BimoduleDecl:
+class BimoduleDecl(NamedTuple):
     name: str
     algebra: str
     adjoint: bool
@@ -143,8 +140,7 @@ class BimoduleDecl:
     line: int
 
 
-@dataclass(frozen=True)
-class CocycleDecl:
+class CocycleDecl(NamedTuple):
     name: str
     algebra: str
     into: Optional[str]  # bimodule carrying the values; None = the algebra itself
@@ -152,8 +148,7 @@ class CocycleDecl:
     line: int
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(NamedTuple):
     name: str
     source: str  # algebra or bimodule name
     target: str
@@ -161,8 +156,7 @@ class MapDecl:
     line: int
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     kind: str
     name: str
     on: Optional[str]
@@ -172,8 +166,7 @@ class CheckStmt:
     line: int
 
 
-@dataclass(frozen=True)
-class ConstructStmt:
+class ConstructStmt(NamedTuple):
     kind: str
     name: str
     on: Optional[str]
@@ -186,8 +179,7 @@ class ConstructStmt:
 Declaration = Union[AlgebraDecl, BimoduleDecl, CocycleDecl, MapDecl, CheckStmt, ConstructStmt]
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     """An ordered list of declarations with per-kind unique names."""
 
     path: str
@@ -582,8 +574,7 @@ def resolve(sf: SourceFile) -> None:
 # -- reports -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """Outcome of one statement: what ran, how it went, and any witnesses."""
 
     identity: str
@@ -604,8 +595,7 @@ class Record:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Machine-readable account of a command run over one source file."""
 
     command: str
@@ -669,16 +659,14 @@ class _Built(dict):
         raise UnresolvedName(f"{self.kind} {name!r} was not built: its statement failed")
 
 
-@dataclass
 class Environment:
     """Named objects built while executing a source file."""
 
-    algebras: Dict[str, ConfAlgebra] = field(default_factory=lambda: _Built("algebra"))
-    bimodules: Dict[str, ConfBimodule] = field(default_factory=lambda: _Built("bimodule"))
-    cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = field(
-        default_factory=lambda: _Built("cocycle")
-    )
-    maps: Dict[str, ModuleMap] = field(default_factory=lambda: _Built("map"))
+    def __init__(self) -> None:
+        self.algebras: Dict[str, ConfAlgebra] = _Built("algebra")
+        self.bimodules: Dict[str, ConfBimodule] = _Built("bimodule")
+        self.cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = _Built("cocycle")
+        self.maps: Dict[str, ModuleMap] = _Built("map")
 
     def module_of(self, name: str) -> FreeModule:
         if name in self.algebras:

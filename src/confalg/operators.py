@@ -50,8 +50,7 @@ derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 from .confcore import (
     WITNESS_CAP,
@@ -66,6 +65,8 @@ from .confcore import (
     Swap,
     Verdict,
     _embed,
+    _Frozen,
+    _set_fields,
     _sum_module,
     circ,
     eval_multilinear,
@@ -93,8 +94,7 @@ from .errors import (
 from .polyring import Poly, PolyLike, as_poly
 
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(_Frozen):
     """A C[∂]-linear map: a view of an arity-1 table whose entries use only ``D``.
 
     Entry ``(j,)`` of ``table`` is the image of the j-th source basis
@@ -103,18 +103,20 @@ class ModuleMap:
     map is immutable, and so are the elements it returns.
     """
 
+    __slots__ = _fields = ("table",)
     table: MultiTable
 
-    def __post_init__(self) -> None:
-        if self.table.arity != 1:
+    def __init__(self, table: MultiTable) -> None:
+        if table.arity != 1:
             raise ArityMismatch("only arity-1 tables are module maps")
-        for entry in self.table.entries.values():
+        for entry in table.entries.values():
             for _, c in entry.support():
                 bad = c.variables() - {"D"}
                 if bad:
                     raise InvalidEntry(
                         f"module-map entries may only use D, got {sorted(bad)}"
                     )
+        _set_fields(self, table)
 
     @property
     def source(self) -> FreeModule:
@@ -242,8 +244,7 @@ def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
 # -- operator identities -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Inputs:
+class _Inputs(NamedTuple):
     """What an identity may read besides the map itself."""
 
     alg: ConfAlgebra
@@ -253,8 +254,7 @@ class _Inputs:
     rep: Optional[LieRep] = None
 
 
-@dataclass(frozen=True)
-class OperatorKind:
+class OperatorKind(NamedTuple):
     """One entry of :data:`REGISTRY`.
 
     ``reads`` names the optional inputs of :func:`verify_operator` the
@@ -309,7 +309,7 @@ def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
         raise ShapeMismatch("the bimodule was built over a different algebra")
     if T.source != ins.alg.module or T.target != acting.module:
         raise ShapeMismatch("Derivation needs a map from the algebra into the module")
-    return replace(ins, bim=acting)
+    return ins._replace(bim=acting)
 
 
 def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
@@ -502,7 +502,7 @@ def compatible_O(
     """
     for T in (T1, T2):
         require_operator("O", T, alg, bim, origin="compatible_O")
-    return replace(verify_operator("O", T1 + T2, alg, bim, cap=cap), identity="compatible-O")
+    return verify_operator("O", T1 + T2, alg, bim, cap=cap)._replace(identity="compatible-O")
 
 
 def compatible_nijenhuis(
@@ -517,7 +517,7 @@ def compatible_nijenhuis(
     for N in (N1, N2):
         require_operator("Nijenhuis", N, alg, origin="compatible_nijenhuis")
     verdict = verify_operator("Nijenhuis", N1 + N2, alg, cap=cap)
-    return replace(verdict, identity="compatible-Nijenhuis")
+    return verdict._replace(identity="compatible-Nijenhuis")
 
 
 # -- constructions -----------------------------------------------------------

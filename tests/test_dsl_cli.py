@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from confalg.cli import main
 from confalg.cohomology import Cochain, random_cochain
-from confalg.confcore import Composite, ConfAlgebra, FreeModule
+from confalg.confcore import Composite, ConfAlgebra, FreeModule, MultiTable
 from confalg.dsl import (
     KEYWORDS,
     Report,
@@ -629,6 +629,46 @@ def test_random_algebras_round_trip_through_emission(seed):
     assert env.algebras["R"].table.entries == alg.table.entries
 
 
+# a coefficient of a binary table: up to two terms c*D^i*L1^j with c = n/d
+_binary_coeffs = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from((1, 2, 3)), st.integers(0, 2), st.integers(0, 2)),
+    max_size=2,
+).map(lambda terms: sum((Fraction(n, d) * D**i * L1**j for n, d, i, j in terms), Poly.zero()))
+
+
+@st.composite
+def _binary_tables(draw, module):
+    """A table ``module × module -> module`` with small random entries."""
+    rank = module.rank
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)),
+            st.lists(_binary_coeffs, min_size=rank, max_size=rank),
+            max_size=rank * rank,
+        )
+    )
+    return MultiTable((module, module), module, entries)
+
+
+@st.composite
+def _algebras_with_cochains(draw):
+    module = FreeModule(tuple(f"e{k}" for k in range(draw(st.integers(1, 2)))))
+    flavor = draw(st.sampled_from(("associative", "lie")))
+    alg = ConfAlgebra(module, draw(_binary_tables(module)), flavor)
+    return alg, Cochain(draw(_binary_tables(module)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_algebras_with_cochains())
+def test_random_algebras_and_cochains_come_back_equal_from_their_source(alg_and_phi):
+    alg, phi = alg_and_phi
+    text = emit_dsl(alg, "R") + "\n" + emit_dsl(phi, "phi", on="R")
+    report, env = build(text)
+    assert report.exit_code == 0
+    assert env.algebras["R"] == alg
+    assert env.cocycles["phi"] == (phi, "R", None)
+
+
 # A small source whose records hold, fail and err, with its coefficients as
 # slots; the words, names and marks of the language, and "²", a digit that is
 # no decimal digit.  The fuzz fills each slot with its own coefficient or with
@@ -1047,6 +1087,14 @@ def test_cli_bad_numeric_options_are_input_errors(options, capsys):
     last = json.loads(capsys.readouterr().out)["records"][-1]
     assert last["status"] == "error"
     assert "negative" in last["detail"] or "at least 1" in last["detail"]
+
+
+@pytest.mark.parametrize("name", ["broken_syntax", "broken_unresolved"])
+def test_parse_and_resolve_error_records_are_timed(name, capsys):
+    assert main(["check", str(FIXTURES / f"{name}.cfa"), "--json"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert (record["identity"], record["status"]) == ("parse", "error")
+    assert record["elapsed_ms"] > 0
 
 
 def test_cli_subcommand_runtime_error_keeps_the_file_records(capsys):
