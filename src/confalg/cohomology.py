@@ -18,10 +18,12 @@ On top of that single representation this module provides:
   ``[f, g] = f∘g − (−1)^{(m−1)(n−1)} g∘f`` on cochains of an algebra
   valued in itself, for which ``[θ, θ] = 0`` characterizes associativity
   of a binary table ``θ`` and ``[θ, f] = (−1)^{n−1}𝐝f``;
-* horizontal lifts of module cochains into the semidirect-sum algebra, and
-  the derived bracket ``[[f, g]] = (−1)^m [[θ̂, f̂], ĝ]`` computed both
-  through the lifts and through its expanded direct formula (the two
-  formulas are cross-checked against each other on every call);
+* horizontal lifts of module cochains into the semidirect-sum algebra, each
+  one :func:`~confalg.confcore.block` of the cochain's table in ``A ⊕ M``,
+  and the derived bracket ``[[f, g]] = (−1)^m [[θ̂, f̂], ĝ]`` computed both
+  through the lifts, reading its result back out of the blocks, and
+  through its expanded direct formula (the two formulas are cross-checked
+  against each other on every call);
 * the Maurer-Cartan characterizations: a module map is an O-operator
   exactly when ``[[T, T]] = 0`` (equivalently, when its lift satisfies the
   same equation, or when its differential in the induced complex
@@ -54,12 +56,12 @@ from .confcore import (
     MultiTable,
     Swap,
     Verdict,
-    _embed,
     _Frozen,
     _set_fields,
-    _sum_module,
+    block,
     check_associative,
     circ,
+    direct_sum,
     eval_multilinear,
     residual_scan,
     semidirect,
@@ -251,25 +253,16 @@ def g_bracket(f: Cochain, g: Cochain) -> Cochain:
     return Cochain(table_sum(_circle_terms(f, g) + _circle_terms(g, f, -sign)))
 
 
-def _hat_module(alg: ConfAlgebra, bim: ConfBimodule) -> FreeModule:
-    return _sum_module(alg.module, bim.module, "a_", "m_")
-
-
 def lift_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """Horizontal lift of ``f: Mⁿ → A`` to the direct sum ``A ⊕ M``.
 
-    The lift evaluates ``f`` on the module components and embeds the value
-    in the algebra component; it vanishes whenever any argument has no
-    module part.
+    The lift is the block of ``f`` with module arguments and algebra values;
+    it vanishes whenever any argument has no module part.
     """
     if f.input_module != bim.module or f.value_module != alg.module:
         raise ShapeMismatch("lift_cochain expects a cochain from the module to the algebra")
-    big = _hat_module(alg, bim)
-    ra = alg.module.rank
-    entries = {}
-    for idx, value in f.table.entries.items():
-        entries[tuple(ra + i for i in idx)] = _embed(value, big, 0)
-    return Cochain.from_entries(f.arity, big, big, entries)
+    big, n = direct_sum(alg.module, bim.module), f.arity
+    return Cochain(block(f.table, (big,) * n, big, (alg.rank,) * n, 0))
 
 
 def lift_twisting_cochain(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
@@ -278,12 +271,8 @@ def lift_twisting_cochain(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> 
         raise ArityMismatch("twisting cochains have arity 2")
     if phi.input_module != alg.module or phi.value_module != bim.module:
         raise ShapeMismatch("twisting cochain must map the algebra into the module")
-    big = _hat_module(alg, bim)
-    ra = alg.module.rank
-    entries = {}
-    for idx, value in phi.table.entries.items():
-        entries[idx] = _embed(value, big, ra)
-    return Cochain.from_entries(2, big, big, entries)
+    big = direct_sum(alg.module, bim.module)
+    return Cochain(block(phi.table, (big, big), big, (0, 0), alg.rank))
 
 
 def _require_module_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> None:
@@ -329,9 +318,10 @@ def derived_bracket_via_lifts(
 ) -> Cochain:
     """``[[f, g]] = (−1)^m [[θ̂, f̂], ĝ]`` computed on the semidirect sum.
 
-    The result of the double bracket is evaluated on lifted arguments; its
-    module component must vanish (the lifted subspace is closed under the
-    derived bracket) and the algebra component, scaled by ``(−1)^m``, is
+    The double bracket's stored entries on lifted arguments (the module
+    block of every slot) are read back out with :func:`~confalg.confcore.block`:
+    their module component must vanish (the lifted subspace is closed under
+    the derived bracket) and the algebra component, scaled by ``(−1)^m``, is
     the bracket.
     """
     _require_module_cochain(f, alg, bim)
@@ -340,20 +330,11 @@ def derived_bracket_via_lifts(
     theta = multiplication_cochain(ambient)
     fh = lift_cochain(f, alg, bim)
     gh = lift_cochain(g, alg, bim)
-    b2 = g_bracket(g_bracket(theta, fh), gh)
-    m, n = f.arity, g.arity
-    ra = alg.module.rank
-    sign = (-1) ** m
-    entries = {}
-    for idx in itertools.product(range(bim.module.rank), repeat=m + n):
-        value = b2.entry(tuple(ra + i for i in idx))
-        if any(not c.is_zero() for c in value.coeffs[ra:]):
-            raise ConfalgError("derived bracket left the lifted subspace")
-        coeffs = tuple(sign * c for c in value.coeffs[:ra])
-        elem = ModElem(alg.module, coeffs)
-        if not elem.is_zero():
-            entries[idx] = elem
-    return Cochain.from_entries(m + n, bim.module, alg.module, entries)
+    b2 = g_bracket(g_bracket(theta, fh), gh).table
+    k, ra, M = b2.arity, alg.module.rank, bim.module
+    if not block(b2, (M,) * k, M, (-ra,) * k, -ra).is_zero():
+        raise ConfalgError("derived bracket left the lifted subspace")
+    return Cochain(block(b2, (M,) * k, alg.module, (-ra,) * k, 0)).scale((-1) ** f.arity)
 
 
 def derived_bracket(
@@ -398,13 +379,14 @@ def _expected_hat_components(
     T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule
 ) -> MultiTable:
     """The induced actions and the ⋆-product, placed in the blocks of ``A ⊕ M``."""
-    big, ra = _hat_module(alg, bim), alg.module.rank
+    big, ra = direct_sum(alg.module, bim.module), alg.module.rank
     induced = induced_bimodule_on_A(T, alg, bim, validate=False)
-    entries = {(i, ra + u): _embed(e, big, 0) for (i, u), e in induced.right.entries.items()}
-    entries.update({(ra + u, i): _embed(e, big, 0) for (u, i), e in induced.left.entries.items()})
-    star = induced.algebra.table.entries
-    entries.update({(ra + u, ra + v): _embed(e, big, ra) for (u, v), e in star.items()})
-    return MultiTable((big, big), big, entries)
+    blocks = (
+        (induced.right, (0, ra), 0),
+        (induced.left, (ra, 0), 0),
+        (induced.algebra.table, (ra, ra), ra),
+    )
+    return table_sum((1, block(t, (big, big), big, shifts, shift)) for t, shifts, shift in blocks)
 
 
 def maurer_cartan_check(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> Composite:

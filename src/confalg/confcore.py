@@ -18,6 +18,12 @@ coefficients.  Everything reduces to finite data:
 * :func:`table_sum` computes a signed sum of tables, partial compositions
   ``f ∘_i g`` (:class:`Circ`) and slot swaps (:class:`Swap`) as one table,
   visiting only stored entries: every identity of the package is such a sum;
+* :func:`direct_sum` is the module ``A ⊕ M`` with basis ``a_* ++ m_*``, and
+  :func:`block` re-indexes a table's stored entries into (or, with negative
+  shifts, back out of) one block of it: every direct-sum construction
+  (:func:`semidirect`, :func:`twisted_extension`, :func:`matching_pair`,
+  :func:`extension_iso`, the lifts of :mod:`confalg.operators` and
+  :mod:`confalg.cohomology`) is a table sum of blocks;
 * :func:`eval_multilinear` extends a table to arbitrary elements by
   sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
   ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
@@ -869,27 +875,65 @@ def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
     return LieRep(commutator_lie(alg), bim.module, action)
 
 
-def _sum_module(left: FreeModule, right: FreeModule, lp: str, rp: str) -> FreeModule:
-    return FreeModule(tuple(lp + n for n in left.basis) + tuple(rp + n for n in right.basis))
+def direct_sum(left: FreeModule, right: FreeModule) -> FreeModule:
+    """The module ``left ⊕ right`` with basis ``a_* ++ m_*``."""
+    return FreeModule(tuple("a_" + n for n in left.basis) + tuple("m_" + n for n in right.basis))
 
 
-def _embed(elem: ModElem, big: FreeModule, offset: int) -> ModElem:
-    coeffs = [Poly.zero()] * big.rank
-    for i, c in elem.support():
-        coeffs[offset + i] = c
-    return ModElem(big, tuple(coeffs))
+def block(
+    table: MultiTable,
+    ins: Sequence[FreeModule],
+    out: FreeModule,
+    shifts: Sequence[int],
+    shift: int,
+) -> MultiTable:
+    """``table`` re-indexed as a table from ``ins`` to ``out``.
+
+    Index k of every stored entry moves by ``shifts[k]`` and value
+    coefficient j moves to ``j + shift``; indices and coefficients that fall
+    outside ``ins`` and ``out`` are dropped, so positive shifts place a table
+    into one block of a :func:`direct_sum` and negative shifts read a block
+    back out.
+    """
+    ins = tuple(ins)
+    if not len(ins) == len(shifts) == table.arity:
+        raise ArityMismatch("a block needs one module and one shift per argument slot")
+    ranks, zero, entries = tuple(m.rank for m in ins), Poly.zero(), {}
+    for idx, entry in table.entries.items():
+        key = tuple(i + s for i, s in zip(idx, shifts))
+        if not all(0 <= k < r for k, r in zip(key, ranks)):
+            continue
+        coeffs = [zero] * out.rank
+        for j, c in entry._terms:
+            if 0 <= j + shift < out.rank:
+                coeffs[j + shift] = c
+        if any(coeffs):
+            entries[key] = _elem(out, tuple(coeffs))
+    return _table(ins, out, entries)
 
 
-def _semidirect_entries(alg: ConfAlgebra, bim: ConfBimodule, big: FreeModule) -> dict:
-    ra = alg.rank
-    entries: dict = {}
-    for (i, j), e in alg.table.entries.items():
-        entries[(i, j)] = _embed(e, big, 0)
-    for (i, u), e in bim.left.entries.items():
-        entries[(i, ra + u)] = _embed(e, big, ra)
-    for (u, i), e in bim.right.entries.items():
-        entries[(ra + u, i)] = _embed(e, big, ra)
-    return entries
+def _extension(alg: ConfAlgebra, bim: ConfBimodule, phi, validate: bool) -> ConfAlgebra:
+    """``(a, m) L (b, n) = (a_L b, a_L n + m_L b [+ φ_L(a, b)])`` on ``A ⊕ M``."""
+    if phi is not None:
+        _require_binary_cochain(phi, alg, bim)
+    if validate:
+        verdict = check_bimodule(alg, bim)
+        if not verdict.holds:
+            raise NotBimodule(verdict.summary())
+        if phi is not None:
+            from .cohomology import is_cocycle
+
+            cocycle = is_cocycle(phi, alg, bim)
+            if not cocycle.holds:
+                raise NotCocycle(cocycle.summary())
+    if bim.algebra != alg:
+        raise ModuleMismatch("bimodule was built over a different algebra")
+    big, ra = direct_sum(alg.module, bim.module), alg.rank
+    blocks = [(alg.table, (0, 0), 0), (bim.left, (0, ra), ra), (bim.right, (ra, 0), ra)]
+    if phi is not None:
+        blocks.append((phi.table, (0, 0), ra))
+    table = table_sum((1, block(t, (big, big), big, shifts, shift)) for t, shifts, shift in blocks)
+    return ConfAlgebra(big, table, "associative")
 
 
 def semidirect(alg: ConfAlgebra, bim: ConfBimodule, *, validate: bool = True) -> ConfAlgebra:
@@ -898,13 +942,9 @@ def semidirect(alg: ConfAlgebra, bim: ConfBimodule, *, validate: bool = True) ->
     ``(a, m) L (b, n) = (a_L b, a_L n + m_L b)`` on the basis ``a_* ++ m_*``.
     With ``validate`` the bimodule axioms are checked first; pass
     ``validate=False`` to build the candidate table for a failing bimodule.
+    A bimodule over another algebra raises either way.
     """
-    if validate:
-        verdict = check_bimodule(alg, bim)
-        if not verdict.holds:
-            raise NotBimodule(verdict.summary())
-    big = _sum_module(alg.module, bim.module, "a_", "m_")
-    return ConfAlgebra.associative(big, _semidirect_entries(alg, bim, big))
+    return _extension(alg, bim, None, validate)
 
 
 def _require_binary_cochain(phi, alg: ConfAlgebra, bim: ConfBimodule) -> None:
@@ -923,22 +963,7 @@ def twisted_extension(
     is :func:`semidirect`.  ``validate`` checks the bimodule axioms and that
     φ is a 2-cocycle.
     """
-    _require_binary_cochain(phi, alg, bim)
-    if validate:
-        verdict = check_bimodule(alg, bim)
-        if not verdict.holds:
-            raise NotBimodule(verdict.summary())
-        from .cohomology import is_cocycle
-
-        cocycle = is_cocycle(phi, alg, bim)
-        if not cocycle.holds:
-            raise NotCocycle(cocycle.summary())
-    big = _sum_module(alg.module, bim.module, "a_", "m_")
-    entries = _semidirect_entries(alg, bim, big)
-    for idx, value in phi.table.entries.items():
-        lifted = _embed(value, big, alg.rank)
-        entries[idx] = entries[idx] + lifted if idx in entries else lifted
-    return ConfAlgebra.associative(big, entries)
+    return _extension(alg, bim, phi, validate)
 
 
 class ExtensionIso(NamedTuple):
@@ -969,14 +994,9 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     ext = twisted_extension(alg, bim, phi, validate=False)
     ext_shifted = twisted_extension(alg, bim, phi + dh, validate=False)
     big = ext.module
-
-    def block(sign: int) -> ModuleMap:
-        entries = {(j,): e for j, e in enumerate(big.basis_elems())}
-        for (i,), image in h.table.entries.items():
-            entries[(i,)] = entries[(i,)] + _embed(image, big, alg.rank) * sign
-        return ModuleMap(MultiTable((big,), big, entries))
-
-    psi, psi_inv = block(-1), block(+1)
+    # ψ_h and its inverse are the identity ∓ h placed in the (A → M) block
+    ident, h_block = ModuleMap.identity(big).table, block(h.table, (big,), big, (0,), alg.rank)
+    psi, psi_inv = ModuleMap(ident - h_block), ModuleMap(ident + h_block)
     # ψ(x ∘ᵠ y) − ψ(x) ∘ᵠ⁺ᵈʰ ψ(y) on all basis pairs
     outer = circ(ext_shifted.table, 1, psi.table)
     residual = table_sum([(1, Circ(psi.table, 1, ext.table)), (-1, Circ(outer, 2, psi.table))])
@@ -1004,28 +1024,17 @@ def matching_pair(
         raise RankMismatch("first action bundle must be A₁ acting on A₂")
     if a2_on_a1.algebra != a2 or a2_on_a1.module != a1.module:
         raise RankMismatch("second action bundle must be A₂ acting on A₁")
-    big = _sum_module(a1.module, a2.module, "a_", "m_")
-    r1 = a1.rank
-
-    def add_entry(entries: dict, idx: Tuple[int, int], value: ModElem) -> None:
-        if value.is_zero():
-            return
-        entries[idx] = entries[idx] + value if idx in entries else value
-
-    entries: dict = {}
-    for (i, j), e in a1.table.entries.items():
-        add_entry(entries, (i, j), _embed(e, big, 0))
-    for (i, j), e in a2.table.entries.items():
-        add_entry(entries, (r1 + i, r1 + j), _embed(e, big, r1))
-    for (i, u), e in a1_on_a2.left.entries.items():
-        add_entry(entries, (i, r1 + u), _embed(e, big, r1))
-    for (u, i), e in a1_on_a2.right.entries.items():
-        add_entry(entries, (r1 + u, i), _embed(e, big, r1))
-    for (u, i), e in a2_on_a1.left.entries.items():
-        add_entry(entries, (r1 + u, i), _embed(e, big, 0))
-    for (i, u), e in a2_on_a1.right.entries.items():
-        add_entry(entries, (i, r1 + u), _embed(e, big, 0))
-    return ConfAlgebra.associative(big, entries)
+    big, r1 = direct_sum(a1.module, a2.module), a1.rank
+    blocks = [
+        (a1.table, (0, 0), 0),
+        (a2.table, (r1, r1), r1),
+        (a1_on_a2.left, (0, r1), r1),
+        (a1_on_a2.right, (r1, 0), r1),
+        (a2_on_a1.left, (r1, 0), 0),
+        (a2_on_a1.right, (0, r1), 0),
+    ]
+    table = table_sum((1, block(t, (big, big), big, shifts, shift)) for t, shifts, shift in blocks)
+    return ConfAlgebra(big, table, "associative")
 
 
 def cur(

@@ -64,11 +64,11 @@ from .confcore import (
     MultiTable,
     Swap,
     Verdict,
-    _embed,
     _Frozen,
     _set_fields,
-    _sum_module,
+    block,
     circ,
+    direct_sum,
     eval_multilinear,
     residual_scan,
     semidirect,
@@ -526,10 +526,8 @@ def compatible_nijenhuis(
 def lift(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> ModuleMap:
     """The square-zero lift ``(a, m) ↦ (T(m), 0)`` to the semidirect module."""
     _require_mod_to_alg("lift", T, _Inputs(alg, bim))
-    big = _sum_module(alg.module, bim.module, "a_", "m_")
-    ra = alg.rank
-    entries = {(ra + u,): _embed(image, big, 0) for (u,), image in T.table.entries.items()}
-    return ModuleMap(MultiTable((big,), big, entries))
+    big = direct_sum(alg.module, bim.module)
+    return ModuleMap(block(T.table, (big,), big, (alg.rank,), 0))
 
 
 def graph_check(
@@ -547,13 +545,11 @@ def graph_check(
     """
     _require_mod_to_alg("graph_check", T, _Inputs(alg, bim))
     ext = semidirect(alg, bim) if phi is None else twisted_extension(alg, bim, phi)
-    ra, big, t = alg.rank, ext.module, T.table
+    ra, A, M, big, t = alg.rank, alg.module, bim.module, ext.module, T.table
+    ident = ModuleMap.identity
     # the residual is (a, m) ↦ a − T(m) after the product of the graph points u ↦ (T(u), u)
-    point = {(u,): _embed(t.entry((u,)), big, 0) + big.basis_elem(ra + u)
-             for u in range(bim.module.rank)}
-    project = {(i,): alg.module.basis_elem(i) for i in range(ra)}
-    project.update({(ra + u,): -image for (u,), image in t.entries.items()})
-    point, project = MultiTable((bim.module,), big, point), MultiTable((big,), alg.module, project)
+    point = block(ident(M).table, (M,), big, (0,), ra) + block(t, (M,), big, (0,), 0)
+    project = block(ident(A).table, (big,), A, (0,), 0) - block(t, (big,), A, (ra,), 0)
     graph = circ(circ(ext.table, 1, point), 2, point)
     return residual_scan("graph-closure", table_items(circ(project, 1, graph)), cap)
 

@@ -149,3 +149,11 @@ def sym_table(table):
 
 def sym_map(T):
     return [sym_vec(T.apply(e)) for e in T.source.basis_elems()]
+
+
+def assert_oracle_table(table, expected: dict) -> None:
+    """``table`` has the oracle's entries: the same index tuples, equal values."""
+    got = sym_table(table)
+    assert set(got) == set(expected)
+    for idx, vec in expected.items():
+        assert all(sp.expand(c - e) == 0 for c, e in zip(got[idx], vec)), idx

@@ -37,8 +37,15 @@ from confalg.cohomology import (
     o_complex_d,
     random_cochain,
 )
-from confalg.errors import ArityMismatch, ConfalgError, NotCocycle, NotOOperator, ShapeMismatch
-from confalg.operators import ModuleMap
+from confalg.errors import (
+    ArityMismatch,
+    ConfalgError,
+    ModuleMismatch,
+    NotCocycle,
+    NotOOperator,
+    ShapeMismatch,
+)
+from confalg.operators import ModuleMap, lift
 
 import _oracle
 import helpers
@@ -310,6 +317,23 @@ def test_lifted_cochains_bracket_to_zero(seed):
     assert g_bracket(fh, gh).is_zero()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_lifts_match_the_oracle(seed):
+    rng = random.Random(seed)
+    alg, bim = DUAL, _rand_bimodule_over_dual(rng)
+    ra, rm = alg.rank, bim.module.rank
+    for n in (1, 2, 3):
+        f = random_cochain(rng, n, bim.module, alg.module, max_degree=1)
+        f_fn = _oracle.cochain_fn(n, rm, ra, helpers.sym_table(f.table))
+        expected = _oracle.cochain_table(_oracle.lift_cochain(f_fn, n, ra, rm), n, ra + rm, ra + rm)
+        helpers.assert_oracle_table(lift_cochain(f, alg, bim).table, expected)
+        if n == 1:
+            helpers.assert_oracle_table(lift(f.as_module_map(), alg, bim).table, expected)
+    phi = random_cochain(rng, 2, alg.module, bim.module, max_degree=1)
+    expected = _oracle.pad_table(helpers.sym_table(phi.table), ra + rm, ra)
+    helpers.assert_oracle_table(lift_twisting_cochain(phi, alg, bim).table, expected)
+
+
 def test_lift_shape_guards():
     with pytest.raises(ShapeMismatch):
         lift_cochain(Cochain.zero(1, AM, AM), NILP, NADJ)
@@ -426,6 +450,35 @@ def test_derived_bracket_disagreement_names_the_first_differing_tuple(monkeypatc
     )
     with pytest.raises(ConfalgError, match=r"disagree at \(v, u\)$"):
         derived_bracket(f, f, DUAL, ADJ)
+
+
+def test_lifted_route_raises_when_the_bracket_leaves_the_lifted_subspace(monkeypatch):
+    f = random_cochain(6, 1, AM, AM, max_degree=1)
+    real, calls = cohomology.g_bracket, []
+
+    def forged(x, y):
+        # the second call is the outer bracket [[θ̂, f̂], ĝ]; give it an M component
+        calls.append(None)
+        out = real(x, y)
+        if len(calls) == 2:
+            big, ra = out.input_module, AM.rank
+            forge = {(ra,) * out.arity: big.basis_elem(ra)}
+            out = out + Cochain.from_entries(out.arity, big, big, forge)
+        return out
+
+    monkeypatch.setattr(cohomology, "g_bracket", forged)
+    with pytest.raises(ConfalgError, match="derived bracket left the lifted subspace"):
+        derived_bracket_via_lifts(f, f, DUAL, ADJ)
+    assert len(calls) == 2
+
+
+def test_lifted_route_refuses_a_bimodule_over_another_algebra():
+    # NADJ is a bimodule over NILP, not over DUAL; the direct route refuses it too
+    f = random_cochain(7, 1, NM, AM, max_degree=1)
+    with pytest.raises(ShapeMismatch):
+        derived_bracket_direct(f, f, DUAL, NADJ)
+    with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
+        derived_bracket_via_lifts(f, f, DUAL, NADJ)
 
 
 @settings(max_examples=15, deadline=None)

@@ -25,12 +25,14 @@ from confalg.confcore import (
     MultiTable,
     Swap,
     Verdict,
+    block,
     check_associative,
     check_bimodule,
     check_lie,
     check_lie_rep,
     commutator_lie,
     cur,
+    direct_sum,
     eval_multilinear,
     matching_pair,
     rep_from_bimodule,
@@ -500,6 +502,27 @@ def frozen(module: FreeModule, vec) -> tuple:
     return module.elem(vec)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9))
+def test_a_block_reads_back_out_with_negative_shifts(seed: int) -> None:
+    rng = random.Random(seed)
+    table = _random_table(rng, (AM, NM), NM)
+    big = direct_sum(AM, NM)
+    placed = block(table, (big, big), big, (0, 2), 2)
+    assert all(i < 2 <= j and not any(e.coeffs[:2]) for (i, j), e in placed.entries.items())
+    assert block(placed, (AM, NM), NM, (0, -2), -2) == table
+    # every other block of the placed table is empty
+    assert block(placed, (NM, NM), NM, (-2, -2), -2).is_zero()
+    assert block(placed, (AM, NM), AM, (0, -2), 0).is_zero()
+
+
+def test_a_block_needs_one_module_and_one_shift_per_slot() -> None:
+    with pytest.raises(ArityMismatch):
+        block(DUAL.table, (AM,), AM, (0,), 0)
+    with pytest.raises(ArityMismatch):
+        block(DUAL.table, (AM, AM), AM, (0,), 0)
+
+
 def test_semidirect_frozen_table() -> None:
     ext = semidirect(DUAL, ADJ)
     big = ext.module
@@ -538,6 +561,17 @@ def test_semidirect_validates_the_bimodule() -> None:
     # between the bimodule axioms and the semidirect associativity.
     candidate = semidirect(DUAL, bad, validate=False)
     assert not check_associative(candidate).holds
+
+
+def test_extensions_refuse_a_bimodule_over_another_algebra() -> None:
+    # NADJ is a bimodule over NILP; unvalidated, its actions would mix with DUAL's product
+    with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
+        semidirect(DUAL, NADJ, validate=False)
+    from confalg.cohomology import Cochain
+
+    phi = Cochain.zero(2, AM, NM)
+    with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
+        twisted_extension(DUAL, NADJ, phi, validate=False)
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +74,7 @@ from helpers import (
     SHIFT,
     SWAP,
     a,
+    assert_oracle_table,
     b,
     sym_map,
     sym_table,
@@ -465,13 +465,6 @@ def test_deformation_check_validates_by_default() -> None:
 # -- construction tables against the oracle ---------------------------------------------
 
 
-def _assert_oracle_table(table: MultiTable, expected: dict) -> None:
-    got = sym_table(table)
-    assert set(got) == set(expected)
-    for idx, vec in expected.items():
-        assert all(sp.expand(c - e) == 0 for c, e in zip(got[idx], vec)), idx
-
-
 def _rand_binary(rng: random.Random, left, right, out) -> MultiTable:
     entries = {
         (i, j): helpers.rand_elem(rng, out, ("D", "L1"))
@@ -519,27 +512,33 @@ def test_unvalidated_construction_tables_match_the_oracle(seed: int) -> None:
     ra, rm, tmat = AM.rank, M.rank, sym_map(T)
     phi_fn = _oracle.cochain_fn(2, ra, rm, sym_table(phi.table))
 
+    ambient = semidirect(alg, bim, validate=False)
+    assert_oracle_table(ambient.table, _oracle.semidirect_table(a_tab, lact, ract, ra, rm))
+    extension = twisted_extension(alg, bim, phi, validate=False)
+    expected = _oracle.twisted_table(a_tab, lact, ract, sym_table(phi.table), ra, rm)
+    assert_oracle_table(extension.table, expected)
+
     star = _oracle.star_table(a_tab, lact, ract, ra, rm, tmat)
-    _assert_oracle_table(m_ass(T, alg, bim, validate=False).table, star)
+    assert_oracle_table(m_ass(T, alg, bim, validate=False).table, star)
     star_phi = _oracle.star_phi_table(a_tab, lact, ract, ra, rm, tmat, phi_fn)
-    _assert_oracle_table(m_ass(T, alg, bim, phi, validate=False).table, star_phi)
+    assert_oracle_table(m_ass(T, alg, bim, phi, validate=False).table, star_phi)
     induced = induced_bimodule_on_A(T, alg, bim, validate=False)
     left, right = _oracle.induced_action_tables(a_tab, lact, ract, ra, rm, tmat)
-    _assert_oracle_table(induced.left, left)
-    _assert_oracle_table(induced.right, right)
+    assert_oracle_table(induced.left, left)
+    assert_oracle_table(induced.right, right)
     twisted = induced_bimodule_on_A(T, alg, bim, phi, validate=False)
     left, right = _twisted_induced_tables(a_tab, lact, ract, phi_fn, ra, rm, tmat)
-    _assert_oracle_table(twisted.left, left)
-    _assert_oracle_table(twisted.right, right)
+    assert_oracle_table(twisted.left, left)
+    assert_oracle_table(twisted.right, right)
 
     N = helpers.rand_map(rng, AM)
     nmat = sym_map(N)
     candidate, phi_n = deformed_product(N, alg)
-    _assert_oracle_table(candidate.table, _oracle.deformed_table(a_tab, ra, nmat))
-    _assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
+    assert_oracle_table(candidate.table, _oracle.deformed_table(a_tab, ra, nmat))
+    assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
     lie = ConfAlgebra(AM, _rand_binary(rng, AM, AM, AM), "lie")
     bracket = deformed_bracket(N, lie, validate=False)
-    _assert_oracle_table(bracket.table, _oracle.deformed_bracket_table(sym_table(lie.table), ra, nmat))
+    assert_oracle_table(bracket.table, _oracle.deformed_bracket_table(sym_table(lie.table), ra, nmat))
 
 
 def _leftsym_table(succ: dict, prec: dict, rank: int) -> dict:
@@ -572,16 +571,18 @@ def test_o_operator_construction_tables_match_the_oracle(T, alg, bim) -> None:
     ra, rm, tmat = alg.rank, bim.module.rank, sym_map(T)
     bundle = dendriform_from_O(T, alg, bim)
     succ, prec = _oracle.dendriform_tables(lact, ract, ra, rm, tmat)
-    _assert_oracle_table(bundle.table("succ").table, succ)
-    _assert_oracle_table(bundle.table("prec").table, prec)
+    assert_oracle_table(bundle.table("succ").table, succ)
+    assert_oracle_table(bundle.table("prec").table, prec)
     leftsym = leftsym_from_dendriform(bundle).table("leftsym").table
-    _assert_oracle_table(leftsym, _leftsym_table(succ, prec, rm))
+    assert_oracle_table(leftsym, _leftsym_table(succ, prec, rm))
     star = _oracle.star_table(a_tab, lact, ract, ra, rm, tmat)
-    _assert_oracle_table(m_ass(T, alg, bim).table, star)
+    assert_oracle_table(m_ass(T, alg, bim).table, star)
     induced = induced_bimodule_on_A(T, alg, bim)
     left, right = _oracle.induced_action_tables(a_tab, lact, ract, ra, rm, tmat)
-    _assert_oracle_table(induced.left, left)
-    _assert_oracle_table(induced.right, right)
+    assert_oracle_table(induced.left, left)
+    assert_oracle_table(induced.right, right)
+    pair = _oracle.matching_pair_table(a_tab, lact, ract, ra, rm, tmat)
+    assert_oracle_table(matching_pair_from_O(T, alg, bim).table, pair)
 
 
 def test_twisted_construction_tables_match_the_oracle() -> None:
@@ -589,12 +590,12 @@ def test_twisted_construction_tables_match_the_oracle() -> None:
     a_tab, ra, tmat = sym_table(DUAL.table), DUAL.rank, sym_map(IDENT)
     phi_fn = _oracle.cochain_fn(2, ra, ra, sym_table(phi.table))
     star_phi = _oracle.star_phi_table(a_tab, a_tab, a_tab, ra, ra, tmat, phi_fn)
-    _assert_oracle_table(m_ass(IDENT, DUAL, ADJ, phi).table, star_phi)
+    assert_oracle_table(m_ass(IDENT, DUAL, ADJ, phi).table, star_phi)
     bundle = ns_from_twisted(IDENT, DUAL, ADJ, phi)
     succ, prec = _oracle.dendriform_tables(a_tab, a_tab, ra, ra, tmat)
-    _assert_oracle_table(bundle.table("succ").table, succ)
-    _assert_oracle_table(bundle.table("prec").table, prec)
-    _assert_oracle_table(bundle.sum_table().table, star_phi)
+    assert_oracle_table(bundle.table("succ").table, succ)
+    assert_oracle_table(bundle.table("prec").table, prec)
+    assert_oracle_table(bundle.sum_table().table, star_phi)
 
 
 @pytest.mark.parametrize("N", [SHIFT, IDENT])
@@ -602,18 +603,18 @@ def test_nijenhuis_construction_tables_match_the_oracle(N) -> None:
     a_tab, ra, nmat = sym_table(DUAL.table), DUAL.rank, sym_map(N)
     bundle = ns_from_nijenhuis(N, DUAL)
     succ, prec = _oracle.dendriform_tables(a_tab, a_tab, ra, ra, nmat)
-    _assert_oracle_table(bundle.table("succ").table, succ)
-    _assert_oracle_table(bundle.table("prec").table, prec)
+    assert_oracle_table(bundle.table("succ").table, succ)
+    assert_oracle_table(bundle.table("prec").table, prec)
     deformed = _oracle.deformed_table(a_tab, ra, nmat)
-    _assert_oracle_table(bundle.sum_table().table, deformed)
+    assert_oracle_table(bundle.sum_table().table, deformed)
     candidate, phi_n = deformed_product(N, DUAL)
-    _assert_oracle_table(candidate.table, deformed)
-    _assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
+    assert_oracle_table(candidate.table, deformed)
+    assert_oracle_table(phi_n.table, _oracle.phi_n_table(a_tab, ra, nmat))
 
 
 def test_deformed_bracket_table_matches_the_oracle() -> None:
     lie = commutator_lie(twisted_extension(NILP, NADJ, helpers.nilp_cocycle()))
     N = ModuleMap.identity(lie.module).scale(Fraction(1, 2))
     expected = _oracle.deformed_bracket_table(sym_table(lie.table), lie.rank, sym_map(N))
-    _assert_oracle_table(deformed_bracket(N, lie).table, expected)
+    assert_oracle_table(deformed_bracket(N, lie).table, expected)
 
