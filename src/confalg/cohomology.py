@@ -4,9 +4,10 @@ An ``n``-cochain on a conformal algebra is a multilinear, sesquilinear map
 with ``n`` arguments and ``n − 1`` weight parameters.  :class:`Cochain` is a
 one-field view of a :class:`~confalg.confcore.MultiTable` whose argument
 slots share one module: arity, input and value modules are read from the
-table, and evaluation is :func:`~confalg.confcore.eval_multilinear`.  The
-arity is the degree in the graded Lie algebra, so the brackets return
-cochains.  Every differential, composition and bracket below is built from
+table, and evaluation is :func:`~confalg.confcore.eval_multilinear`, the
+composition of the table with its arguments.  The arity is the degree in
+the graded Lie algebra, so the brackets return cochains.  Every
+differential, composition and bracket below is built from
 :func:`~confalg.confcore.table_sum` of compositions of the input tables;
 nothing is tabulated per basis tuple.
 On top of that single representation this module provides:
@@ -68,7 +69,9 @@ from .confcore import (
     table_items,
     table_sum,
 )
-from .errors import ArityMismatch, ConfalgError, NotCocycle, PreconditionFailed, ShapeMismatch
+from .errors import (
+    ArityMismatch, ConfalgError, ModuleMismatch, NotCocycle, PreconditionFailed, ShapeMismatch
+)
 from .operators import ModuleMap, lift, require_operator, star_product, verify_operator
 from .derived import induced_bimodule_on_A
 from .polyring import Poly, PolyLike, as_poly, lam
@@ -176,6 +179,13 @@ def multiplication_cochain(alg: ConfAlgebra) -> Cochain:
     return Cochain(alg.table)
 
 
+def _require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
+    if bim.algebra.module != alg.module:
+        raise ShapeMismatch("bimodule must be over the same algebra")
+    if bim.algebra != alg:
+        raise ModuleMismatch("bimodule was built over a different algebra")
+
+
 def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """The differential of a cochain on ``alg`` valued in the bimodule.
 
@@ -189,8 +199,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
         raise ShapeMismatch("cochain arguments must live in the algebra")
     if f.value_module != bim.module:
         raise ShapeMismatch("cochain values must live in the bimodule")
-    if bim.algebra.module != alg.module:
-        raise ShapeMismatch("bimodule must be over the same algebra")
+    _require_over(alg, bim)
     n, phi = f.arity, f.table
     terms = [(1, Circ(bim.left, 2, phi))]
     terms += [((-1) ** i, Circ(phi, i, alg.table)) for i in range(1, n + 1)]
@@ -293,8 +302,7 @@ def derived_bracket_direct(
     """
     _require_module_cochain(f, alg, bim)
     _require_module_cochain(g, alg, bim)
-    if bim.algebra.module != alg.module:
-        raise ShapeMismatch("bimodule must be over the given algebra")
+    _require_over(alg, bim)
     m, n = f.arity, g.arity
     s, mu = (-1) ** (m * n), alg.table
 

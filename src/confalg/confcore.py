@@ -24,12 +24,10 @@ coefficients.  Everything reduces to finite data:
   (:func:`semidirect`, :func:`twisted_extension`, :func:`matching_pair`,
   :func:`extension_iso`, the lifts of :mod:`confalg.operators` and
   :mod:`confalg.cohomology`) is a table sum of blocks;
-* :func:`eval_multilinear` extends a table to arbitrary elements by
-  sesquilinearity: a ``D`` in the coefficient of argument j < n becomes
-  ``-w_j``, a ``D`` in the last argument becomes ``D + w_1 + ... + w_{n-1}``,
-  and the formal weights in the table entry become the actual weights.  It
-  serves the element-level API (products, actions, module maps, cochain
-  evaluation) and is the reference that :class:`Circ` is tested against.
+* :func:`eval_multilinear` extends a table to arbitrary elements for the
+  element-level API (products, actions, module maps, cochain evaluation).
+  It is a table sum too, each argument an arity-1 table composed into its
+  slot with :class:`Circ`, so the package has one sesquilinear engine.
 
 Weights are linear forms in the weight variables and may themselves contain
 ``D``: that is how products "at weight −λ−∂" (the conformal substitute for
@@ -531,9 +529,9 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     """The table of ``Σ coeff·term`` over ``(coeff, term)`` pairs of one shape.
 
     A term is a table, a :class:`Swap` (swapping a slot with the last gives it
-    the weight ``−D − ΣL``) or a :class:`Circ`, equal on every basis tuple to
-    :func:`eval_multilinear` of ``f`` on ``g``'s value, the merged weights
-    summed into slot ``i``.  Only stored entries are visited: each entry of
+    the weight ``−D − ΣL``) or a :class:`Circ`, whose value on a basis tuple
+    is ``f`` evaluated with ``g``'s value in slot ``i`` at the sum of the
+    merged weights.  Only stored entries are visited: each entry of
     ``g`` is rebound once (``L_k ↦ L_(k+i−1)``; ``D ↦ −(merged weight)`` in a
     leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), each entry of
     ``f`` once, grouped by its slot-``i`` index, and every product goes into
@@ -616,19 +614,23 @@ def table_items(table: MultiTable, tag: Tuple[str, ...] = ()) -> Iterator[tuple]
         yield tag + names, get(idx, zero)
 
 
+_POINT = FreeModule(("e",))  # the source of each argument's table in eval_multilinear
+
+
 def eval_multilinear(
     table: MultiTable, args: Sequence[ModElem], weights: Sequence[PolyLike]
 ) -> ModElem:
     """Evaluate an n-linear table on module elements at the given weights.
 
     ``weights`` carries the n−1 weights of the leading arguments; the last
-    argument's weight is determined.  Sesquilinearity is applied to the
-    argument coefficients (``D ↦ -w_j`` for j < n, ``D ↦ D + Σw`` in the last
-    slot) and the table entry's formal weights ``L1 .. L(n-1)`` are replaced
-    by the actual weights simultaneously.  Weights may contain ``D``, which
-    then denotes ∂ on the output and is substituted verbatim.  Every basis
-    tuple in the arguments' supports is visited, its entry bound with
-    :func:`_bind` by one :class:`~confalg.polyring.Substitution` per call.
+    argument's weight is determined.  Each argument is an arity-1 table from
+    a rank-1 module, and :func:`circ` fills slots n, …, 1 with them, so
+    sesquilinearity is :func:`table_sum`'s rebinding (``D ↦ −L_j`` in a
+    leading slot, ``D ↦ D + ΣL`` in the last).  One
+    :class:`~confalg.polyring.Substitution` then sends ``L_j ↦ w_j``.
+    Weights may contain ``D``, which then denotes ∂ on the output.  The λ
+    variables of the arguments stay literal: they are moved past ``L(n-1)``
+    before the composition and moved back by the same substitution.
     """
     n = table.arity
     if len(args) != n:
@@ -639,24 +641,21 @@ def eval_multilinear(
     for pos, (arg, mod) in enumerate(zip(args, table.in_modules)):
         if arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
-    images = [-w for w in ws] + [D + sum(ws, Poly.zero())]
-    binding = Substitution((lam(k), w) for k, w in enumerate(ws, 1)) if ws else None
-    columns = [
-        [(i, c.substitute("D", image)) for i, c in arg.support()]
-        for image, arg in zip(images, args)
-    ]
-    out = [Poly.zero()] * table.out_module.rank
-    for combo in itertools.product(*columns):
-        idx, factors = zip(*combo)
-        entry = table.entries.get(idx)
-        if entry is None:
-            continue
-        factor = Poly.one()
-        for c in factors:
-            factor = factor * c
-        for i, v in entry.support():
-            out[i] = out[i] + factor * _bind(v, binding)
-    return _elem(table.out_module, tuple(out))
+    names = {v for arg in args for _, c in arg._terms for v in c.variables()} if n > 1 else ()
+    parked = sorted(var_sort_key(v)[1] for v in names if _is_lambda_var(v))
+    park = Substitution([(lam(k), Poly.var(lam(k + n - 1))) for k in parked]) if parked else None
+    composed = table
+    for j in range(n, 0, -1):
+        arg = args[j - 1]
+        point = {(0,): _elem(arg.module, tuple(_bind(c, park) for c in arg.coeffs))}
+        composed = circ(composed, j, _table((_POINT,), arg.module, point if arg._terms else {}))
+    value = composed.entries.get((0,) * n)
+    if value is None:
+        return table.out_module.zero()
+    binding = [(lam(k), w) for k, w in enumerate(ws, 1)]
+    binding += [(lam(k + n - 1), Poly.var(lam(k))) for k in parked]
+    binding = Substitution(binding) if binding else None
+    return _elem(table.out_module, tuple(_bind(c, binding) for c in value.coeffs))
 
 
 class ConfAlgebra(_Frozen):

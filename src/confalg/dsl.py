@@ -284,6 +284,19 @@ class _Parser(_PolyParser):
             seen.add(name)
         return tuple(names)
 
+    def parse_entries(self, *words: str) -> List[Tuple[str, str, str, Expr]]:
+        """The lines ``word name name = expr;`` for as long as the next word is one of ``words``."""
+        entries = []
+        while self.peek()[1] in words and self.peek()[0] == "name":
+            word = self.advance()[1]
+            first = self.expect_name("a basis name")
+            second = self.expect_name("a basis name")
+            self.expect_punct("=")
+            expr = self.parse_elem_expr()
+            self.expect_punct(";")
+            entries.append((word, first, second, expr))
+        return entries
+
     def parse_algebra(self) -> AlgebraDecl:
         head = self.expect_keyword("algebra")
         name = self.fresh_name("an algebra name")
@@ -293,17 +306,9 @@ class _Parser(_PolyParser):
             flavor = "lie"
         self.expect_punct("{")
         basis = self.parse_basis_line()
-        products: List[Tuple[str, str, Expr]] = []
-        while self.at_name("product"):
-            self.advance()
-            left = self.expect_name("a basis name")
-            right = self.expect_name("a basis name")
-            self.expect_punct("=")
-            expr = self.parse_elem_expr()
-            self.expect_punct(";")
-            products.append((left, right, expr))
+        products = tuple(entry[1:] for entry in self.parse_entries("product"))
         self.expect_punct("}")
-        return AlgebraDecl(name, flavor, basis, tuple(products), head[2])
+        return AlgebraDecl(name, flavor, basis, products, head[2])
 
     def parse_bimodule(self) -> BimoduleDecl:
         head = self.expect_keyword("bimodule")
@@ -317,18 +322,11 @@ class _Parser(_PolyParser):
         algebra = self.fresh_name("an algebra name")
         self.expect_punct("{")
         basis = self.parse_basis_line()
-        left: List[Tuple[str, str, Expr]] = []
-        right: List[Tuple[str, str, Expr]] = []
-        while self.at_name("left") or self.at_name("right"):
-            side = self.advance()[1]
-            first = self.expect_name("a basis name")
-            second = self.expect_name("a basis name")
-            self.expect_punct("=")
-            expr = self.parse_elem_expr()
-            self.expect_punct(";")
-            (left if side == "left" else right).append((first, second, expr))
+        entries = self.parse_entries("left", "right")
+        left = tuple(entry[1:] for entry in entries if entry[0] == "left")
+        right = tuple(entry[1:] for entry in entries if entry[0] == "right")
         self.expect_punct("}")
-        return BimoduleDecl(name, algebra, False, basis, tuple(left), tuple(right), head[2])
+        return BimoduleDecl(name, algebra, False, basis, left, right, head[2])
 
     def parse_cocycle(self) -> CocycleDecl:
         head = self.expect_keyword("cocycle")
@@ -340,17 +338,9 @@ class _Parser(_PolyParser):
             self.advance()
             into = self.fresh_name("a bimodule name")
         self.expect_punct("{")
-        values: List[Tuple[str, str, Expr]] = []
-        while self.at_name("value"):
-            self.advance()
-            first = self.expect_name("a basis name")
-            second = self.expect_name("a basis name")
-            self.expect_punct("=")
-            expr = self.parse_elem_expr()
-            self.expect_punct(";")
-            values.append((first, second, expr))
+        values = tuple(entry[1:] for entry in self.parse_entries("value"))
         self.expect_punct("}")
-        return CocycleDecl(name, algebra, into, tuple(values), head[2])
+        return CocycleDecl(name, algebra, into, values, head[2])
 
     def parse_map(self) -> MapDecl:
         head = self.expect_keyword("map")
@@ -429,26 +419,22 @@ class _Parser(_PolyParser):
         self.expect_punct(";")
         return ConstructStmt(kind, name, on, with_, twist, as_, head[2])
 
+    #: the parser of each declaration, by its keyword
+    DECLARATIONS = {
+        "algebra": parse_algebra, "bimodule": parse_bimodule, "cocycle": parse_cocycle,
+        "map": parse_map, "check": parse_check, "construct": parse_construct,
+    }
+
     def parse_file(self, path: str) -> SourceFile:
         decls: List[Declaration] = []
         while self.peek()[0] != "eof":
             kind, text, _, _ = self.peek()
             if kind != "name":
                 raise self.fail("expected a declaration keyword")
-            if text == "algebra":
-                decls.append(self.parse_algebra())
-            elif text == "bimodule":
-                decls.append(self.parse_bimodule())
-            elif text == "cocycle":
-                decls.append(self.parse_cocycle())
-            elif text == "map":
-                decls.append(self.parse_map())
-            elif text == "check":
-                decls.append(self.parse_check())
-            elif text == "construct":
-                decls.append(self.parse_construct())
-            else:
+            declaration = self.DECLARATIONS.get(text)
+            if declaration is None:
                 raise self.fail(f"unknown declaration {text!r}")
+            decls.append(declaration(self))
         return SourceFile(path, tuple(decls))
 
 

@@ -6,7 +6,8 @@ cochains of :mod:`confalg.cohomology` and the binary products of
 :class:`~confalg.confcore.MultiTable`: an arity-1 table whose entry ``(j,)``
 is the image of the j-th source basis element, with coefficients in ``D``
 only (∂ on the output).  Applying a map is
-:func:`~confalg.confcore.eval_multilinear` on its table.
+:func:`~confalg.confcore.eval_multilinear` on its table, the composition
+``T ∘₁ x`` of the table with the argument as an arity-1 table.
 
 Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
 An entry names the optional inputs the identity reads (``with``, the

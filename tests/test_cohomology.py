@@ -481,6 +481,21 @@ def test_lifted_route_refuses_a_bimodule_over_another_algebra():
         derived_bracket_via_lifts(f, f, DUAL, NADJ)
 
 
+def test_the_differential_and_both_routes_refuse_a_bimodule_over_a_twin_algebra():
+    # Z has DUAL's module and the zero product: its adjoint has the right shape
+    foreign = ConfBimodule.adjoint(ConfAlgebra.associative(AM, {}))
+    f = random_cochain(7, 1, AM, AM, max_degree=1)
+    calls = (
+        lambda: hochschild_d(f, DUAL, foreign),
+        lambda: is_cocycle(helpers.neg_mult(), DUAL, foreign),
+        lambda: derived_bracket_direct(f, f, DUAL, foreign),
+        lambda: derived_bracket(f, f, DUAL, foreign),
+    )
+    for call in calls:
+        with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
+            call()
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**9))
 def test_derived_bracket_of_module_maps_matches_the_closed_form(seed):

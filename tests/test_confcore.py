@@ -41,6 +41,7 @@ from confalg.confcore import (
     twisted_extension,
     extension_iso,
 )
+from confalg.cohomology import Cochain
 from confalg.errors import (
     ArityMismatch,
     InvalidEntry,
@@ -89,6 +90,9 @@ def test_eval_substitutes_table_weights() -> None:
     table = MultiTable((NM, NM), NM, {(0, 0): L1 * b})
     assert eval_multilinear(table, (a, a), (L2,)) == L2 * b
     assert eval_multilinear(table, (a, a), (D,)) == D * b
+    # a weight variable inside an argument stays literal
+    assert eval_multilinear(table, (L1 * a, a), (L2,)) == L1 * L2 * b
+    assert eval_multilinear(table, (a, L2 * a), (L1 + L2,)) == (L1 + L2) * L2 * b
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,6 +194,22 @@ def _rand_arg(rng: random.Random, module: FreeModule):
     return helpers.rand_elem(rng, module, names=() if kind == 4 else ("D",))
 
 
+def _sym_fn(table: MultiTable):
+    """The oracle's evaluator of ``table``: a closure over sympy vectors and weights."""
+    return _oracle.cochain_fn(
+        table.arity, table.in_modules[0].rank, table.out_module.rank, helpers.sym_table(table)
+    )
+
+
+def _oracle_value(table: MultiTable, args, weights):
+    """The oracle's value of ``table`` on module elements at the given weights."""
+    return _sym_fn(table)([helpers.sym_vec(x) for x in args], [helpers.sym(w) for w in weights])
+
+
+def _assert_oracle_elem(elem, expected) -> None:
+    assert all(sp.expand(helpers.sym(c) - e) == 0 for c, e in zip(elem.coeffs, expected))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9), st.lists(st.integers(0, len(WEIGHTS) - 1), min_size=1, max_size=12))
 def test_cached_binary_evaluation_matches_a_cold_table_and_the_oracle(seed, order) -> None:
@@ -227,6 +247,59 @@ def test_cached_ternary_evaluation_matches_a_cold_table(seed, order) -> None:
         first = eval_multilinear(table, args, weights)
         assert eval_multilinear(table, args, weights) == first
         assert first == eval_multilinear(_cold(table), args, weights)
+        _assert_oracle_elem(first, _oracle_value(table, args, weights))
+
+
+# -- weight variables inside arguments -------------------------------------------
+
+# An argument's own λ variables are constants of the evaluation: only the
+# table's formal weights are bound to the actual weights.  Nested products rely
+# on this, as the inner product's weight stays in the outer product's argument.
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**9))
+def test_nested_products_match_the_oracle(seed: int) -> None:
+    rng = random.Random(seed)
+    alg = ConfAlgebra(AM, helpers.rand_table(rng, AM), "associative")
+    x, y, z = (helpers.rand_elem(rng, AM) for _ in range(3))
+    sx, sy, sz = map(helpers.sym_vec, (x, y, z))
+    sym_table, l1, l2 = helpers.sym_table(alg.table), _oracle.L[1], _oracle.L[2]
+
+    def ev2(p, q, w):
+        return _oracle.ev2(sym_table, AM.rank, p, q, w)
+
+    _assert_oracle_elem(alg.mul(x, alg.mul(y, z, L2), L1), ev2(sx, ev2(sy, sz, l2), l1))
+    _assert_oracle_elem(alg.mul(alg.mul(x, y, L1), z, L1 + L2), ev2(ev2(sx, sy, l1), sz, l1 + l2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**9), st.tuples(*[st.integers(0, len(WEIGHTS) - 1)] * 2))
+def test_ternary_cochain_evaluation_on_weighted_arguments_matches_the_oracle(seed, ks) -> None:
+    rng = random.Random(seed)
+    entries = {}
+    for idx in itertools.product(range(NM.rank), repeat=3):
+        value = helpers.rand_elem(rng, NM, names=("D", "L1", "L2"))
+        if not value.is_zero():
+            entries[idx] = value
+    phi = Cochain.from_entries(3, NM, NM, entries)
+    args = tuple(helpers.rand_elem(rng, NM, names=("D", "L1")) for _ in range(3))
+    weights = tuple(WEIGHTS[k]() for k in ks)
+    _assert_oracle_elem(phi.eval(args, weights), _oracle_value(phi.table, args, weights))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, len(WEIGHTS) - 1))
+def test_maps_and_actions_on_weighted_arguments_match_the_oracle(seed: int, k: int) -> None:
+    rng = random.Random(seed)
+    T = helpers.rand_map(rng, AM)
+    bim = ConfBimodule(DUAL, AM, helpers.rand_table(rng, AM), helpers.rand_table(rng, AM))
+    x, y = (helpers.rand_elem(rng, AM, names=("D", "L1", "t")) for _ in range(2))
+    sx, sy, w = helpers.sym_vec(x), helpers.sym_vec(y), WEIGHTS[k]()
+    matrix = [helpers.sym_vec(T.table.entry((j,))) for j in range(AM.rank)]
+    _assert_oracle_elem(T.apply(x), _oracle.apply_mat(matrix, AM.rank, sx))
+    expected = _oracle.ev2(helpers.sym_table(bim.left), AM.rank, sx, sy, helpers.sym(w))
+    _assert_oracle_elem(bim.act_left(x, y, w), expected)
 
 
 def test_basis_products_and_zero_arguments_evaluate_to_entries_and_zero() -> None:
@@ -278,26 +351,36 @@ def _random_table(rng: random.Random, in_modules, out_module) -> MultiTable:
     return MultiTable(in_modules, out_module, entries)
 
 
-def _nested(f: MultiTable, i: int, g: MultiTable) -> MultiTable:
-    """``f ∘_i g`` tabulated by evaluating ``g`` and then ``f`` on every basis tuple."""
+def _tabulated(ins, out, value) -> tuple:
+    """``(ins, out, values)``: ``value`` on every basis tuple of ``ins``, zeros kept."""
+    weights = [_oracle.L[k] for k in range(1, len(ins))]
+    values = {}
+    for idx in itertools.product(*(range(m.rank) for m in ins)):
+        args = [_oracle.basisv(m.rank, i) for i, m in zip(idx, ins)]
+        values[idx] = value(args, weights)
+    return tuple(ins), out, values
+
+
+def _nested(f: MultiTable, i: int, g: MultiTable) -> tuple:
+    """``f ∘_i g`` tabulated by the oracle: ``g`` and then ``f`` on every basis tuple."""
     m, n = f.arity, g.arity
+    f_fn, g_fn = _sym_fn(f), _sym_fn(g)
 
     def value(args, weights):
-        args, weights = list(args), list(weights)
-        inner = eval_multilinear(g, args[i - 1 : i + n - 1], weights[i - 1 : i + n - 2])
+        inner = g_fn(args[i - 1 : i + n - 1], weights[i - 1 : i + n - 2])
         if i < m:
-            merged = sum(weights[i - 1 : i + n - 1], Poly.zero())
+            merged = sum(weights[i - 1 : i + n - 1])
             f_weights = weights[: i - 1] + [merged] + weights[i + n - 1 :]
         else:
             f_weights = weights[: m - 1]
-        return eval_multilinear(f, args[: i - 1] + [inner] + args[i + n - 1 :], f_weights)
+        return f_fn(args[: i - 1] + [inner] + args[i + n - 1 :], f_weights)
 
-    ins = f.in_modules[: i - 1] + g.in_modules + f.in_modules[i:]
-    return MultiTable.from_function(ins, f.out_module, value)
+    return _tabulated(f.in_modules[: i - 1] + g.in_modules + f.in_modules[i:], f.out_module, value)
 
 
-def _swapped(f: MultiTable, p: int, q: int) -> MultiTable:
-    """``f`` with slots ``p < q`` exchanged, tabulated by evaluating at exchanged weights."""
+def _swapped(f: MultiTable, p: int, q: int) -> tuple:
+    """``f`` with slots ``p < q`` exchanged, tabulated by the oracle at exchanged weights."""
+    fn = _sym_fn(f)
 
     def value(args, weights):
         args, weights = list(args), list(weights)
@@ -305,12 +388,20 @@ def _swapped(f: MultiTable, p: int, q: int) -> MultiTable:
         if q < f.arity:
             weights[p - 1], weights[q - 1] = weights[q - 1], weights[p - 1]
         else:  # the last slot's argument has the weight −D − ΣL
-            weights[p - 1] = -D - sum(weights, Poly.zero())
-        return eval_multilinear(f, args, weights)
+            weights[p - 1] = -_oracle.D - sum(weights)
+        return fn(args, weights)
 
     ins = list(f.in_modules)
     ins[p - 1], ins[q - 1] = ins[q - 1], ins[p - 1]
-    return MultiTable.from_function(ins, f.out_module, value)
+    return _tabulated(ins, f.out_module, value)
+
+
+def _assert_tabulated(table: MultiTable, expected: tuple) -> None:
+    """``table`` has the shape and, on every basis tuple, the values of an oracle tabulation."""
+    ins, out, values = expected
+    assert (table.in_modules, table.out_module) == (ins, out)
+    nonzero = {idx: vec for idx, vec in values.items() if not _oracle.veq0(vec)}
+    helpers.assert_oracle_table(table, nonzero)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,7 +413,7 @@ def test_partial_composition_matches_nested_evaluation(m: int, n: int, data) -> 
     for i in range(1, m + 1):
         g_ins = tuple(data.draw(st.sampled_from(MODULES)) for _ in range(n))
         g = _random_table(rng, g_ins, f_ins[i - 1])
-        assert table_sum([(1, Circ(f, i, g))]) == _nested(f, i, g), i
+        _assert_tabulated(table_sum([(1, Circ(f, i, g))]), _nested(f, i, g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,7 +423,7 @@ def test_slot_swap_matches_evaluation_at_swapped_weights(m: int, data) -> None:
     ins = tuple(data.draw(st.sampled_from(MODULES)) for _ in range(m))
     f = _random_table(rng, ins, data.draw(st.sampled_from(MODULES)))
     for p, q in itertools.combinations(range(1, m + 1), 2):
-        assert table_sum([(1, Swap(f, p, q))]) == _swapped(f, p, q), (p, q)
+        _assert_tabulated(table_sum([(1, Swap(f, p, q))]), _swapped(f, p, q))
 
 
 def test_table_sum_accumulates_signed_terms_of_one_shape() -> None:
@@ -342,7 +433,12 @@ def test_table_sum_accumulates_signed_terms_of_one_shape() -> None:
     h = _random_table(rng, (AM, AM, AM), AM)
     q = Poly.var("q")
     total = table_sum([(1, Circ(f, 1, g)), (-2, Circ(g, 2, f)), (q, Swap(h, 1, 3)), (0, h)])
-    assert total == _nested(f, 1, g) - _nested(g, 2, f).scale(2) + _swapped(h, 1, 3).scale(q)
+    (ins, out, fg), (_, _, gf), (_, _, hh) = _nested(f, 1, g), _nested(g, 2, f), _swapped(h, 1, 3)
+    sq = sp.Symbol("q")
+    values = {
+        idx: tuple(x - 2 * y + sq * z for x, y, z in zip(fg[idx], gf[idx], hh[idx])) for idx in fg
+    }
+    _assert_tabulated(total, (ins, out, values))
     assert table_sum([(1, f), (-1, f)]).is_zero()
     with pytest.raises(ShapeMismatch):
         table_sum([(1, f), (1, Circ(f, 1, g))])

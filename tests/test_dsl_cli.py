@@ -830,6 +830,35 @@ def test_cli_broken_corpus_exit_codes(capsys):
         capsys.readouterr()
 
 
+def test_cli_refuses_a_bimodule_over_another_algebra_on_the_same_basis(tmp_path, capsys):
+    source = tmp_path / "twin.cfa"
+    source.write_text(
+        A2_SOURCE
+        + """
+algebra Z {
+  basis u, v;
+}
+bimodule B adjoint Z;
+cocycle phi on A2 {
+  value u u = v;
+}
+check cocycle phi with B;
+"""
+    )
+    refused = ("error", "bimodule was built over a different algebra")
+    assert main(["check", str(source), "--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["identity"], r["status"], r["detail"]) for r in records] == [
+        ("check cocycle phi", *refused)
+    ]
+    command = ["cohomology", "d2-check", "--algebra", "A2", "--bimodule", "B", str(source)]
+    assert main(command + ["--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["identity"], r["status"], r["detail"]) for r in records[-1:]] == [
+        ("d2-check", *refused)
+    ]
+
+
 def test_cli_failure_output_names_witnesses(capsys):
     assert main(["check", str(FIXTURES / "broken_assoc.cfa")]) == 1
     out = capsys.readouterr().out
