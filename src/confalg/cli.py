@@ -37,6 +37,7 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the command line; ``main`` keeps one of these per process."""
     parser = argparse.ArgumentParser(
         prog="confalg",
         description="exact checks and constructions for conformal algebras",
@@ -93,6 +94,23 @@ def build_parser() -> argparse.ArgumentParser:
     bracket.add_argument("--right", required=True, metavar="NAME", help="map or cocycle")
 
     return parser
+
+
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the process.
+
+    Parsing leaves an ``ArgumentParser`` unchanged, so repeated ``main`` calls
+    in one interpreter pay only for their file; importing this module builds
+    nothing. Threads that race on the first call may each build one, and
+    every one of them parses alike.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
 
 
 def _print_report(report: Report, *, json_mode: bool, show_emitted: bool) -> None:
@@ -200,7 +218,7 @@ def _run_file(args, echo: str) -> Report:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     echo = " ".join(
         part for part in (args.command, getattr(args, "subcommand", None), args.file) if part
     )

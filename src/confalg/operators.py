@@ -286,7 +286,7 @@ def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     if bim is None:
         raise ShapeMismatch(f"{kind} needs a bimodule")
     if bim.algebra != alg:
-        raise ShapeMismatch("the bimodule was built over a different algebra")
+        raise ModuleMismatch("bimodule was built over a different algebra")
     if T.source != bim.module or T.target != alg.module:
         raise ShapeMismatch(f"{kind} needs a map from the module into the algebra")
     return ins
@@ -307,7 +307,7 @@ def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
 def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     acting = ins.bim if ins.bim is not None else ConfBimodule.adjoint(ins.alg)
     if acting.algebra != ins.alg:
-        raise ShapeMismatch("the bimodule was built over a different algebra")
+        raise ModuleMismatch("bimodule was built over a different algebra")
     if T.source != ins.alg.module or T.target != acting.module:
         raise ShapeMismatch("Derivation needs a map from the algebra into the module")
     return ins._replace(bim=acting)

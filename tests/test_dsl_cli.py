@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confalg.cli import main
+from confalg import cli
+from confalg.cli import build_parser, main
 from confalg.cohomology import Cochain, random_cochain
 from confalg.confcore import Composite, ConfAlgebra, FreeModule, MultiTable
 from confalg.dsl import (
@@ -1162,3 +1164,82 @@ def test_cli_cohomology_bracket(capsys):
     )
     assert code == 0
     assert "degree 3" in capsys.readouterr().out
+
+
+# -- the shared parser --------------------------------------------------------------
+
+ALL = str(FIXTURES / "all.cfa")
+CLI_RUNS = (
+    ["check", ALL],
+    ["construct", ALL, "--json"],
+    ["cohomology", "d2-check", ALL, "--seed", "3", "--count", "2"],
+    ["cohomology", "mc-check", ALL, "--map", "T", "--algebra", "A2"],
+)
+
+
+def _untimed_run(argv, capsys):
+    """Exit code and standard output of one ``main`` call, timings removed."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    out = re.sub(r'"elapsed_ms": [^,\n}]+', '"elapsed_ms": 0', out)
+    return code, re.sub(r"\([0-9.]+ ms\)", "(ms)", out)
+
+
+def test_main_builds_one_parser_per_process_and_reuses_it(monkeypatch, capsys):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    first = [_untimed_run(argv, capsys) for argv in CLI_RUNS]
+    # each argv again, after all the others have run
+    again = [_untimed_run(argv, capsys) for argv in reversed(CLI_RUNS)][::-1]
+    assert len(builds) == 1
+    assert [code for code, _ in first] == [0, 0, 0, 0]
+    assert again == first
+
+
+def test_usage_errors_and_version_leave_the_shared_parser_intact(capsys):
+    argv = ["check", ALL, "--json"]
+    before = _untimed_run(argv, capsys)
+    assert _untimed_run([*argv, "--seed", "9", "--witness-cap", "2"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["check"])
+    assert usage.value.code == 2
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out.startswith("confalg ")
+    after = _untimed_run(argv, capsys)
+    assert after == before
+    assert json.loads(after[1])["seed"] == 0
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import confalg.cli\n"
+        "print(len(built), confalg.cli._PARSER)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0 None\n", "")

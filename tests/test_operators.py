@@ -250,6 +250,14 @@ def test_operator_kind_validation() -> None:
         verify_operator("OLie", SHIFT, commutator_lie(DUAL))  # no rep given
 
 
+def test_operators_refuse_a_bimodule_over_a_twin_algebra() -> None:
+    # Z has DUAL's module and the zero product: its adjoint has the right shape
+    foreign = ConfBimodule.adjoint(ConfAlgebra.associative(AM, {}))
+    for kind in ("O", "Derivation"):
+        with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
+            verify_operator(kind, IDENT, DUAL, bim=foreign)
+
+
 def test_inputs_a_kind_does_not_read_are_rejected() -> None:
     with pytest.raises(PreconditionFailed, match="Nijenhuis reads no with or weight input"):
         verify_operator("Nijenhuis", IDENT, DUAL, ADJ, weight=7)
