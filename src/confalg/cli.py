@@ -130,8 +130,6 @@ def _print_report(report: Report, *, json_mode: bool, show_emitted: bool) -> Non
 
 def _pick_algebra(env: Environment, name: Optional[str]):
     if name is not None:
-        if name not in env.algebras:
-            raise UnresolvedName(f"unknown algebra {name!r}")
         return name, env.algebras[name]
     if not env.algebras:
         raise UnresolvedName("the file declares no algebra")
@@ -141,18 +139,14 @@ def _pick_algebra(env: Environment, name: Optional[str]):
 
 def _pick_bimodule(env: Environment, name: Optional[str], algebra) -> Tuple[str, ConfBimodule]:
     if name is not None:
-        if name not in env.bimodules:
-            raise UnresolvedName(f"unknown bimodule {name!r}")
         return name, env.bimodules[name]
     return "adjoint", ConfBimodule.adjoint(algebra)
 
 
 def _as_self_cochain(env: Environment, name: str) -> Cochain:
-    if name in env.maps:
-        return Cochain.from_module_map(env.maps[name])
-    if name in env.cocycles:
-        return env.cocycles[name][0]
-    raise UnresolvedName(f"unknown map or cocycle {name!r}")
+    found = env.lookup(name, env.maps, env.cocycles)
+    # a cocycle is kept with the names of its algebra and bimodule
+    return found[0] if isinstance(found, tuple) else Cochain.from_module_map(found)
 
 
 def _cmd_d2_check(args, env: Environment, started: float) -> Record:
@@ -171,11 +165,10 @@ def _cmd_d2_check(args, env: Environment, started: float) -> Record:
 
 
 def _cmd_mc_check(args, env: Environment, started: float) -> Record:
-    if args.map not in env.maps:
-        raise UnresolvedName(f"unknown map {args.map!r}")
+    T = env.maps[args.map]
     alg_name, alg = _pick_algebra(env, args.algebra)
     bim_name, bim = _pick_bimodule(env, args.bimodule, alg)
-    verdict = maurer_cartan_check(env.maps[args.map], alg, bim)
+    verdict = maurer_cartan_check(T, alg, bim)
     identity = f"mc-check {args.map} on {alg_name} with {bim_name}"
     return _verdict_record(identity, verdict, started, detail=verdict.summary())
 

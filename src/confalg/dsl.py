@@ -1,7 +1,9 @@
 """Parser, executor, and emitter for the structure-definition language.
 
 A source file declares algebras, bimodules, cocycles, and module maps, then
-runs ``check`` and ``construct`` statements against them::
+runs ``check`` and ``construct`` statements against them.  Each kind of
+statement is one entry of :data:`STATEMENTS`, which gives the clauses it
+reads and the function that runs it::
 
     algebra A2 {
       basis u, v;
@@ -36,7 +38,8 @@ import json
 import random
 import time
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .confcore import (
     Composite,
@@ -69,7 +72,6 @@ from .errors import (
     PreconditionFailed,
     UnresolvedName,
 )
-from .operators import KINDS as OPERATOR_KINDS
 from .operators import REGISTRY as OPERATORS
 from .operators import ModuleMap, verify_operator
 from .polyring import Poly, Token, _PolyParser, _tokenize
@@ -88,31 +90,8 @@ __all__ = [
 #: concrete variable spellings accepted in coefficient expressions
 VAR_ALIASES: Mapping[str, str] = {"D": "D", "L": "L1", "L1": "L1", "L2": "L2", "M": "L2"}
 
-#: keywords that cannot be used as declaration or basis names
-KEYWORDS = frozenset(
-    {
-        "algebra",
-        "bimodule",
-        "cocycle",
-        "map",
-        "check",
-        "construct",
-        "basis",
-        "product",
-        "value",
-        "left",
-        "right",
-        "lie",
-        "adjoint",
-        "over",
-        "on",
-        "into",
-        "with",
-        "twist",
-        "weight",
-        "as",
-    }
-)
+#: the field of a statement that holds each clause, in the order error messages name them
+CLAUSE_FIELDS = {"on": "on", "with": "with_", "twist": "twist", "weight": "weight", "as": "as_"}
 
 # -- abstract syntax -----------------------------------------------------------------
 
@@ -129,6 +108,8 @@ class AlgebraDecl(NamedTuple):
     products: Tuple[Tuple[str, str, Expr], ...]
     line: int
 
+    namespace = "algebra"
+
 
 class BimoduleDecl(NamedTuple):
     name: str
@@ -139,6 +120,8 @@ class BimoduleDecl(NamedTuple):
     right: Tuple[Tuple[str, str, Expr], ...]
     line: int
 
+    namespace = "bimodule"
+
 
 class CocycleDecl(NamedTuple):
     name: str
@@ -146,6 +129,8 @@ class CocycleDecl(NamedTuple):
     into: Optional[str]  # bimodule carrying the values; None = the algebra itself
     values: Tuple[Tuple[str, str, Expr], ...]
     line: int
+
+    namespace = "cocycle"
 
 
 class MapDecl(NamedTuple):
@@ -155,28 +140,26 @@ class MapDecl(NamedTuple):
     images: Tuple[Tuple[str, Expr], ...]
     line: int
 
+    namespace = "map"
 
-class CheckStmt(NamedTuple):
+
+class Statement(NamedTuple):
+    """A ``check`` or ``construct`` statement, run by its :data:`STATEMENTS` entry."""
+
+    verb: str  # "check" | "construct"
     kind: str
     name: str
     on: Optional[str]
     with_: Optional[str]
     twist: Optional[str]
     weight: Optional[Union[Fraction, str]]  # a rational or a parameter name
-    line: int
-
-
-class ConstructStmt(NamedTuple):
-    kind: str
-    name: str
-    on: Optional[str]
-    with_: Optional[str]
-    twist: Optional[str]
     as_: Optional[str]
     line: int
 
+    namespace = None  # a statement declares no name
 
-Declaration = Union[AlgebraDecl, BimoduleDecl, CocycleDecl, MapDecl, CheckStmt, ConstructStmt]
+
+Declaration = Union[AlgebraDecl, BimoduleDecl, CocycleDecl, MapDecl, Statement]
 
 
 class SourceFile(NamedTuple):
@@ -360,69 +343,40 @@ class _Parser(_PolyParser):
         self.expect_punct("}")
         return MapDecl(name, source, target, tuple(images), head[2])
 
-    def parse_clauses(self, allow_weight: bool, allow_as: bool):
-        on = with_ = twist = as_ = None
-        weight: Optional[Union[Fraction, str]] = None
-        while self.peek()[0] == "name" and self.peek()[1] in ("on", "with", "twist", "weight", "as"):
+    def parse_weight(self) -> Union[Fraction, str]:
+        negate = self.at_punct("-")
+        if negate:
+            self.advance()
+        if self.peek()[0] == "number":
+            value = self.parse_number().constant_term()
+            return -value if negate else value
+        if negate:
+            raise self.fail("expected a number after '-'")
+        return self.fresh_name("a weight parameter")
+
+    def parse_statement(self) -> Statement:
+        head = self.advance()
+        verb = head[1]
+        kind = self.expect_name(f"a {verb} kind")
+        if (verb, kind) not in STATEMENTS:
+            raise self.fail(f"unknown {verb} kind {kind!r}; expected {_expected_kinds(verb)}", head)
+        name = self.fresh_name("the name to check" if verb == "check" else "an operator name")
+        clauses = dict.fromkeys(CLAUSE_FIELDS.values())
+        while self.peek()[0] == "name" and self.peek()[1] in CLAUSE_FIELDS:
             word = self.advance()[1]
-            if word == "weight":
-                if not allow_weight:
-                    raise self.fail("'weight' is only valid in check statements")
-                negate = self.at_punct("-")
-                if negate:
-                    self.advance()
-                if self.peek()[0] == "number":
-                    value = self.parse_number().constant_term()
-                    weight = -value if negate else value
-                elif negate:
-                    raise self.fail("expected a number after '-'")
-                else:
-                    weight = self.fresh_name("a weight parameter")
-                continue
-            if word == "as":
-                if not allow_as:
-                    raise self.fail("'as' is only valid in construct statements")
-                as_ = self.fresh_name("a result name")
-                continue
-            value = self.fresh_name(f"a name after {word!r}")
-            if word == "on":
-                on = value
-            elif word == "with":
-                with_ = value
-            else:
-                twist = value
-        return on, with_, twist, weight, as_
-
-    def parse_check(self) -> CheckStmt:
-        head = self.expect_keyword("check")
-        kind = self.expect_name("a check kind")
-        if kind not in OPERATOR_KINDS and kind not in STRUCTURE_CHECK_KINDS:
-            raise self.fail(
-                f"unknown check kind {kind!r}; expected an operator kind "
-                f"{tuple(sorted(OPERATOR_KINDS))} or one of {STRUCTURE_CHECK_KINDS}",
-                head,
-            )
-        name = self.fresh_name("the name to check")
-        on, with_, twist, weight, _ = self.parse_clauses(allow_weight=True, allow_as=False)
+            if word not in VERB_CLAUSES[verb]:
+                other = next(v for v, words in VERB_CLAUSES.items() if word in words)
+                raise self.fail(f"{word!r} is only valid in {other} statements")
+            what = "a result name" if word == "as" else f"a name after {word!r}"
+            value = self.parse_weight() if word == "weight" else self.fresh_name(what)
+            clauses[CLAUSE_FIELDS[word]] = value
         self.expect_punct(";")
-        return CheckStmt(kind, name, on, with_, twist, weight, head[2])
-
-    def parse_construct(self) -> ConstructStmt:
-        head = self.expect_keyword("construct")
-        kind = self.expect_name("a construct kind")
-        if kind not in CONSTRUCT_KINDS:
-            raise self.fail(
-                f"unknown construct kind {kind!r}; expected one of {CONSTRUCT_KINDS}", head
-            )
-        name = self.fresh_name("an operator name")
-        on, with_, twist, _, as_ = self.parse_clauses(allow_weight=False, allow_as=True)
-        self.expect_punct(";")
-        return ConstructStmt(kind, name, on, with_, twist, as_, head[2])
+        return Statement(verb, kind, name, **clauses, line=head[2])
 
     #: the parser of each declaration, by its keyword
     DECLARATIONS = {
         "algebra": parse_algebra, "bimodule": parse_bimodule, "cocycle": parse_cocycle,
-        "map": parse_map, "check": parse_check, "construct": parse_construct,
+        "map": parse_map, "check": parse_statement, "construct": parse_statement,
     }
 
     def parse_file(self, path: str) -> SourceFile:
@@ -438,18 +392,24 @@ class _Parser(_PolyParser):
         return SourceFile(path, tuple(decls))
 
 
+#: keywords that cannot be used as declaration or basis names: the declaration
+#: words, the clause words of statements, and the words inside declarations
+KEYWORDS = frozenset(_Parser.DECLARATIONS).union(
+    CLAUSE_FIELDS, ("basis", "product", "value", "left", "right", "lie", "adjoint", "over", "into")
+)
+
+
 def parse(text: str, path: str = "<string>") -> SourceFile:
     """Parse source text, enforcing per-kind uniqueness of declared names."""
     sf = _Parser(_tokenize(text)).parse_file(path)
     seen: Dict[Tuple[str, str], int] = {}
     for decl in sf.declarations:
-        kind = _namespace_of(decl)
-        if kind is None:
+        if decl.namespace is None:
             continue
-        key = (kind, decl.name)
+        key = (decl.namespace, decl.name)
         if key in seen:
             raise DuplicateName(
-                f"{kind} {decl.name!r} redeclared on line {decl.line} "
+                f"{decl.namespace} {decl.name!r} redeclared on line {decl.line} "
                 f"(first declared on line {seen[key]})"
             )
         seen[key] = decl.line
@@ -470,91 +430,68 @@ def parse_file(path: str) -> SourceFile:
     return parse(io.StringIO(text, newline=None).read(), path)
 
 
-def _namespace_of(decl: Declaration) -> Optional[str]:
-    if isinstance(decl, AlgebraDecl):
-        return "algebra"
-    if isinstance(decl, BimoduleDecl):
-        return "bimodule"
-    if isinstance(decl, CocycleDecl):
-        return "cocycle"
-    if isinstance(decl, MapDecl):
-        return "map"
-    return None
-
-
 # -- static resolution -----------------------------------------------------------
 
 
-def _construct_name(stmt: ConstructStmt) -> str:
+def _construct_name(stmt: Statement) -> str:
     """The name a construct's result is bound to: its ``as`` name or ``<kind>_<map>``."""
     return stmt.as_ or f"{stmt.kind}_{stmt.name}"
 
 
-def resolve(sf: SourceFile) -> None:
-    """Verify every reference names an earlier declaration of the right kind."""
-    algebras: set = set()
-    bimodules: set = set()
-    cocycles: set = set()
-    maps: set = set()
+def resolve(sf: SourceFile) -> Dict[str, set]:
+    """Verify every reference names an earlier declaration of the right kind.
 
-    def need(name: Optional[str], pool: set, kind: str, line: int) -> None:
-        if name is not None and name not in pool:
-            raise UnresolvedName(f"unknown {kind} {name!r} referenced on line {line}")
+    Returns the names declared in each namespace; construct results are algebras.
+    """
+    declared: Dict[str, set] = {"algebra": set(), "bimodule": set(), "cocycle": set(), "map": set()}
+
+    def need(name: Optional[str], namespace: str, line: int) -> None:
+        if name is not None and name not in declared[namespace]:
+            raise UnresolvedName(f"unknown {namespace} {name!r} referenced on line {line}")
 
     for decl in sf.declarations:
+        if isinstance(decl, Statement):
+            entry = STATEMENTS[decl.verb, decl.kind]
+            need(decl.name, entry.namespace, decl.line)
+            need(decl.on, "algebra", decl.line)
+            need(decl.with_, "bimodule", decl.line)
+            need(decl.twist, "cocycle", decl.line)
+            if decl.as_ is not None and "as" not in entry.reads:
+                yielding = [kind for (_, kind), e in STATEMENTS.items() if "as" in e.reads]
+                raise UnresolvedName(
+                    f"'as' on line {decl.line} needs a construct that yields an "
+                    f"algebra ({' or '.join(yielding)}), not {decl.kind!r}"
+                )
+            if "as" in entry.reads:
+                name = _construct_name(decl)
+                if name in declared["algebra"]:
+                    raise DuplicateName(
+                        f"algebra {name!r} redeclared by construct on line {decl.line}; "
+                        f"give the construct another 'as' name"
+                    )
+                declared["algebra"].add(name)
+            continue
         if isinstance(decl, AlgebraDecl):
-            if decl.name in algebras:
+            if decl.name in declared["algebra"]:
                 # parse() already rejects twin declarations, so the only way to
                 # get here is a clash with a construct-registered name
                 raise DuplicateName(
                     f"algebra {decl.name!r} on line {decl.line} collides with a "
                     f"construct result of the same name; give the construct another 'as' name"
                 )
-            algebras.add(decl.name)
         elif isinstance(decl, BimoduleDecl):
-            need(decl.algebra, algebras, "algebra", decl.line)
-            bimodules.add(decl.name)
+            need(decl.algebra, "algebra", decl.line)
         elif isinstance(decl, CocycleDecl):
-            need(decl.algebra, algebras, "algebra", decl.line)
-            need(decl.into, bimodules, "bimodule", decl.line)
-            cocycles.add(decl.name)
-        elif isinstance(decl, MapDecl):
+            need(decl.algebra, "algebra", decl.line)
+            need(decl.into, "bimodule", decl.line)
+        else:  # a map
             for endpoint in (decl.source, decl.target):
-                if endpoint not in algebras and endpoint not in bimodules:
+                if endpoint not in declared["algebra"] and endpoint not in declared["bimodule"]:
                     raise UnresolvedName(
                         f"unknown algebra or bimodule {endpoint!r} referenced on line {decl.line}"
                     )
-            maps.add(decl.name)
-        elif isinstance(decl, CheckStmt):
-            if decl.kind in OPERATOR_KINDS:
-                need(decl.name, maps, "map", decl.line)
-            elif decl.kind in ("associative", "lie"):
-                need(decl.name, algebras, "algebra", decl.line)
-            elif decl.kind == "bimodule":
-                need(decl.name, bimodules, "bimodule", decl.line)
-            else:
-                need(decl.name, cocycles, "cocycle", decl.line)
-            need(decl.on, algebras, "algebra", decl.line)
-            need(decl.with_, bimodules, "bimodule", decl.line)
-            need(decl.twist, cocycles, "cocycle", decl.line)
-        elif isinstance(decl, ConstructStmt):
-            need(decl.name, maps, "map", decl.line)
-            need(decl.on, algebras, "algebra", decl.line)
-            need(decl.with_, bimodules, "bimodule", decl.line)
-            need(decl.twist, cocycles, "cocycle", decl.line)
-            if decl.as_ is not None and decl.kind not in ("mass", "deformed"):
-                raise UnresolvedName(
-                    f"'as' on line {decl.line} needs a construct that yields an "
-                    f"algebra (mass or deformed), not {decl.kind!r}"
-                )
-            if decl.kind in ("mass", "deformed"):
-                name = _construct_name(decl)
-                if name in algebras:
-                    raise DuplicateName(
-                        f"algebra {name!r} redeclared by construct on line {decl.line}; "
-                        f"give the construct another 'as' name"
-                    )
-                algebras.add(name)
+        declared[decl.namespace].add(decl.name)
+    return declared
 
 
 # -- reports -----------------------------------------------------------------------
@@ -633,33 +570,42 @@ def _verdict_record(
 class _Built(dict):
     """The objects of one kind built so far, by name.
 
-    :func:`resolve` has checked every reference, so a missing name is one whose
-    declaration or construct raised; looking it up raises :class:`UnresolvedName`.
+    Looking up a missing name raises :class:`UnresolvedName`.  A name that
+    ``declared`` (see :func:`resolve`) holds for this kind is one whose
+    declaration or construct raised; any other was never declared.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, declared: Mapping[str, set]) -> None:
         super().__init__()
         self.kind = kind
+        self.declared = declared.get(kind, ())
 
     def __missing__(self, name: str):
-        raise UnresolvedName(f"{self.kind} {name!r} was not built: its statement failed")
+        if name in self.declared:
+            raise UnresolvedName(f"{self.kind} {name!r} was not built: its statement failed")
+        raise UnresolvedName(f"unknown {self.kind} {name!r}")
 
 
 class Environment:
-    """Named objects built while executing a source file."""
+    """Named objects built while executing a source file that declares ``declared``."""
 
-    def __init__(self) -> None:
-        self.algebras: Dict[str, ConfAlgebra] = _Built("algebra")
-        self.bimodules: Dict[str, ConfBimodule] = _Built("bimodule")
-        self.cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = _Built("cocycle")
-        self.maps: Dict[str, ModuleMap] = _Built("map")
+    def __init__(self, declared: Mapping[str, set] = MappingProxyType({})) -> None:
+        self.algebras: Dict[str, ConfAlgebra] = _Built("algebra", declared)
+        self.bimodules: Dict[str, ConfBimodule] = _Built("bimodule", declared)
+        self.cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = _Built("cocycle", declared)
+        self.maps: Dict[str, ModuleMap] = _Built("map", declared)
+
+    def lookup(self, name: str, *pools: _Built):
+        """The object ``name`` from the first of ``pools`` that built it, else that declared it."""
+        found = [pool for pool in pools if name in pool] or [
+            pool for pool in pools if name in pool.declared
+        ]
+        if found:
+            return found[0][name]  # raises if its statement failed
+        raise UnresolvedName(f"unknown {' or '.join(pool.kind for pool in pools)} {name!r}")
 
     def module_of(self, name: str) -> FreeModule:
-        if name in self.algebras:
-            return self.algebras[name].module
-        if name in self.bimodules:
-            return self.bimodules[name].module
-        raise UnresolvedName(f"unknown algebra or bimodule {name!r}")
+        return self.lookup(name, self.algebras, self.bimodules).module
 
 
 def _eval_expr(expr: Expr, module: FreeModule) -> ModElem:
@@ -738,178 +684,195 @@ def _declare(env: Environment, decl: Declaration) -> None:
             if name in images:
                 raise DuplicateName(f"image of {name!r} given twice")
             images[name] = _eval_expr(expr, target)
-        for name in source.basis:
-            images.setdefault(name, target.zero())
         env.maps[decl.name] = ModuleMap.from_images(source, target, images)
 
 
-def _reject_unread(stmt: Union[CheckStmt, ConstructStmt], reads: Tuple[str, ...]) -> None:
+def _reject_unread(stmt: Statement, reads: Tuple[str, ...]) -> None:
     """Raise if the statement has a clause that its kind does not read."""
-    given = {
-        "on": stmt.on,
-        "with": stmt.with_,
-        "twist": stmt.twist,
-        "weight": getattr(stmt, "weight", None),
-    }
-    unread = [
-        f"'{name}'" for name, value in given.items() if value is not None and name not in reads
-    ]
+    given = [clause for clause, field in CLAUSE_FIELDS.items() if getattr(stmt, field) is not None]
+    unread = " or ".join(f"'{clause}'" for clause in given if clause not in reads)
     if unread:
-        verb = "check" if isinstance(stmt, CheckStmt) else "construct"
         raise PreconditionFailed(
-            f"{verb} {stmt.kind} reads no {' or '.join(unread)} clause (line {stmt.line})"
+            f"{stmt.verb} {stmt.kind} reads no {unread} clause (line {stmt.line})"
         )
 
 
-def _operator_context(env: Environment, stmt: CheckStmt):
-    """The map, the algebra and the inputs (only those the kind reads) of an operator check."""
+def _required(stmt: Statement, value, clause: str):
+    """``value``, given by the statement's ``clause``; raise if the statement has none."""
+    if value is None:
+        raise PreconditionFailed(
+            f"{stmt.verb} {stmt.kind} needs {clause} clause (line {stmt.line})"
+        )
+    return value
+
+
+_WITH = "a 'with <bimodule>'"
+
+#: the verdict of a construct that has nothing to check beyond its building
+_BUILT = Verdict("built", True, ())
+
+#: what running a statement gives: its verdict, the structure it built, and its record's detail
+Outcome = Tuple[Union[Verdict, Composite], object, Optional[str]]
+
+
+def _check_operator(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    """The map's identity on the algebra, with the inputs its registry entry reads."""
     spec = OPERATORS[stmt.kind]
-    if stmt.on is None:
-        raise PreconditionFailed(
-            f"check {stmt.kind} needs an 'on <algebra>' clause (line {stmt.line})"
-        )
-    T = env.maps[stmt.name]
-    alg = env.algebras[stmt.on]
+    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
     inputs: dict = {}
     if stmt.twist is not None:
         inputs["twist"] = env.cocycles[stmt.twist][0]
     if stmt.weight is not None:
-        weight = stmt.weight
-        inputs["weight"] = Poly.var(weight) if isinstance(weight, str) else weight
+        inputs["weight"] = Poly.var(stmt.weight) if isinstance(stmt.weight, str) else stmt.weight
     bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
     if "rep" not in spec.reads:
         inputs["bim"] = bim
-    elif bim is None:
-        raise PreconditionFailed(
-            f"check {stmt.kind} needs a 'with <bimodule>' clause (line {stmt.line})"
-        )
     elif alg.flavor == "associative":  # the commutator representation of the bimodule
-        inputs["rep"] = rep_from_bimodule(alg, bim)
+        inputs["rep"] = rep_from_bimodule(alg, _required(stmt, bim, _WITH))
     else:  # a bimodule over a Lie algebra acts by its left action: the bracket, if adjoint
+        bim = _required(stmt, bim, _WITH)
         inputs["rep"] = LieRep(bim.algebra, bim.module, bim.left)
     if spec.flavor == "lie" and alg.flavor == "associative":
         # a Lie identity on an associative algebra is checked on its commutator bracket
         alg = commutator_lie(alg)
-    return T, alg, inputs
+    return verify_operator(stmt.kind, T, alg, cap=cap, **inputs), None, None
 
 
-#: the clauses each structure check reads
-STRUCTURE_CHECK_CLAUSES: Mapping[str, Tuple[str, ...]] = {
-    "associative": (),
-    "lie": (),
-    "bimodule": (),
-    "cocycle": ("with",),
-}
-STRUCTURE_CHECK_KINDS = tuple(STRUCTURE_CHECK_CLAUSES)
-
-#: the clause of a check statement that supplies each input an operator kind reads
-_INPUT_CLAUSES = {"with": "with", "rep": "with", "twist": "twist", "weight": "weight"}
+def _check_bimodule(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    bim = env.bimodules[stmt.name]
+    return check_bimodule(bim.algebra, bim, cap=cap), None, None
 
 
-def _check_clauses(kind: str) -> Tuple[str, ...]:
-    """The clauses a check of this kind reads; an operator kind's come from its registry entry."""
-    if kind in OPERATORS:
-        return ("on",) + tuple(_INPUT_CLAUSES[name] for name in OPERATORS[kind].reads)
-    return STRUCTURE_CHECK_CLAUSES[kind]
+def _check_cocycle(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    """The 2-cocycle identity, valued in the ``with`` bimodule, else its own, else the adjoint."""
+    phi, alg_name, into = env.cocycles[stmt.name]
+    alg = env.algebras[alg_name]
+    values = stmt.with_ or into
+    bim = env.bimodules[values] if values is not None else ConfBimodule.adjoint(alg)
+    return is_cocycle(phi, alg, bim, cap=cap), None, None
 
 
-def _run_check(env: Environment, stmt: CheckStmt, cap: int) -> Record:
-    identity = f"check {stmt.kind} {stmt.name}"
-    started = time.perf_counter()
-    _reject_unread(stmt, _check_clauses(stmt.kind))
-    if stmt.kind in OPERATOR_KINDS:
-        T, alg, inputs = _operator_context(env, stmt)
-        verdict = verify_operator(stmt.kind, T, alg, cap=cap, **inputs)
-    elif stmt.kind == "associative":
-        verdict = check_associative(env.algebras[stmt.name], cap=cap)
-    elif stmt.kind == "lie":
-        verdict = check_lie(env.algebras[stmt.name], cap=cap)
-    elif stmt.kind == "bimodule":
-        bim = env.bimodules[stmt.name]
-        verdict = check_bimodule(bim.algebra, bim, cap=cap)
-    else:  # cocycle
-        phi, alg_name, into = env.cocycles[stmt.name]
-        alg = env.algebras[alg_name]
-        if stmt.with_ is not None:
-            bim = env.bimodules[stmt.with_]
-        elif into is not None:
-            bim = env.bimodules[into]
-        else:
-            bim = ConfBimodule.adjoint(alg)
-        verdict = is_cocycle(phi, alg, bim, cap=cap)
-    return _verdict_record(identity, verdict, started)
-
-
-#: the clauses each construct reads; ``ns`` reads ``with`` only together with ``twist``
-CONSTRUCT_CLAUSES: Mapping[str, Tuple[str, ...]] = {
-    "dendriform": ("on", "with"),
-    "ns": ("on", "with", "twist"),
-    "mass": ("on", "with", "twist"),
-    "leftsym": ("on", "with"),
-    "deformed": ("on",),
-}
-CONSTRUCT_KINDS = tuple(CONSTRUCT_CLAUSES)
-
-
-def _run_construct(env: Environment, stmt: ConstructStmt, cap: int) -> Record:
-    identity = f"construct {stmt.kind} {stmt.name}"
-    started = time.perf_counter()
-    _reject_unread(stmt, CONSTRUCT_CLAUSES[stmt.kind])
-    if stmt.on is None:
-        raise PreconditionFailed(
-            f"construct {stmt.kind} needs an 'on <algebra>' clause (line {stmt.line})"
-        )
-    T = env.maps[stmt.name]
-    alg = env.algebras[stmt.on]
+def _construct_inputs(env: Environment, stmt: Statement):
+    """The map, algebra, bimodule and twist a construct names; ``None`` for an absent clause."""
+    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
     bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
     twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
-    base = _construct_name(stmt)
+    return T, alg, bim, twist
 
-    def need_bim() -> ConfBimodule:
-        if bim is None:
-            raise PreconditionFailed(
-                f"construct {stmt.kind} needs a 'with <bimodule>' clause (line {stmt.line})"
-            )
-        return bim
 
-    if stmt.kind == "dendriform":
-        bundle = dendriform_from_O(T, alg, need_bim(), cap=cap)
-        emitted = emit_dsl(bundle, base)
-    elif stmt.kind == "ns":
-        if twist is not None:
-            bundle = ns_from_twisted(T, alg, need_bim(), twist, cap=cap)
-        else:
-            _reject_unread(stmt, ("on",))
-            bundle = ns_from_nijenhuis(T, alg, cap=cap)
-        emitted = emit_dsl(bundle, base)
-    elif stmt.kind == "leftsym":
-        bundle = leftsym_from_dendriform(dendriform_from_O(T, alg, need_bim(), cap=cap), cap=cap)
-        emitted = emit_dsl(bundle, base)
-    elif stmt.kind == "mass":
-        star = m_ass(T, alg, need_bim(), twist)
-        env.algebras[base] = star
-        emitted = emit_dsl(star, base)
-    else:  # deformed
-        circ, defect = deformed_product(T, alg)
-        env.algebras[base] = circ
-        emitted = emit_dsl(circ, base)
-        if not defect.is_zero():
-            witnesses = tuple(
-                {
-                    "names": [alg.module.basis[i] for i in idx],
-                    "residual": str(value),
-                }
-                for idx, value in sorted(defect.table.entries.items())
-            )[:cap]
-            return Record(
-                identity,
-                "fails",
-                witnesses,
-                _ms_since(started),
-                "the deformation defect (the candidate's cocycle error) is nonzero",
-                emitted,
-            )
-    return Record(identity, "holds", (), _ms_since(started), None, emitted)
+def _dendriform(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    T, alg, bim, _ = _construct_inputs(env, stmt)
+    return _BUILT, dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap), None
+
+
+def _ns(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    """From a twisted Rota-Baxter operator with a twist, else from a Nijenhuis operator."""
+    T, alg, bim, twist = _construct_inputs(env, stmt)
+    if twist is not None:
+        return _BUILT, ns_from_twisted(T, alg, _required(stmt, bim, _WITH), twist, cap=cap), None
+    _reject_unread(stmt, ("on",))  # without a twist, ns reads no 'with'
+    return _BUILT, ns_from_nijenhuis(T, alg, cap=cap), None
+
+
+def _mass(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    T, alg, bim, twist = _construct_inputs(env, stmt)
+    return _BUILT, m_ass(T, alg, _required(stmt, bim, _WITH), twist), None
+
+
+def _leftsym(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    T, alg, bim, _ = _construct_inputs(env, stmt)
+    dendriform = dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap)
+    return _BUILT, leftsym_from_dendriform(dendriform, cap=cap), None
+
+
+def _deformed(env: Environment, stmt: Statement, cap: int) -> Outcome:
+    """The deformed product, which fails where the deformation defect is nonzero."""
+    T, alg, _, _ = _construct_inputs(env, stmt)
+    product, defect = deformed_product(T, alg)
+    # The witnesses are the defect's stored entries in sorted order.  They do
+    # not go through residual_scan: the defect is already a table of nonzero
+    # entries, and a scan would walk every basis pair and count it as scanned.
+    witnesses = tuple(
+        (tuple(alg.module.basis[i] for i in idx), value)
+        for idx, value in sorted(defect.table.entries.items())
+    )[:cap]
+    detail = "the deformation defect (the candidate's cocycle error) is nonzero"
+    return Verdict("deformed", not witnesses, witnesses), product, detail if witnesses else None
+
+
+class StatementKind(NamedTuple):
+    """One entry of :data:`STATEMENTS`.
+
+    ``namespace`` is where the statement's name resolves.  ``reads`` names
+    the clauses the kind reads; one that reads ``on`` needs it, and a
+    construct that reads ``as`` registers its result as an algebra under
+    :func:`_construct_name`.  ``run(env, stmt, cap)`` gives the
+    :data:`Outcome`; a built structure is emitted as source text.
+    """
+
+    namespace: str
+    reads: Tuple[str, ...]
+    run: Callable[[Environment, Statement, int], Outcome]
+
+
+def _on_algebra(check):
+    """The run function of a check on the algebra the statement names."""
+    return lambda env, stmt, cap: (check(env.algebras[stmt.name], cap=cap), None, None)
+
+
+#: Every check and construct kind, keyed by ``(verb, kind)``.  An operator check
+#: reads ``on`` and the clauses that supply its registry entry's inputs: ``with``
+#: supplies the representation ``rep`` as well as the bimodule.
+STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
+    **{
+        ("check", kind): StatementKind(
+            "map",
+            ("on",) + tuple({"rep": "with"}.get(name, name) for name in spec.reads),
+            _check_operator,
+        )
+        for kind, spec in OPERATORS.items()
+    },
+    ("check", "associative"): StatementKind("algebra", (), _on_algebra(check_associative)),
+    ("check", "lie"): StatementKind("algebra", (), _on_algebra(check_lie)),
+    ("check", "bimodule"): StatementKind("bimodule", (), _check_bimodule),
+    ("check", "cocycle"): StatementKind("cocycle", ("with",), _check_cocycle),
+    ("construct", "dendriform"): StatementKind("map", ("on", "with"), _dendriform),
+    ("construct", "ns"): StatementKind("map", ("on", "with", "twist"), _ns),
+    ("construct", "mass"): StatementKind("map", ("on", "with", "twist", "as"), _mass),
+    ("construct", "leftsym"): StatementKind("map", ("on", "with"), _leftsym),
+    ("construct", "deformed"): StatementKind("map", ("on", "as"), _deformed),
+}
+
+#: the clauses a statement of each verb may give: those some kind of the verb reads
+VERB_CLAUSES: Mapping[str, set] = {
+    verb: {clause for (v, _), entry in STATEMENTS.items() if v == verb for clause in entry.reads}
+    for verb in ("check", "construct")
+}
+
+
+def _expected_kinds(verb: str) -> str:
+    """The kinds of ``verb`` as an unknown-kind error lists them."""
+    kinds = [kind for v, kind in STATEMENTS if v == verb]
+    others = f"one of {tuple(kind for kind in kinds if kind not in OPERATORS)}"
+    operators = tuple(sorted(kind for kind in kinds if kind in OPERATORS))
+    return f"an operator kind {operators} or {others}" if operators else others
+
+
+def _run_statement(env: Environment, stmt: Statement, cap: int) -> Record:
+    started = time.perf_counter()
+    entry = STATEMENTS[stmt.verb, stmt.kind]
+    _reject_unread(stmt, entry.reads)
+    if "on" in entry.reads:
+        _required(stmt, stmt.on, "an 'on <algebra>'")
+    verdict, built, detail = entry.run(env, stmt, cap)
+    emitted = None
+    if built is not None:
+        name = _construct_name(stmt)
+        if "as" in entry.reads:
+            env.algebras[name] = built
+        emitted = emit_dsl(built, name)
+    identity = f"{stmt.verb} {stmt.kind} {stmt.name}"
+    return _verdict_record(identity, verdict, started, emitted, detail)
 
 
 def run(
@@ -929,27 +892,19 @@ def run(
     """
     if witness_cap < 1:
         raise PreconditionFailed(f"the witness cap must be at least 1, not {witness_cap}")
-    resolve(sf)
-    env = Environment()
+    env = Environment(resolve(sf))
     records: List[Record] = []
     for decl in sf.declarations:
-        namespace = _namespace_of(decl)
         started = time.perf_counter()
         try:
-            if namespace is not None:
-                _declare(env, decl)
-            elif isinstance(decl, CheckStmt):
-                records.append(_run_check(env, decl, witness_cap))
+            if decl.namespace is None:
+                records.append(_run_statement(env, decl, witness_cap))
             else:
-                records.append(_run_construct(env, decl, witness_cap))
+                _declare(env, decl)
         except ConfalgError as exc:
             elapsed = _ms_since(started)
-            if namespace is not None:
-                identity = f"{namespace} {decl.name}"
-            else:
-                kind = "check" if isinstance(decl, CheckStmt) else "construct"
-                identity = f"{kind} {decl.kind} {decl.name}"
-            records.append(Record(identity, "error", (), elapsed, str(exc)))
+            what = decl.namespace or f"{decl.verb} {decl.kind}"
+            records.append(Record(f"{what} {decl.name}", "error", (), elapsed, str(exc)))
     return Report(command, version, seed, tuple(records)), env
 
 
@@ -1048,6 +1003,8 @@ def d_squared_suite(
         f = random_cochain(rng, arity, alg.module, bim.module, max_degree=max_degree)
         dd = hochschild_d(hochschild_d(f, alg, bim), alg, bim)
         if not dd.is_zero():
+            # the first stored entry, read directly: residual_scan would walk every
+            # basis tuple of the arity and count them as scanned
             idx, value = sorted(dd.table.entries.items())[0]
             witnesses.append(
                 {

@@ -88,7 +88,7 @@ RECORDS = {
     ),
     "SourceFile": lambda: parse("algebra A { basis e; product e e = D*e; } check associative A;"),
     "AlgebraDecl": lambda: parse("algebra A lie { basis e, f; }").declarations[0],
-    "CheckStmt": lambda: parse("check associative A;").declarations[0],
+    "Statement": lambda: parse("check associative A;").declarations[0],
 }
 
 

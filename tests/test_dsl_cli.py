@@ -473,6 +473,189 @@ check Nijenhuis Id on A2;
     assert report.exit_code == 2
 
 
+#: the clauses each check and construct kind reads
+STATEMENT_READS = {
+    ("check", "O"): ("on", "with"),
+    ("check", "RotaBaxter"): ("on", "weight"),
+    ("check", "TwistedRB"): ("on", "with", "twist"),
+    ("check", "Nijenhuis"): ("on",),
+    ("check", "NijenhuisLie"): ("on",),
+    ("check", "Reynolds"): ("on",),
+    ("check", "Derivation"): ("on", "with"),
+    ("check", "OLie"): ("on", "with"),
+    ("check", "associative"): (),
+    ("check", "lie"): (),
+    ("check", "bimodule"): (),
+    ("check", "cocycle"): ("with",),
+    ("construct", "dendriform"): ("on", "with"),
+    ("construct", "ns"): ("on", "with", "twist"),
+    ("construct", "mass"): ("on", "with", "twist"),
+    ("construct", "leftsym"): ("on", "with"),
+    ("construct", "deformed"): ("on",),
+}
+#: the text of each clause in the statements below
+CLAUSE_TEXT = {"on": "on A2", "with": "with AdjA2", "twist": "twist negmult", "weight": "weight 2"}
+#: the clauses each verb parses that a kind may leave unread ('as' fails at resolve instead)
+VERB_CLAUSES = {"check": ("on", "with", "twist", "weight"), "construct": ("on", "with", "twist")}
+#: a source declaring every name the statements below refer to
+CLAUSE_SOURCE = A2_SOURCE + """
+bimodule AdjA2 adjoint A2;
+cocycle negmult on A2 {
+  value u u = (-1)*u;
+  value u v = (-1)*v;
+  value v u = (-1)*v;
+}
+map T : AdjA2 -> A2 { u -> v; v -> 0; }
+"""
+CLAUSE_LINE = CLAUSE_SOURCE.count("\n") + 1
+
+
+def _subject(kind):
+    """The name a statement of this kind names: an algebra, bimodule, cocycle or map."""
+    return {"associative": "A2", "lie": "A2", "bimodule": "AdjA2", "cocycle": "negmult"}.get(kind, "T")
+
+
+def _statement(verb, kind, clauses):
+    words = " ".join(CLAUSE_TEXT[clause] for clause in clauses)
+    return f"{verb} {kind} {_subject(kind)} {words};\n"
+
+
+def _only_record(text):
+    report, _ = build(CLAUSE_SOURCE + text)
+    (record,) = report.records
+    return record
+
+
+def test_the_statement_kinds_cover_every_operator_kind():
+    from confalg.operators import KINDS
+
+    assert {kind for verb, kind in STATEMENT_READS if verb == "check"} >= set(KINDS)
+
+
+@pytest.mark.parametrize(
+    "verb, kind, clause",
+    [
+        (verb, kind, clause)
+        for (verb, kind), reads in STATEMENT_READS.items()
+        for clause in VERB_CLAUSES[verb]
+        if clause not in reads
+    ],
+    ids=str,
+)
+def test_every_clause_a_statement_kind_does_not_read_is_an_error(verb, kind, clause):
+    record = _only_record(_statement(verb, kind, STATEMENT_READS[verb, kind] + (clause,)))
+    assert (record.identity, record.status) == (f"{verb} {kind} {_subject(kind)}", "error")
+    assert record.detail == f"{verb} {kind} reads no '{clause}' clause (line {CLAUSE_LINE})"
+
+
+#: the detail of a statement that lacks its 'with' clause, where the kind needs one
+MISSING_WITH = {
+    ("check", "O"): "O needs a bimodule",
+    ("check", "TwistedRB"): "TwistedRB needs a bimodule",
+    ("check", "OLie"): f"check OLie needs a 'with <bimodule>' clause (line {CLAUSE_LINE})",
+    **{
+        ("construct", kind): f"construct {kind} needs a 'with <bimodule>' clause (line {CLAUSE_LINE})"
+        for kind in ("dendriform", "ns", "mass", "leftsym")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "verb, kind, missing",
+    [
+        (verb, kind, clause)
+        for (verb, kind), reads in STATEMENT_READS.items()
+        for clause in ("on", "with")
+        if clause in reads and (clause == "on" or (verb, kind) in MISSING_WITH)
+    ],
+    ids=str,
+)
+def test_a_statement_without_a_clause_its_kind_needs_is_an_error(verb, kind, missing):
+    clauses = tuple(clause for clause in STATEMENT_READS[verb, kind] if clause != missing)
+    record = _only_record(_statement(verb, kind, clauses))
+    assert record.status == "error"
+    if missing == "on":
+        expected = f"{verb} {kind} needs an 'on <algebra>' clause (line {CLAUSE_LINE})"
+    else:
+        expected = MISSING_WITH[verb, kind]
+    assert record.detail == expected
+
+
+def test_statement_parse_errors_name_the_kinds_and_clauses():
+    operators = (
+        "('Derivation', 'Nijenhuis', 'NijenhuisLie', 'O', 'OLie', 'Reynolds', 'RotaBaxter', "
+        "'TwistedRB')"
+    )
+    structures = "('associative', 'lie', 'bimodule', 'cocycle')"
+    constructs = "('dendriform', 'ns', 'mass', 'leftsym', 'deformed')"
+    cases = [
+        ("check Frobenius T on A2;",
+         f"unknown check kind 'Frobenius'; expected an operator kind {operators} "
+         f"or one of {structures} (line 2, column 1)"),
+        ("construct pre T on A2;",
+         f"unknown construct kind 'pre'; expected one of {constructs} (line 2, column 1)"),
+        ("construct dendriform T on A2 with AdjA2 weight 2;",
+         "'weight' is only valid in check statements (line 2, column 48)"),
+        ("check associative A2 as B;", "'as' is only valid in construct statements (line 2, column 25)"),
+        ("check 7 T;", "expected a check kind, found '7' (line 2, column 7)"),
+        ("construct ns;", "expected an operator name, found ';' (line 2, column 13)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as caught:
+            parse("\n" + text)
+        assert str(caught.value) == message, text
+    with pytest.raises(UnresolvedName) as caught:
+        resolve(parse(CLAUSE_SOURCE + "construct dendriform T on A2 with AdjA2 as Pre;\n"))
+    assert str(caught.value) == (
+        f"'as' on line {CLAUSE_LINE} needs a construct that yields an algebra "
+        f"(mass or deformed), not 'dendriform'"
+    )
+
+
+FAILED_SOURCE = """
+algebra A { basis u; product u u = L2*u; }
+algebra G { basis e; product e e = e; }
+bimodule B over A { basis m; }
+cocycle phi on A { }
+map T : A -> A { u -> u; }
+"""
+
+
+#: a command on FAILED_SOURCE, and the detail of its last record
+NOT_BUILT = [
+    (["check"], "algebra 'A' was not built: its statement failed"),
+    (["cohomology", "mc-check", "--map", "T"], "map 'T' was not built: its statement failed"),
+    (["cohomology", "mc-check", "--map", "Nope"], "unknown map 'Nope'"),
+    (["cohomology", "d2-check", "--algebra", "A"], "algebra 'A' was not built: its statement failed"),
+    (["cohomology", "d2-check", "--algebra", "Nope"], "unknown algebra 'Nope'"),
+    (
+        ["cohomology", "d2-check", "--algebra", "G", "--bimodule", "B"],
+        "bimodule 'B' was not built: its statement failed",
+    ),
+    (["cohomology", "d2-check", "--bimodule", "Nope"], "unknown bimodule 'Nope'"),
+    (
+        ["cohomology", "bracket", "--left", "T", "--right", "T"],
+        "map 'T' was not built: its statement failed",
+    ),
+    (
+        ["cohomology", "bracket", "--left", "phi", "--right", "phi"],
+        "cocycle 'phi' was not built: its statement failed",
+    ),
+    (["cohomology", "bracket", "--left", "Nope", "--right", "Nope"], "unknown map or cocycle 'Nope'"),
+]
+
+
+@pytest.mark.parametrize("argv, detail", NOT_BUILT, ids=[" ".join(argv) for argv, _ in NOT_BUILT])
+def test_a_name_whose_statement_failed_is_reported_as_not_built(tmp_path, capsys, argv, detail):
+    source = tmp_path / "failed.cfa"
+    source.write_text(FAILED_SOURCE)
+    split = 2 if argv[0] == "cohomology" else 1
+    assert main([*argv[:split], str(source), *argv[split:], "--json"]) == 2
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records[-1]["status"] == "error"
+    assert records[-1]["detail"] == detail
+
+
 def test_construct_registers_named_algebras_for_later_checks():
     src = N2_SOURCE + """
 bimodule AdjN2 adjoint N2;
