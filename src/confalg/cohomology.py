@@ -1,20 +1,24 @@
-"""Cochains, differentials, composition brackets, and Maurer-Cartan checks.
+"""Composition brackets, derived brackets, and Maurer-Cartan checks on cochains.
 
 An ``n``-cochain on a conformal algebra is a multilinear, sesquilinear map
-with ``n`` arguments and ``n − 1`` weight parameters.  :class:`Cochain` is a
-one-field view of a :class:`~confalg.confcore.MultiTable` whose argument
-slots share one module: arity, input and value modules are read from the
-table, and evaluation is :func:`~confalg.confcore.eval_multilinear`, the
-composition of the table with its arguments.  The arity is the degree in
-the graded Lie algebra, so the brackets return cochains.  Every
-differential, composition and bracket below is built from
+with ``n`` arguments and ``n − 1`` weight parameters.
+:class:`~confalg.confcore.Cochain` is a one-field view of a
+:class:`~confalg.confcore.MultiTable` whose argument slots share one module:
+arity, input and value modules are read from the table, and evaluation is
+:func:`~confalg.confcore.eval_multilinear`, the composition of the table
+with its arguments.  The arity is the degree in the graded Lie algebra, so
+the brackets return cochains.  The view, :func:`multiplication_cochain`,
+the Hochschild-style differential ``𝐝`` of a cochain valued in a bimodule
+(:func:`hochschild_d`, with ``𝐝∘𝐝 = 0`` exactly) and the 2-cocycle test
+:func:`is_cocycle` are defined in :mod:`confalg.confcore`, where the twisted
+extensions and the operator checks read them, and imported here under the
+same names.  Every differential, composition and bracket below is built from
 :func:`~confalg.confcore.table_sum` of compositions of the input tables;
 nothing is tabulated per basis tuple.
 On top of that single representation this module provides:
 
-* the Hochschild-style differential ``𝐝`` of a cochain valued in a
-  bimodule, with ``𝐝∘𝐝 = 0`` exactly;
-* cocycle tests (plain and commutative) used by twisted extensions;
+* the differential :func:`o_complex_d` of the complex of an O-operator
+  candidate, and the commutative cocycle test;
 * the composition product ``f ∘ g`` and the graded bracket
   ``[f, g] = f∘g − (−1)^{(m−1)(n−1)} g∘f`` on cochains of an algebra
   valued in itself, for which ``[θ, θ] = 0`` characterizes associativity
@@ -44,40 +48,44 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .confcore import (
     WITNESS_CAP,
     Circ,
+    Cochain,
+    CochainFn,
     Composite,
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
     ModElem,
+    ModuleMap,
     MultiTable,
     Swap,
     Verdict,
-    _Frozen,
-    _set_fields,
+    _require_over,
     block,
     check_associative,
     circ,
     direct_sum,
-    eval_multilinear,
+    hochschild_d,
+    is_cocycle,
+    multiplication_cochain,
+    require,
     residual_scan,
     semidirect,
     table_items,
     table_sum,
 )
-from .errors import (
-    ArityMismatch, ConfalgError, ModuleMismatch, NotCocycle, PreconditionFailed, ShapeMismatch
-)
-from .operators import ModuleMap, lift, require_operator, star_product, verify_operator
+from .errors import ArityMismatch, ConfalgError, NotCocycle, PreconditionFailed, ShapeMismatch
+from .operators import lift, require_operator, star_product, verify_operator
 from .derived import induced_bimodule_on_A
-from .polyring import Poly, PolyLike, as_poly, lam
+from .polyring import Poly, as_poly, lam
 
 __all__ = [
     "Cochain",
+    "CochainFn",
     "multiplication_cochain",
     "hochschild_d",
     "o_complex_d",
@@ -97,115 +105,6 @@ __all__ = [
     "random_cochain",
 ]
 
-CochainFn = Callable[[Sequence[ModElem], Sequence[Poly]], ModElem]
-
-
-class Cochain(_Frozen):
-    """A view of a :class:`MultiTable` whose argument slots share one module.
-
-    The arity is the cochain's degree in the graded Lie algebra.
-    """
-
-    __slots__ = _fields = ("table",)
-    table: MultiTable
-
-    def __init__(self, table: MultiTable) -> None:
-        if len(set(table.in_modules)) != 1:
-            raise ShapeMismatch("a cochain's arguments must all live in one module")
-        _set_fields(self, table)
-
-    @property
-    def arity(self) -> int:
-        return self.table.arity
-
-    @property
-    def input_module(self) -> FreeModule:
-        return self.table.in_modules[0]
-
-    @property
-    def value_module(self) -> FreeModule:
-        return self.table.out_module
-
-    @classmethod
-    def from_entries(
-        cls, arity: int, input_module: FreeModule, value_module: FreeModule, entries
-    ) -> "Cochain":
-        return cls(MultiTable((input_module,) * arity, value_module, entries))
-
-    @classmethod
-    def from_function(
-        cls, arity: int, input_module: FreeModule, value_module: FreeModule, fn: CochainFn
-    ) -> "Cochain":
-        """Tabulate ``fn`` on basis tuples at the formal weights ``L1, …``."""
-        return cls(MultiTable.from_function((input_module,) * arity, value_module, fn))
-
-    @classmethod
-    def from_module_map(cls, T: ModuleMap) -> "Cochain":
-        """The arity-1 cochain that shares the map's table."""
-        return cls(T.table)
-
-    @classmethod
-    def zero(cls, arity: int, input_module: FreeModule, value_module: FreeModule) -> "Cochain":
-        return cls.from_entries(arity, input_module, value_module, {})
-
-    def eval(self, args: Sequence[ModElem], weights: Sequence[PolyLike]) -> ModElem:
-        return eval_multilinear(self.table, args, weights)
-
-    def entry(self, idx) -> ModElem:
-        return self.table.entry(idx)
-
-    def as_module_map(self) -> ModuleMap:
-        """View an arity-1 cochain with ``D``-only entries as a module map."""
-        return ModuleMap(self.table)
-
-    def is_zero(self) -> bool:
-        return self.table.is_zero()
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.table + other.table)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.table - other.table)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(-self.table)
-
-    def scale(self, factor: PolyLike) -> "Cochain":
-        return Cochain(self.table.scale(factor))
-
-
-def multiplication_cochain(alg: ConfAlgebra) -> Cochain:
-    """The λ-product of an algebra viewed as a 2-cochain valued in itself."""
-    return Cochain(alg.table)
-
-
-def _require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
-    if bim.algebra.module != alg.module:
-        raise ShapeMismatch("bimodule must be over the same algebra")
-    if bim.algebra != alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
-
-
-def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
-    """The differential of a cochain on ``alg`` valued in the bimodule.
-
-    ``(𝐝φ)(a₀, …, aₙ)`` acts by the leading left action of ``a₀`` on
-    ``φ(a₁, …)``, the alternating-sign contractions that replace two
-    neighbouring arguments by their product (merging their weights), and
-    the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``: one table,
-    ``𝐝φ = l∘₂φ + Σ (−1)^i φ∘_i m + (−1)^(n+1) r∘₁φ`` with actions ``l``, ``r``.
-    """
-    if f.input_module != alg.module:
-        raise ShapeMismatch("cochain arguments must live in the algebra")
-    if f.value_module != bim.module:
-        raise ShapeMismatch("cochain values must live in the bimodule")
-    _require_over(alg, bim)
-    n, phi = f.arity, f.table
-    terms = [(1, Circ(bim.left, 2, phi))]
-    terms += [((-1) ** i, Circ(phi, i, alg.table)) for i in range(1, n + 1)]
-    terms.append(((-1) ** (n + 1), Circ(bim.right, 1, phi)))
-    return Cochain(table_sum(terms))
-
 
 def o_complex_d(phi: Cochain, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, twist=None) -> Cochain:
     """The differential of the complex attached to an O-operator candidate.
@@ -216,14 +115,6 @@ def o_complex_d(phi: Cochain, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule,
     """
     induced = induced_bimodule_on_A(T, alg, bim, twist, validate=False)
     return hochschild_d(phi, induced.algebra, induced)
-
-
-def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
-    """Zero-test of ``𝐝φ`` for an arity-2 cochain."""
-    if phi.arity != 2:
-        raise ArityMismatch("cocycle test expects an arity-2 cochain")
-    d = hochschild_d(phi, alg, bim)
-    return residual_scan("2-cocycle", table_items(d.table), cap=cap)
 
 
 def is_commutative_cocycle(
@@ -468,9 +359,7 @@ def modified_mc_check(
     ``⅙·[[[φ̂, T̂], T̂], T̂]`` on the semidirect sum, which is the modified
     Maurer-Cartan equation for the lifted operator.  The two must agree.
     """
-    cocycle = is_cocycle(phi, alg, bim, cap=1)
-    if not cocycle.holds:
-        raise NotCocycle("modified_mc_check: " + cocycle.summary())
+    require(is_cocycle(phi, alg, bim, cap=1), NotCocycle, "modified_mc_check")
     is_twisted = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=1).holds
     ambient = semidirect(alg, bim, validate=False)
     theta = multiplication_cochain(ambient)

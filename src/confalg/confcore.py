@@ -9,10 +9,10 @@ coefficients.  Everything reduces to finite data:
   tuples, written in the variables ``D`` (∂ acting on the *output*) and
   ``L1 .. L(n-1)`` (the formal weights of the first n−1 arguments).  It is
   the package's one table type: products, actions, cochains, derived
-  products and module maps are all multitables, and the cochain,
-  binary-product and module-map classes of :mod:`confalg.cohomology`,
-  :mod:`confalg.derived` and :mod:`confalg.operators` are one-field views of
-  one (a module map is an arity-1 table);
+  products and module maps are all multitables.  :class:`ModuleMap` (an
+  arity-1 table with ``D``-only entries) and :class:`Cochain` (a table whose
+  argument slots share one module) are one-field views of one, defined
+  here, and the binary-product class of :mod:`confalg.derived` is another;
 * :meth:`MultiTable.from_function` tabulates any such map from a function
   of basis elements and formal weights, walking :func:`basis_tuples`;
 * :func:`table_sum` computes a signed sum of tables, partial compositions
@@ -35,15 +35,20 @@ multiplying on the other side) are formed, the ``D`` inside the weight again
 meaning ∂ on the output.
 
 The checkers (:func:`check_associative`, :func:`check_lie`,
-:func:`check_bimodule`, :func:`check_lie_rep`) compute the residual of their
-defining identities as whole tables and scan them over all basis tuples in
-order (:func:`table_items`), returning a :class:`Verdict` that lists the
-failing tuples; a theorem that joins several checks returns a
+:func:`check_bimodule`, :func:`check_lie_rep`, and :func:`is_cocycle`, the
+zero test of the Hochschild differential :func:`hochschild_d`) compute the
+residual of their defining identities as whole tables and scan them over all
+basis tuples in order (:func:`table_items`), returning a :class:`Verdict`
+that lists the failing tuples; a theorem that joins several checks returns a
 :class:`Composite` of them.  The constructors
 (:func:`commutator_lie`, :func:`rep_from_bimodule`, :func:`semidirect`,
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
-documented precondition fails.
+documented precondition fails: :func:`require` raises a failing verdict's
+summary, and :func:`require_over` refuses a bimodule built over another
+algebra.  Every module above this one (:mod:`confalg.operators`,
+:mod:`confalg.derived`, :mod:`confalg.cohomology`, the definition language
+and the CLI) imports from here, and this module imports none of them.
 """
 
 from __future__ import annotations
@@ -51,15 +56,19 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Type, Union
+)
 
 from .errors import (
     ArityMismatch,
+    ConfalgError,
     InvalidEntry,
     ModuleMismatch,
     NotAssociative,
     NotBimodule,
     NotCocycle,
+    NotInvertible,
     NotSkewSymmetric,
     PreconditionFailed,
     RankMismatch,
@@ -694,9 +703,7 @@ class ConfAlgebra(_Frozen):
     ) -> "ConfAlgebra":
         alg = cls(module, MultiTable((module, module), module, entries), "lie")
         if check_skew:
-            verdict = residual_scan("skew-symmetry", _skew_items(alg), cap=1)
-            if not verdict.holds:
-                raise NotSkewSymmetric(verdict.summary())
+            require(residual_scan("skew-symmetry", _skew_items(alg), cap=1), NotSkewSymmetric)
         return alg
 
     @property
@@ -783,6 +790,260 @@ class LieRep(_Frozen):
         return eval_multilinear(self.action, (a, v), (weight,))
 
 
+# -- views of a table ---------------------------------------------------------
+
+
+class ModuleMap(_Frozen):
+    """A C[∂]-linear map: a view of an arity-1 table whose entries use only ``D``.
+
+    Entry ``(j,)`` of ``table`` is the image of the j-th source basis
+    element.  Weight variables and auxiliary parameters are rejected, so a
+    map always commutes with multiplication by arbitrary coefficients.  A
+    map is immutable, and so are the elements it returns.
+    """
+
+    __slots__ = _fields = ("table",)
+    table: MultiTable
+
+    def __init__(self, table: MultiTable) -> None:
+        if table.arity != 1:
+            raise ArityMismatch("only arity-1 tables are module maps")
+        for entry in table.entries.values():
+            for _, c in entry.support():
+                bad = c.variables() - {"D"}
+                if bad:
+                    raise InvalidEntry(
+                        f"module-map entries may only use D, got {sorted(bad)}"
+                    )
+        _set_fields(self, table)
+
+    @property
+    def source(self) -> FreeModule:
+        return self.table.in_modules[0]
+
+    @property
+    def target(self) -> FreeModule:
+        return self.table.out_module
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """The target-rank × source-rank matrix over C[D], read from the entries.
+
+        ``matrix[i][j]`` is the coefficient of the i-th target basis element
+        in the image of the j-th source basis element.
+        """
+        return tuple(zip(*(self.table.entry((j,)).coeffs for j in range(self.source.rank))))
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_images(
+        cls,
+        source: FreeModule,
+        target: FreeModule,
+        images: Mapping[Union[int, str], EntryLike],
+    ) -> "ModuleMap":
+        """Build a map from the images of (some of) the source basis elements."""
+        entries = {(source.index(key),): image for key, image in images.items()}
+        return cls(MultiTable((source,), target, entries))
+
+    @classmethod
+    def identity(cls, module: FreeModule) -> "ModuleMap":
+        return cls.from_images(module, module, dict(enumerate(module.basis_elems())))
+
+    @classmethod
+    def zero(cls, source: FreeModule, target: Optional[FreeModule] = None) -> "ModuleMap":
+        return cls(MultiTable((source,), target if target is not None else source, {}))
+
+    # -- algebra of maps -----------------------------------------------------
+
+    def apply(self, x: ModElem) -> ModElem:
+        """The image of ``x``."""
+        return eval_multilinear(self.table, (x,), ())
+
+    def compose(self, inner: "ModuleMap") -> "ModuleMap":
+        """The composite ``self ∘ inner`` (apply ``inner`` first)."""
+        if inner.target != self.source:
+            raise ModuleMismatch("composition shapes do not match")
+        return ModuleMap(circ(self.table, 1, inner.table))
+
+    def power(self, n: int) -> "ModuleMap":
+        if self.source != self.target:
+            raise ShapeMismatch("powers need an endomorphism")
+        if n < 0:
+            raise ValueError("negative power")
+        result = ModuleMap.identity(self.source)
+        for _ in range(n):
+            result = self.compose(result)
+        return result
+
+    def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        return ModuleMap(self.table + other.table)
+
+    def __neg__(self) -> "ModuleMap":
+        return self.scale(-1)
+
+    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
+        return self + (-other)
+
+    def scale(self, factor: PolyLike) -> "ModuleMap":
+        return ModuleMap(self.table.scale(factor))
+
+    def is_zero(self) -> bool:
+        return self.table.is_zero()
+
+    def det(self) -> Poly:
+        if self.source != self.target:
+            raise ShapeMismatch("determinant needs an endomorphism")
+        return _det(self.matrix)
+
+    def inverse(self) -> "ModuleMap":
+        """The inverse map; requires the determinant to be a nonzero scalar."""
+        d = self.det()
+        if d.is_zero() or d.variables():
+            raise NotInvertible(f"determinant {d} is not a nonzero scalar")
+        scalar = d.constant_term()
+        matrix, r = self.matrix, self.source.rank
+        # the image of basis element j is column j of the adjugate, over the determinant
+        images = {
+            j: self.source.elem(
+                tuple(
+                    _det(_minor(matrix, j, i)) * ((-1) ** (i + j)) * (1 / scalar)
+                    for i in range(r)
+                )
+            )
+            for j in range(r)
+        }
+        return ModuleMap.from_images(self.target, self.source, images)
+
+
+def _minor(matrix: Sequence[Sequence[Poly]], i: int, j: int) -> Tuple[Tuple[Poly, ...], ...]:
+    return tuple(
+        tuple(c for jj, c in enumerate(row) if jj != j)
+        for ii, row in enumerate(matrix)
+        if ii != i
+    )
+
+
+def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
+    n = len(matrix)
+    if n == 0:
+        return Poly.one()
+    if n == 1:
+        return matrix[0][0]
+    acc = Poly.zero()
+    for j in range(n):
+        c = matrix[0][j]
+        if c.is_zero():
+            continue
+        acc = acc + c * _det(_minor(matrix, 0, j)) * ((-1) ** j)
+    return acc
+
+
+CochainFn = Callable[[Sequence[ModElem], Sequence[Poly]], ModElem]
+
+
+class Cochain(_Frozen):
+    """A view of a :class:`MultiTable` whose argument slots share one module.
+
+    The arity is the cochain's degree in the graded Lie algebra.
+    """
+
+    __slots__ = _fields = ("table",)
+    table: MultiTable
+
+    def __init__(self, table: MultiTable) -> None:
+        if len(set(table.in_modules)) != 1:
+            raise ShapeMismatch("a cochain's arguments must all live in one module")
+        _set_fields(self, table)
+
+    @property
+    def arity(self) -> int:
+        return self.table.arity
+
+    @property
+    def input_module(self) -> FreeModule:
+        return self.table.in_modules[0]
+
+    @property
+    def value_module(self) -> FreeModule:
+        return self.table.out_module
+
+    @classmethod
+    def from_entries(
+        cls, arity: int, input_module: FreeModule, value_module: FreeModule, entries
+    ) -> "Cochain":
+        return cls(MultiTable((input_module,) * arity, value_module, entries))
+
+    @classmethod
+    def from_function(
+        cls, arity: int, input_module: FreeModule, value_module: FreeModule, fn: CochainFn
+    ) -> "Cochain":
+        """Tabulate ``fn`` on basis tuples at the formal weights ``L1, …``."""
+        return cls(MultiTable.from_function((input_module,) * arity, value_module, fn))
+
+    @classmethod
+    def from_module_map(cls, T: ModuleMap) -> "Cochain":
+        """The arity-1 cochain that shares the map's table."""
+        return cls(T.table)
+
+    @classmethod
+    def zero(cls, arity: int, input_module: FreeModule, value_module: FreeModule) -> "Cochain":
+        return cls.from_entries(arity, input_module, value_module, {})
+
+    def eval(self, args: Sequence[ModElem], weights: Sequence[PolyLike]) -> ModElem:
+        return eval_multilinear(self.table, args, weights)
+
+    def entry(self, idx) -> ModElem:
+        return self.table.entry(idx)
+
+    def as_module_map(self) -> ModuleMap:
+        """View an arity-1 cochain with ``D``-only entries as a module map."""
+        return ModuleMap(self.table)
+
+    def is_zero(self) -> bool:
+        return self.table.is_zero()
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        return Cochain(self.table + other.table)
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return Cochain(self.table - other.table)
+
+    def __neg__(self) -> "Cochain":
+        return Cochain(-self.table)
+
+    def scale(self, factor: PolyLike) -> "Cochain":
+        return Cochain(self.table.scale(factor))
+
+
+def multiplication_cochain(alg: ConfAlgebra) -> Cochain:
+    """The λ-product of an algebra viewed as a 2-cochain valued in itself."""
+    return Cochain(alg.table)
+
+
+# -- preconditions ----------------------------------------------------------
+
+
+def require(verdict: Verdict, error: Type[ConfalgError], origin: Optional[str] = None) -> None:
+    """Unless the verdict holds, raise ``error`` with its summary, after ``origin: `` if given."""
+    if not verdict.holds:
+        summary = verdict.summary()
+        raise error(summary if origin is None else f"{origin}: {summary}")
+
+
+def require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
+    """Raise :class:`ModuleMismatch` unless ``bim`` was built over ``alg``."""
+    if bim.algebra != alg:
+        raise ModuleMismatch("bimodule was built over a different algebra")
+
+
+def _require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
+    if bim.algebra.module != alg.module:
+        raise ShapeMismatch("bimodule must be over the same algebra")
+    require_over(alg, bim)
+
+
 # -- axiom checkers ---------------------------------------------------------
 
 
@@ -827,8 +1088,7 @@ def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) 
     """
     if alg.flavor != "associative":
         raise PreconditionFailed("check_bimodule needs an associative-flavored algebra")
-    if bim.algebra != alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
+    require_over(alg, bim)
     m, left, right = alg.table, bim.left, bim.right
     families = (
         ("left-module", Circ(left, 1, m), Circ(left, 2, left)),
@@ -850,6 +1110,35 @@ def check_lie_rep(rep: LieRep, cap: int = WITNESS_CAP) -> Verdict:
     return residual_scan("lie-representation", table_items(residual), cap)
 
 
+def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
+    """The differential of a cochain on ``alg`` valued in the bimodule.
+
+    ``(𝐝φ)(a₀, …, aₙ)`` acts by the leading left action of ``a₀`` on
+    ``φ(a₁, …)``, the alternating-sign contractions that replace two
+    neighbouring arguments by their product (merging their weights), and
+    the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``: one table,
+    ``𝐝φ = l∘₂φ + Σ (−1)^i φ∘_i m + (−1)^(n+1) r∘₁φ`` with actions ``l``, ``r``.
+    """
+    if f.input_module != alg.module:
+        raise ShapeMismatch("cochain arguments must live in the algebra")
+    if f.value_module != bim.module:
+        raise ShapeMismatch("cochain values must live in the bimodule")
+    _require_over(alg, bim)
+    n, phi = f.arity, f.table
+    terms = [(1, Circ(bim.left, 2, phi))]
+    terms += [((-1) ** i, Circ(phi, i, alg.table)) for i in range(1, n + 1)]
+    terms.append(((-1) ** (n + 1), Circ(bim.right, 1, phi)))
+    return Cochain(table_sum(terms))
+
+
+def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
+    """Zero-test of ``𝐝φ`` for an arity-2 cochain."""
+    if phi.arity != 2:
+        raise ArityMismatch("cocycle test expects an arity-2 cochain")
+    d = hochschild_d(phi, alg, bim)
+    return residual_scan("2-cocycle", table_items(d.table), cap=cap)
+
+
 # -- constructors -----------------------------------------------------------
 
 
@@ -857,19 +1146,14 @@ def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
     """The commutator bracket ``[a L1 b] = a_L1 b − b_{−L1−D} a``."""
     if alg.flavor != "associative":
         raise NotAssociative("commutator_lie needs an associative algebra")
-    verdict = check_associative(alg, cap=1)
-    if not verdict.holds:
-        raise NotAssociative(verdict.summary())
-
+    require(check_associative(alg, cap=1), NotAssociative)
     table = table_sum([(1, alg.table), (-1, Swap(alg.table, 1, 2))])
     return ConfAlgebra.lie(alg.module, table.entries)
 
 
 def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
     """``ρ(a)_L1 m = a_L1 m − m_{−L1−D} a`` over the commutator bracket."""
-    verdict = check_bimodule(alg, bim, cap=1)
-    if not verdict.holds:
-        raise NotBimodule(verdict.summary())
+    require(check_bimodule(alg, bim, cap=1), NotBimodule)
     action = table_sum([(1, bim.left), (-1, Swap(bim.right, 1, 2))])
     return LieRep(commutator_lie(alg), bim.module, action)
 
@@ -916,17 +1200,10 @@ def _extension(alg: ConfAlgebra, bim: ConfBimodule, phi, validate: bool) -> Conf
     if phi is not None:
         _require_binary_cochain(phi, alg, bim)
     if validate:
-        verdict = check_bimodule(alg, bim)
-        if not verdict.holds:
-            raise NotBimodule(verdict.summary())
+        require(check_bimodule(alg, bim), NotBimodule)
         if phi is not None:
-            from .cohomology import is_cocycle
-
-            cocycle = is_cocycle(phi, alg, bim)
-            if not cocycle.holds:
-                raise NotCocycle(cocycle.summary())
-    if bim.algebra != alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
+            require(is_cocycle(phi, alg, bim), NotCocycle)
+    require_over(alg, bim)
     big, ra = direct_sum(alg.module, bim.module), alg.rank
     blocks = [(alg.table, (0, 0), 0), (bim.left, (0, ra), ra), (bim.right, (ra, 0), ra)]
     if phi is not None:
@@ -968,8 +1245,8 @@ def twisted_extension(
 class ExtensionIso(NamedTuple):
     """The change-of-section map between two twisted extensions."""
 
-    psi: "object"
-    psi_inv: "object"
+    psi: ModuleMap
+    psi_inv: ModuleMap
     verdict: Verdict
 
 
@@ -980,15 +1257,10 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     inverse ``(a, m) ↦ (a, m + h(a))``, and the verdict of the identity
     ``ψ_h(x ∘ᵠ y) = ψ_h(x) ∘ᵠ⁺ᵈʰ ψ_h(y)`` expanded on all basis pairs.
     """
-    from .cohomology import Cochain, hochschild_d, is_cocycle
-    from .operators import ModuleMap
-
     _require_binary_cochain(phi, alg, bim)
     if h.source != alg.module or h.target != bim.module:
         raise ModuleMismatch("h must map the algebra into the module")
-    cocycle = is_cocycle(phi, alg, bim)
-    if not cocycle.holds:
-        raise NotCocycle(cocycle.summary())
+    require(is_cocycle(phi, alg, bim), NotCocycle)
     dh = hochschild_d(Cochain(h.table), alg, bim)
     ext = twisted_extension(alg, bim, phi, validate=False)
     ext_shifted = twisted_extension(alg, bim, phi + dh, validate=False)

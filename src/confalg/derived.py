@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, Tuple
 from .confcore import (
     WITNESS_CAP,
     Circ,
+    Cochain,
     Composite,
     ConfAlgebra,
     ConfBimodule,
@@ -49,7 +50,9 @@ from .confcore import (
     check_lie,
     circ,
     eval_multilinear,
+    hochschild_d,
     matching_pair,
+    require,
     residual_scan,
     table_items,
     table_sum,
@@ -327,8 +330,6 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
     ``N`` is Nijenhuis, and ``∘ᴺ`` is associative exactly when ``φᴺ`` is a
     2-cocycle.
     """
-    from .cohomology import Cochain
-
     if N.source != alg.module or N.target != alg.module:
         raise ShapeMismatch("deformed_product needs an endomorphism of the algebra")
     m, n = alg.table, N.table
@@ -416,9 +417,7 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     """The left-symmetric product ``a ∘ b = a ≻ b − b ≺_{−λ−∂} a``."""
     if bundle.kind != "dendriform":
         raise ShapeMismatch("leftsym_from_dendriform needs a dendriform bundle")
-    verdict = check_structure(bundle, cap=1)
-    if not verdict.holds:
-        raise NotDendriform(verdict.summary())
+    require(check_structure(bundle, cap=1), NotDendriform)
     succ, prec = bundle.table("succ").table, bundle.table("prec").table
     leftsym = table_sum([(1, succ), (-1, Swap(prec, 1, 2))])
     return _certified("leftsym", "leftsym_from_dendriform", {"leftsym": leftsym})
@@ -467,8 +466,6 @@ def deformation_check(
     All four hold when ``N`` is Nijenhuis; the ``homomorphism`` clause fails
     at the ``t²`` coefficient exactly when ``obstruction`` does.
     """
-    from .cohomology import Cochain, hochschild_d
-
     if validate:
         require_operator("Nijenhuis", N, alg)
     m, n = alg.table, N.table

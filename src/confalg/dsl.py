@@ -363,10 +363,11 @@ class _Parser(_PolyParser):
         name = self.fresh_name("the name to check" if verb == "check" else "an operator name")
         clauses = dict.fromkeys(CLAUSE_FIELDS.values())
         while self.peek()[0] == "name" and self.peek()[1] in CLAUSE_FIELDS:
-            word = self.advance()[1]
+            token = self.advance()
+            word = token[1]
             if word not in VERB_CLAUSES[verb]:
                 other = next(v for v, words in VERB_CLAUSES.items() if word in words)
-                raise self.fail(f"{word!r} is only valid in {other} statements")
+                raise self.fail(f"{word!r} is only valid in {other} statements", token)
             what = "a result name" if word == "as" else f"a name after {word!r}"
             value = self.parse_weight() if word == "weight" else self.fresh_name(what)
             clauses[CLAUSE_FIELDS[word]] = value
@@ -715,16 +716,21 @@ _BUILT = Verdict("built", True, ())
 Outcome = Tuple[Union[Verdict, Composite], object, Optional[str]]
 
 
+def _statement_inputs(env: Environment, stmt: Statement):
+    """The map, algebra, bimodule and twist a statement names; ``None`` for an absent clause."""
+    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
+    bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
+    twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
+    return T, alg, bim, twist
+
+
 def _check_operator(env: Environment, stmt: Statement, cap: int) -> Outcome:
     """The map's identity on the algebra, with the inputs its registry entry reads."""
     spec = OPERATORS[stmt.kind]
-    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
-    inputs: dict = {}
-    if stmt.twist is not None:
-        inputs["twist"] = env.cocycles[stmt.twist][0]
+    T, alg, bim, twist = _statement_inputs(env, stmt)
+    inputs: dict = {"twist": twist}
     if stmt.weight is not None:
         inputs["weight"] = Poly.var(stmt.weight) if isinstance(stmt.weight, str) else stmt.weight
-    bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
     if "rep" not in spec.reads:
         inputs["bim"] = bim
     elif alg.flavor == "associative":  # the commutator representation of the bimodule
@@ -752,22 +758,14 @@ def _check_cocycle(env: Environment, stmt: Statement, cap: int) -> Outcome:
     return is_cocycle(phi, alg, bim, cap=cap), None, None
 
 
-def _construct_inputs(env: Environment, stmt: Statement):
-    """The map, algebra, bimodule and twist a construct names; ``None`` for an absent clause."""
-    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
-    bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
-    twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
-    return T, alg, bim, twist
-
-
 def _dendriform(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, _ = _construct_inputs(env, stmt)
+    T, alg, bim, _ = _statement_inputs(env, stmt)
     return _BUILT, dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap), None
 
 
 def _ns(env: Environment, stmt: Statement, cap: int) -> Outcome:
     """From a twisted Rota-Baxter operator with a twist, else from a Nijenhuis operator."""
-    T, alg, bim, twist = _construct_inputs(env, stmt)
+    T, alg, bim, twist = _statement_inputs(env, stmt)
     if twist is not None:
         return _BUILT, ns_from_twisted(T, alg, _required(stmt, bim, _WITH), twist, cap=cap), None
     _reject_unread(stmt, ("on",))  # without a twist, ns reads no 'with'
@@ -775,19 +773,19 @@ def _ns(env: Environment, stmt: Statement, cap: int) -> Outcome:
 
 
 def _mass(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, twist = _construct_inputs(env, stmt)
+    T, alg, bim, twist = _statement_inputs(env, stmt)
     return _BUILT, m_ass(T, alg, _required(stmt, bim, _WITH), twist), None
 
 
 def _leftsym(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, _ = _construct_inputs(env, stmt)
+    T, alg, bim, _ = _statement_inputs(env, stmt)
     dendriform = dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap)
     return _BUILT, leftsym_from_dendriform(dendriform, cap=cap), None
 
 
 def _deformed(env: Environment, stmt: Statement, cap: int) -> Outcome:
     """The deformed product, which fails where the deformation defect is nonzero."""
-    T, alg, _, _ = _construct_inputs(env, stmt)
+    T, alg, _, _ = _statement_inputs(env, stmt)
     product, defect = deformed_product(T, alg)
     # The witnesses are the defect's stored entries in sorted order.  They do
     # not go through residual_scan: the defect is already a table of nonzero

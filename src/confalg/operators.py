@@ -1,13 +1,11 @@
-"""C[∂]-module maps and the operator-identity checkers.
+"""Operator identities on C[∂]-module maps, and the constructions built on them.
 
-A :class:`ModuleMap` is a C[∂]-linear map between free modules.  Like the
-cochains of :mod:`confalg.cohomology` and the binary products of
-:mod:`confalg.derived`, it is a one-field view of a
-:class:`~confalg.confcore.MultiTable`: an arity-1 table whose entry ``(j,)``
-is the image of the j-th source basis element, with coefficients in ``D``
-only (∂ on the output).  Applying a map is
-:func:`~confalg.confcore.eval_multilinear` on its table, the composition
-``T ∘₁ x`` of the table with the argument as an arity-1 table.
+A :class:`~confalg.confcore.ModuleMap` is a C[∂]-linear map between free
+modules, a one-field view of an arity-1
+:class:`~confalg.confcore.MultiTable` whose entry ``(j,)`` is the image of
+the j-th source basis element, with coefficients in ``D`` only (∂ on the
+output).  It is defined in :mod:`confalg.confcore`, beside the cochains, and
+imported here, so ``confalg.operators.ModuleMap`` names the same class.
 
 Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
 An entry names the optional inputs the identity reads (``with``, the
@@ -51,26 +49,24 @@ derivation.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Type
 
 from .confcore import (
     WITNESS_CAP,
     ConfAlgebra,
     ConfBimodule,
-    EntryLike,
-    FreeModule,
     LieRep,
     Circ,
-    ModElem,
+    ModuleMap,
     MultiTable,
     Swap,
     Verdict,
-    _Frozen,
-    _set_fields,
     block,
     circ,
     direct_sum,
-    eval_multilinear,
+    is_cocycle,
+    require,
+    require_over,
     residual_scan,
     semidirect,
     table_items,
@@ -78,13 +74,9 @@ from .confcore import (
     twisted_extension,
 )
 from .errors import (
-    ArityMismatch,
     ConfalgError,
-    InvalidEntry,
-    ModuleMismatch,
     NotCocycle,
     NotDerivation,
-    NotInvertible,
     NotNijenhuis,
     NotNilpotentWithinBound,
     NotOOperator,
@@ -93,153 +85,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .polyring import Poly, PolyLike, as_poly
-
-
-class ModuleMap(_Frozen):
-    """A C[∂]-linear map: a view of an arity-1 table whose entries use only ``D``.
-
-    Entry ``(j,)`` of ``table`` is the image of the j-th source basis
-    element.  Weight variables and auxiliary parameters are rejected, so a
-    map always commutes with multiplication by arbitrary coefficients.  A
-    map is immutable, and so are the elements it returns.
-    """
-
-    __slots__ = _fields = ("table",)
-    table: MultiTable
-
-    def __init__(self, table: MultiTable) -> None:
-        if table.arity != 1:
-            raise ArityMismatch("only arity-1 tables are module maps")
-        for entry in table.entries.values():
-            for _, c in entry.support():
-                bad = c.variables() - {"D"}
-                if bad:
-                    raise InvalidEntry(
-                        f"module-map entries may only use D, got {sorted(bad)}"
-                    )
-        _set_fields(self, table)
-
-    @property
-    def source(self) -> FreeModule:
-        return self.table.in_modules[0]
-
-    @property
-    def target(self) -> FreeModule:
-        return self.table.out_module
-
-    @property
-    def matrix(self) -> Tuple[Tuple[Poly, ...], ...]:
-        """The target-rank × source-rank matrix over C[D], read from the entries.
-
-        ``matrix[i][j]`` is the coefficient of the i-th target basis element
-        in the image of the j-th source basis element.
-        """
-        return tuple(zip(*(self.table.entry((j,)).coeffs for j in range(self.source.rank))))
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_images(
-        cls,
-        source: FreeModule,
-        target: FreeModule,
-        images: Mapping[Union[int, str], EntryLike],
-    ) -> "ModuleMap":
-        """Build a map from the images of (some of) the source basis elements."""
-        entries = {(source.index(key),): image for key, image in images.items()}
-        return cls(MultiTable((source,), target, entries))
-
-    @classmethod
-    def identity(cls, module: FreeModule) -> "ModuleMap":
-        return cls.from_images(module, module, dict(enumerate(module.basis_elems())))
-
-    @classmethod
-    def zero(cls, source: FreeModule, target: Optional[FreeModule] = None) -> "ModuleMap":
-        return cls(MultiTable((source,), target if target is not None else source, {}))
-
-    # -- algebra of maps -----------------------------------------------------
-
-    def apply(self, x: ModElem) -> ModElem:
-        """The image of ``x``."""
-        return eval_multilinear(self.table, (x,), ())
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """The composite ``self ∘ inner`` (apply ``inner`` first)."""
-        if inner.target != self.source:
-            raise ModuleMismatch("composition shapes do not match")
-        return ModuleMap(circ(self.table, 1, inner.table))
-
-    def power(self, n: int) -> "ModuleMap":
-        if self.source != self.target:
-            raise ShapeMismatch("powers need an endomorphism")
-        if n < 0:
-            raise ValueError("negative power")
-        result = ModuleMap.identity(self.source)
-        for _ in range(n):
-            result = self.compose(result)
-        return result
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.table + other.table)
-
-    def __neg__(self) -> "ModuleMap":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return self + (-other)
-
-    def scale(self, factor: PolyLike) -> "ModuleMap":
-        return ModuleMap(self.table.scale(factor))
-
-    def is_zero(self) -> bool:
-        return self.table.is_zero()
-
-    def det(self) -> Poly:
-        if self.source != self.target:
-            raise ShapeMismatch("determinant needs an endomorphism")
-        return _det(self.matrix)
-
-    def inverse(self) -> "ModuleMap":
-        """The inverse map; requires the determinant to be a nonzero scalar."""
-        d = self.det()
-        if d.is_zero() or d.variables():
-            raise NotInvertible(f"determinant {d} is not a nonzero scalar")
-        scalar = d.constant_term()
-        matrix, r = self.matrix, self.source.rank
-        # the image of basis element j is column j of the adjugate, over the determinant
-        images = {
-            j: self.source.elem(
-                tuple(
-                    _det(_minor(matrix, j, i)) * ((-1) ** (i + j)) * (1 / scalar)
-                    for i in range(r)
-                )
-            )
-            for j in range(r)
-        }
-        return ModuleMap.from_images(self.target, self.source, images)
-
-
-def _minor(matrix: Sequence[Sequence[Poly]], i: int, j: int) -> Tuple[Tuple[Poly, ...], ...]:
-    return tuple(
-        tuple(c for jj, c in enumerate(row) if jj != j)
-        for ii, row in enumerate(matrix)
-        if ii != i
-    )
-
-
-def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    n = len(matrix)
-    if n == 0:
-        return Poly.one()
-    if n == 1:
-        return matrix[0][0]
-    acc = Poly.zero()
-    for j in range(n):
-        c = matrix[0][j]
-        if c.is_zero():
-            continue
-        acc = acc + c * _det(_minor(matrix, 0, j)) * ((-1) ** j)
-    return acc
 
 
 # -- operator identities -----------------------------------------------------
@@ -285,8 +130,7 @@ def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     alg, bim = ins.alg, ins.bim
     if bim is None:
         raise ShapeMismatch(f"{kind} needs a bimodule")
-    if bim.algebra != alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
+    require_over(alg, bim)
     if T.source != bim.module or T.target != alg.module:
         raise ShapeMismatch(f"{kind} needs a map from the module into the algebra")
     return ins
@@ -296,18 +140,13 @@ def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     _require_mod_to_alg(kind, T, ins)
     if ins.twist is None:
         raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
-    from .cohomology import is_cocycle
-
-    cocycle = is_cocycle(ins.twist, ins.alg, ins.bim)
-    if not cocycle.holds:
-        raise NotCocycle(cocycle.summary())
+    require(is_cocycle(ins.twist, ins.alg, ins.bim), NotCocycle)
     return ins
 
 
 def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     acting = ins.bim if ins.bim is not None else ConfBimodule.adjoint(ins.alg)
-    if acting.algebra != ins.alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
+    require_over(ins.alg, acting)
     if T.source != ins.alg.module or T.target != acting.module:
         raise ShapeMismatch("Derivation needs a map from the algebra into the module")
     return ins._replace(bim=acting)
@@ -478,11 +317,7 @@ def require_operator(
     ``inputs`` go to :func:`verify_operator`.
     """
     verdict = verify_operator(kind, T, alg, bim, cap=cap, **inputs)
-    if not verdict.holds:
-        summary = verdict.summary()
-        raise (error or REGISTRY[kind].error)(
-            summary if origin is None else f"{origin}: {summary}"
-        )
+    require(verdict, error or REGISTRY[kind].error, origin)
 
 
 # -- compatibility -----------------------------------------------------------

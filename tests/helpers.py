@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
 from confalg.confcore import (
@@ -157,3 +158,11 @@ def assert_oracle_table(table, expected: dict) -> None:
     assert set(got) == set(expected)
     for idx, vec in expected.items():
         assert all(sp.expand(c - e) == 0 for c, e in zip(got[idx], vec)), idx
+
+
+def assert_raises_exactly(error, message: str, fn, *args) -> None:
+    """``fn(*args)`` raises an instance of exactly ``error`` whose text is ``message``."""
+    with pytest.raises(error) as caught:
+        fn(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -591,6 +591,24 @@ def test_lie_representation_from_bimodule() -> None:
     assert check_lie_rep(rep).holds
 
 
+def test_bimodule_preconditions_raise_exactly() -> None:
+    # a twin of DUAL on the same module, with another product: ADJ is not over it
+    twin = ConfAlgebra.associative(AM, {(0, 0): u})
+    helpers.assert_raises_exactly(
+        ModuleMismatch, "bimodule was built over a different algebra", check_bimodule, twin, ADJ
+    )
+    wm = FreeModule(("m",))
+    m = wm.basis_elem(0)
+    bad = ConfBimodule.build(DUAL, wm, {(0, 0): m, (1, 0): m}, {})
+    helpers.assert_raises_exactly(
+        NotBimodule,
+        "bimodule: fails at (left-module, v, v, m): residual -1*m",
+        rep_from_bimodule,
+        DUAL,
+        bad,
+    )
+
+
 # -- semidirect product --------------------------------------------------------
 
 
@@ -724,6 +742,25 @@ def test_twisted_extension_rejects_non_cocycles() -> None:
         twisted_extension(NILP, NADJ, junk)
 
 
+def test_twisted_extension_rejects_misshapen_twists() -> None:
+    helpers.assert_raises_exactly(
+        ArityMismatch,
+        "the twisting cochain must have arity 2",
+        twisted_extension,
+        NILP,
+        NADJ,
+        Cochain.zero(1, NM, NM),
+    )
+    helpers.assert_raises_exactly(
+        ModuleMismatch,
+        "the twisting cochain must map algebra² into the module",
+        twisted_extension,
+        NILP,
+        NADJ,
+        Cochain.zero(2, NM, AM),
+    )
+
+
 def test_twisted_commutator_bracket_value() -> None:
     ext = twisted_extension(NILP, NADJ, helpers.nilp_cocycle())
     lie = commutator_lie(ext)
@@ -762,6 +799,30 @@ def test_extension_iso_on_nilpotent_cocycle() -> None:
     assert hochschild_d(Cochain.from_module_map(h), NILP, NADJ).is_zero()
     # psi and its inverse really are mutually inverse
     assert iso.psi.compose(iso.psi_inv).matrix == ModuleMap.identity(iso.psi.source).matrix
+
+
+def test_extension_iso_preconditions_raise_exactly() -> None:
+    h = ModuleMap.zero(NM, NM)
+    junk = Cochain.from_entries(2, NM, NM, {(0, 1): L1 * b})
+    helpers.assert_raises_exactly(
+        NotCocycle,
+        "2-cocycle: fails at (a, a, a): residual (L1)*b",
+        extension_iso,
+        NILP,
+        NADJ,
+        junk,
+        h,
+    )
+    for wrong in (ModuleMap.zero(AM, NM), ModuleMap.zero(NM, AM)):
+        helpers.assert_raises_exactly(
+            ModuleMismatch,
+            "h must map the algebra into the module",
+            extension_iso,
+            NILP,
+            NADJ,
+            helpers.nilp_cocycle(),
+            wrong,
+        )
 
 
 # -- matching pairs ----------------------------------------------------------------

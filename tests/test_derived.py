@@ -31,6 +31,7 @@ from confalg.confcore import (
 )
 from confalg.errors import (
     ConfalgError,
+    NotDendriform,
     NotNijenhuis,
     NotOOperator,
     NotTwistedRB,
@@ -281,6 +282,24 @@ def test_leftsym_of_the_shift_bundle_is_zero() -> None:
     assert ls.kind == "leftsym"
     assert ls.table("leftsym").is_zero()
     assert check_structure(ls).holds
+
+
+def test_leftsym_preconditions_raise_exactly() -> None:
+    product = BinaryOpTable(DUAL.table)
+    failing = StructureBundle("dendriform", {"succ": product, "prec": product})
+    helpers.assert_raises_exactly(
+        NotDendriform,
+        "dendriform: fails at (cd1, u, u, u): residual -1*u",
+        leftsym_from_dendriform,
+        failing,
+    )
+    ns = StructureBundle("ns", {"succ": product, "prec": product, "vee": product})
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        "leftsym_from_dendriform needs a dendriform bundle",
+        leftsym_from_dendriform,
+        ns,
+    )
 
 
 def test_leftsym_commutator_matches_the_star_commutator() -> None:

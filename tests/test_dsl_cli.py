@@ -595,8 +595,8 @@ def test_statement_parse_errors_name_the_kinds_and_clauses():
         ("construct pre T on A2;",
          f"unknown construct kind 'pre'; expected one of {constructs} (line 2, column 1)"),
         ("construct dendriform T on A2 with AdjA2 weight 2;",
-         "'weight' is only valid in check statements (line 2, column 48)"),
-        ("check associative A2 as B;", "'as' is only valid in construct statements (line 2, column 25)"),
+         "'weight' is only valid in check statements (line 2, column 41)"),
+        ("check associative A2 as B;", "'as' is only valid in construct statements (line 2, column 22)"),
         ("check 7 T;", "expected a check kind, found '7' (line 2, column 7)"),
         ("construct ns;", "expected an operator name, found ';' (line 2, column 13)"),
     ]
@@ -654,6 +654,27 @@ def test_a_name_whose_statement_failed_is_reported_as_not_built(tmp_path, capsys
     records = json.loads(capsys.readouterr().out)["records"]
     assert records[-1]["status"] == "error"
     assert records[-1]["detail"] == detail
+
+
+#: a bimodule whose statement fails, and a twist into it that fails with it
+TWIST_INTO_FAILED_SOURCE = """
+algebra A { basis u; product u u = u; }
+bimodule B over A { basis m; left u w = m; }
+cocycle phi on A into B { }
+map T : A -> A { u -> u; }
+"""
+
+
+@pytest.mark.parametrize("statement", [
+    "check TwistedRB T on A with B twist phi;",
+    "construct mass T on A with B twist phi;",
+    "construct ns T on A with B twist phi;",
+])
+def test_checks_and_constructs_look_up_their_clauses_in_one_order(statement):
+    # the bimodule is looked up before the twist, so the record names the cause
+    report, _ = build(TWIST_INTO_FAILED_SOURCE + statement + "\n")
+    assert [r.status for r in report.records] == ["error"] * 3
+    assert report.records[-1].detail == "bimodule 'B' was not built: its statement failed"
 
 
 def test_construct_registers_named_algebras_for_later_checks():

@@ -1,0 +1,81 @@
+"""The package's modules import one another in one direction only.
+
+Every module of ``src/confalg`` is parsed with :mod:`ast`.  Imports of the
+package sit at module level, never inside a function or class body, and
+each module imports only modules earlier in :data:`ORDER`, so the module
+graph has no cycle.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "confalg"
+
+#: the modules from the bottom of the kernel up; ``__init__`` is the package
+#: itself (``cli`` reads its version from it) and ``__main__`` runs the CLI
+ORDER = (
+    "polyring", "confcore", "operators", "derived", "cohomology", "dsl", "__init__", "cli",
+    "__main__",
+)
+
+#: modules that any module may import
+ANYWHERE = frozenset({"errors"})
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _package_imports(tree: ast.Module):
+    """``(node, imported module, nested)`` for each import of the package in ``tree``.
+
+    ``nested`` is true for an import inside a function or class body.
+    """
+    bodies = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            inner = nested or isinstance(child, bodies)
+            if isinstance(child, ast.ImportFrom):
+                yield from ((child, target, nested) for target in _targets(child))
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.split(".")[0] == "confalg":
+                        yield child, _module(alias.name.split(".")[1:2]), nested
+            yield from visit(child, inner)
+
+    return list(visit(tree, False))
+
+
+def _module(parts) -> str:
+    return parts[0] if parts else "__init__"
+
+
+def _targets(node: ast.ImportFrom):
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+        if parts[0] != "confalg":
+            return []
+        parts = parts[1:]
+    else:
+        parts = node.module.split(".") if node.module else []
+    if parts:
+        return [_module(parts)]
+    # ``from . import name``: a submodule of the package, or a name of ``__init__``
+    return [alias.name if alias.name in MODULES else "__init__" for alias in node.names]
+
+
+def test_every_module_has_a_place_in_the_order():
+    assert set(MODULES) == set(ORDER) | ANYWHERE
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_run_one_way_at_module_level(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    allowed = set(ANYWHERE) | (set(ORDER[: ORDER.index(module)]) if module in ORDER else set())
+    for node, target, nested in _package_imports(tree):
+        where = f"{module}.py:{node.lineno} imports {target}"
+        assert not nested, f"{where} inside a function or class body"
+        assert target in allowed, f"{where}, which is not below it in {ORDER}"
