@@ -731,12 +731,13 @@ def _check_operator(env: Environment, stmt: Statement, cap: int) -> Outcome:
     inputs: dict = {"twist": twist}
     if stmt.weight is not None:
         inputs["weight"] = Poly.var(stmt.weight) if isinstance(stmt.weight, str) else stmt.weight
+    if "rep" in spec.reads or ("with" in spec.reads and stmt.kind != "Derivation"):
+        bim = _required(stmt, bim, _WITH)  # only a derivation has a default: the adjoint
     if "rep" not in spec.reads:
         inputs["bim"] = bim
     elif alg.flavor == "associative":  # the commutator representation of the bimodule
-        inputs["rep"] = rep_from_bimodule(alg, _required(stmt, bim, _WITH))
+        inputs["rep"] = rep_from_bimodule(alg, bim)
     else:  # a bimodule over a Lie algebra acts by its left action: the bracket, if adjoint
-        bim = _required(stmt, bim, _WITH)
         inputs["rep"] = LieRep(bim.algebra, bim.module, bim.left)
     if spec.flavor == "lie" and alg.flavor == "associative":
         # a Lie identity on an associative algebra is checked on its commutator bracket

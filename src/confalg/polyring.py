@@ -98,7 +98,17 @@ polynomial text" below).  Parentheses and unary minus signs nest at most
 Integers of any length are read and written through :func:`decimal_to_int`
 and :func:`int_to_decimal`, which stay inside the interpreter's limit on
 int/str conversions without changing it, and split long numbers in halves so
-that their cost grows like that of a product, not quadratically.
+that their cost grows like that of a product, not quadratically.  Terms are
+written by higher total degree first, then larger exponents of earlier
+variables.  What a monomial contributes to that text is memoised once per
+process: an ``int`` rank, which orders the terms, and its factor text
+(``*D^22*L1``).  A rendering fills in the monomials the memo lacks, a column
+of exponents per variable at a time, then sorts its terms by rank and joins
+their coefficients to the memo's factor texts.  A new variable name moves the
+fields within a rank, so interning one starts the memo over; so does filling
+it past :data:`_MEMO_MAX` (16,384) monomials, and a polynomial with more
+monomials than that is rendered without it.  The memo's maps are replaced,
+never cleared, so a rendering in progress keeps the maps it started with.
 """
 
 from __future__ import annotations
@@ -110,7 +120,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm
 from operator import index, or_
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import DuplicateBinding, ExponentOverflow, ParseError, TermOverflow
 
@@ -139,6 +149,9 @@ _PACK_SHARE = 8
 #: to 1,500 bits, splitting tied peeling up to 32 slots and won above (1.4-2x at
 #: 64, 4-70x at 1,024); the rows of degree-11 products are shorter.
 _DECODE_SPLIT = 32
+#: The most monomials the display memo holds (see "textual form" above).  A
+#: ``degree`` benchmark pass renders about 2,400 distinct ones.
+_MEMO_MAX = 1 << 14
 #: The deepest nesting the text parser accepts; it keeps its recursion far
 #: inside the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -233,7 +246,7 @@ def int_to_decimal(value: int) -> str:
 
 
 class _Fields:
-    """The assignment of variables to fields of a packed monomial."""
+    """The assignment of variables to fields of a packed monomial, and the display memo."""
 
     def __init__(self, first: Iterable[str]) -> None:
         self.shift: dict[str, int] = {}
@@ -241,6 +254,9 @@ class _Fields:
         self.order: list[Tuple[int, str]] = []
         #: The guard bits of all assigned fields.
         self.guard = 0
+        #: The display memo: the order its ranks encode, and two maps from a
+        #: monomial to its rank and to its factor text (see "textual form").
+        self.memo: Tuple[list, dict, dict] = (self.order, {}, {})
         for name in first:
             self.intern(name)
 
@@ -250,9 +266,44 @@ class _Fields:
             shift = len(self.shift) * FIELD_BITS
             self.shift[name] = shift
             self.guard |= 1 << (shift + FIELD_BITS - 1)
-            self.order.append((shift, name))
-            self.order.sort(key=lambda pair: var_sort_key(pair[1]))
+            self.order = sorted([*self.order, (shift, name)], key=lambda pair: var_sort_key(pair[1]))
+            # A new field moves the others within a rank, so the memo starts over.
+            self.memo = (self.order, {}, {})
         return shift
+
+    def ranked(self, monos: Collection[int]) -> Tuple[dict, dict]:
+        """Maps from each of ``monos`` (distinct) to its rank and to its factor text.
+
+        The memo's maps are filled in with the monomials they lack and
+        returned; when that would take them past :data:`_MEMO_MAX` entries,
+        fresh maps are filled instead, and kept as the memo if they fit.
+        """
+        order, rank, text = self.memo
+        new = [m for m in monos if m not in rank]
+        if not new:
+            return rank, text
+        if len(rank) + len(new) > _MEMO_MAX:
+            rank, text, new = {}, {}, list(monos)
+            if len(new) <= _MEMO_MAX:
+                self.memo = (order, rank, text)
+        # A rank is the total degree above one field per variable, each exponent in
+        # variable order, so larger ranks come first in the text.  Each variable
+        # present adds ``e << top`` and ``e`` in its own field, as one number.
+        present = reduce(or_, new)
+        top = FIELD_BITS * len(order)
+        parts, factors = [], []
+        for place, (shift, name) in enumerate(order):
+            if (present >> shift) & _FIELD:
+                col = [(m >> shift) & _FIELD for m in new]
+                seen = set(col)
+                part = {e: e << top | e << (top - FIELD_BITS * (place + 1)) for e in seen}
+                factor = {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in seen}
+                parts.append(map(part.__getitem__, col))
+                factors.append(map(factor.__getitem__, col))
+        # Without a variable present the constant is the only monomial.
+        rank.update(zip(new, map(sum, zip(*parts)) if parts else [0]))
+        text.update(zip(new, map("".join, zip(*factors)) if factors else [""]))
+        return rank, text
 
 
 _FIELDS = _Fields(("D", "L1", "L2", "L3", "L4"))
@@ -697,20 +748,9 @@ class Poly:
         if not nums:
             return "0"
         den = self._den
-        monos = list(nums)
-        present = reduce(or_, monos)
-        # One column of exponents per variable present, in variable order.
-        names, cols = [], []
-        for shift, name in _FIELDS.order:
-            if (present >> shift) & _FIELD:
-                names.append(name)
-                cols.append([(m >> shift) & _FIELD for m in monos])
-        # Higher total degree first, then larger exponents of earlier variables.
-        # No two keys tie before the index, which carries the term along.
-        totals = map(sum, zip(*cols)) if cols else [0]  # else the constant is the only term
-        keys = sorted(zip(totals, *cols, range(len(monos))), reverse=True)
-        _, *sorted_cols, order = zip(*keys)
-        vals = [nums[monos[i]] for i in order]
+        rank, text = _FIELDS.ranked(nums)
+        order = sorted(nums, key=rank.__getitem__, reverse=True)
+        vals = list(map(nums.__getitem__, order))
         # One coefficient string per term, "" for a unit numerator over 1.
         mags = list(map(abs, vals))
         digits = str if max(*mags, den) < _CHUNK_BASE else int_to_decimal
@@ -723,13 +763,9 @@ class Poly:
                     coeffs.append(f"{digits(mag // g)}/{digits(den // g)}")
                 else:
                     coeffs.append("" if mag == g else digits(mag // g))
-        # Then one string per variable present: "*name^e", "*name" or "" for e = 0.
-        columns = [coeffs]
-        for name, col in zip(names, sorted_cols):
-            factor = {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in set(col)}
-            columns.append(map(factor.__getitem__, col))
         # Without a coefficient a body starts with "*"; without any factor it is "1".
-        bodies = [body.lstrip("*") or "1" for body in map("".join, zip(*columns))]
+        factors = map(text.__getitem__, order)
+        bodies = [(coeff + factor).lstrip("*") or "1" for coeff, factor in zip(coeffs, factors)]
         terms = [f"+ {body}" if num > 0 else f"- {body}" for num, body in zip(vals, bodies)]
         terms[0] = bodies[0] if vals[0] > 0 else "-" + bodies[0]
         return " ".join(terms)

@@ -550,13 +550,12 @@ def test_every_clause_a_statement_kind_does_not_read_is_an_error(verb, kind, cla
 
 #: the detail of a statement that lacks its 'with' clause, where the kind needs one
 MISSING_WITH = {
-    ("check", "O"): "O needs a bimodule",
-    ("check", "TwistedRB"): "TwistedRB needs a bimodule",
-    ("check", "OLie"): f"check OLie needs a 'with <bimodule>' clause (line {CLAUSE_LINE})",
-    **{
-        ("construct", kind): f"construct {kind} needs a 'with <bimodule>' clause (line {CLAUSE_LINE})"
-        for kind in ("dendriform", "ns", "mass", "leftsym")
-    },
+    (verb, kind): f"{verb} {kind} needs a 'with <bimodule>' clause (line {CLAUSE_LINE})"
+    for verb, kinds in (
+        ("check", ("O", "TwistedRB", "OLie")),
+        ("construct", ("dendriform", "ns", "mass", "leftsym")),
+    )
+    for kind in kinds
 }
 
 

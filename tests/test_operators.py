@@ -248,6 +248,8 @@ def test_operator_kind_validation() -> None:
         verify_operator("TwistedRB", IDENT, DUAL, ADJ)  # no twist given
     with pytest.raises(ShapeMismatch):
         verify_operator("OLie", SHIFT, commutator_lie(DUAL))  # no rep given
+    with pytest.raises(ShapeMismatch, match="^O needs a bimodule$"):
+        verify_operator("O", IDENT, DUAL)  # no bimodule given
 
 
 def test_operators_refuse_a_bimodule_over_a_twin_algebra() -> None:

@@ -7,6 +7,7 @@ package itself.
 
 from __future__ import annotations
 
+import copy
 import re
 from fractions import Fraction
 
@@ -765,3 +766,98 @@ def test_str_orders_terms_and_round_trips(p: Poly) -> None:
         body = body.removeprefix("-")
         assert body == "1" or not body.startswith("1*")  # a unit coefficient is left out
         assert ("/" in body) == (coeffs[mono].denominator != 1)
+
+
+# -- the display memo --------------------------------------------------------------
+
+
+def _reference_text(p: Poly) -> str:
+    """``str(p)`` as specified, built from ``p.items()``.
+
+    Terms come in :func:`_reference_order`.  A term is its coefficient's
+    magnitude in lowest terms, ``n`` or ``p/q``, then ``name`` or ``name^e``
+    per variable, joined by ``*``; a magnitude of 1 is left out unless the
+    term is constant.  The first term carries a leading ``-`` if negative,
+    and every later one is preceded by `` + `` or `` - ``.
+    """
+    if not p:
+        return "0"
+    coeffs = dict(p.items())
+    text = ""
+    for mono in _reference_order(p):
+        coeff = coeffs[mono]
+        factors = [name if exp == 1 else f"{name}^{exp}" for name, exp in mono]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
+        if not text:
+            text = body if coeff > 0 else "-" + body
+        else:
+            text += f" + {body}" if coeff > 0 else f" - {body}"
+    return text
+
+
+def _fresh_fields() -> polyring._Fields:
+    """A copy of the variable fields with an empty display memo, to patch in for a test."""
+    fields = copy.deepcopy(polyring._FIELDS)
+    fields.memo = (fields.order, {}, {})
+    return fields
+
+
+# the aux names include two interned above in the reverse of their name order
+MEMO_VARS = ["D", "L1", "L2", "L3", "L4", "t", "q", "zq9", "aq9"]
+
+memo_scalars = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    # numerators past the size where str() hands over to int_to_decimal
+    st.builds(
+        lambda n, q, sign: Fraction(sign * (polyring._CHUNK_BASE + n), q),
+        st.integers(0, 10**6),
+        st.integers(1, 1000),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@st.composite
+def memo_polys(draw) -> Poly:
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        names = draw(st.lists(st.sampled_from(MEMO_VARS), unique=True, max_size=4))
+        terms[tuple((name, draw(st.integers(1, 5))) for name in names)] = draw(memo_scalars)
+    return Poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_polys(), memo_polys())
+def test_str_equals_a_reference_rendering_through_the_memo(p: Poly, q: Poly) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        fields = _fresh_fields()
+        patch.setattr(polyring, "_FIELDS", fields)
+        assert str(p) == str(p) == _reference_text(p)  # filling the memo, then reading it
+        # a new field that sorts before the other aux names moves them within a rank
+        fields.intern("a0")
+        assert str(p + q) == _reference_text(p + q)
+        assert str(p) == _reference_text(p)
+        patch.setattr(polyring, "_MEMO_MAX", 3)
+        for r in (q, p * q, p - q):
+            assert str(r) == _reference_text(r)
+
+
+def test_the_display_memo_stays_within_its_cap(monkeypatch) -> None:
+    fields = _fresh_fields()
+    monkeypatch.setattr(polyring, "_FIELDS", fields)
+    monkeypatch.setattr(polyring, "_MEMO_MAX", 12)
+    small = (D + L1 + 1) ** 2  # 6 monomials
+    wide = (D + L1 + L2 + T + 1) ** 3  # 35, more than the cap
+    medium = (D + L2 + 2) ** 3  # 10, of which 7 are not in small
+    assert str(small) == _reference_text(small)
+    assert len(fields.memo[1]) == 6
+    # past the cap on its own: rendered through maps of its own, the memo kept
+    assert str(wide) == _reference_text(wide)
+    assert len(fields.memo[1]) == len(fields.memo[2]) == 6
+    # past the cap with what the memo holds: the memo starts over with its monomials
+    assert str(medium) == _reference_text(medium)
+    assert len(fields.memo[1]) == len(fields.memo[2]) == 10
+    assert str(small) == _reference_text(small)
