@@ -64,7 +64,6 @@ from .confcore import (
     MultiTable,
     Swap,
     Verdict,
-    _require_over,
     block,
     check_associative,
     circ,
@@ -73,6 +72,7 @@ from .confcore import (
     is_cocycle,
     multiplication_cochain,
     require,
+    require_over,
     residual_scan,
     semidirect,
     table_items,
@@ -193,7 +193,7 @@ def derived_bracket_direct(
     """
     _require_module_cochain(f, alg, bim)
     _require_module_cochain(g, alg, bim)
-    _require_over(alg, bim)
+    require_over(alg, bim)
     m, n = f.arity, g.arity
     s, mu = (-1) ** (m * n), alg.table
 

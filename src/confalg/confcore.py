@@ -54,6 +54,7 @@ and the CLI) imports from here, and this module imports none of them.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
@@ -893,51 +894,34 @@ class ModuleMap(_Frozen):
         return self.table.is_zero()
 
     def det(self) -> Poly:
-        if self.source != self.target:
-            raise ShapeMismatch("determinant needs an endomorphism")
-        return _det(self.matrix)
+        return self._det_adjugate()[0]
 
     def inverse(self) -> "ModuleMap":
         """The inverse map; requires the determinant to be a nonzero scalar."""
-        d = self.det()
+        d, adjugate = self._det_adjugate()
         if d.is_zero() or d.variables():
             raise NotInvertible(f"determinant {d} is not a nonzero scalar")
-        scalar = d.constant_term()
-        matrix, r = self.matrix, self.source.rank
-        # the image of basis element j is column j of the adjugate, over the determinant
-        images = {
-            j: self.source.elem(
-                tuple(
-                    _det(_minor(matrix, j, i)) * ((-1) ** (i + j)) * (1 / scalar)
-                    for i in range(r)
-                )
-            )
-            for j in range(r)
-        }
-        return ModuleMap.from_images(self.target, self.source, images)
+        return adjugate.scale(1 / d.constant_term())
 
+    def _det_adjugate(self) -> Tuple[Poly, "ModuleMap"]:
+        """The determinant and the adjugate by the Faddeev–LeVerrier recurrence.
 
-def _minor(matrix: Sequence[Sequence[Poly]], i: int, j: int) -> Tuple[Tuple[Poly, ...], ...]:
-    return tuple(
-        tuple(c for jj, c in enumerate(row) if jj != j)
-        for ii, row in enumerate(matrix)
-        if ii != i
-    )
-
-
-def _det(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    n = len(matrix)
-    if n == 0:
-        return Poly.one()
-    if n == 1:
-        return matrix[0][0]
-    acc = Poly.zero()
-    for j in range(n):
-        c = matrix[0][j]
-        if c.is_zero():
-            continue
-        acc = acc + c * _det(_minor(matrix, 0, j)) * ((-1) ** j)
-    return acc
+        From ``M₀ = 0`` and ``c_r = 1``, step k = 1 … r sets
+        ``M_k = A∘M_(k−1) + c_(r−k+1)·id`` and ``c_(r−k) = −tr(A∘M_k)/k``;
+        then ``det A = (−1)^r·c₀`` and ``adj A = (−1)^(r+1)·M_r``: r
+        compositions and divisions by the integers 1 … r.
+        """
+        if self.source != self.target:
+            raise ShapeMismatch("determinant needs an endomorphism")
+        r, ident = self.source.rank, ModuleMap.identity(self.source)
+        m = a_m = ModuleMap.zero(self.source)
+        c = Poly.one()
+        for k in range(1, r + 1):
+            m = a_m + ident.scale(c)
+            a_m = self.compose(m)
+            trace = sum((a_m.table.entry((i,)).coeffs[i] for i in range(r)), Poly.zero())
+            c = trace * Fraction(-1, k)
+        return c * (-1) ** r, m.scale((-1) ** (r + 1))
 
 
 CochainFn = Callable[[Sequence[ModElem], Sequence[Poly]], ModElem]
@@ -1038,12 +1022,6 @@ def require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
         raise ModuleMismatch("bimodule was built over a different algebra")
 
 
-def _require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
-    if bim.algebra.module != alg.module:
-        raise ShapeMismatch("bimodule must be over the same algebra")
-    require_over(alg, bim)
-
-
 # -- axiom checkers ---------------------------------------------------------
 
 
@@ -1123,7 +1101,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
         raise ShapeMismatch("cochain arguments must live in the algebra")
     if f.value_module != bim.module:
         raise ShapeMismatch("cochain values must live in the bimodule")
-    _require_over(alg, bim)
+    require_over(alg, bim)
     n, phi = f.arity, f.table
     terms = [(1, Circ(bim.left, 2, phi))]
     terms += [((-1) ** i, Circ(phi, i, alg.table)) for i in range(1, n + 1)]

@@ -115,6 +115,22 @@ def rand_map(rng: random.Random, module: FreeModule) -> ModuleMap:
     )
 
 
+def unimodular_map(rng: random.Random, module: FreeModule) -> ModuleMap:
+    """A dense map ``U∘L`` of determinant 1: unitriangular factors, random entries in Q[D]."""
+    r = module.rank
+
+    def triangular(upper: bool) -> ModuleMap:
+        return ModuleMap.from_images(module, module, {
+            j: module.elem(tuple(
+                Poly.one() if i == j else rand_poly(rng) if (i < j) == upper else Poly.zero()
+                for i in range(r)
+            ))
+            for j in range(r)
+        })
+
+    return triangular(True).compose(triangular(False))
+
+
 def rand_table(rng: random.Random, module: FreeModule, names=("D", "L1")) -> MultiTable:
     entries = {}
     for i in range(module.rank):

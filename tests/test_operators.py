@@ -139,12 +139,51 @@ def test_inverse_and_determinant() -> None:
     assert inv.apply(a) == a * Fraction(1, 2)
     assert NILP_T2.compose(inv).matrix == NILP_IDENT.matrix
     assert NILP_T2.det() == Poly.const(2)
-    with pytest.raises(NotInvertible):
-        SHIFT.inverse()
+    helpers.assert_raises_exactly(
+        NotInvertible, "determinant 0 is not a nonzero scalar", SHIFT.inverse
+    )
     # determinants that are non-unit polynomials in D are rejected too
     dmap = ModuleMap.from_images(AM, AM, {"u": D * u, "v": v})
-    with pytest.raises(NotInvertible):
-        dmap.inverse()
+    helpers.assert_raises_exactly(
+        NotInvertible, "determinant D is not a nonzero scalar", dmap.inverse
+    )
+
+
+def _module(rank: int) -> FreeModule:
+    return FreeModule(tuple(f"e{i}" for i in range(rank)))
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_det_matches_sympy_on_random_maps(rank: int) -> None:
+    module, rng = _module(rank), random.Random(2100 + rank)
+    for _ in range(3):
+        T = helpers.rand_map(rng, module)
+        expected = sp.Matrix(sym_map(T)).det()
+        assert sp.expand(sym(T.det()) - expected) == 0
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_inverse_round_trips_on_dense_unimodular_maps(rank: int) -> None:
+    module = _module(rank)
+    T = helpers.unimodular_map(random.Random(2200 + rank), module)
+    inv, ident = T.inverse(), ModuleMap.identity(module)
+    assert T.det() == Poly.one()
+    assert T.compose(inv).matrix == ident.matrix
+    assert inv.compose(T).matrix == ident.matrix
+
+
+def test_a_rank_8_inverse_takes_at_most_2_r4_products(monkeypatch) -> None:
+    T = helpers.unimodular_map(random.Random(2208), _module(8))
+    products, mul = [], Poly.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    T.inverse()
+    assert 0 < len(products) <= 2 * 8**4
 
 
 def test_map_shape_errors() -> None:
@@ -152,6 +191,11 @@ def test_map_shape_errors() -> None:
         SHIFT.apply(a)
     with pytest.raises(ModuleMismatch):
         SHIFT.compose(ModuleMap.identity(NM))
+    to_nm = ModuleMap.zero(AM, NM)
+    with pytest.raises(ShapeMismatch, match="determinant needs an endomorphism"):
+        to_nm.det()
+    with pytest.raises(ShapeMismatch, match="determinant needs an endomorphism"):
+        to_nm.inverse()
 
 
 # -- single-operator identities ---------------------------------------------------
