@@ -57,13 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if seeded:
             p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
-            p.add_argument(
-                "--max-degree",
-                type=int,
-                default=2,
-                metavar="K",
-                help="per-variable degree cap for generated cochains (default 2)",
-            )
 
     check = sub.add_parser("check", help="run a file's check statements")
     common(check, seeded=True)
@@ -81,6 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     d2.add_argument("--algebra", metavar="NAME", help="algebra to use (default: first declared)")
     d2.add_argument("--bimodule", metavar="NAME", help="bimodule to use (default: adjoint)")
     d2.add_argument("--count", type=int, default=10, metavar="N", help="number of samples")
+    d2.add_argument(
+        "--max-degree",
+        type=int,
+        default=2,
+        metavar="K",
+        help="per-variable degree cap for generated cochains (default 2)",
+    )
 
     mc = cosub.add_parser("mc-check", help="Maurer-Cartan characterization of a map")
     common(mc)

@@ -1097,6 +1097,8 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``: one table,
     ``𝐝φ = l∘₂φ + Σ (−1)^i φ∘_i m + (−1)^(n+1) r∘₁φ`` with actions ``l``, ``r``.
     """
+    if alg.flavor != "associative":
+        raise PreconditionFailed("hochschild_d needs an associative-flavored algebra")
     if f.input_module != alg.module:
         raise ShapeMismatch("cochain arguments must live in the algebra")
     if f.value_module != bim.module:

@@ -325,17 +325,17 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
     """The deformed product ``a ∘ᴺ b = N(a)b + aN(b) − N(ab)`` and its defect.
 
     Returns ``(candidate, phiN)`` where ``candidate`` is the (unchecked)
-    conformal algebra carrying ``∘ᴺ`` and ``phiN`` is the arity-2 cochain
-    ``φᴺ(a, b) = N(a)N(b) − N(a ∘ᴺ b)``.  The defect vanishes exactly when
-    ``N`` is Nijenhuis, and ``∘ᴺ`` is associative exactly when ``φᴺ`` is a
-    2-cocycle.
+    conformal algebra of ``alg``'s flavor carrying ``∘ᴺ``, and ``phiN`` is the
+    arity-2 cochain ``φᴺ(a, b) = N(a)N(b) − N(a ∘ᴺ b)``.  The defect vanishes
+    exactly when ``N`` is Nijenhuis, and for an associative ``alg``, ``∘ᴺ`` is
+    associative exactly when ``φᴺ`` is a 2-cocycle.
     """
     if N.source != alg.module or N.target != alg.module:
         raise ShapeMismatch("deformed_product needs an endomorphism of the algebra")
     m, n = alg.table, N.table
     product = _deformed(n, m)
     defect = table_sum([(1, Circ(circ(m, 1, n), 2, n)), (-1, Circ(n, 1, product))])
-    return ConfAlgebra(alg.module, product, "associative"), Cochain(defect)
+    return ConfAlgebra(alg.module, product, alg.flavor), Cochain(defect)
 
 
 def nijenhuis_hierarchy(

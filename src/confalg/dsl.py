@@ -1,9 +1,11 @@
 """Parser, executor, and emitter for the structure-definition language.
 
 A source file declares algebras, bimodules, cocycles, and module maps, then
-runs ``check`` and ``construct`` statements against them.  Each kind of
-statement is one entry of :data:`STATEMENTS`, which gives the clauses it
-reads and the function that runs it::
+runs ``check`` and ``construct`` statements against them.  Each declaration
+kind names in ``refs`` the fields that reference earlier declarations, with
+the namespaces each may resolve in, and ``build(env)`` returns its object.
+Each kind of statement is one entry of :data:`STATEMENTS`, which gives the
+namespace of its name, the clauses it reads and the function that runs it::
 
     algebra A2 {
       basis u, v;
@@ -109,6 +111,14 @@ class AlgebraDecl(NamedTuple):
     line: int
 
     namespace = "algebra"
+    refs = ()
+
+    def build(self, env: Environment) -> ConfAlgebra:
+        module = FreeModule(self.basis)
+        entries = _entry_table(self.products, module, module, module)
+        if self.flavor == "lie":
+            return ConfAlgebra.lie(module, entries, check_skew=False)
+        return ConfAlgebra.associative(module, entries)
 
 
 class BimoduleDecl(NamedTuple):
@@ -121,6 +131,16 @@ class BimoduleDecl(NamedTuple):
     line: int
 
     namespace = "bimodule"
+    refs = (("algebra", ("algebra",)),)
+
+    def build(self, env: Environment) -> ConfBimodule:
+        algebra = env.algebras[self.algebra]
+        if self.adjoint:
+            return ConfBimodule.adjoint(algebra)
+        module = FreeModule(self.basis)
+        left = _entry_table(self.left, algebra.module, module, module)
+        right = _entry_table(self.right, module, algebra.module, module)
+        return ConfBimodule.build(algebra, module, left, right)
 
 
 class CocycleDecl(NamedTuple):
@@ -131,6 +151,15 @@ class CocycleDecl(NamedTuple):
     line: int
 
     namespace = "cocycle"
+    refs = (("algebra", ("algebra",)), ("into", ("bimodule",)))
+
+    def build(self, env: Environment) -> Tuple[Cochain, str, Optional[str]]:
+        """The cochain, kept with the names of its algebra and bimodule."""
+        algebra = env.algebras[self.algebra]
+        value_module = env.bimodules[self.into].module if self.into is not None else algebra.module
+        entries = _entry_table(self.values, algebra.module, algebra.module, value_module)
+        cochain = Cochain.from_entries(2, algebra.module, value_module, entries)
+        return cochain, self.algebra, self.into
 
 
 class MapDecl(NamedTuple):
@@ -141,6 +170,21 @@ class MapDecl(NamedTuple):
     line: int
 
     namespace = "map"
+    refs = (("source", ("algebra", "bimodule")), ("target", ("algebra", "bimodule")))
+
+    def build(self, env: Environment) -> ModuleMap:
+        source = env.lookup(self.source, env.algebras, env.bimodules).module
+        target = env.lookup(self.target, env.algebras, env.bimodules).module
+        images = {}
+        for name, expr in self.images:
+            if name not in source.basis:
+                raise UnresolvedName(
+                    f"{name!r} is not a basis name of {self.source!r} (basis: {', '.join(source.basis)})"
+                )
+            if name in images:
+                raise DuplicateName(f"image of {name!r} given twice")
+            images[name] = _eval_expr(expr, target)
+        return ModuleMap.from_images(source, target, images)
 
 
 class Statement(NamedTuple):
@@ -158,8 +202,18 @@ class Statement(NamedTuple):
 
     namespace = None  # a statement declares no name
 
+    @property
+    def refs(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+        """The name in its kind's namespace, then the ``on``, ``with`` and ``twist`` clauses."""
+        namespace = STATEMENTS[self.verb, self.kind].namespace
+        clauses = ("on", ("algebra",)), ("with_", ("bimodule",)), ("twist", ("cocycle",))
+        return (("name", (namespace,)),) + clauses
+
 
 Declaration = Union[AlgebraDecl, BimoduleDecl, CocycleDecl, MapDecl, Statement]
+
+#: the namespaces that declarations bind names in
+NAMESPACES = ("algebra", "bimodule", "cocycle", "map")
 
 
 class SourceFile(NamedTuple):
@@ -444,54 +498,39 @@ def resolve(sf: SourceFile) -> Dict[str, set]:
 
     Returns the names declared in each namespace; construct results are algebras.
     """
-    declared: Dict[str, set] = {"algebra": set(), "bimodule": set(), "cocycle": set(), "map": set()}
-
-    def need(name: Optional[str], namespace: str, line: int) -> None:
-        if name is not None and name not in declared[namespace]:
-            raise UnresolvedName(f"unknown {namespace} {name!r} referenced on line {line}")
-
+    declared: Dict[str, set] = {namespace: set() for namespace in NAMESPACES}
     for decl in sf.declarations:
-        if isinstance(decl, Statement):
-            entry = STATEMENTS[decl.verb, decl.kind]
-            need(decl.name, entry.namespace, decl.line)
-            need(decl.on, "algebra", decl.line)
-            need(decl.with_, "bimodule", decl.line)
-            need(decl.twist, "cocycle", decl.line)
-            if decl.as_ is not None and "as" not in entry.reads:
-                yielding = [kind for (_, kind), e in STATEMENTS.items() if "as" in e.reads]
+        for field, namespaces in decl.refs:
+            name = getattr(decl, field)
+            if name is not None and not any(name in declared[ns] for ns in namespaces):
                 raise UnresolvedName(
-                    f"'as' on line {decl.line} needs a construct that yields an "
-                    f"algebra ({' or '.join(yielding)}), not {decl.kind!r}"
+                    f"unknown {' or '.join(namespaces)} {name!r} referenced on line {decl.line}"
                 )
-            if "as" in entry.reads:
-                name = _construct_name(decl)
-                if name in declared["algebra"]:
-                    raise DuplicateName(
-                        f"algebra {name!r} redeclared by construct on line {decl.line}; "
-                        f"give the construct another 'as' name"
-                    )
-                declared["algebra"].add(name)
-            continue
-        if isinstance(decl, AlgebraDecl):
-            if decl.name in declared["algebra"]:
+        if decl.namespace is not None:
+            if decl.name in declared[decl.namespace]:
                 # parse() already rejects twin declarations, so the only way to
-                # get here is a clash with a construct-registered name
+                # get here is a clash with a construct-registered algebra name
                 raise DuplicateName(
-                    f"algebra {decl.name!r} on line {decl.line} collides with a "
+                    f"{decl.namespace} {decl.name!r} on line {decl.line} collides with a "
                     f"construct result of the same name; give the construct another 'as' name"
                 )
-        elif isinstance(decl, BimoduleDecl):
-            need(decl.algebra, "algebra", decl.line)
-        elif isinstance(decl, CocycleDecl):
-            need(decl.algebra, "algebra", decl.line)
-            need(decl.into, "bimodule", decl.line)
-        else:  # a map
-            for endpoint in (decl.source, decl.target):
-                if endpoint not in declared["algebra"] and endpoint not in declared["bimodule"]:
-                    raise UnresolvedName(
-                        f"unknown algebra or bimodule {endpoint!r} referenced on line {decl.line}"
-                    )
-        declared[decl.namespace].add(decl.name)
+            declared[decl.namespace].add(decl.name)
+            continue
+        reads = STATEMENTS[decl.verb, decl.kind].reads
+        if decl.as_ is not None and "as" not in reads:
+            yielding = [kind for (_, kind), e in STATEMENTS.items() if "as" in e.reads]
+            raise UnresolvedName(
+                f"'as' on line {decl.line} needs a construct that yields an "
+                f"algebra ({' or '.join(yielding)}), not {decl.kind!r}"
+            )
+        if "as" in reads:
+            name = _construct_name(decl)
+            if name in declared["algebra"]:
+                raise DuplicateName(
+                    f"algebra {name!r} redeclared by construct on line {decl.line}; "
+                    f"give the construct another 'as' name"
+                )
+            declared["algebra"].add(name)
     return declared
 
 
@@ -591,10 +630,9 @@ class Environment:
     """Named objects built while executing a source file that declares ``declared``."""
 
     def __init__(self, declared: Mapping[str, set] = MappingProxyType({})) -> None:
-        self.algebras: Dict[str, ConfAlgebra] = _Built("algebra", declared)
-        self.bimodules: Dict[str, ConfBimodule] = _Built("bimodule", declared)
-        self.cocycles: Dict[str, Tuple[Cochain, str, Optional[str]]] = _Built("cocycle", declared)
-        self.maps: Dict[str, ModuleMap] = _Built("map", declared)
+        self.pools = {namespace: _Built(namespace, declared) for namespace in NAMESPACES}
+        # the objects of each namespace, under the names of NAMESPACES in order
+        self.algebras, self.bimodules, self.cocycles, self.maps = self.pools.values()
 
     def lookup(self, name: str, *pools: _Built):
         """The object ``name`` from the first of ``pools`` that built it, else that declared it."""
@@ -604,9 +642,6 @@ class Environment:
         if found:
             return found[0][name]  # raises if its statement failed
         raise UnresolvedName(f"unknown {' or '.join(pool.kind for pool in pools)} {name!r}")
-
-    def module_of(self, name: str) -> FreeModule:
-        return self.lookup(name, self.algebras, self.bimodules).module
 
 
 def _eval_expr(expr: Expr, module: FreeModule) -> ModElem:
@@ -642,50 +677,6 @@ def _entry_table(
         if not value.is_zero():
             entries[key] = value
     return entries
-
-
-def _declare(env: Environment, decl: Declaration) -> None:
-    if isinstance(decl, AlgebraDecl):
-        module = FreeModule(decl.basis)
-        entries = _entry_table(decl.products, module, module, module)
-        if decl.flavor == "lie":
-            env.algebras[decl.name] = ConfAlgebra.lie(module, entries, check_skew=False)
-        else:
-            env.algebras[decl.name] = ConfAlgebra.associative(module, entries)
-    elif isinstance(decl, BimoduleDecl):
-        algebra = env.algebras[decl.algebra]
-        if decl.adjoint:
-            env.bimodules[decl.name] = ConfBimodule.adjoint(algebra)
-        else:
-            module = FreeModule(decl.basis)
-            left = _entry_table(decl.left, algebra.module, module, module)
-            right = _entry_table(decl.right, module, algebra.module, module)
-            env.bimodules[decl.name] = ConfBimodule.build(algebra, module, left, right)
-    elif isinstance(decl, CocycleDecl):
-        algebra = env.algebras[decl.algebra]
-        value_module = (
-            env.bimodules[decl.into].module if decl.into is not None else algebra.module
-        )
-        entries = _entry_table(decl.values, algebra.module, algebra.module, value_module)
-        env.cocycles[decl.name] = (
-            Cochain.from_entries(2, algebra.module, value_module, entries),
-            decl.algebra,
-            decl.into,
-        )
-    elif isinstance(decl, MapDecl):
-        source = env.module_of(decl.source)
-        target = env.module_of(decl.target)
-        images = {}
-        names = set(source.basis)
-        for name, expr in decl.images:
-            if name not in names:
-                raise UnresolvedName(
-                    f"{name!r} is not a basis name of {decl.source!r} (basis: {', '.join(source.basis)})"
-                )
-            if name in images:
-                raise DuplicateName(f"image of {name!r} given twice")
-            images[name] = _eval_expr(expr, target)
-        env.maps[decl.name] = ModuleMap.from_images(source, target, images)
 
 
 def _reject_unread(stmt: Statement, reads: Tuple[str, ...]) -> None:
@@ -899,7 +890,7 @@ def run(
             if decl.namespace is None:
                 records.append(_run_statement(env, decl, witness_cap))
             else:
-                _declare(env, decl)
+                env.pools[decl.namespace][decl.name] = decl.build(env)
         except ConfalgError as exc:
             elapsed = _ms_since(started)
             what = decl.namespace or f"{decl.verb} {decl.kind}"

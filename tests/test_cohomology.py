@@ -43,6 +43,7 @@ from confalg.errors import (
     ModuleMismatch,
     NotCocycle,
     NotOOperator,
+    PreconditionFailed,
     ShapeMismatch,
 )
 from confalg.operators import ModuleMap, lift
@@ -190,6 +191,20 @@ def test_cocycle_scan_reports_basis_witnesses():
     assert not residual.is_zero()
     with pytest.raises(ArityMismatch):
         is_cocycle(Cochain.zero(1, NM, NM), NILP, NADJ)
+
+
+def test_the_hochschild_differential_refuses_a_lie_algebra():
+    # [x y] = x is a Lie bracket; d∘d = 0 and the cocycle test assume an associative product
+    module = FreeModule(("x", "y"))
+    x = module.basis_elem(0)
+    lie = ConfAlgebra.lie(module, {(0, 1): x, (1, 0): -x})
+    adjoint = ConfBimodule.adjoint(lie)
+    phi = Cochain.from_entries(2, module, module, {(0, 1): x})
+    message = "hochschild_d needs an associative-flavored algebra"
+    with pytest.raises(PreconditionFailed, match=message):
+        hochschild_d(phi, lie, adjoint)
+    with pytest.raises(PreconditionFailed, match=message):
+        is_cocycle(phi, lie, adjoint)
 
 
 def test_commutative_cocycle_check_adds_the_symmetry_family():

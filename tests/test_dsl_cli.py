@@ -217,18 +217,45 @@ def test_duplicate_declarations_are_rejected():
     parse("algebra X { basis u; }\nmap X : X -> X { u -> u; }")
 
 
-def test_unresolved_references_are_rejected_before_execution():
-    with pytest.raises(UnresolvedName):
-        resolve(parse("check associative Missing;"))
-    with pytest.raises(UnresolvedName):
-        resolve(parse(A2_SOURCE + "bimodule B adjoint A3;"))
-    with pytest.raises(UnresolvedName):
-        resolve(parse(A2_SOURCE + "map T : A2 -> Nowhere { }"))
-    with pytest.raises(UnresolvedName):
-        resolve(parse(A2_SOURCE + "cocycle phi on A2 into B { }"))
+#: an algebra, a bimodule, a cocycle and a map on lines 1-4, for statements on line 5
+DECLARED = """algebra A { basis u; }
+bimodule B adjoint A;
+cocycle phi on A { }
+map T : B -> A { }
+"""
+
+
+@pytest.mark.parametrize("source, message", [
+    ("bimodule B adjoint Z;", "unknown algebra 'Z' referenced on line 1"),
+    ("bimodule B over Z { basis m; }", "unknown algebra 'Z' referenced on line 1"),
+    ("cocycle c on Z { }", "unknown algebra 'Z' referenced on line 1"),
+    ("algebra A { basis u; }\ncocycle c on A into Z { }", "unknown bimodule 'Z' referenced on line 2"),
+    ("algebra A { basis u; }\nmap N : Z -> A { }", "unknown algebra or bimodule 'Z' referenced on line 2"),
+    ("algebra A { basis u; }\nmap N : A -> Z { }", "unknown algebra or bimodule 'Z' referenced on line 2"),
+    (DECLARED + "check associative Z;", "unknown algebra 'Z' referenced on line 5"),
+    (DECLARED + "check bimodule Z;", "unknown bimodule 'Z' referenced on line 5"),
+    (DECLARED + "check cocycle Z;", "unknown cocycle 'Z' referenced on line 5"),
+    (DECLARED + "check O Z on A with B;", "unknown map 'Z' referenced on line 5"),
+    (DECLARED + "check O T on Z with B;", "unknown algebra 'Z' referenced on line 5"),
+    (DECLARED + "check O T on A with Z;", "unknown bimodule 'Z' referenced on line 5"),
+    (DECLARED + "check cocycle phi with Z;", "unknown bimodule 'Z' referenced on line 5"),
+    (DECLARED + "check TwistedRB T on A with B twist Z;", "unknown cocycle 'Z' referenced on line 5"),
+    (DECLARED + "construct ns T on A with B twist Z;", "unknown cocycle 'Z' referenced on line 5"),
+    # the name is looked up first, then on, with and twist
+    (DECLARED + "construct ns Z on Y with X twist W;", "unknown map 'Z' referenced on line 5"),
+    (DECLARED + "construct ns T on Y with X twist W;", "unknown algebra 'Y' referenced on line 5"),
+    (DECLARED + "construct ns T on A with X twist W;", "unknown bimodule 'X' referenced on line 5"),
     # later declarations cannot be referenced earlier
-    with pytest.raises(UnresolvedName):
-        resolve(parse("check associative A2;\n" + A2_SOURCE))
+    ("check associative A;\nalgebra A { basis u; }", "unknown algebra 'A' referenced on line 1"),
+], ids=[
+    "bimodule-adjoint", "bimodule-over", "cocycle-on", "cocycle-into", "map-source", "map-target",
+    "name-algebra", "name-bimodule", "name-cocycle", "name-map", "on", "with", "cocycle-with",
+    "twist", "construct-twist", "order-name", "order-on", "order-with", "forward",
+])
+def test_unresolved_references_are_rejected_before_execution(source, message):
+    with pytest.raises(UnresolvedName) as caught:
+        resolve(parse(source))
+    assert str(caught.value) == message
 
 
 def test_unknown_basis_names_fail_at_execution():
@@ -761,6 +788,39 @@ construct deformed Swap on A2;
     assert rec.emitted is not None
     assert "deformed_Swap" in env.algebras
     assert report.exit_code == 1
+
+
+#: a Lie algebra, [x y] = x
+LIE_G = "algebra G lie { basis x, y; product x y = x; product y x = -x; }\n"
+
+
+def test_deformed_construct_keeps_the_lie_flavor(tmp_path, capsys):
+    source = tmp_path / "deformed.cfa"
+    source.write_text(
+        LIE_G
+        + "map N : G -> G { x -> 2*x; y -> 2*y; }\n"
+        + "construct deformed N on G;\ncheck lie deformed_N;\n"
+    )
+    assert main(["construct", str(source), "--json"]) == 0
+    construct, check = json.loads(capsys.readouterr().out)["records"]
+    assert construct["emitted"] == (
+        "algebra deformed_N lie {\n  basis x, y;\n"
+        "  product x y = (2)*x;\n  product y x = (-2)*x;\n}"
+    )
+    assert (check["identity"], check["status"]) == ("check lie deformed_N", "holds")
+
+
+@pytest.mark.parametrize("argv, statements, identity", [
+    (["check"], "cocycle c on G { value x y = x; }\ncheck cocycle c;\n", "check cocycle c"),
+    (["cohomology", "d2-check"], "", "d2-check"),
+], ids=["check-cocycle", "d2-check"])
+def test_hochschild_checks_on_a_lie_algebra_are_errors(tmp_path, capsys, argv, statements, identity):
+    source = tmp_path / "lie.cfa"
+    source.write_text(LIE_G + statements)
+    assert main([*argv, str(source), "--json"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert (record["identity"], record["status"], record["witnesses"]) == (identity, "error", [])
+    assert record["detail"] == "hochschild_d needs an associative-flavored algebra"
 
 
 def test_declaration_errors_become_error_records():
@@ -1419,6 +1479,14 @@ def test_usage_errors_and_version_leave_the_shared_parser_intact(capsys):
     after = _untimed_run(argv, capsys)
     assert after == before
     assert json.loads(after[1])["seed"] == 0
+
+
+def test_check_has_no_max_degree_option(capsys):
+    # only d2-check generates cochains, so only it reads a degree cap
+    with pytest.raises(SystemExit) as usage:
+        main(["check", ALL, "--max-degree", "3"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --max-degree 3" in capsys.readouterr().err
 
 
 def test_build_parser_returns_a_fresh_parser():
