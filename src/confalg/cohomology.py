@@ -14,7 +14,10 @@ the Hochschild-style differential ``𝐝`` of a cochain valued in a bimodule
 extensions and the operator checks read them, and imported here under the
 same names.  Every differential, composition and bracket below is built from
 :func:`~confalg.confcore.table_sum` of compositions of the input tables;
-nothing is tabulated per basis tuple.
+nothing is tabulated per basis tuple.  Each function checks the modules of
+the cochains it reads with :func:`~confalg.confcore.require_shape`: a module
+cochain ``f: Mⁿ → A`` (the lifts and both routes of the derived bracket), a
+twist ``φ: A² → M``, and the self-valued cochains of the composition product.
 On top of that single representation this module provides:
 
 * the differential :func:`o_complex_d` of the complex of an O-operator
@@ -73,12 +76,13 @@ from .confcore import (
     multiplication_cochain,
     require,
     require_over,
+    require_shape,
     residual_scan,
     semidirect,
     table_items,
     table_sum,
 )
-from .errors import ArityMismatch, ConfalgError, NotCocycle, PreconditionFailed, ShapeMismatch
+from .errors import ConfalgError, NotCocycle, PreconditionFailed
 from .operators import lift, require_operator, star_product, verify_operator
 from .derived import induced_bimodule_on_A
 from .polyring import Poly, as_poly, lam
@@ -121,23 +125,18 @@ def is_commutative_cocycle(
     phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
 ) -> Verdict:
     """Cocycle test plus the symmetry ``φ_λ(a, b) = φ_{−λ−∂}(b, a)``."""
-    if phi.arity != 2:
-        raise ArityMismatch("cocycle test expects an arity-2 cochain")
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the cochain")
     d = hochschild_d(phi, alg, bim)
     symmetry = table_sum([(1, phi.table), (-1, Swap(phi.table, 1, 2))])
     items = table_items(d.table, ("cocycle",)), table_items(symmetry, ("commutative",))
     return residual_scan("commutative-2-cocycle", itertools.chain(*items), cap=cap)
 
 
-def _require_self_valued(f: Cochain, g: Cochain) -> None:
-    modules = {f.input_module, f.value_module, g.input_module, g.value_module}
-    if len(modules) != 1:
-        raise ShapeMismatch("composition needs cochains on one algebra valued in itself")
-
-
 def _circle_terms(f: Cochain, g: Cochain, scale: int = 1) -> list:
     """``scale·(f ∘ g)`` as table-sum terms: ``Σ (−1)^((i−1)(n−1)) f∘_i g``."""
-    _require_self_valued(f, g)
+    module = f.value_module
+    for h in (f, g):
+        require_shape(h.table, (module,) * h.arity, module, "a composed cochain")
     n, slots = g.arity, range(1, f.arity + 1)
     return [(scale * (-1) ** ((i - 1) * (n - 1)), Circ(f.table, i, g.table)) for i in slots]
 
@@ -159,25 +158,16 @@ def lift_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     The lift is the block of ``f`` with module arguments and algebra values;
     it vanishes whenever any argument has no module part.
     """
-    if f.input_module != bim.module or f.value_module != alg.module:
-        raise ShapeMismatch("lift_cochain expects a cochain from the module to the algebra")
+    require_shape(f.table, (bim.module,) * f.arity, alg.module, "the module cochain")
     big, n = direct_sum(alg.module, bim.module), f.arity
     return Cochain(block(f.table, (big,) * n, big, (alg.rank,) * n, 0))
 
 
 def lift_twisting_cochain(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """Extend a 2-cochain ``φ: A² → M`` by zero to the direct sum ``A ⊕ M``."""
-    if phi.arity != 2:
-        raise ArityMismatch("twisting cochains have arity 2")
-    if phi.input_module != alg.module or phi.value_module != bim.module:
-        raise ShapeMismatch("twisting cochain must map the algebra into the module")
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     big = direct_sum(alg.module, bim.module)
     return Cochain(block(phi.table, (big, big), big, (0, 0), alg.rank))
-
-
-def _require_module_cochain(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> None:
-    if f.input_module != bim.module or f.value_module != alg.module:
-        raise ShapeMismatch("derived bracket expects cochains from the module to the algebra")
 
 
 def derived_bracket_direct(
@@ -191,8 +181,8 @@ def derived_bracket_direct(
         + Σ_(i≤m) (−1)^((i−1)n)·f∘_i(l∘₁g) − (−1)^(in)·f∘_i(r∘₂g)
         − s·Σ_(i≤n) (−1)^((i−1)m)·g∘_i(l∘₁f) − (−1)^(im)·g∘_i(r∘₂f)
     """
-    _require_module_cochain(f, alg, bim)
-    _require_module_cochain(g, alg, bim)
+    for h in (f, g):
+        require_shape(h.table, (bim.module,) * h.arity, alg.module, "the module cochain")
     require_over(alg, bim)
     m, n = f.arity, g.arity
     s, mu = (-1) ** (m * n), alg.table
@@ -223,12 +213,9 @@ def derived_bracket_via_lifts(
     the derived bracket) and the algebra component, scaled by ``(−1)^m``, is
     the bracket.
     """
-    _require_module_cochain(f, alg, bim)
-    _require_module_cochain(g, alg, bim)
-    ambient = semidirect(alg, bim, validate=False)
-    theta = multiplication_cochain(ambient)
     fh = lift_cochain(f, alg, bim)
     gh = lift_cochain(g, alg, bim)
+    theta = multiplication_cochain(semidirect(alg, bim, validate=False))
     b2 = g_bracket(g_bracket(theta, fh), gh).table
     k, ra, M = b2.arity, alg.module.rank, bim.module
     if not block(b2, (M,) * k, M, (-ra,) * k, -ra).is_zero():
@@ -359,6 +346,7 @@ def modified_mc_check(
     ``⅙·[[[φ̂, T̂], T̂], T̂]`` on the semidirect sum, which is the modified
     Maurer-Cartan equation for the lifted operator.  The two must agree.
     """
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     require(is_cocycle(phi, alg, bim, cap=1), NotCocycle, "modified_mc_check")
     is_twisted = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=1).holds
     ambient = semidirect(alg, bim, validate=False)

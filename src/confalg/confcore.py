@@ -45,8 +45,10 @@ that lists the failing tuples; a theorem that joins several checks returns a
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
 documented precondition fails: :func:`require` raises a failing verdict's
-summary, and :func:`require_over` refuses a bimodule built over another
-algebra.  Every module above this one (:mod:`confalg.operators`,
+summary, :func:`require_over` refuses a bimodule built over another
+algebra, and :func:`require_shape` refuses a table (a product, an action, a
+cochain, a twist or an operator's map) whose modules are not the ones it
+must map between.  Every module above this one (:mod:`confalg.operators`,
 :mod:`confalg.derived`, :mod:`confalg.cohomology`, the definition language
 and the CLI) imports from here, and this module imports none of them.
 """
@@ -684,8 +686,7 @@ class ConfAlgebra(_Frozen):
     def __init__(self, module: FreeModule, table: MultiTable, flavor: str) -> None:
         if flavor not in ("associative", "lie"):
             raise PreconditionFailed(f"unknown flavor {flavor!r}")
-        if table.in_modules != (module, module) or table.out_module != module:
-            raise ModuleMismatch("algebra table must map module × module -> module")
+        require_shape(table, (module, module), module, "an algebra table")
         _set_fields(self, module, table, flavor)
 
     @classmethod
@@ -736,11 +737,8 @@ class ConfBimodule(_Frozen):
     def __init__(
         self, algebra: ConfAlgebra, module: FreeModule, left: MultiTable, right: MultiTable
     ) -> None:
-        amod = algebra.module
-        if left.in_modules != (amod, module) or left.out_module != module:
-            raise ModuleMismatch("left action must map algebra × module -> module")
-        if right.in_modules != (module, amod) or right.out_module != module:
-            raise ModuleMismatch("right action must map module × algebra -> module")
+        require_shape(left, (algebra.module, module), module, "the left action")
+        require_shape(right, (module, algebra.module), module, "the right action")
         _set_fields(self, algebra, module, left, right)
 
     @classmethod
@@ -783,8 +781,7 @@ class LieRep(_Frozen):
     def __init__(self, lie: ConfAlgebra, module: FreeModule, action: MultiTable) -> None:
         if lie.flavor != "lie":
             raise PreconditionFailed("LieRep needs a lie-flavored algebra")
-        if action.in_modules != (lie.module, module) or action.out_module != module:
-            raise ModuleMismatch("action must map lie × module -> module")
+        require_shape(action, (lie.module, module), module, "the action")
         _set_fields(self, lie, module, action)
 
     def act(self, a: ModElem, v: ModElem, weight: PolyLike) -> ModElem:
@@ -1022,6 +1019,26 @@ def require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
         raise ModuleMismatch("bimodule was built over a different algebra")
 
 
+def require_shape(
+    table: MultiTable, ins: Sequence[FreeModule], out: FreeModule, what: str
+) -> None:
+    """Raise unless ``table`` maps ``ins`` into ``out``; ``what`` names it in the message.
+
+    A wrong number of argument slots raises :class:`ArityMismatch`, wrong
+    modules :class:`ShapeMismatch`, both with the text ``{what} must map
+    {ins} into {out}, not …`` and the table's own modules.
+    """
+    ins = tuple(ins)
+    if table.in_modules != ins or table.out_module != out:
+        error = ShapeMismatch if table.arity == len(ins) else ArityMismatch
+        expected, got = _shape_text(ins, out), _shape_text(table.in_modules, table.out_module)
+        raise error(f"{what} must map {expected}, not {got}")
+
+
+def _shape_text(ins: Sequence[FreeModule], out: FreeModule) -> str:
+    return f"{' × '.join(map(str, ins))} into {out}"
+
+
 # -- axiom checkers ---------------------------------------------------------
 
 
@@ -1099,10 +1116,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     """
     if alg.flavor != "associative":
         raise PreconditionFailed("hochschild_d needs an associative-flavored algebra")
-    if f.input_module != alg.module:
-        raise ShapeMismatch("cochain arguments must live in the algebra")
-    if f.value_module != bim.module:
-        raise ShapeMismatch("cochain values must live in the bimodule")
+    require_shape(f.table, (alg.module,) * f.arity, bim.module, "the cochain")
     require_over(alg, bim)
     n, phi = f.arity, f.table
     terms = [(1, Circ(bim.left, 2, phi))]
@@ -1113,8 +1127,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
 
 def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
     """Zero-test of ``𝐝φ`` for an arity-2 cochain."""
-    if phi.arity != 2:
-        raise ArityMismatch("cocycle test expects an arity-2 cochain")
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the cochain")
     d = hochschild_d(phi, alg, bim)
     return residual_scan("2-cocycle", table_items(d.table), cap=cap)
 
@@ -1178,7 +1191,7 @@ def block(
 def _extension(alg: ConfAlgebra, bim: ConfBimodule, phi, validate: bool) -> ConfAlgebra:
     """``(a, m) L (b, n) = (a_L b, a_L n + m_L b [+ φ_L(a, b)])`` on ``A ⊕ M``."""
     if phi is not None:
-        _require_binary_cochain(phi, alg, bim)
+        require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     if validate:
         require(check_bimodule(alg, bim), NotBimodule)
         if phi is not None:
@@ -1201,13 +1214,6 @@ def semidirect(alg: ConfAlgebra, bim: ConfBimodule, *, validate: bool = True) ->
     A bimodule over another algebra raises either way.
     """
     return _extension(alg, bim, None, validate)
-
-
-def _require_binary_cochain(phi, alg: ConfAlgebra, bim: ConfBimodule) -> None:
-    if getattr(phi, "arity", None) != 2:
-        raise ArityMismatch("the twisting cochain must have arity 2")
-    if phi.input_module != alg.module or phi.value_module != bim.module:
-        raise ModuleMismatch("the twisting cochain must map algebra² into the module")
 
 
 def twisted_extension(
@@ -1237,9 +1243,8 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     inverse ``(a, m) ↦ (a, m + h(a))``, and the verdict of the identity
     ``ψ_h(x ∘ᵠ y) = ψ_h(x) ∘ᵠ⁺ᵈʰ ψ_h(y)`` expanded on all basis pairs.
     """
-    _require_binary_cochain(phi, alg, bim)
-    if h.source != alg.module or h.target != bim.module:
-        raise ModuleMismatch("h must map the algebra into the module")
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
+    require_shape(h.table, (alg.module,), bim.module, "h")
     require(is_cocycle(phi, alg, bim), NotCocycle)
     dh = hochschild_d(Cochain(h.table), alg, bim)
     ext = twisted_extension(alg, bim, phi, validate=False)

@@ -53,6 +53,7 @@ from .confcore import (
     hochschild_d,
     matching_pair,
     require,
+    require_shape,
     residual_scan,
     table_items,
     table_sum,
@@ -104,10 +105,7 @@ class BinaryOpTable(_Frozen):
 
     def __init__(self, table: MultiTable) -> None:
         module = table.out_module
-        if table.in_modules != (module, module):
-            raise ShapeMismatch(
-                "binary operation table must map module x module -> module"
-            )
+        require_shape(table, (module, module), module, "a binary operation table")
         _set_fields(self, table)
 
     @property
@@ -263,6 +261,8 @@ def m_ass(
     operator.  ``validate=False`` skips the operator precondition and
     returns the candidate product unverified.
     """
+    if phi is not None:
+        require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     if validate:
         kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
         require_operator(kind, T, alg, bim, origin="m_ass", **inputs)
@@ -330,8 +330,7 @@ def deformed_product(N: ModuleMap, alg: ConfAlgebra):
     exactly when ``N`` is Nijenhuis, and for an associative ``alg``, ``∘ᴺ`` is
     associative exactly when ``φᴺ`` is a 2-cocycle.
     """
-    if N.source != alg.module or N.target != alg.module:
-        raise ShapeMismatch("deformed_product needs an endomorphism of the algebra")
+    require_shape(N.table, (alg.module,), alg.module, "deformed_product: the map")
     m, n = alg.table, N.table
     product = _deformed(n, m)
     defect = table_sum([(1, Circ(circ(m, 1, n), 2, n)), (-1, Circ(n, 1, product))])

@@ -10,7 +10,10 @@ imported here, so ``confalg.operators.ModuleMap`` names the same class.
 Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
 An entry names the optional inputs the identity reads (``with``, the
 bimodule; ``twist``; ``weight``; ``rep``) and the algebra flavor it needs,
-checks the shapes of the map and the inputs, gives the identity's residual
+checks the shapes of the map and the inputs (the map's and the twist's
+modules through :func:`~confalg.confcore.require_shape`, so a misshapen map
+of kind ``K`` raises ``K: the map must map …`` and a misshapen twist ``the
+twist must map …``, as everywhere else), gives the identity's residual
 as a table sum of compositions with the map's table (for example O is
 ``m∘(T⊗T) − T∘(l∘₁T + r∘₂T)``), and names the exception that
 :func:`require_operator` raises when a construction's operator precondition
@@ -67,6 +70,7 @@ from .confcore import (
     is_cocycle,
     require,
     require_over,
+    require_shape,
     residual_scan,
     semidirect,
     table_items,
@@ -121,8 +125,7 @@ class OperatorKind(NamedTuple):
 
 
 def _require_endo(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    if T.source != ins.alg.module or T.target != ins.alg.module:
-        raise ShapeMismatch(f"{kind} needs an endomorphism of the algebra module")
+    require_shape(T.table, (ins.alg.module,), ins.alg.module, f"{kind}: the map")
     return ins
 
 
@@ -131,8 +134,7 @@ def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     if bim is None:
         raise ShapeMismatch(f"{kind} needs a bimodule")
     require_over(alg, bim)
-    if T.source != bim.module or T.target != alg.module:
-        raise ShapeMismatch(f"{kind} needs a map from the module into the algebra")
+    require_shape(T.table, (bim.module,), alg.module, f"{kind}: the map")
     return ins
 
 
@@ -140,6 +142,7 @@ def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     _require_mod_to_alg(kind, T, ins)
     if ins.twist is None:
         raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
+    require_shape(ins.twist.table, (ins.alg.module,) * 2, ins.bim.module, "the twist")
     require(is_cocycle(ins.twist, ins.alg, ins.bim), NotCocycle)
     return ins
 
@@ -147,8 +150,7 @@ def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
 def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     acting = ins.bim if ins.bim is not None else ConfBimodule.adjoint(ins.alg)
     require_over(ins.alg, acting)
-    if T.source != ins.alg.module or T.target != acting.module:
-        raise ShapeMismatch("Derivation needs a map from the algebra into the module")
+    require_shape(T.table, (ins.alg.module,), acting.module, f"{kind}: the map")
     return ins._replace(bim=acting)
 
 
@@ -158,8 +160,7 @@ def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
         raise ShapeMismatch("OLie needs rep= (a Lie representation)")
     if rep.lie != ins.alg:
         raise ShapeMismatch("OLie needs the representation's own Lie algebra")
-    if T.source != rep.module or T.target != ins.alg.module:
-        raise ShapeMismatch("OLie needs a map from the representation module")
+    require_shape(T.table, (rep.module,), ins.alg.module, f"{kind}: the map")
     return ins
 
 

@@ -33,7 +33,7 @@ from confalg.confcore import (
 )
 from confalg.derived import BinaryOpTable, StructureBundle, dendriform_from_O
 from confalg.dsl import Environment, Record, Report, parse
-from confalg.errors import ModuleMismatch, PreconditionFailed, RankMismatch, ShapeMismatch
+from confalg.errors import ArityMismatch, PreconditionFailed, RankMismatch, ShapeMismatch
 from confalg.operators import ModuleMap
 from confalg.polyring import Poly
 
@@ -166,8 +166,14 @@ def test_constructors_keep_their_checks():
         ModElem(_module(), (1,))
     with pytest.raises(PreconditionFailed, match="unknown flavor 'jordan'"):
         ConfAlgebra(_module(), _binary(), "jordan")
-    with pytest.raises(ModuleMismatch, match="algebra table must map"):
+    with pytest.raises(ShapeMismatch, match="^an algebra table must map <x> × <x> into <x>, not"):
         ConfAlgebra(FreeModule(("x",)), _binary(), "associative")
+    with pytest.raises(ArityMismatch, match="^an algebra table must map <a, b> × <a, b> into"):
+        ConfAlgebra(_module(), _unary(), "associative")
+    with pytest.raises(ShapeMismatch, match="^the left action must map <a, b> × <x> into <x>, not"):
+        ConfBimodule(_nilp(), FreeModule(("x",)), _binary(), _binary())
+    with pytest.raises(ArityMismatch, match="^a binary operation table must map <a, b> × <a, b>"):
+        BinaryOpTable(_unary())
     with pytest.raises(ShapeMismatch, match="arguments must all live in one module"):
         Cochain(MultiTable((_module(), FreeModule(("x",))), _module(), {}))
     with pytest.raises(ShapeMismatch, match="unknown structure kind"):

@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg import cohomology
-from confalg.confcore import Composite, ConfAlgebra, ConfBimodule, FreeModule, MultiTable
+from confalg.confcore import (
+    Composite,
+    ConfAlgebra,
+    ConfBimodule,
+    FreeModule,
+    MultiTable,
+    extension_iso,
+    twisted_extension,
+)
 from confalg.cohomology import (
     Cochain,
     derived_binary,
@@ -46,7 +54,8 @@ from confalg.errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from confalg.operators import ModuleMap, lift
+from confalg.derived import induced_bimodule_on_A, m_ass
+from confalg.operators import ModuleMap, graph_check, lift, verify_operator
 
 import _oracle
 import helpers
@@ -550,6 +559,69 @@ def test_derived_bracket_shape_guards():
     stray = Cochain.zero(1, AM, AM)
     with pytest.raises(ShapeMismatch):
         derived_bracket_direct(stray, stray, NILP, NADJ)
+
+
+# -- shape preconditions: one error type and text at every entry point ---------------
+
+#: the entry points that read a twist φ: A² → M, over A = DUAL acting on itself
+TWIST_ENTRY_POINTS = {
+    "twisted_extension": lambda phi: twisted_extension(DUAL, ADJ, phi),
+    "extension_iso": lambda phi: extension_iso(DUAL, ADJ, phi, IDENT),
+    "graph_check": lambda phi: graph_check(IDENT, DUAL, ADJ, phi),
+    "lift_twisting_cochain": lambda phi: lift_twisting_cochain(phi, DUAL, ADJ),
+    "verify_operator": lambda phi: verify_operator("TwistedRB", IDENT, DUAL, ADJ, twist=phi),
+    "m_ass": lambda phi: m_ass(IDENT, DUAL, ADJ, phi),
+    "m_ass_unvalidated": lambda phi: m_ass(IDENT, DUAL, ADJ, phi, validate=False),
+    "induced_bimodule_on_A": lambda phi: induced_bimodule_on_A(IDENT, DUAL, ADJ, phi),
+    "induced_bimodule_on_A_unvalidated": lambda phi: induced_bimodule_on_A(
+        IDENT, DUAL, ADJ, phi, validate=False
+    ),
+    "o_complex_d": lambda phi: o_complex_d(Cochain.from_module_map(IDENT), IDENT, DUAL, ADJ, phi),
+    "modified_mc_check": lambda phi: modified_mc_check(IDENT, phi, DUAL, ADJ),
+}
+
+#: misshapen twists: the cochain, the error, and the shape the message reports
+MISSHAPEN_TWISTS = {
+    "arity-1": (Cochain.zero(1, AM, AM), ArityMismatch, "<u, v> into <u, v>"),
+    "other-algebra": (Cochain.zero(2, NM, NM), ShapeMismatch, "<a, b> × <a, b> into <a, b>"),
+}
+
+
+@pytest.mark.parametrize("twist", MISSHAPEN_TWISTS)
+@pytest.mark.parametrize("entry", TWIST_ENTRY_POINTS)
+def test_a_misshapen_twist_raises_one_error_at_every_entry_point(entry, twist):
+    phi, error, shape = MISSHAPEN_TWISTS[twist]
+    helpers.assert_raises_exactly(
+        error,
+        f"the twist must map <u, v> × <u, v> into <u, v>, not {shape}",
+        TWIST_ENTRY_POINTS[entry],
+        phi,
+    )
+
+
+#: the entry points that read cochains f: Mⁿ → A, over the nilpotent algebra acting on itself
+MODULE_COCHAIN_ENTRY_POINTS = {
+    "lift_cochain": lambda f: lift_cochain(f, NILP, NADJ),
+    "derived_bracket_direct_left": lambda f: derived_bracket_direct(f, nilp_cocycle(), NILP, NADJ),
+    "derived_bracket_direct_right": lambda f: derived_bracket_direct(nilp_cocycle(), f, NILP, NADJ),
+    "derived_bracket_via_lifts_left": lambda f: derived_bracket_via_lifts(
+        f, nilp_cocycle(), NILP, NADJ
+    ),
+    "derived_bracket_via_lifts_right": lambda f: derived_bracket_via_lifts(
+        nilp_cocycle(), f, NILP, NADJ
+    ),
+    "derived_bracket": lambda f: derived_bracket(f, f, NILP, NADJ),
+}
+
+
+@pytest.mark.parametrize("entry", MODULE_COCHAIN_ENTRY_POINTS)
+def test_a_misshapen_module_cochain_raises_one_error_at_every_entry_point(entry):
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        "the module cochain must map <a, b> × <a, b> into <a, b>, not <u, v> × <u, v> into <u, v>",
+        MODULE_COCHAIN_ENTRY_POINTS[entry],
+        Cochain.zero(2, AM, AM),
+    )
 
 
 # -- the complex attached to an operator ---------------------------------------------

@@ -745,15 +745,15 @@ def test_twisted_extension_rejects_non_cocycles() -> None:
 def test_twisted_extension_rejects_misshapen_twists() -> None:
     helpers.assert_raises_exactly(
         ArityMismatch,
-        "the twisting cochain must have arity 2",
+        "the twist must map <a, b> × <a, b> into <a, b>, not <a, b> into <a, b>",
         twisted_extension,
         NILP,
         NADJ,
         Cochain.zero(1, NM, NM),
     )
     helpers.assert_raises_exactly(
-        ModuleMismatch,
-        "the twisting cochain must map algebra² into the module",
+        ShapeMismatch,
+        "the twist must map <a, b> × <a, b> into <a, b>, not <a, b> × <a, b> into <u, v>",
         twisted_extension,
         NILP,
         NADJ,
@@ -813,10 +813,13 @@ def test_extension_iso_preconditions_raise_exactly() -> None:
         junk,
         h,
     )
-    for wrong in (ModuleMap.zero(AM, NM), ModuleMap.zero(NM, AM)):
+    for wrong, shape in (
+        (ModuleMap.zero(AM, NM), "<u, v> into <a, b>"),
+        (ModuleMap.zero(NM, AM), "<a, b> into <u, v>"),
+    ):
         helpers.assert_raises_exactly(
-            ModuleMismatch,
-            "h must map the algebra into the module",
+            ShapeMismatch,
+            f"h must map <a, b> into <a, b>, not {shape}",
             extension_iso,
             NILP,
             NADJ,

@@ -1124,6 +1124,28 @@ check cocycle phi with B;
     ]
 
 
+def test_a_twist_on_another_algebra_is_an_error_record_naming_its_shape():
+    source = (
+        A2_SOURCE
+        + N2_SOURCE
+        + """
+bimodule B adjoint A2;
+bimodule NB adjoint N2;
+cocycle phi on N2 into NB {
+  value a a = L*b;
+}
+map T : B -> A2 { u -> u; v -> v; }
+check TwistedRB T on A2 with B twist phi;
+"""
+    )
+    report, _ = build(source)
+    assert [(r.identity, r.status, r.detail) for r in report.records] == [(
+        "check TwistedRB T",
+        "error",
+        "the twist must map <u, v> × <u, v> into <u, v>, not <a, b> × <a, b> into <a, b>",
+    )]
+
+
 def test_cli_failure_output_names_witnesses(capsys):
     assert main(["check", str(FIXTURES / "broken_assoc.cfa")]) == 1
     out = capsys.readouterr().out
@@ -1403,7 +1425,7 @@ def test_cli_subcommand_runtime_error_keeps_the_file_records(capsys):
     assert records[:-1] == checked
     error = records[-1]
     assert (error["identity"], error["status"]) == ("mc-check", "error")
-    assert "O needs a map" in error["detail"]
+    assert error["detail"] == "O: the map must map <a, b> into <a, b>, not <u, v> into <u, v>"
 
 
 def test_a_failing_composite_renders_as_one_named_witness():

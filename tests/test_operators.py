@@ -39,6 +39,8 @@ from confalg.errors import (
     ShapeMismatch,
 )
 from confalg.operators import (
+    KINDS,
+    REGISTRY,
     ModuleMap,
     compatible_nijenhuis,
     compatible_O,
@@ -294,6 +296,22 @@ def test_operator_kind_validation() -> None:
         verify_operator("OLie", SHIFT, commutator_lie(DUAL))  # no rep given
     with pytest.raises(ShapeMismatch, match="^O needs a bimodule$"):
         verify_operator("O", IDENT, DUAL)  # no bimodule given
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_misshapen_map_raises_one_error_for_every_operator_kind(kind) -> None:
+    inputs = {
+        "O": {"bim": ADJ},
+        "TwistedRB": {"bim": ADJ, "twist": helpers.neg_mult()},
+        "Derivation": {"bim": ADJ},
+        "OLie": {"rep": rep_from_bimodule(DUAL, ADJ)},
+    }.get(kind, {})
+    alg = commutator_lie(DUAL) if REGISTRY[kind].flavor == "lie" else DUAL
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        f"{kind}: the map must map <u, v> into <u, v>, not <a, b> into <a, b>",
+        lambda: verify_operator(kind, ModuleMap.zero(NM, NM), alg, **inputs),
+    )
 
 
 def test_operators_refuse_a_bimodule_over_a_twin_algebra() -> None:

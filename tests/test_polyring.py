@@ -8,6 +8,7 @@ package itself.
 from __future__ import annotations
 
 import copy
+import math
 import re
 from fractions import Fraction
 
@@ -232,6 +233,14 @@ def test_parse_poly_locates_an_exponent_overflow() -> None:
     # a product that overflows names its right-hand factor
     with pytest.raises(ExponentOverflow, match=r"of D exceeds .* \(line 1, column 20\)$"):
         parse_poly("2*D^30000 + D^3000*D^30000")
+
+
+def test_a_power_above_its_simplex_bound_stays_within_its_degree_box() -> None:
+    # a 4-term base to the 400th power: C(403, 3) = 10,827,401 bounds its terms
+    # by the simplex, above MAX_TERMS, but its one variable spans 0 .. 1200
+    assert math.comb(403, 3) > polyring.MAX_TERMS
+    power = parse_poly("(1 + L1 + L1^2 + L1^3)^400")
+    assert len(list(power.items())) == 1201
 
 
 def test_term_cap_bounds_products_and_substitutions(monkeypatch) -> None:
