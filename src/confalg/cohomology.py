@@ -16,8 +16,9 @@ same names.  Every differential, composition and bracket below is built from
 :func:`~confalg.confcore.table_sum` of compositions of the input tables;
 nothing is tabulated per basis tuple.  Each function checks the modules of
 the cochains it reads with :func:`~confalg.confcore.require_shape`: a module
-cochain ``f: Mⁿ → A`` (the lifts and both routes of the derived bracket), a
-twist ``φ: A² → M``, and the self-valued cochains of the composition product.
+cochain ``f: Mⁿ → A`` (the lifts and both routes of the derived bracket), the
+maps ``T: M → A`` of its closed form, a twist ``φ: A² → M``, and the
+self-valued cochains of the composition product.
 On top of that single representation this module provides:
 
 * the differential :func:`o_complex_d` of the complex of an O-operator
@@ -251,6 +252,9 @@ def derived_binary(T1: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimo
     algebra product outside: ``T₁∘₁⋆(T₂) + T₂∘₁⋆(T₁) − (m∘₁T₁)∘₂T₂ −
     (m∘₁T₂)∘₂T₁`` with ``⋆(T)`` the :func:`~confalg.operators.star_product`.
     """
+    require_over(alg, bim)
+    for T in (T1, T2):
+        require_shape(T.table, (bim.module,), alg.module, "derived_binary: the map")
     m, t1, t2 = alg.table, T1.table, T2.table
     terms = [
         (1, Circ(t1, 1, star_product(T2, bim))),

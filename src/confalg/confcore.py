@@ -45,12 +45,14 @@ that lists the failing tuples; a theorem that joins several checks returns a
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
 documented precondition fails: :func:`require` raises a failing verdict's
-summary, :func:`require_over` refuses a bimodule built over another
-algebra, and :func:`require_shape` refuses a table (a product, an action, a
-cochain, a twist or an operator's map) whose modules are not the ones it
-must map between.  Every module above this one (:mod:`confalg.operators`,
-:mod:`confalg.derived`, :mod:`confalg.cohomology`, the definition language
-and the CLI) imports from here, and this module imports none of them.
+summary, :func:`require_flavor` refuses an algebra of the other flavor,
+:func:`require_over` refuses a bimodule built over another algebra, and
+:func:`require_shape` refuses a table (a product, an action, a cochain, a
+twist, an operator's map or a map composed with another) whose modules are
+not the ones it must map between.  Every module above this one
+(:mod:`confalg.operators`, :mod:`confalg.derived`, :mod:`confalg.cohomology`,
+the definition language and the CLI) imports from here, and this module
+imports none of them.
 """
 
 from __future__ import annotations
@@ -779,8 +781,7 @@ class LieRep(_Frozen):
     action: MultiTable
 
     def __init__(self, lie: ConfAlgebra, module: FreeModule, action: MultiTable) -> None:
-        if lie.flavor != "lie":
-            raise PreconditionFailed("LieRep needs a lie-flavored algebra")
+        require_flavor(lie, "lie", "LieRep")
         require_shape(action, (lie.module, module), module, "the action")
         _set_fields(self, lie, module, action)
 
@@ -861,15 +862,13 @@ class ModuleMap(_Frozen):
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """The composite ``self ∘ inner`` (apply ``inner`` first)."""
-        if inner.target != self.source:
-            raise ModuleMismatch("composition shapes do not match")
+        require_shape(inner.table, (inner.source,), self.source, "compose: the inner map")
         return ModuleMap(circ(self.table, 1, inner.table))
 
     def power(self, n: int) -> "ModuleMap":
-        if self.source != self.target:
-            raise ShapeMismatch("powers need an endomorphism")
+        require_shape(self.table, (self.source,), self.source, "power: the map")
         if n < 0:
-            raise ValueError("negative power")
+            raise PreconditionFailed("negative power")
         result = ModuleMap.identity(self.source)
         for _ in range(n):
             result = self.compose(result)
@@ -908,8 +907,7 @@ class ModuleMap(_Frozen):
         then ``det A = (−1)^r·c₀`` and ``adj A = (−1)^(r+1)·M_r``: r
         compositions and divisions by the integers 1 … r.
         """
-        if self.source != self.target:
-            raise ShapeMismatch("determinant needs an endomorphism")
+        require_shape(self.table, (self.source,), self.source, "determinant: the map")
         r, ident = self.source.rank, ModuleMap.identity(self.source)
         m = a_m = ModuleMap.zero(self.source)
         c = Poly.one()
@@ -1019,6 +1017,13 @@ def require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
         raise ModuleMismatch("bimodule was built over a different algebra")
 
 
+def require_flavor(alg: ConfAlgebra, flavor: str, what: str) -> None:
+    """Raise :class:`PreconditionFailed` unless ``alg`` has the ``flavor``; ``what`` names it."""
+    if alg.flavor != flavor:
+        article = "an" if flavor == "associative" else "a"
+        raise PreconditionFailed(f"{what} needs {article} {flavor}-flavored algebra")
+
+
 def require_shape(
     table: MultiTable, ins: Sequence[FreeModule], out: FreeModule, what: str
 ) -> None:
@@ -1044,8 +1049,7 @@ def _shape_text(ins: Sequence[FreeModule], out: FreeModule) -> str:
 
 def check_associative(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Scan ``m∘₁m − m∘₂m``: ``(e_i L1 e_j) L1+L2 e_k − e_i L1 (e_j L2 e_k)`` on all triples."""
-    if alg.flavor != "associative":
-        raise PreconditionFailed("check_associative needs an associative-flavored algebra")
+    require_flavor(alg, "associative", "check_associative")
     m = alg.table
     residual = table_sum([(1, Circ(m, 1, m)), (-1, Circ(m, 2, m))])
     return residual_scan("associativity", table_items(residual), cap)
@@ -1064,8 +1068,7 @@ def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     L2 [e_i L1 e_k]]`` is ``m∘₂m − m∘₁m`` minus ``m∘₂m`` with its first two
     slots swapped.  Witness tuples are tagged ``skew`` or ``jacobi``.
     """
-    if alg.flavor != "lie":
-        raise PreconditionFailed("check_lie needs a lie-flavored algebra")
+    require_flavor(alg, "lie", "check_lie")
     m = alg.table
     inner = circ(m, 2, m)
     jacobi = table_sum([(1, inner), (-1, Circ(m, 1, m)), (-1, Swap(inner, 1, 2))])
@@ -1081,8 +1084,7 @@ def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) 
     ``compatibility`` ``(a L1 m) L1+L2 b = a L1 (m L2 b)``: with the actions
     ``l``, ``r``, the residuals ``l∘₁m − l∘₂l``, ``r∘₁r − r∘₂m``, ``r∘₁l − l∘₂r``.
     """
-    if alg.flavor != "associative":
-        raise PreconditionFailed("check_bimodule needs an associative-flavored algebra")
+    require_flavor(alg, "associative", "check_bimodule")
     require_over(alg, bim)
     m, left, right = alg.table, bim.left, bim.right
     families = (
@@ -1114,8 +1116,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
     the trailing right action of ``φ(a₀, …, aₙ₋₁)`` on ``aₙ``: one table,
     ``𝐝φ = l∘₂φ + Σ (−1)^i φ∘_i m + (−1)^(n+1) r∘₁φ`` with actions ``l``, ``r``.
     """
-    if alg.flavor != "associative":
-        raise PreconditionFailed("hochschild_d needs an associative-flavored algebra")
+    require_flavor(alg, "associative", "hochschild_d")
     require_shape(f.table, (alg.module,) * f.arity, bim.module, "the cochain")
     require_over(alg, bim)
     n, phi = f.arity, f.table
@@ -1137,8 +1138,7 @@ def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WIT
 
 def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
     """The commutator bracket ``[a L1 b] = a_L1 b − b_{−L1−D} a``."""
-    if alg.flavor != "associative":
-        raise NotAssociative("commutator_lie needs an associative algebra")
+    require_flavor(alg, "associative", "commutator_lie")
     require(check_associative(alg, cap=1), NotAssociative)
     table = table_sum([(1, alg.table), (-1, Swap(alg.table, 1, 2))])
     return ConfAlgebra.lie(alg.module, table.entries)
@@ -1274,12 +1274,12 @@ def matching_pair(
     semidirect table exactly.  The result is *not* validated: run
     :func:`check_associative` on it to certify the pair.
     """
-    if a1.flavor != "associative" or a2.flavor != "associative":
-        raise PreconditionFailed("matching_pair needs associative-flavored algebras")
-    if a1_on_a2.algebra != a1 or a1_on_a2.module != a2.module:
-        raise RankMismatch("first action bundle must be A₁ acting on A₂")
-    if a2_on_a1.algebra != a2 or a2_on_a1.module != a1.module:
-        raise RankMismatch("second action bundle must be A₂ acting on A₁")
+    require_flavor(a1, "associative", "matching_pair")
+    require_flavor(a2, "associative", "matching_pair")
+    for alg, bundle, on, name in ((a1, a1_on_a2, a2, "A₁ on A₂"), (a2, a2_on_a1, a1, "A₂ on A₁")):
+        require_over(alg, bundle)
+        what = f"matching_pair: the left action of {name}"
+        require_shape(bundle.left, (alg.module, on.module), on.module, what)
     big, r1 = direct_sum(a1.module, a2.module), a1.rank
     blocks = [
         (a1.table, (0, 0), 0),

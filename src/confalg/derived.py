@@ -53,6 +53,7 @@ from .confcore import (
     hochschild_d,
     matching_pair,
     require,
+    require_flavor,
     require_shape,
     residual_scan,
     table_items,
@@ -65,7 +66,6 @@ from .operators import (
     require_operator,
     star_product,
     star_terms,
-    verify_operator,
 )
 from .polyring import Poly, PolyLike
 
@@ -261,8 +261,6 @@ def m_ass(
     operator.  ``validate=False`` skips the operator precondition and
     returns the candidate product unverified.
     """
-    if phi is not None:
-        require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     if validate:
         kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
         require_operator(kind, T, alg, bim, origin="m_ass", **inputs)
@@ -358,11 +356,10 @@ def nijenhuis_hierarchy(
     ``pairwise_compatible``), and holds when all five do.
     """
     require_operator("Nijenhuis", N, alg)
-    module, m = alg.module, alg.table
-    powers = [ModuleMap.identity(module)]
+    m = alg.table
+    P = [ModuleMap.identity(alg.module).table]  # the tables of N⁰, N¹, …, N^(2·kmax)
     for _ in range(2 * kmax):
-        powers.append(powers[-1].compose(N))
-    P = [power.table for power in powers]
+        P.append(circ(P[-1], 1, N.table))
     circs = [_deformed(p, m) for p in P]
     pairs = list(itertools.product(range(kmax + 1), repeat=2))
 
@@ -375,13 +372,6 @@ def nijenhuis_hierarchy(
 
     def both(x: int, y: int) -> MultiTable:  # N^x(a) N^y(b)
         return circ(circ(m, 1, P[x]), 2, P[y])
-
-    def powers_nijenhuis_items():
-        for i, k in pairs:
-            circ_alg = ConfAlgebra(module, circs[i], "associative")
-            inner = verify_operator("Nijenhuis", powers[k], circ_alg, cap=cap)
-            for witness in inner.witnesses:
-                yield ("i=%d,k=%d" % (i, k),) + witness[0], witness[1]
 
     return Composite("nijenhuis-hierarchy", dict(
         power_pair=family("power-pair", "j=%d,k=%d", lambda j, k: [
@@ -400,9 +390,10 @@ def nijenhuis_hierarchy(
             (-1, Circ(P[k], 1, circs[i])),
             (-1, circs[i + k]),
         ]),
-        powers_nijenhuis=residual_scan(
-            "hierarchy-powers-nijenhuis", powers_nijenhuis_items(), cap=cap
-        ),
+        powers_nijenhuis=family("powers-nijenhuis", "i=%d,k=%d", lambda i, k: [
+            (1, Circ(circ(circs[i], 1, P[k]), 2, P[k])),
+            (-1, Circ(P[k], 1, _deformed(P[k], circs[i]))),
+        ]),
         pairwise_compatible=family("pairwise-compatible", "j=%d,k=%d", lambda j, k: [
             (1, both(j, k)),
             (1, both(k, j)),
@@ -431,8 +422,7 @@ def deformed_bracket(
     to satisfy the Lie Nijenhuis identity, which makes the deformed bracket
     a Lie bracket again (re-checked before returning).
     """
-    if lie.flavor != "lie":
-        raise ShapeMismatch("deformed_bracket needs a Lie conformal algebra")
+    require_flavor(lie, "lie", "deformed_bracket")
     if validate:
         require_operator("NijenhuisLie", N, lie)
     table = BinaryOpTable(_deformed(N.table, lie.table))

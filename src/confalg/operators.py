@@ -69,6 +69,7 @@ from .confcore import (
     direct_sum,
     is_cocycle,
     require,
+    require_flavor,
     require_over,
     require_shape,
     residual_scan,
@@ -135,6 +136,8 @@ def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
         raise ShapeMismatch(f"{kind} needs a bimodule")
     require_over(alg, bim)
     require_shape(T.table, (bim.module,), alg.module, f"{kind}: the map")
+    if ins.twist is not None:
+        require_shape(ins.twist.table, (alg.module,) * 2, bim.module, "the twist")
     return ins
 
 
@@ -142,7 +145,6 @@ def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
     _require_mod_to_alg(kind, T, ins)
     if ins.twist is None:
         raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
-    require_shape(ins.twist.table, (ins.alg.module,) * 2, ins.bim.module, "the twist")
     require(is_cocycle(ins.twist, ins.alg, ins.bim), NotCocycle)
     return ins
 
@@ -180,6 +182,7 @@ def star_terms(t: MultiTable, left: MultiTable, right: MultiTable, phi=None) -> 
 def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
     """The table of ``m ⋆ n`` on the module (:func:`star_terms`); ``phi`` is an
     optional twisting 2-cochain on the algebra valued in the module."""
+    _require_mod_to_alg("star_product", T, _Inputs(bim.algebra, bim, twist=phi))
     twist = phi.table if phi is not None else None
     return table_sum(star_terms(T.table, bim.left, bim.right, twist))
 
@@ -192,6 +195,7 @@ def induced_actions(
     ``m·a = T(m)a − T(m·a [+ φ(T(m), a)])`` is ``m∘₁T − T∘₁(r [+ φ∘₁T])`` and
     ``a·m = a T(m) − T(a·m [+ φ(a, T(m))])`` is ``m∘₂T − T∘₁(l [+ φ∘₂T])``.
     """
+    _require_mod_to_alg("induced_actions", T, _Inputs(alg, bim, twist=phi))
     t, m = T.table, alg.table
     left = [(1, Circ(m, 1, t)), (-1, Circ(t, 1, bim.right))]
     right = [(1, Circ(m, 2, t)), (-1, Circ(t, 1, bim.left))]
@@ -293,8 +297,8 @@ def verify_operator(
     unread = [name for name, value in given.items() if value is not None and name not in spec.reads]
     if unread:
         raise PreconditionFailed(f"{kind} reads no {' or '.join(unread)} input")
-    if spec.flavor is not None and alg.flavor != spec.flavor:
-        raise ShapeMismatch(f"{kind} needs an algebra of the {spec.flavor} flavor")
+    if spec.flavor is not None:
+        require_flavor(alg, spec.flavor, kind)
     ins = spec.shape(kind, T, _Inputs(alg, bim, as_poly(weight or 0), twist, rep))
     return residual_scan(kind, table_items(spec.residual(T, ins)), cap)
 

@@ -122,7 +122,7 @@ from math import gcd, lcm
 from operator import index, or_
 from typing import Collection, Iterable, Iterator, Mapping, Tuple, Union
 
-from .errors import DuplicateBinding, ExponentOverflow, ParseError, TermOverflow
+from .errors import DuplicateBinding, ExponentOverflow, ParseError, PreconditionFailed, TermOverflow
 
 Scalar = Fraction
 Monomial = Tuple[Tuple[str, int], ...]
@@ -182,7 +182,7 @@ def var_sort_key(name: str) -> tuple:
 def lam(k: int) -> str:
     """Name of the k-th lambda-weight variable (1-based): ``lam(1) == "L1"``."""
     if k < 1:
-        raise ValueError(f"lambda index must be >= 1, got {k}")
+        raise PreconditionFailed(f"lambda index must be >= 1, got {k}")
     return f"L{k}"
 
 
@@ -319,7 +319,7 @@ def _pack(mono: Monomial) -> int:
     exps: dict[str, int] = {}
     for name, exp in mono:
         if exp < 0:
-            raise ValueError("negative exponent")
+            raise PreconditionFailed("negative exponent")
         exps[name] = exps.get(name, 0) + exp
     packed = 0
     for name, exp in exps.items():
@@ -529,7 +529,7 @@ class Poly:
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Poly":
         if exp < 0:
-            raise ValueError("negative exponent")
+            raise PreconditionFailed("negative exponent")
         if exp == 0:
             return _ONE_POLY
         if exp > EXP_MAX:
@@ -619,7 +619,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         n = index(n)
         if n < 0:
-            raise ValueError("negative exponent")
+            raise PreconditionFailed("negative exponent")
         if n > EXP_MAX:
             raise ExponentOverflow(f"exponent {int_to_decimal(n)} exceeds the cap {EXP_MAX}")
         nums = self._nums

@@ -21,8 +21,14 @@ from confalg.confcore import (
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
+    LieRep,
     MultiTable,
+    check_associative,
+    check_bimodule,
+    check_lie,
+    commutator_lie,
     extension_iso,
+    matching_pair,
     twisted_extension,
 )
 from confalg.cohomology import (
@@ -54,8 +60,10 @@ from confalg.errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from confalg.derived import induced_bimodule_on_A, m_ass
-from confalg.operators import ModuleMap, graph_check, lift, verify_operator
+from confalg.derived import deformed_bracket, induced_bimodule_on_A, m_ass
+from confalg.operators import (
+    ModuleMap, graph_check, induced_actions, lift, star_product, verify_operator
+)
 
 import _oracle
 import helpers
@@ -573,6 +581,8 @@ TWIST_ENTRY_POINTS = {
     "m_ass": lambda phi: m_ass(IDENT, DUAL, ADJ, phi),
     "m_ass_unvalidated": lambda phi: m_ass(IDENT, DUAL, ADJ, phi, validate=False),
     "induced_bimodule_on_A": lambda phi: induced_bimodule_on_A(IDENT, DUAL, ADJ, phi),
+    "star_product": lambda phi: star_product(IDENT, ADJ, phi),
+    "induced_actions": lambda phi: induced_actions(IDENT, DUAL, ADJ, phi),
     "induced_bimodule_on_A_unvalidated": lambda phi: induced_bimodule_on_A(
         IDENT, DUAL, ADJ, phi, validate=False
     ),
@@ -597,6 +607,60 @@ def test_a_misshapen_twist_raises_one_error_at_every_entry_point(entry, twist):
         TWIST_ENTRY_POINTS[entry],
         phi,
     )
+
+
+#: the entry points that read operator maps T: M → A besides the operator kinds, over DUAL and ADJ
+MAP_ENTRY_POINTS = {
+    "star_product": lambda T: star_product(T, ADJ),
+    "induced_actions": lambda T: induced_actions(T, DUAL, ADJ),
+    "derived_binary-left": lambda T: derived_binary(T, IDENT, DUAL, ADJ),
+    "derived_binary-right": lambda T: derived_binary(IDENT, T, DUAL, ADJ),
+}
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRY_POINTS)
+def test_a_misshapen_map_raises_one_error_at_every_entry_point(entry):
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        f"{entry.split('-')[0]}: the map must map <u, v> into <u, v>, not <a, b> into <a, b>",
+        MAP_ENTRY_POINTS[entry],
+        ModuleMap.zero(NM, NM),
+    )
+
+
+LIE = commutator_lie(DUAL)
+
+#: every refusal of an algebra of the other flavor: the call and the text it gives
+FLAVOR_REFUSALS = {
+    "LieRep": (lambda: LieRep(DUAL, AM, DUAL.table), "LieRep needs a lie"),
+    "check_associative": (lambda: check_associative(LIE), "check_associative needs an associative"),
+    "check_lie": (lambda: check_lie(DUAL), "check_lie needs a lie"),
+    "check_bimodule": (lambda: check_bimodule(LIE, ADJ), "check_bimodule needs an associative"),
+    "hochschild_d": (
+        lambda: hochschild_d(Cochain.zero(1, AM, AM), LIE, ADJ),
+        "hochschild_d needs an associative",
+    ),
+    "commutator_lie": (lambda: commutator_lie(LIE), "commutator_lie needs an associative"),
+    "matching_pair-first": (
+        lambda: matching_pair(LIE, DUAL, ADJ, ADJ), "matching_pair needs an associative"
+    ),
+    "matching_pair-second": (
+        lambda: matching_pair(DUAL, LIE, ADJ, ADJ), "matching_pair needs an associative"
+    ),
+    "verify_operator-Nijenhuis": (
+        lambda: verify_operator("Nijenhuis", IDENT, LIE), "Nijenhuis needs an associative"
+    ),
+    "verify_operator-NijenhuisLie": (
+        lambda: verify_operator("NijenhuisLie", IDENT, DUAL), "NijenhuisLie needs a lie"
+    ),
+    "deformed_bracket": (lambda: deformed_bracket(IDENT, DUAL), "deformed_bracket needs a lie"),
+}
+
+
+@pytest.mark.parametrize("refusal", FLAVOR_REFUSALS)
+def test_an_algebra_of_the_other_flavor_is_refused_with_one_text(refusal):
+    call, text = FLAVOR_REFUSALS[refusal]
+    helpers.assert_raises_exactly(PreconditionFailed, f"{text}-flavored algebra", call)
 
 
 #: the entry points that read cochains f: Mⁿ → A, over the nilpotent algebra acting on itself

@@ -50,7 +50,6 @@ from confalg.errors import (
     NotBimodule,
     NotCocycle,
     NotSkewSymmetric,
-    RankMismatch,
     ShapeMismatch,
 )
 from confalg.operators import ModuleMap
@@ -859,8 +858,29 @@ def test_all_zero_matching_pair_is_associative() -> None:
 def test_matching_pair_shape_errors() -> None:
     wm = FreeModule(("x",))
     other = ConfAlgebra.associative(wm, {})
-    with pytest.raises(RankMismatch):
-        matching_pair(DUAL, other, ConfBimodule.adjoint(DUAL), ConfBimodule.adjoint(other))
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        "matching_pair: the left action of A₁ on A₂ must map <u, v> × <x> into <x>,"
+        " not <u, v> × <u, v> into <u, v>",
+        matching_pair, DUAL, other, ConfBimodule.adjoint(DUAL), ConfBimodule.adjoint(other),
+    )
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        "matching_pair: the left action of A₂ on A₁ must map <x> × <u, v> into <u, v>,"
+        " not <x> × <x> into <x>",
+        matching_pair,
+        DUAL,
+        other,
+        ConfBimodule.build(DUAL, wm, {}, {}),
+        ConfBimodule.adjoint(other),
+    )
+    # a bundle over a twin of A₁: the same module, another product
+    twin = ConfBimodule.build(ConfAlgebra.associative(AM, {}), wm, {}, {})
+    helpers.assert_raises_exactly(
+        ModuleMismatch,
+        "bimodule was built over a different algebra",
+        matching_pair, DUAL, other, twin, ConfBimodule.adjoint(other),
+    )
 
 
 # -- current algebras ----------------------------------------------------------------

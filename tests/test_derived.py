@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confalg import derived
 from confalg.cohomology import Cochain
 from confalg.confcore import (
     ConfAlgebra,
@@ -35,6 +36,7 @@ from confalg.errors import (
     NotNijenhuis,
     NotOOperator,
     NotTwistedRB,
+    PreconditionFailed,
     ShapeMismatch,
 )
 from confalg.derived import (
@@ -407,6 +409,19 @@ def test_hierarchy_rejects_non_nijenhuis_maps() -> None:
         nijenhuis_hierarchy(SWAP, DUAL, kmax=2)
 
 
+def test_hierarchy_witnesses_of_a_non_nijenhuis_map(monkeypatch) -> None:
+    # past its precondition the swap map's first power is not Nijenhuis for ∘^{N⁰} or ∘^{N¹}
+    monkeypatch.setattr(derived, "require_operator", lambda *args, **kwargs: None)
+    verdict = nijenhuis_hierarchy(SWAP, DUAL, kmax=1).powers_nijenhuis
+    assert verdict.summary() == (
+        "hierarchy-powers-nijenhuis: fails at (i=0,k=1, u, u): residual -1*u (+7 more)"
+    )
+    pairs = [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v")]
+    expected = [-u, v, v, -u, 3 * v, -3 * u, -3 * u, 3 * v]
+    slots = [(tag, *pair) for tag in ("i=0,k=1", "i=1,k=1") for pair in pairs]
+    assert list(verdict.witnesses) == list(zip(slots, expected))
+
+
 # -- deformed brackets ----------------------------------------------------------------------
 
 
@@ -422,7 +437,7 @@ def test_deformed_bracket_of_a_scalar_map() -> None:
 
 
 def test_deformed_bracket_needs_lie_flavor() -> None:
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(PreconditionFailed, match="^deformed_bracket needs a lie-flavored algebra$"):
         deformed_bracket(IDENT, DUAL)
 
 

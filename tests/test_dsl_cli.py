@@ -823,6 +823,17 @@ def test_hochschild_checks_on_a_lie_algebra_are_errors(tmp_path, capsys, argv, s
     assert record["detail"] == "hochschild_d needs an associative-flavored algebra"
 
 
+def test_an_operator_check_on_the_other_flavor_is_an_error(tmp_path, capsys):
+    source = tmp_path / "lie.cfa"
+    source.write_text(LIE_G + "map N : G -> G { x -> x; }\ncheck Nijenhuis N on G;\n")
+    assert main(["check", str(source), "--json"]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert (record["identity"], record["status"], record["witnesses"]) == (
+        "check Nijenhuis N", "error", []
+    )
+    assert record["detail"] == "Nijenhuis needs an associative-flavored algebra"
+
+
 def test_declaration_errors_become_error_records():
     report, _ = build("bimodule B adjoint A;" if False else "algebra A { basis u; }\nmap T : A -> A { u -> D*L*u; }")
     # a lambda variable is not allowed in a module-map image

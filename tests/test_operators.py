@@ -191,13 +191,17 @@ def test_a_rank_8_inverse_takes_at_most_2_r4_products(monkeypatch) -> None:
 def test_map_shape_errors() -> None:
     with pytest.raises(ModuleMismatch):
         SHIFT.apply(a)
-    with pytest.raises(ModuleMismatch):
-        SHIFT.compose(ModuleMap.identity(NM))
+    helpers.assert_raises_exactly(
+        ShapeMismatch,
+        "compose: the inner map must map <a, b> into <u, v>, not <a, b> into <a, b>",
+        SHIFT.compose,
+        ModuleMap.identity(NM),
+    )
     to_nm = ModuleMap.zero(AM, NM)
-    with pytest.raises(ShapeMismatch, match="determinant needs an endomorphism"):
-        to_nm.det()
-    with pytest.raises(ShapeMismatch, match="determinant needs an endomorphism"):
-        to_nm.inverse()
+    endo = "the map must map <u, v> into <u, v>, not <u, v> into <a, b>"
+    helpers.assert_raises_exactly(ShapeMismatch, f"power: {endo}", to_nm.power, 2)
+    helpers.assert_raises_exactly(ShapeMismatch, f"determinant: {endo}", to_nm.det)
+    helpers.assert_raises_exactly(ShapeMismatch, f"determinant: {endo}", to_nm.inverse)
 
 
 # -- single-operator identities ---------------------------------------------------

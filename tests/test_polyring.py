@@ -18,11 +18,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confalg import polyring
+from confalg.confcore import FreeModule, ModuleMap
 from confalg.errors import (
     ConfalgError,
     DuplicateBinding,
     ExponentOverflow,
     ParseError,
+    PreconditionFailed,
     TermOverflow,
 )
 from confalg.polyring import (
@@ -353,9 +355,28 @@ def test_compiled_substitution_keeps_the_error_contract(monkeypatch) -> None:
 def test_lambda_names() -> None:
     assert lam(1) == "L1"
     assert lam(12) == "L12"
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed):
         lam(0)
     assert var_sort_key("D") < var_sort_key("L1") < var_sort_key("L2") < var_sort_key("t")
+
+
+#: the refusals of a negative index or exponent, and the text each gives
+NEGATIVE_ARGUMENTS = {
+    "lam": (lambda: lam(0), "lambda index must be >= 1, got 0"),
+    "var": (lambda: Poly.var("D", -1), "negative exponent"),
+    "constructor": (lambda: Poly({(("D", -1),): 1}), "negative exponent"),
+    "poly-pow": (lambda: Poly.var("D") ** -1, "negative exponent"),
+    "map-power": (lambda: ModuleMap.identity(FreeModule(("e",))).power(-1), "negative power"),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_ARGUMENTS)
+def test_a_negative_index_or_exponent_is_a_failed_precondition(case) -> None:
+    call, message = NEGATIVE_ARGUMENTS[case]
+    with pytest.raises(PreconditionFailed) as caught:
+        call()
+    assert type(caught.value) is PreconditionFailed
+    assert str(caught.value) == message
 
 
 # -- the packed kernel ---------------------------------------------------------
