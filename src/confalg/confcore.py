@@ -46,10 +46,10 @@ that lists the failing tuples; a theorem that joins several checks returns a
 :func:`cur`) build new algebras from verified inputs and raise when a
 documented precondition fails: :func:`require` raises a failing verdict's
 summary, :func:`require_flavor` refuses an algebra of the other flavor,
-:func:`require_over` refuses a bimodule built over another algebra, and
-:func:`require_shape` refuses a table (a product, an action, a cochain, a
-twist, an operator's map or a map composed with another) whose modules are
-not the ones it must map between.  Every module above this one
+:func:`require_over` refuses a bimodule or a representation built over another
+algebra, and :func:`require_shape` refuses a table (a product, an action, a
+cochain, a twist, an operator's map or a map composed with another) whose
+modules are not the ones it must map between.  Every module above this one
 (:mod:`confalg.operators`, :mod:`confalg.derived`, :mod:`confalg.cohomology`,
 the definition language and the CLI) imports from here, and this module
 imports none of them.
@@ -1011,10 +1011,12 @@ def require(verdict: Verdict, error: Type[ConfalgError], origin: Optional[str] =
         raise error(summary if origin is None else f"{origin}: {summary}")
 
 
-def require_over(alg: ConfAlgebra, bim: ConfBimodule) -> None:
-    """Raise :class:`ModuleMismatch` unless ``bim`` was built over ``alg``."""
-    if bim.algebra != alg:
-        raise ModuleMismatch("bimodule was built over a different algebra")
+def require_over(alg: ConfAlgebra, over: Union[ConfBimodule, LieRep]) -> None:
+    """Raise :class:`ModuleMismatch` unless the bimodule or representation is over ``alg``."""
+    lie = isinstance(over, LieRep)
+    what, base = ("representation", over.lie) if lie else ("bimodule", over.algebra)
+    if base != alg:
+        raise ModuleMismatch(f"{what} was built over a different algebra")
 
 
 def require_flavor(alg: ConfAlgebra, flavor: str, what: str) -> None:

@@ -59,7 +59,7 @@ from .confcore import (
     table_items,
     table_sum,
 )
-from .errors import ConfalgError, NotDendriform, ShapeMismatch
+from .errors import ConfalgError, NotDendriform, PreconditionFailed, ShapeMismatch
 from .operators import (
     ModuleMap,
     induced_actions,
@@ -262,8 +262,8 @@ def m_ass(
     returns the candidate product unverified.
     """
     if validate:
-        kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
-        require_operator(kind, T, alg, bim, origin="m_ass", **inputs)
+        kind = "O" if phi is None else "TwistedRB"
+        require_operator(kind, T, alg, bim, origin="m_ass", twist=phi)
     return ConfAlgebra(bim.module, star_product(T, bim, phi), "associative")
 
 
@@ -282,8 +282,8 @@ def induced_bimodule_on_A(
     ⋆-product of :func:`m_ass` they satisfy the bimodule axioms.
     """
     if validate:
-        kind, inputs = ("O", {}) if phi is None else ("TwistedRB", {"twist": phi})
-        require_operator(kind, T, alg, bim, origin="induced_bimodule_on_A", **inputs)
+        kind = "O" if phi is None else "TwistedRB"
+        require_operator(kind, T, alg, bim, origin="induced_bimodule_on_A", twist=phi)
     star_alg = m_ass(T, alg, bim, phi, validate=False)
     return ConfBimodule(star_alg, alg.module, *induced_actions(T, alg, bim, phi))
 
@@ -353,8 +353,11 @@ def nijenhuis_hierarchy(
 
     The result holds one :class:`~confalg.confcore.Verdict` per family
     (``power_pair``, ``intertwine``, ``relative``, ``powers_nijenhuis``,
-    ``pairwise_compatible``), and holds when all five do.
+    ``pairwise_compatible``), and holds when all five do.  A ``kmax`` below 1
+    raises :class:`~confalg.errors.PreconditionFailed`.
     """
+    if kmax < 1:
+        raise PreconditionFailed(f"the exponent bound kmax must be positive, not {kmax}")
     require_operator("Nijenhuis", N, alg)
     m = alg.table
     P = [ModuleMap.identity(alg.module).table]  # the tables of N⁰, N¹, …, N^(2·kmax)

@@ -5,7 +5,8 @@ runs ``check`` and ``construct`` statements against them.  Each declaration
 kind names in ``refs`` the fields that reference earlier declarations, with
 the namespaces each may resolve in, and ``build(env)`` returns its object.
 Each kind of statement is one entry of :data:`STATEMENTS`, which gives the
-namespace of its name, the clauses it reads and the function that runs it::
+namespace of its name, the clauses it reads and needs, and the function that
+runs it::
 
     algebra A2 {
       basis u, v;
@@ -39,7 +40,6 @@ import io
 import json
 import random
 import time
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -196,7 +196,7 @@ class Statement(NamedTuple):
     on: Optional[str]
     with_: Optional[str]
     twist: Optional[str]
-    weight: Optional[Union[Fraction, str]]  # a rational or a parameter name
+    weight: Optional[Poly]  # a rational or an auxiliary parameter
     as_: Optional[str]
     line: int
 
@@ -397,16 +397,20 @@ class _Parser(_PolyParser):
         self.expect_punct("}")
         return MapDecl(name, source, target, tuple(images), head[2])
 
-    def parse_weight(self) -> Union[Fraction, str]:
+    def parse_weight(self) -> Poly:
+        """A rational number or an auxiliary parameter, which is no coefficient variable."""
         negate = self.at_punct("-")
         if negate:
             self.advance()
         if self.peek()[0] == "number":
-            value = self.parse_number().constant_term()
-            return -value if negate else value
+            return -self.parse_number() if negate else self.parse_number()
         if negate:
             raise self.fail("expected a number after '-'")
-        return self.fresh_name("a weight parameter")
+        tok = self.peek()
+        name = self.fresh_name("a weight parameter")
+        if name in VAR_ALIASES:
+            raise self.fail(f"{name!r} is a coefficient variable and cannot name a weight", tok)
+        return Poly.var(name)
 
     def parse_statement(self) -> Statement:
         head = self.advance()
@@ -679,26 +683,33 @@ def _entry_table(
     return entries
 
 
-def _reject_unread(stmt: Statement, reads: Tuple[str, ...]) -> None:
-    """Raise if the statement has a clause that its kind does not read."""
+#: how an error names each clause a statement may need
+_NEEDED = {"on": "an 'on <algebra>'", "with": "a 'with <bimodule>'", "twist": "a 'twist <cocycle>'"}
+
+
+def _check_clauses(stmt: Statement, reads: Sequence[str], needs: Sequence[str] = ()) -> None:
+    """Raise if the statement gives a clause its kind does not read, else lacks one it needs."""
     given = [clause for clause, field in CLAUSE_FIELDS.items() if getattr(stmt, field) is not None]
     unread = " or ".join(f"'{clause}'" for clause in given if clause not in reads)
-    if unread:
-        raise PreconditionFailed(
-            f"{stmt.verb} {stmt.kind} reads no {unread} clause (line {stmt.line})"
-        )
+    missing = [clause for clause in needs if clause not in given]
+    if unread or missing:
+        problem = f"reads no {unread}" if unread else f"needs {_NEEDED[missing[0]]}"
+        raise PreconditionFailed(f"{stmt.verb} {stmt.kind} {problem} clause (line {stmt.line})")
 
 
-def _required(stmt: Statement, value, clause: str):
-    """``value``, given by the statement's ``clause``; raise if the statement has none."""
-    if value is None:
-        raise PreconditionFailed(
-            f"{stmt.verb} {stmt.kind} needs {clause} clause (line {stmt.line})"
-        )
-    return value
+class Bound(NamedTuple):
+    """The objects a statement's ``refs`` name, ``None`` for an absent clause; a cocycle
+    is kept with the names of its algebra and bimodule, and ``cochain`` is the twist's."""
 
+    name: object
+    on: Optional[ConfAlgebra]
+    with_: Optional[ConfBimodule]
+    twist: Optional[Tuple[Cochain, str, Optional[str]]]
 
-_WITH = "a 'with <bimodule>'"
+    @property
+    def cochain(self) -> Optional[Cochain]:
+        return self.twist[0] if self.twist is not None else None
+
 
 #: the verdict of a construct that has nothing to check beyond its building
 _BUILT = Verdict("built", True, ())
@@ -707,23 +718,11 @@ _BUILT = Verdict("built", True, ())
 Outcome = Tuple[Union[Verdict, Composite], object, Optional[str]]
 
 
-def _statement_inputs(env: Environment, stmt: Statement):
-    """The map, algebra, bimodule and twist a statement names; ``None`` for an absent clause."""
-    T, alg = env.maps[stmt.name], env.algebras[stmt.on]
-    bim = env.bimodules[stmt.with_] if stmt.with_ is not None else None
-    twist = env.cocycles[stmt.twist][0] if stmt.twist is not None else None
-    return T, alg, bim, twist
-
-
-def _check_operator(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    """The map's identity on the algebra, with the inputs its registry entry reads."""
+def _check_operator(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    """The map's identity on the algebra, with the clauses as its registry entry's inputs."""
     spec = OPERATORS[stmt.kind]
-    T, alg, bim, twist = _statement_inputs(env, stmt)
-    inputs: dict = {"twist": twist}
-    if stmt.weight is not None:
-        inputs["weight"] = Poly.var(stmt.weight) if isinstance(stmt.weight, str) else stmt.weight
-    if "rep" in spec.reads or ("with" in spec.reads and stmt.kind != "Derivation"):
-        bim = _required(stmt, bim, _WITH)  # only a derivation has a default: the adjoint
+    alg, bim = args.on, args.with_
+    inputs = {"twist": args.cochain, "weight": stmt.weight}
     if "rep" not in spec.reads:
         inputs["bim"] = bim
     elif alg.flavor == "associative":  # the commutator representation of the bimodule
@@ -733,57 +732,52 @@ def _check_operator(env: Environment, stmt: Statement, cap: int) -> Outcome:
     if spec.flavor == "lie" and alg.flavor == "associative":
         # a Lie identity on an associative algebra is checked on its commutator bracket
         alg = commutator_lie(alg)
-    return verify_operator(stmt.kind, T, alg, cap=cap, **inputs), None, None
+    return verify_operator(stmt.kind, args.name, alg, cap=cap, **inputs), None, None
 
 
-def _check_bimodule(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    bim = env.bimodules[stmt.name]
-    return check_bimodule(bim.algebra, bim, cap=cap), None, None
+def _check_bimodule(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    return check_bimodule(args.name.algebra, args.name, cap=cap), None, None
 
 
-def _check_cocycle(env: Environment, stmt: Statement, cap: int) -> Outcome:
+def _check_cocycle(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
     """The 2-cocycle identity, valued in the ``with`` bimodule, else its own, else the adjoint."""
-    phi, alg_name, into = env.cocycles[stmt.name]
-    alg = env.algebras[alg_name]
-    values = stmt.with_ or into
-    bim = env.bimodules[values] if values is not None else ConfBimodule.adjoint(alg)
+    phi, alg_name, into = args.name
+    alg, bim = env.algebras[alg_name], args.with_
+    if bim is None:
+        bim = env.bimodules[into] if into is not None else ConfBimodule.adjoint(alg)
     return is_cocycle(phi, alg, bim, cap=cap), None, None
 
 
-def _dendriform(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, _ = _statement_inputs(env, stmt)
-    return _BUILT, dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap), None
+def _dendriform(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    return _BUILT, dendriform_from_O(args.name, args.on, args.with_, cap=cap), None
 
 
-def _ns(env: Environment, stmt: Statement, cap: int) -> Outcome:
+def _ns(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
     """From a twisted Rota-Baxter operator with a twist, else from a Nijenhuis operator."""
-    T, alg, bim, twist = _statement_inputs(env, stmt)
-    if twist is not None:
-        return _BUILT, ns_from_twisted(T, alg, _required(stmt, bim, _WITH), twist, cap=cap), None
-    _reject_unread(stmt, ("on",))  # without a twist, ns reads no 'with'
-    return _BUILT, ns_from_nijenhuis(T, alg, cap=cap), None
+    if args.twist is None:
+        _check_clauses(stmt, ("on",))  # without a twist, ns reads no 'with'
+        return _BUILT, ns_from_nijenhuis(args.name, args.on, cap=cap), None
+    _check_clauses(stmt, ("on", "with", "twist"), ("with",))  # with a twist, ns needs 'with'
+    return _BUILT, ns_from_twisted(args.name, args.on, args.with_, args.cochain, cap=cap), None
 
 
-def _mass(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, twist = _statement_inputs(env, stmt)
-    return _BUILT, m_ass(T, alg, _required(stmt, bim, _WITH), twist), None
+def _mass(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    return _BUILT, m_ass(args.name, args.on, args.with_, args.cochain), None
 
 
-def _leftsym(env: Environment, stmt: Statement, cap: int) -> Outcome:
-    T, alg, bim, _ = _statement_inputs(env, stmt)
-    dendriform = dendriform_from_O(T, alg, _required(stmt, bim, _WITH), cap=cap)
+def _leftsym(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    dendriform = dendriform_from_O(args.name, args.on, args.with_, cap=cap)
     return _BUILT, leftsym_from_dendriform(dendriform, cap=cap), None
 
 
-def _deformed(env: Environment, stmt: Statement, cap: int) -> Outcome:
+def _deformed(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
     """The deformed product, which fails where the deformation defect is nonzero."""
-    T, alg, _, _ = _statement_inputs(env, stmt)
-    product, defect = deformed_product(T, alg)
+    product, defect = deformed_product(args.name, args.on)
     # The witnesses are the defect's stored entries in sorted order.  They do
     # not go through residual_scan: the defect is already a table of nonzero
     # entries, and a scan would walk every basis pair and count it as scanned.
     witnesses = tuple(
-        (tuple(alg.module.basis[i] for i in idx), value)
+        (tuple(args.on.module.basis[i] for i in idx), value)
         for idx, value in sorted(defect.table.entries.items())
     )[:cap]
     detail = "the deformation defect (the candidate's cocycle error) is nonzero"
@@ -794,43 +788,50 @@ class StatementKind(NamedTuple):
     """One entry of :data:`STATEMENTS`.
 
     ``namespace`` is where the statement's name resolves.  ``reads`` names
-    the clauses the kind reads; one that reads ``on`` needs it, and a
-    construct that reads ``as`` registers its result as an algebra under
-    :func:`_construct_name`.  ``run(env, stmt, cap)`` gives the
-    :data:`Outcome`; a built structure is emitted as source text.
+    the clauses the kind reads and ``needs`` those of them it cannot run
+    without; a construct that reads ``as`` registers its result as an
+    algebra under :func:`_construct_name`.  ``run(env, stmt, args, cap)``
+    gives the :data:`Outcome` from the :class:`Bound` objects ``args``; a
+    built structure is emitted as source text.
     """
 
     namespace: str
     reads: Tuple[str, ...]
-    run: Callable[[Environment, Statement, int], Outcome]
+    needs: Tuple[str, ...]
+    run: Callable[[Environment, Statement, Bound, int], Outcome]
 
 
 def _on_algebra(check):
     """The run function of a check on the algebra the statement names."""
-    return lambda env, stmt, cap: (check(env.algebras[stmt.name], cap=cap), None, None)
+    return lambda env, stmt, args, cap: (check(args.name, cap=cap), None, None)
+
+
+def _clauses(inputs: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The clauses that supply registry inputs: the ``with`` clause supplies ``rep`` too."""
+    return tuple({"rep": "with"}.get(name, name) for name in inputs)
 
 
 #: Every check and construct kind, keyed by ``(verb, kind)``.  An operator check
-#: reads ``on`` and the clauses that supply its registry entry's inputs: ``with``
-#: supplies the representation ``rep`` as well as the bimodule.
+#: reads and needs ``on`` and the clauses that supply the inputs its registry
+#: entry reads and needs.  ``construct ns`` needs ``with`` when it has a ``twist``.
 STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
     **{
         ("check", kind): StatementKind(
-            "map",
-            ("on",) + tuple({"rep": "with"}.get(name, name) for name in spec.reads),
-            _check_operator,
+            "map", ("on",) + _clauses(spec.reads), ("on",) + _clauses(spec.needs), _check_operator
         )
         for kind, spec in OPERATORS.items()
     },
-    ("check", "associative"): StatementKind("algebra", (), _on_algebra(check_associative)),
-    ("check", "lie"): StatementKind("algebra", (), _on_algebra(check_lie)),
-    ("check", "bimodule"): StatementKind("bimodule", (), _check_bimodule),
-    ("check", "cocycle"): StatementKind("cocycle", ("with",), _check_cocycle),
-    ("construct", "dendriform"): StatementKind("map", ("on", "with"), _dendriform),
-    ("construct", "ns"): StatementKind("map", ("on", "with", "twist"), _ns),
-    ("construct", "mass"): StatementKind("map", ("on", "with", "twist", "as"), _mass),
-    ("construct", "leftsym"): StatementKind("map", ("on", "with"), _leftsym),
-    ("construct", "deformed"): StatementKind("map", ("on", "as"), _deformed),
+    ("check", "associative"): StatementKind("algebra", (), (), _on_algebra(check_associative)),
+    ("check", "lie"): StatementKind("algebra", (), (), _on_algebra(check_lie)),
+    ("check", "bimodule"): StatementKind("bimodule", (), (), _check_bimodule),
+    ("check", "cocycle"): StatementKind("cocycle", ("with",), (), _check_cocycle),
+    ("construct", "dendriform"): StatementKind("map", ("on", "with"), ("on", "with"), _dendriform),
+    ("construct", "ns"): StatementKind("map", ("on", "with", "twist"), ("on",), _ns),
+    ("construct", "mass"): StatementKind(
+        "map", ("on", "with", "twist", "as"), ("on", "with"), _mass
+    ),
+    ("construct", "leftsym"): StatementKind("map", ("on", "with"), ("on", "with"), _leftsym),
+    ("construct", "deformed"): StatementKind("map", ("on", "as"), ("on",), _deformed),
 }
 
 #: the clauses a statement of each verb may give: those some kind of the verb reads
@@ -851,10 +852,13 @@ def _expected_kinds(verb: str) -> str:
 def _run_statement(env: Environment, stmt: Statement, cap: int) -> Record:
     started = time.perf_counter()
     entry = STATEMENTS[stmt.verb, stmt.kind]
-    _reject_unread(stmt, entry.reads)
-    if "on" in entry.reads:
-        _required(stmt, stmt.on, "an 'on <algebra>'")
-    verdict, built, detail = entry.run(env, stmt, cap)
+    _check_clauses(stmt, entry.reads, entry.needs)
+    args = Bound(*(
+        None if getattr(stmt, field) is None
+        else env.lookup(getattr(stmt, field), *(env.pools[ns] for ns in namespaces))
+        for field, namespaces in stmt.refs
+    ))
+    verdict, built, detail = entry.run(env, stmt, args, cap)
     emitted = None
     if built is not None:
         name = _construct_name(stmt)

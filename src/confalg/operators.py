@@ -8,18 +8,19 @@ output).  It is defined in :mod:`confalg.confcore`, beside the cochains, and
 imported here, so ``confalg.operators.ModuleMap`` names the same class.
 
 Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
-An entry names the optional inputs the identity reads (``with``, the
-bimodule; ``twist``; ``weight``; ``rep``) and the algebra flavor it needs,
-checks the shapes of the map and the inputs (the map's and the twist's
-modules through :func:`~confalg.confcore.require_shape`, so a misshapen map
-of kind ``K`` raises ``K: the map must map …`` and a misshapen twist ``the
-twist must map …``, as everywhere else), gives the identity's residual
-as a table sum of compositions with the map's table (for example O is
-``m∘(T⊗T) − T∘(l∘₁T + r∘₂T)``), and names the exception that
-:func:`require_operator` raises when a construction's operator precondition
-fails.  :func:`verify_operator` is one registry lookup and one scan of that
-residual table over all basis pairs, and the definition language takes its
-clauses from the same entries.
+An entry declares the modules its map goes between (``maps``), the optional
+inputs the identity reads (``with``, the bimodule; ``twist``; ``weight``;
+``rep``) and ``needs``, the algebra flavor it needs, the residual as a table
+sum of compositions with the map's table (for example O is ``m∘(T⊗T) −
+T∘(l∘₁T + r∘₂T)``), and the exception that :func:`require_operator` raises.
+:func:`verify_operator` is the one place that applies an entry: it refuses
+an input the kind does not read or needs but lacks, fills in the defaults
+(weight 0; the adjoint bimodule for a derivation), checks the flavor, the
+algebra of the bimodule or representation and the modules of the map and
+the twist (through :func:`~confalg.confcore.require_shape`, so a misshapen
+map of kind ``K`` raises ``K: the map must map …`` and a misshapen twist
+``the twist must map …``), and scans the residual table over all basis
+pairs.  The definition language takes its clauses from the same entries.
 
 ========================  ====================================================
 kind                      identity (all products at weight L1)
@@ -87,9 +88,8 @@ from .errors import (
     NotOOperator,
     NotTwistedRB,
     PreconditionFailed,
-    ShapeMismatch,
 )
-from .polyring import Poly, PolyLike, as_poly
+from .polyring import Poly, PolyLike, as_poly, var_sort_key
 
 
 # -- operator identities -----------------------------------------------------
@@ -99,71 +99,43 @@ class _Inputs(NamedTuple):
     """What an identity may read besides the map itself."""
 
     alg: ConfAlgebra
-    bim: Optional[ConfBimodule] = None
-    weight: Poly = Poly.zero()
-    twist: object = None
-    rep: Optional[LieRep] = None
+    bim: Optional[ConfBimodule]
+    weight: Poly
+    twist: object
+    rep: Optional[LieRep]
 
 
 class OperatorKind(NamedTuple):
     """One entry of :data:`REGISTRY`.
 
-    ``reads`` names the optional inputs of :func:`verify_operator` the
-    identity uses: ``with`` (the bimodule ``bim``), ``twist``, ``weight``
-    and ``rep``.  ``flavor`` is the algebra flavor it needs, if any.
-    ``shape(kind, T, inputs)`` raises when the map and the inputs do not fit
-    together and returns the inputs the residual reads; ``residual(T,
-    inputs)`` is the table of the identity's residual on the basis pairs of
-    the map's source, a :func:`~confalg.confcore.table_sum` of compositions.
-    ``error`` is the exception :func:`require_operator` raises.
+    ``maps`` names the map's source and target, each ``algebra``, ``with``
+    (the bimodule's module) or ``rep`` (the representation's module).
+    ``reads`` names the inputs of :func:`verify_operator` the identity uses
+    (``with``, the bimodule ``bim``; ``twist``; ``weight``; ``rep``) and
+    ``needs`` those that must be given; of the others ``weight`` defaults
+    to 0 and ``with`` to the adjoint bimodule.  ``residual(T, inputs)`` is
+    the table of the identity's residual on the basis pairs of the map's
+    source, a :func:`~confalg.confcore.table_sum` of compositions;
+    ``error`` is the exception :func:`require_operator` raises and
+    ``flavor`` the algebra flavor the kind needs, if any.
     """
 
+    maps: Tuple[str, str]
     reads: Tuple[str, ...]
-    flavor: Optional[str]
-    shape: Callable[[str, ModuleMap, _Inputs], _Inputs]
+    needs: Tuple[str, ...]
     residual: Callable[[ModuleMap, _Inputs], MultiTable]
     error: Type[ConfalgError]
+    flavor: Optional[str] = None
 
 
-def _require_endo(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    require_shape(T.table, (ins.alg.module,), ins.alg.module, f"{kind}: the map")
-    return ins
-
-
-def _require_mod_to_alg(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    alg, bim = ins.alg, ins.bim
-    if bim is None:
-        raise ShapeMismatch(f"{kind} needs a bimodule")
+def _require_module_map(
+    what: str, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi=None
+) -> None:
+    """Refuse a bimodule not over ``alg``, a map ``T`` not M → A, and a twist not A × A → M."""
     require_over(alg, bim)
-    require_shape(T.table, (bim.module,), alg.module, f"{kind}: the map")
-    if ins.twist is not None:
-        require_shape(ins.twist.table, (alg.module,) * 2, bim.module, "the twist")
-    return ins
-
-
-def _twisted_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    _require_mod_to_alg(kind, T, ins)
-    if ins.twist is None:
-        raise ShapeMismatch("TwistedRB needs twist= (a 2-cocycle into the module)")
-    require(is_cocycle(ins.twist, ins.alg, ins.bim), NotCocycle)
-    return ins
-
-
-def _derivation_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    acting = ins.bim if ins.bim is not None else ConfBimodule.adjoint(ins.alg)
-    require_over(ins.alg, acting)
-    require_shape(T.table, (ins.alg.module,), acting.module, f"{kind}: the map")
-    return ins._replace(bim=acting)
-
-
-def _olie_shape(kind: str, T: ModuleMap, ins: _Inputs) -> _Inputs:
-    rep = ins.rep
-    if rep is None:
-        raise ShapeMismatch("OLie needs rep= (a Lie representation)")
-    if rep.lie != ins.alg:
-        raise ShapeMismatch("OLie needs the representation's own Lie algebra")
-    require_shape(T.table, (rep.module,), ins.alg.module, f"{kind}: the map")
-    return ins
+    require_shape(T.table, (bim.module,), alg.module, f"{what}: the map")
+    if phi is not None:
+        require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
 
 
 def star_terms(t: MultiTable, left: MultiTable, right: MultiTable, phi=None) -> list:
@@ -182,7 +154,7 @@ def star_terms(t: MultiTable, left: MultiTable, right: MultiTable, phi=None) -> 
 def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
     """The table of ``m ⋆ n`` on the module (:func:`star_terms`); ``phi`` is an
     optional twisting 2-cochain on the algebra valued in the module."""
-    _require_mod_to_alg("star_product", T, _Inputs(bim.algebra, bim, twist=phi))
+    _require_module_map("star_product", T, bim.algebra, bim, phi)
     twist = phi.table if phi is not None else None
     return table_sum(star_terms(T.table, bim.left, bim.right, twist))
 
@@ -195,7 +167,7 @@ def induced_actions(
     ``m·a = T(m)a − T(m·a [+ φ(T(m), a)])`` is ``m∘₁T − T∘₁(r [+ φ∘₁T])`` and
     ``a·m = a T(m) − T(a·m [+ φ(a, T(m))])`` is ``m∘₂T − T∘₁(l [+ φ∘₂T])``.
     """
-    _require_mod_to_alg("induced_actions", T, _Inputs(alg, bim, twist=phi))
+    _require_module_map("induced_actions", T, alg, bim, phi)
     t, m = T.table, alg.table
     left = [(1, Circ(m, 1, t)), (-1, Circ(t, 1, bim.right))]
     right = [(1, Circ(m, 2, t)), (-1, Circ(t, 1, bim.left))]
@@ -246,24 +218,23 @@ def _olie_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
     return _quadratic(ins.alg.table, T.table, (1, acted), (-1, Swap(acted, 1, 2)))
 
 
+#: the ends of a map: the algebra into itself, the bimodule's module into it, and back
+_ENDO, _M_TO_A, _A_TO_M = ("algebra", "algebra"), ("with", "algebra"), ("algebra", "with")
+
 #: Every operator identity, keyed by kind.
 REGISTRY: Mapping[str, OperatorKind] = {
-    "O": OperatorKind(("with",), None, _require_mod_to_alg, _o_residual, NotOOperator),
-    "RotaBaxter": OperatorKind(
-        ("weight",), None, _require_endo, _rota_baxter_residual, PreconditionFailed
-    ),
+    "O": OperatorKind(_M_TO_A, ("with",), ("with",), _o_residual, NotOOperator),
+    "RotaBaxter": OperatorKind(_ENDO, ("weight",), (), _rota_baxter_residual, PreconditionFailed),
     "TwistedRB": OperatorKind(
-        ("with", "twist"), None, _twisted_shape, _o_residual, NotTwistedRB
+        _M_TO_A, ("with", "twist"), ("with", "twist"), _o_residual, NotTwistedRB
     ),
-    "Nijenhuis": OperatorKind(
-        (), "associative", _require_endo, _nijenhuis_residual, NotNijenhuis
+    "Nijenhuis": OperatorKind(_ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "associative"),
+    "NijenhuisLie": OperatorKind(_ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "lie"),
+    "Reynolds": OperatorKind(_ENDO, (), (), _reynolds_residual, PreconditionFailed),
+    "Derivation": OperatorKind(_A_TO_M, ("with",), (), _derivation_residual, NotDerivation),
+    "OLie": OperatorKind(
+        ("rep", "algebra"), ("rep",), ("rep",), _olie_residual, PreconditionFailed, "lie"
     ),
-    "NijenhuisLie": OperatorKind((), "lie", _require_endo, _nijenhuis_residual, NotNijenhuis),
-    "Reynolds": OperatorKind((), None, _require_endo, _reynolds_residual, PreconditionFailed),
-    "Derivation": OperatorKind(
-        ("with",), None, _derivation_shape, _derivation_residual, NotDerivation
-    ),
-    "OLie": OperatorKind(("rep",), "lie", _olie_shape, _olie_residual, PreconditionFailed),
 }
 
 KINDS = tuple(REGISTRY)
@@ -285,10 +256,12 @@ def verify_operator(
     ``bim`` is the bimodule (``with``), ``weight`` the Rota-Baxter weight q
     (a scalar or auxiliary parameter, 0 when not given), ``twist`` the
     2-cocycle of the twisted identity, and ``rep`` the Lie representation of
-    the ``OLie`` identity.  Giving an input that the kind does not read
-    raises :class:`PreconditionFailed`.  The residual table is computed
-    whole and scanned in basis order; the verdict's identity name is the
-    ``kind`` string.
+    the ``OLie`` identity.  An input the kind does not read or needs but
+    lacks, and a weight in ``D`` or a λ variable, raise
+    :class:`PreconditionFailed`; then the flavor, the algebra of ``bim`` and
+    ``rep``, the map's and twist's shapes and the twist's cocycle identity
+    are checked.  The residual table is computed whole and scanned in basis
+    order; the verdict's identity name is the ``kind`` string.
     """
     spec = REGISTRY.get(kind)
     if spec is None:
@@ -297,9 +270,26 @@ def verify_operator(
     unread = [name for name, value in given.items() if value is not None and name not in spec.reads]
     if unread:
         raise PreconditionFailed(f"{kind} reads no {' or '.join(unread)} input")
+    missing = [name for name in spec.needs if given[name] is None]
+    if missing:
+        raise PreconditionFailed(f"{kind} needs a {missing[0]} input")
+    weight = as_poly(weight or 0)
+    if any(var_sort_key(name)[0] < 2 for name in weight.variables()):  # D or a λ variable
+        raise PreconditionFailed(f"{kind}: the weight {weight} is not a scalar or a parameter")
     if spec.flavor is not None:
         require_flavor(alg, spec.flavor, kind)
-    ins = spec.shape(kind, T, _Inputs(alg, bim, as_poly(weight or 0), twist, rep))
+    if "with" in spec.reads and bim is None:
+        bim = ConfBimodule.adjoint(alg)
+    for over in (bim, rep):
+        if over is not None:
+            require_over(alg, over)
+    ends = {"algebra": alg, "with": bim, "rep": rep}
+    source, target = (ends[end].module for end in spec.maps)
+    require_shape(T.table, (source,), target, f"{kind}: the map")
+    if twist is not None:
+        require_shape(twist.table, (alg.module,) * 2, bim.module, "the twist")
+        require(is_cocycle(twist, alg, bim), NotCocycle)
+    ins = _Inputs(alg, bim, weight, twist, rep)
     return residual_scan(kind, table_items(spec.residual(T, ins)), cap)
 
 
@@ -366,7 +356,7 @@ def compatible_nijenhuis(
 
 def lift(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> ModuleMap:
     """The square-zero lift ``(a, m) ↦ (T(m), 0)`` to the semidirect module."""
-    _require_mod_to_alg("lift", T, _Inputs(alg, bim))
+    _require_module_map("lift", T, alg, bim)
     big = direct_sum(alg.module, bim.module)
     return ModuleMap(block(T.table, (big,), big, (alg.rank,), 0))
 
@@ -384,7 +374,7 @@ def graph_check(
     is expanded in the extension algebra; the residual is its algebra
     component minus T of its module component.
     """
-    _require_mod_to_alg("graph_check", T, _Inputs(alg, bim))
+    _require_module_map("graph_check", T, alg, bim)
     ext = semidirect(alg, bim) if phi is None else twisted_extension(alg, bim, phi)
     ra, A, M, big, t = alg.rank, alg.module, bim.module, ext.module, T.table
     ident = ModuleMap.identity
@@ -404,7 +394,7 @@ def reynolds_from_derivation(
     for some ``k ≤ bound``; the finite sum then inverts ``id + d`` and is a
     Reynolds operator.
     """
-    _require_endo("reynolds_from_derivation", d, _Inputs(alg))
+    require_shape(d.table, (alg.module,), alg.module, "reynolds_from_derivation: the map")
     require_operator("Derivation", d, alg, origin="reynolds_from_derivation")
     if bound < 1:
         raise PreconditionFailed("the nilpotency bound must be positive")

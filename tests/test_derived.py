@@ -389,6 +389,16 @@ def test_hierarchy_of_the_shift_map() -> None:
     assert "holds" in verdict.summary()
 
 
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_a_hierarchy_without_an_exponent_pair_is_refused(kmax) -> None:
+    # below 1 no power of N but N⁰ = id is checked, so the verdict would certify nothing
+    helpers.assert_raises_exactly(
+        PreconditionFailed,
+        f"the exponent bound kmax must be positive, not {kmax}",
+        lambda: nijenhuis_hierarchy(SHIFT, DUAL, kmax=kmax),
+    )
+
+
 def test_hierarchy_summary_text() -> None:
     verdict = nijenhuis_hierarchy(SHIFT, DUAL, kmax=2)
     assert verdict.summary() == (

@@ -575,36 +575,57 @@ def test_every_clause_a_statement_kind_does_not_read_is_an_error(verb, kind, cla
     assert record.detail == f"{verb} {kind} reads no '{clause}' clause (line {CLAUSE_LINE})"
 
 
-#: the detail of a statement that lacks its 'with' clause, where the kind needs one
-MISSING_WITH = {
-    (verb, kind): f"{verb} {kind} needs a 'with <bimodule>' clause (line {CLAUSE_LINE})"
-    for verb, kinds in (
-        ("check", ("O", "TwistedRB", "OLie")),
-        ("construct", ("dendriform", "ns", "mass", "leftsym")),
-    )
-    for kind in kinds
+#: the clauses each statement kind needs; 'construct ns' also needs 'with' when it has a 'twist'
+STATEMENT_NEEDS = {
+    **{key: ("on",) if "on" in reads else () for key, reads in STATEMENT_READS.items()},
+    ("check", "O"): ("on", "with"),
+    ("check", "TwistedRB"): ("on", "with", "twist"),
+    ("check", "OLie"): ("on", "with"),
+    ("construct", "dendriform"): ("on", "with"),
+    ("construct", "mass"): ("on", "with"),
+    ("construct", "leftsym"): ("on", "with"),
 }
+#: how the detail of a statement that lacks a clause it needs names the clause
+NEEDED_TEXT = {"on": "an 'on <algebra>'", "with": "a 'with <bimodule>'", "twist": "a 'twist <cocycle>'"}
+
+
+def test_the_statement_table_declares_the_clauses_each_kind_reads_and_needs():
+    from confalg.dsl import STATEMENTS
+
+    assert {key: entry.reads for key, entry in STATEMENTS.items()} == {
+        key: reads + (("as",) if key in (("construct", "mass"), ("construct", "deformed")) else ())
+        for key, reads in STATEMENT_READS.items()
+    }
+    assert {key: entry.needs for key, entry in STATEMENTS.items()} == STATEMENT_NEEDS
 
 
 @pytest.mark.parametrize(
     "verb, kind, missing",
     [
         (verb, kind, clause)
-        for (verb, kind), reads in STATEMENT_READS.items()
-        for clause in ("on", "with")
-        if clause in reads and (clause == "on" or (verb, kind) in MISSING_WITH)
-    ],
+        for (verb, kind), needs in STATEMENT_NEEDS.items()
+        for clause in needs
+    ]
+    + [("construct", "ns", "with")],
     ids=str,
 )
 def test_a_statement_without_a_clause_its_kind_needs_is_an_error(verb, kind, missing):
     clauses = tuple(clause for clause in STATEMENT_READS[verb, kind] if clause != missing)
     record = _only_record(_statement(verb, kind, clauses))
     assert record.status == "error"
-    if missing == "on":
-        expected = f"{verb} {kind} needs an 'on <algebra>' clause (line {CLAUSE_LINE})"
-    else:
-        expected = MISSING_WITH[verb, kind]
-    assert record.detail == expected
+    assert record.detail == f"{verb} {kind} needs {NEEDED_TEXT[missing]} clause (line {CLAUSE_LINE})"
+
+
+def test_a_missing_clause_is_reported_before_the_names_are_looked_up():
+    # the map fails to build, yet the statement reports the clause it lacks
+    text = "map S : AdjA2 -> A2 { w -> u; }\ncheck TwistedRB S on A2 with AdjA2;\n"
+    report, _ = build(CLAUSE_SOURCE + text)
+    assert [(r.identity, r.status) for r in report.records] == [
+        ("map S", "error"), ("check TwistedRB S", "error")
+    ]
+    assert report.records[1].detail == (
+        f"check TwistedRB needs a 'twist <cocycle>' clause (line {CLAUSE_LINE + 1})"
+    )
 
 
 def test_statement_parse_errors_name_the_kinds_and_clauses():
@@ -625,6 +646,11 @@ def test_statement_parse_errors_name_the_kinds_and_clauses():
         ("check associative A2 as B;", "'as' is only valid in construct statements (line 2, column 22)"),
         ("check 7 T;", "expected a check kind, found '7' (line 2, column 7)"),
         ("construct ns;", "expected an operator name, found ';' (line 2, column 13)"),
+        # a weight is a number or an auxiliary parameter, never D or a λ variable
+        ("check RotaBaxter T on A2 weight L;",
+         "'L' is a coefficient variable and cannot name a weight (line 2, column 33)"),
+        ("check RotaBaxter T on A2 weight L2;",
+         "'L2' is a coefficient variable and cannot name a weight (line 2, column 33)"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as caught:

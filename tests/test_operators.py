@@ -294,12 +294,52 @@ def test_operator_kind_validation() -> None:
         verify_operator("Frobenius", SHIFT, DUAL)
     with pytest.raises(ShapeMismatch):
         verify_operator("Nijenhuis", ModuleMap.zero(AM, NM), DUAL)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(PreconditionFailed):
         verify_operator("TwistedRB", IDENT, DUAL, ADJ)  # no twist given
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(PreconditionFailed):
         verify_operator("OLie", SHIFT, commutator_lie(DUAL))  # no rep given
-    with pytest.raises(ShapeMismatch, match="^O needs a bimodule$"):
+    with pytest.raises(PreconditionFailed, match="^O needs a with input$"):
         verify_operator("O", IDENT, DUAL)  # no bimodule given
+
+
+#: inputs that satisfy every kind's needs, and the algebra of each flavor
+_GIVEN = {"bim": ADJ, "twist": helpers.neg_mult(), "rep": rep_from_bimodule(DUAL, ADJ)}
+_PARAMETER = {"with": "bim", "twist": "twist", "rep": "rep"}
+
+
+@pytest.mark.parametrize(
+    "kind, missing",
+    [(kind, name) for kind, spec in REGISTRY.items() for name in spec.needs],
+    ids=str,
+)
+def test_each_input_a_kind_needs_is_refused_when_left_out(kind, missing) -> None:
+    spec = REGISTRY[kind]
+    inputs = {_PARAMETER[name]: _GIVEN[_PARAMETER[name]] for name in spec.needs if name != missing}
+    alg = commutator_lie(DUAL) if spec.flavor == "lie" else DUAL
+    helpers.assert_raises_exactly(
+        PreconditionFailed,
+        f"{kind} needs a {missing} input",
+        lambda: verify_operator(kind, IDENT, alg, **inputs),
+    )
+
+
+def test_the_registry_declares_what_each_kind_needs() -> None:
+    needs = {kind: spec.needs for kind, spec in REGISTRY.items() if spec.needs}
+    assert needs == {"O": ("with",), "TwistedRB": ("with", "twist"), "OLie": ("rep",)}
+    # every input a kind needs is one it reads; the rest default: weight to 0, with to the adjoint
+    assert all(set(spec.needs) <= set(spec.reads) for spec in REGISTRY.values())
+    assert REGISTRY["Derivation"].maps == ("algebra", "with")
+
+
+@pytest.mark.parametrize("weight", [Poly.var("L2"), Poly.var("L1") + 1, Poly.var("D")], ids=str)
+def test_a_rota_baxter_weight_in_d_or_a_lambda_variable_is_refused(weight) -> None:
+    helpers.assert_raises_exactly(
+        PreconditionFailed,
+        f"RotaBaxter: the weight {weight} is not a scalar or a parameter",
+        lambda: verify_operator("RotaBaxter", IDENT, DUAL, weight=weight),
+    )
+    # an auxiliary parameter is a weight: T(u)T(u) = 0 but T(q·u·u) = q·v
+    assert not verify_operator("RotaBaxter", SHIFT, DUAL, weight=Poly.var("q")).holds
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -324,6 +364,13 @@ def test_operators_refuse_a_bimodule_over_a_twin_algebra() -> None:
     for kind in ("O", "Derivation"):
         with pytest.raises(ModuleMismatch, match="bimodule was built over a different algebra"):
             verify_operator(kind, IDENT, DUAL, bim=foreign)
+    # and an OLie representation over another Lie algebra on the same module
+    other = ConfAlgebra.lie(AM, {(0, 1): u, (1, 0): -u})
+    helpers.assert_raises_exactly(
+        ModuleMismatch,
+        "representation was built over a different algebra",
+        lambda: verify_operator("OLie", IDENT, other, rep=rep_from_bimodule(DUAL, ADJ)),
+    )
 
 
 def test_inputs_a_kind_does_not_read_are_rejected() -> None:
