@@ -84,7 +84,7 @@ from .confcore import (
     table_sum,
 )
 from .errors import ConfalgError, NotCocycle, PreconditionFailed
-from .operators import lift, require_operator, star_product, verify_operator
+from .operators import lift, require_module_map, require_operator, star_terms, verify_operator
 from .derived import induced_bimodule_on_A
 from .polyring import Poly, as_poly, lam
 
@@ -250,15 +250,14 @@ def derived_binary(T1: ModuleMap, T2: ModuleMap, alg: ConfAlgebra, bim: ConfBimo
     ``[[T₁,T₂]](u, v) = T₁(T₂(u)v + u T₂(v)) + T₂(T₁(u)v + u T₁(v))
     − T₁(u) T₂(v) − T₂(u) T₁(v)`` with the bimodule actions inside and the
     algebra product outside: ``T₁∘₁⋆(T₂) + T₂∘₁⋆(T₁) − (m∘₁T₁)∘₂T₂ −
-    (m∘₁T₂)∘₂T₁`` with ``⋆(T)`` the :func:`~confalg.operators.star_product`.
+    (m∘₁T₂)∘₂T₁`` with ``⋆(T)`` the ⋆-product of :func:`~confalg.operators.star_terms`.
     """
-    require_over(alg, bim)
     for T in (T1, T2):
-        require_shape(T.table, (bim.module,), alg.module, "derived_binary: the map")
+        require_module_map("derived_binary", T, alg, bim)
     m, t1, t2 = alg.table, T1.table, T2.table
     terms = [
-        (1, Circ(t1, 1, star_product(T2, bim))),
-        (1, Circ(t2, 1, star_product(T1, bim))),
+        (1, Circ(t1, 1, table_sum(star_terms(t2, bim.left, bim.right)))),
+        (1, Circ(t2, 1, table_sum(star_terms(t1, bim.left, bim.right)))),
         (-1, Circ(circ(m, 1, t1), 2, t2)),
         (-1, Circ(circ(m, 1, t2), 2, t1)),
     ]

@@ -23,14 +23,16 @@ their axioms:
 Each product is a :class:`BinaryOpTable`, a one-field view of a
 ``module × module -> module`` :class:`~confalg.confcore.MultiTable`, and a
 :class:`StructureBundle` names its tables by key (``succ``, ``prec``, ...).
-Every constructor validates its operator precondition and returns only
-bundles whose axioms have been re-checked on all basis triples.
+:data:`STRUCTURES` is the one place a structure kind is declared: its tables,
+its verdict's identity and its axioms.  Every constructor validates its
+operator precondition and returns only bundles whose axioms have been
+re-checked on all basis triples.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping, Tuple
+from typing import Callable, Mapping, NamedTuple, Tuple
 
 from .confcore import (
     WITNESS_CAP,
@@ -71,6 +73,7 @@ from .polyring import Poly, PolyLike
 
 __all__ = [
     "BinaryOpTable",
+    "STRUCTURES",
     "StructureBundle",
     "check_structure",
     "dendriform_from_O",
@@ -85,14 +88,6 @@ __all__ = [
     "deformed_bracket",
     "deformation_check",
 ]
-
-#: required table names per structure kind
-KIND_TAGS: Mapping[str, Tuple[str, ...]] = {
-    "dendriform": ("succ", "prec"),
-    "ns": ("succ", "prec", "vee"),
-    "leftsym": ("leftsym",),
-    "assoc": ("star",),
-}
 
 BinaryFn = Callable[[ModElem, ModElem, PolyLike], ModElem]
 
@@ -136,12 +131,54 @@ class BinaryOpTable(_Frozen):
         return self.table.is_zero()
 
 
+def _dendriform(s: MultiTable, p: MultiTable) -> tuple:
+    both = s + p
+    return (
+        (("cd1",), [(1, Circ(s, 2, s)), (-1, Circ(s, 1, both))]),
+        (("cd2",), [(1, Circ(p, 1, p)), (-1, Circ(p, 2, both))]),
+        (("cd3",), [(1, Circ(p, 1, s)), (-1, Circ(s, 2, p))]),
+    )
+
+
+def _ns(s: MultiTable, p: MultiTable, v: MultiTable) -> tuple:
+    times = s + p + v
+    return (
+        (("ns1",), [(1, Circ(s, 2, s)), (-1, Circ(s, 1, times))]),
+        (("ns2",), [(1, Circ(p, 2, times)), (-1, Circ(p, 1, p))]),
+        (("ns3",), [(1, Circ(s, 2, p)), (-1, Circ(p, 1, s))]),
+        (("ns4",), [(1, Circ(s, 2, v)), (1, Circ(v, 2, times))]
+         + [(-1, Circ(v, 1, times)), (-1, Circ(p, 1, v))]),
+    )
+
+
+def _leftsym(c: MultiTable) -> tuple:
+    defect = table_sum([(1, Circ(c, 1, c)), (-1, Circ(c, 2, c))])
+    return (((), [(1, defect), (-1, Swap(defect, 1, 2))]),)
+
+
+class Structure(NamedTuple):
+    """A structure kind: its tables in the order they sum, its verdict's identity, and
+    its axioms, which map those tables to ``(witness tag, table-sum terms)`` families;
+    a tag is the tuple that prefixes the basis names of its family's witnesses."""
+
+    tags: Tuple[str, ...]
+    identity: str
+    axioms: Callable[..., tuple]
+
+
+#: the one place a structure kind is declared
+STRUCTURES: Mapping[str, Structure] = {
+    "dendriform": Structure(("succ", "prec"), "dendriform", _dendriform),
+    "ns": Structure(("succ", "prec", "vee"), "ns", _ns),
+    "leftsym": Structure(("leftsym",), "left-symmetric", _leftsym),
+}
+
+
 class StructureBundle(_Frozen):
     """A named collection of binary products forming one algebraic structure.
 
-    ``kind`` is one of ``dendriform`` (tables ``succ``, ``prec``), ``ns``
-    (``succ``, ``prec``, ``vee``), ``leftsym`` (``leftsym``) or ``assoc``
-    (``star``); a table is named by its key.  Construction checks only
+    ``kind`` is a key of :data:`STRUCTURES`, which names the tables it needs
+    (``succ``, ``prec`` [, ``vee``] or ``leftsym``).  Construction checks only
     shapes; :func:`check_structure` certifies the axioms, and every
     constructor in this module does so before returning a bundle.
     """
@@ -151,9 +188,9 @@ class StructureBundle(_Frozen):
     tables: Mapping[str, BinaryOpTable]
 
     def __init__(self, kind: str, tables: Mapping[str, BinaryOpTable]) -> None:
-        if kind not in KIND_TAGS:
+        if kind not in STRUCTURES:
             raise ShapeMismatch("unknown structure kind %r" % (kind,))
-        required = KIND_TAGS[kind]
+        required = STRUCTURES[kind].tags
         if tuple(sorted(tables)) != tuple(sorted(required)):
             raise ShapeMismatch(
                 "%s bundle needs tables %s, got %s" % (kind, sorted(required), sorted(tables))
@@ -171,19 +208,11 @@ class StructureBundle(_Frozen):
         return self.tables[tag]
 
     def sum_table(self) -> BinaryOpTable:
-        """The total product (``⋆`` or ``×``) carried by the bundle."""
-        if self.kind == "leftsym":
-            raise ShapeMismatch("a left-symmetric bundle has no sum product")
-        total = None
-        for tag in KIND_TAGS[self.kind]:
-            total = self.tables[tag] if total is None else total + self.tables[tag]
-        return total
-
-
-def _interleaved(families) -> Iterable:
-    """The entries of same-shape residual tables, tuple by tuple, each tagged by its family."""
-    columns = [table_items(table_sum(terms), (tag,)) for tag, terms in families]
-    return itertools.chain.from_iterable(zip(*columns))
+        """The total product (``⋆`` or ``×``) carried by a bundle of two or more tables."""
+        first, *rest = (self.tables[tag] for tag in STRUCTURES[self.kind].tags)
+        if not rest:
+            raise ShapeMismatch("a %s bundle has no sum product" % STRUCTURES[self.kind].identity)
+        return sum(rest, first)
 
 
 def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
@@ -192,33 +221,10 @@ def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
     Each axiom is a table sum of compositions of the bundle's tables; a kind's
     families are scanned in turn at each triple.
     """
-    if bundle.kind == "leftsym":
-        c = bundle.table("leftsym").table
-        defect = table_sum([(1, Circ(c, 1, c)), (-1, Circ(c, 2, c))])
-        residual = table_sum([(1, defect), (-1, Swap(defect, 1, 2))])
-        return residual_scan("left-symmetric", table_items(residual), cap=cap)
-    if bundle.kind == "assoc":
-        verdict = check_associative(bundle.table("star").as_algebra(), cap=cap)
-        return verdict._replace(identity="associative")
-    s, p = bundle.table("succ").table, bundle.table("prec").table
-    if bundle.kind == "dendriform":
-        both = s + p
-        families = (
-            ("cd1", [(1, Circ(s, 2, s)), (-1, Circ(s, 1, both))]),
-            ("cd2", [(1, Circ(p, 1, p)), (-1, Circ(p, 2, both))]),
-            ("cd3", [(1, Circ(p, 1, s)), (-1, Circ(s, 2, p))]),
-        )
-        return residual_scan("dendriform", _interleaved(families), cap=cap)
-    v = bundle.table("vee").table
-    times = s + p + v
-    families = (
-        ("ns1", [(1, Circ(s, 2, s)), (-1, Circ(s, 1, times))]),
-        ("ns2", [(1, Circ(p, 2, times)), (-1, Circ(p, 1, p))]),
-        ("ns3", [(1, Circ(s, 2, p)), (-1, Circ(p, 1, s))]),
-        ("ns4", [(1, Circ(s, 2, v)), (1, Circ(v, 2, times))]
-         + [(-1, Circ(v, 1, times)), (-1, Circ(p, 1, v))]),
-    )
-    return residual_scan("ns", _interleaved(families), cap=cap)
+    structure = STRUCTURES[bundle.kind]
+    families = structure.axioms(*(bundle.table(tag).table for tag in structure.tags))
+    columns = [table_items(table_sum(terms), tag) for tag, terms in families]
+    return residual_scan(structure.identity, itertools.chain.from_iterable(zip(*columns)), cap=cap)
 
 
 def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> StructureBundle:
@@ -226,8 +232,7 @@ def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> Stru
     verdict = check_structure(bundle, cap=1)
     if not verdict.holds:
         raise ConfalgError(
-            "%s produced a bundle violating its own axioms; %s"
-            % (origin, verdict.summary())
+            f"{origin} produced a bundle violating its own axioms; {verdict.summary()}"
         )
     return bundle
 
@@ -247,12 +252,7 @@ def dendriform_from_O(
 
 
 def m_ass(
-    T: ModuleMap,
-    alg: ConfAlgebra,
-    bim: ConfBimodule,
-    phi=None,
-    *,
-    validate: bool = True,
+    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi=None, *, validate: bool = True
 ) -> ConfAlgebra:
     """The associative product ``m ⋆ n = T(m)·n + m·T(n) [+ φ(T(m), T(n))]``.
 
@@ -268,12 +268,7 @@ def m_ass(
 
 
 def induced_bimodule_on_A(
-    T: ModuleMap,
-    alg: ConfAlgebra,
-    bim: ConfBimodule,
-    phi=None,
-    *,
-    validate: bool = True,
+    T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi=None, *, validate: bool = True
 ) -> ConfBimodule:
     """The original algebra as a bimodule over the module's ⋆-algebra.
 
@@ -430,8 +425,7 @@ def deformed_bracket(
         require_operator("NijenhuisLie", N, lie)
     table = BinaryOpTable(_deformed(N.table, lie.table))
     if validate:
-        candidate = ConfAlgebra(lie.module, table.table, "lie")
-        verdict = check_lie(candidate, cap=1)
+        verdict = check_lie(table.as_algebra("lie"), cap=1)
         if not verdict.holds:
             raise ConfalgError(
                 "deformed_bracket produced a non-Lie table; " + verdict.summary()
@@ -463,7 +457,7 @@ def deformation_check(
     m, n = alg.table, N.table
     omega = _deformed(n, m)
     d_omega = hochschild_d(Cochain(omega), alg, ConfBimodule.adjoint(alg)).table
-    generator = check_structure(StructureBundle("assoc", {"star": BinaryOpTable(omega)}), cap=cap)
+    generator = check_associative(ConfAlgebra(alg.module, omega, "associative"), cap=cap)
     # T_t = id + t·N is a table, not a module map: its entries carry the parameter t
     t = Poly.var("t")
     t_map = table_sum([(1, ModuleMap.identity(alg.module).table), (t, n)])
@@ -472,7 +466,7 @@ def deformation_check(
     obstruction = [(1, Circ(n, 1, omega)), (-1, Circ(circ(m, 1, n), 2, n))]
     return Composite("deformation", dict(
         cocycle=residual_scan("deformation-cocycle", table_items(d_omega), cap=cap),
-        generator_associative=generator,
+        generator_associative=generator._replace(identity="associative"),
         homomorphism=residual_scan(
             "deformation-homomorphism", table_items(table_sum(homomorphism)), cap=cap
         ),

@@ -687,9 +687,12 @@ def _entry_table(
 _NEEDED = {"on": "an 'on <algebra>'", "with": "a 'with <bimodule>'", "twist": "a 'twist <cocycle>'"}
 
 
-def _check_clauses(stmt: Statement, reads: Sequence[str], needs: Sequence[str] = ()) -> None:
+def _check_clauses(stmt: Statement, entry: StatementKind) -> None:
     """Raise if the statement gives a clause its kind does not read, else lacks one it needs."""
     given = [clause for clause, field in CLAUSE_FIELDS.items() if getattr(stmt, field) is not None]
+    tied = {clause: partner in given for clause, partner in entry.tied}
+    reads = [clause for clause in entry.reads if tied.get(clause, True)]
+    needs = [*entry.needs, *(clause for clause, live in tied.items() if live)]
     unread = " or ".join(f"'{clause}'" for clause in given if clause not in reads)
     missing = [clause for clause in needs if clause not in given]
     if unread or missing:
@@ -755,9 +758,7 @@ def _dendriform(env: Environment, stmt: Statement, args: Bound, cap: int) -> Out
 def _ns(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
     """From a twisted Rota-Baxter operator with a twist, else from a Nijenhuis operator."""
     if args.twist is None:
-        _check_clauses(stmt, ("on",))  # without a twist, ns reads no 'with'
         return _BUILT, ns_from_nijenhuis(args.name, args.on, cap=cap), None
-    _check_clauses(stmt, ("on", "with", "twist"), ("with",))  # with a twist, ns needs 'with'
     return _BUILT, ns_from_twisted(args.name, args.on, args.with_, args.cochain, cap=cap), None
 
 
@@ -789,16 +790,19 @@ class StatementKind(NamedTuple):
 
     ``namespace`` is where the statement's name resolves.  ``reads`` names
     the clauses the kind reads and ``needs`` those of them it cannot run
-    without; a construct that reads ``as`` registers its result as an
-    algebra under :func:`_construct_name`.  ``run(env, stmt, args, cap)``
-    gives the :data:`Outcome` from the :class:`Bound` objects ``args``; a
-    built structure is emitted as source text.
+    without; a clause paired with a partner in ``tied`` is read, and needed,
+    only when the partner is given.  A construct that reads ``as`` registers
+    its result as an algebra under :func:`_construct_name`.
+    ``run(env, stmt, args, cap)`` gives the :data:`Outcome` from the
+    :class:`Bound` objects ``args``; a built structure is emitted as source
+    text.
     """
 
     namespace: str
     reads: Tuple[str, ...]
     needs: Tuple[str, ...]
     run: Callable[[Environment, Statement, Bound, int], Outcome]
+    tied: Tuple[Tuple[str, str], ...] = ()
 
 
 def _on_algebra(check):
@@ -813,7 +817,7 @@ def _clauses(inputs: Tuple[str, ...]) -> Tuple[str, ...]:
 
 #: Every check and construct kind, keyed by ``(verb, kind)``.  An operator check
 #: reads and needs ``on`` and the clauses that supply the inputs its registry
-#: entry reads and needs.  ``construct ns`` needs ``with`` when it has a ``twist``.
+#: entry reads and needs.  ``construct ns`` reads and needs ``with`` only with a ``twist``.
 STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
     **{
         ("check", kind): StatementKind(
@@ -826,7 +830,9 @@ STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
     ("check", "bimodule"): StatementKind("bimodule", (), (), _check_bimodule),
     ("check", "cocycle"): StatementKind("cocycle", ("with",), (), _check_cocycle),
     ("construct", "dendriform"): StatementKind("map", ("on", "with"), ("on", "with"), _dendriform),
-    ("construct", "ns"): StatementKind("map", ("on", "with", "twist"), ("on",), _ns),
+    ("construct", "ns"): StatementKind(
+        "map", ("on", "with", "twist"), ("on",), _ns, (("with", "twist"),)
+    ),
     ("construct", "mass"): StatementKind(
         "map", ("on", "with", "twist", "as"), ("on", "with"), _mass
     ),
@@ -852,7 +858,7 @@ def _expected_kinds(verb: str) -> str:
 def _run_statement(env: Environment, stmt: Statement, cap: int) -> Record:
     started = time.perf_counter()
     entry = STATEMENTS[stmt.verb, stmt.kind]
-    _check_clauses(stmt, entry.reads, entry.needs)
+    _check_clauses(stmt, entry)
     args = Bound(*(
         None if getattr(stmt, field) is None
         else env.lookup(getattr(stmt, field), *(env.pools[ns] for ns in namespaces))

@@ -128,7 +128,7 @@ class OperatorKind(NamedTuple):
     flavor: Optional[str] = None
 
 
-def _require_module_map(
+def require_module_map(
     what: str, T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule, phi=None
 ) -> None:
     """Refuse a bimodule not over ``alg``, a map ``T`` not M → A, and a twist not A × A → M."""
@@ -154,7 +154,7 @@ def star_terms(t: MultiTable, left: MultiTable, right: MultiTable, phi=None) -> 
 def star_product(T: ModuleMap, bim: ConfBimodule, phi=None) -> MultiTable:
     """The table of ``m ⋆ n`` on the module (:func:`star_terms`); ``phi`` is an
     optional twisting 2-cochain on the algebra valued in the module."""
-    _require_module_map("star_product", T, bim.algebra, bim, phi)
+    require_module_map("star_product", T, bim.algebra, bim, phi)
     twist = phi.table if phi is not None else None
     return table_sum(star_terms(T.table, bim.left, bim.right, twist))
 
@@ -167,7 +167,7 @@ def induced_actions(
     ``m·a = T(m)a − T(m·a [+ φ(T(m), a)])`` is ``m∘₁T − T∘₁(r [+ φ∘₁T])`` and
     ``a·m = a T(m) − T(a·m [+ φ(a, T(m))])`` is ``m∘₂T − T∘₁(l [+ φ∘₂T])``.
     """
-    _require_module_map("induced_actions", T, alg, bim, phi)
+    require_module_map("induced_actions", T, alg, bim, phi)
     t, m = T.table, alg.table
     left = [(1, Circ(m, 1, t)), (-1, Circ(t, 1, bim.right))]
     right = [(1, Circ(m, 2, t)), (-1, Circ(t, 1, bim.left))]
@@ -356,7 +356,7 @@ def compatible_nijenhuis(
 
 def lift(T: ModuleMap, alg: ConfAlgebra, bim: ConfBimodule) -> ModuleMap:
     """The square-zero lift ``(a, m) ↦ (T(m), 0)`` to the semidirect module."""
-    _require_module_map("lift", T, alg, bim)
+    require_module_map("lift", T, alg, bim)
     big = direct_sum(alg.module, bim.module)
     return ModuleMap(block(T.table, (big,), big, (alg.rank,), 0))
 
@@ -374,7 +374,7 @@ def graph_check(
     is expanded in the extension algebra; the residual is its algebra
     component minus T of its module component.
     """
-    _require_module_map("graph_check", T, alg, bim)
+    require_module_map("graph_check", T, alg, bim)
     ext = semidirect(alg, bim) if phi is None else twisted_extension(alg, bim, phi)
     ra, A, M, big, t = alg.rank, alg.module, bim.module, ext.module, T.table
     ident = ModuleMap.identity

@@ -178,6 +178,8 @@ def test_constructors_keep_their_checks():
         Cochain(MultiTable((_module(), FreeModule(("x",))), _module(), {}))
     with pytest.raises(ShapeMismatch, match="unknown structure kind"):
         StructureBundle("magma", {})
+    with pytest.raises(ShapeMismatch, match="^unknown structure kind 'assoc'$"):
+        StructureBundle("assoc", {"star": BinaryOpTable(_binary())})
 
 
 def test_reprs_name_the_class_and_its_fields():

@@ -314,14 +314,39 @@ def test_leftsym_commutator_matches_the_star_commutator() -> None:
         assert lhs == rhs
 
 
+_SKEW = BinaryOpTable.from_function(AM, lambda x, y, w: DUAL.mul(x, y, w) * w)
+_PRODUCT = BinaryOpTable(DUAL.table)
+
+
 def test_broken_leftsym_reports_its_residual() -> None:
     broken = StructureBundle(
         "leftsym", {"leftsym": BinaryOpTable(NILP.table)}
     )
     # the nilpotent product is already left-symmetric (all triples die)
     assert check_structure(broken).holds
-    skew = BinaryOpTable.from_function(AM, lambda x, y, w: DUAL.mul(x, y, w) * w)
-    assert not check_structure(StructureBundle("leftsym", {"leftsym": skew})).holds
+    assert not check_structure(StructureBundle("leftsym", {"leftsym": _SKEW})).holds
+
+
+@pytest.mark.parametrize("kind, tables, identity, residuals", [
+    ("dendriform", {"succ": _PRODUCT, "prec": _SKEW}, "dendriform", [
+        (("cd1",), "(-L1)"), (("cd2",), "(L1^2 - L1)"), (("cd3",), "(L1)"),
+    ]),
+    ("ns", {"succ": _PRODUCT, "prec": _SKEW, "vee": _PRODUCT}, "ns", [
+        (("ns1",), "(-L1 - 1)"), (("ns2",), "(-L1^2 + 2*L1)"),
+        (("ns3",), "(-L1)"), (("ns4",), "(-2*L1 + 1)"),
+    ]),
+    ("leftsym", {"leftsym": _SKEW}, "left-symmetric", [((), "(L1^2 - L2^2)")]),
+])
+def test_failing_bundles_report_every_witness(kind, tables, identity, residuals) -> None:
+    # a kind's families are scanned together, triple by triple; only u·u·u lands in u
+    verdict = check_structure(StructureBundle(kind, tables), cap=16)
+    expected = [
+        (tag + triple, "%s*%s" % (coefficient, "v" if "v" in triple else "u"))
+        for triple in (("u", "u", "u"), ("u", "u", "v"), ("u", "v", "u"), ("v", "u", "u"))
+        for tag, coefficient in residuals
+    ]
+    assert verdict.identity == identity
+    assert [(names, str(r)) for names, r in verdict.witnesses] == expected
 
 
 # -- deformed products -----------------------------------------------------------------

@@ -616,16 +616,20 @@ def test_a_statement_without_a_clause_its_kind_needs_is_an_error(verb, kind, mis
     assert record.detail == f"{verb} {kind} needs {NEEDED_TEXT[missing]} clause (line {CLAUSE_LINE})"
 
 
-def test_a_missing_clause_is_reported_before_the_names_are_looked_up():
+@pytest.mark.parametrize("statement, detail", [
+    ("check TwistedRB S on A2 with AdjA2;", "check TwistedRB needs a 'twist <cocycle>' clause"),
+    # a twisted construct ns needs 'with', which it reads only with a 'twist'
+    ("construct ns S on A2 twist negmult;", "construct ns needs a 'with <bimodule>' clause"),
+])
+def test_a_missing_clause_is_reported_before_the_names_are_looked_up(statement, detail):
     # the map fails to build, yet the statement reports the clause it lacks
-    text = "map S : AdjA2 -> A2 { w -> u; }\ncheck TwistedRB S on A2 with AdjA2;\n"
+    text = f"map S : AdjA2 -> A2 {{ w -> u; }}\n{statement}\n"
     report, _ = build(CLAUSE_SOURCE + text)
+    verb, kind = statement.split()[:2]
     assert [(r.identity, r.status) for r in report.records] == [
-        ("map S", "error"), ("check TwistedRB S", "error")
+        ("map S", "error"), (f"{verb} {kind} S", "error")
     ]
-    assert report.records[1].detail == (
-        f"check TwistedRB needs a 'twist <cocycle>' clause (line {CLAUSE_LINE + 1})"
-    )
+    assert report.records[1].detail == f"{detail} (line {CLAUSE_LINE + 1})"
 
 
 def test_statement_parse_errors_name_the_kinds_and_clauses():
