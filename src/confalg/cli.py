@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .cohomology import Cochain, g_bracket, maurer_cartan_check
-from .confcore import ConfBimodule
+from .confcore import ConfBimodule, sum_memo
 from .dsl import (
     Environment,
     Record,
@@ -192,21 +192,25 @@ COHOMOLOGY = {"d2-check": _cmd_d2_check, "mc-check": _cmd_mc_check, "bracket": _
 
 
 def _run_file(args, echo: str) -> Report:
-    """Run the file; a cohomology subcommand then appends its record, or an error record."""
-    report, env = run(
-        parse_file(args.file),
-        command=echo,
-        seed=getattr(args, "seed", None),
-        witness_cap=args.witness_cap,
-        version=__version__,
-    )
-    if args.command != "cohomology":
-        return report
-    started = time.perf_counter()
-    try:
-        record = COHOMOLOGY[args.subcommand](args, env, started)
-    except ConfalgError as exc:
-        record = Record(args.subcommand, "error", (), _ms_since(started), str(exc))
+    """Run the file; a cohomology subcommand then appends its record, or an error record.
+
+    Both share one memo of table sums (:func:`~confalg.confcore.sum_memo`).
+    """
+    with sum_memo():
+        report, env = run(
+            parse_file(args.file),
+            command=echo,
+            seed=getattr(args, "seed", None),
+            witness_cap=args.witness_cap,
+            version=__version__,
+        )
+        if args.command != "cohomology":
+            return report
+        started = time.perf_counter()
+        try:
+            record = COHOMOLOGY[args.subcommand](args, env, started)
+        except ConfalgError as exc:
+            record = Record(args.subcommand, "error", (), _ms_since(started), str(exc))
     return report._replace(records=report.records + (record,))
 
 

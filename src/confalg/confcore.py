@@ -17,7 +17,9 @@ coefficients.  Everything reduces to finite data:
   of basis elements and formal weights, walking :func:`basis_tuples`;
 * :func:`table_sum` computes a signed sum of tables, partial compositions
   ``f ∘_i g`` (:class:`Circ`) and slot swaps (:class:`Swap`) as one table,
-  visiting only stored entries: every identity of the package is such a sum;
+  visiting only stored entries: every identity of the package is such a sum,
+  and inside :func:`sum_memo` (one program run) each distinct sum is computed
+  once;
 * :func:`direct_sum` is the module ``A ⊕ M`` with basis ``a_* ++ m_*``, and
   :func:`block` re-indexes a table's stored entries into (or, with negative
   shifts, back out of) one block of it: every direct-sum construction
@@ -58,6 +60,8 @@ imports none of them.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -88,6 +92,11 @@ L3 = Poly.var("L3")
 
 #: Default maximum number of failing basis tuples kept in a verdict.
 WITNESS_CAP = 16
+#: The most polynomial terms that the results held by a run's memo of table
+#: sums may have together (see :func:`table_sum`); a result past it is not kept.
+#: It is about 30 times the most that a run of the benchmark workloads holds
+#: (3,420 terms, on ``degree``).
+SUM_MEMO_TERMS = 100_000
 
 EntryLike = Union["ModElem", Sequence[PolyLike]]
 IndexKey = Tuple[Union[int, str], ...]
@@ -539,6 +548,43 @@ def _term_shape(term: Union[MultiTable, Circ, Swap]) -> tuple:
     return tuple(ins[: i - 1]) + g.in_modules + tuple(ins[i:]), f.out_module
 
 
+class _SumMemo:
+    """The table sums of one run: key -> (terms, result), and the result terms held."""
+
+    __slots__ = ("sums", "held")
+
+    def __init__(self) -> None:
+        self.sums: dict = {}
+        self.held = 0
+
+
+_SUMS: ContextVar[Optional[_SumMemo]] = ContextVar("confalg_table_sums", default=None)
+
+
+@contextmanager
+def sum_memo() -> Iterator[None]:
+    """Let the enclosed block (one program run) compute each distinct table sum once.
+
+    Inside, :func:`table_sum` keeps its results in a memo that ends with the
+    block.  Entering while a memo is open reuses that memo.
+    """
+    if _SUMS.get() is not None:
+        yield
+        return
+    token = _SUMS.set(_SumMemo())
+    try:
+        yield
+    finally:
+        _SUMS.reset(token)
+
+
+def _term_key(coeff: PolyLike, term: Union[MultiTable, Circ, Swap]) -> tuple:
+    parts = (term,) if isinstance(term, MultiTable) else term
+    return (as_poly(coeff), type(term)) + tuple(
+        id(part) if isinstance(part, MultiTable) else part for part in parts
+    )
+
+
 def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -> MultiTable:
     """The table of ``Σ coeff·term`` over ``(coeff, term)`` pairs of one shape.
 
@@ -552,7 +598,33 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     one accumulator that becomes the result.  Each rebinding is compiled once
     per term, as one :class:`~confalg.polyring.Substitution` that all the
     entries it rebinds share.
+
+    Inside :func:`sum_memo` a sum is computed once: its key is, per term, the
+    coefficient (by value), the term's kind, and the ``id`` of each operand
+    table with the slot indices.  A repeated key returns the stored result;
+    otherwise the result is stored with its terms, which keep the operands
+    alive so that their ids are not reused while the entry lives.  A sum that
+    raises stores nothing, and a result whose terms would take the memo past
+    :data:`SUM_MEMO_TERMS` is returned without being stored.  Tables are
+    immutable, so sharing a result is safe.
     """
+    memo = _SUMS.get()
+    if memo is None:
+        return _table_sum(terms)
+    terms = list(terms)
+    key = tuple(_term_key(coeff, term) for coeff, term in terms)
+    hit = memo.sums.get(key)
+    if hit is not None:
+        return hit[1]
+    result = _table_sum(terms)
+    size = sum(len(c) for entry in result.entries.values() for _, c in entry._terms)
+    if memo.held + size <= SUM_MEMO_TERMS:
+        memo.held += size
+        memo.sums[key] = (terms, result)
+    return result
+
+
+def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -> MultiTable:
     shape, rows, zero = None, {}, Poly.zero()
     for coeff, term in terms:
         here = _term_shape(term)

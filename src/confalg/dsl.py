@@ -56,6 +56,7 @@ from .confcore import (
     check_lie,
     commutator_lie,
     rep_from_bimodule,
+    sum_memo,
 )
 from .cohomology import Cochain, is_cocycle, random_cochain, hochschild_d
 from .derived import (
@@ -894,17 +895,18 @@ def run(
         raise PreconditionFailed(f"the witness cap must be at least 1, not {witness_cap}")
     env = Environment(resolve(sf))
     records: List[Record] = []
-    for decl in sf.declarations:
-        started = time.perf_counter()
-        try:
-            if decl.namespace is None:
-                records.append(_run_statement(env, decl, witness_cap))
-            else:
-                env.pools[decl.namespace][decl.name] = decl.build(env)
-        except ConfalgError as exc:
-            elapsed = _ms_since(started)
-            what = decl.namespace or f"{decl.verb} {decl.kind}"
-            records.append(Record(f"{what} {decl.name}", "error", (), elapsed, str(exc)))
+    with sum_memo():
+        for decl in sf.declarations:
+            started = time.perf_counter()
+            try:
+                if decl.namespace is None:
+                    records.append(_run_statement(env, decl, witness_cap))
+                else:
+                    env.pools[decl.namespace][decl.name] = decl.build(env)
+            except ConfalgError as exc:
+                elapsed = _ms_since(started)
+                what = decl.namespace or f"{decl.verb} {decl.kind}"
+                records.append(Record(f"{what} {decl.name}", "error", (), elapsed, str(exc)))
     return Report(command, version, seed, tuple(records)), env
 
 

@@ -659,6 +659,10 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._nums)
+
     # -- substitution ------------------------------------------------------
 
     def substitute(self, name: str, image: PolyLike) -> "Poly":

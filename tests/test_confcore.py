@@ -37,6 +37,7 @@ from confalg.confcore import (
     matching_pair,
     rep_from_bimodule,
     semidirect,
+    sum_memo,
     table_sum,
     twisted_extension,
     extension_iso,
@@ -53,6 +54,7 @@ from confalg.errors import (
     ShapeMismatch,
 )
 from confalg.operators import ModuleMap
+from confalg import confcore
 from confalg.polyring import Poly
 
 import _oracle
@@ -447,6 +449,36 @@ def test_table_sum_accumulates_signed_terms_of_one_shape() -> None:
         table_sum([(1, Swap(f, 1, 3))])
     with pytest.raises(ArityMismatch):
         table_sum([])
+
+
+def test_a_sum_memo_computes_each_sum_once_and_ends_with_its_block() -> None:
+    rng = random.Random(8)
+    f, g = _random_table(rng, (AM, AM), AM), _random_table(rng, (AM, AM), AM)
+    terms = [(1, Circ(f, 1, g)), (-2, Circ(g, 2, f))]
+    assert table_sum(terms) is not table_sum(terms)  # outside a memo: today's path
+    with sum_memo():
+        first = table_sum(terms)
+        assert first == table_sum([(1, Circ(f, 1, g)), (-2, Circ(g, 2, f))])
+        # coefficients compare by value, operands and slots by identity
+        assert table_sum([(Poly.one(), Circ(f, 1, g)), (Fraction(-2), Circ(g, 2, f))]) is first
+        assert table_sum(iter(terms)) is first
+        assert table_sum([(1, Circ(f, 1, g)), (2, Circ(g, 2, f))]) is not first
+        assert table_sum([(1, Circ(f, 2, g)), (-2, Circ(g, 2, f))]) is not first
+        twin = MultiTable((AM, AM), AM, g.entries)
+        assert table_sum([(1, Circ(f, 1, twin)), (-2, Circ(twin, 2, f))]) is not first
+        assert table_sum([(1, Swap(f, 1, 2))]) is not table_sum([(1, f)])
+        with sum_memo():  # a nested block reuses the open memo
+            assert table_sum(terms) is first
+        memo = confcore._SUMS.get()
+        held = dict(memo.sums)
+        for _ in range(2):
+            with pytest.raises(ArityMismatch):
+                table_sum([(1, Swap(f, 1, 3))])
+        assert memo.sums == held  # a sum that raises stores nothing
+        stored = [entry for _, table in memo.sums.values() for entry in table.entries.values()]
+        assert memo.held == sum(len(c) for entry in stored for _, c in entry.support())
+    assert confcore._SUMS.get() is None
+    assert table_sum(terms) is not first
 
 
 # -- associativity ------------------------------------------------------------

@@ -17,7 +17,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confalg import cli
+from confalg import cli, confcore
 from confalg.cli import build_parser, main
 from confalg.cohomology import Cochain, random_cochain
 from confalg.confcore import Composite, ConfAlgebra, FreeModule, MultiTable
@@ -29,6 +29,7 @@ from confalg.dsl import (
     d_squared_suite,
     emit_dsl,
     parse,
+    parse_file,
     render_elem,
     resolve,
     run,
@@ -1490,6 +1491,94 @@ def test_cli_cohomology_bracket(capsys):
     )
     assert code == 0
     assert "degree 3" in capsys.readouterr().out
+
+
+# -- the run's memo of table sums ----------------------------------------------------
+
+MEMO_SOURCE = A2_SOURCE + """
+bimodule AdjA2 adjoint A2;
+map T : AdjA2 -> A2 { u -> v; v -> 0; }
+"""
+
+
+def _products(monkeypatch, sf: SourceFile) -> int:
+    """The ``Poly`` products that running ``sf`` takes."""
+    products, mul = [], Poly.__mul__
+
+    def counted(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "__mul__", counted)
+        patch.setattr(Poly, "__rmul__", counted)
+        run(sf)
+    return len(products)
+
+
+def _timeless(records):
+    return [record._replace(elapsed_ms=0.0) for record in records]
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        ("check O T on A2 with AdjA2;", "check O T on A2 with AdjA2;"),
+        ("check O T on A2 with AdjA2;", "construct dendriform T on A2 with AdjA2;"),
+        ("check Nijenhuis T on A2;", "construct ns T on A2;"),
+    ],
+)
+def test_an_identity_checked_again_in_one_run_takes_no_products(monkeypatch, first, then):
+    alone = _products(monkeypatch, parse(MEMO_SOURCE + then))
+    both = parse(MEMO_SOURCE + first + "\n" + then)
+    assert _products(monkeypatch, both) == alone > 0
+    report, _ = run(both)
+    assert [record.status for record in report.records] == ["holds", "holds"]
+
+
+def test_each_run_computes_its_sums_afresh_and_closes_its_memo(monkeypatch, capsys):
+    sf = parse_file(str(FIXTURES / "all.cfa"))
+    costs = [_products(monkeypatch, sf) for _ in range(2)]
+    assert costs[0] == costs[1] > 0
+    assert confcore._SUMS.get() is None
+    assert main(["cohomology", "mc-check", str(FIXTURES / "all.cfa"), "--map", "T"]) == 0
+    capsys.readouterr()
+    assert confcore._SUMS.get() is None
+
+
+def test_each_statement_gives_the_record_of_a_run_of_its_own():
+    sf = parse_file(str(FIXTURES / "all.cfa"))
+    report, _ = run(sf)
+    statements = [
+        (k, decl) for k, decl in enumerate(sf.declarations) if decl.namespace is None
+    ]
+    assert len(statements) == len(report.records) == 26
+    for (k, stmt), record in zip(statements, report.records):
+        # the declarations before it, and the constructs that name an algebra
+        needed = [d for d in sf.declarations[:k] if d.namespace is not None or d.as_]
+        alone, _ = run(SourceFile(sf.path, tuple(needed) + (stmt,)))
+        assert _timeless(alone.records[-1:]) == _timeless([record]), stmt
+
+
+@pytest.mark.parametrize("budget", [0, 40, 400])
+def test_the_memo_keeps_to_its_term_budget(monkeypatch, budget):
+    sf = parse_file(str(FIXTURES / "all.cfa"))
+    expected, _ = run(sf)
+    memos = []
+
+    class Watched(confcore._SumMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(confcore, "SUM_MEMO_TERMS", budget)
+    monkeypatch.setattr(confcore, "_SumMemo", Watched)
+    report, _ = run(sf)
+    assert _timeless(report.records) == _timeless(expected.records)
+    (memo,) = memos
+    stored = [entry for _, table in memo.sums.values() for entry in table.entries.values()]
+    assert memo.held == sum(len(c) for entry in stored for _, c in entry.support()) <= budget
+    assert (memo.held > 0) == (budget > 0)
 
 
 # -- the shared parser --------------------------------------------------------------
