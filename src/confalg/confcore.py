@@ -778,9 +778,7 @@ class ConfAlgebra(_Frozen):
         check_skew: bool = True,
     ) -> "ConfAlgebra":
         alg = cls(module, MultiTable((module, module), module, entries), "lie")
-        if check_skew:
-            require(residual_scan("skew-symmetry", _skew_items(alg), cap=1), NotSkewSymmetric)
-        return alg
+        return _require_skew(alg) if check_skew else alg
 
     @property
     def rank(self) -> int:
@@ -833,9 +831,13 @@ class ConfBimodule(_Frozen):
 
     @classmethod
     def adjoint(cls, algebra: ConfAlgebra) -> "ConfBimodule":
-        """The algebra acting on itself by its own λ-product."""
-        entries = dict(algebra.table.entries)
-        return cls.build(algebra, algebra.module, entries, entries)
+        """The algebra acting on itself by its own λ-product.
+
+        Both actions are the algebra's own table, not copies of it, so the
+        table sums of a run's memo (:func:`sum_memo`) that read the actions
+        are the sums that read the product.
+        """
+        return cls(algebra, algebra.module, algebra.table, algebra.table)
 
     def act_left(self, a: ModElem, m: ModElem, weight: PolyLike) -> ModElem:
         return eval_multilinear(self.left, (a, m), (weight,))
@@ -1134,6 +1136,12 @@ def _skew_items(alg: ConfAlgebra):
     return table_items(table_sum([(1, m), (1, Swap(m, 1, 2))]), ("skew",))
 
 
+def _require_skew(alg: ConfAlgebra) -> ConfAlgebra:
+    """``alg`` itself, after raising :class:`NotSkewSymmetric` unless its bracket is skew."""
+    require(residual_scan("skew-symmetry", _skew_items(alg), cap=1), NotSkewSymmetric)
+    return alg
+
+
 def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Check skew-symmetry and the Jacobi identity of a λ-bracket.
 
@@ -1211,11 +1219,15 @@ def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WIT
 
 
 def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
-    """The commutator bracket ``[a L1 b] = a_L1 b − b_{−L1−D} a``."""
+    """The commutator bracket ``[a L1 b] = a_L1 b − b_{−L1−D} a``.
+
+    Its table is the table sum itself, so inside :func:`sum_memo` every call
+    on one algebra returns the same table, and skew-symmetry is checked on it.
+    """
     require_flavor(alg, "associative", "commutator_lie")
     require(check_associative(alg, cap=1), NotAssociative)
     table = table_sum([(1, alg.table), (-1, Swap(alg.table, 1, 2))])
-    return ConfAlgebra.lie(alg.module, table.entries)
+    return _require_skew(ConfAlgebra(alg.module, table, "lie"))
 
 
 def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:

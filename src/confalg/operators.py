@@ -190,8 +190,10 @@ def _o_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
 
 
 def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+    # at weight 0 the sum is the O residual's on the adjoint bimodule, which a run computes once
     m, t = ins.alg.table, T.table
-    return _quadratic(m, t, *star_terms(t, m, m), (ins.weight, m))
+    weighted = [(ins.weight, m)] if ins.weight else []
+    return _quadratic(m, t, *star_terms(t, m, m), *weighted)
 
 
 def _nijenhuis_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:

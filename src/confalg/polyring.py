@@ -87,7 +87,12 @@ terms forms, cancelled or not, as it goes (on the packed path, the slots of
 the rows formed so far, which are exactly those monomials), so both paths
 stop at the same count.  Past the cap :class:`~confalg.errors.TermOverflow`
 (a ``ConfalgError``) is raised, so a computation whose size would exhaust
-memory stops early instead.
+memory stops early instead.  A power is refused before its first product when
+a bound on its terms passes the cap: the smaller of the simplex and the degree
+box of :func:`_power_terms_bound`.  The bound counts the monomials the power
+could form, so a power whose terms coincide or cancel below it is refused
+too; ``(D + L1 + 1)^1500`` (1,127,251) is, ``(D + L1 + 1)^1400`` (982,101) is
+not.
 
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
@@ -118,7 +123,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import index, or_
 from typing import Collection, Iterable, Iterator, Mapping, Tuple, Union
 
@@ -353,6 +358,21 @@ def _checked(nums: dict) -> dict:
 
 def _term_overflow() -> TermOverflow:
     return TermOverflow(f"a polynomial would have more than {MAX_TERMS} terms")
+
+
+def _power_terms_bound(nums: dict, n: int) -> int:
+    """A bound on the terms of the n-th power of a polynomial of k+1 terms.
+
+    Its monomials are sums of n of the k+1 monomials, at most ``C(n+k, k)`` of
+    them (the simplex), and each exponent of a variable ``v`` lies in
+    ``n·min_v … n·max_v`` (the degree box); the bound is the smaller count.
+    """
+    simplex = comb(n + len(nums) - 1, n)
+    box = 1
+    for shift, _ in _FIELDS.order:
+        exps = [(m >> shift) & _FIELD for m in nums]
+        box *= n * (max(exps) - min(exps)) + 1
+    return min(simplex, box)
 
 
 def _d_rows(nums: dict) -> tuple | None:
@@ -635,6 +655,8 @@ class Poly:
         if len(nums) == 1:
             ((m, c),) = nums.items()
             return _wrap({m * n: c**n}, den)
+        if _power_terms_bound(nums, n) > MAX_TERMS:
+            raise _term_overflow()
         out = nums
         for _ in range(n - 1):
             out = _mul_nums(out, nums)

@@ -598,6 +598,21 @@ def test_adjoint_bimodules_hold() -> None:
     assert check_bimodule(NILP, NADJ).holds
 
 
+def test_the_adjoint_bimodule_and_its_representation_reuse_the_algebra_tables() -> None:
+    # upper-triangular 2x2 matrices: a bracket with nonzero entries
+    alg = cur(
+        ("p", "n", "q"),
+        {("p", "p"): (1, 0, 0), ("p", "n"): (0, 1, 0), ("n", "q"): (0, 1, 0), ("q", "q"): (0, 0, 1)},
+    )
+    adjoint = ConfBimodule.adjoint(alg)
+    assert adjoint.left is adjoint.right is alg.table
+    with sum_memo():
+        lie = commutator_lie(alg)
+        assert lie.table.entries
+        assert commutator_lie(alg).table is lie.table
+        assert rep_from_bimodule(alg, adjoint).action is lie.table
+
+
 def test_zero_actions_form_a_bimodule() -> None:
     wm = FreeModule(("w",))
     assert check_bimodule(DUAL, ConfBimodule.build(DUAL, wm, {}, {})).holds

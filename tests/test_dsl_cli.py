@@ -1364,6 +1364,29 @@ def test_cli_term_overflow_is_an_input_error_in_bounded_memory(tmp_path):
     assert record["elapsed_ms"] > 0
 
 
+def test_a_power_past_the_term_bound_is_an_input_error_before_any_product(
+    monkeypatch, tmp_path, capsys
+):
+    # (D+L1+1)^1500 has at most C(1502, 2) = 1,127,251 terms: refused before the
+    # first of the 1,499 products that would have taken minutes
+    source = tmp_path / "power.cfa"
+    source.write_text(
+        "algebra E {\n  basis e;\n  product e e = (D+L1+1)^1500*e;\n}\ncheck associative E;\n"
+    )
+    products, mul_nums = [], polyring._mul_nums
+
+    def counted(a, b):
+        products.append(None)
+        return mul_nums(a, b)
+
+    monkeypatch.setattr(polyring, "_mul_nums", counted)
+    assert main(["check", "--json", str(source)]) == 2
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["status"] == "error"
+    assert record["detail"] == f"a polynomial would have more than {MAX_TERMS} terms"
+    assert products == []
+
+
 def test_error_records_of_checks_and_constructs_are_timed(monkeypatch):
     monkeypatch.setattr(polyring, "MAX_TERMS", 1000)
     text = (
@@ -1526,6 +1549,12 @@ def _timeless(records):
         ("check O T on A2 with AdjA2;", "check O T on A2 with AdjA2;"),
         ("check O T on A2 with AdjA2;", "construct dendriform T on A2 with AdjA2;"),
         ("check Nijenhuis T on A2;", "construct ns T on A2;"),
+        # the adjoint bimodule's three families are the associativity residual
+        ("check associative A2;", "check bimodule AdjA2;"),
+        # both take the commutator bracket of A2, and the adjoint action is its table
+        ("check OLie T on A2 with AdjA2;", "check NijenhuisLie T on A2;"),
+        # an O-operator on the adjoint bimodule is a Rota-Baxter operator of weight 0
+        ("check O T on A2 with AdjA2;", "check RotaBaxter T on A2 weight 0;"),
     ],
 )
 def test_an_identity_checked_again_in_one_run_takes_no_products(monkeypatch, first, then):

@@ -245,6 +245,29 @@ def test_a_power_above_its_simplex_bound_stays_within_its_degree_box() -> None:
     assert len(list(power.items())) == 1201
 
 
+def test_a_power_past_its_term_bound_is_refused_before_any_product(monkeypatch) -> None:
+    base = D + L1 + 1
+    # the simplex C(n+2, 2) is below the box (n+1)^2
+    assert polyring._power_terms_bound(base._nums, 1500) == math.comb(1502, 2) == 1_127_251
+    assert polyring._power_terms_bound(base._nums, 1400) == math.comb(1402, 2) == 982_101
+    products, mul_nums = [], polyring._mul_nums
+
+    def counted(a, b):
+        products.append(None)
+        return mul_nums(a, b)
+
+    monkeypatch.setattr(polyring, "_mul_nums", counted)
+    with pytest.raises(TermOverflow):
+        base**1500
+    assert products == []
+    # a power at its bound is formed: (D + L1 + 1)^2 has C(4, 2) = 6 terms
+    monkeypatch.setattr(polyring, "MAX_TERMS", 6)
+    assert len(list((base**2).items())) == 6
+    with pytest.raises(TermOverflow):
+        base**3  # C(5, 2) = 10
+    assert len(products) == 1
+
+
 def test_term_cap_bounds_products_and_substitutions(monkeypatch) -> None:
     assert issubclass(TermOverflow, ConfalgError)
     assert polyring.MAX_TERMS >= 100 * 2014  # the largest intermediate the benchmarks meet
