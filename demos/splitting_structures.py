@@ -33,7 +33,6 @@ from confalg.derived import (
     ns_from_twisted,
 )
 from confalg.operators import ModuleMap, verify_operator
-from confalg.polyring import Poly
 
 DUAL = cur(("u", "v"), {("u", "u"): (1, 0), ("u", "v"): (0, 1), ("v", "u"): (0, 1)})
 ADJ = ConfBimodule.adjoint(DUAL)
@@ -50,8 +49,8 @@ def show(label: str, verdict) -> None:
 def main() -> int:
     print("-- dendriform splitting of the shift O-operator -------------------")
     bundle = dendriform_from_O(SHIFT, DUAL, ADJ)
-    print("  m ≻ n = T(m)·n gives:  u ≻ u =", bundle.table("succ").value(u, u, Poly.var("L1")))
-    print("  m ≺ n = m·T(n) gives:  u ≺ u =", bundle.table("prec").value(u, u, Poly.var("L1")))
+    print("  m ≻ n = T(m)·n gives:  u ≻ u =", bundle.table("succ").entry(("u", "u")))
+    print("  m ≺ n = m·T(n) gives:  u ≺ u =", bundle.table("prec").entry(("u", "u")))
     show("the pair satisfies the dendriform identities", check_structure(bundle))
 
     star = m_ass(SHIFT, DUAL, ADJ)

@@ -44,7 +44,6 @@ from .confcore import (
     twisted_extension,
 )
 from .derived import (
-    BinaryOpTable,
     StructureBundle,
     check_structure,
     deformation_check,
@@ -96,7 +95,6 @@ __all__ = [
     "verify_operator",
     "reynolds_from_derivation",
     # derived structures
-    "BinaryOpTable",
     "StructureBundle",
     "check_structure",
     "dendriform_from_O",

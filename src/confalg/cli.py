@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .cohomology import Cochain, g_bracket, maurer_cartan_check
-from .confcore import ConfBimodule, sum_memo
+from .confcore import ConfBimodule, Verdict, sum_memo
 from .dsl import (
     Environment,
     Record,
@@ -152,15 +152,14 @@ def _as_self_cochain(env: Environment, name: str) -> Cochain:
 def _cmd_d2_check(args, env: Environment, started: float) -> Record:
     alg_name, alg = _pick_algebra(env, args.algebra)
     bim_name, bim = _pick_bimodule(env, args.bimodule, alg)
-    ok, witnesses = d_squared_suite(
+    verdict = d_squared_suite(
         alg, bim, count=args.count, seed=args.seed, max_degree=args.max_degree
     )
-    return Record(
+    return _verdict_record(
         f"d2-check {alg_name} with {bim_name}",
-        "holds" if ok else "fails",
-        witnesses[: args.witness_cap],
-        _ms_since(started),
-        f"{args.count} random cochains of arities 1 and 2",
+        verdict._replace(witnesses=verdict.witnesses[: args.witness_cap]),
+        started,
+        detail=f"{args.count} random cochains of arities 1 and 2",
     )
 
 
@@ -184,8 +183,8 @@ def _cmd_bracket(args, env: Environment, started: float) -> Record:
         lines.append(f"[{args.left}, {args.right}]({names}) = {render_elem(result.table.entries[idx])}")
     if result.is_zero():
         lines.append(f"[{args.left}, {args.right}] = 0")
-    detail = "\n".join(lines)
-    return Record(f"bracket {args.left} {args.right}", "holds", (), _ms_since(started), detail)
+    identity = f"bracket {args.left} {args.right}"
+    return _verdict_record(identity, Verdict("bracket", True, ()), started, detail="\n".join(lines))
 
 
 COHOMOLOGY = {"d2-check": _cmd_d2_check, "mc-check": _cmd_mc_check, "bracket": _cmd_bracket}

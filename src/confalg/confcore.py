@@ -12,7 +12,7 @@ coefficients.  Everything reduces to finite data:
   products and module maps are all multitables.  :class:`ModuleMap` (an
   arity-1 table with ``D``-only entries) and :class:`Cochain` (a table whose
   argument slots share one module) are one-field views of one, defined
-  here, and the binary-product class of :mod:`confalg.derived` is another;
+  here; the structure bundles of :mod:`confalg.derived` hold multitables;
 * :meth:`MultiTable.from_function` tabulates any such map from a function
   of basis elements and formal weights, walking :func:`basis_tuples`;
 * :func:`table_sum` computes a signed sum of tables, partial compositions

@@ -20,9 +20,10 @@ their axioms:
   the powers of a Nijenhuis operator, and the formal one-parameter
   deformation they generate.
 
-Each product is a :class:`BinaryOpTable`, a one-field view of a
-``module × module -> module`` :class:`~confalg.confcore.MultiTable`, and a
-:class:`StructureBundle` names its tables by key (``succ``, ``prec``, ...).
+Each product is a ``module × module -> module``
+:class:`~confalg.confcore.MultiTable`, and a :class:`StructureBundle` names
+its tables by key (``succ``, ``prec``, ...); a deformed bracket is a Lie
+:class:`~confalg.confcore.ConfAlgebra`.
 :data:`STRUCTURES` is the one place a structure kind is declared: its tables,
 its verdict's identity and its axioms.  Every constructor validates its
 operator precondition and returns only bundles whose axioms have been
@@ -51,7 +52,6 @@ from .confcore import (
     check_associative,
     check_lie,
     circ,
-    eval_multilinear,
     hochschild_d,
     matching_pair,
     require,
@@ -72,7 +72,6 @@ from .operators import (
 from .polyring import Poly, PolyLike
 
 __all__ = [
-    "BinaryOpTable",
     "STRUCTURES",
     "StructureBundle",
     "check_structure",
@@ -93,7 +92,12 @@ BinaryFn = Callable[[ModElem, ModElem, PolyLike], ModElem]
 
 
 class BinaryOpTable(_Frozen):
-    """A binary product on one module: a view of a ``module × module -> module`` table."""
+    """A tabulated binary product on one module.
+
+    The package's products are plain :class:`~confalg.confcore.MultiTable`
+    values; this class remains only as the home of :meth:`from_function`,
+    which the benchmark harness traces as its ``derived.tabulate`` layer.
+    """
 
     __slots__ = _fields = ("table",)
     table: MultiTable
@@ -103,32 +107,10 @@ class BinaryOpTable(_Frozen):
         require_shape(table, (module, module), module, "a binary operation table")
         _set_fields(self, table)
 
-    @property
-    def module(self) -> FreeModule:
-        return self.table.out_module
-
     @classmethod
     def from_function(cls, module: FreeModule, fn: BinaryFn) -> "BinaryOpTable":
         """Tabulate ``fn(x, y, λ)`` on basis pairs at the formal weight ``L1``."""
         return cls(MultiTable.from_function((module, module), module, lambda xy, w: fn(*xy, *w)))
-
-    def value(self, x: ModElem, y: ModElem, weight: PolyLike) -> ModElem:
-        return eval_multilinear(self.table, (x, y), (weight,))
-
-    def entry(self, i, j) -> ModElem:
-        return self.table.entry((i, j))
-
-    def as_algebra(self, flavor: str = "associative") -> ConfAlgebra:
-        """View the table as a (candidate) conformal algebra; no axioms checked."""
-        return ConfAlgebra(self.module, self.table, flavor)
-
-    def __add__(self, other: "BinaryOpTable") -> "BinaryOpTable":
-        if not isinstance(other, BinaryOpTable):
-            return NotImplemented
-        return BinaryOpTable(self.table + other.table)
-
-    def is_zero(self) -> bool:
-        return self.table.is_zero()
 
 
 def _dendriform(s: MultiTable, p: MultiTable) -> tuple:
@@ -178,16 +160,17 @@ class StructureBundle(_Frozen):
     """A named collection of binary products forming one algebraic structure.
 
     ``kind`` is a key of :data:`STRUCTURES`, which names the tables it needs
-    (``succ``, ``prec`` [, ``vee``] or ``leftsym``).  Construction checks only
+    (``succ``, ``prec`` [, ``vee``] or ``leftsym``); each is a ``module ×
+    module -> module`` table on one module.  Construction checks only
     shapes; :func:`check_structure` certifies the axioms, and every
     constructor in this module does so before returning a bundle.
     """
 
     __slots__ = _fields = ("kind", "tables")
     kind: str
-    tables: Mapping[str, BinaryOpTable]
+    tables: Mapping[str, MultiTable]
 
-    def __init__(self, kind: str, tables: Mapping[str, BinaryOpTable]) -> None:
+    def __init__(self, kind: str, tables: Mapping[str, MultiTable]) -> None:
         if kind not in STRUCTURES:
             raise ShapeMismatch("unknown structure kind %r" % (kind,))
         required = STRUCTURES[kind].tags
@@ -195,24 +178,30 @@ class StructureBundle(_Frozen):
             raise ShapeMismatch(
                 "%s bundle needs tables %s, got %s" % (kind, sorted(required), sorted(tables))
             )
-        modules = {op.module for op in tables.values()}
+        modules = {t.out_module for t in tables.values()}
         if len(modules) != 1:
             raise ShapeMismatch("all tables of a bundle must share one module")
+        (module,) = modules
+        for t in tables.values():
+            require_shape(t, (module, module), module, "a binary operation table")
         _set_fields(self, kind, dict(tables))
 
     @property
     def module(self) -> FreeModule:
-        return next(iter(self.tables.values())).module
+        return next(iter(self.tables.values())).out_module
 
-    def table(self, tag: str) -> BinaryOpTable:
+    def table(self, tag: str) -> MultiTable:
         return self.tables[tag]
 
-    def sum_table(self) -> BinaryOpTable:
-        """The total product (``⋆`` or ``×``) carried by a bundle of two or more tables."""
+    def sum_table(self) -> ConfAlgebra:
+        """The total product (``⋆`` or ``×``) of a bundle of two or more tables.
+
+        It is the associative-flavored candidate algebra; no axioms are checked.
+        """
         first, *rest = (self.tables[tag] for tag in STRUCTURES[self.kind].tags)
         if not rest:
             raise ShapeMismatch("a %s bundle has no sum product" % STRUCTURES[self.kind].identity)
-        return sum(rest, first)
+        return ConfAlgebra(self.module, sum(rest, first), "associative")
 
 
 def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
@@ -222,13 +211,13 @@ def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
     families are scanned in turn at each triple.
     """
     structure = STRUCTURES[bundle.kind]
-    families = structure.axioms(*(bundle.table(tag).table for tag in structure.tags))
+    families = structure.axioms(*(bundle.table(tag) for tag in structure.tags))
     columns = [table_items(table_sum(terms), tag) for tag, terms in families]
     return residual_scan(structure.identity, itertools.chain.from_iterable(zip(*columns)), cap=cap)
 
 
 def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> StructureBundle:
-    bundle = StructureBundle(kind, {tag: BinaryOpTable(t) for tag, t in tables.items()})
+    bundle = StructureBundle(kind, tables)
     verdict = check_structure(bundle, cap=1)
     if not verdict.holds:
         raise ConfalgError(
@@ -406,31 +395,33 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     if bundle.kind != "dendriform":
         raise ShapeMismatch("leftsym_from_dendriform needs a dendriform bundle")
     require(check_structure(bundle, cap=1), NotDendriform)
-    succ, prec = bundle.table("succ").table, bundle.table("prec").table
+    succ, prec = bundle.table("succ"), bundle.table("prec")
     leftsym = table_sum([(1, succ), (-1, Swap(prec, 1, 2))])
     return _certified("leftsym", "leftsym_from_dendriform", {"leftsym": leftsym})
 
 
 def deformed_bracket(
     N: ModuleMap, lie: ConfAlgebra, *, validate: bool = True, cap: int = WITNESS_CAP
-) -> BinaryOpTable:
+) -> ConfAlgebra:
     """The deformed bracket ``[a b]ᴺ = [N(a) b] + [a N(b)] − N([a b])``.
 
-    ``lie`` must carry a Lie table.  With ``validate`` the map is required
-    to satisfy the Lie Nijenhuis identity, which makes the deformed bracket
-    a Lie bracket again (re-checked before returning).
+    ``lie`` must carry a Lie table, and the result is the Lie-flavored
+    algebra on ``lie``'s module carrying the deformed bracket.  With
+    ``validate`` the map is required to satisfy the Lie Nijenhuis identity,
+    which makes the deformed bracket a Lie bracket again (re-checked before
+    returning).
     """
     require_flavor(lie, "lie", "deformed_bracket")
     if validate:
         require_operator("NijenhuisLie", N, lie)
-    table = BinaryOpTable(_deformed(N.table, lie.table))
+    bracket = ConfAlgebra(lie.module, _deformed(N.table, lie.table), "lie")
     if validate:
-        verdict = check_lie(table.as_algebra("lie"), cap=1)
+        verdict = check_lie(bracket, cap=1)
         if not verdict.holds:
             raise ConfalgError(
                 "deformed_bracket produced a non-Lie table; " + verdict.summary()
             )
-    return table
+    return bracket
 
 
 def deformation_check(

@@ -971,7 +971,7 @@ def emit_dsl(
         return _emit_algebra(obj, name)
     if isinstance(obj, StructureBundle):
         blocks = [
-            _emit_algebra(obj.table(tag).as_algebra(), f"{name}_{tag}")
+            _emit_algebra(ConfAlgebra(obj.module, obj.table(tag), "associative"), f"{name}_{tag}")
             for tag in sorted(obj.tables)
         ]
         return "\n\n".join(blocks)
@@ -990,16 +990,17 @@ def d_squared_suite(
     count: int = 10,
     seed: int = 0,
     max_degree: int = 2,
-) -> Tuple[bool, Tuple[dict, ...]]:
+) -> Verdict:
     """Check 𝐝∘𝐝 = 0 on ``count`` seeded random cochains of arities 1 and 2.
 
-    Returns the overall result and JSON-ready witnesses for any failures.  A
-    negative ``count`` or ``max_degree`` raises :class:`PreconditionFailed`.
+    Each failing sample gives one witness, ``("sample=k", "arity=n", *basis
+    names)`` with its residual.  A negative ``count`` or ``max_degree``
+    raises :class:`PreconditionFailed`.
     """
     if count < 0:
         raise PreconditionFailed(f"the sample count must not be negative, not {count}")
     rng = random.Random(seed)
-    witnesses: List[dict] = []
+    witnesses = []
     for sample in range(count):
         arity = 1 + sample % 2
         f = random_cochain(rng, arity, alg.module, bim.module, max_degree=max_degree)
@@ -1008,11 +1009,6 @@ def d_squared_suite(
             # the first stored entry, read directly: residual_scan would walk every
             # basis tuple of the arity and count them as scanned
             idx, value = sorted(dd.table.entries.items())[0]
-            witnesses.append(
-                {
-                    "names": [f"sample={sample}", f"arity={arity}"]
-                    + [alg.module.basis[i] for i in idx],
-                    "residual": str(value),
-                }
-            )
-    return not witnesses, tuple(witnesses)
+            names = (f"sample={sample}", f"arity={arity}", *(alg.module.basis[i] for i in idx))
+            witnesses.append((names, value))
+    return Verdict("d-squared", not witnesses, tuple(witnesses))

@@ -302,19 +302,17 @@ def require_operator(
     bim: Optional[ConfBimodule] = None,
     *,
     origin: Optional[str] = None,
-    error: Optional[Type[ConfalgError]] = None,
     cap: int = 1,
     **inputs,
 ) -> None:
     """Raise unless ``T`` satisfies the ``kind`` identity.
 
-    The exception is the kind's registry ``error`` unless ``error`` is
-    given; its message is the verdict's summary, after ``origin: `` when an
-    origin is given.  ``cap`` bounds the witnesses the summary counts, and
-    ``inputs`` go to :func:`verify_operator`.
+    The exception is the kind's registry ``error``; its message is the
+    verdict's summary, after ``origin: `` when an origin is given.  ``cap``
+    bounds the witnesses the summary counts, and ``inputs`` go to
+    :func:`verify_operator`.
     """
-    verdict = verify_operator(kind, T, alg, bim, cap=cap, **inputs)
-    require(verdict, error or REGISTRY[kind].error, origin)
+    require(verify_operator(kind, T, alg, bim, cap=cap, **inputs), REGISTRY[kind].error, origin)
 
 
 # -- compatibility -----------------------------------------------------------
@@ -440,8 +438,8 @@ def derivation_composites(
     O-operator; the two verdicts report exactly that.
     """
     origin = "derivation_composites"
-    require_operator("O", T, alg, bim, origin=origin, error=PreconditionFailed)
-    require_operator("Derivation", omega, alg, bim, origin=origin, error=PreconditionFailed)
+    require(verify_operator("O", T, alg, bim, cap=1), PreconditionFailed, origin)
+    require(verify_operator("Derivation", omega, alg, bim, cap=1), PreconditionFailed, origin)
 
     o = omega.table
     star = star_product(T, bim)

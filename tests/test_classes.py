@@ -174,12 +174,14 @@ def test_constructors_keep_their_checks():
         ConfBimodule(_nilp(), FreeModule(("x",)), _binary(), _binary())
     with pytest.raises(ArityMismatch, match="^a binary operation table must map <a, b> × <a, b>"):
         BinaryOpTable(_unary())
+    with pytest.raises(ArityMismatch, match="^a binary operation table must map"):
+        StructureBundle("leftsym", {"leftsym": _unary()})
     with pytest.raises(ShapeMismatch, match="arguments must all live in one module"):
         Cochain(MultiTable((_module(), FreeModule(("x",))), _module(), {}))
     with pytest.raises(ShapeMismatch, match="unknown structure kind"):
         StructureBundle("magma", {})
     with pytest.raises(ShapeMismatch, match="^unknown structure kind 'assoc'$"):
-        StructureBundle("assoc", {"star": BinaryOpTable(_binary())})
+        StructureBundle("assoc", {"star": _binary()})
 
 
 def test_reprs_name_the_class_and_its_fields():

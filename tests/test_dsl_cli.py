@@ -920,8 +920,8 @@ def test_emitted_bundle_declares_one_algebra_per_table():
     text = emit_dsl(bundle, "dend")
     _, env = build(text)
     assert set(env.algebras) == {"dend_succ", "dend_prec"}
-    assert env.algebras["dend_succ"].table.entries == bundle.table("succ").table.entries
-    assert env.algebras["dend_prec"].table.entries == bundle.table("prec").table.entries
+    assert env.algebras["dend_succ"].table.entries == bundle.table("succ").entries
+    assert env.algebras["dend_prec"].table.entries == bundle.table("prec").entries
 
 
 @settings(max_examples=20, deadline=None)
@@ -1095,10 +1095,38 @@ def test_negative_sample_counts_degree_caps_and_small_witness_caps_are_rejected(
 
 def test_d_squared_suite_accepts_real_structures():
     _, env = build(A2_SOURCE + "bimodule AdjA2 adjoint A2;")
-    ok, witnesses = d_squared_suite(
-        env.algebras["A2"], env.bimodules["AdjA2"], count=4, seed=11
+    verdict = d_squared_suite(env.algebras["A2"], env.bimodules["AdjA2"], count=4, seed=11)
+    assert verdict.holds and verdict.witnesses == ()
+
+
+def test_cli_d2_check_on_a_non_bimodule_fails_with_sample_witnesses(tmp_path, capsys):
+    source = tmp_path / "nonbim.cfa"
+    source.write_text(
+        """
+algebra A {
+  basis u, v;
+  product u u = u;
+  product u v = v;
+  product v u = v;
+}
+bimodule B over A {
+  basis m;
+  left u m = m;
+  right m u = 2*m;
+  left v m = D*m;
+}
+"""
     )
-    assert ok and witnesses == ()
+    command = ["cohomology", "d2-check", "--algebra", "A", "--bimodule", "B", str(source)]
+    assert main(command + ["--count", "6", "--witness-cap", "2", "--json"]) == 1
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert (record["identity"], record["status"], record["detail"]) == (
+        "d2-check A with B", "fails", "6 random cochains of arities 1 and 2"
+    )
+    assert record["witnesses"] == [
+        {"names": ["sample=1", "arity=2", "u", "u", "u", "u"], "residual": "(2*L1^2 + 2*L1*L2)*m"},
+        {"names": ["sample=3", "arity=2", "u", "u", "u", "u"], "residual": "(6*L1^2 + 6*L1*L2)*m"},
+    ]
 
 
 # -- the command line ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every module of ``src/confalg`` is parsed with :mod:`ast`.  Imports of the
 package sit at module level, never inside a function or class body, and
 each module imports only modules earlier in :data:`ORDER`, so the module
-graph has no cycle.
+graph has no cycle.  Every name a module-level import binds is used in the
+module or listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -79,3 +80,31 @@ def test_imports_run_one_way_at_module_level(module):
         where = f"{module}.py:{node.lineno} imports {target}"
         assert not nested, f"{where} inside a function or class body"
         assert target in allowed, f"{where}, which is not below it in {ORDER}"
+
+
+def _exported(tree: ast.Module) -> set:
+    """The names a module's ``__all__`` lists, if it assigns one at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree: ast.Module):
+    """``(node, bound name)`` for each name a module-level import binds."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node, alias.asname or alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used_or_exported(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    for node, name in _imported(tree):
+        assert name in used, f"{module}.py:{node.lineno} imports {name}, which it never uses"
