@@ -83,7 +83,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
 )
-from .polyring import Poly, PolyLike, Substitution, as_poly, lam, var_sort_key
+from .polyring import Poly, PolyLike, Substitution, as_poly, lam, var_sort_key, variables_of
 
 D = Poly.var("D")
 L1 = Poly.var("L1")
@@ -215,7 +215,7 @@ class ModElem(_Frozen):
     coeffs: Tuple[Poly, ...]
 
     def __init__(self, module: FreeModule, coeffs: Sequence[PolyLike]) -> None:
-        coeffs = tuple(as_poly(c) for c in coeffs)
+        coeffs = tuple(map(as_poly, coeffs))
         if len(coeffs) != module.rank:
             raise RankMismatch(f"{len(coeffs)} coefficients for a rank-{module.rank} module")
         _set_fields(self, module, coeffs)
@@ -426,10 +426,7 @@ class MultiTable:
             if entry.module != out_module:
                 raise ModuleMismatch(f"entry at {raw_idx} lives in {entry.module}")
             bad = {
-                v
-                for _, c in entry.support()
-                for v in c.variables()
-                if _is_lambda_var(v) and v not in allowed
+                v for v in variables_of(entry.coeffs) if _is_lambda_var(v) and v not in allowed
             }
             if bad:
                 raise InvalidEntry(
@@ -727,7 +724,7 @@ def eval_multilinear(
     for pos, (arg, mod) in enumerate(zip(args, table.in_modules)):
         if arg.module != mod:
             raise ModuleMismatch(f"argument {pos + 1} lives in {arg.module}, expected {mod}")
-    names = {v for arg in args for _, c in arg._terms for v in c.variables()} if n > 1 else ()
+    names = variables_of(c for arg in args for c in arg.coeffs) if n > 1 else ()
     parked = sorted(var_sort_key(v)[1] for v in names if _is_lambda_var(v))
     park = Substitution([(lam(k), Poly.var(lam(k + n - 1))) for k in parked]) if parked else None
     composed = table
@@ -882,12 +879,10 @@ class ModuleMap(_Frozen):
         if table.arity != 1:
             raise ArityMismatch("only arity-1 tables are module maps")
         for entry in table.entries.values():
-            for _, c in entry.support():
-                bad = c.variables() - {"D"}
-                if bad:
-                    raise InvalidEntry(
-                        f"module-map entries may only use D, got {sorted(bad)}"
-                    )
+            if variables_of(entry.coeffs) - {"D"}:
+                # the error names the variables of the first coefficient that uses one
+                bad = next(filter(None, (c.variables() - {"D"} for c in entry.coeffs)))
+                raise InvalidEntry(f"module-map entries may only use D, got {sorted(bad)}")
         _set_fields(self, table)
 
     @property

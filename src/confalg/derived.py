@@ -400,9 +400,7 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     return _certified("leftsym", "leftsym_from_dendriform", {"leftsym": leftsym})
 
 
-def deformed_bracket(
-    N: ModuleMap, lie: ConfAlgebra, *, validate: bool = True, cap: int = WITNESS_CAP
-) -> ConfAlgebra:
+def deformed_bracket(N: ModuleMap, lie: ConfAlgebra, *, validate: bool = True) -> ConfAlgebra:
     """The deformed bracket ``[a b]ᴺ = [N(a) b] + [a N(b)] − N([a b])``.
 
     ``lie`` must carry a Lie table, and the result is the Lie-flavored

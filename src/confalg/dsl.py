@@ -176,15 +176,17 @@ class MapDecl(NamedTuple):
     def build(self, env: Environment) -> ModuleMap:
         source = env.lookup(self.source, env.algebras, env.bimodules).module
         target = env.lookup(self.target, env.algebras, env.bimodules).module
-        images = {}
+        sources, targets = _positions(source), _positions(target)
+        images: Dict[int, ModElem] = {}
         for name, expr in self.images:
-            if name not in source.basis:
+            k = sources.get(name)
+            if k is None:
                 raise UnresolvedName(
                     f"{name!r} is not a basis name of {self.source!r} (basis: {', '.join(source.basis)})"
                 )
-            if name in images:
+            if k in images:
                 raise DuplicateName(f"image of {name!r} given twice")
-            images[name] = _eval_expr(expr, target)
+            images[k] = _eval_expr(expr, target, targets)
         return ModuleMap.from_images(source, target, images)
 
 
@@ -271,8 +273,10 @@ class _Parser(_PolyParser):
         """One additive term: a product of powers and at most one basis name.
 
         Returns ``None`` for a term without a basis name whose coefficient is zero.
+        The first factor is the coefficient so far, so only a second factor
+        takes a product.
         """
-        coeff = Poly.one()
+        coeff: Optional[Poly] = None
         basis: Optional[str] = None
         while True:
             kind, text, _, _ = self.peek()
@@ -283,6 +287,8 @@ class _Parser(_PolyParser):
                 if self.at_punct("^"):
                     raise self.fail("basis names cannot be raised to powers")
                 basis = text
+            elif coeff is None:
+                coeff = self.parse_power()
             else:
                 coeff = self.times(coeff, self.parse_power)
             if not self.at_punct("*"):
@@ -292,7 +298,7 @@ class _Parser(_PolyParser):
             if coeff.is_zero():
                 return None
             raise self.fail("a nonzero term must mention a basis name")
-        return (coeff, basis)
+        return (Poly.one() if coeff is None else coeff, basis)
 
     def parse_elem_expr(self) -> Expr:
         terms: List[ExprTerm] = []
@@ -649,16 +655,26 @@ class Environment:
         raise UnresolvedName(f"unknown {' or '.join(pool.kind for pool in pools)} {name!r}")
 
 
-def _eval_expr(expr: Expr, module: FreeModule) -> ModElem:
-    out = module.zero()
-    index = {name: k for k, name in enumerate(module.basis)}
+def _positions(module: FreeModule) -> Dict[str, int]:
+    """The position of each basis name of ``module``."""
+    return {name: k for k, name in enumerate(module.basis)}
+
+
+def _eval_expr(expr: Expr, module: FreeModule, positions: Mapping[str, int]) -> ModElem:
+    """The element of ``module`` that ``expr`` writes, its basis names placed by ``positions``.
+
+    One coefficient list is filled: each written term adds its coefficient
+    into its basis name's slot, one polynomial addition and no product.
+    """
+    coeffs = [Poly.zero()] * module.rank
     for coeff, name in expr:
-        if name not in index:
+        k = positions.get(name)
+        if k is None:
             raise UnresolvedName(
                 f"{name!r} is not a basis name of this module (basis: {', '.join(module.basis)})"
             )
-        out = out + coeff * module.basis_elem(index[name])
-    return out
+        coeffs[k] += coeff
+    return module.elem(coeffs)
 
 
 def _entry_table(
@@ -667,8 +683,7 @@ def _entry_table(
     col_module: FreeModule,
     value_module: FreeModule,
 ) -> Dict[Tuple[int, int], ModElem]:
-    rows = {name: k for k, name in enumerate(row_module.basis)}
-    cols = {name: k for k, name in enumerate(col_module.basis)}
+    rows, cols, values = map(_positions, (row_module, col_module, value_module))
     entries: Dict[Tuple[int, int], ModElem] = {}
     for first, second, expr in pairs:
         if first not in rows:
@@ -678,7 +693,7 @@ def _entry_table(
         key = (rows[first], cols[second])
         if key in entries:
             raise DuplicateName(f"entry {first} {second} given twice")
-        value = _eval_expr(expr, value_module)
+        value = _eval_expr(expr, value_module, values)
         if not value.is_zero():
             entries[key] = value
     return entries

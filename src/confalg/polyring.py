@@ -122,7 +122,7 @@ import decimal
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, gcd, lcm
 from operator import index, or_
 from typing import Collection, Iterable, Iterator, Mapping, Tuple, Union
@@ -566,8 +566,7 @@ class Poly:
         return not nums or (len(nums) == 1 and 0 in nums)
 
     def variables(self) -> set[str]:
-        present = reduce(or_, self._nums, 0)
-        return {name for shift, name in _FIELDS.order if (present >> shift) & _FIELD}
+        return _names(reduce(or_, self._nums, 0))
 
     def constant_term(self) -> Scalar:
         return Fraction(self._nums.get(0, 0), self._den)
@@ -868,6 +867,18 @@ def _grow(table: tuple, top: int, kept: int) -> int:
     return kept + sizes[top]
 
 
+def _names(present: int) -> set[str]:
+    """The variables whose fields are nonzero in the packed monomial ``present``."""
+    if not present:
+        return set()
+    return {name for shift, name in _FIELDS.order if (present >> shift) & _FIELD}
+
+
+def variables_of(polys: Iterable[Poly]) -> set[str]:
+    """The variables of any of ``polys``, from one OR over all their packed monomials."""
+    return _names(reduce(or_, chain.from_iterable(p._nums for p in polys), 0))
+
+
 def _wrap(nums: dict, den: int) -> Poly:
     """Wrap numerators over ``den`` that are already canonical."""
     p = object.__new__(Poly)
@@ -912,39 +923,51 @@ _ONE_POLY = _wrap({0: 1}, 1)
 
 Token = Tuple[str, str, int, int]
 
-# A name starts with a letter or "_" and goes on with letters, digits or "_";
-# "[^\W\d]" also admits the numeric characters that are not decimal digits
-# (such as "²"), which the tokenizer rejects.  A number is what int() reads.
+# One match per token: the blanks before it (spaces, tabs, CRs, LFs and every
+# comment line), a comment on the last line, then the token itself, a
+# character no token starts with, or the end of the text.  A name starts with
+# a letter or "_" and goes on with letters, digits or "_"; "[^\W\d]" also
+# admits the numeric characters that are not decimal digits (such as "²"),
+# which the tokenizer rejects.  A number is what int() reads.
 _TOKEN_RE = re.compile(
-    r"(?P<number>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>->|[{}();:,=+\-*/^])"
-    r"|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<bad>.)"
+    r"([ \t\r\n]*(?:#.*\n[ \t\r\n]*)*)(?:#.*)?"
+    r"(?:([^\W\d]\w*)|(->|[{}();:,=+\-*/^])|(\d+)|(.)|\Z)"
 )
 
 
 def _tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending in an "eof" token.
+    """The tokens of ``text``, ending in an "eof" token, from one regex match each.
 
     Lines and columns count from 1, one column per character.  ``#`` starts a
     comment that runs to the end of the line; space, tab, CR and LF separate
-    tokens, and any other character is a :class:`ParseError`.
+    tokens, and any other character is a :class:`ParseError`.  End of input
+    sits after the last blank, so a comment on the last line moves no column.
     """
     tokens: list[Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        start = m.start()
-        if kind == "bad" or (kind == "name" and not (text[start].isalpha() or text[start] == "_")):
-            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
-        end = m.end()
-        if kind == "newline":
-            line += 1
-            line_start = end
-        elif kind != "space":
-            tokens.append((kind, m.group(), line, start - line_start + 1))
-    # a comment on the last line moves no column, so end of input sits at its "#"
-    tokens.append(("eof", "", line, end - line_start + 1))
+    append = tokens.append
+    line = column = 1
+    for blank, name, punct, number, bad in _TOKEN_RE.findall(text):
+        if "\n" in blank:
+            line += blank.count("\n")
+            column = len(blank) - blank.rfind("\n")
+        else:
+            column += len(blank)
+        if name:
+            if not (name[0].isalpha() or name[0] == "_"):
+                raise ParseError(f"unexpected character {name[0]!r}", line, column)
+            append(("name", name, line, column))
+            column += len(name)
+        elif punct:
+            append(("punct", punct, line, column))
+            column += len(punct)
+        elif number:
+            append(("number", number, line, column))
+            column += len(number)
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", line, column)
+        else:  # the end of the text, which the blanks before it may reach
+            append(("eof", "", line, column))
+            break
     return tokens
 
 
