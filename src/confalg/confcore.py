@@ -63,7 +63,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from types import MappingProxyType
 from typing import (
     Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Type, Union
@@ -83,7 +83,9 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
 )
-from .polyring import Poly, PolyLike, Substitution, as_poly, lam, var_sort_key, variables_of
+from .polyring import (
+    Poly, PolyLike, Substitution, as_poly, lam, sum_of_products, var_sort_key, variables_of
+)
 
 D = Poly.var("D")
 L1 = Poly.var("L1")
@@ -97,6 +99,10 @@ WITNESS_CAP = 16
 #: It is about 30 times the most that a run of the benchmark workloads holds
 #: (3,420 terms, on ``degree``).
 SUM_MEMO_TERMS = 100_000
+#: The most slot layouts whose rebindings :func:`table_sum` keeps compiled, for
+#: compositions and for swaps each.  A ``cochains`` benchmark pass uses 26
+#: composition layouts, a ``corpus`` pass 5 and 2 swap layouts.
+_LAYOUTS = 64
 
 EntryLike = Union["ModElem", Sequence[PolyLike]]
 IndexKey = Tuple[Union[int, str], ...]
@@ -140,6 +146,26 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class _once:
+    """A lazily computed attribute, stored in the instance on first access.
+
+    Like :func:`functools.cached_property`, but without the lock that Python
+    3.11 takes on each first access.  The value depends only on immutable
+    fields, so two threads that compute it at once store equal values.
+    """
+
+    __slots__ = ("func", "name")
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _set_fields(obj: _Frozen, *values: object) -> None:
@@ -186,7 +212,7 @@ class FreeModule(_Frozen):
     def zero(self) -> "ModElem":
         return self._zero
 
-    @cached_property
+    @_once
     def _zero(self) -> "ModElem":
         # one shared zero per module: elements are immutable
         return _elem(self, (Poly.zero(),) * self.rank)
@@ -224,7 +250,7 @@ class ModElem(_Frozen):
         # the support is cached, so the shared zero of a module is tested once
         return not self._terms
 
-    @cached_property
+    @_once
     def _terms(self) -> Tuple[Tuple[int, Poly], ...]:
         # computed on first use: basis elements are evaluated many times per scan
         return tuple((i, c) for i, c in enumerate(self.coeffs) if c)
@@ -590,11 +616,20 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     is ``f`` evaluated with ``g``'s value in slot ``i`` at the sum of the
     merged weights.  Only stored entries are visited: each entry of
     ``g`` is rebound once (``L_k ↦ L_(k+i−1)``; ``D ↦ −(merged weight)`` in a
-    leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), each entry of
-    ``f`` once, grouped by its slot-``i`` index, and every product goes into
-    one accumulator that becomes the result.  Each rebinding is compiled once
-    per term, as one :class:`~confalg.polyring.Substitution` that all the
-    entries it rebinds share.
+    leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last) and multiplied by
+    the term's coefficient unless that is 1, and each entry of ``f`` once,
+    grouped by its slot-``i`` index.  Each cell of the result, one output
+    coefficient on one basis tuple, gathers its pairs ``(factor, value)`` and
+    is formed once, by :func:`~confalg.polyring.sum_of_products`: a constant
+    factor scales numerators, a pair of non-constant polynomials is one
+    ``Poly`` product, and the cell is made canonical once.
+
+    A rebinding depends only on the slot layout, ``(i, f.arity, g.arity)``
+    for a composition and ``(p, q, f.arity)`` for a swap, so each layout's
+    :class:`~confalg.polyring.Substitution` is built and compiled once per
+    process, in a cache of at most :data:`_LAYOUTS` layouts of each kind.
+    The powers of its images grow on demand and serve every table sum with
+    that layout: a layout keeps those its largest exponent so far needed.
 
     Inside :func:`sum_memo` a sum is computed once: its key is, per term, the
     coefficient (by value), the term's kind, and the ``id`` of each operand
@@ -614,15 +649,78 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     if hit is not None:
         return hit[1]
     result = _table_sum(terms)
-    size = sum(len(c) for entry in result.entries.values() for _, c in entry._terms)
+    size = sum(len(c) for entry in result.entries.values() for c in entry.coeffs)
     if memo.held + size <= SUM_MEMO_TERMS:
         memo.held += size
         memo.sums[key] = (terms, result)
     return result
 
 
+@lru_cache(maxsize=_LAYOUTS)
+def _circ_bindings(i: int, m: int, n: int) -> tuple:
+    """The rebindings ``(f_bind, g_bind)`` of ``f ∘_i g``, ``f`` of arity m and ``g`` of arity n."""
+    g_bind = [(lam(k), Poly.var(lam(k + i - 1))) for k in range(1, n)] if i > 1 else []
+    f_bind = None
+    if i < m:
+        g_bind.append(("D", -_weights(i, i + n - 1)))
+        if n > 1:
+            f_bind = Substitution(
+                [(lam(i), _weights(i, i + n - 1))]
+                + [(lam(k), Poly.var(lam(k + n - 1))) for k in range(i + 1, m)]
+            )
+    elif m > 1:
+        g_bind.append(("D", D + _weights(1, m - 1)))
+    return f_bind, Substitution(g_bind) if g_bind else None
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _swap_binding(p: int, q: int, arity: int) -> Substitution:
+    """The rebinding of an arity-``arity`` table with its slots ``p < q`` swapped."""
+    if q < arity:
+        return Substitution([(lam(p), Poly.var(lam(q))), (lam(q), Poly.var(lam(p)))])
+    return Substitution([(lam(p), -D - _weights(1, arity - 1))])
+
+
+def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
+    """The ``(mid, group, factor)`` triples of one term of a table sum.
+
+    Each entry ``(head, tail, values)`` of a group adds ``factor·v`` to output
+    coefficient ``j`` at index ``head + mid + tail``, for each ``(j, v)`` in
+    ``values``.  The term's rebindings are trimmed when it is done with them.
+    """
+    if isinstance(term, Circ):
+        f, i, g = term
+        f_bind, g_bind = _circ_bindings(i, f.arity, g.arity)
+    else:
+        f, p, q = term if isinstance(term, Swap) else (term, 0, 0)
+        f_bind, g_bind = _swap_binding(p, q, f.arity) if q else None, None
+    try:
+        if isinstance(term, Circ):
+            groups: dict = {}
+            for idx, entry in f.entries.items():
+                values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
+                groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
+            unit = coeff == 1
+            return [
+                (gidx, groups[k], _bind(c, g_bind) if unit else _bind(c, g_bind) * coeff)
+                for gidx, entry in g.entries.items()
+                for k, c in entry._terms
+                if k in groups
+            ]
+        group = []
+        for idx, entry in f.entries.items():
+            if q:
+                idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
+            group.append((idx, (), tuple((j, _bind(c, f_bind)) for j, c in entry._terms)))
+        return [((), group, coeff)]
+    finally:
+        for binding in (f_bind, g_bind):
+            if binding:
+                binding._trim()
+
+
 def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -> MultiTable:
-    shape, rows, zero = None, {}, Poly.zero()
+    shape, rows = None, {}
     for coeff, term in terms:
         here = _term_shape(term)
         if shape is None:
@@ -632,56 +730,27 @@ def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) 
         coeff = as_poly(coeff)
         if not coeff:
             continue
-        if isinstance(term, Circ):
-            f, i, g = term
-            m, n = f.arity, g.arity
-            g_bind = [(lam(k), Poly.var(lam(k + i - 1))) for k in range(1, n)] if i > 1 else []
-            f_bind = None
-            if i < m:
-                g_bind.append(("D", -_weights(i, i + n - 1)))
-                if n > 1:
-                    f_bind = Substitution(
-                        [(lam(i), _weights(i, i + n - 1))]
-                        + [(lam(k), Poly.var(lam(k + n - 1))) for k in range(i + 1, m)]
-                    )
-            elif m > 1:
-                g_bind.append(("D", D + _weights(1, m - 1)))
-            g_bind = Substitution(g_bind) if g_bind else None
-            groups: dict = {}
-            for idx, entry in f.entries.items():
-                values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
-                groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
-            pairs = (
-                (gidx, groups[k], _bind(c, g_bind) * coeff)
-                for gidx, entry in g.entries.items()
-                for k, c in entry._terms
-                if k in groups
-            )
-        else:
-            f, p, q = term if isinstance(term, Swap) else (term, 0, 0)
-            binding = None
-            if q and q < f.arity:
-                binding = Substitution([(lam(p), Poly.var(lam(q))), (lam(q), Poly.var(lam(p)))])
-            elif q:
-                binding = Substitution([(lam(p), -D - _weights(1, f.arity - 1))])
-            group = []
-            for idx, entry in f.entries.items():
-                if q:
-                    idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
-                group.append((idx, (), tuple((j, _bind(c, binding)) for j, c in entry._terms)))
-            pairs = [((), group, coeff)]
-        for mid, group, c in pairs:
-            unit = c == 1
+        # each cell gathers its (factor, value) pairs and is formed once, below
+        for mid, group, c in _term_pairs(coeff, term):
             for head, tail, values in group:
                 row = rows.get(head + mid + tail)
                 if row is None:
-                    row = rows[head + mid + tail] = [zero] * rank
+                    row = rows[head + mid + tail] = [None] * rank
                 for j, v in values:
-                    row[j] = row[j] + (v if unit else c * v)
+                    cell = row[j]
+                    if cell is None:
+                        row[j] = [(c, v)]
+                    else:
+                        cell.append((c, v))
     if shape is None:
         raise ArityMismatch("a table sum needs at least one term")
     ins, out = shape
-    return _table(ins, out, {idx: _elem(out, tuple(row)) for idx, row in rows.items() if any(row)})
+    entries, zero = {}, Poly.zero()
+    for idx, row in rows.items():
+        coeffs = tuple(sum_of_products(cell) if cell else zero for cell in row)
+        if any(coeffs):
+            entries[idx] = _elem(out, coeffs)
+    return _table(ins, out, entries)
 
 
 def circ(f: MultiTable, i: int, g: MultiTable) -> MultiTable:

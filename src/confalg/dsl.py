@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -586,7 +588,20 @@ class Report(NamedTuple):
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``.
+
+        The schema is fixed, so its keys are written in sorted order directly and
+        strings are escaped by the C escaper: with ``indent`` set, ``json.dumps``
+        would take the pure-Python encoder.
+        """
+        records = ",\n".join(map(_record_text, self.records))
+        return (
+            '{\n  "command": ' + _atom(self.command)
+            + ',\n  "records": ' + (f"[\n{records}\n  ]" if records else "[]")
+            + ',\n  "seed": ' + _atom(self.seed)
+            + ',\n  "version": ' + _atom(self.version)
+            + "\n}"
+        )
 
     @property
     def exit_code(self) -> int:
@@ -595,6 +610,45 @@ class Report(NamedTuple):
         if any(r.status == "fails" for r in self.records):
             return 1
         return 0
+
+
+def _atom(value) -> str:
+    """A string, number or ``None`` as :func:`json.dumps` writes it."""
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _record_text(record: Record) -> str:
+    """A record of :meth:`Report.to_json_text`, at its depth in the report."""
+    witnesses = ",\n".join(map(_witness_text, record.witnesses))
+    return (
+        '    {\n      "detail": ' + _atom(record.detail)
+        + ',\n      "elapsed_ms": ' + _atom(record.elapsed_ms)
+        + ',\n      "emitted": ' + _atom(record.emitted)
+        + ',\n      "identity": ' + _atom(record.identity)
+        + ',\n      "status": ' + _atom(record.status)
+        + ',\n      "witnesses": ' + (f"[\n{witnesses}\n      ]" if witnesses else "[]")
+        + "\n    }"
+    )
+
+
+def _witness_text(witness: Mapping) -> str:
+    """A witness of a record: keys in sorted order, each value a list of atoms or an atom."""
+    fields = []
+    for key in sorted(witness):
+        value = witness[key]
+        if isinstance(value, (list, tuple)):
+            items = ",\n".join("            " + _atom(x) for x in value)
+            value = f"[\n{items}\n          ]" if items else "[]"
+        else:
+            value = _atom(value)
+        fields.append(f"          {_quote(key)}: {value}")
+    return "        {\n" + ",\n".join(fields) + "\n        }" if fields else "        {}"
 
 
 def _witnesses_json(verdict: Union[Verdict, Composite]) -> Tuple[dict, ...]:

@@ -66,19 +66,27 @@ products are formed term by term.  The shape rule makes the slots of the
 result exactly the monomials that its pairs of terms form: a row with gaps,
 or one starting above ``lo``, would cost slots for monomials that no pair
 forms, as many as its ``D`` exponents span.  Both paths drop zero numerators
-and check the exponents of their result.
+and check the exponents of their result.  A sum of products, such as a cell of
+a table sum, is formed at once by :func:`sum_of_products`: a constant factor
+scales the other one's numerators and makes no ``Poly``, pairs of constants
+add integers, and only a pair of non-constant polynomials takes a product
+(with its exponent check and term cap); the sum is taken over the least
+common multiple of the denominators and made canonical once.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
-serves any number of polynomials.  An image that is a bare variable, with
-coefficient 1 and denominator 1, becomes a move: the bound exponent field is
-added into that variable's field, with no arithmetic.  Every other image keeps
-one table of its powers, grown on demand and shared by every polynomial that
-the substitution is applied to; when one such image occurs in a polynomial,
-the terms of each monomial's power go straight into the result.  Every
-monomial formed has its guard bits checked before it is added, so an overflow
-raises even where it would cancel.  The term cap below is unchanged: a call
-counts the powers up to its own largest exponent, however many the table holds.
+serves any number of polynomials; the table sums of :mod:`confalg.confcore`
+keep one per slot layout for the whole process.  An image that is a bare
+variable, with coefficient 1 and denominator 1, becomes a move: the bound
+exponent field is added into that variable's field, with no arithmetic.
+Every other image keeps one table of its powers, grown on demand and shared
+by every polynomial that the substitution is applied to; when one such image
+occurs in a polynomial, the terms of each monomial's power go straight into
+the result.  Every monomial formed has its guard bits checked before it is
+added, so an overflow raises even where it would cancel.  The term cap below
+is unchanged: a call counts the powers up to its own largest exponent,
+however many the table holds.  The table sums trim each table back to
+:data:`_KEPT_TERMS` terms of powers when they are done with it.
 
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
@@ -120,12 +128,14 @@ from __future__ import annotations
 
 import decimal
 import re
+import threading
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import comb, gcd, lcm
 from operator import index, or_
-from typing import Collection, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import DuplicateBinding, ExponentOverflow, ParseError, PreconditionFailed, TermOverflow
 
@@ -848,23 +858,50 @@ class Substitution:
         self._plan = plan = (fields, ~fields, moves, tables)
         return plan
 
+    def _trim(self) -> None:
+        """Keep for later calls only the powers within :data:`_KEPT_TERMS` terms per table.
+
+        A longer table is replaced by a shorter copy, so a call that is reading
+        it keeps its lists.
+        """
+        plan = self._plan
+        if plan is None or all(table[5][-1] <= _KEPT_TERMS for table in plan[3]):
+            return
+        with _GROWING:
+            tables = []
+            for table in plan[3]:
+                n = bisect_right(table[5], _KEPT_TERMS)
+                tables.append(table[:3] + (table[3][:n], table[4][:n], table[5][:n]))
+            self._plan = plan[:3] + (tables,)
+
+
+#: Held while a table of powers is read or grown (see :func:`_grow`).
+_GROWING = threading.Lock()
+#: The most terms of powers that :meth:`Substitution._trim` leaves a table.  The
+#: powers of the ``degree`` benchmark's largest image, ``(D + L1 + L2)^1 .. ^11``,
+#: hold 363.
+_KEPT_TERMS = 4096
+
 
 def _grow(table: tuple, top: int, kept: int) -> int:
     """``kept`` plus the terms of the powers 1 .. ``top`` of a table, built as needed.
 
-    Past :data:`MAX_TERMS` it raises at the same power as building them anew would.
+    Past :data:`MAX_TERMS` it raises at the same power as building them anew
+    would.  A table may serve several threads, so it is read and grown under
+    one lock, and it only ever grows: :meth:`Substitution._trim` replaces it.
     """
     _, image, _, powers, ors, sizes = table
-    if kept + sizes[min(top, len(sizes) - 1)] > MAX_TERMS:
-        raise _term_overflow()
-    while len(powers) <= top:
-        power = _mul_nums(powers[-1], image)
-        powers.append(power)
-        ors.append(reduce(or_, power, 0))
-        sizes.append(sizes[-1] + len(power))
-        if kept + sizes[-1] > MAX_TERMS:
+    with _GROWING:
+        if kept + sizes[min(top, len(sizes) - 1)] > MAX_TERMS:
             raise _term_overflow()
-    return kept + sizes[top]
+        while len(powers) <= top:
+            power = _mul_nums(powers[-1], image)
+            powers.append(power)
+            ors.append(reduce(or_, power, 0))
+            sizes.append(sizes[-1] + len(power))
+            if kept + sizes[-1] > MAX_TERMS:
+                raise _term_overflow()
+        return kept + sizes[top]
 
 
 def _names(present: int) -> set[str]:
@@ -895,6 +932,70 @@ def _canonical(nums: dict, den: int) -> Poly:
             den //= g
             nums = {m: c // g for m, c in nums.items()}
     return _wrap(nums, den)
+
+
+def sum_of_products(pairs: Sequence[Tuple[Poly, Poly]]) -> Poly:
+    """``Σ c·v`` over the pairs ``(c, v)``, formed at once over a common denominator.
+
+    A constant factor scales the numerators of the other one instead of making
+    a ``Poly``, and the pairs of two constants add integers; a pair of
+    non-constant factors is one ``c * v``, which keeps that product's guard-bit
+    check and term cap.  The pieces are added over the least common multiple of
+    their denominators and made canonical once.  A lone pair returns its
+    product as it is: ``(1, v)`` returns ``v`` itself.
+    """
+    if len(pairs) == 1:
+        ((c, v),) = pairs
+        a, b = c._nums, v._nums
+        if len(a) == 1 and 0 in a:
+            return v if a[0] == 1 == c._den else _scaled(b, a[0], v._den * c._den)
+        if len(b) == 1 and 0 in b:
+            return c if b[0] == 1 == v._den else _scaled(a, b[0], c._den * v._den)
+        return c * v
+    parts = []  # (numerators, factor, denominator)
+    total, total_den = 0, 1  # the pairs of two constants
+    for c, v in pairs:
+        a, b = c._nums, v._nums
+        if len(a) == 1 and 0 in a:
+            if len(b) == 1 and 0 in b:
+                d = c._den * v._den
+                if d == total_den:
+                    total += a[0] * b[0]
+                else:
+                    total, total_den = total * d + a[0] * b[0] * total_den, total_den * d
+            else:
+                parts.append((b, a[0], v._den * c._den))
+        elif len(b) == 1 and 0 in b:
+            parts.append((a, b[0], c._den * v._den))
+        elif a and b:
+            p = c * v
+            parts.append((p._nums, 1, p._den))
+    if not parts:
+        return _canonical({0: total}, total_den) if total else _ZERO_POLY
+    if total:
+        parts.append(({0: total}, 1, total_den))
+    den = lcm(*[d for _, _, d in parts])
+    # the largest piece is copied, and the others are added into the copy
+    parts.sort(key=lambda part: len(part[0]))
+    nums, k, d = parts.pop()
+    k *= den // d
+    acc = dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
+    get = acc.get
+    for nums, k, d in parts:
+        if d != den:
+            k *= den // d
+        for m, x in nums.items():
+            acc[m] = get(m, 0) + x * k
+    if 0 in acc.values():
+        acc = {m: x for m, x in acc.items() if x}
+    return _canonical(acc, den) if acc else _ZERO_POLY
+
+
+def _scaled(nums: dict, k: int, den: int) -> Poly:
+    """The numerators ``nums`` times ``k`` over ``den``, made canonical."""
+    if not nums:
+        return _ZERO_POLY
+    return _canonical({m: x * k for m, x in nums.items()}, den)
 
 
 def as_poly(value: PolyLike) -> Poly:

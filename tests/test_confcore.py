@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,7 @@ from confalg.confcore import (
 from confalg.cohomology import Cochain
 from confalg.errors import (
     ArityMismatch,
+    ExponentOverflow,
     InvalidEntry,
     ModuleMismatch,
     NotAssociative,
@@ -54,8 +57,8 @@ from confalg.errors import (
     ShapeMismatch,
 )
 from confalg.operators import ModuleMap
-from confalg import confcore
-from confalg.polyring import Poly
+from confalg import confcore, polyring
+from confalg.polyring import EXP_MAX, Poly, Substitution
 
 import _oracle
 import helpers
@@ -480,6 +483,108 @@ def test_a_sum_memo_computes_each_sum_once_and_ends_with_its_block() -> None:
     assert confcore._SUMS.get() is None
     assert table_sum(terms) is not first
 
+
+def test_a_rebinding_past_the_exponent_cap_raises_the_same_error_each_time() -> None:
+    e = FreeModule(("e",))
+
+    def table(idx, value):
+        return MultiTable((e,) * len(idx), e, {idx: e.elem([value])})
+
+    one = table((0, 0), 1)
+    cases = [
+        # D -> -(L1 + L2) in a leading slot: (L1 + L2)^2 * L1^EXP_MAX
+        ([(1, Circ(one, 1, table((0, 0), D**2 * L1**EXP_MAX)))], "L1", EXP_MAX + 2),
+        # the last slot swapped: L1 -> -D - L1
+        ([(-1, Swap(table((0, 0), D**EXP_MAX * L1), 1, 2))], "D", EXP_MAX + 1),
+        # D -> D + L1 in the last slot, then the product with f's value
+        ([(1, Circ(table((0, 0), L1**EXP_MAX), 2, table((0,), D**2)))], "L1", EXP_MAX + 2),
+    ]
+    for terms, name, exp in cases:
+        for _ in range(2):  # the second time the layout's rebinding is compiled already
+            with pytest.raises(ExponentOverflow) as caught:
+                table_sum(terms)
+            assert str(caught.value) == f"exponent {exp} of {name} exceeds the cap {EXP_MAX}"
+
+
+def test_table_sums_compile_each_slot_layout_once(monkeypatch) -> None:
+    f = Cochain(helpers.rand_table(random.Random(5), AM))
+    compiled = []
+    compile_ = Substitution._compile
+
+    def counted(self):
+        compiled.append(self)
+        return compile_(self)
+
+    monkeypatch.setattr(Substitution, "_compile", counted)
+    confcore._circ_bindings.cache_clear()
+    confcore._swap_binding.cache_clear()
+    dd = confcore.hochschild_d(confcore.hochschild_d(f, DUAL, ADJ), DUAL, ADJ)
+    assert dd.is_zero()
+    # d of the arity-2 cochain composes at the layouts (i, m, n) = (2, 2, 2) and
+    # (1, 2, 2); d of the arity-3 result at (2, 2, 3), (1, 3, 2), (2, 3, 2),
+    # (3, 3, 2) and (1, 2, 3).  Seven of their rebindings meet a variable (those of
+    # the constant structure tables never do), and each is compiled once
+    assert confcore._circ_bindings.cache_info().currsize == 7
+    assert len(compiled) == len({id(s) for s in compiled}) == 7
+    compiled.clear()
+    assert confcore.hochschild_d(confcore.hochschild_d(f, DUAL, ADJ), DUAL, ADJ) == dd
+    assert compiled == []
+
+
+def test_a_slot_layout_keeps_a_bounded_table_of_powers() -> None:
+    e = FreeModule(("e",))
+    one = MultiTable((e, e), e, {(0, 0): e.elem([1])})
+    high = MultiTable((e, e), e, {(0, 0): e.elem([D**200])})
+    confcore._circ_bindings.cache_clear()
+    assert table_sum([(1, Circ(one, 1, high))]).entry((0, 0, 0)) == e.elem([(L1 + L2) ** 200])
+    # the powers of D -> -(L1 + L2) up to 200 hold 20,300 terms; the layout keeps fewer
+    _, g_bind = confcore._circ_bindings(1, 2, 2)
+    (table,) = g_bind._plan[3]
+    assert 0 < table[5][-1] <= polyring._KEPT_TERMS < 20_300
+
+def test_threads_sharing_a_slot_layout_get_exact_sums() -> None:
+    # every thread composes at one layout, so all share its rebinding and grow the
+    # powers of its image D -> -(L1 + L2) at once, on a short switch interval
+    e = FreeModule(("e",))
+    one = MultiTable((e, e), e, {(0, 0): e.elem([1])})
+    inners = [MultiTable((e, e), e, {(0, 0): e.elem([D**k + L1])}) for k in range(1, 25)]
+    confcore._circ_bindings.cache_clear()
+    expected = [table_sum([(1, Circ(one, 1, g))]) for g in inners]
+    results, interval = {}, sys.getswitchinterval()
+
+    def work(n: int) -> None:
+        results[n] = [table_sum([(1, Circ(one, 1, g))]) for g in inners]
+
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            confcore._circ_bindings.cache_clear()
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(results) == 6 and all(got == expected for got in results.values())
+            results.clear()
+    finally:
+        sys.setswitchinterval(interval)
+
+def test_an_element_computes_its_support_once(monkeypatch) -> None:
+    elem, zero = AM.elem([D + 1, 0]), AM.elem([0, 0])
+    tests = []
+    truth = Poly.__bool__
+
+    def counted(self):
+        tests.append(self)
+        return truth(self)
+
+    monkeypatch.setattr(Poly, "__bool__", counted)
+    for _ in range(2):
+        assert not elem.is_zero() and zero.is_zero()
+        assert list(elem.support()) == [(0, D + 1)] and list(zero.support()) == []
+        assert (str(elem), str(zero)) == ("(D + 1)*u", "0")
+        assert len(tests) == 4  # one test per coefficient, on first use
 
 # -- associativity ------------------------------------------------------------
 

@@ -1553,16 +1553,25 @@ map T : AdjA2 -> A2 { u -> v; v -> 0; }
 
 
 def _products(monkeypatch, sf: SourceFile) -> int:
-    """The ``Poly`` products that running ``sf`` takes."""
-    products, mul = [], Poly.__mul__
+    """The ``Poly`` products and the table-sum cells that running ``sf`` forms.
+
+    A cell of constant multiples takes no product (see ``polyring.sum_of_products``),
+    so the cells are counted too.
+    """
+    products, mul, cell = [], Poly.__mul__, confcore.sum_of_products
 
     def counted(self, other):
         products.append(None)
         return mul(self, other)
 
+    def counted_cell(pairs):
+        products.append(None)
+        return cell(pairs)
+
     with monkeypatch.context() as patch:
         patch.setattr(Poly, "__mul__", counted)
         patch.setattr(Poly, "__rmul__", counted)
+        patch.setattr(confcore, "sum_of_products", counted_cell)
         run(sf)
     return len(products)
 

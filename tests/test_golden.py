@@ -22,8 +22,11 @@ from pathlib import Path
 from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confalg.cli import main
+from confalg.dsl import Record, Report
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -79,6 +82,42 @@ def render(argv: List[str]) -> str:
 def test_report_matches_golden(argv: List[str], golden: str) -> None:
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert render(argv) == expected
+
+
+def _reference_text(report: Report) -> str:
+    return json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_report_text_is_what_json_dumps_writes(golden: str) -> None:
+    data = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))["report"]
+    records = tuple(
+        Record(r["identity"], r["status"], tuple(r["witnesses"]), 0.25 * k, r["detail"], r["emitted"])
+        for k, r in enumerate(data["records"])
+    )
+    report = Report(data["command"], data["version"], data["seed"], records)
+    assert report.to_json_text() == _reference_text(report)
+
+
+# any text: non-ASCII, control characters, quotes and backslashes
+texts = st.text(max_size=12)
+witnesses = st.fixed_dictionaries({"names": st.lists(texts, max_size=3), "residual": texts})
+records = st.builds(
+    Record,
+    texts,
+    st.sampled_from(["holds", "fails", "error"]),
+    st.lists(witnesses, max_size=3).map(tuple),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    st.none() | texts,
+    st.none() | texts,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts, st.none() | st.integers(0, 2**64), st.lists(records, max_size=4).map(tuple))
+def test_report_text_is_what_json_dumps_writes_for_any_record(command, seed, drawn) -> None:
+    report = Report(command, "0.1", seed, drawn)
+    assert report.to_json_text() == _reference_text(report)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from confalg.polyring import (
     int_to_decimal,
     lam,
     parse_poly,
+    sum_of_products,
     var_sort_key,
 )
 
@@ -373,6 +374,76 @@ def test_compiled_substitution_keeps_the_error_contract(monkeypatch) -> None:
         assert (D**4).substitute_many(sub) == x**4
         with pytest.raises(TermOverflow):
             (D**5).substitute_many(sub)
+
+
+def test_a_trimmed_table_keeps_a_bounded_number_of_powers(monkeypatch) -> None:
+    monkeypatch.setattr(polyring, "_KEPT_TERMS", 20)
+    x = D + L1 + L2
+    shared = Substitution([("D", x)])
+    shared._trim()  # not compiled yet: nothing to trim
+    assert (D**5).substitute_many(shared) == x**5
+    held = shared._plan[3][0][3]
+    assert len(held) == 6  # x^0 .. x^5: 55 terms
+    shared._trim()
+    # x^0 .. x^3 hold 19 terms; the lists a call may still be reading stay whole
+    assert len(shared._plan[3][0][3]) == 4 and len(held) == 6
+    assert (D**5 + D * L1).substitute_many(shared) == x**5 + x * L1
+
+
+# -- sums of products: the cells of a table sum ------------------------------------------
+
+# constant factors: integers and p/q over different denominators
+cell_constants = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+).map(Poly.const)
+cell_factors = st.one_of(cell_constants, wide_polys(max_exp=3, max_terms=3))
+
+
+@st.composite
+def cell_pairs(draw) -> list:
+    """Pairs ``(c, v)``; some lists end with the negated pairs, so they sum to zero."""
+    pairs = draw(st.lists(st.tuples(cell_factors, cell_factors), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        cancel = [(-c, v) for c, v in pairs]
+        draw(st.randoms()).shuffle(cancel)
+        pairs += cancel
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_pairs())
+def test_sum_of_products_is_the_sequential_sum(pairs: list) -> None:
+    expected = Poly.zero()
+    for c, v in pairs:
+        expected = expected + c * v
+    got = sum_of_products(pairs)
+    assert got == expected
+    _assert_canonical(got)
+
+
+def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
+    half, p, q = Poly.const(Fraction(1, 2)), D + L1, D * L1 - Fraction(2, 3)
+    assert sum_of_products([(Poly.one(), p)]) is p  # a lone unit factor shares the value
+    assert sum_of_products([(q, Poly.one())]) is q
+    assert sum_of_products([(half, p)]) == p * half
+    third, two, three = Poly.const(Fraction(1, 3)), Poly.const(2), Poly.const(3)
+    assert sum_of_products([(two, half), (third, three)]) == 2
+    assert sum_of_products([(three, two), (Poly.const(-6), Poly.one())]).is_zero()
+    # only a pair of non-constant factors is a product; constant ones scale numerators
+    products = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    total = sum_of_products([(Poly.const(-1), p), (p, q), (half, q), (three, Poly.const(5))])
+    assert products == [(p, q)]
+    monkeypatch.undo()
+    assert total == -p + p * q + half * q + 15
+    _assert_canonical(total)
+
 
 
 def test_lambda_names() -> None:
