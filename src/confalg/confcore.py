@@ -616,13 +616,15 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     is ``f`` evaluated with ``g``'s value in slot ``i`` at the sum of the
     merged weights.  Only stored entries are visited: each entry of
     ``g`` is rebound once (``L_k ↦ L_(k+i−1)``; ``D ↦ −(merged weight)`` in a
-    leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last) and multiplied by
-    the term's coefficient unless that is 1, and each entry of ``f`` once,
-    grouped by its slot-``i`` index.  Each cell of the result, one output
-    coefficient on one basis tuple, gathers its pairs ``(factor, value)`` and
-    is formed once, by :func:`~confalg.polyring.sum_of_products`: a constant
-    factor scales numerators, a pair of non-constant polynomials is one
-    ``Poly`` product, and the cell is made canonical once.
+    leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), and multiplied by
+    the term's coefficient only if that is not a constant, and each entry of
+    ``f`` once, grouped by its slot-``i`` index.  Each cell of the result, one
+    output coefficient on one basis tuple, gathers its pairs ``(factor,
+    value)``, with the term's coefficient as a third member where it is a
+    constant other than 1, and is formed once, by
+    :func:`~confalg.polyring.sum_of_products`: a constant factor or coefficient
+    scales numerators, the pairs of non-constant polynomials are products, and
+    the cell is made canonical once.
 
     A rebinding depends only on the slot layout, ``(i, f.arity, g.arity)``
     for a composition and ``(p, q, f.arity)`` for a swap, so each layout's
@@ -682,11 +684,12 @@ def _swap_binding(p: int, q: int, arity: int) -> Substitution:
 
 
 def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
-    """The ``(mid, group, factor)`` triples of one term of a table sum.
+    """The ``(mid, group, factor, scale)`` quadruples of one term of a table sum.
 
-    Each entry ``(head, tail, values)`` of a group adds ``factor·v`` to output
-    coefficient ``j`` at index ``head + mid + tail``, for each ``(j, v)`` in
-    ``values``.  The term's rebindings are trimmed when it is done with them.
+    Each entry ``(head, tail, values)`` of a group adds ``factor·v·scale`` to
+    output coefficient ``j`` at index ``head + mid + tail``, for each ``(j, v)``
+    in ``values``; a scale of None is 1.  The term's rebindings are trimmed
+    when it is done with them.
     """
     if isinstance(term, Circ):
         f, i, g = term
@@ -700,9 +703,11 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
             for idx, entry in f.entries.items():
                 values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
                 groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
-            unit = coeff == 1
+            # a constant coefficient scales the cell's numerators instead of each entry
+            constant = coeff.is_constant()
+            scale = coeff if constant and coeff != 1 else None
             return [
-                (gidx, groups[k], _bind(c, g_bind) if unit else _bind(c, g_bind) * coeff)
+                (gidx, groups[k], _bind(c, g_bind) if constant else _bind(c, g_bind) * coeff, scale)
                 for gidx, entry in g.entries.items()
                 for k, c in entry._terms
                 if k in groups
@@ -712,7 +717,7 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
             if q:
                 idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
             group.append((idx, (), tuple((j, _bind(c, f_bind)) for j, c in entry._terms)))
-        return [((), group, coeff)]
+        return [((), group, coeff, None)]
     finally:
         for binding in (f_bind, g_bind):
             if binding:
@@ -731,17 +736,18 @@ def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) 
         if not coeff:
             continue
         # each cell gathers its (factor, value) pairs and is formed once, below
-        for mid, group, c in _term_pairs(coeff, term):
+        for mid, group, c, scale in _term_pairs(coeff, term):
             for head, tail, values in group:
                 row = rows.get(head + mid + tail)
                 if row is None:
                     row = rows[head + mid + tail] = [None] * rank
                 for j, v in values:
+                    pair = (c, v) if scale is None else (c, v, scale)
                     cell = row[j]
                     if cell is None:
-                        row[j] = [(c, v)]
+                        row[j] = [pair]
                     else:
-                        cell.append((c, v))
+                        cell.append(pair)
     if shape is None:
         raise ArityMismatch("a table sum needs at least one term")
     ins, out = shape

@@ -49,10 +49,11 @@ save time in multiplying polynomials by encoding them as integers?", along
 one variable).  Each operand is split into rows, one per monomial without
 ``D`` (``m & ~_FIELD``; ``D`` owns the field at shift 0), and the numerators
 of a row go into one integer, the one of ``D^(lo+k)`` at bit offset
-``bits·k``, where ``lo`` is the operand's lowest ``D`` exponent.  A pair of
-rows costs one big-integer product, added into the row of the result that
-the pair's monomials name; a last pass reads the signed slots back out.  The
-slot width is
+``bits·k``, where ``lo`` is the operand's lowest ``D`` exponent; a long row
+is joined by halves.  A pair of rows costs one big-integer product, added
+into the row of the result that the pair's monomials name; a last pass reads
+the signed slots back out, up to the highest that the row's bit length
+names.  The slot width is
 
     ``bits = (max|a| · max|b| · min(len a, len b)).bit_length() + 2``:
 
@@ -65,13 +66,29 @@ of its pairs of terms (:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`); other
 products are formed term by term.  The shape rule makes the slots of the
 result exactly the monomials that its pairs of terms form: a row with gaps,
 or one starting above ``lo``, would cost slots for monomials that no pair
-forms, as many as its ``D`` exponents span.  Both paths drop zero numerators
-and check the exponents of their result.  A sum of products, such as a cell of
-a table sum, is formed at once by :func:`sum_of_products`: a constant factor
-scales the other one's numerators and makes no ``Poly``, pairs of constants
-add integers, and only a pair of non-constant polynomials takes a product
-(with its exponent check and term cap); the sum is taken over the least
-common multiple of the denominators and made canonical once.
+forms, as many as its ``D`` exponents span.  Both paths drop zero
+numerators.  The term-by-term path checks the exponents of its result; the
+packed path checks them from its operands before it multiplies, since the
+terms of a product of highest degree in one variable never cancel.
+
+Sums of products.  A sum ``Σ c·v``, such as a cell of a table sum, is formed
+at once by :func:`sum_of_products`.  A constant factor, and a constant scale
+that a pair may carry, multiply the other factor's numerators and make no
+``Poly``; pairs of two constants add integers.  Two or more products of
+non-constant factors share packed rows when each passes the packed path's
+operand size and shape rules and, together, their pairs of rows are at most
+a quarter of their pairs of terms (:data:`_SHARED_SHARE`).  The associator
+cell of ``u·u = (D+L+c)^n u``, ``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D,
+L1)``, is such a sum.  One slot width serves all of them, from the sum of
+each product's bound times its scale over the common denominator; every
+product of two rows is added into one accumulator keyed by the row's
+monomial free of ``D``; and each accumulated row is decoded once.  Each
+product is still checked as it would be alone, and in order: first its term
+count, then its exponents, so an overflow raises even where another product
+cancels it.  These products are never formed as ``Poly`` values and do not
+pass through ``*``.  Every other product of non-constant factors is one
+``c * v``.  The sum is taken over the least common multiple of the
+denominators and made canonical once.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
@@ -91,9 +108,12 @@ however many the table holds.  The table sums trim each table back to
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
 plus its result so far.  A product counts every monomial that a pair of its
-terms forms, cancelled or not, as it goes (on the packed path, the slots of
-the rows formed so far, which are exactly those monomials), so both paths
-stop at the same count.  Past the cap :class:`~confalg.errors.TermOverflow`
+terms forms, cancelled or not.  The term-by-term path counts as it goes.
+The packed path counts before it multiplies, when a bound passes the cap
+(the sum over its pairs of rows of the monomials each pair forms): it adds
+up the longest run of each row of the result, which are exactly those
+monomials.  So both paths stop at the same count, and a sum of products with
+shared rows stops at the product that would have stopped alone.  Past the cap :class:`~confalg.errors.TermOverflow`
 (a ``ConfalgError``) is raised, so a computation whose size would exhaust
 memory stops early instead.  A power is refused before its first product when
 a bound on its terms passes the cap: the smaller of the simplex and the degree
@@ -120,8 +140,11 @@ of exponents per variable at a time, then sorts its terms by rank and joins
 their coefficients to the memo's factor texts.  A new variable name moves the
 fields within a rank, so interning one starts the memo over; so does filling
 it past :data:`_MEMO_MAX` (16,384) monomials, and a polynomial with more
-monomials than that is rendered without it.  The memo's maps are replaced,
-never cleared, so a rendering in progress keeps the maps it started with.
+monomials than that is rendered without it.  Beside it, a coefficient memo
+maps a denominator and a numerator to the term's sign and coefficient text
+(``3/2``), capped in the same way at :data:`_MEMO_MAX` numerators.  The
+memos' maps are replaced, never cleared, so a rendering in progress keeps the
+maps it started with.
 """
 
 from __future__ import annotations
@@ -132,7 +155,7 @@ import threading
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, repeat
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import index, or_
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, Tuple, Union
@@ -150,8 +173,9 @@ EXP_MAX = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 _REST = ~_FIELD  # every field but D's
 #: The most terms a product, or a substitution's powers and result together,
-#: may hold.  It is about 500 times the largest intermediate of the test suite
-#: and the benchmark workloads (2,014 terms), and a blow-up reaches it in about
+#: may hold.  It is about 500 times the largest product that the test suite and
+#: the benchmark workloads count against it (2,014 terms, one of the shared
+#: products of a degree-11 associator cell), and a blow-up reaches it in about
 #: a second and a few hundred MB, far from exhausting memory.
 MAX_TERMS = 1_000_000
 #: The size rule of the packed product (see "Products" above).  Timed against
@@ -164,8 +188,18 @@ _PACK_SHARE = 8
 #: to 1,500 bits, splitting tied peeling up to 32 slots and won above (1.4-2x at
 #: 64, 4-70x at 1,024); the rows of degree-11 products are shorter.
 _DECODE_SPLIT = 32
-#: The most monomials the display memo holds (see "textual form" above).  A
-#: ``degree`` benchmark pass renders about 2,400 distinct ones.
+#: Rows of more slots are packed by halves.  On rows of 8 to 1,024 slots of 64
+#: and 600 bits, halves tied the loop up to 16 slots and won above (1.5x at 64,
+#: 6-17x at 1,024); the rows of degree-11 products are shorter.
+_PACK_SPLIT = 16
+#: The size rule of shared rows (see "Products" above).  Timed against one
+#: product each on cells of two products of 16 to 16,380 pairs of terms, shared
+#: rows were 0.45-0.8x with 4.7 or more pairs of terms per pair of rows, tied at
+#: 3.5, and 1.1-2.2x with fewer or with operands of under 8 terms.
+_SHARED_SHARE = 4
+#: The most monomials the display memo holds, and the most numerators the
+#: coefficient memo holds (see "textual form" above).  A ``degree`` benchmark
+#: pass renders about 2,400 distinct monomials and 8,500 distinct numerators.
 _MEMO_MAX = 1 << 14
 #: The deepest nesting the text parser accepts; it keeps its recursion far
 #: inside the interpreter's recursion limit.
@@ -261,7 +295,7 @@ def int_to_decimal(value: int) -> str:
 
 
 class _Fields:
-    """The assignment of variables to fields of a packed monomial, and the display memo."""
+    """The assignment of variables to fields of a packed monomial, and the display memos."""
 
     def __init__(self, first: Iterable[str]) -> None:
         self.shift: dict[str, int] = {}
@@ -272,6 +306,9 @@ class _Fields:
         #: The display memo: the order its ranks encode, and two maps from a
         #: monomial to its rank and to its factor text (see "textual form").
         self.memo: Tuple[list, dict, dict] = (self.order, {}, {})
+        #: The coefficient memo: a map from a denominator to a map from a
+        #: numerator to its sign and coefficient text, and the numerators it holds.
+        self.coeffs: Tuple[dict, int] = ({}, 0)
         for name in first:
             self.intern(name)
 
@@ -319,6 +356,43 @@ class _Fields:
         rank.update(zip(new, map(sum, zip(*parts)) if parts else [0]))
         text.update(zip(new, map("".join, zip(*factors)) if factors else [""]))
         return rank, text
+
+    def signed(self, nums: Sequence[int], den: int) -> list:
+        """The sign and the coefficient text of each of ``nums``, numerators over ``den``.
+
+        The sign is ``"+ "`` or ``"- "``; the text is the magnitude in lowest
+        terms, ``n`` or ``p/q``, and empty for 1.  The memo's map for ``den`` is
+        filled in with the numerators it lacks; when that would take the memo
+        past :data:`_MEMO_MAX` numerators, a fresh map is filled instead, and
+        kept as the memo's only one if it fits.
+        """
+        memo, held = self.coeffs
+        texts = memo.get(den)
+        if texts is not None:
+            try:
+                return list(map(texts.__getitem__, nums))
+            except KeyError:
+                pass
+        else:
+            texts = {}
+        new = set(nums).difference(texts)
+        if held + len(new) > _MEMO_MAX:
+            memo, held, texts, new = {}, 0, {}, set(nums)
+        for num in new:
+            mag = abs(num)
+            if den == 1:
+                text = "" if mag == 1 else int_to_decimal(mag)
+            else:
+                g = gcd(mag, den)
+                if g != den:
+                    text = f"{int_to_decimal(mag // g)}/{int_to_decimal(den // g)}"
+                else:
+                    text = "" if mag == g else int_to_decimal(mag // g)
+            texts[num] = ("+ " if num > 0 else "- ", text)
+        if held + len(new) <= _MEMO_MAX:
+            memo[den] = texts
+            self.coeffs = (memo, held + len(new))
+        return list(map(texts.__getitem__, nums))
 
 
 _FIELDS = _Fields(("D", "L1", "L2", "L3", "L4"))
@@ -391,67 +465,132 @@ def _d_rows(nums: dict) -> tuple | None:
     A row gathers the terms ``D^e·rest`` of one monomial ``rest`` free of
     ``D``: ``rows[rest]`` lists their pairs ``(e, numerator)``.  ``lo`` is the
     lowest ``D`` exponent in ``nums``, and every row must hold each ``D^e``
-    from ``D^lo`` up to its highest, without a gap.
+    from ``D^lo`` up to its highest, without a gap: its exponents are
+    distinct and at least ``lo``, so it must reach no higher than
+    ``lo + len(row) - 1``.
     """
     rows: dict = {}
+    get = rows.get
     for m, c in nums.items():
-        row = rows.get(m & _REST)
+        rest = m & _REST
+        row = get(rest)
         if row is None:
-            rows[m & _REST] = [(m & _FIELD, c)]
+            rows[rest] = [(m & _FIELD, c)]
         else:
             row.append((m & _FIELD, c))
     lo = min(m & _FIELD for m in nums)
     for row in rows.values():
-        if min(row)[0] != lo or max(row)[0] != lo + len(row) - 1:
+        if max(row)[0] - lo >= len(row):
             return None
     return lo, rows
 
 
 def _pack_row(row: list, lo: int, bits: int) -> int:
-    """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``."""
-    packed = 0
-    for e, c in row:
-        packed += c << bits * (e - lo)
-    return packed
+    """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``.
 
-
-def _mul_packed(a: dict, b: dict, runs_a: tuple, runs_b: tuple) -> dict:
-    """The product of two numerator maps, one big-int multiply per pair of rows.
-
-    ``runs_a`` and ``runs_b`` are the rows of ``a`` and ``b`` from :func:`_d_rows`.
+    The row is a run without gaps from ``D^lo``.  A row of more than
+    :data:`_PACK_SPLIT` slots is joined by halves, as :func:`_decode` splits,
+    so its cost grows like ``count·log(count)`` rather than quadratically.
     """
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    if len(row) <= _PACK_SPLIT:
+        packed = 0
+        for e, c in row:
+            packed += c << bits * (e - lo)
+        return packed
+    slots = [0] * len(row)
+    for e, c in row:
+        slots[e - lo] = c
+    return _join(slots, bits)
+
+
+def _join(slots: list, bits: int) -> int:
+    """``Σ slots[k]·2^(bits·k)``, the low and the high half joined by one shift and one addition."""
+    if len(slots) <= _PACK_SPLIT:
+        packed = 0
+        for c in reversed(slots):
+            packed = (packed << bits) + c
+        return packed
+    k = len(slots) // 2
+    return _join(slots[:k], bits) + (_join(slots[k:], bits) << bits * k)
+
+
+def _packed_sum(pairs: list) -> dict:
+    """``Σ k·a·b`` over ``(a, b, runs_a, runs_b, k)``, one big-int multiply per pair of rows.
+
+    ``a`` and ``b`` are numerator maps, ``runs_a`` and ``runs_b`` their rows
+    from :func:`_d_rows`, and ``k`` a nonzero integer scale.  All pairs share
+    one slot width and one accumulator of rows (see "Sums of products"
+    above); a lone pair is the packed path of ``*``.
+    """
+    bound = 0
+    for a, b, _, _, k in pairs:
+        bound += max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) * abs(k)
     bits = bound.bit_length() + 2
-    (lo_a, rows_a), (lo_b, rows_b) = runs_a, runs_b
-    packed_b = [(rest, _pack_row(row, lo_b, bits), len(row)) for rest, row in rows_b.items()]
+    lo = min(runs_a[0] + runs_b[0] for _, _, runs_a, runs_b, _ in pairs)
     acc: dict = {}
-    slots: dict = {}
-    # Two runs of n1 and n2 terms from D^lo_a and D^lo_b form every monomial of a
-    # run of n1+n2-1 from D^(lo_a+lo_b), so ``held``, the sum of the longest run
-    # of each row of the result, counts the monomials that the term-by-term loop
-    # would have formed by now.
-    held = 0
-    for r1, row in rows_a.items():
-        x1, n1 = _pack_row(row, lo_a, bits), len(row)
-        for r2, x2, n2 in packed_b:
-            r = r1 + r2
-            n = n1 + n2 - 1
-            old = slots.get(r)
-            if old is None:
-                acc[r] = x1 * x2
-                slots[r] = n
-                held += n
-            else:
-                acc[r] += x1 * x2
-                if n > old:
-                    slots[r] = n
-                    held += n - old
-        if held > MAX_TERMS:
-            raise _term_overflow()
+    get = acc.get
+    for a, b, (lo_a, rows_a), (lo_b, rows_b), k in pairs:
+        # A pair of rows of n1 and n2 terms forms n1+n2-1 monomials, so this bounds
+        # the pair's terms; only a pair past the cap by it counts them exactly.
+        if len(rows_b) * len(a) + len(rows_a) * len(b) - len(rows_a) * len(rows_b) > MAX_TERMS:
+            _count_terms(rows_a, rows_b)
+        # The terms of a product of highest degree in one variable never cancel, so
+        # its exponents are checked from the operands', even where another pair
+        # cancels those terms.
+        if (_run_top(lo_a, rows_a) + _run_top(lo_b, rows_b)) & _FIELDS.guard:
+            _check_product(a, b)
+        shift = bits * (lo_a + lo_b - lo)  # this pair's rows start above the sum's
+        packed_b = [(rest, _pack_row(row, lo_b, bits)) for rest, row in rows_b.items()]
+        for r1, row in rows_a.items():
+            x1 = _pack_row(row, lo_a, bits) * k << shift
+            for r2, x2 in packed_b:
+                r = r1 + r2
+                acc[r] = get(r, 0) + x1 * x2
     out: dict = {}
     for r, value in acc.items():
-        _decode(value, r + lo_a + lo_b, bits, slots[r], out)
-    return _checked(out)
+        # a row's highest nonzero slot is its bit length over the slot width
+        if value:
+            _decode(value, r + lo, bits, value.bit_length() // bits + 1, out)
+    return out
+
+
+def _count_terms(rows_a: dict, rows_b: dict) -> None:
+    """Raise :class:`TermOverflow` if a product with these rows forms more than :data:`MAX_TERMS` monomials.
+
+    Two runs of n1 and n2 terms form a run of n1+n2-1, so the longest run of
+    each row of the product, summed, counts them (see "Term cap" above).
+    """
+    lens_b = [(rest, len(row)) for rest, row in rows_b.items()]
+    slots: dict = {}
+    held = 0
+    for r1, row in rows_a.items():
+        n1 = len(row) - 1
+        for r2, n2 in lens_b:
+            r = r1 + r2
+            old = slots.get(r, 0)
+            if n1 + n2 > old:
+                slots[r] = n1 + n2
+                held += n1 + n2 - old
+        if held > MAX_TERMS:
+            raise _term_overflow()
+
+
+def _run_top(lo: int, rows: dict) -> int:
+    """A packed monomial at or above, field by field, every monomial with these rows."""
+    return reduce(or_, rows, lo + max(map(len, rows.values())) - 1)
+
+
+def _check_product(a: dict, b: dict) -> None:
+    """Raise :class:`ExponentOverflow` if a variable's exponents in ``a·b`` would pass the cap.
+
+    The largest exponent of a variable in the product is the sum of its
+    largest in ``a`` and in ``b``; the first variable past the cap is named,
+    as :func:`_checked` names it.
+    """
+    for shift, name in _FIELDS.order:
+        top = max((m >> shift) & _FIELD for m in a) + max((m >> shift) & _FIELD for m in b)
+        if top > EXP_MAX:
+            raise _overflow(name, top)
 
 
 def _decode(value: int, m: int, bits: int, count: int, out: dict) -> None:
@@ -494,7 +633,7 @@ def _mul_nums(a: dict, b: dict) -> dict:
     if len(b) >= _PACK_MIN_TERMS:
         runs_a, runs_b = _d_rows(a), _d_rows(b)
         if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
-            return _mul_packed(a, b, runs_a, runs_b)
+            return _packed_sum([(a, b, runs_a, runs_b, 1)])
     out: dict = {}
     get = out.get
     a_items = a.items()
@@ -782,27 +921,16 @@ class Poly:
         nums = self._nums
         if not nums:
             return "0"
-        den = self._den
         rank, text = _FIELDS.ranked(nums)
         order = sorted(nums, key=rank.__getitem__, reverse=True)
         vals = list(map(nums.__getitem__, order))
-        # One coefficient string per term, "" for a unit numerator over 1.
-        mags = list(map(abs, vals))
-        digits = str if max(*mags, den) < _CHUNK_BASE else int_to_decimal
-        if den == 1:
-            coeffs = ["" if mag == 1 else digits(mag) for mag in mags]
-        else:
-            coeffs = []
-            for mag, g in zip(mags, map(gcd, mags, repeat(den))):
-                if g != den:
-                    coeffs.append(f"{digits(mag // g)}/{digits(den // g)}")
-                else:
-                    coeffs.append("" if mag == g else digits(mag // g))
         # Without a coefficient a body starts with "*"; without any factor it is "1".
-        factors = map(text.__getitem__, order)
-        bodies = [(coeff + factor).lstrip("*") or "1" for coeff, factor in zip(coeffs, factors)]
-        terms = [f"+ {body}" if num > 0 else f"- {body}" for num, body in zip(vals, bodies)]
-        terms[0] = bodies[0] if vals[0] > 0 else "-" + bodies[0]
+        terms = [
+            sign + ((coeff + factor).lstrip("*") or "1")
+            for (sign, coeff), factor in zip(_FIELDS.signed(vals, self._den), map(text.__getitem__, order))
+        ]
+        first = terms[0][2:]
+        terms[0] = first if vals[0] > 0 else "-" + first
         return " ".join(terms)
 
     def __repr__(self) -> str:
@@ -934,17 +1062,21 @@ def _canonical(nums: dict, den: int) -> Poly:
     return _wrap(nums, den)
 
 
-def sum_of_products(pairs: Sequence[Tuple[Poly, Poly]]) -> Poly:
-    """``Σ c·v`` over the pairs ``(c, v)``, formed at once over a common denominator.
+def sum_of_products(pairs: Sequence[tuple]) -> Poly:
+    """``Σ c·v·k`` over pairs ``(c, v)`` and triples ``(c, v, k)``, formed at once over a common denominator.
 
-    A constant factor scales the numerators of the other one instead of making
-    a ``Poly``, and the pairs of two constants add integers; a pair of
-    non-constant factors is one ``c * v``, which keeps that product's guard-bit
-    check and term cap.  The pieces are added over the least common multiple of
+    ``k`` is a nonzero constant, a scale that a pair without one takes as 1.
+    A constant factor and the scale multiply the numerators of the other
+    factor instead of making a ``Poly``, and the pairs of two constants add
+    integers.  The pairs of two non-constant factors are products.  When there
+    are two or more of them and each takes shared rows (see "Products" above),
+    their products are added into one packed accumulator and decoded once;
+    otherwise each is one ``c * v``, which keeps that product's guard-bit check
+    and term cap.  The pieces are added over the least common multiple of
     their denominators and made canonical once.  A lone pair returns its
     product as it is: ``(1, v)`` returns ``v`` itself.
     """
-    if len(pairs) == 1:
+    if len(pairs) == 1 and len(pairs[0]) == 2:
         ((c, v),) = pairs
         a, b = c._nums, v._nums
         if len(a) == 1 and 0 in a:
@@ -954,22 +1086,38 @@ def sum_of_products(pairs: Sequence[Tuple[Poly, Poly]]) -> Poly:
         return c * v
     parts = []  # (numerators, factor, denominator)
     total, total_den = 0, 1  # the pairs of two constants
-    for c, v in pairs:
+    products = []  # (c, v, scale numerator, scale denominator)
+    for pair in pairs:
+        c, v = pair[0], pair[1]
         a, b = c._nums, v._nums
+        if len(pair) > 2:
+            k, kd = pair[2]._nums[0], pair[2]._den
+        else:
+            k = kd = 1
         if len(a) == 1 and 0 in a:
+            d = c._den * v._den * kd
             if len(b) == 1 and 0 in b:
-                d = c._den * v._den
                 if d == total_den:
-                    total += a[0] * b[0]
+                    total += a[0] * b[0] * k
                 else:
-                    total, total_den = total * d + a[0] * b[0] * total_den, total_den * d
+                    total, total_den = total * d + a[0] * b[0] * k * total_den, total_den * d
             else:
-                parts.append((b, a[0], v._den * c._den))
+                parts.append((b, a[0] * k, d))
         elif len(b) == 1 and 0 in b:
-            parts.append((a, b[0], c._den * v._den))
+            parts.append((a, b[0] * k, c._den * v._den * kd))
         elif a and b:
+            products.append((c, v, k, kd))
+    shared = _shared_rows(products) if len(products) > 1 else None
+    if shared:
+        rows, den = shared
+        nums = _packed_sum(rows)
+        if not parts and not total:
+            return _canonical(nums, den) if nums else _ZERO_POLY
+        parts.append((nums, 1, den))
+    else:
+        for c, v, k, kd in products:
             p = c * v
-            parts.append((p._nums, 1, p._den))
+            parts.append((p._nums, k, p._den * kd))
     if not parts:
         return _canonical({0: total}, total_den) if total else _ZERO_POLY
     if total:
@@ -989,6 +1137,36 @@ def sum_of_products(pairs: Sequence[Tuple[Poly, Poly]]) -> Poly:
     if 0 in acc.values():
         acc = {m: x for m, x in acc.items() if x}
     return _canonical(acc, den) if acc else _ZERO_POLY
+
+
+def _shared_rows(products: list) -> tuple | None:
+    """The arguments of :func:`_packed_sum` for ``products`` and their denominator, if they share rows.
+
+    ``products`` holds ``(c, v, k, kd)``: the factors and the scale ``k/kd``.
+    They share rows when each product's smaller operand has at least
+    :data:`_PACK_MIN_TERMS` terms, every operand's rows are runs along ``D``
+    from one exponent (:func:`_d_rows`), and the pairs of rows of all the
+    products are at most a :data:`_SHARED_SHARE`-th of their pairs of terms;
+    otherwise the answer is None.  Each product's scale brings it to the least
+    common multiple of the denominators.
+    """
+    if any(min(len(c._nums), len(v._nums)) < _PACK_MIN_TERMS for c, v, _, _ in products):
+        return None
+    den = lcm(*[c._den * v._den * kd for c, v, _, kd in products])
+    rows = []
+    term_pairs = row_pairs = 0
+    for c, v, k, kd in products:
+        a, b = c._nums, v._nums
+        if len(a) < len(b):
+            a, b = b, a
+        runs_a = _d_rows(a)
+        runs_b = runs_a and _d_rows(b)
+        if not runs_b:
+            return None
+        rows.append((a, b, runs_a, runs_b, k * (den // (c._den * v._den * kd))))
+        term_pairs += len(a) * len(b)
+        row_pairs += len(runs_a[1]) * len(runs_b[1])
+    return (rows, den) if _SHARED_SHARE * row_pairs <= term_pairs else None
 
 
 def _scaled(nums: dict, k: int, den: int) -> Poly:

@@ -397,28 +397,196 @@ cell_constants = st.one_of(
     st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
 ).map(Poly.const)
 cell_factors = st.one_of(cell_constants, wide_polys(max_exp=3, max_terms=3))
+cell_scales = st.one_of(
+    st.sampled_from([-1, 2, Fraction(1, 2), Fraction(-7, 3)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+).map(Poly.const)
 
 
 @st.composite
-def cell_pairs(draw) -> list:
-    """Pairs ``(c, v)``; some lists end with the negated pairs, so they sum to zero."""
-    pairs = draw(st.lists(st.tuples(cell_factors, cell_factors), min_size=1, max_size=6))
+def dense_factors(draw, with_d: bool = True) -> Poly:
+    """``s·D^lo·(D + a·L1 + b)^n·(e + L2)^m``, or else ``(e − L2)^n`` without ``D``.
+
+    The rows of each are runs along ``D`` from one exponent, the shape that
+    shares packed rows; ``a``, ``b``, ``e`` and ``s`` are nonzero integers or
+    ``p/q``.
+    """
+    e = draw(cell_constants.filter(bool))
+    if not with_d:
+        return (e - L2) ** draw(st.integers(8, 10))
+    a, b, s = draw(cell_scales), draw(cell_constants.filter(bool)), draw(cell_scales)
+    lo, n, m = draw(st.integers(0, 3)), draw(st.integers(5, 8)), draw(st.integers(0, 2))
+    return s * Poly.var("D", lo) * (D + a * L1 + b) ** n * (e + L2) ** m
+
+
+@st.composite
+def cell_pairs(draw) -> tuple:
+    """Pairs ``(c, v)`` and triples ``(c, v, k)``, and whether they share packed rows.
+
+    Some lists end with the negated pairs, so that they sum to zero.  Small
+    cells draw sparse and constant factors.  Dense cells hold two or three
+    products of :func:`dense_factors`, the first two dense in ``D`` and a later
+    one perhaps of ``(e − L2)^n``, which share packed rows, and perhaps
+    constant pairs.
+    """
+    dense = draw(st.booleans())
+    if not dense:
+        pairs = draw(st.lists(st.tuples(cell_factors, cell_factors), min_size=1, max_size=6))
+    else:
+        pairs = [(draw(dense_factors()), draw(dense_factors()))]
+        for _ in range(draw(st.integers(1, 2))):
+            pairs.append((draw(dense_factors(with_d=draw(st.booleans()))), draw(dense_factors())))
+        pairs += draw(st.lists(st.tuples(cell_constants, cell_factors), max_size=2))
+    pairs = [pair + (draw(cell_scales),) if draw(st.booleans()) else pair for pair in pairs]
     if draw(st.booleans()):
-        cancel = [(-c, v) for c, v in pairs]
+        cancel = [(-pair[0],) + pair[1:] for pair in pairs]
         draw(st.randoms()).shuffle(cancel)
         pairs += cancel
-    return pairs
+    return pairs, dense
+
+
+def _sequential_sum(pairs: list) -> Poly:
+    """``Σ c·v·k``, one product and one addition at a time."""
+    total = Poly.zero()
+    for c, v, *scale in pairs:
+        total = total + (c * v * scale[0] if scale else c * v)
+    return total
 
 
 @settings(max_examples=200, deadline=None)
 @given(cell_pairs())
-def test_sum_of_products_is_the_sequential_sum(pairs: list) -> None:
-    expected = Poly.zero()
-    for c, v in pairs:
-        expected = expected + c * v
-    got = sum_of_products(pairs)
-    assert got == expected
+def test_sum_of_products_is_the_sequential_sum(cell: tuple) -> None:
+    pairs, dense = cell
+    with pytest.MonkeyPatch.context() as patch:
+        shared = _shared_cells(patch)
+        got = sum_of_products(pairs)
+    assert bool(shared) == dense
+    assert got == _sequential_sum(pairs)
     _assert_canonical(got)
+
+
+def _shared_cells(monkeypatch) -> list:
+    """The pair lists that reach :func:`polyring._packed_sum` together, recorded as it runs."""
+    calls = []
+    real = polyring._packed_sum
+
+    def counted(pairs):
+        if len(pairs) > 1:
+            calls.append(pairs)
+        return real(pairs)
+
+    monkeypatch.setattr(polyring, "_packed_sum", counted)
+    return calls
+
+
+def _degree_cell(n: int, c) -> list:
+    """The associator cell of ``u·u = (D+L+c)^n u``: ``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D, L1)``."""
+    def p(x, weight):
+        return (x + weight + c) ** n
+
+    return [(p(-L1 - L2, L1), p(D, L1 + L2)), (-p(D + L1, L2), p(D, L1))]
+
+
+def test_the_shared_row_path_is_exercised(monkeypatch) -> None:
+    shared = _shared_cells(monkeypatch)
+    cell = _degree_cell(9, Fraction(-3, 2))
+    small = [(D + L1, D - L1), (D * L2 + 1, L1 - 3)]  # 4 pairs of terms each
+    gapped = [(c, v.substitute("D", D**2)) for c, v in cell]  # rows with gaps along D
+    flat = (L1 + L2 + 3) ** 4, (L1 - L2 + 1) ** 4  # rows of one term: a pair of rows per term
+    cases = [
+        (cell, True),
+        (cell + [(Poly.const(3), D + L2), (Poly.const(2), Poly.const(Fraction(1, 5)))], True),
+        ([pair + (Poly.const(Fraction(-4, 7)),) for pair in cell], True),
+        (cell[:1], False),  # a lone product is one Poly product
+        (cell[:1] + small[:1], False),  # a pair below the size rule
+        (gapped, False),
+        ([flat, flat[::-1]], False),
+        (small, False),
+    ]
+    for pairs, expect_shared in cases:
+        del shared[:]
+        got = sum_of_products(pairs)
+        assert bool(shared) == expect_shared
+        assert got == _sequential_sum(pairs)
+        _assert_canonical(got)
+
+
+def test_a_degree_cell_shares_its_rows(monkeypatch) -> None:
+    # n = 9, c = 3: (3 − L2)^9 has 10 rows of one term and (D+L1+L2+3)^9 220 terms in 55
+    # rows; (D+L1+3)^9 has 55 terms in 10 rows.  Each pair takes 10·55 row products into
+    # one accumulator, whose 190 rows of 1,330 slots are decoded once into 1,325 terms;
+    # the two products alone would hold 682 and 1,165 terms.
+    cell = _degree_cell(9, 3)
+    assert [(len(c), len(v)) for c, v in cell] == [(10, 220), (220, 55)]
+    shared = _shared_cells(monkeypatch)
+    decoded = []
+    decode = polyring._decode
+    monkeypatch.setattr(polyring, "_decode", lambda *args: decoded.append(args[3]) or decode(*args))
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(None) or mul(a, b))
+    got = sum_of_products(cell)
+    monkeypatch.undo()
+    (pairs,) = shared
+    assert len(pairs) == 2 and not products  # the traced product layer sees neither
+    assert [len(rows_a[1]) * len(rows_b[1]) for _, _, rows_a, rows_b, _ in pairs] == [550, 550]
+    assert len(decoded) == 190 and sum(decoded) == 1330
+    assert len(got) == 1325
+    assert got == _sequential_sum(cell)
+
+
+def _outcome(run) -> tuple:
+    """``run()``'s value, or the type and message of the confalg error it raised."""
+    try:
+        return ("value", run())
+    except ConfalgError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
+    # each overflowing product meets the cap in one variable, and cancels in its cell
+    high = Poly.var("D", EXP_MAX - 20) * (D + L1 + 1) ** 8  # D^(EXP_MAX-20) .. D^(EXP_MAX-12)
+    dense = Poly.var("D", 10) * (D + L2 + 2) ** 8  # D^10 .. D^18
+    base = (D + L1 - 2) ** 7 * (L2 + 1)
+    tall = Poly.var("L2", EXP_MAX - 3) * (D + L1 + 3) ** 8
+    cells = [
+        [(high, dense), (-high, dense)],  # the sum is zero; the product passes the cap
+        [(base, dense), (dense, tall), (-dense, tall)],  # the second pair passes it in L2
+        [(base, dense), (dense, base), (Poly.const(2), base)],
+    ]
+    expected = [
+        ("ExponentOverflow", f"exponent {EXP_MAX + 6} of D exceeds the cap {EXP_MAX}"),
+        ("ExponentOverflow", f"exponent {EXP_MAX + 5} of L2 exceeds the cap {EXP_MAX}"),
+    ]
+    for cell in cells:
+        assert polyring._shared_rows([(c, v, 1, 1) for c, v in cell if not c.is_constant()])
+
+    def each_product(cell):
+        return lambda: _sequential_sum(cell)
+
+    # the reference: each product in turn, term by term, as a cell of products was formed
+    with monkeypatch.context() as patch:
+        patch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
+        patch.setattr(polyring, "_SHARED_SHARE", 10**9)
+        reference = [_outcome(each_product(cell)) for cell in cells]
+    assert reference[:2] == expected
+    shared = _shared_cells(monkeypatch)
+    assert [_outcome(lambda: sum_of_products(cell)) for cell in cells] == reference
+    assert len(shared) == 3
+    # the term cap: each pair counts the monomials of its own product, before its
+    # exponents are checked, so a cell raises at the first pair past the cap.  Here
+    # the first pair forms 712 and the second, which also passes the exponent cap, 729
+    counted = [(base, dense), (high, dense), (-high, dense)]
+    formed = [len({m1 + m2 for m1 in c._nums for m2 in v._nums}) for c, v in counted[:2]]
+    assert formed == [712, 729]
+    for cap, first in ((711, "TermOverflow"), (728, "TermOverflow"), (729, "ExponentOverflow")):
+        monkeypatch.setattr(polyring, "MAX_TERMS", cap)
+        ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells + [counted]]
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
+            patch.setattr(polyring, "_SHARED_SHARE", 10**9)
+            assert ours == [_outcome(each_product(cell)) for cell in cells + [counted]]
+        assert ours[-1][0] == first
 
 
 def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
@@ -726,8 +894,8 @@ def test_both_product_paths_stop_at_the_same_term_count(p: Poly, q: Poly) -> Non
 
 def test_product_paths_are_both_exercised(monkeypatch) -> None:
     packed = []
-    real = polyring._mul_packed
-    monkeypatch.setattr(polyring, "_mul_packed", lambda *args: packed.append(1) or real(*args))
+    real = polyring._packed_sum
+    monkeypatch.setattr(polyring, "_packed_sum", lambda *args: packed.append(1) or real(*args))
     dense = (D + L1 + 3) ** 6 * (D - Fraction(2, 3) * L2 + 1) ** 3
     sparse = (L1 + L2 + T + 2) ** 3
     cases = [(dense, True), (sparse, False), (D + L1, False), (dense + sparse, True)]
@@ -761,7 +929,7 @@ def test_long_packed_rows_decode_like_the_term_loop(monkeypatch) -> None:
 
 
 def test_rows_apart_along_d_go_term_by_term(monkeypatch) -> None:
-    monkeypatch.setattr(polyring, "_mul_packed", None)  # calling it fails
+    monkeypatch.setattr(polyring, "_packed_sum", None)  # calling it fails
     # 17 rows of three terms 8,000 apart in D: packed, a pair of rows would take
     # 32,001 slots for 5 terms
     spread = 1 + Poly.var("D", 8000) + Poly.var("D", 16000)
@@ -778,6 +946,21 @@ def test_rows_apart_along_d_go_term_by_term(monkeypatch) -> None:
         square = p * p  # with the term cap as it is
         assert len(square._nums) == terms
         assert square == left * right
+
+
+def test_a_long_row_packs_by_halves_like_the_sequential_loop() -> None:
+    # 1,600 slots of both signs and up to 131 bits from D^7, listed out of order
+    lo, bits, count = 7, 140, 1600
+    row = [(lo + k, (-1) ** (k % 3) * (k**5 + 1) * 3 ** (k % 50)) for k in range(count)]
+    row.sort(key=lambda pair: pair[0] * 7919 % count)
+    sequential = 0
+    for e, c in row:
+        sequential += c << bits * (e - lo)
+    assert count > 2 * polyring._PACK_SPLIT
+    assert polyring._pack_row(row, lo, bits) == sequential
+    out = {}
+    polyring._decode(sequential, lo, bits, count, out)
+    assert out == dict(row)
 
 
 def test_packed_product_at_the_slot_bound() -> None:
@@ -925,6 +1108,7 @@ def _fresh_fields() -> polyring._Fields:
     """A copy of the variable fields with an empty display memo, to patch in for a test."""
     fields = copy.deepcopy(polyring._FIELDS)
     fields.memo = (fields.order, {}, {})
+    fields.coeffs = ({}, 0)
     return fields
 
 
@@ -964,9 +1148,16 @@ def test_str_equals_a_reference_rendering_through_the_memo(p: Poly, q: Poly) -> 
         fields.intern("a0")
         assert str(p + q) == _reference_text(p + q)
         assert str(p) == _reference_text(p)
+        # every numerator rendered is held, with its sign and text, under its denominator
+        for r in (p, p + q):
+            assert set(r._nums.values()) <= set(fields.coeffs[0].get(r._den, {}))
+        assert fields.coeffs[1] == sum(map(len, fields.coeffs[0].values()))
+        before = fields.coeffs[1]
         patch.setattr(polyring, "_MEMO_MAX", 3)
         for r in (q, p * q, p - q):
             assert str(r) == _reference_text(r)
+            # a fill past the cap starts the memo over
+            assert fields.coeffs[1] == sum(map(len, fields.coeffs[0].values())) <= max(before, 3)
 
 
 def test_the_display_memo_stays_within_its_cap(monkeypatch) -> None:
@@ -985,3 +1176,33 @@ def test_the_display_memo_stays_within_its_cap(monkeypatch) -> None:
     assert str(medium) == _reference_text(medium)
     assert len(fields.memo[1]) == len(fields.memo[2]) == 10
     assert str(small) == _reference_text(small)
+
+
+def test_the_coefficient_memo_stays_within_its_cap(monkeypatch) -> None:
+    fields = _fresh_fields()
+    monkeypatch.setattr(polyring, "_FIELDS", fields)
+    monkeypatch.setattr(polyring, "_MEMO_MAX", 12)
+
+    def held():
+        memo, count = fields.coeffs
+        assert count == sum(map(len, memo.values()))
+        return {den: sorted(texts) for den, texts in memo.items()}
+
+    def ramp(ks, den=1):
+        return sum((Fraction(k, den) * Poly.var("D", abs(k)) for k in ks), Poly.zero())
+
+    few, thirds = ramp(range(1, 6)), ramp(range(-5, 0), 3)  # numerators 1..5, then -5..-1 over 3
+    many, more = ramp(range(1, 14)), ramp(range(6, 10))
+    assert str(few) == _reference_text(few) and str(thirds) == _reference_text(thirds)
+    assert held() == {1: [1, 2, 3, 4, 5], 3: [-5, -4, -3, -2, -1]}
+    # past the cap on its own: rendered through a map of its own, the memo kept
+    assert str(many) == _reference_text(many)
+    assert held() == {1: [1, 2, 3, 4, 5], 3: [-5, -4, -3, -2, -1]}
+    # past the cap with what the memo holds: the memo starts over with its numerators
+    assert str(more) == _reference_text(more)
+    assert held() == {1: [6, 7, 8, 9]}
+    assert str(thirds) == _reference_text(thirds)
+    assert held() == {1: [6, 7, 8, 9], 3: [-5, -4, -3, -2, -1]}
+    # numerators and a denominator past the size where str() hands over to int_to_decimal
+    big = (Fraction(polyring._CHUNK_BASE + 1) * D - 7) * Fraction(1, 10**700 + 3)
+    assert str(big) == _reference_text(big)
