@@ -84,7 +84,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .polyring import (
-    Poly, PolyLike, Substitution, as_poly, lam, sum_of_products, var_sort_key, variables_of
+    Poly, PolyLike, Substitution, as_poly, lam, scale_of, sum_of_products, var_sort_key,
+    variables_of,
 )
 
 D = Poly.var("D")
@@ -619,9 +620,9 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     leading slot, ``D ↦ D + L1 + … + L(m−1)`` in the last), and multiplied by
     the term's coefficient only if that is not a constant, and each entry of
     ``f`` once, grouped by its slot-``i`` index.  Each cell of the result, one
-    output coefficient on one basis tuple, gathers its pairs ``(factor,
-    value)``, with the term's coefficient as a third member where it is a
-    constant other than 1, and is formed once, by
+    output coefficient on one basis tuple, gathers its triples ``(factor,
+    value, scale)``, the scale being the term's coefficient where that is a
+    constant and 1 otherwise, and is formed once, by
     :func:`~confalg.polyring.sum_of_products`: a constant factor or coefficient
     scales numerators, the pairs of non-constant polynomials are products, and
     the cell is made canonical once.
@@ -688,8 +689,8 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
 
     Each entry ``(head, tail, values)`` of a group adds ``factor·v·scale`` to
     output coefficient ``j`` at index ``head + mid + tail``, for each ``(j, v)``
-    in ``values``; a scale of None is 1.  The term's rebindings are trimmed
-    when it is done with them.
+    in ``values``; the scale is an ``int`` or a ``Fraction``.  The term's
+    rebindings are trimmed when it is done with them.
     """
     if isinstance(term, Circ):
         f, i, g = term
@@ -705,7 +706,7 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
                 groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
             # a constant coefficient scales the cell's numerators instead of each entry
             constant = coeff.is_constant()
-            scale = coeff if constant and coeff != 1 else None
+            scale = scale_of(coeff) if constant else 1
             return [
                 (gidx, groups[k], _bind(c, g_bind) if constant else _bind(c, g_bind) * coeff, scale)
                 for gidx, entry in g.entries.items()
@@ -717,7 +718,7 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
             if q:
                 idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
             group.append((idx, (), tuple((j, _bind(c, f_bind)) for j, c in entry._terms)))
-        return [((), group, coeff, None)]
+        return [((), group, coeff, 1)]
     finally:
         for binding in (f_bind, g_bind):
             if binding:
@@ -735,19 +736,18 @@ def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) 
         coeff = as_poly(coeff)
         if not coeff:
             continue
-        # each cell gathers its (factor, value) pairs and is formed once, below
+        # each cell gathers its (factor, value, scale) triples and is formed once, below
         for mid, group, c, scale in _term_pairs(coeff, term):
             for head, tail, values in group:
                 row = rows.get(head + mid + tail)
                 if row is None:
                     row = rows[head + mid + tail] = [None] * rank
                 for j, v in values:
-                    pair = (c, v) if scale is None else (c, v, scale)
                     cell = row[j]
                     if cell is None:
-                        row[j] = [pair]
+                        row[j] = [(c, v, scale)]
                     else:
-                        cell.append(pair)
+                        cell.append((c, v, scale))
     if shape is None:
         raise ArityMismatch("a table sum needs at least one term")
     ins, out = shape

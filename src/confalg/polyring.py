@@ -71,24 +71,27 @@ numerators.  The term-by-term path checks the exponents of its result; the
 packed path checks them from its operands before it multiplies, since the
 terms of a product of highest degree in one variable never cancel.
 
-Sums of products.  A sum ``Σ c·v``, such as a cell of a table sum, is formed
-at once by :func:`sum_of_products`.  A constant factor, and a constant scale
-that a pair may carry, multiply the other factor's numerators and make no
-``Poly``; pairs of two constants add integers.  Two or more products of
-non-constant factors share packed rows when each passes the packed path's
-operand size and shape rules and, together, their pairs of rows are at most
-a quarter of their pairs of terms (:data:`_SHARED_SHARE`).  The associator
-cell of ``u·u = (D+L+c)^n u``, ``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D,
-L1)``, is such a sum.  One slot width serves all of them, from the sum of
-each product's bound times its scale over the common denominator; every
-product of two rows is added into one accumulator keyed by the row's
-monomial free of ``D``; and each accumulated row is decoded once.  Each
-product is still checked as it would be alone, and in order: first its term
-count, then its exponents, so an overflow raises even where another product
-cancels it.  These products are never formed as ``Poly`` values and do not
-pass through ``*``.  Every other product of non-constant factors is one
-``c * v``.  The sum is taken over the least common multiple of the
-denominators and made canonical once.
+Sums of products.  A sum ``Σ c·v·k``, such as a cell of a table sum, is formed
+at once by :func:`sum_of_products`.  A constant factor, and the constant scale
+``k``, multiply the other factor's numerators and make no ``Poly``; triples of
+two constant factors add integers.  Two or more products of non-constant
+factors share packed rows when each passes the packed path's operand size and
+shape rules, the lowest ``D`` exponents of each product's operands add up to
+the same ``lo`` for all of them, and, together, their pairs of rows are at
+most a quarter of their pairs of terms (:data:`_SHARED_SHARE`).  With one
+``lo``, every row of the accumulator is a run from ``D^lo``, and its slots are
+exactly the monomials that the pairs of terms form; products from different
+exponents would span the slots between them in every row.  The associator cell
+of ``u·u = (D+L+c)^n u``, ``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D,
+L1)``, is such a sum.  One slot width serves all of them, from the sum of each
+product's bound times its scale over the common denominator; every product of
+two rows is added into one accumulator keyed by the row's monomial free of
+``D``; and each accumulated row is decoded once.  Each product is still
+checked as it would be alone, and in order: first its term count, then its
+exponents, so an overflow raises even where another product cancels it.  These
+products are never formed as ``Poly`` values and do not pass through ``*``.
+Every other product of non-constant factors is one ``c * v``.  The sum is taken
+over the least common multiple of the denominators and made canonical once.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
@@ -142,9 +145,10 @@ fields within a rank, so interning one starts the memo over; so does filling
 it past :data:`_MEMO_MAX` (16,384) monomials, and a polynomial with more
 monomials than that is rendered without it.  Beside it, a coefficient memo
 maps a denominator and a numerator to the term's sign and coefficient text
-(``3/2``), capped in the same way at :data:`_MEMO_MAX` numerators.  The
-memos' maps are replaced, never cleared, so a rendering in progress keeps the
-maps it started with.
+(``3/2``), capped in the same way at :data:`_MEMO_MAX` numerators; it holds
+only numerators and denominators below ``10^640``, and a polynomial with a
+larger one is rendered without it.  The memos' maps are replaced, never
+cleared, so a rendering in progress keeps the maps it started with.
 """
 
 from __future__ import annotations
@@ -192,10 +196,14 @@ _DECODE_SPLIT = 32
 #: and 600 bits, halves tied the loop up to 16 slots and won above (1.5x at 64,
 #: 6-17x at 1,024); the rows of degree-11 products are shorter.
 _PACK_SPLIT = 16
-#: The size rule of shared rows (see "Products" above).  Timed against one
-#: product each on cells of two products of 16 to 16,380 pairs of terms, shared
-#: rows were 0.45-0.8x with 4.7 or more pairs of terms per pair of rows, tied at
-#: 3.5, and 1.1-2.2x with fewer or with operands of under 8 terms.
+#: The size rule of shared rows (see "Sums of products" above).  Timed against
+#: one product each on cells of two products of 16 to 16,380 pairs of terms,
+#: shared rows were 0.45-0.8x with 4.7 or more pairs of terms per pair of rows,
+#: tied at 3.5, and 1.1-2.2x with fewer or with operands of under 8 terms.  The
+#: rule counts the cell, not each product: beside a product of 2,352 to 81,600
+#: pairs of terms with 12 to 45 per pair of rows, a product of 100 to 14,400
+#: pairs of terms with one or 1.5 per pair of rows still left the cell at
+#: 0.84-0.93x wherever the cell passed the rule.
 _SHARED_SHARE = 4
 #: The most monomials the display memo holds, and the most numerators the
 #: coefficient memo holds (see "textual form" above).  A ``degree`` benchmark
@@ -364,7 +372,9 @@ class _Fields:
         terms, ``n`` or ``p/q``, and empty for 1.  The memo's map for ``den`` is
         filled in with the numerators it lacks; when that would take the memo
         past :data:`_MEMO_MAX` numerators, a fresh map is filled instead, and
-        kept as the memo's only one if it fits.
+        kept as the memo's only one if it fits.  The memo holds only numerators
+        and denominators below ``10^640``, whose texts ``str()`` writes: where
+        ``den`` or a missing numerator is larger, every text is written anew.
         """
         memo, held = self.coeffs
         texts = memo.get(den)
@@ -376,23 +386,29 @@ class _Fields:
         else:
             texts = {}
         new = set(nums).difference(texts)
+        if den >= _CHUNK_BASE or max(new) >= _CHUNK_BASE or min(new) <= -_CHUNK_BASE:
+            return [_signed_text(num, den) for num in nums]
         if held + len(new) > _MEMO_MAX:
             memo, held, texts, new = {}, 0, {}, set(nums)
-        for num in new:
-            mag = abs(num)
-            if den == 1:
-                text = "" if mag == 1 else int_to_decimal(mag)
-            else:
-                g = gcd(mag, den)
-                if g != den:
-                    text = f"{int_to_decimal(mag // g)}/{int_to_decimal(den // g)}"
-                else:
-                    text = "" if mag == g else int_to_decimal(mag // g)
-            texts[num] = ("+ " if num > 0 else "- ", text)
+        texts.update((num, _signed_text(num, den)) for num in new)
         if held + len(new) <= _MEMO_MAX:
             memo[den] = texts
             self.coeffs = (memo, held + len(new))
         return list(map(texts.__getitem__, nums))
+
+
+def _signed_text(num: int, den: int) -> Tuple[str, str]:
+    """The sign and the coefficient text of ``num/den`` (see :meth:`_Fields.signed`)."""
+    mag = abs(num)
+    if den == 1:
+        text = "" if mag == 1 else int_to_decimal(mag)
+    else:
+        g = gcd(mag, den)
+        if g != den:
+            text = f"{int_to_decimal(mag // g)}/{int_to_decimal(den // g)}"
+        else:
+            text = "" if mag == g else int_to_decimal(mag // g)
+    return "+ " if num > 0 else "- ", text
 
 
 _FIELDS = _Fields(("D", "L1", "L2", "L3", "L4"))
@@ -488,15 +504,8 @@ def _d_rows(nums: dict) -> tuple | None:
 def _pack_row(row: list, lo: int, bits: int) -> int:
     """The numerators of a row in one integer, that of ``D^(lo+k)`` at bit ``bits·k``.
 
-    The row is a run without gaps from ``D^lo``.  A row of more than
-    :data:`_PACK_SPLIT` slots is joined by halves, as :func:`_decode` splits,
-    so its cost grows like ``count·log(count)`` rather than quadratically.
+    The row is a run without gaps from ``D^lo``.
     """
-    if len(row) <= _PACK_SPLIT:
-        packed = 0
-        for e, c in row:
-            packed += c << bits * (e - lo)
-        return packed
     slots = [0] * len(row)
     for e, c in row:
         slots[e - lo] = c
@@ -504,7 +513,12 @@ def _pack_row(row: list, lo: int, bits: int) -> int:
 
 
 def _join(slots: list, bits: int) -> int:
-    """``Σ slots[k]·2^(bits·k)``, the low and the high half joined by one shift and one addition."""
+    """``Σ slots[k]·2^(bits·k)``.
+
+    More than :data:`_PACK_SPLIT` slots are joined by halves, the low and the
+    high half by one shift and one addition, as :func:`_decode` splits, so the
+    cost grows like ``count·log(count)`` rather than quadratically.
+    """
     if len(slots) <= _PACK_SPLIT:
         packed = 0
         for c in reversed(slots):
@@ -518,15 +532,16 @@ def _packed_sum(pairs: list) -> dict:
     """``Σ k·a·b`` over ``(a, b, runs_a, runs_b, k)``, one big-int multiply per pair of rows.
 
     ``a`` and ``b`` are numerator maps, ``runs_a`` and ``runs_b`` their rows
-    from :func:`_d_rows`, and ``k`` a nonzero integer scale.  All pairs share
-    one slot width and one accumulator of rows (see "Sums of products"
-    above); a lone pair is the packed path of ``*``.
+    from :func:`_d_rows`, and ``k`` a nonzero integer scale.  Every pair has
+    the same ``lo_a + lo_b``, so each row of the accumulator is a run from
+    that exponent.  All pairs share one slot width and one accumulator of
+    rows (see "Sums of products" above); a lone pair is the packed path of
+    ``*``.
     """
     bound = 0
     for a, b, _, _, k in pairs:
         bound += max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) * abs(k)
     bits = bound.bit_length() + 2
-    lo = min(runs_a[0] + runs_b[0] for _, _, runs_a, runs_b, _ in pairs)
     acc: dict = {}
     get = acc.get
     for a, b, (lo_a, rows_a), (lo_b, rows_b), k in pairs:
@@ -539,13 +554,13 @@ def _packed_sum(pairs: list) -> dict:
         # cancels those terms.
         if (_run_top(lo_a, rows_a) + _run_top(lo_b, rows_b)) & _FIELDS.guard:
             _check_product(a, b)
-        shift = bits * (lo_a + lo_b - lo)  # this pair's rows start above the sum's
         packed_b = [(rest, _pack_row(row, lo_b, bits)) for rest, row in rows_b.items()]
         for r1, row in rows_a.items():
-            x1 = _pack_row(row, lo_a, bits) * k << shift
+            x1 = _pack_row(row, lo_a, bits) * k
             for r2, x2 in packed_b:
                 r = r1 + r2
                 acc[r] = get(r, 0) + x1 * x2
+    lo = lo_a + lo_b
     out: dict = {}
     for r, value in acc.items():
         # a row's highest nonzero slot is its bit length over the slot width
@@ -1062,22 +1077,23 @@ def _canonical(nums: dict, den: int) -> Poly:
     return _wrap(nums, den)
 
 
-def sum_of_products(pairs: Sequence[tuple]) -> Poly:
-    """``Σ c·v·k`` over pairs ``(c, v)`` and triples ``(c, v, k)``, formed at once over a common denominator.
+def sum_of_products(triples: Sequence[tuple]) -> Poly:
+    """``Σ c·v·k`` over triples ``(c, v, k)``, formed at once over a common denominator.
 
-    ``k`` is a nonzero constant, a scale that a pair without one takes as 1.
-    A constant factor and the scale multiply the numerators of the other
-    factor instead of making a ``Poly``, and the pairs of two constants add
-    integers.  The pairs of two non-constant factors are products.  When there
-    are two or more of them and each takes shared rows (see "Products" above),
-    their products are added into one packed accumulator and decoded once;
-    otherwise each is one ``c * v``, which keeps that product's guard-bit check
-    and term cap.  The pieces are added over the least common multiple of
-    their denominators and made canonical once.  A lone pair returns its
-    product as it is: ``(1, v)`` returns ``v`` itself.
+    ``c`` and ``v`` are polynomials and ``k`` a nonzero ``int`` or ``Fraction``,
+    a scale.  A constant factor and the scale multiply the numerators of the
+    other factor instead of making a ``Poly``, and the triples of two constant
+    factors add integers.  The triples of two non-constant factors are
+    products.  When there are two or more of them and they share rows (see
+    "Sums of products" above), their products are added into one packed
+    accumulator and decoded once; otherwise each is one ``c * v``, which keeps
+    that product's guard-bit check and term cap.  The pieces are added over
+    the least common multiple of their denominators and made canonical once.
+    A lone triple of scale 1 returns its product as it is: ``(1, v, 1)``
+    returns ``v`` itself.
     """
-    if len(pairs) == 1 and len(pairs[0]) == 2:
-        ((c, v),) = pairs
+    if len(triples) == 1 and triples[0][2] == 1:
+        ((c, v, _),) = triples
         a, b = c._nums, v._nums
         if len(a) == 1 and 0 in a:
             return v if a[0] == 1 == c._den else _scaled(b, a[0], v._den * c._den)
@@ -1085,15 +1101,11 @@ def sum_of_products(pairs: Sequence[tuple]) -> Poly:
             return c if b[0] == 1 == v._den else _scaled(a, b[0], c._den * v._den)
         return c * v
     parts = []  # (numerators, factor, denominator)
-    total, total_den = 0, 1  # the pairs of two constants
+    total, total_den = 0, 1  # the triples of two constants
     products = []  # (c, v, scale numerator, scale denominator)
-    for pair in pairs:
-        c, v = pair[0], pair[1]
+    for c, v, scale in triples:
         a, b = c._nums, v._nums
-        if len(pair) > 2:
-            k, kd = pair[2]._nums[0], pair[2]._den
-        else:
-            k = kd = 1
+        k, kd = scale.numerator, scale.denominator
         if len(a) == 1 and 0 in a:
             d = c._den * v._den * kd
             if len(b) == 1 and 0 in b:
@@ -1145,16 +1157,18 @@ def _shared_rows(products: list) -> tuple | None:
     ``products`` holds ``(c, v, k, kd)``: the factors and the scale ``k/kd``.
     They share rows when each product's smaller operand has at least
     :data:`_PACK_MIN_TERMS` terms, every operand's rows are runs along ``D``
-    from one exponent (:func:`_d_rows`), and the pairs of rows of all the
-    products are at most a :data:`_SHARED_SHARE`-th of their pairs of terms;
-    otherwise the answer is None.  Each product's scale brings it to the least
-    common multiple of the denominators.
+    from one exponent (:func:`_d_rows`), the lowest ``D`` exponents of each
+    product's operands add up to the same ``lo`` for all of them, and the
+    pairs of rows of all the products are at most a :data:`_SHARED_SHARE`-th
+    of their pairs of terms; otherwise the answer is None.  Each product's
+    scale brings it to the least common multiple of the denominators.
     """
     if any(min(len(c._nums), len(v._nums)) < _PACK_MIN_TERMS for c, v, _, _ in products):
         return None
     den = lcm(*[c._den * v._den * kd for c, v, _, kd in products])
     rows = []
     term_pairs = row_pairs = 0
+    lo = None
     for c, v, k, kd in products:
         a, b = c._nums, v._nums
         if len(a) < len(b):
@@ -1162,6 +1176,12 @@ def _shared_rows(products: list) -> tuple | None:
         runs_a = _d_rows(a)
         runs_b = runs_a and _d_rows(b)
         if not runs_b:
+            return None
+        # rows from another exponent would span the slots between the two in every
+        # row of the accumulator, slots for monomials that no pair forms
+        if lo is None:
+            lo = runs_a[0] + runs_b[0]
+        elif runs_a[0] + runs_b[0] != lo:
             return None
         rows.append((a, b, runs_a, runs_b, k * (den // (c._den * v._den * kd))))
         term_pairs += len(a) * len(b)
@@ -1174,6 +1194,12 @@ def _scaled(nums: dict, k: int, den: int) -> Poly:
     if not nums:
         return _ZERO_POLY
     return _canonical({m: x * k for m, x in nums.items()}, den)
+
+
+def scale_of(p: Poly) -> Union[int, Fraction]:
+    """The constant ``p`` as a scale for :func:`sum_of_products`: an ``int`` where it is one, else a ``Fraction``."""
+    num = p._nums.get(0, 0)
+    return num if p._den == 1 else Fraction(num, p._den)
 
 
 def as_poly(value: PolyLike) -> Poly:

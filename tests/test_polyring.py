@@ -398,70 +398,80 @@ cell_constants = st.one_of(
 ).map(Poly.const)
 cell_factors = st.one_of(cell_constants, wide_polys(max_exp=3, max_terms=3))
 cell_scales = st.one_of(
-    st.sampled_from([-1, 2, Fraction(1, 2), Fraction(-7, 3)]),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-7, 3)]),
     st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
-).map(Poly.const)
+)
 
 
 @st.composite
-def dense_factors(draw, with_d: bool = True) -> Poly:
+def dense_factors(draw, lo: int = 0, with_d: bool = True) -> Poly:
     """``s·D^lo·(D + a·L1 + b)^n·(e + L2)^m``, or else ``(e − L2)^n`` without ``D``.
 
-    The rows of each are runs along ``D`` from one exponent, the shape that
-    shares packed rows; ``a``, ``b``, ``e`` and ``s`` are nonzero integers or
-    ``p/q``.
+    The rows of each are runs along ``D`` from ``D^lo`` (``D^0`` without
+    ``D``), the shape that shares packed rows; ``a``, ``b``, ``e`` and ``s``
+    are nonzero integers or ``p/q``.
     """
     e = draw(cell_constants.filter(bool))
     if not with_d:
         return (e - L2) ** draw(st.integers(8, 10))
     a, b, s = draw(cell_scales), draw(cell_constants.filter(bool)), draw(cell_scales)
-    lo, n, m = draw(st.integers(0, 3)), draw(st.integers(5, 8)), draw(st.integers(0, 2))
+    n, m = draw(st.integers(5, 8)), draw(st.integers(0, 2))
     return s * Poly.var("D", lo) * (D + a * L1 + b) ** n * (e + L2) ** m
 
 
 @st.composite
 def cell_pairs(draw) -> tuple:
-    """Pairs ``(c, v)`` and triples ``(c, v, k)``, and whether they share packed rows.
+    """Triples ``(c, v, k)``, and whether they share packed rows.
 
-    Some lists end with the negated pairs, so that they sum to zero.  Small
+    Some lists end with the negated triples, so that they sum to zero.  Small
     cells draw sparse and constant factors.  Dense cells hold two or three
     products of :func:`dense_factors`, the first two dense in ``D`` and a later
-    one perhaps of ``(e − L2)^n``, which share packed rows, and perhaps
-    constant pairs.
+    one perhaps of ``(e − L2)^n``, and perhaps constant pairs.  The lowest
+    ``D`` exponents of each product's factors add up to one ``lo``, split
+    among them at random, and the products share packed rows; or else one
+    product starts from another ``lo``, and none do.
     """
     dense = draw(st.booleans())
     if not dense:
         pairs = draw(st.lists(st.tuples(cell_factors, cell_factors), min_size=1, max_size=6))
     else:
-        pairs = [(draw(dense_factors()), draw(dense_factors()))]
-        for _ in range(draw(st.integers(1, 2))):
-            pairs.append((draw(dense_factors(with_d=draw(st.booleans()))), draw(dense_factors())))
+        lo = draw(st.integers(0, 3))
+        shares = draw(st.booleans())
+        pairs = []
+        for k in range(draw(st.integers(2, 3))):
+            with_d = k < 2 or draw(st.booleans())
+            here = lo + (k == 1 and not shares)  # one product from another exponent
+            first = draw(st.integers(0, here)) if with_d else 0
+            pairs.append(
+                (draw(dense_factors(first, with_d)), draw(dense_factors(here - first)))
+            )
         pairs += draw(st.lists(st.tuples(cell_constants, cell_factors), max_size=2))
-    pairs = [pair + (draw(cell_scales),) if draw(st.booleans()) else pair for pair in pairs]
+        dense = shares
+    pairs = [pair + (draw(cell_scales),) for pair in pairs]
     if draw(st.booleans()):
-        cancel = [(-pair[0],) + pair[1:] for pair in pairs]
+        cancel = [(-c, v, k) for c, v, k in pairs]
         draw(st.randoms()).shuffle(cancel)
         pairs += cancel
     return pairs, dense
 
 
-def _sequential_sum(pairs: list) -> Poly:
+def _sequential_sum(triples: list) -> Poly:
     """``Σ c·v·k``, one product and one addition at a time."""
     total = Poly.zero()
-    for c, v, *scale in pairs:
-        total = total + (c * v * scale[0] if scale else c * v)
+    for c, v, k in triples:
+        total = total + c * v * k
     return total
 
 
 @settings(max_examples=200, deadline=None)
 @given(cell_pairs())
 def test_sum_of_products_is_the_sequential_sum(cell: tuple) -> None:
-    pairs, dense = cell
+    triples, dense = cell
     with pytest.MonkeyPatch.context() as patch:
         shared = _shared_cells(patch)
-        got = sum_of_products(pairs)
+        got = sum_of_products(triples)
     assert bool(shared) == dense
-    assert got == _sequential_sum(pairs)
+    assert got == _sequential_sum(triples)
     _assert_canonical(got)
 
 
@@ -484,40 +494,58 @@ def _degree_cell(n: int, c) -> list:
     def p(x, weight):
         return (x + weight + c) ** n
 
-    return [(p(-L1 - L2, L1), p(D, L1 + L2)), (-p(D + L1, L2), p(D, L1))]
+    return [(p(-L1 - L2, L1), p(D, L1 + L2), 1), (-p(D + L1, L2), p(D, L1), 1)]
+
+
+def _formed(triples: list) -> int:
+    """The monomials that the pairs of terms of the cell's products form, cancelled or not."""
+    products = [(c, v) for c, v, _ in triples if not c.is_constant()]
+    return len({m1 + m2 for c, v in products for m1 in c._nums for m2 in v._nums})
 
 
 def test_the_shared_row_path_is_exercised(monkeypatch) -> None:
     shared = _shared_cells(monkeypatch)
+    decoded = []
+    decode = polyring._decode
+    monkeypatch.setattr(polyring, "_decode", lambda *args: decoded.append(args[3]) or decode(*args))
     cell = _degree_cell(9, Fraction(-3, 2))
-    small = [(D + L1, D - L1), (D * L2 + 1, L1 - 3)]  # 4 pairs of terms each
-    gapped = [(c, v.substitute("D", D**2)) for c, v in cell]  # rows with gaps along D
-    flat = (L1 + L2 + 3) ** 4, (L1 - L2 + 1) ** 4  # rows of one term: a pair of rows per term
+    (c1, v1, _), (c2, v2, _) = cell
+    small = [(D + L1, D - L1, 1), (D * L2 + 1, L1 - 3, 1)]  # 4 pairs of terms each
+    gapped = [(c, v.substitute("D", D**2), 1) for c, v, _ in cell]  # rows with gaps along D
+    flat = ((L1 + L2 + 3) ** 4, (L1 - L2 + 1) ** 4, 1)  # rows of one term: a pair of rows per term
+    moved = [(D * c1, v1, 1), (c2, D * v2, 1)]  # both products from D^1, split differently
+    apart = [cell[0], (Poly.var("D", 30000) * c2, v2, 1)]  # the second from D^30000
     cases = [
         (cell, True),
-        (cell + [(Poly.const(3), D + L2), (Poly.const(2), Poly.const(Fraction(1, 5)))], True),
-        ([pair + (Poly.const(Fraction(-4, 7)),) for pair in cell], True),
+        (cell + [(Poly.const(3), D + L2, 1), (Poly.const(2), Poly.const(Fraction(1, 5)), 2)], True),
+        ([(c, v, Fraction(-4, 7)) for c, v, _ in cell], True),
+        (moved, True),
+        (cell + [flat], True),  # the rule counts the cell, not each product
         (cell[:1], False),  # a lone product is one Poly product
         (cell[:1] + small[:1], False),  # a pair below the size rule
         (gapped, False),
-        ([flat, flat[::-1]], False),
+        (apart, False),  # shared, every row would span 30,000 slots
+        ([flat, (flat[1], flat[0], 1)], False),
         (small, False),
     ]
-    for pairs, expect_shared in cases:
-        del shared[:]
-        got = sum_of_products(pairs)
+    for triples, expect_shared in cases:
+        del shared[:], decoded[:]
+        got = sum_of_products(triples)
         assert bool(shared) == expect_shared
-        assert got == _sequential_sum(pairs)
+        if expect_shared:  # the rows decode no slot that no pair of terms forms
+            assert sum(decoded) <= _formed(triples)
+        assert got == _sequential_sum(triples)
         _assert_canonical(got)
 
 
 def test_a_degree_cell_shares_its_rows(monkeypatch) -> None:
     # n = 9, c = 3: (3 − L2)^9 has 10 rows of one term and (D+L1+L2+3)^9 220 terms in 55
     # rows; (D+L1+3)^9 has 55 terms in 10 rows.  Each pair takes 10·55 row products into
-    # one accumulator, whose 190 rows of 1,330 slots are decoded once into 1,325 terms;
-    # the two products alone would hold 682 and 1,165 terms.
+    # one accumulator, whose 190 rows of 1,330 slots, the monomials the pairs of terms
+    # form, are decoded once into 1,325 terms; the two products alone would hold 682
+    # and 1,165 terms.
     cell = _degree_cell(9, 3)
-    assert [(len(c), len(v)) for c, v in cell] == [(10, 220), (220, 55)]
+    assert [(len(c), len(v)) for c, v, _ in cell] == [(10, 220), (220, 55)]
     shared = _shared_cells(monkeypatch)
     decoded = []
     decode = polyring._decode
@@ -530,7 +558,7 @@ def test_a_degree_cell_shares_its_rows(monkeypatch) -> None:
     (pairs,) = shared
     assert len(pairs) == 2 and not products  # the traced product layer sees neither
     assert [len(rows_a[1]) * len(rows_b[1]) for _, _, rows_a, rows_b, _ in pairs] == [550, 550]
-    assert len(decoded) == 190 and sum(decoded) == 1330
+    assert len(decoded) == 190 and sum(decoded) == _formed(cell) == 1330
     assert len(got) == 1325
     assert got == _sequential_sum(cell)
 
@@ -550,16 +578,16 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
     base = (D + L1 - 2) ** 7 * (L2 + 1)
     tall = Poly.var("L2", EXP_MAX - 3) * (D + L1 + 3) ** 8
     cells = [
-        [(high, dense), (-high, dense)],  # the sum is zero; the product passes the cap
-        [(base, dense), (dense, tall), (-dense, tall)],  # the second pair passes it in L2
-        [(base, dense), (dense, base), (Poly.const(2), base)],
+        [(high, dense, 1), (-high, dense, 1)],  # the sum is zero; the product passes the cap
+        [(base, dense, 1), (dense, tall, 1), (-dense, tall, 1)],  # the second passes it in L2
+        [(base, dense, 1), (dense, base, 1), (Poly.const(2), base, 1)],
     ]
     expected = [
         ("ExponentOverflow", f"exponent {EXP_MAX + 6} of D exceeds the cap {EXP_MAX}"),
         ("ExponentOverflow", f"exponent {EXP_MAX + 5} of L2 exceeds the cap {EXP_MAX}"),
     ]
     for cell in cells:
-        assert polyring._shared_rows([(c, v, 1, 1) for c, v in cell if not c.is_constant()])
+        assert polyring._shared_rows([(c, v, 1, 1) for c, v, _ in cell if not c.is_constant()])
 
     def each_product(cell):
         return lambda: _sequential_sum(cell)
@@ -574,29 +602,28 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
     assert [_outcome(lambda: sum_of_products(cell)) for cell in cells] == reference
     assert len(shared) == 3
     # the term cap: each pair counts the monomials of its own product, before its
-    # exponents are checked, so a cell raises at the first pair past the cap.  Here
-    # the first pair forms 712 and the second, which also passes the exponent cap, 729
-    counted = [(base, dense), (high, dense), (-high, dense)]
-    formed = [len({m1 + m2 for m1 in c._nums for m2 in v._nums}) for c, v in counted[:2]]
-    assert formed == [712, 729]
+    # exponents are checked, so a cell raises at the first pair past the cap.  In the
+    # second cell the first pair forms 712 and the second, which also passes the
+    # exponent cap, 729
+    assert [_formed(cells[1][:1]), _formed(cells[1][1:])] == [712, 729]
     for cap, first in ((711, "TermOverflow"), (728, "TermOverflow"), (729, "ExponentOverflow")):
         monkeypatch.setattr(polyring, "MAX_TERMS", cap)
-        ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells + [counted]]
+        ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells]
         with monkeypatch.context() as patch:
             patch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
             patch.setattr(polyring, "_SHARED_SHARE", 10**9)
-            assert ours == [_outcome(each_product(cell)) for cell in cells + [counted]]
-        assert ours[-1][0] == first
+            assert ours == [_outcome(each_product(cell)) for cell in cells]
+        assert ours[1][0] == first
 
 
 def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
     half, p, q = Poly.const(Fraction(1, 2)), D + L1, D * L1 - Fraction(2, 3)
-    assert sum_of_products([(Poly.one(), p)]) is p  # a lone unit factor shares the value
-    assert sum_of_products([(q, Poly.one())]) is q
-    assert sum_of_products([(half, p)]) == p * half
+    assert sum_of_products([(Poly.one(), p, 1)]) is p  # a lone unit factor shares the value
+    assert sum_of_products([(q, Poly.one(), 1)]) is q
+    assert sum_of_products([(half, p, 1)]) == p * half
     third, two, three = Poly.const(Fraction(1, 3)), Poly.const(2), Poly.const(3)
-    assert sum_of_products([(two, half), (third, three)]) == 2
-    assert sum_of_products([(three, two), (Poly.const(-6), Poly.one())]).is_zero()
+    assert sum_of_products([(two, half, 1), (third, three, 1)]) == 2
+    assert sum_of_products([(three, two, 1), (Poly.const(-6), Poly.one(), 1)]).is_zero()
     # only a pair of non-constant factors is a product; constant ones scale numerators
     products = []
     mul = Poly.__mul__
@@ -606,7 +633,9 @@ def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
         return mul(a, b)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
-    total = sum_of_products([(Poly.const(-1), p), (p, q), (half, q), (three, Poly.const(5))])
+    total = sum_of_products(
+        [(Poly.const(-1), p, 1), (p, q, 1), (half, q, 1), (three, Poly.const(5), 1)]
+    )
     assert products == [(p, q)]
     monkeypatch.undo()
     assert total == -p + p * q + half * q + 15
@@ -1148,10 +1177,15 @@ def test_str_equals_a_reference_rendering_through_the_memo(p: Poly, q: Poly) -> 
         fields.intern("a0")
         assert str(p + q) == _reference_text(p + q)
         assert str(p) == _reference_text(p)
-        # every numerator rendered is held, with its sign and text, under its denominator
+        # every numerator rendered is held, with its sign and text, under its denominator,
+        # unless a numerator or the denominator is too long for str(): then none is
+        base = polyring._CHUNK_BASE
         for r in (p, p + q):
-            assert set(r._nums.values()) <= set(fields.coeffs[0].get(r._den, {}))
-        assert fields.coeffs[1] == sum(map(len, fields.coeffs[0].values()))
+            if r._den < base and all(-base < x < base for x in r._nums.values()):
+                assert set(r._nums.values()) <= set(fields.coeffs[0].get(r._den, {}))
+        memo = fields.coeffs[0]
+        assert all(d < base and all(-base < x < base for x in texts) for d, texts in memo.items())
+        assert fields.coeffs[1] == sum(map(len, memo.values()))
         before = fields.coeffs[1]
         patch.setattr(polyring, "_MEMO_MAX", 3)
         for r in (q, p * q, p - q):
@@ -1204,5 +1238,9 @@ def test_the_coefficient_memo_stays_within_its_cap(monkeypatch) -> None:
     assert str(thirds) == _reference_text(thirds)
     assert held() == {1: [6, 7, 8, 9], 3: [-5, -4, -3, -2, -1]}
     # numerators and a denominator past the size where str() hands over to int_to_decimal
+    # are rendered without the memo, and so are the other numerators beside them
     big = (Fraction(polyring._CHUNK_BASE + 1) * D - 7) * Fraction(1, 10**700 + 3)
-    assert str(big) == _reference_text(big)
+    long = ramp([20, 21]) + polyring._CHUNK_BASE * L1
+    for p in (big, long):
+        assert str(p) == _reference_text(p)
+        assert held() == {1: [6, 7, 8, 9], 3: [-5, -4, -3, -2, -1]}
