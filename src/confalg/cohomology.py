@@ -55,6 +55,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .confcore import (
+    AXIOMS,
     WITNESS_CAP,
     Circ,
     Cochain,
@@ -78,12 +79,11 @@ from .confcore import (
     require,
     require_over,
     require_shape,
-    residual_scan,
+    scan,
     semidirect,
-    table_items,
     table_sum,
 )
-from .errors import ConfalgError, NotCocycle, PreconditionFailed
+from .errors import ConfalgError, PreconditionFailed
 from .operators import lift, require_module_map, require_operator, star_terms, verify_operator
 from .derived import induced_bimodule_on_A
 from .polyring import Poly, as_poly, lam
@@ -126,11 +126,9 @@ def is_commutative_cocycle(
     phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP
 ) -> Verdict:
     """Cocycle test plus the symmetry ``φ_λ(a, b) = φ_{−λ−∂}(b, a)``."""
-    require_shape(phi.table, (alg.module,) * 2, bim.module, "the cochain")
-    d = hochschild_d(phi, alg, bim)
+    ((_, d),) = AXIOMS["cocycle"].families(phi, alg, bim)
     symmetry = table_sum([(1, phi.table), (-1, Swap(phi.table, 1, 2))])
-    items = table_items(d.table, ("cocycle",)), table_items(symmetry, ("commutative",))
-    return residual_scan("commutative-2-cocycle", itertools.chain(*items), cap=cap)
+    return scan("commutative-2-cocycle", [(("cocycle",), d), (("commutative",), symmetry)], cap)
 
 
 def _circle_terms(f: Cochain, g: Cochain, scale: int = 1) -> list:
@@ -235,8 +233,8 @@ def derived_bracket(
     direct = derived_bracket_direct(f, g, alg, bim)
     lifted = derived_bracket_via_lifts(f, g, alg, bim)
     if direct != lifted:
-        pairs = zip(table_items(direct.table), table_items(lifted.table))
-        names = next(names for (names, x), (_, y) in pairs if x != y)
+        difference = [((), [(1, direct.table), (-1, lifted.table)])]
+        names = scan("derived-bracket", difference, cap=1).witnesses[0][0]
         raise ConfalgError(
             "derived bracket: direct formula and lifted computation disagree"
             f" at ({', '.join(names)})"
@@ -350,7 +348,7 @@ def modified_mc_check(
     Maurer-Cartan equation for the lifted operator.  The two must agree.
     """
     require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
-    require(is_cocycle(phi, alg, bim, cap=1), NotCocycle, "modified_mc_check")
+    require(is_cocycle(phi, alg, bim, cap=1), AXIOMS["cocycle"].error, "modified_mc_check")
     is_twisted = verify_operator("TwistedRB", T, alg, bim, twist=phi, cap=1).holds
     ambient = semidirect(alg, bim, validate=False)
     theta = multiplication_cochain(ambient)

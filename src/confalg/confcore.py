@@ -36,14 +36,14 @@ Weights are linear forms in the weight variables and may themselves contain
 multiplying on the other side) are formed, the ``D`` inside the weight again
 meaning ∂ on the output.
 
-The checkers (:func:`check_associative`, :func:`check_lie`,
-:func:`check_bimodule`, :func:`check_lie_rep`, and :func:`is_cocycle`, the
-zero test of the Hochschild differential :func:`hochschild_d`) compute the
-residual of their defining identities as whole tables and scan them over all
-basis tuples in order (:func:`table_items`), returning a :class:`Verdict`
-that lists the failing tuples; a theorem that joins several checks returns a
-:class:`Composite` of them.  The constructors
-(:func:`commutator_lie`, :func:`rep_from_bimodule`, :func:`semidirect`,
+Every identity the package checks is an :class:`Identity`, whose families
+of residual tables :func:`scan` scans over all basis tuples in order into a
+:class:`Verdict` that lists the failing tuples.  :data:`AXIOMS` holds the
+axioms, and :func:`check_associative`, :func:`check_lie`,
+:func:`check_bimodule`, :func:`check_lie_rep` and :func:`is_cocycle` are
+names over it; a theorem that joins several checks returns a
+:class:`Composite` of them.  The constructors (:func:`commutator_lie`,
+:func:`rep_from_bimodule`, :func:`semidirect`,
 :func:`twisted_extension`, :func:`extension_iso`, :func:`matching_pair`,
 :func:`cur`) build new algebras from verified inputs and raise when a
 documented precondition fails: :func:`require` raises a failing verdict's
@@ -302,12 +302,10 @@ def _elem(module: FreeModule, coeffs: Tuple[Poly, ...]) -> ModElem:
 
 
 class Verdict(NamedTuple):
-    """Outcome of an identity check.
+    """Outcome of an identity check (see :func:`scan`).
 
-    ``witnesses`` holds up to :data:`WITNESS_CAP` failing basis tuples in
-    scan order, each paired with its nonzero residual.  For checkers that
-    combine several residual families (Lie, bimodule, ...) the first entry of
-    the tuple names the family.
+    ``witnesses`` holds up to :data:`WITNESS_CAP` failing basis tuples in scan
+    order with their nonzero residuals; a tuple's names begin with its family's tag.
     """
 
     identity: str
@@ -417,6 +415,45 @@ def residual_scan(
         if len(witnesses) >= cap:
             break
     return Verdict(identity, not witnesses, tuple(witnesses))
+
+
+class Identity(NamedTuple):
+    """One identity whose residual must vanish on every basis tuple.
+
+    ``name`` names its verdict; ``error`` is raised where a construction
+    requires it.  ``reads`` names the inputs it reads besides its subject (a
+    bimodule ``with``, a ``twist``, a ``weight``, a representation ``rep``, a
+    structure's tables) and ``needs`` those without a default.
+    ``families(*inputs)`` checks the inputs and gives the families that
+    :meth:`check` scans, interleaved if ``interleave``.  ``flavor`` and
+    ``maps``, an operator's algebra flavor and map ends, are read by
+    :func:`~confalg.operators.verify_operator`.
+    """
+
+    name: str
+    reads: Tuple[str, ...]
+    needs: Tuple[str, ...]
+    error: Type[ConfalgError]
+    families: Callable[..., Iterable[tuple]]
+    interleave: bool = False
+    flavor: Optional[str] = None
+    maps: Tuple[str, ...] = ()
+
+    def check(self, *inputs, cap: int = WITNESS_CAP) -> Verdict:
+        return scan(self.name, self.families(*inputs), cap, self.interleave)
+
+
+def scan(identity: str, families: Iterable, cap: int = WITNESS_CAP, interleave=False) -> Verdict:
+    """The verdict of ``(witness tag, table-sum terms or table)`` families; the one
+    caller of :func:`residual_scan`.
+
+    Families are scanned one after another, each formed from its terms when
+    the scan reaches it, or with ``interleave`` tuple by tuple, formed at once.
+    """
+    columns = (table_items(r if isinstance(r, MultiTable) else table_sum(r), tag)
+               for tag, r in families)
+    items = itertools.chain.from_iterable(zip(*columns) if interleave else columns)
+    return residual_scan(identity, items, cap)
 
 
 class MultiTable:
@@ -1190,25 +1227,69 @@ def _shape_text(ins: Sequence[FreeModule], out: FreeModule) -> str:
     return f"{' × '.join(map(str, ins))} into {out}"
 
 
-# -- axiom checkers ---------------------------------------------------------
+# -- axioms -----------------------------------------------------------------
+
+
+def _associativity(alg: ConfAlgebra) -> list:
+    require_flavor(alg, "associative", "check_associative")
+    m = alg.table
+    return [((), table_sum([(1, Circ(m, 1, m)), (-1, Circ(m, 2, m))]))]
+
+
+def _skew(alg: ConfAlgebra) -> list:
+    m = alg.table
+    return [(("skew",), table_sum([(1, m), (1, Swap(m, 1, 2))]))]
+
+
+def _lie(alg: ConfAlgebra) -> list:
+    require_flavor(alg, "lie", "check_lie")
+    m = alg.table
+    inner = circ(m, 2, m)
+    jacobi = table_sum([(1, inner), (-1, Circ(m, 1, m)), (-1, Swap(inner, 1, 2))])
+    return _skew(alg) + [(("jacobi",), jacobi)]
+
+
+def _bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> list:
+    require_flavor(alg, "associative", "check_bimodule")
+    require_over(alg, bim)
+    m, left, right = alg.table, bim.left, bim.right
+    return [
+        (("left-module",), [(1, Circ(left, 1, m)), (-1, Circ(left, 2, left))]),
+        (("right-module",), [(1, Circ(right, 1, right)), (-1, Circ(right, 2, m))]),
+        (("compatibility",), [(1, Circ(right, 1, left)), (-1, Circ(left, 2, right))]),
+    ]
+
+
+def _lie_rep(rep: LieRep) -> list:
+    act = rep.action
+    inner = circ(act, 2, act)
+    return [((), table_sum([(1, inner), (-1, Swap(inner, 1, 2)), (-1, Circ(act, 1, rep.lie.table))]))]
+
+
+def _cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> list:
+    require_shape(phi.table, (alg.module,) * 2, bim.module, "the cochain")
+    return [((), hochschild_d(phi, alg, bim).table)]
+
+
+#: The axioms, keyed by the kind a ``check`` statement names; ``skew`` and ``lie-rep`` have none.
+AXIOMS: Mapping[str, Identity] = {
+    "associative": Identity("associativity", (), (), NotAssociative, _associativity),
+    "skew": Identity("skew-symmetry", (), (), NotSkewSymmetric, _skew),
+    "lie": Identity("lie", (), (), ConfalgError, _lie),
+    "bimodule": Identity("bimodule", (), (), NotBimodule, _bimodule),
+    "lie-rep": Identity("lie-representation", (), (), ConfalgError, _lie_rep),
+    "cocycle": Identity("2-cocycle", ("with",), (), NotCocycle, _cocycle),
+}
 
 
 def check_associative(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Scan ``m∘₁m − m∘₂m``: ``(e_i L1 e_j) L1+L2 e_k − e_i L1 (e_j L2 e_k)`` on all triples."""
-    require_flavor(alg, "associative", "check_associative")
-    m = alg.table
-    residual = table_sum([(1, Circ(m, 1, m)), (-1, Circ(m, 2, m))])
-    return residual_scan("associativity", table_items(residual), cap)
-
-
-def _skew_items(alg: ConfAlgebra):
-    m = alg.table
-    return table_items(table_sum([(1, m), (1, Swap(m, 1, 2))]), ("skew",))
+    return AXIOMS["associative"].check(alg, cap=cap)
 
 
 def _require_skew(alg: ConfAlgebra) -> ConfAlgebra:
     """``alg`` itself, after raising :class:`NotSkewSymmetric` unless its bracket is skew."""
-    require(residual_scan("skew-symmetry", _skew_items(alg), cap=1), NotSkewSymmetric)
+    require(AXIOMS["skew"].check(alg, cap=1), AXIOMS["skew"].error)
     return alg
 
 
@@ -1216,16 +1297,10 @@ def check_lie(alg: ConfAlgebra, cap: int = WITNESS_CAP) -> Verdict:
     """Check skew-symmetry and the Jacobi identity of a λ-bracket.
 
     Skew-symmetry compares ``[e_i L1 e_j]`` with ``−[e_j −L1−D e_i]``; the
-    Jacobi residual ``[e_i L1 [e_j L2 e_k]] − [[e_i L1 e_j] L1+L2 e_k] − [e_j
-    L2 [e_i L1 e_k]]`` is ``m∘₂m − m∘₁m`` minus ``m∘₂m`` with its first two
-    slots swapped.  Witness tuples are tagged ``skew`` or ``jacobi``.
+    Jacobi residual is ``[e_i L1 [e_j L2 e_k]] − [[e_i L1 e_j] L1+L2 e_k] −
+    [e_j L2 [e_i L1 e_k]]``.  Witness tuples are tagged ``skew`` or ``jacobi``.
     """
-    require_flavor(alg, "lie", "check_lie")
-    m = alg.table
-    inner = circ(m, 2, m)
-    jacobi = table_sum([(1, inner), (-1, Circ(m, 1, m)), (-1, Swap(inner, 1, 2))])
-    items = itertools.chain(_skew_items(alg), table_items(jacobi, ("jacobi",)))
-    return residual_scan("lie", items, cap)
+    return AXIOMS["lie"].check(alg, cap=cap)
 
 
 def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
@@ -1233,30 +1308,14 @@ def check_bimodule(alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) 
 
     Families: ``left-module`` ``(a L1 b) L1+L2 m = a L1 (b L2 m)``,
     ``right-module`` ``(m L1 a) L1+L2 b = m L1 (a L2 b)``, and
-    ``compatibility`` ``(a L1 m) L1+L2 b = a L1 (m L2 b)``: with the actions
-    ``l``, ``r``, the residuals ``l∘₁m − l∘₂l``, ``r∘₁r − r∘₂m``, ``r∘₁l − l∘₂r``.
+    ``compatibility`` ``(a L1 m) L1+L2 b = a L1 (m L2 b)``.
     """
-    require_flavor(alg, "associative", "check_bimodule")
-    require_over(alg, bim)
-    m, left, right = alg.table, bim.left, bim.right
-    families = (
-        ("left-module", Circ(left, 1, m), Circ(left, 2, left)),
-        ("right-module", Circ(right, 1, right), Circ(right, 2, m)),
-        ("compatibility", Circ(right, 1, left), Circ(left, 2, right)),
-    )
-    items = (table_items(table_sum([(1, lhs), (-1, rhs)]), (tag,)) for tag, lhs, rhs in families)
-    return residual_scan("bimodule", itertools.chain.from_iterable(items), cap)
+    return AXIOMS["bimodule"].check(alg, bim, cap=cap)
 
 
 def check_lie_rep(rep: LieRep, cap: int = WITNESS_CAP) -> Verdict:
-    """Check ``ρ(a)_L1 ρ(b)_L2 v − ρ(b)_L2 ρ(a)_L1 v = ρ([a L1 b])_L1+L2 v``.
-
-    The residual is ``ρ∘₂ρ``, minus itself with slots 1 and 2 swapped, minus ``ρ∘₁[·,·]``.
-    """
-    act = rep.action
-    inner = circ(act, 2, act)
-    residual = table_sum([(1, inner), (-1, Swap(inner, 1, 2)), (-1, Circ(act, 1, rep.lie.table))])
-    return residual_scan("lie-representation", table_items(residual), cap)
+    """Check ``ρ(a)_L1 ρ(b)_L2 v − ρ(b)_L2 ρ(a)_L1 v = ρ([a L1 b])_L1+L2 v``."""
+    return AXIOMS["lie-rep"].check(rep, cap=cap)
 
 
 def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
@@ -1280,9 +1339,7 @@ def hochschild_d(f: Cochain, alg: ConfAlgebra, bim: ConfBimodule) -> Cochain:
 
 def is_cocycle(phi: Cochain, alg: ConfAlgebra, bim: ConfBimodule, cap: int = WITNESS_CAP) -> Verdict:
     """Zero-test of ``𝐝φ`` for an arity-2 cochain."""
-    require_shape(phi.table, (alg.module,) * 2, bim.module, "the cochain")
-    d = hochschild_d(phi, alg, bim)
-    return residual_scan("2-cocycle", table_items(d.table), cap=cap)
+    return AXIOMS["cocycle"].check(phi, alg, bim, cap=cap)
 
 
 # -- constructors -----------------------------------------------------------
@@ -1295,14 +1352,14 @@ def commutator_lie(alg: ConfAlgebra) -> ConfAlgebra:
     on one algebra returns the same table, and skew-symmetry is checked on it.
     """
     require_flavor(alg, "associative", "commutator_lie")
-    require(check_associative(alg, cap=1), NotAssociative)
+    require(check_associative(alg, cap=1), AXIOMS["associative"].error)
     table = table_sum([(1, alg.table), (-1, Swap(alg.table, 1, 2))])
     return _require_skew(ConfAlgebra(alg.module, table, "lie"))
 
 
 def rep_from_bimodule(alg: ConfAlgebra, bim: ConfBimodule) -> LieRep:
     """``ρ(a)_L1 m = a_L1 m − m_{−L1−D} a`` over the commutator bracket."""
-    require(check_bimodule(alg, bim, cap=1), NotBimodule)
+    require(check_bimodule(alg, bim, cap=1), AXIOMS["bimodule"].error)
     action = table_sum([(1, bim.left), (-1, Swap(bim.right, 1, 2))])
     return LieRep(commutator_lie(alg), bim.module, action)
 
@@ -1349,9 +1406,9 @@ def _extension(alg: ConfAlgebra, bim: ConfBimodule, phi, validate: bool) -> Conf
     if phi is not None:
         require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     if validate:
-        require(check_bimodule(alg, bim), NotBimodule)
+        require(check_bimodule(alg, bim), AXIOMS["bimodule"].error)
         if phi is not None:
-            require(is_cocycle(phi, alg, bim), NotCocycle)
+            require(is_cocycle(phi, alg, bim), AXIOMS["cocycle"].error)
     require_over(alg, bim)
     big, ra = direct_sum(alg.module, bim.module), alg.rank
     blocks = [(alg.table, (0, 0), 0), (bim.left, (0, ra), ra), (bim.right, (ra, 0), ra)]
@@ -1401,7 +1458,7 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     """
     require_shape(phi.table, (alg.module,) * 2, bim.module, "the twist")
     require_shape(h.table, (alg.module,), bim.module, "h")
-    require(is_cocycle(phi, alg, bim), NotCocycle)
+    require(is_cocycle(phi, alg, bim), AXIOMS["cocycle"].error)
     dh = hochschild_d(Cochain(h.table), alg, bim)
     ext = twisted_extension(alg, bim, phi, validate=False)
     ext_shifted = twisted_extension(alg, bim, phi + dh, validate=False)
@@ -1412,7 +1469,7 @@ def extension_iso(alg: ConfAlgebra, bim: ConfBimodule, phi, h) -> ExtensionIso:
     # ψ(x ∘ᵠ y) − ψ(x) ∘ᵠ⁺ᵈʰ ψ(y) on all basis pairs
     outer = circ(ext_shifted.table, 1, psi.table)
     residual = table_sum([(1, Circ(psi.table, 1, ext.table)), (-1, Circ(outer, 2, psi.table))])
-    return ExtensionIso(psi, psi_inv, residual_scan("extension-iso", table_items(residual)))
+    return ExtensionIso(psi, psi_inv, scan("extension-iso", [((), residual)]))
 
 
 def matching_pair(

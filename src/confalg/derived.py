@@ -24,16 +24,16 @@ Each product is a ``module × module -> module``
 :class:`~confalg.confcore.MultiTable`, and a :class:`StructureBundle` names
 its tables by key (``succ``, ``prec``, ...); a deformed bracket is a Lie
 :class:`~confalg.confcore.ConfAlgebra`.
-:data:`STRUCTURES` is the one place a structure kind is declared: its tables,
-its verdict's identity and its axioms.  Every constructor validates its
-operator precondition and returns only bundles whose axioms have been
-re-checked on all basis triples.
+Each structure kind is one :class:`~confalg.confcore.Identity` of
+:data:`STRUCTURES`: it reads its tables and scans its axioms interleaved,
+triple by triple.  Every constructor validates its operator precondition
+and returns only bundles whose axioms have been re-checked on all triples.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, NamedTuple, Tuple
+from typing import Callable, Mapping
 
 from .confcore import (
     WITNESS_CAP,
@@ -43,6 +43,7 @@ from .confcore import (
     ConfAlgebra,
     ConfBimodule,
     FreeModule,
+    Identity,
     ModElem,
     MultiTable,
     Swap,
@@ -57,8 +58,7 @@ from .confcore import (
     require,
     require_flavor,
     require_shape,
-    residual_scan,
-    table_items,
+    scan,
     table_sum,
 )
 from .errors import ConfalgError, NotDendriform, PreconditionFailed, ShapeMismatch
@@ -138,21 +138,15 @@ def _leftsym(c: MultiTable) -> tuple:
     return (((), [(1, defect), (-1, Swap(defect, 1, 2))]),)
 
 
-class Structure(NamedTuple):
-    """A structure kind: its tables in the order they sum, its verdict's identity, and
-    its axioms, which map those tables to ``(witness tag, table-sum terms)`` families;
-    a tag is the tuple that prefixes the basis names of its family's witnesses."""
-
-    tags: Tuple[str, ...]
-    identity: str
-    axioms: Callable[..., tuple]
-
-
-#: the one place a structure kind is declared
-STRUCTURES: Mapping[str, Structure] = {
-    "dendriform": Structure(("succ", "prec"), "dendriform", _dendriform),
-    "ns": Structure(("succ", "prec", "vee"), "ns", _ns),
-    "leftsym": Structure(("leftsym",), "left-symmetric", _leftsym),
+#: the one place a structure kind is declared: it reads and needs its tables, in
+#: the order they sum, and its axioms are scanned together, triple by triple
+STRUCTURES: Mapping[str, Identity] = {
+    kind: Identity(name, tags, tags, error, axioms, interleave=True)
+    for kind, name, tags, error, axioms in (
+        ("dendriform", "dendriform", ("succ", "prec"), NotDendriform, _dendriform),
+        ("ns", "ns", ("succ", "prec", "vee"), ConfalgError, _ns),
+        ("leftsym", "left-symmetric", ("leftsym",), ConfalgError, _leftsym),
+    )
 }
 
 
@@ -173,7 +167,7 @@ class StructureBundle(_Frozen):
     def __init__(self, kind: str, tables: Mapping[str, MultiTable]) -> None:
         if kind not in STRUCTURES:
             raise ShapeMismatch("unknown structure kind %r" % (kind,))
-        required = STRUCTURES[kind].tags
+        required = STRUCTURES[kind].needs
         if tuple(sorted(tables)) != tuple(sorted(required)):
             raise ShapeMismatch(
                 "%s bundle needs tables %s, got %s" % (kind, sorted(required), sorted(tables))
@@ -198,22 +192,16 @@ class StructureBundle(_Frozen):
 
         It is the associative-flavored candidate algebra; no axioms are checked.
         """
-        first, *rest = (self.tables[tag] for tag in STRUCTURES[self.kind].tags)
+        first, *rest = (self.tables[tag] for tag in STRUCTURES[self.kind].needs)
         if not rest:
-            raise ShapeMismatch("a %s bundle has no sum product" % STRUCTURES[self.kind].identity)
+            raise ShapeMismatch("a %s bundle has no sum product" % STRUCTURES[self.kind].name)
         return ConfAlgebra(self.module, sum(rest, first), "associative")
 
 
 def check_structure(bundle: StructureBundle, cap: int = WITNESS_CAP) -> Verdict:
-    """Residuals of the axioms of ``bundle.kind`` on all basis triples.
-
-    Each axiom is a table sum of compositions of the bundle's tables; a kind's
-    families are scanned in turn at each triple.
-    """
+    """The verdict of the :data:`STRUCTURES` entry of ``bundle.kind`` on the bundle's tables."""
     structure = STRUCTURES[bundle.kind]
-    families = structure.axioms(*(bundle.table(tag) for tag in structure.tags))
-    columns = [table_items(table_sum(terms), tag) for tag, terms in families]
-    return residual_scan(structure.identity, itertools.chain.from_iterable(zip(*columns)), cap=cap)
+    return structure.check(*(bundle.table(tag) for tag in structure.needs), cap=cap)
 
 
 def _certified(kind: str, origin: str, tables: Mapping[str, MultiTable]) -> StructureBundle:
@@ -351,11 +339,8 @@ def nijenhuis_hierarchy(
     pairs = list(itertools.product(range(kmax + 1), repeat=2))
 
     def family(identity: str, names: str, terms) -> Verdict:
-        # one residual table per pair of exponents, made when the scan reaches it
-        items = itertools.chain.from_iterable(
-            table_items(table_sum(terms(x, y)), (names % (x, y),)) for x, y in pairs
-        )
-        return residual_scan("hierarchy-" + identity, items, cap=cap)
+        families = (((names % (x, y),), terms(x, y)) for x, y in pairs)
+        return scan("hierarchy-" + identity, families, cap)
 
     def both(x: int, y: int) -> MultiTable:  # N^x(a) N^y(b)
         return circ(circ(m, 1, P[x]), 2, P[y])
@@ -394,7 +379,7 @@ def leftsym_from_dendriform(bundle: StructureBundle, cap: int = WITNESS_CAP) -> 
     """The left-symmetric product ``a ∘ b = a ≻ b − b ≺_{−λ−∂} a``."""
     if bundle.kind != "dendriform":
         raise ShapeMismatch("leftsym_from_dendriform needs a dendriform bundle")
-    require(check_structure(bundle, cap=1), NotDendriform)
+    require(check_structure(bundle, cap=1), STRUCTURES["dendriform"].error)
     succ, prec = bundle.table("succ"), bundle.table("prec")
     leftsym = table_sum([(1, succ), (-1, Swap(prec, 1, 2))])
     return _certified("leftsym", "leftsym_from_dendriform", {"leftsym": leftsym})
@@ -454,12 +439,8 @@ def deformation_check(
     homomorphism = [(1, Circ(t_map, 1, deformed)), (-1, Circ(circ(m, 1, t_map), 2, t_map))]
     obstruction = [(1, Circ(n, 1, omega)), (-1, Circ(circ(m, 1, n), 2, n))]
     return Composite("deformation", dict(
-        cocycle=residual_scan("deformation-cocycle", table_items(d_omega), cap=cap),
+        cocycle=scan("deformation-cocycle", [((), d_omega)], cap),
         generator_associative=generator._replace(identity="associative"),
-        homomorphism=residual_scan(
-            "deformation-homomorphism", table_items(table_sum(homomorphism)), cap=cap
-        ),
-        obstruction=residual_scan(
-            "deformation-obstruction", table_items(table_sum(obstruction)), cap=cap
-        ),
+        homomorphism=scan("deformation-homomorphism", [((), table_sum(homomorphism))], cap),
+        obstruction=scan("deformation-obstruction", [((), table_sum(obstruction))], cap),
     ), labels={"generator_associative": "generator-assoc"})

@@ -46,6 +46,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .confcore import (
+    AXIOMS,
     Composite,
     ConfAlgebra,
     ConfBimodule,
@@ -53,14 +54,11 @@ from .confcore import (
     LieRep,
     ModElem,
     Verdict,
-    check_associative,
-    check_bimodule,
-    check_lie,
     commutator_lie,
     rep_from_bimodule,
     sum_memo,
 )
-from .cohomology import Cochain, is_cocycle, random_cochain, hochschild_d
+from .cohomology import Cochain, random_cochain, hochschild_d
 from .derived import (
     StructureBundle,
     deformed_product,
@@ -808,17 +806,27 @@ def _check_operator(env: Environment, stmt: Statement, args: Bound, cap: int) ->
     return verify_operator(stmt.kind, args.name, alg, cap=cap, **inputs), None, None
 
 
-def _check_bimodule(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
-    return check_bimodule(args.name.algebra, args.name, cap=cap), None, None
-
-
-def _check_cocycle(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
-    """The 2-cocycle identity, valued in the ``with`` bimodule, else its own, else the adjoint."""
+def _cocycle_inputs(env: Environment, args: Bound) -> tuple:
+    """The cocycle, its algebra, and the ``with`` bimodule, else its own, else the adjoint."""
     phi, alg_name, into = args.name
     alg, bim = env.algebras[alg_name], args.with_
     if bim is None:
         bim = env.bimodules[into] if into is not None else ConfBimodule.adjoint(alg)
-    return is_cocycle(phi, alg, bim, cap=cap), None, None
+    return phi, alg, bim
+
+
+#: the AXIOMS a check states, with its name's namespace and the inputs it binds; the
+#: language declares no representation, and skew-symmetry is a family of ``lie``
+_AXIOM_INPUTS: Mapping[str, Tuple[str, Callable[[Environment, Bound], tuple]]] = {
+    "associative": ("algebra", lambda env, args: (args.name,)),
+    "lie": ("algebra", lambda env, args: (args.name,)),
+    "bimodule": ("bimodule", lambda env, args: (args.name.algebra, args.name)),
+    "cocycle": ("cocycle", _cocycle_inputs),
+}
+
+
+def _check_axiom(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
+    return AXIOMS[stmt.kind].check(*_AXIOM_INPUTS[stmt.kind][1](env, args), cap=cap), None, None
 
 
 def _dendriform(env: Environment, stmt: Statement, args: Bound, cap: int) -> Outcome:
@@ -875,11 +883,6 @@ class StatementKind(NamedTuple):
     tied: Tuple[Tuple[str, str], ...] = ()
 
 
-def _on_algebra(check):
-    """The run function of a check on the algebra the statement names."""
-    return lambda env, stmt, args, cap: (check(args.name, cap=cap), None, None)
-
-
 def _clauses(inputs: Tuple[str, ...]) -> Tuple[str, ...]:
     """The clauses that supply registry inputs: the ``with`` clause supplies ``rep`` too."""
     return tuple({"rep": "with"}.get(name, name) for name in inputs)
@@ -887,7 +890,8 @@ def _clauses(inputs: Tuple[str, ...]) -> Tuple[str, ...]:
 
 #: Every check and construct kind, keyed by ``(verb, kind)``.  An operator check
 #: reads and needs ``on`` and the clauses that supply the inputs its registry
-#: entry reads and needs.  ``construct ns`` reads and needs ``with`` only with a ``twist``.
+#: entry reads and needs; an axiom check reads and needs the clauses its
+#: entry does.  ``construct ns`` reads and needs ``with`` only with a ``twist``.
 STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
     **{
         ("check", kind): StatementKind(
@@ -895,10 +899,10 @@ STATEMENTS: Mapping[Tuple[str, str], StatementKind] = {
         )
         for kind, spec in OPERATORS.items()
     },
-    ("check", "associative"): StatementKind("algebra", (), (), _on_algebra(check_associative)),
-    ("check", "lie"): StatementKind("algebra", (), (), _on_algebra(check_lie)),
-    ("check", "bimodule"): StatementKind("bimodule", (), (), _check_bimodule),
-    ("check", "cocycle"): StatementKind("cocycle", ("with",), (), _check_cocycle),
+    **{
+        ("check", kind): StatementKind(namespace, AXIOMS[kind].reads, AXIOMS[kind].needs, _check_axiom)
+        for kind, (namespace, _) in _AXIOM_INPUTS.items()
+    },
     ("construct", "dendriform"): StatementKind("map", ("on", "with"), ("on", "with"), _dendriform),
     ("construct", "ns"): StatementKind(
         "map", ("on", "with", "twist"), ("on",), _ns, (("with", "twist"),)

@@ -7,20 +7,12 @@ the j-th source basis element, with coefficients in ``D`` only (∂ on the
 output).  It is defined in :mod:`confalg.confcore`, beside the cochains, and
 imported here, so ``confalg.operators.ModuleMap`` names the same class.
 
-Every operator identity is one entry of :data:`REGISTRY`, keyed by its kind.
-An entry declares the modules its map goes between (``maps``), the optional
-inputs the identity reads (``with``, the bimodule; ``twist``; ``weight``;
-``rep``) and ``needs``, the algebra flavor it needs, the residual as a table
-sum of compositions with the map's table (for example O is ``m∘(T⊗T) −
-T∘(l∘₁T + r∘₂T)``), and the exception that :func:`require_operator` raises.
-:func:`verify_operator` is the one place that applies an entry: it refuses
-an input the kind does not read or needs but lacks, fills in the defaults
-(weight 0; the adjoint bimodule for a derivation), checks the flavor, the
-algebra of the bimodule or representation and the modules of the map and
-the twist (through :func:`~confalg.confcore.require_shape`, so a misshapen
-map of kind ``K`` raises ``K: the map must map …`` and a misshapen twist
-``the twist must map …``), and scans the residual table over all basis
-pairs.  The definition language takes its clauses from the same entries.
+Every operator identity is one :class:`~confalg.confcore.Identity` of
+:data:`REGISTRY`, keyed by its kind.  Its one residual family is a table sum
+of compositions with the map's table (for example O is ``m∘(T⊗T) −
+T∘(l∘₁T + r∘₂T)``); :func:`verify_operator` checks an entry's inputs and
+scans it, and the definition language takes its clauses from the same
+entries.
 
 ========================  ====================================================
 kind                      identity (all products at weight L1)
@@ -53,14 +45,16 @@ derivation.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Type
+from typing import Mapping, Optional, Tuple
 
 from .confcore import (
+    AXIOMS,
     WITNESS_CAP,
     ConfAlgebra,
     ConfBimodule,
     LieRep,
     Circ,
+    Identity,
     ModuleMap,
     MultiTable,
     Swap,
@@ -73,15 +67,12 @@ from .confcore import (
     require_flavor,
     require_over,
     require_shape,
-    residual_scan,
+    scan,
     semidirect,
-    table_items,
     table_sum,
     twisted_extension,
 )
 from .errors import (
-    ConfalgError,
-    NotCocycle,
     NotDerivation,
     NotNijenhuis,
     NotNilpotentWithinBound,
@@ -89,43 +80,10 @@ from .errors import (
     NotTwistedRB,
     PreconditionFailed,
 )
-from .polyring import Poly, PolyLike, as_poly, var_sort_key
+from .polyring import PolyLike, as_poly, var_sort_key
 
 
 # -- operator identities -----------------------------------------------------
-
-
-class _Inputs(NamedTuple):
-    """What an identity may read besides the map itself."""
-
-    alg: ConfAlgebra
-    bim: Optional[ConfBimodule]
-    weight: Poly
-    twist: object
-    rep: Optional[LieRep]
-
-
-class OperatorKind(NamedTuple):
-    """One entry of :data:`REGISTRY`.
-
-    ``maps`` names the map's source and target, each ``algebra``, ``with``
-    (the bimodule's module) or ``rep`` (the representation's module).
-    ``reads`` names the inputs of :func:`verify_operator` the identity uses
-    (``with``, the bimodule ``bim``; ``twist``; ``weight``; ``rep``) and
-    ``needs`` those that must be given; of the others ``weight`` defaults
-    to 0 and ``with`` to the adjoint bimodule.  ``residual(T, inputs)`` is
-    the table of the identity's residual on the basis pairs of the map's
-    source, a :func:`~confalg.confcore.table_sum` of compositions;
-    ``error`` is the exception :func:`require_operator` raises and
-    ``flavor`` the algebra flavor the kind needs, if any.
-    """
-
-    maps: Tuple[str, str]
-    reads: Tuple[str, ...]
-    needs: Tuple[str, ...]
-    residual: Callable[[ModuleMap, _Inputs], MultiTable]
-    error: Type[ConfalgError]
-    flavor: Optional[str] = None
 
 
 def require_module_map(
@@ -177,66 +135,66 @@ def induced_actions(
     return table_sum(left), table_sum(right)
 
 
-def _quadratic(mul: MultiTable, t: MultiTable, *inner: tuple) -> MultiTable:
-    """``mul∘(T⊗T) − T∘(Σ inner)`` for the map's table ``t``; ``inner`` holds table-sum terms."""
-    return table_sum([(1, Circ(circ(mul, 1, t), 2, t)), (-1, Circ(t, 1, table_sum(inner)))])
+def _quadratic(mul: MultiTable, t: MultiTable, *inner: tuple) -> list:
+    """The one family ``mul∘(T⊗T) − T∘(Σ inner)`` of the map's table ``t``; ``inner`` is terms."""
+    return [((), table_sum([(1, Circ(circ(mul, 1, t), 2, t)), (-1, Circ(t, 1, table_sum(inner)))]))]
 
 
-def _o_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+def _o_residual(T, alg, bim, weight, twist, rep) -> list:
     # O and TwistedRB: m∘(T⊗T) − T∘⋆, the twist (None for O) inside ⋆
-    t, bim = T.table, ins.bim
-    twist = ins.twist.table if ins.twist is not None else None
-    return _quadratic(ins.alg.table, t, *star_terms(t, bim.left, bim.right, twist))
+    t = T.table
+    twist = twist.table if twist is not None else None
+    return _quadratic(alg.table, t, *star_terms(t, bim.left, bim.right, twist))
 
 
-def _rota_baxter_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+def _rota_baxter_residual(T, alg, bim, weight, twist, rep) -> list:
     # at weight 0 the sum is the O residual's on the adjoint bimodule, which a run computes once
-    m, t = ins.alg.table, T.table
-    weighted = [(ins.weight, m)] if ins.weight else []
+    m, t = alg.table, T.table
+    weighted = [(weight, m)] if weight else []
     return _quadratic(m, t, *star_terms(t, m, m), *weighted)
 
 
-def _nijenhuis_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    m, t = ins.alg.table, T.table
+def _nijenhuis_residual(T, alg, bim, weight, twist, rep) -> list:
+    m, t = alg.table, T.table
     return _quadratic(m, t, *star_terms(t, m, m), (-1, Circ(t, 1, m)))
 
 
-def _reynolds_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    m, t = ins.alg.table, T.table
+def _reynolds_residual(T, alg, bim, weight, twist, rep) -> list:
+    m, t = alg.table, T.table
     cross = circ(circ(m, 1, t), 2, t)
     inner = table_sum([*star_terms(t, m, m), (-1, cross)])
-    return table_sum([(1, cross), (-1, Circ(t, 1, inner))])
+    return [((), table_sum([(1, cross), (-1, Circ(t, 1, inner))]))]
 
 
-def _derivation_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
-    t, bim = T.table, ins.bim
-    terms = (1, Circ(t, 1, ins.alg.table)), (-1, Circ(bim.right, 1, t)), (-1, Circ(bim.left, 2, t))
-    return table_sum(terms)
+def _derivation_residual(T, alg, bim, weight, twist, rep) -> list:
+    t = T.table
+    terms = (1, Circ(t, 1, alg.table)), (-1, Circ(bim.right, 1, t)), (-1, Circ(bim.left, 2, t))
+    return [((), table_sum(terms))]
 
 
-def _olie_residual(T: ModuleMap, ins: _Inputs) -> MultiTable:
+def _olie_residual(T, alg, bim, weight, twist, rep) -> list:
     # ρ(T(u))_L1 v − ρ(T(v))_{−L1−D} u is ρ∘₁T minus itself with its slots swapped
-    acted = circ(ins.rep.action, 1, T.table)
-    return _quadratic(ins.alg.table, T.table, (1, acted), (-1, Swap(acted, 1, 2)))
+    acted = circ(rep.action, 1, T.table)
+    return _quadratic(alg.table, T.table, (1, acted), (-1, Swap(acted, 1, 2)))
 
 
 #: the ends of a map: the algebra into itself, the bimodule's module into it, and back
 _ENDO, _M_TO_A, _A_TO_M = ("algebra", "algebra"), ("with", "algebra"), ("algebra", "with")
 
-#: Every operator identity, keyed by kind.
-REGISTRY: Mapping[str, OperatorKind] = {
-    "O": OperatorKind(_M_TO_A, ("with",), ("with",), _o_residual, NotOOperator),
-    "RotaBaxter": OperatorKind(_ENDO, ("weight",), (), _rota_baxter_residual, PreconditionFailed),
-    "TwistedRB": OperatorKind(
-        _M_TO_A, ("with", "twist"), ("with", "twist"), _o_residual, NotTwistedRB
-    ),
-    "Nijenhuis": OperatorKind(_ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "associative"),
-    "NijenhuisLie": OperatorKind(_ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "lie"),
-    "Reynolds": OperatorKind(_ENDO, (), (), _reynolds_residual, PreconditionFailed),
-    "Derivation": OperatorKind(_A_TO_M, ("with",), (), _derivation_residual, NotDerivation),
-    "OLie": OperatorKind(
-        ("rep", "algebra"), ("rep",), ("rep",), _olie_residual, PreconditionFailed, "lie"
-    ),
+#: Every operator identity, keyed by its kind (its verdict's identity); its families
+#: take the map and the inputs of verify_operator, checked and completed.
+REGISTRY: Mapping[str, Identity] = {
+    kind: Identity(kind, reads, needs, error, residual, flavor=flavor, maps=maps)
+    for kind, maps, reads, needs, residual, error, flavor in (
+        ("O", _M_TO_A, ("with",), ("with",), _o_residual, NotOOperator, None),
+        ("RotaBaxter", _ENDO, ("weight",), (), _rota_baxter_residual, PreconditionFailed, None),
+        ("TwistedRB", _M_TO_A, ("with", "twist"), ("with", "twist"), _o_residual, NotTwistedRB, None),
+        ("Nijenhuis", _ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "associative"),
+        ("NijenhuisLie", _ENDO, (), (), _nijenhuis_residual, NotNijenhuis, "lie"),
+        ("Reynolds", _ENDO, (), (), _reynolds_residual, PreconditionFailed, None),
+        ("Derivation", _A_TO_M, ("with",), (), _derivation_residual, NotDerivation, None),
+        ("OLie", ("rep", "algebra"), ("rep",), ("rep",), _olie_residual, PreconditionFailed, "lie"),
+    )
 }
 
 KINDS = tuple(REGISTRY)
@@ -255,15 +213,16 @@ def verify_operator(
 ) -> Verdict:
     """Check one operator identity on every basis pair of the map's source.
 
-    ``bim`` is the bimodule (``with``), ``weight`` the Rota-Baxter weight q
-    (a scalar or auxiliary parameter, 0 when not given), ``twist`` the
-    2-cocycle of the twisted identity, and ``rep`` the Lie representation of
-    the ``OLie`` identity.  An input the kind does not read or needs but
-    lacks, and a weight in ``D`` or a λ variable, raise
+    ``bim`` is the bimodule (``with``, the adjoint one when not given),
+    ``weight`` the Rota-Baxter weight q (a scalar or parameter, 0 when not
+    given), ``twist`` the 2-cocycle of the twisted identity, and ``rep`` the
+    Lie representation of the ``OLie`` identity.  An input the kind does not
+    read or needs but lacks, and a weight in ``D`` or a λ variable, raise
     :class:`PreconditionFailed`; then the flavor, the algebra of ``bim`` and
-    ``rep``, the map's and twist's shapes and the twist's cocycle identity
-    are checked.  The residual table is computed whole and scanned in basis
-    order; the verdict's identity name is the ``kind`` string.
+    ``rep``, the map's and twist's shapes (a misshapen map of kind ``K``
+    raises ``K: the map must map …``, a twist ``the twist must map …``) and
+    the twist's cocycle identity are checked.  The residual table is computed
+    whole and scanned in basis order; the verdict's identity name is ``kind``.
     """
     spec = REGISTRY.get(kind)
     if spec is None:
@@ -290,9 +249,8 @@ def verify_operator(
     require_shape(T.table, (source,), target, f"{kind}: the map")
     if twist is not None:
         require_shape(twist.table, (alg.module,) * 2, bim.module, "the twist")
-        require(is_cocycle(twist, alg, bim), NotCocycle)
-    ins = _Inputs(alg, bim, weight, twist, rep)
-    return residual_scan(kind, table_items(spec.residual(T, ins)), cap)
+        require(is_cocycle(twist, alg, bim), AXIOMS["cocycle"].error)
+    return spec.check(T, alg, bim, weight, twist, rep, cap=cap)
 
 
 def require_operator(
@@ -382,7 +340,7 @@ def graph_check(
     point = block(ident(M).table, (M,), big, (0,), ra) + block(t, (M,), big, (0,), 0)
     project = block(ident(A).table, (big,), A, (0,), 0) - block(t, (big,), A, (ra,), 0)
     graph = circ(circ(ext.table, 1, point), 2, point)
-    return residual_scan("graph-closure", table_items(circ(project, 1, graph)), cap)
+    return scan("graph-closure", [((), circ(project, 1, graph))], cap)
 
 
 def reynolds_from_derivation(
@@ -446,7 +404,7 @@ def derivation_composites(
     m_a, a_m = induced_actions(T, alg, bim)
     inner = table_sum([(1, Circ(m_a, 1, o)), (1, Circ(a_m, 2, o))])
     compat_table = table_sum([(1, Circ(circ(star, 1, o), 2, o)), (-1, Circ(o, 1, inner))])
-    compat = residual_scan("derivation-star-compatibility", table_items(compat_table), cap=1)
+    compat = scan("derivation-star-compatibility", [((), compat_table)], cap=1)
     if not compat.holds:
         raise PreconditionFailed(
             "derivation_composites: Ω(a)⋆Ω(b) = Ω(Ω(a)·b + a·Ω(b)) fails; "

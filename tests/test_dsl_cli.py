@@ -21,10 +21,13 @@ from confalg import cli, confcore
 from confalg.cli import build_parser, main
 from confalg.cohomology import Cochain, random_cochain
 from confalg.confcore import Composite, ConfAlgebra, FreeModule, MultiTable
+from confalg.confcore import AXIOMS
 from confalg.dsl import (
     KEYWORDS,
+    STATEMENTS,
     Report,
     SourceFile,
+    _expected_kinds,
     _verdict_record,
     d_squared_suite,
     emit_dsl,
@@ -43,6 +46,7 @@ from confalg.errors import (
     UnresolvedName,
 )
 from confalg import polyring
+from confalg.operators import REGISTRY
 from confalg.polyring import MAX_TERMS, Poly, parse_poly
 
 import _oracle
@@ -666,6 +670,19 @@ def test_statement_parse_errors_name_the_kinds_and_clauses():
     assert str(caught.value) == (
         f"'as' on line {CLAUSE_LINE} needs a construct that yields an algebra "
         f"(mass or deformed), not 'dendriform'"
+    )
+
+
+def test_check_kinds_are_read_from_the_identity_tables():
+    # the language declares no representation, and skew-symmetry is a family of lie
+    checks = {kind for verb, kind in STATEMENTS if verb == "check"}
+    assert checks == set(REGISTRY) | set(AXIOMS) - {"skew", "lie-rep"}
+    for kind in checks & set(AXIOMS):
+        entry = STATEMENTS["check", kind]
+        assert (entry.reads, entry.needs) == (AXIOMS[kind].reads, AXIOMS[kind].needs)
+    assert _expected_kinds("check") == (
+        "an operator kind ('Derivation', 'Nijenhuis', 'NijenhuisLie', 'O', 'OLie', 'Reynolds', "
+        "'RotaBaxter', 'TwistedRB') or one of ('associative', 'lie', 'bimodule', 'cocycle')"
     )
 
 

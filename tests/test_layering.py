@@ -108,3 +108,33 @@ def test_every_imported_name_is_used_or_exported(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     for node, name in _imported(tree):
         assert name in used, f"{module}.py:{node.lineno} imports {name}, which it never uses"
+
+
+def _calls(tree: ast.Module, name: str):
+    """``(enclosing function, line)`` for each call of ``name`` in ``tree``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append((owner, child.lineno))
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            visit(child, child.name if isinstance(child, functions) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_residual_is_scanned_by_one_function():
+    # confcore.scan forms the residual families of every identity and is the
+    # one caller of residual_scan, so a new checker cannot grow its own scan
+    calls = [
+        (module, owner)
+        for module in MODULES
+        for owner, _ in _calls(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")),
+                               "residual_scan")
+    ]
+    assert calls == [("confcore", "scan")]
