@@ -661,8 +661,10 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     value, scale)``, the scale being the term's coefficient where that is a
     constant and 1 otherwise, and is formed once, by
     :func:`~confalg.polyring.sum_of_products`: a constant factor or coefficient
-    scales numerators, the pairs of non-constant polynomials are products, and
-    the cell is made canonical once.
+    scales numerators, the pairs of non-constant polynomials multiply into the
+    cell's one map of numerators (a pair with an operand of 8 or more terms
+    through packed rows or one ``Poly`` product), and the cell is made
+    canonical once.
 
     A rebinding depends only on the slot layout, ``(i, f.arity, g.arity)``
     for a composition and ``(p, q, f.arity)`` for a swap, so each layout's

@@ -67,31 +67,38 @@ products are formed term by term.  The shape rule makes the slots of the
 result exactly the monomials that its pairs of terms form: a row with gaps,
 or one starting above ``lo``, would cost slots for monomials that no pair
 forms, as many as its ``D`` exponents span.  Both paths drop zero
-numerators.  The term-by-term path checks the exponents of its result; the
-packed path checks them from its operands before it multiplies, since the
-terms of a product of highest degree in one variable never cancel.
+numerators, and both check the exponents from the operands before they
+multiply, since the terms of a product of highest degree in one variable
+never cancel.
 
 Sums of products.  A sum ``Σ c·v·k``, such as a cell of a table sum, is formed
-at once by :func:`sum_of_products`.  A constant factor, and the constant scale
-``k``, multiply the other factor's numerators and make no ``Poly``; triples of
-two constant factors add integers.  Two or more products of non-constant
-factors share packed rows when each passes the packed path's operand size and
-shape rules, the lowest ``D`` exponents of each product's operands add up to
-the same ``lo`` for all of them, and, together, their pairs of rows are at
-most a quarter of their pairs of terms (:data:`_SHARED_SHARE`).  With one
-``lo``, every row of the accumulator is a run from ``D^lo``, and its slots are
-exactly the monomials that the pairs of terms form; products from different
-exponents would span the slots between them in every row.  The associator cell
-of ``u·u = (D+L+c)^n u``, ``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D,
-L1)``, is such a sum.  One slot width serves all of them, from the sum of each
-product's bound times its scale over the common denominator; every product of
-two rows is added into one accumulator keyed by the row's monomial free of
-``D``; and each accumulated row is decoded once.  Each product is still
-checked as it would be alone, and in order: first its term count, then its
-exponents, so an overflow raises even where another product cancels it.  These
-products are never formed as ``Poly`` values and do not pass through ``*``.
-Every other product of non-constant factors is one ``c * v``.  The sum is taken
-over the least common multiple of the denominators and made canonical once.
+at once by :func:`sum_of_products`, in one map of integer numerators over the
+least common multiple of the denominators, made canonical once.  A constant
+factor, and the constant scale ``k``, multiply the other factor's numerators
+and make no ``Poly``; triples of two constant factors add integers, and their
+total is scaled into the map.  A product of non-constant factors whose smaller
+operand has fewer than :data:`_PACK_MIN_TERMS` terms goes through the loop of
+the term-by-term path, straight into the map (Monagan and Pearce 2007,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", add every product of two terms into one accumulator): it makes no
+``Poly`` and does not pass through ``*``, but is checked as ``*`` checks it.
+Two or more products of non-constant factors share packed rows when each
+passes the packed path's operand size and shape rules, the lowest ``D``
+exponents of each product's operands add up to the same ``lo`` for all of
+them, and, together, their pairs of rows are at most a quarter of their
+pairs of terms (:data:`_SHARED_SHARE`).  With one ``lo``, every row of the accumulator is a
+run from ``D^lo``, and its slots are exactly the monomials that the pairs of
+terms form; products from different exponents would span the slots between
+them in every row.  The associator cell of ``u·u = (D+L+c)^n u``,
+``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D, L1)``, is such a sum.  One slot
+width serves all of them, from the sum of each product's bound times its scale
+over the common denominator; every product of two rows is added into one
+accumulator keyed by the row's monomial free of ``D``; and each accumulated
+row is decoded once.  These products are not formed as ``Poly`` values either.
+Every other product of non-constant factors is one ``c * v``.  Each product is
+still checked as it would be alone, and in the order of the triples: first its
+term count, then its exponents, so an overflow raises even where another
+product cancels it.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
@@ -111,12 +118,14 @@ however many the table holds.  The table sums trim each table back to
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
 plus its result so far.  A product counts every monomial that a pair of its
-terms forms, cancelled or not.  The term-by-term path counts as it goes.
-The packed path counts before it multiplies, when a bound passes the cap
-(the sum over its pairs of rows of the monomials each pair forms): it adds
-up the longest run of each row of the result, which are exactly those
-monomials.  So both paths stop at the same count, and a sum of products with
-shared rows stops at the product that would have stopped alone.  Past the cap :class:`~confalg.errors.TermOverflow`
+terms forms, cancelled or not, and counts them before it multiplies, only
+where a bound passes the cap.  The term-by-term path's bound is its pairs
+of terms, and it counts the distinct sums of their monomials.  The packed
+path's bound is the sum over its pairs of rows of the monomials each pair
+forms, and it adds up the longest run of each row of the result, which are
+exactly those monomials.  So both paths stop at the same count, and a sum of
+products, accumulated or with shared rows, stops at the product that would
+have stopped alone.  Past the cap :class:`~confalg.errors.TermOverflow`
 (a ``ConfalgError``) is raised, so a computation whose size would exhaust
 memory stops early instead.  A power is refused before its first product when
 a bound on its terms passes the cap: the smaller of the simplex and the degree
@@ -650,17 +659,36 @@ def _mul_nums(a: dict, b: dict) -> dict:
         if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
             return _packed_sum([(a, b, runs_a, runs_b, 1)])
     out: dict = {}
-    get = out.get
-    a_items = a.items()
-    for m2, c2 in b.items():
-        for m1, c1 in a_items:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-        if len(out) > MAX_TERMS:
-            raise _term_overflow()
+    _mul_into(out, a, b, 1)
     if 0 in out.values():
         out = {m: c for m, c in out.items() if c}
-    return _checked(out)
+    return out
+
+
+def _mul_into(acc: dict, a: dict, b: dict, k: int) -> None:
+    """Add ``k·a·b`` into ``acc`` term by term, checked as the product alone is; ``b`` is the smaller.
+
+    First the term count, where the pairs of terms pass the cap: the
+    monomials they form, cancelled or not, counted by rows of ``b`` (a
+    one-term ``b`` only shifts ``a`` and is not counted).  Then the
+    exponents, from the operands, since the terms of a product of highest
+    degree in one variable never cancel.  Zero numerators stay in ``acc``.
+    """
+    if len(b) > 1 and len(a) * len(b) > MAX_TERMS:
+        formed: set = set()
+        for m2 in b:
+            formed.update([m1 + m2 for m1 in a])
+            if len(formed) > MAX_TERMS:
+                raise _term_overflow()
+    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & _FIELDS.guard:
+        _check_product(a, b)
+    get = acc.get
+    a_items = a.items()
+    for m2, c2 in b.items():
+        c2 *= k
+        for m1, c1 in a_items:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
 
 
 class Poly:
@@ -1018,7 +1046,7 @@ class Substitution:
             self._plan = plan[:3] + (tables,)
 
 
-#: Held while a table of powers is read or grown (see :func:`_grow`).
+#: Held while a table of powers is grown or trimmed (see :func:`_grow`).
 _GROWING = threading.Lock()
 #: The most terms of powers that :meth:`Substitution._trim` leaves a table.  The
 #: powers of the ``degree`` benchmark's largest image, ``(D + L1 + L2)^1 .. ^11``,
@@ -1030,10 +1058,17 @@ def _grow(table: tuple, top: int, kept: int) -> int:
     """``kept`` plus the terms of the powers 1 .. ``top`` of a table, built as needed.
 
     Past :data:`MAX_TERMS` it raises at the same power as building them anew
-    would.  A table may serve several threads, so it is read and grown under
-    one lock, and it only ever grows: :meth:`Substitution._trim` replaces it.
+    would.  A table may serve several threads, so it is grown under one lock,
+    and it only ever grows: :meth:`Substitution._trim` replaces it with a
+    shorter copy and never shortens a list.  Powers already built are read
+    without the lock: ``sizes`` is appended last, after the power and its OR,
+    so a table whose ``sizes`` reaches ``top`` holds every power up to it.
     """
     _, image, _, powers, ors, sizes = table
+    if top < len(sizes):
+        if kept + sizes[top] > MAX_TERMS:
+            raise _term_overflow()
+        return kept + sizes[top]
     with _GROWING:
         if kept + sizes[min(top, len(sizes) - 1)] > MAX_TERMS:
             raise _term_overflow()
@@ -1078,7 +1113,7 @@ def _canonical(nums: dict, den: int) -> Poly:
 
 
 def sum_of_products(triples: Sequence[tuple]) -> Poly:
-    """``Σ c·v·k`` over triples ``(c, v, k)``, formed at once over a common denominator.
+    """``Σ c·v·k`` over triples ``(c, v, k)``, formed in one accumulator over a common denominator.
 
     ``c`` and ``v`` are polynomials and ``k`` a nonzero ``int`` or ``Fraction``,
     a scale.  A constant factor and the scale multiply the numerators of the
@@ -1086,11 +1121,14 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
     factors add integers.  The triples of two non-constant factors are
     products.  When there are two or more of them and they share rows (see
     "Sums of products" above), their products are added into one packed
-    accumulator and decoded once; otherwise each is one ``c * v``, which keeps
-    that product's guard-bit check and term cap.  The pieces are added over
-    the least common multiple of their denominators and made canonical once.
-    A lone triple of scale 1 returns its product as it is: ``(1, v, 1)``
-    returns ``v`` itself.
+    accumulator and decoded once.  Otherwise a product whose smaller operand
+    has fewer than :data:`_PACK_MIN_TERMS` terms multiplies term by term
+    straight into the cell's accumulator, checked first for its term count
+    and then for its exponents, as ``*`` checks it; every other product is one
+    ``c * v``.  Every piece is added into one map of numerators over the least
+    common multiple of the denominators, made canonical once.  A lone triple
+    of scale 1 returns its product as it is: ``(1, v, 1)`` returns ``v``
+    itself.
     """
     if len(triples) == 1 and triples[0][2] == 1:
         ((c, v, _),) = triples
@@ -1119,6 +1157,8 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
             parts.append((a, b[0] * k, c._den * v._den * kd))
         elif a and b:
             products.append((c, v, k, kd))
+    if not parts and not products:
+        return _canonical({0: total}, total_den) if total else _ZERO_POLY
     shared = _shared_rows(products) if len(products) > 1 else None
     if shared:
         rows, den = shared
@@ -1126,26 +1166,29 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
         if not parts and not total:
             return _canonical(nums, den) if nums else _ZERO_POLY
         parts.append((nums, 1, den))
-    else:
-        for c, v, k, kd in products:
+        products = []
+    den = lcm(total_den, *[d for _, _, d in parts], *[c._den * v._den * kd for c, v, _, kd in products])
+    acc: dict = {}
+    if parts:  # the last piece gathered seeds the map as one copy
+        nums, k, d = parts.pop()
+        k *= den // d
+        acc = dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
+    for c, v, k, kd in products:
+        a, b = c._nums, v._nums
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) < _PACK_MIN_TERMS:
+            _mul_into(acc, a, b, k * (den // (c._den * v._den * kd)))
+        else:
             p = c * v
             parts.append((p._nums, k, p._den * kd))
-    if not parts:
-        return _canonical({0: total}, total_den) if total else _ZERO_POLY
-    if total:
-        parts.append(({0: total}, 1, total_den))
-    den = lcm(*[d for _, _, d in parts])
-    # the largest piece is copied, and the others are added into the copy
-    parts.sort(key=lambda part: len(part[0]))
-    nums, k, d = parts.pop()
-    k *= den // d
-    acc = dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
     get = acc.get
     for nums, k, d in parts:
-        if d != den:
-            k *= den // d
+        k *= den // d
         for m, x in nums.items():
             acc[m] = get(m, 0) + x * k
+    if total:
+        acc[0] = get(0, 0) + total * (den // total_den)
     if 0 in acc.values():
         acc = {m: x for m, x in acc.items() if x}
     return _canonical(acc, den) if acc else _ZERO_POLY

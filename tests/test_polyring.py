@@ -390,6 +390,23 @@ def test_a_trimmed_table_keeps_a_bounded_number_of_powers(monkeypatch) -> None:
     assert (D**5 + D * L1).substitute_many(shared) == x**5 + x * L1
 
 
+def test_powers_already_built_are_read_without_the_lock(monkeypatch) -> None:
+    class Refused:
+        def __enter__(self):
+            raise AssertionError("the lock was taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    x = D + L1 + L2
+    shared = Substitution([("D", x)])
+    assert (D**3).substitute_many(shared) == x**3
+    monkeypatch.setattr(polyring, "_GROWING", Refused())
+    assert (D**3 + D * L1).substitute_many(shared) == x**3 + x * L1
+    with pytest.raises(AssertionError, match="the lock was taken"):
+        (D**4).substitute_many(shared)  # a power not yet built is grown under the lock
+
+
 # -- sums of products: the cells of a table sum ------------------------------------------
 
 # constant factors: integers and p/q over different denominators
@@ -397,6 +414,10 @@ cell_constants = st.one_of(
     st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
 ).map(Poly.const)
 cell_factors = st.one_of(cell_constants, wide_polys(max_exp=3, max_terms=3))
+#: factors of 2 to 7 terms with p/q coefficients, below the packed path's size rule
+small_factors = st.dictionaries(
+    wide_monomials(3), wide_scalars.filter(bool), min_size=2, max_size=7
+).map(Poly)
 cell_scales = st.one_of(
     st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-7, 3)]),
     st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
@@ -424,7 +445,8 @@ def cell_pairs(draw) -> tuple:
     """Triples ``(c, v, k)``, and whether they share packed rows.
 
     Some lists end with the negated triples, so that they sum to zero.  Small
-    cells draw sparse and constant factors.  Dense cells hold two or three
+    cells hold two to four products of factors of 2 to 7 terms, and perhaps
+    pairs of sparse and constant factors.  Dense cells hold two or three
     products of :func:`dense_factors`, the first two dense in ``D`` and a later
     one perhaps of ``(e − L2)^n``, and perhaps constant pairs.  The lowest
     ``D`` exponents of each product's factors add up to one ``lo``, split
@@ -433,7 +455,8 @@ def cell_pairs(draw) -> tuple:
     """
     dense = draw(st.booleans())
     if not dense:
-        pairs = draw(st.lists(st.tuples(cell_factors, cell_factors), min_size=1, max_size=6))
+        pairs = draw(st.lists(st.tuples(small_factors, small_factors), min_size=2, max_size=4))
+        pairs += draw(st.lists(st.tuples(cell_factors, cell_factors), max_size=4))
     else:
         lo = draw(st.integers(0, 3))
         shares = draw(st.booleans())
@@ -487,6 +510,14 @@ def _shared_cells(monkeypatch) -> list:
 
     monkeypatch.setattr(polyring, "_packed_sum", counted)
     return calls
+
+
+def _counted_products(monkeypatch) -> list:
+    """The operand pairs that reach ``Poly.__mul__``, recorded as it runs."""
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    return products
 
 
 def _degree_cell(n: int, c) -> list:
@@ -550,9 +581,7 @@ def test_a_degree_cell_shares_its_rows(monkeypatch) -> None:
     decoded = []
     decode = polyring._decode
     monkeypatch.setattr(polyring, "_decode", lambda *args: decoded.append(args[3]) or decode(*args))
-    products = []
-    mul = Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(None) or mul(a, b))
+    products = _counted_products(monkeypatch)
     got = sum_of_products(cell)
     monkeypatch.undo()
     (pairs,) = shared
@@ -616,7 +645,7 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
         assert ours[1][0] == first
 
 
-def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
+def test_sum_of_products_multiplies_only_large_factors(monkeypatch) -> None:
     half, p, q = Poly.const(Fraction(1, 2)), D + L1, D * L1 - Fraction(2, 3)
     assert sum_of_products([(Poly.one(), p, 1)]) is p  # a lone unit factor shares the value
     assert sum_of_products([(q, Poly.one(), 1)]) is q
@@ -624,23 +653,62 @@ def test_sum_of_products_folds_constant_factors(monkeypatch) -> None:
     third, two, three = Poly.const(Fraction(1, 3)), Poly.const(2), Poly.const(3)
     assert sum_of_products([(two, half, 1), (third, three, 1)]) == 2
     assert sum_of_products([(three, two, 1), (Poly.const(-6), Poly.one(), 1)]).is_zero()
-    # only a pair of non-constant factors is a product; constant ones scale numerators
-    products = []
-    mul = Poly.__mul__
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    total = sum_of_products(
-        [(Poly.const(-1), p, 1), (p, q, 1), (half, q, 1), (three, Poly.const(5), 1)]
-    )
-    assert products == [(p, q)]
+    # constant factors scale numerators, and a cell's products of small factors
+    # multiply into its accumulator: no Poly product at all
+    big, wide = (D + L1 + 1) ** 3, (L2 - Fraction(1, 3)) ** 7  # 10 and 8 terms
+    cells = [
+        [(Poly.const(-1), p, 1), (p, q, 1), (half, q, 1), (three, Poly.const(5), 1)],
+        [(p, q, 1)],  # a lone triple is its product
+        [(big, wide, Fraction(2, 5)), (p, q, 1)],  # 8 terms or more: one c * v, cell not shared
+    ]
+    products = _counted_products(monkeypatch)
+    totals = []
+    for cell in cells:
+        del products[:]
+        totals.append((sum_of_products(cell), list(products)))
     monkeypatch.undo()
-    assert total == -p + p * q + half * q + 15
-    _assert_canonical(total)
+    assert [found for _, found in totals] == [[], [(p, q)], [(big, wide)]]
+    expected = [-p + p * q + half * q + 15, p * q, big * wide * Fraction(2, 5) + p * q]
+    for (total, _), want in zip(totals, expected):
+        assert total == want
+        _assert_canonical(total)
 
+
+def test_accumulated_products_raise_where_each_product_would(monkeypatch) -> None:
+    # the cells' products all have factors of fewer than 8 terms, so each multiplies
+    # into the accumulator; each overflowing product cancels in its cell
+    tall = Poly.var("L2", EXP_MAX - 3) * (D + L1 + 3)  # 3 terms, L2^(EXP_MAX-3)
+    lift = L2**4 - D * L1 + Fraction(1, 2)  # 3 terms, L2^4
+    base = (D + L1 - 2) ** 2 * (L2 + 1)  # 12 terms, times a 2-term factor
+    cells = [
+        [(tall, lift, 1), (-tall, lift, 1)],  # the sum is zero; the product passes the cap
+        [(base, L2 + D, 1), (lift, tall, 2), (tall, -lift, 2)],  # the second passes it in L2
+        [(base, D - L1, Fraction(1, 3)), (D + 1, base, 1), (Poly.const(2), base, 1)],
+    ]
+    expected = [
+        ("ExponentOverflow", f"exponent {EXP_MAX + 1} of L2 exceeds the cap {EXP_MAX}"),
+        ("ExponentOverflow", f"exponent {EXP_MAX + 1} of L2 exceeds the cap {EXP_MAX}"),
+    ]
+
+    def each_product(cell):
+        return lambda: _sequential_sum(cell)
+
+    reference = [_outcome(each_product(cell)) for cell in cells]
+    assert reference[:2] == expected and reference[2][0] == "value"
+    products = _counted_products(monkeypatch)
+    assert [_outcome(lambda: sum_of_products(cell)) for cell in cells] == reference
+    assert not products  # every product was accumulated
+    # the term cap: a product counts the monomials that its pairs of terms form where
+    # those pairs pass the cap, and before its exponents are checked.  In the second
+    # cell the first product forms 21 monomials from 24 pairs of terms, and the
+    # second, which passes the exponent cap, 9 from 9; the third cell's products
+    # form 18 each from 24
+    assert [_formed(cells[1][:1]), _formed(cells[1][1:2])] == [21, 9]
+    for cap, second, third in ((20, "TermOverflow", "value"), (21, "ExponentOverflow", "value")):
+        monkeypatch.setattr(polyring, "MAX_TERMS", cap)
+        ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells]
+        assert ours == [_outcome(each_product(cell)) for cell in cells]
+        assert [ours[1][0], ours[2][0]] == [second, third]
 
 
 def test_lambda_names() -> None:
