@@ -662,9 +662,9 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     constant and 1 otherwise, and is formed once, by
     :func:`~confalg.polyring.sum_of_products`: a constant factor or coefficient
     scales numerators, the pairs of non-constant polynomials multiply into the
-    cell's one map of numerators (a pair with an operand of 8 or more terms
-    through packed rows or one ``Poly`` product), and the cell is made
-    canonical once.
+    cell's one map of numerators (a pair that ``*`` would pack through shared
+    packed rows or one ``Poly`` product), and the cell is made canonical
+    once.
 
     A rebinding depends only on the slot layout, ``(i, f.arity, g.arity)``
     for a composition and ``(p, q, f.arity)`` for a swap, so each layout's

@@ -67,17 +67,16 @@ products are formed term by term.  The shape rule makes the slots of the
 result exactly the monomials that its pairs of terms form: a row with gaps,
 or one starting above ``lo``, would cost slots for monomials that no pair
 forms, as many as its ``D`` exponents span.  Both paths drop zero
-numerators, and both check the exponents from the operands before they
-multiply, since the terms of a product of highest degree in one variable
-never cancel.
+numerators, and both check the exponents from the operands, since the terms
+of a product of highest degree in one variable never cancel.
 
 Sums of products.  A sum ``Σ c·v·k``, such as a cell of a table sum, is formed
 at once by :func:`sum_of_products`, in one map of integer numerators over the
 least common multiple of the denominators, made canonical once.  A constant
 factor, and the constant scale ``k``, multiply the other factor's numerators
 and make no ``Poly``; triples of two constant factors add integers, and their
-total is scaled into the map.  A product of non-constant factors whose smaller
-operand has fewer than :data:`_PACK_MIN_TERMS` terms goes through the loop of
+total is scaled into the map.  A product of non-constant factors that ``*``
+would not pack, by the size and shape rules above, goes through the loop of
 the term-by-term path, straight into the map (Monagan and Pearce 2007,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", add every product of two terms into one accumulator): it makes no
@@ -95,10 +94,12 @@ width serves all of them, from the sum of each product's bound times its scale
 over the common denominator; every product of two rows is added into one
 accumulator keyed by the row's monomial free of ``D``; and each accumulated
 row is decoded once.  These products are not formed as ``Poly`` values either.
-Every other product of non-constant factors is one ``c * v``.  Each product is
-still checked as it would be alone, and in the order of the triples: first its
-term count, then its exponents, so an overflow raises even where another
-product cancels it.
+Every other product, one that ``*`` packs, is one ``c * v``.  The largest of
+the pieces gathered before the products seeds the map as one copy, and a
+packed product larger than the map becomes the map, copied once, with the
+map added into it.  Each product is still checked as it would be alone, and
+in the order of the triples: first its term count, then its exponents, so an
+overflow raises even where another product cancels it.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
@@ -118,21 +119,22 @@ however many the table holds.  The table sums trim each table back to
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
 plus its result so far.  A product counts every monomial that a pair of its
-terms forms, cancelled or not, and counts them before it multiplies, only
-where a bound passes the cap.  The term-by-term path's bound is its pairs
-of terms, and it counts the distinct sums of their monomials.  The packed
-path's bound is the sum over its pairs of rows of the monomials each pair
-forms, and it adds up the longest run of each row of the result, which are
-exactly those monomials.  So both paths stop at the same count, and a sum of
-products, accumulated or with shared rows, stops at the product that would
-have stopped alone.  Past the cap :class:`~confalg.errors.TermOverflow`
-(a ``ConfalgError``) is raised, so a computation whose size would exhaust
-memory stops early instead.  A power is refused before its first product when
-a bound on its terms passes the cap: the smaller of the simplex and the degree
-box of :func:`_power_terms_bound`.  The bound counts the monomials the power
-could form, so a power whose terms coincide or cancel below it is refused
-too; ``(D + L1 + 1)^1500`` (1,127,251) is, ``(D + L1 + 1)^1400`` (982,101) is
-not.
+terms forms, cancelled or not, and counts them only where a bound passes
+the cap.  The term-by-term path's bound is its pairs of terms: into a map of
+its own it counts the terms as it adds them, row by row, and into a map that
+holds other terms, the distinct sums of their monomials, before it adds any.
+The packed path's bound is the sum over its pairs of rows of the monomials
+each pair forms, and before it multiplies it adds up the longest run of each
+row of the result, which are exactly those monomials.  So both paths stop at
+the same count, and a sum of products, accumulated or with shared rows,
+stops at the product that would have stopped alone.  Past the cap
+:class:`~confalg.errors.TermOverflow` (a ``ConfalgError``) is raised, so a
+computation whose size would exhaust memory stops early instead.  A power is
+refused before its first product when a bound on its terms passes the cap:
+the smaller of the simplex and the degree box of :func:`_power_terms_bound`.
+The bound counts the monomials the power could form, so a power whose terms
+coincide or cancel below it is refused too; ``(D + L1 + 1)^1500``
+(1,127,251) is, ``(D + L1 + 1)^1400`` (982,101) is not.
 
 The textual form used by the DSL and JSON reports is produced by ``str()``
 and read back by :func:`parse_poly`; it uses ``+ - * ^``, integer and ``p/q``
@@ -654,10 +656,9 @@ def _mul_nums(a: dict, b: dict) -> dict:
             return a if c2 == 1 else {m1: c1 * c2 for m1, c1 in a.items()}
         # shifting by one monomial is injective and Z has no zero divisors
         return _checked({m1 + m2: c1 * c2 for m1, c1 in a.items()})
-    if len(b) >= _PACK_MIN_TERMS:
-        runs_a, runs_b = _d_rows(a), _d_rows(b)
-        if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
-            return _packed_sum([(a, b, runs_a, runs_b, 1)])
+    runs = _pack_runs(a, b)
+    if runs:
+        return _packed_sum([(a, b, *runs, 1)])
     out: dict = {}
     _mul_into(out, a, b, 1)
     if 0 in out.values():
@@ -665,22 +666,38 @@ def _mul_nums(a: dict, b: dict) -> dict:
     return out
 
 
+def _pack_runs(a: dict, b: dict) -> tuple | None:
+    """The rows ``(runs_a, runs_b)`` if ``*`` packs ``a`` times the smaller ``b``, else None."""
+    if len(b) < _PACK_MIN_TERMS:
+        return None
+    runs_a, runs_b = _d_rows(a), _d_rows(b)
+    if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
+        return runs_a, runs_b
+    return None
+
+
 def _mul_into(acc: dict, a: dict, b: dict, k: int) -> None:
     """Add ``k·a·b`` into ``acc`` term by term, checked as the product alone is; ``b`` is the smaller.
 
     First the term count, where the pairs of terms pass the cap: the
-    monomials they form, cancelled or not, counted by rows of ``b`` (a
-    one-term ``b`` only shifts ``a`` and is not counted).  Then the
-    exponents, from the operands, since the terms of a product of highest
-    degree in one variable never cancel.  Zero numerators stay in ``acc``.
+    monomials they form, cancelled or not (a one-term ``b`` only shifts
+    ``a`` and is not counted).  Into an empty ``acc`` they are counted as
+    they are added, row by row of ``b``; into one that holds other terms,
+    as distinct sums before any is added.  Then the exponents, from the
+    operands, since the terms of a product of highest degree in one
+    variable never cancel.  Zero numerators stay in ``acc``.
     """
-    if len(b) > 1 and len(a) * len(b) > MAX_TERMS:
+    counting = len(b) > 1 and len(a) * len(b) > MAX_TERMS
+    if counting and acc:
         formed: set = set()
         for m2 in b:
             formed.update([m1 + m2 for m1 in a])
             if len(formed) > MAX_TERMS:
                 raise _term_overflow()
-    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & _FIELDS.guard:
+        counting = False
+    # a field past the cap reaches only its own guard bit, so the count stays exact
+    guarded = (reduce(or_, a, 0) + reduce(or_, b, 0)) & _FIELDS.guard
+    if guarded and not counting:
         _check_product(a, b)
     get = acc.get
     a_items = a.items()
@@ -689,6 +706,10 @@ def _mul_into(acc: dict, a: dict, b: dict, k: int) -> None:
         for m1, c1 in a_items:
             m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
+        if counting and len(acc) > MAX_TERMS:
+            raise _term_overflow()
+    if guarded and counting:
+        _check_product(a, b)
 
 
 class Poly:
@@ -1121,14 +1142,13 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
     factors add integers.  The triples of two non-constant factors are
     products.  When there are two or more of them and they share rows (see
     "Sums of products" above), their products are added into one packed
-    accumulator and decoded once.  Otherwise a product whose smaller operand
-    has fewer than :data:`_PACK_MIN_TERMS` terms multiplies term by term
-    straight into the cell's accumulator, checked first for its term count
-    and then for its exponents, as ``*`` checks it; every other product is one
-    ``c * v``.  Every piece is added into one map of numerators over the least
-    common multiple of the denominators, made canonical once.  A lone triple
-    of scale 1 returns its product as it is: ``(1, v, 1)`` returns ``v``
-    itself.
+    accumulator and decoded once.  Otherwise a product that ``*`` would not
+    pack multiplies term by term straight into the cell's accumulator,
+    checked first for its term count and then for its exponents, as ``*``
+    checks it; every product that ``*`` packs is one ``c * v``.  Every piece
+    is added into one map of numerators over the least common multiple of
+    the denominators, made canonical once.  A lone triple of scale 1 returns
+    its product as it is: ``(1, v, 1)`` returns ``v`` itself.
     """
     if len(triples) == 1 and triples[0][2] == 1:
         ((c, v, _),) = triples
@@ -1169,19 +1189,21 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
         products = []
     den = lcm(total_den, *[d for _, _, d in parts], *[c._den * v._den * kd for c, v, _, kd in products])
     acc: dict = {}
-    if parts:  # the last piece gathered seeds the map as one copy
-        nums, k, d = parts.pop()
-        k *= den // d
-        acc = dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
+    if parts:  # the largest piece gathered so far seeds the map as one copy
+        nums, k, d = parts.pop(max(range(len(parts)), key=lambda i: len(parts[i][0])))
+        acc = _times(nums, k * (den // d))
     for c, v, k, kd in products:
         a, b = c._nums, v._nums
         if len(a) < len(b):
             a, b = b, a
-        if len(b) < _PACK_MIN_TERMS:
+        if not _pack_runs(a, b):
             _mul_into(acc, a, b, k * (den // (c._den * v._den * kd)))
-        else:
-            p = c * v
-            parts.append((p._nums, k, p._den * kd))
+            continue
+        p = c * v  # the packed path of *
+        nums, k = p._nums, k * (den // (p._den * kd))
+        if len(nums) > len(acc):  # the larger map is the one the other is added into
+            acc, nums, k = _times(nums, k), acc, 1
+        parts.append((nums, k, den))
     get = acc.get
     for nums, k, d in parts:
         k *= den // d
@@ -1230,6 +1252,11 @@ def _shared_rows(products: list) -> tuple | None:
         term_pairs += len(a) * len(b)
         row_pairs += len(runs_a[1]) * len(runs_b[1])
     return (rows, den) if _SHARED_SHARE * row_pairs <= term_pairs else None
+
+
+def _times(nums: dict, k: int) -> dict:
+    """A new map of the numerators ``nums`` times ``k``."""
+    return dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
 
 
 def _scaled(nums: dict, k: int, den: int) -> Poly:

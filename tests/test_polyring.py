@@ -445,8 +445,9 @@ def cell_pairs(draw) -> tuple:
     """Triples ``(c, v, k)``, and whether they share packed rows.
 
     Some lists end with the negated triples, so that they sum to zero.  Small
-    cells hold two to four products of factors of 2 to 7 terms, and perhaps
-    pairs of sparse and constant factors.  Dense cells hold two or three
+    cells hold one to six pairs of sparse and constant factors, or else two
+    to four products of factors of 2 to 7 terms and perhaps such pairs.
+    Dense cells hold two or three
     products of :func:`dense_factors`, the first two dense in ``D`` and a later
     one perhaps of ``(e − L2)^n``, and perhaps constant pairs.  The lowest
     ``D`` exponents of each product's factors add up to one ``lo``, split
@@ -455,8 +456,12 @@ def cell_pairs(draw) -> tuple:
     """
     dense = draw(st.booleans())
     if not dense:
-        pairs = draw(st.lists(st.tuples(small_factors, small_factors), min_size=2, max_size=4))
-        pairs += draw(st.lists(st.tuples(cell_factors, cell_factors), max_size=4))
+        sparse = st.tuples(cell_factors, cell_factors)
+        small = st.tuples(
+            st.lists(st.tuples(small_factors, small_factors), min_size=2, max_size=4),
+            st.lists(sparse, max_size=4),
+        ).map(lambda lists: lists[0] + lists[1])
+        pairs = draw(st.one_of(st.lists(sparse, min_size=1, max_size=6), small))
     else:
         lo = draw(st.integers(0, 3))
         shares = draw(st.booleans())
@@ -655,11 +660,13 @@ def test_sum_of_products_multiplies_only_large_factors(monkeypatch) -> None:
     assert sum_of_products([(three, two, 1), (Poly.const(-6), Poly.one(), 1)]).is_zero()
     # constant factors scale numerators, and a cell's products of small factors
     # multiply into its accumulator: no Poly product at all
-    big, wide = (D + L1 + 1) ** 3, (L2 - Fraction(1, 3)) ** 7  # 10 and 8 terms
+    # 10, 8 and 8 terms: big has 4 rows along D, dense one, wide 8
+    big, dense, wide = (D + L1 + 1) ** 3, (D + 2) ** 7, (L2 - Fraction(1, 3)) ** 7
     cells = [
         [(Poly.const(-1), p, 1), (p, q, 1), (half, q, 1), (three, Poly.const(5), 1)],
         [(p, q, 1)],  # a lone triple is its product
-        [(big, wide, Fraction(2, 5)), (p, q, 1)],  # 8 terms or more: one c * v, cell not shared
+        [(big, dense, Fraction(2, 5)), (p, q, 1)],  # * packs it: one c * v, cell not shared
+        [(big, wide, Fraction(2, 5)), (p, q, 1)],  # 8 terms or more, but * does not pack it
     ]
     products = _counted_products(monkeypatch)
     totals = []
@@ -667,8 +674,13 @@ def test_sum_of_products_multiplies_only_large_factors(monkeypatch) -> None:
         del products[:]
         totals.append((sum_of_products(cell), list(products)))
     monkeypatch.undo()
-    assert [found for _, found in totals] == [[], [(p, q)], [(big, wide)]]
-    expected = [-p + p * q + half * q + 15, p * q, big * wide * Fraction(2, 5) + p * q]
+    assert [found for _, found in totals] == [[], [(p, q)], [(big, dense)], []]
+    expected = [
+        -p + p * q + half * q + 15,
+        p * q,
+        big * dense * Fraction(2, 5) + p * q,
+        big * wide * Fraction(2, 5) + p * q,
+    ]
     for (total, _), want in zip(totals, expected):
         assert total == want
         _assert_canonical(total)
@@ -699,16 +711,21 @@ def test_accumulated_products_raise_where_each_product_would(monkeypatch) -> Non
     assert [_outcome(lambda: sum_of_products(cell)) for cell in cells] == reference
     assert not products  # every product was accumulated
     # the term cap: a product counts the monomials that its pairs of terms form where
-    # those pairs pass the cap, and before its exponents are checked.  In the second
-    # cell the first product forms 21 monomials from 24 pairs of terms, and the
-    # second, which passes the exponent cap, 9 from 9; the third cell's products
-    # form 18 each from 24
-    assert [_formed(cells[1][:1]), _formed(cells[1][1:2])] == [21, 9]
-    for cap, second, third in ((20, "TermOverflow", "value"), (21, "ExponentOverflow", "value")):
+    # those pairs pass the cap, and before its exponents are checked, both as it adds
+    # them into an empty map and apart from the terms that the map holds.  The first
+    # cell's products, which pass the exponent cap, form 9 monomials from 9 pairs of
+    # terms; in the second cell the first product forms 21 from 24, and the second 9
+    # from 9; the third cell's products form 18 each from 24
+    assert [_formed(cells[0][:1]), _formed(cells[1][:1]), _formed(cells[1][1:2])] == [9, 21, 9]
+    for cap, outcomes in (
+        (8, ["TermOverflow"] * 3),
+        (20, ["ExponentOverflow", "TermOverflow", "value"]),
+        (21, ["ExponentOverflow", "ExponentOverflow", "value"]),
+    ):
         monkeypatch.setattr(polyring, "MAX_TERMS", cap)
         ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells]
         assert ours == [_outcome(each_product(cell)) for cell in cells]
-        assert [ours[1][0], ours[2][0]] == [second, third]
+        assert [kind for kind, _ in ours] == outcomes
 
 
 def test_lambda_names() -> None:
