@@ -43,63 +43,58 @@ the exponent of ``**``.  Exceeding it raises :class:`ExponentOverflow` (a
 from :func:`parse_poly` and the DSL parser the message ends with the line
 and column of the offending factor.
 
-Products.  Sesquilinearity makes the residuals products of polynomials that
-are dense in ``D``, and these take a packed path (Fateman 2005, "Can you
-save time in multiplying polynomials by encoding them as integers?", along
-one variable).  Each operand is split into rows, one per monomial without
-``D`` (``m & ~_FIELD``; ``D`` owns the field at shift 0), and the numerators
-of a row go into one integer, the one of ``D^(lo+k)`` at bit offset
-``bits·k``, where ``lo`` is the operand's lowest ``D`` exponent; a long row
-is joined by halves.  A pair of rows costs one big-integer product, added
-into the row of the result that the pair's monomials name; a last pass reads
-the signed slots back out, up to the highest that the row's bit length
-names.  The slot width is
+Products.  A product takes one of two routes, packed rows or term by term,
+and one rule, :func:`_packing`, chooses it, for ``*`` and for the products of
+a sum alike.  Sesquilinearity makes the residuals products of polynomials
+that are dense in ``D``, and these are packed (Fateman 2005, "Can you save
+time in multiplying polynomials by encoding them as integers?", along one
+variable).  Each operand is split into rows, one per monomial without ``D``
+(``m & ~_FIELD``; ``D`` owns the field at shift 0), and the numerators of a
+row go into one integer, the one of ``D^(lo+k)`` at bit offset ``bits·k``,
+where ``lo`` is the operand's lowest ``D`` exponent; a long row is joined by
+halves.  A pair of rows costs one big-integer product, added into the row of
+an accumulator that the pair's monomials name; a last pass reads the signed
+slots back out, up to the highest that the row's bit length names.  The slot
+width is
 
-    ``bits = (max|a| · max|b| · min(len a, len b)).bit_length() + 2``:
+    ``bits = (Σ max|a| · max|b| · min(len a, len b) · |k|).bit_length() + 2``
 
-a coefficient of the product adds at most ``min(len a, len b)`` products of
-two numerators, so every slot stays below ``2^(bits-1)`` in magnitude and
-reads back exactly.  Size rule: a product is packed when its smaller
-operand has at least 8 terms, every row of each operand is a run without
-gaps from that operand's ``lo``, and its pairs of rows are at most an eighth
-of its pairs of terms (:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`); other
-products are formed term by term.  The shape rule makes the slots of the
-result exactly the monomials that its pairs of terms form: a row with gaps,
-or one starting above ``lo``, would cost slots for monomials that no pair
-forms, as many as its ``D`` exponents span.  Both paths drop zero
-numerators, and both check the exponents from the operands, since the terms
-of a product of highest degree in one variable never cancel.
+over the products ``k·a·b`` that share the accumulator: a coefficient of a
+product adds at most ``min(len a, len b)`` products of two numerators, so
+every slot stays below ``2^(bits-1)`` in magnitude and reads back exactly.
+The rule: products are packed together when each one's smaller operand has
+at least 8 terms, every row of each operand is a run without gaps from that
+operand's ``lo``, the lowest ``D`` exponents of each product's operands add
+up to one ``lo`` for all of them, and their pairs of rows are at most an
+eighth of their pairs of terms for one product, a quarter for several
+(:data:`_PACK_MIN_TERMS`, :data:`_PACK_SHARE`, :data:`_SHARED_SHARE`).  The
+shape rules make the slots of every row of the accumulator, a run from
+``D^lo``, exactly the monomials that the pairs of terms form: a row with
+gaps, or one starting above its operand's ``lo``, or a product from another
+``lo``, would cost slots for monomials that no pair forms, as many as the
+``D`` exponents between them.  Every other product goes term by term: each
+pair of terms is added into one accumulator (Monagan and Pearce 2007,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors").  Both routes drop zero numerators, and both check the exponents
+from the operands, since the terms of a product of highest degree in one
+variable never cancel.
 
 Sums of products.  A sum ``Σ c·v·k``, such as a cell of a table sum, is formed
 at once by :func:`sum_of_products`, in one map of integer numerators over the
 least common multiple of the denominators, made canonical once.  A constant
 factor, and the constant scale ``k``, multiply the other factor's numerators
 and make no ``Poly``; triples of two constant factors add integers, and their
-total is scaled into the map.  A product of non-constant factors that ``*``
-would not pack, by the size and shape rules above, goes through the loop of
-the term-by-term path, straight into the map (Monagan and Pearce 2007,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", add every product of two terms into one accumulator): it makes no
-``Poly`` and does not pass through ``*``, but is checked as ``*`` checks it.
-Two or more products of non-constant factors share packed rows when each
-passes the packed path's operand size and shape rules, the lowest ``D``
-exponents of each product's operands add up to the same ``lo`` for all of
-them, and, together, their pairs of rows are at most a quarter of their
-pairs of terms (:data:`_SHARED_SHARE`).  With one ``lo``, every row of the accumulator is a
-run from ``D^lo``, and its slots are exactly the monomials that the pairs of
-terms form; products from different exponents would span the slots between
-them in every row.  The associator cell of ``u·u = (D+L+c)^n u``,
-``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D, L1)``, is such a sum.  One slot
-width serves all of them, from the sum of each product's bound times its scale
-over the common denominator; every product of two rows is added into one
-accumulator keyed by the row's monomial free of ``D``; and each accumulated
-row is decoded once.  These products are not formed as ``Poly`` values either.
-Every other product, one that ``*`` packs, is one ``c * v``.  The largest of
-the pieces gathered before the products seeds the map as one copy, and a
-packed product larger than the map becomes the map, copied once, with the
-map added into it.  Each product is still checked as it would be alone, and
-in the order of the triples: first its term count, then its exponents, so an
-overflow raises even where another product cancels it.
+total is scaled into the map.  The products of non-constant factors follow
+the rule above.  Where all of them pack together, they share one accumulator
+of packed rows, decoded once; the associator cell of ``u·u = (D+L+c)^n u``,
+``p(−L1−L2, L1)·p(D, L1+L2) − p(D+L1, L2)·p(D, L1)``, is such a sum.
+Otherwise each product that packs alone is decoded from rows of its own into
+the pieces of the map, and every other product goes term by term straight
+into the map.  No product of a cell is formed as a ``Poly`` or passes through
+``*``.  The largest of the pieces gathered before the products seeds the map
+as one copy.  Each product is checked as it would be alone, and in the order
+of the triples: first its term count, then its exponents, so an overflow
+raises even where another product cancels it.
 
 Substitution.  :meth:`Poly.substitute_many` follows a :class:`Substitution`,
 which compiles its bindings on the first polynomial with a variable and then
@@ -120,14 +115,14 @@ Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
 plus its result so far.  A product counts every monomial that a pair of its
 terms forms, cancelled or not, and counts them only where a bound passes
-the cap.  The term-by-term path's bound is its pairs of terms: into a map of
+the cap.  The term-by-term route's bound is its pairs of terms: into a map of
 its own it counts the terms as it adds them, row by row, and into a map that
 holds other terms, the distinct sums of their monomials, before it adds any.
-The packed path's bound is the sum over its pairs of rows of the monomials
+The packed route's bound is the sum over its pairs of rows of the monomials
 each pair forms, and before it multiplies it adds up the longest run of each
-row of the result, which are exactly those monomials.  So both paths stop at
-the same count, and a sum of products, accumulated or with shared rows,
-stops at the product that would have stopped alone.  Past the cap
+row of the product, which are exactly those monomials.  So both routes stop
+at the same count, and a sum of products, whichever route each product
+takes, stops at the product that would have stopped alone.  Past the cap
 :class:`~confalg.errors.TermOverflow` (a ``ConfalgError``) is raised, so a
 computation whose size would exhaust memory stops early instead.  A power is
 refused before its first product when a bound on its terms passes the cap:
@@ -193,10 +188,10 @@ _REST = ~_FIELD  # every field but D's
 #: products of a degree-11 associator cell), and a blow-up reaches it in about
 #: a second and a few hundred MB, far from exhausting memory.
 MAX_TERMS = 1_000_000
-#: The size rule of the packed product (see "Products" above).  Timed against
-#: the term-by-term loop on operands of 8 to 1,365 terms dense in D, packing
-#: was faster in nearly every shape with 8 or more term pairs per row pair,
-#: and up to 2x slower with 3 to 6.
+#: The size rule of packed rows for one product (see "Products" above).  Timed
+#: against the term-by-term loop on products of 10 to 364 terms by 10 to 78
+#: dense in D, rows packed by halves took 0.2-0.8x the time with 18 to 42 pairs
+#: of terms per pair of rows, 0.8-2.3x with 5 to 12, and 2.2-2.7x with 4.
 _PACK_MIN_TERMS = 8
 _PACK_SHARE = 8
 #: Rows of more slots are decoded by halves.  On rows of 16 to 3,000 slots of 24
@@ -207,14 +202,14 @@ _DECODE_SPLIT = 32
 #: and 600 bits, halves tied the loop up to 16 slots and won above (1.5x at 64,
 #: 6-17x at 1,024); the rows of degree-11 products are shorter.
 _PACK_SPLIT = 16
-#: The size rule of shared rows (see "Sums of products" above).  Timed against
-#: one product each on cells of two products of 16 to 16,380 pairs of terms,
-#: shared rows were 0.45-0.8x with 4.7 or more pairs of terms per pair of rows,
-#: tied at 3.5, and 1.1-2.2x with fewer or with operands of under 8 terms.  The
-#: rule counts the cell, not each product: beside a product of 2,352 to 81,600
-#: pairs of terms with 12 to 45 per pair of rows, a product of 100 to 14,400
-#: pairs of terms with one or 1.5 per pair of rows still left the cell at
-#: 0.84-0.93x wherever the cell passed the rule.
+#: The size rule of packed rows for several products (see "Products" above).
+#: Timed against one product each on cells of two products of 16 to 16,380
+#: pairs of terms, shared rows were 0.45-0.8x with 4.7 or more pairs of terms
+#: per pair of rows, tied at 3.5, and 1.1-2.2x with fewer or with operands of
+#: under 8 terms.  The rule counts the cell, not each product: beside a
+#: product of 2,352 to 81,600 pairs of terms with 12 to 45 per pair of rows, a
+#: product of 100 to 14,400 pairs of terms with one or 1.5 per pair of rows
+#: still left the cell at 0.84-0.93x wherever the cell passed the rule.
 _SHARED_SHARE = 4
 #: The most monomials the display memo holds, and the most numerators the
 #: coefficient memo holds (see "textual form" above).  A ``degree`` benchmark
@@ -543,11 +538,11 @@ def _packed_sum(pairs: list) -> dict:
     """``Σ k·a·b`` over ``(a, b, runs_a, runs_b, k)``, one big-int multiply per pair of rows.
 
     ``a`` and ``b`` are numerator maps, ``runs_a`` and ``runs_b`` their rows
-    from :func:`_d_rows`, and ``k`` a nonzero integer scale.  Every pair has
-    the same ``lo_a + lo_b``, so each row of the accumulator is a run from
-    that exponent.  All pairs share one slot width and one accumulator of
-    rows (see "Sums of products" above); a lone pair is the packed path of
-    ``*``.
+    from :func:`_d_rows`, and ``k`` a nonzero integer scale, as
+    :func:`_packing` gives them.  Every pair has the same ``lo_a + lo_b``, so
+    each row of the accumulator is a run from that exponent.  All pairs share
+    one slot width and one accumulator of rows (see "Products" above),
+    whether they are one product or a cell's products together.
     """
     bound = 0
     for a, b, _, _, k in pairs:
@@ -563,7 +558,7 @@ def _packed_sum(pairs: list) -> dict:
         # The terms of a product of highest degree in one variable never cancel, so
         # its exponents are checked from the operands', even where another pair
         # cancels those terms.
-        if (_run_top(lo_a, rows_a) + _run_top(lo_b, rows_b)) & _FIELDS.guard:
+        if _may_overflow(a, b):
             _check_product(a, b)
         packed_b = [(rest, _pack_row(row, lo_b, bits)) for rest, row in rows_b.items()]
         for r1, row in rows_a.items():
@@ -601,9 +596,14 @@ def _count_terms(rows_a: dict, rows_b: dict) -> None:
             raise _term_overflow()
 
 
-def _run_top(lo: int, rows: dict) -> int:
-    """A packed monomial at or above, field by field, every monomial with these rows."""
-    return reduce(or_, rows, lo + max(map(len, rows.values())) - 1)
+def _may_overflow(a: dict, b: dict) -> int:
+    """Nonzero if an exponent of ``a·b`` may pass the cap; :func:`_check_product` tells exactly.
+
+    The OR of an operand's monomials holds, field by field, at least the
+    largest exponent of each variable, and a field of the sum of two ORs only
+    reaches its own guard bit, so a product past the cap always sets one.
+    """
+    return (reduce(or_, a, 0) + reduce(or_, b, 0)) & _FIELDS.guard
 
 
 def _check_product(a: dict, b: dict) -> None:
@@ -656,9 +656,9 @@ def _mul_nums(a: dict, b: dict) -> dict:
             return a if c2 == 1 else {m1: c1 * c2 for m1, c1 in a.items()}
         # shifting by one monomial is injective and Z has no zero divisors
         return _checked({m1 + m2: c1 * c2 for m1, c1 in a.items()})
-    runs = _pack_runs(a, b)
-    if runs:
-        return _packed_sum([(a, b, *runs, 1)])
+    pairs = len(b) >= _PACK_MIN_TERMS and _packing([(a, b, 1)])
+    if pairs:
+        return _packed_sum(pairs)
     out: dict = {}
     _mul_into(out, a, b, 1)
     if 0 in out.values():
@@ -666,14 +666,39 @@ def _mul_nums(a: dict, b: dict) -> dict:
     return out
 
 
-def _pack_runs(a: dict, b: dict) -> tuple | None:
-    """The rows ``(runs_a, runs_b)`` if ``*`` packs ``a`` times the smaller ``b``, else None."""
-    if len(b) < _PACK_MIN_TERMS:
+def _packing(products: list) -> list | None:
+    """The arguments of :func:`_packed_sum` for ``products``, or None where they do not pack together.
+
+    ``products`` holds ``(a, b, k)``: numerator maps, ``b`` the smaller, and a
+    nonzero integer scale ``k``.  This is the one packing rule (see
+    "Products" above): each ``b`` has at least :data:`_PACK_MIN_TERMS` terms,
+    every operand's rows are runs along ``D`` from one exponent
+    (:func:`_d_rows`), the lowest ``D`` exponents of each product's operands
+    add up to one ``lo`` for all of them, and the pairs of rows are at most a
+    :data:`_PACK_SHARE`-th of the pairs of terms for one product, a
+    :data:`_SHARED_SHARE`-th for several.
+    """
+    if any(len(b) < _PACK_MIN_TERMS for _, b, _ in products):
         return None
-    runs_a, runs_b = _d_rows(a), _d_rows(b)
-    if runs_a and runs_b and _PACK_SHARE * len(runs_a[1]) * len(runs_b[1]) <= len(a) * len(b):
-        return runs_a, runs_b
-    return None
+    pairs = []
+    term_pairs = row_pairs = 0
+    lo = None
+    for a, b, k in products:
+        runs_a = _d_rows(a)
+        runs_b = runs_a and _d_rows(b)
+        if not runs_b:
+            return None
+        # rows from another exponent would span the slots between the two in every
+        # row of the accumulator, slots for monomials that no pair forms
+        if lo is None:
+            lo = runs_a[0] + runs_b[0]
+        elif runs_a[0] + runs_b[0] != lo:
+            return None
+        pairs.append((a, b, runs_a, runs_b, k))
+        term_pairs += len(a) * len(b)
+        row_pairs += len(runs_a[1]) * len(runs_b[1])
+    share = _PACK_SHARE if len(products) == 1 else _SHARED_SHARE
+    return pairs if share * row_pairs <= term_pairs else None
 
 
 def _mul_into(acc: dict, a: dict, b: dict, k: int) -> None:
@@ -696,7 +721,7 @@ def _mul_into(acc: dict, a: dict, b: dict, k: int) -> None:
                 raise _term_overflow()
         counting = False
     # a field past the cap reaches only its own guard bit, so the count stays exact
-    guarded = (reduce(or_, a, 0) + reduce(or_, b, 0)) & _FIELDS.guard
+    guarded = _may_overflow(a, b)
     if guarded and not counting:
         _check_product(a, b)
     get = acc.get
@@ -837,13 +862,10 @@ class Poly:
                 return _ZERO_POLY
             return _canonical(_mul_nums(self._nums, other._nums), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            if not other or not self._nums:
+            if not other:
                 return _ZERO_POLY
             other = Fraction(other)
-            num = other.numerator
-            return _canonical(
-                {m: c * num for m, c in self._nums.items()}, self._den * other.denominator
-            )
+            return _scaled(self._nums, other.numerator, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -1140,15 +1162,15 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
     a scale.  A constant factor and the scale multiply the numerators of the
     other factor instead of making a ``Poly``, and the triples of two constant
     factors add integers.  The triples of two non-constant factors are
-    products.  When there are two or more of them and they share rows (see
-    "Sums of products" above), their products are added into one packed
-    accumulator and decoded once.  Otherwise a product that ``*`` would not
-    pack multiplies term by term straight into the cell's accumulator,
-    checked first for its term count and then for its exponents, as ``*``
-    checks it; every product that ``*`` packs is one ``c * v``.  Every piece
-    is added into one map of numerators over the least common multiple of
-    the denominators, made canonical once.  A lone triple of scale 1 returns
-    its product as it is: ``(1, v, 1)`` returns ``v`` itself.
+    products, each scaled to the least common multiple of the denominators,
+    and :func:`_packing` chooses their route: all of them together into one
+    set of packed rows, decoded once, where they pack together; else each
+    into packed rows of its own where it packs alone, or term by term
+    straight into the cell's map of numerators.  Each is checked as ``*``
+    checks it, in the order of the triples: first its term count, then its
+    exponents.  Every piece is added into that map, made canonical once.  A
+    lone triple of scale 1 returns its product as it is: ``(1, v, 1)``
+    returns ``v`` itself.
     """
     if len(triples) == 1 and triples[0][2] == 1:
         ((c, v, _),) = triples
@@ -1160,7 +1182,7 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
         return c * v
     parts = []  # (numerators, factor, denominator)
     total, total_den = 0, 1  # the triples of two constants
-    products = []  # (c, v, scale numerator, scale denominator)
+    products = []  # (larger numerators, smaller, scale numerator, denominator), then (a, b, k)
     for c, v, scale in triples:
         a, b = c._nums, v._nums
         k, kd = scale.numerator, scale.denominator
@@ -1176,34 +1198,37 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
         elif len(b) == 1 and 0 in b:
             parts.append((a, b[0] * k, c._den * v._den * kd))
         elif a and b:
-            products.append((c, v, k, kd))
+            if len(a) < len(b):
+                a, b = b, a
+            products.append((a, b, k, c._den * v._den * kd))
     if not parts and not products:
         return _canonical({0: total}, total_den) if total else _ZERO_POLY
-    shared = _shared_rows(products) if len(products) > 1 else None
-    if shared:
-        rows, den = shared
-        nums = _packed_sum(rows)
-        if not parts and not total:
-            return _canonical(nums, den) if nums else _ZERO_POLY
-        parts.append((nums, 1, den))
-        products = []
-    den = lcm(total_den, *[d for _, _, d in parts], *[c._den * v._den * kd for c, v, _, kd in products])
+    den = lcm(total_den, *[d for _, _, d in parts], *[d for _, _, _, d in products])
+    # each product's scale at den; den and k are read in loops, not comprehensions:
+    # a name that a comprehension reads becomes a cell, slower in every call
+    for i, (a, b, k, d) in enumerate(products):
+        products[i] = (a, b, k * (den // d))
     acc: dict = {}
-    if parts:  # the largest piece gathered so far seeds the map as one copy
+    pairs = len(products) > 1 and _packing(products)
+    if pairs:
+        acc = _packed_sum(pairs)
+        if not parts and not total:
+            return _canonical(acc, den) if acc else _ZERO_POLY
+        products = []
+    elif parts:  # the largest piece gathered so far seeds the map, copied at scale 1
         nums, k, d = parts.pop(max(range(len(parts)), key=lambda i: len(parts[i][0])))
-        acc = _times(nums, k * (den // d))
-    for c, v, k, kd in products:
-        a, b = c._nums, v._nums
-        if len(a) < len(b):
-            a, b = b, a
-        if not _pack_runs(a, b):
-            _mul_into(acc, a, b, k * (den // (c._den * v._den * kd)))
-            continue
-        p = c * v  # the packed path of *
-        nums, k = p._nums, k * (den // (p._den * kd))
-        if len(nums) > len(acc):  # the larger map is the one the other is added into
-            acc, nums, k = _times(nums, k), acc, 1
-        parts.append((nums, k, den))
+        k *= den // d
+        if k == 1:
+            acc = dict(nums)
+        else:
+            for m, x in nums.items():
+                acc[m] = x * k
+    for a, b, k in products:
+        pairs = len(b) >= _PACK_MIN_TERMS and _packing([(a, b, k)])
+        if pairs:
+            parts.append((_packed_sum(pairs), 1, den))
+        else:
+            _mul_into(acc, a, b, k)
     get = acc.get
     for nums, k, d in parts:
         k *= den // d
@@ -1214,49 +1239,6 @@ def sum_of_products(triples: Sequence[tuple]) -> Poly:
     if 0 in acc.values():
         acc = {m: x for m, x in acc.items() if x}
     return _canonical(acc, den) if acc else _ZERO_POLY
-
-
-def _shared_rows(products: list) -> tuple | None:
-    """The arguments of :func:`_packed_sum` for ``products`` and their denominator, if they share rows.
-
-    ``products`` holds ``(c, v, k, kd)``: the factors and the scale ``k/kd``.
-    They share rows when each product's smaller operand has at least
-    :data:`_PACK_MIN_TERMS` terms, every operand's rows are runs along ``D``
-    from one exponent (:func:`_d_rows`), the lowest ``D`` exponents of each
-    product's operands add up to the same ``lo`` for all of them, and the
-    pairs of rows of all the products are at most a :data:`_SHARED_SHARE`-th
-    of their pairs of terms; otherwise the answer is None.  Each product's
-    scale brings it to the least common multiple of the denominators.
-    """
-    if any(min(len(c._nums), len(v._nums)) < _PACK_MIN_TERMS for c, v, _, _ in products):
-        return None
-    den = lcm(*[c._den * v._den * kd for c, v, _, kd in products])
-    rows = []
-    term_pairs = row_pairs = 0
-    lo = None
-    for c, v, k, kd in products:
-        a, b = c._nums, v._nums
-        if len(a) < len(b):
-            a, b = b, a
-        runs_a = _d_rows(a)
-        runs_b = runs_a and _d_rows(b)
-        if not runs_b:
-            return None
-        # rows from another exponent would span the slots between the two in every
-        # row of the accumulator, slots for monomials that no pair forms
-        if lo is None:
-            lo = runs_a[0] + runs_b[0]
-        elif runs_a[0] + runs_b[0] != lo:
-            return None
-        rows.append((a, b, runs_a, runs_b, k * (den // (c._den * v._den * kd))))
-        term_pairs += len(a) * len(b)
-        row_pairs += len(runs_a[1]) * len(runs_b[1])
-    return (rows, den) if _SHARED_SHARE * row_pairs <= term_pairs else None
-
-
-def _times(nums: dict, k: int) -> dict:
-    """A new map of the numerators ``nums`` times ``k``."""
-    return dict(nums) if k == 1 else {m: x * k for m, x in nums.items()}
 
 
 def _scaled(nums: dict, k: int, den: int) -> Poly:

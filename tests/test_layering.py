@@ -4,7 +4,8 @@ Every module of ``src/confalg`` is parsed with :mod:`ast`.  Imports of the
 package sit at module level, never inside a function or class body, and
 each module imports only modules earlier in :data:`ORDER`, so the module
 graph has no cycle.  Every name a module-level import binds is used in the
-module or listed in its ``__all__``.
+module or listed in its ``__all__``, and every private module-level name is
+used somewhere in the package outside its own definition.
 """
 
 from __future__ import annotations
@@ -138,3 +139,39 @@ def test_every_residual_is_scanned_by_one_function():
                                "residual_scan")
     ]
     assert calls == [("confcore", "scan")]
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, node)`` for each module-level name starting with ``_``, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = [(node.name, node)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(name.id, node) for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name, node in found
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_module_level_name_is_used():
+    # a helper that a refactor leaves without callers cannot stay behind: each
+    # private name needs a use, as a name or an attribute, outside the statement
+    # that defines it (a recursive call does not count)
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+             for module in MODULES}
+    uses: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.setdefault(name, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in uses.get(name, [])):
+                unused.append(f"{module}.py:{definition.lineno} {name}")
+    assert not unused, f"private names used nowhere else in the package: {unused}"

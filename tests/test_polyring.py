@@ -414,7 +414,7 @@ cell_constants = st.one_of(
     st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
 ).map(Poly.const)
 cell_factors = st.one_of(cell_constants, wide_polys(max_exp=3, max_terms=3))
-#: factors of 2 to 7 terms with p/q coefficients, below the packed path's size rule
+#: factors of 2 to 7 terms with p/q coefficients, below the packing rule's size
 small_factors = st.dictionaries(
     wide_monomials(3), wide_scalars.filter(bool), min_size=2, max_size=7
 ).map(Poly)
@@ -496,24 +496,21 @@ def _sequential_sum(triples: list) -> Poly:
 def test_sum_of_products_is_the_sequential_sum(cell: tuple) -> None:
     triples, dense = cell
     with pytest.MonkeyPatch.context() as patch:
-        shared = _shared_cells(patch)
+        calls = _packed_calls(patch)
         got = sum_of_products(triples)
-    assert bool(shared) == dense
+    assert any(len(pairs) > 1 for pairs in calls) == dense
     assert got == _sequential_sum(triples)
     _assert_canonical(got)
 
 
-def _shared_cells(monkeypatch) -> list:
-    """The pair lists that reach :func:`polyring._packed_sum` together, recorded as it runs."""
+def _packed_calls(monkeypatch) -> list:
+    """The pair list of each call of :func:`polyring._packed_sum`, recorded as it runs.
+
+    A list of two or more pairs is a cell's products sharing packed rows.
+    """
     calls = []
     real = polyring._packed_sum
-
-    def counted(pairs):
-        if len(pairs) > 1:
-            calls.append(pairs)
-        return real(pairs)
-
-    monkeypatch.setattr(polyring, "_packed_sum", counted)
+    monkeypatch.setattr(polyring, "_packed_sum", lambda pairs: calls.append(pairs) or real(pairs))
     return calls
 
 
@@ -540,7 +537,7 @@ def _formed(triples: list) -> int:
 
 
 def test_the_shared_row_path_is_exercised(monkeypatch) -> None:
-    shared = _shared_cells(monkeypatch)
+    calls = _packed_calls(monkeypatch)
     decoded = []
     decode = polyring._decode
     monkeypatch.setattr(polyring, "_decode", lambda *args: decoded.append(args[3]) or decode(*args))
@@ -565,9 +562,9 @@ def test_the_shared_row_path_is_exercised(monkeypatch) -> None:
         (small, False),
     ]
     for triples, expect_shared in cases:
-        del shared[:], decoded[:]
+        del calls[:], decoded[:]
         got = sum_of_products(triples)
-        assert bool(shared) == expect_shared
+        assert any(len(pairs) > 1 for pairs in calls) == expect_shared
         if expect_shared:  # the rows decode no slot that no pair of terms forms
             assert sum(decoded) <= _formed(triples)
         assert got == _sequential_sum(triples)
@@ -582,14 +579,14 @@ def test_a_degree_cell_shares_its_rows(monkeypatch) -> None:
     # and 1,165 terms.
     cell = _degree_cell(9, 3)
     assert [(len(c), len(v)) for c, v, _ in cell] == [(10, 220), (220, 55)]
-    shared = _shared_cells(monkeypatch)
+    calls = _packed_calls(monkeypatch)
     decoded = []
     decode = polyring._decode
     monkeypatch.setattr(polyring, "_decode", lambda *args: decoded.append(args[3]) or decode(*args))
     products = _counted_products(monkeypatch)
     got = sum_of_products(cell)
     monkeypatch.undo()
-    (pairs,) = shared
+    (pairs,) = calls
     assert len(pairs) == 2 and not products  # the traced product layer sees neither
     assert [len(rows_a[1]) * len(rows_b[1]) for _, _, rows_a, rows_b, _ in pairs] == [550, 550]
     assert len(decoded) == 190 and sum(decoded) == _formed(cell) == 1330
@@ -611,17 +608,26 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
     dense = Poly.var("D", 10) * (D + L2 + 2) ** 8  # D^10 .. D^18
     base = (D + L1 - 2) ** 7 * (L2 + 1)
     tall = Poly.var("L2", EXP_MAX - 3) * (D + L1 + 3) ** 8
+    short, lift = Poly.var("L2", EXP_MAX - 3) * (D + L1 + 3), L2**4 - D * L1 + Fraction(1, 2)
+    mixed = [(short, lift, 1), (high, dense, 1), (-short, lift, 1), (-high, dense, 1)]
     cells = [
         [(high, dense, 1), (-high, dense, 1)],  # the sum is zero; the product passes the cap
         [(base, dense, 1), (dense, tall, 1), (-dense, tall, 1)],  # the second passes it in L2
         [(base, dense, 1), (dense, base, 1), (Poly.const(2), base, 1)],
+        # no shared rows: short·lift (3 × 3 terms) goes term by term, past the cap in
+        # L2, and high·dense packs alone, after it or before it
+        mixed,
+        [mixed[1], mixed[0], mixed[3], mixed[2]],
     ]
     expected = [
         ("ExponentOverflow", f"exponent {EXP_MAX + 6} of D exceeds the cap {EXP_MAX}"),
         ("ExponentOverflow", f"exponent {EXP_MAX + 5} of L2 exceeds the cap {EXP_MAX}"),
+        ("ExponentOverflow", f"exponent {EXP_MAX + 1} of L2 exceeds the cap {EXP_MAX}"),
+        ("ExponentOverflow", f"exponent {EXP_MAX + 6} of D exceeds the cap {EXP_MAX}"),
     ]
-    for cell in cells:
-        assert polyring._shared_rows([(c, v, 1, 1) for c, v, _ in cell if not c.is_constant()])
+    for cell in cells[:3]:  # the products of each of these cells pack together
+        products = [(c._nums, v._nums) for c, v, _ in cell if not c.is_constant()]
+        assert polyring._packing([sorted(pair, key=len, reverse=True) + [1] for pair in products])
 
     def each_product(cell):
         return lambda: _sequential_sum(cell)
@@ -631,15 +637,19 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
         patch.setattr(polyring, "_PACK_MIN_TERMS", 10**9)
         patch.setattr(polyring, "_SHARED_SHARE", 10**9)
         reference = [_outcome(each_product(cell)) for cell in cells]
-    assert reference[:2] == expected
-    shared = _shared_cells(monkeypatch)
+    assert reference[:2] + reference[3:] == expected
+    calls = _packed_calls(monkeypatch)
     assert [_outcome(lambda: sum_of_products(cell)) for cell in cells] == reference
-    assert len(shared) == 3
+    # three cells share rows; the fourth raises at short·lift before high·dense is
+    # formed, which in the last reaches _packed_sum alone
+    assert [len(pairs) for pairs in calls] == [2, 3, 2, 1]
+    assert calls[-1][0][:2] == (high._nums, dense._nums)
     # the term cap: each pair counts the monomials of its own product, before its
     # exponents are checked, so a cell raises at the first pair past the cap.  In the
     # second cell the first pair forms 712 and the second, which also passes the
-    # exponent cap, 729
+    # exponent cap, 729; short·lift forms 9 and high·dense 729
     assert [_formed(cells[1][:1]), _formed(cells[1][1:])] == [712, 729]
+    assert [_formed(mixed[:1]), _formed(mixed[1:2])] == [9, 729]
     for cap, first in ((711, "TermOverflow"), (728, "TermOverflow"), (729, "ExponentOverflow")):
         monkeypatch.setattr(polyring, "MAX_TERMS", cap)
         ours = [_outcome(lambda: sum_of_products(cell)) for cell in cells]
@@ -648,6 +658,7 @@ def test_shared_rows_raise_where_each_product_would(monkeypatch) -> None:
             patch.setattr(polyring, "_SHARED_SHARE", 10**9)
             assert ours == [_outcome(each_product(cell)) for cell in cells]
         assert ours[1][0] == first
+        assert [kind for kind, _ in ours[3:]] == ["ExponentOverflow", first]
 
 
 def test_sum_of_products_multiplies_only_large_factors(monkeypatch) -> None:
@@ -665,23 +676,27 @@ def test_sum_of_products_multiplies_only_large_factors(monkeypatch) -> None:
     cells = [
         [(Poly.const(-1), p, 1), (p, q, 1), (half, q, 1), (three, Poly.const(5), 1)],
         [(p, q, 1)],  # a lone triple is its product
-        [(big, dense, Fraction(2, 5)), (p, q, 1)],  # * packs it: one c * v, cell not shared
-        [(big, wide, Fraction(2, 5)), (p, q, 1)],  # 8 terms or more, but * does not pack it
+        [(big, dense, Fraction(2, 5)), (p, q, 1)],  # packed alone, into the cell's map
+        [(big, wide, Fraction(2, 5)), (p, q, 1)],  # 8 terms or more, but it does not pack
     ]
     products = _counted_products(monkeypatch)
+    calls = _packed_calls(monkeypatch)
     totals = []
     for cell in cells:
-        del products[:]
-        totals.append((sum_of_products(cell), list(products)))
+        del products[:], calls[:]
+        totals.append((sum_of_products(cell), list(products), [
+            [pair[:2] for pair in pairs] for pairs in calls
+        ]))
     monkeypatch.undo()
-    assert [found for _, found in totals] == [[], [(p, q)], [(big, dense)], []]
+    assert [found for _, found, _ in totals] == [[], [(p, q)], [], []]
+    assert [packed for _, _, packed in totals] == [[], [], [[(big._nums, dense._nums)]], []]
     expected = [
         -p + p * q + half * q + 15,
         p * q,
         big * dense * Fraction(2, 5) + p * q,
         big * wide * Fraction(2, 5) + p * q,
     ]
-    for (total, _), want in zip(totals, expected):
+    for (total, _, _), want in zip(totals, expected):
         assert total == want
         _assert_canonical(total)
 
@@ -905,10 +920,10 @@ def test_decimal_helpers_round_trip_300000_digits() -> None:
 
 # -- the packed product ----------------------------------------------------------------
 #
-# A product takes the packed path of polyring._mul_nums when its smaller operand has at
+# polyring._packing sends a product through packed rows when its smaller operand has at
 # least _PACK_MIN_TERMS terms, each operand's rows along D are runs without gaps from
 # its lowest D exponent, and its pairs of rows are few; other products go term by term.
-# Both paths must agree with sympy and stop at the same term count.
+# Both routes must agree with sympy and stop at the same term count.
 
 # numerators from ±1 to far beyond a machine word, over small or large denominators
 big_scalars = st.builds(
