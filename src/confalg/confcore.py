@@ -293,11 +293,16 @@ class ModElem(_Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-def _elem(module: FreeModule, coeffs: Tuple[Poly, ...]) -> ModElem:
-    """Wrap coefficients that are already ``Poly``, one per basis element of ``module``."""
+def _elem(module: FreeModule, coeffs: Tuple[Poly, ...], terms: Optional[tuple] = None) -> ModElem:
+    """Wrap coefficients that are already ``Poly``, one per basis element of ``module``.
+
+    ``terms``, where given, is the element's support, so it is never recomputed.
+    """
     elem = object.__new__(ModElem)
     state = elem.__dict__  # the fastest way past the refused assignment
     state["module"], state["coeffs"] = module, coeffs
+    if terms is not None:
+        state["_terms"] = terms
     return elem
 
 
@@ -591,32 +596,45 @@ def _bind(c: Poly, binding: Union[Substitution, None]) -> Poly:
     return c.substitute_many(binding) if binding and not c.is_constant() else c
 
 
+def _swapped(slots: tuple, p: int, q: int) -> tuple:
+    """``slots`` with its places ``p < q`` (from 1) exchanged."""
+    return slots[: p - 1] + slots[q - 1 : q] + slots[p : q - 1] + slots[p - 1 : p] + slots[q:]
+
+
+def _rebound(entry: ModElem, binding: Union[Substitution, None]) -> tuple:
+    """The support of ``entry`` rebound by ``binding``; with none, the entry's own."""
+    if binding is None:
+        return entry._terms
+    return tuple((j, _bind(c, binding)) for j, c in entry._terms)
+
+
 def _term_shape(term: Union[MultiTable, Circ, Swap]) -> tuple:
     if isinstance(term, MultiTable):
         return term.in_modules, term.out_module
-    f, ins = term.f, list(term.f.in_modules)
+    f = term.f
+    ins = f.in_modules
     if isinstance(term, Swap):
         p, q = term.p, term.q
-        if not 1 <= p < q <= f.arity:
-            raise ArityMismatch(f"cannot swap slots {p} and {q} of an arity-{f.arity} table")
-        ins[p - 1], ins[q - 1] = ins[q - 1], ins[p - 1]
-        return tuple(ins), f.out_module
+        if not 1 <= p < q <= len(ins):
+            raise ArityMismatch(f"cannot swap slots {p} and {q} of an arity-{len(ins)} table")
+        return _swapped(ins, p, q), f.out_module
     i, g = term.i, term.g
-    if not 1 <= i <= f.arity:
-        raise ArityMismatch(f"no slot {i} in an arity-{f.arity} table")
+    if not 1 <= i <= len(ins):
+        raise ArityMismatch(f"no slot {i} in an arity-{len(ins)} table")
     if g.out_module != ins[i - 1]:
         raise ModuleMismatch(f"slot {i} takes {ins[i - 1]}, the inner table yields {g.out_module}")
-    return tuple(ins[: i - 1]) + g.in_modules + tuple(ins[i:]), f.out_module
+    return ins[: i - 1] + g.in_modules + ins[i:], f.out_module
 
 
 class _SumMemo:
-    """The table sums of one run: key -> (terms, result), and the result terms held."""
+    """The table sums of one run: key -> (terms, result), the result terms held,
+    and the calls answered from the memo (``hits``) or computed (``misses``)."""
 
-    __slots__ = ("sums", "held")
+    __slots__ = ("sums", "held", "hits", "misses")
 
     def __init__(self) -> None:
         self.sums: dict = {}
-        self.held = 0
+        self.held = self.hits = self.misses = 0
 
 
 _SUMS: ContextVar[Optional[_SumMemo]] = ContextVar("confalg_table_sums", default=None)
@@ -640,10 +658,17 @@ def sum_memo() -> Iterator[None]:
 
 
 def _term_key(coeff: PolyLike, term: Union[MultiTable, Circ, Swap]) -> tuple:
-    parts = (term,) if isinstance(term, MultiTable) else term
-    return (as_poly(coeff), type(term)) + tuple(
-        id(part) if isinstance(part, MultiTable) else part for part in parts
-    )
+    # a constant is keyed by its int or Fraction value (2, Fraction(2) and
+    # Poly.const(2) are equal and hash alike), anything else by its Poly
+    if type(coeff) is not int and type(coeff) is not Fraction:
+        coeff = as_poly(coeff)
+        if coeff.is_constant():
+            coeff = scale_of(coeff)
+    if isinstance(term, MultiTable):
+        return (coeff, MultiTable, id(term))
+    if isinstance(term, Circ):
+        return (coeff, Circ, id(term.f), term.i, id(term.g))
+    return (coeff, Swap, id(term.f), term.p, term.q)
 
 
 def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -> MultiTable:
@@ -664,7 +689,10 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     scales numerators, the pairs of non-constant polynomials multiply into the
     cell's one map of numerators (through packed rows where the packing rule
     of :mod:`~confalg.polyring` says so, else term by term), and the cell is
-    made canonical once.
+    made canonical once.  Each result entry carries its support from the
+    start, and an operand with no rebinding (a plain table, or ``f`` when
+    ``i`` is its last slot or ``g`` has one slot) shares its entries'
+    supports with the sum instead of copying them.
 
     A rebinding depends only on the slot layout, ``(i, f.arity, g.arity)``
     for a composition and ``(p, q, f.arity)`` for a swap, so each layout's
@@ -674,24 +702,29 @@ def table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) -
     that layout: a layout keeps those its largest exponent so far needed.
 
     Inside :func:`sum_memo` a sum is computed once: its key is, per term, the
-    coefficient (by value), the term's kind, and the ``id`` of each operand
-    table with the slot indices.  A repeated key returns the stored result;
-    otherwise the result is stored with its terms, which keep the operands
-    alive so that their ids are not reused while the entry lives.  A sum that
-    raises stores nothing, and a result whose terms would take the memo past
-    :data:`SUM_MEMO_TERMS` is returned without being stored.  Tables are
-    immutable, so sharing a result is safe.
+    coefficient (by value: a constant by its ``int`` or ``Fraction`` value,
+    with no ``Poly`` made, anything else by its ``Poly``), the term's kind,
+    and the ``id`` of each operand table with the slot indices.  A repeated
+    key returns the stored result (the memo counts a hit); any other call (a
+    miss) computes the sum and stores it with its terms, which keep the
+    operands alive so that their ids are not reused while the entry lives.
+    A sum that raises stores nothing, and a result whose terms (summed over
+    its entries' supports) would take the memo past :data:`SUM_MEMO_TERMS`
+    is returned without being stored.  Tables are immutable, so sharing a
+    result is safe.
     """
     memo = _SUMS.get()
     if memo is None:
         return _table_sum(terms)
     terms = list(terms)
-    key = tuple(_term_key(coeff, term) for coeff, term in terms)
+    key = tuple([_term_key(coeff, term) for coeff, term in terms])
     hit = memo.sums.get(key)
     if hit is not None:
+        memo.hits += 1
         return hit[1]
+    memo.misses += 1
     result = _table_sum(terms)
-    size = sum(len(c) for entry in result.entries.values() for c in entry.coeffs)
+    size = sum(len(c) for entry in result.entries.values() for _, c in entry._terms)
     if memo.held + size <= SUM_MEMO_TERMS:
         memo.held += size
         memo.sums[key] = (terms, result)
@@ -741,7 +774,7 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
         if isinstance(term, Circ):
             groups: dict = {}
             for idx, entry in f.entries.items():
-                values = tuple((j, _bind(c, f_bind)) for j, c in entry._terms)
+                values = _rebound(entry, f_bind)
                 groups.setdefault(idx[i - 1], []).append((idx[: i - 1], idx[i:], values))
             # a constant coefficient scales the cell's numerators instead of each entry
             constant = coeff.is_constant()
@@ -754,9 +787,7 @@ def _term_pairs(coeff: Poly, term: Union[MultiTable, Circ, Swap]) -> list:
             ]
         group = []
         for idx, entry in f.entries.items():
-            if q:
-                idx = idx[: p - 1] + idx[q - 1 : q] + idx[p:q - 1] + idx[p - 1 : p] + idx[q:]
-            group.append((idx, (), tuple((j, _bind(c, f_bind)) for j, c in entry._terms)))
+            group.append((_swapped(idx, p, q) if q else idx, (), _rebound(entry, f_bind)))
         return [((), group, coeff, 1)]
     finally:
         for binding in (f_bind, g_bind):
@@ -793,8 +824,9 @@ def _table_sum(terms: Iterable[Tuple[PolyLike, Union[MultiTable, Circ, Swap]]]) 
     entries, zero = {}, Poly.zero()
     for idx, row in rows.items():
         coeffs = tuple(sum_of_products(cell) if cell else zero for cell in row)
-        if any(coeffs):
-            entries[idx] = _elem(out, coeffs)
+        support = tuple((j, c) for j, c in enumerate(coeffs) if c)
+        if support:
+            entries[idx] = _elem(out, coeffs, support)
     return _table(ins, out, entries)
 
 

@@ -470,6 +470,18 @@ def test_a_sum_memo_computes_each_sum_once_and_ends_with_its_block() -> None:
         twin = MultiTable((AM, AM), AM, g.entries)
         assert table_sum([(1, Circ(f, 1, twin)), (-2, Circ(twin, 2, f))]) is not first
         assert table_sum([(1, Swap(f, 1, 2))]) is not table_sum([(1, f)])
+        # a constant is keyed by its value, as an int, a Fraction or a Poly
+        two = table_sum([(2, f)])
+        assert table_sum([(Fraction(2), f)]) is two
+        assert table_sum([(Poly.const(2), f)]) is two
+        half = table_sum([(Fraction(1, 2), f)])
+        assert table_sum([(Poly.const(Fraction(1, 2)), f)]) is half
+        # a non-constant coefficient by its polynomial, however often it is built
+        shift, again = D + 1, D + 1
+        assert shift is not again
+        assert table_sum([(again, f)]) is table_sum([(shift, f)])
+        assert table_sum([(2 * D, f)]) is not two
+        assert table_sum([(2, f)]) is two
         with sum_memo():  # a nested block reuses the open memo
             assert table_sum(terms) is first
         memo = confcore._SUMS.get()
@@ -482,6 +494,59 @@ def test_a_sum_memo_computes_each_sum_once_and_ends_with_its_block() -> None:
         assert memo.held == sum(len(c) for entry in stored for _, c in entry.support())
     assert confcore._SUMS.get() is None
     assert table_sum(terms) is not first
+
+
+def test_the_sum_memo_counts_its_hits_and_misses() -> None:
+    rng = random.Random(8)
+    f, g = _random_table(rng, (AM, AM), AM), _random_table(rng, (AM, AM), AM)
+    with sum_memo():
+        memo = confcore._SUMS.get()
+        assert (memo.hits, memo.misses) == (0, 0)
+        for _ in range(3):
+            table_sum([(1, Circ(f, 1, g))])
+        table_sum([(1, f)])
+        with pytest.raises(ArityMismatch):
+            table_sum([(1, Swap(f, 1, 3))])
+        assert (memo.hits, memo.misses) == (2, 3)
+
+
+def _assert_supports_stored(table: MultiTable) -> None:
+    for entry in table.entries.values():
+        assert list(entry.support()) == [(i, c) for i, c in enumerate(entry.coeffs) if c]
+        assert not entry.is_zero()
+        assert entry.is_zero() == (not any(entry.coeffs))
+
+
+def test_table_sum_entries_carry_their_supports() -> None:
+    rng = random.Random(36)
+    for _ in range(10):
+        ins = (rng.choice(MODULES), rng.choice(MODULES))
+        out = rng.choice(MODULES)
+        f, g = _random_table(rng, ins, out), _random_table(rng, ins, out)
+        inner = _random_table(rng, (rng.choice(MODULES),) * 2, ins[0])
+        three = _random_table(rng, ins + ins[:1], out)
+        c = rng.choice((1, -2, Fraction(1, 3), D + 1, Poly.var("q")))
+        for terms in (
+            [(1, f), (c, g)],
+            [(c, Circ(f, 1, inner)), (-1, Circ(f, 1, inner))],
+            [(1, Swap(three, 1, 3)), (c, Swap(three, 1, 3)), (c, three)],
+            [(1, Circ(f, 2, _random_table(rng, (rng.choice(MODULES),), ins[1])))],
+        ):
+            _assert_supports_stored(table_sum(terms))
+        # cells that cancel leave no entry
+        assert table_sum([(1, f), (-1, f)]).entries == {}
+        assert table_sum([(1, Circ(f, 1, inner)), (-1, Circ(f, 1, inner))]).entries == {}
+    # a commutative table less its swap: the constant entries cancel, and of the two
+    # entries that carry L1 one output coefficient is left
+    r = MODULES[2]
+    entries = {}
+    for i, j in itertools.combinations_with_replacement(range(r.rank), 2):
+        entries[i, j] = entries[j, i] = r.elem([rng.choice((-1, 0, 2)) for _ in range(r.rank)])
+    entries[0, 1] = entries[0, 1] + r.elem([0, L1, 0])
+    f = MultiTable((r, r), r, entries)
+    diff = table_sum([(1, f), (-1, Swap(f, 1, 2))])
+    assert diff.entries == {(0, 1): r.elem([0, L1, 0]), (1, 0): r.elem([0, D + L1, 0])}
+    _assert_supports_stored(diff)
 
 
 def test_a_rebinding_past_the_exponent_cap_raises_the_same_error_each_time() -> None:

@@ -1629,6 +1629,15 @@ def test_each_run_computes_its_sums_afresh_and_closes_its_memo(monkeypatch, caps
     assert confcore._SUMS.get() is None
 
 
+def test_a_run_of_the_corpus_computes_63_of_its_120_sums():
+    # a memo key that merged or split sums would move these counts
+    with confcore.sum_memo():
+        memo = confcore._SUMS.get()
+        run(parse_file(str(FIXTURES / "all.cfa")))
+        assert (memo.hits, memo.misses) == (57, 63)
+        assert len(memo.sums) == 63
+
+
 def test_each_statement_gives_the_record_of_a_run_of_its_own():
     sf = parse_file(str(FIXTURES / "all.cfa"))
     report, _ = run(sf)
