@@ -111,13 +111,34 @@ is unchanged: a call counts the powers up to its own largest exponent,
 however many the table holds.  The table sums trim each table back to
 :data:`_KEPT_TERMS` terms of powers when they are done with it.
 
+A substitution that has been trimmed is kept for later calls, and where its
+images all have denominator 1 its first trim also starts a memo of the
+monomials it rebinds, up to :data:`_KEPT_TERMS` terms held: each monomial's
+image, as ``(monomial, numerator)`` pairs, and a bound, the image's terms
+plus, for each table, the terms of the powers 1 .. e that the monomial's
+exponent e needs.  A call that finds every monomial in the memo, with bounds
+that sum to at most the cap, adds each coefficient times its image straight
+into the result, with no powers, no moves and no checks; every other call
+takes the path above and keeps each image it forms.  The errors are the
+same by construction: an image is kept only once formed without raising, and
+an exponent overflow depends on the monomial alone, so a call served from
+the memo owes none; and the summed bounds are at least the powers and the
+result that the path counts against the cap.  A substitution that is never
+trimmed keeps no memo, such as one made from pairs or the one that
+:func:`~confalg.confcore.eval_multilinear` builds per call; nor does one with
+an image over another denominator, whose powers each call scales to its own
+largest exponent.
+
 Term cap.  A product may hold at most :data:`MAX_TERMS` terms, and a
 substitution at most that many in the powers of its images that it keeps
-plus its result so far.  A product counts every monomial that a pair of its
-terms forms, cancelled or not, and counts them only where a bound passes
-the cap.  The term-by-term route's bound is its pairs of terms: into a map of
-its own it counts the terms as it adds them, row by row, and into a map that
-holds other terms, the distinct sums of their monomials, before it adds any.
+plus its result so far; where the bounds of its memo (see above) sum past
+the cap, a call counts on the path that forms the images, so it raises
+exactly where a substitution without a memo would.  A product counts every
+monomial that a pair of its terms forms, cancelled or not, and counts them
+only where a bound passes the cap.  The term-by-term route's bound is its
+pairs of terms: into a map of its own it counts the terms as it adds them,
+row by row, and into a map that holds other terms, the distinct sums of
+their monomials, before it adds any.
 The packed route's bound is the sum over its pairs of rows of the monomials
 each pair forms, and before it multiplies it adds up the longest run of each
 row of the product, which are exactly those monomials.  So both routes stop
@@ -167,7 +188,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import index, or_
+from operator import index, itemgetter, or_
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import DuplicateBinding, ExponentOverflow, ParseError, PreconditionFailed, TermOverflow
@@ -933,7 +954,13 @@ class Poly:
         ``bindings`` is a :class:`Substitution` or the ``(name, image)``
         pairs to make one of.  Images are not re-substituted: ``L1 -> L1+L2,
         L2 -> L3`` sends ``L1*L2`` to ``(L1+L2)*L3``.  Raises
-        :class:`DuplicateBinding` if the same variable is bound twice.
+        :class:`DuplicateBinding` if the same variable is bound twice.  A
+        call whose monomials a trimmed substitution has all rebound since
+        its first trim, with bounds within :data:`MAX_TERMS`, is one memo
+        lookup per monomial and one addition per term of its image; any
+        other call forms the images from the tables of powers, keeps them if
+        the substitution has a memo, and raises what a fresh substitution
+        would (see "Substitution" in the module docstring).
         """
         if not isinstance(bindings, Substitution):
             bindings = Substitution(bindings)
@@ -945,6 +972,22 @@ class Poly:
         fields, keep, moves, tables = bindings._plan or bindings._compile()
         if not present & fields:
             return self
+        memo = bindings._memo
+        if memo:
+            # every monomial met before: its image goes straight into the result, with
+            # no powers and no checks, where the bounds keep the term cap from passing
+            hits = list(map(memo.get, nums))
+            if None not in hits and sum(map(_BOUND, hits)) <= MAX_TERMS:
+                acc: dict = {}
+                get = acc.get
+                for (_, image), coeff in zip(hits, nums.values()):
+                    for m, c in image:
+                        s = get(m, 0) + c * coeff
+                        if s:
+                            acc[m] = s
+                        else:
+                            del acc[m]
+                return _canonical(acc, self._den)
         # The powers of each image up to the largest exponent it replaces here.
         # image^e has denominator d^e; its terms are brought to d^top so that
         # every term shares one denominator.
@@ -962,11 +1005,11 @@ class Poly:
                 scale = [d ** (top - e) for e in range(top + 1)]
                 den *= scale[0]
             live.append((shift, powers, ors, scale))
-        acc: dict = {}
+        acc = {}
         get = acc.get
         guard = _FIELDS.guard
         # with one image, its power's terms go straight into the result: no product
-        # per monomial, which is most calls of a table sum
+        # per monomial, which is most calls of a one-off substitution
         one = live[0] if len(live) == 1 else None
         for mono, coeff in nums.items():
             base = mono & keep
@@ -990,6 +1033,17 @@ class Poly:
                         coeff *= scale[e]
                     piece = _mul_nums(piece, powers[e])
                 base = 0  # the piece holds whole monomials
+            # the image, formed without raising, is kept with its bound: its terms and
+            # those of the powers it needs (a table the monomial lacks adds sizes[0] = 0)
+            if memo is not None and mono not in memo and bindings._held + len(piece) <= _KEPT_TERMS:
+                bound = len(piece)
+                for table in tables:
+                    bound += table[5][(mono >> table[0]) & _FIELD]
+                image = tuple([(m + base, c) for m, c in piece.items()])
+                with _KEEPING:  # every thread adds to one count of held terms
+                    if mono not in memo and bindings._held + len(image) <= _KEPT_TERMS:
+                        bindings._held += len(image)
+                        memo[mono] = (bound, image)
             for m, c in piece.items():
                 m += base
                 s = get(m, 0) + c * coeff
@@ -1031,14 +1085,22 @@ class Substitution:
     so a substitution that only meets constants costs no more than its
     pairs: an image ``1·v`` becomes a move of an exponent field into
     ``v``'s, and every other image keeps a table of its powers that grows on
-    demand and serves every later polynomial.
+    demand and serves every later polynomial.  Where every image has
+    denominator 1, the first :meth:`_trim` starts a memo from each monomial
+    rebound after it to that monomial's image and its bound, up to
+    :data:`_KEPT_TERMS` terms of images.  The memo is filled under a lock of
+    its own, so powers already built are still read without one; threads that
+    meet one monomial at once may each form its image, and one keeps it.
     """
 
-    __slots__ = ("_pairs", "_plan")
+    __slots__ = ("_pairs", "_plan", "_memo", "_held")
 
     def __init__(self, bindings: Iterable[Tuple[str, PolyLike]]) -> None:
         self._pairs = tuple(bindings)
         self._plan: tuple | None = None
+        #: The memo of rebound monomials, from the first trim, and its terms.
+        self._memo: dict | None = None
+        self._held = 0
 
     def _compile(self) -> tuple:
         """``(fields, keep, moves, tables)``, the plan :meth:`Poly.substitute_many` follows.
@@ -1076,10 +1138,18 @@ class Substitution:
         """Keep for later calls only the powers within :data:`_KEPT_TERMS` terms per table.
 
         A longer table is replaced by a shorter copy, so a call that is reading
-        it keeps its lists.
+        it keeps its lists.  A substitution that is trimmed is kept for later
+        calls, so where every image has denominator 1 its first trim also
+        starts its memo of rebound monomials.
         """
         plan = self._plan
-        if plan is None or all(table[5][-1] <= _KEPT_TERMS for table in plan[3]):
+        if plan is None:
+            return
+        if self._memo is None and all(table[2] == 1 for table in plan[3]):
+            with _KEEPING:
+                if self._memo is None:
+                    self._memo = {}
+        if all(table[5][-1] <= _KEPT_TERMS for table in plan[3]):
             return
         with _GROWING:
             tables = []
@@ -1091,6 +1161,10 @@ class Substitution:
 
 #: Held while a table of powers is grown or trimmed (see :func:`_grow`).
 _GROWING = threading.Lock()
+#: Held while an image is put into a substitution's memo.
+_KEEPING = threading.Lock()
+#: The bound of a memo entry ``(bound, image)`` of a substitution.
+_BOUND = itemgetter(0)
 #: The most terms of powers that :meth:`Substitution._trim` leaves a table.  The
 #: powers of the ``degree`` benchmark's largest image, ``(D + L1 + L2)^1 .. ^11``,
 #: hold 363.

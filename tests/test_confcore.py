@@ -601,11 +601,15 @@ def test_a_slot_layout_keeps_a_bounded_table_of_powers() -> None:
     one = MultiTable((e, e), e, {(0, 0): e.elem([1])})
     high = MultiTable((e, e), e, {(0, 0): e.elem([D**200])})
     confcore._circ_bindings.cache_clear()
-    assert table_sum([(1, Circ(one, 1, high))]).entry((0, 0, 0)) == e.elem([(L1 + L2) ** 200])
+    for _ in range(2):  # the first sum's trim starts the memo, and the second fills it
+        assert table_sum([(1, Circ(one, 1, high))]).entry((0, 0, 0)) == e.elem([(L1 + L2) ** 200])
     # the powers of D -> -(L1 + L2) up to 200 hold 20,300 terms; the layout keeps fewer
     _, g_bind = confcore._circ_bindings(1, 2, 2)
     (table,) = g_bind._plan[3]
     assert 0 < table[5][-1] <= polyring._KEPT_TERMS < 20_300
+    # its memo holds the image of D^200, 201 terms, within the same budget
+    memo_terms = sum(len(image) for _, image in g_bind._memo.values())
+    assert 201 <= g_bind._held == memo_terms <= polyring._KEPT_TERMS
 
 def test_threads_sharing_a_slot_layout_get_exact_sums() -> None:
     # every thread composes at one layout, so all share its rebinding and grow the

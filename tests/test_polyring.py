@@ -320,21 +320,37 @@ def weight_bindings(draw) -> list:
     return bindings
 
 
+def _memo_terms(sub: Substitution) -> int:
+    """The terms of the images in a substitution's memo, counted from its entries."""
+    return sum(len(image) for _, image in sub._memo.values())
+
+
 @settings(max_examples=60, deadline=None)
-@given(weight_bindings(), st.lists(polys(), min_size=1, max_size=4))
-def test_one_compiled_substitution_serves_many_polynomials(bindings: list, ps: list) -> None:
+@given(weight_bindings(), st.lists(polys(), min_size=1, max_size=4), st.sampled_from([None, 3]))
+def test_one_compiled_substitution_serves_many_polynomials(bindings: list, ps: list, kept) -> None:
     # the polynomials by rising degree in D and t, then falling: the power tables grow,
     # then serve calls whose largest exponent is below what they hold
     ps.sort(key=lambda p: p.degree_in("D") + p.degree_in("t"))
     ps += ps[::-1] + [Poly.zero(), Poly.const(Fraction(3, 4))]
-    sub = Substitution(bindings)
     images = {sympy.Symbol(name): _to_sympy(polyring.as_poly(image)) for name, image in bindings}
-    for p in ps:
-        ours = p.substitute_many(sub)
-        _assert_canonical(ours)
-        assert ours == p.substitute_many(bindings)
-        theirs = _to_sympy(p).subs(images, simultaneous=True)
-        assert sympy.expand(_to_sympy(ours) - theirs) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        if kept is not None:  # a memo of 3 terms fills up, and later images are formed uncached
+            patch.setattr(polyring, "_KEPT_TERMS", kept)
+        sub = Substitution(bindings)
+        # each polynomial goes through cold, then warm; a trim between them, as a table
+        # sum makes, starts the memo on the first one, and later cold calls fill it
+        for p in ps:
+            ours = p.substitute_many(sub)
+            _assert_canonical(ours)
+            sub._trim()
+            warm = p.substitute_many(sub)  # each image kept so far is read back
+            # the memo adds the same terms in the same order as the powers do
+            assert list(warm._nums.items()) == list(ours._nums.items()) and warm._den == ours._den
+            assert ours == p.substitute_many(Substitution(bindings)) == p.substitute_many(bindings)
+            theirs = _to_sympy(p).subs(images, simultaneous=True)
+            assert sympy.expand(_to_sympy(ours) - theirs) == 0
+        if sub._memo is not None:
+            assert sub._held == _memo_terms(sub) <= polyring._KEPT_TERMS
 
 
 def test_compiled_substitution_keeps_the_error_contract(monkeypatch) -> None:
@@ -363,10 +379,35 @@ def test_compiled_substitution_keeps_the_error_contract(monkeypatch) -> None:
         D.substitute_many(duplicate)
     with pytest.raises(DuplicateBinding):
         Poly.const(3).substitute_many([("D", L1), ("D", L2)])
+    # a memo keeps only images formed without raising, so every call raises what the
+    # first did, even beside a monomial that it keeps
+    shift = Substitution([("D", D + L1)])
+    for _ in range(2):
+        assert (D * L1).substitute_many(shift) == (D + L1) * L1
+        shift._trim()  # the first trim starts the memo
+    for p in (shifted, shifted, D * L1 + shifted):
+        with pytest.raises(ExponentOverflow, match=f"^exponent {EXP_MAX + 1} of L1 exceeds"):
+            p.substitute_many(shift)
+    assert list(shift._memo) == list((D * L1)._nums)
+    # Each kept image of x = D + L1 + L2 is bounded by its terms and those of the powers
+    # it needs: D^4 by 15 + 34 and D^3 by 10 + 19, 78 together.  Formed, D^4 + D^3 holds
+    # 34 terms of powers and 25 of result, 59.
+    x = D + L1 + L2
+    expected = x**4 + x**3
+    sub = Substitution([("D", x)])
+    for _ in range(2):
+        assert (D**4 + D**3).substitute_many(sub) == expected
+        sub._trim()
+    assert sorted(bound for bound, _ in sub._memo.values()) == [29, 49]
+    monkeypatch.setattr(polyring, "MAX_TERMS", 59)  # the bounds pass the cap, the count does not
+    assert (D**4 + D**3).substitute_many(sub) == expected
+    monkeypatch.setattr(polyring, "MAX_TERMS", 58)  # the count passes it too
+    for fresh in (sub, Substitution([("D", x)]), [("D", x)]):
+        with pytest.raises(TermOverflow):
+            (D**4 + D**3).substitute_many(fresh)
     # the term cap counts the powers up to each call's own top exponent, however many
     # the shared table holds: D^5 needs 55 terms of powers, D^4 needs 34 and 15 more
     monkeypatch.setattr(polyring, "MAX_TERMS", 50)
-    x = D + L1 + L2
     shared = Substitution([("D", x)])
     for sub in (shared, [("D", x)]):
         with pytest.raises(TermOverflow):
@@ -387,7 +428,11 @@ def test_a_trimmed_table_keeps_a_bounded_number_of_powers(monkeypatch) -> None:
     shared._trim()
     # x^0 .. x^3 hold 19 terms; the lists a call may still be reading stay whole
     assert len(shared._plan[3][0][3]) == 4 and len(held) == 6
-    assert (D**5 + D * L1).substitute_many(shared) == x**5 + x * L1
+    # the memo keeps x·L1 (3 terms), never x^5 (21), and counts x·L1 once however
+    # often a call that x^5 sends down the uncached path meets it
+    for _ in range(2):
+        assert (D**5 + D * L1).substitute_many(shared) == x**5 + x * L1
+        assert shared._held == _memo_terms(shared) == 3
 
 
 def test_powers_already_built_are_read_without_the_lock(monkeypatch) -> None:
